@@ -9,7 +9,7 @@ scheme = am.gen_hamming_binary(3)
 
 # merging the odd-distance classes {1,3} gives a 2-class fusion scheme
 pi = am.ClassPartition.from_string("1,3|2", 3)
-out = am.fuse_direct(scheme, pi)  # exact: re-validates the fused labels
+out = am.fuse_direct(scheme, pi)  # exact: block sums of the intersection tensor
 print(f"partition {pi} fuses; dual partition rho = {out.rho}")
 print("fused eigenmatrix:")
 print(out.P_fused.astype(int))

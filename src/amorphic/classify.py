@@ -3,6 +3,7 @@ the whole-corpus claim verifier."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -362,6 +363,7 @@ def verify_paper_claims(scheme: AssociationScheme,
         H3 = build_fusing_hypergraph(scheme, 3, side="relations", tol=tol, seed=seed)
         cores = sunflower_cores(H3)
 
+    @functools.cache  # claims (a), (b) and both dual claims share one verdict
     def verdict() -> bool:
         return is_amorphic(scheme, tol=tol, seed=seed, limit=limit).amorphic
 

@@ -112,12 +112,21 @@ def _write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+        Tolerance(atol=value, rtol=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}: {exc}") from exc
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="amorphic",
         description="Fusion analysis of symmetric association schemes")
-    ap.add_argument("--tol", type=float, default=1e-8, metavar="REAL",
-                    help="absolute and relative comparison tolerance")
+    ap.add_argument("--tol", type=_tolerance, default=1e-8, metavar="REAL",
+                    help="absolute and relative comparison tolerance (finite, >= 0)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for the random eigen-splitting coefficients")
     ap.add_argument("--report", type=Path, default=None, metavar="PATH",

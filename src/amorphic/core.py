@@ -8,6 +8,7 @@ parameters are floating point under an explicit tolerance policy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,6 +46,12 @@ class Tolerance:
     atol: float = 1e-8
     rtol: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("atol", "rtol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {name}={value!r} must be finite and >= 0")
+
     def close(self, a, b) -> bool:
         a = float(a)
         b = float(b)
@@ -55,9 +62,6 @@ class Tolerance:
         b = np.asarray(b, dtype=float)
         bound = self.atol + self.rtol * np.maximum(np.abs(a), np.abs(b))
         return bool(np.all(np.abs(a - b) <= bound))
-
-    def rows_equal(self, a, b) -> bool:
-        return self.allclose(a, b)
 
     def snap(self, arr):
         """Round entries that sit within tolerance of an integer.

@@ -186,6 +186,27 @@ def test_verify_claims_amorphic_net():
     assert by_name["overlap_cases"].witness == "I.3"
 
 
+def test_verify_claims_computes_the_verdict_once(monkeypatch):
+    import amorphic.classify as classify
+    calls = []
+    real = classify.is_amorphic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "is_amorphic", counted)
+    report = am.verify_paper_claims(am.gen_net_scheme(4, am.SlopeGrouping.singletons(4)))
+    by_name = {r.claim: r for r in report.records}
+    uses = [name for name in ("two_sunflowers_imply_amorphic",
+                              "complete_3hypergraph_implies_amorphic",
+                              "dual_two_sunflowers_imply_amorphic",
+                              "dual_complete_3hypergraph_implies_amorphic")
+            if by_name[name].applicable]
+    assert len(uses) >= 2 and all(by_name[name].verified for name in uses)
+    assert len(calls) == 1
+
+
 def test_verify_claims_hamming5():
     report = am.verify_paper_claims(am.gen_hamming_binary(5))
     assert not report.falsified

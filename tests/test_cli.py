@@ -1,6 +1,10 @@
 """Scheme file format and the command-line surface (exit codes, reports)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run_command(["no-such-command"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-1e-9"])
+def test_bad_tolerance_is_a_usage_error(h3_file, tol, capsys):
+    for argv in (["--tol", tol, "validate", str(h3_file)],
+                 [f"--tol={tol}", "validate", str(h3_file)]):
+        with pytest.raises(SystemExit) as err:
+            run_command(argv)
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_python_m_amorphic_help():
+    src = str(Path(am.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "amorphic", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: amorphic")
 
 
 def test_spectrum_report(h3_file, tmp_path, capsys):

@@ -54,6 +54,19 @@ def test_tolerance_snap_masks_irrationals():
     assert arr[1] == golden
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+def test_tolerance_rejects_negative_and_nonfinite(bad):
+    with pytest.raises(ValueError):
+        Tolerance(atol=bad)
+    with pytest.raises(ValueError):
+        Tolerance(rtol=bad)
+
+
+def test_tolerance_accepts_zero():
+    t = Tolerance(atol=0.0, rtol=0)
+    assert t.close(1.0, 1.0) and not t.close(1.0, 1.0 + 1e-15)
+
+
 # ------------------------------------------------------------------- axioms
 
 def test_validate_rejects_nonzero_diagonal():

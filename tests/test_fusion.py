@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amorphic as am
-from amorphic.fusion import CASE_REPRESENTATIVES, EXACT_CHECK_BUDGET, _overlap_label
+import amorphic.fusion as fusion
+from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
+from conftest import fuse_by_relabeling
 
 TOL = am.DEFAULT_TOL
 
@@ -137,8 +139,63 @@ def test_enumerate_fusing_tuples_amorphic_complete():
     assert len(am.enumerate_fusing_tuples(scheme, 3)) == 10  # C(5,3)
 
 
-def test_exact_budget_covers_test_schemes():
-    assert am.gen_hamming_binary(5).v <= EXACT_CHECK_BUDGET
+def test_enumeration_cross_checks_exactly_above_v64(monkeypatch):
+    """H(8,2) has v = 256: a flipped criterion answer is still caught."""
+    scheme = am.gen_hamming_binary(8)
+    real = fusion.bm_check
+    calls = []
+
+    def flip_first(spec, pi):
+        calls.append(pi)
+        if len(calls) > 1:
+            return real(spec, pi)
+        try:
+            real(spec, pi)
+        except am.NotAFusion:
+            return None  # claim that a rejected tuple fuses
+        raise am.NotAFusion("flipped")
+
+    monkeypatch.setattr(fusion, "bm_check", flip_first)
+    with pytest.raises(am.OracleDisagreement):
+        am.enumerate_fusing_tuples(scheme, 2)
+    assert len(calls) == 1
+
+
+def test_rejection_names_block_pair_and_class():
+    scheme = am.gen_hamming_binary(3)
+    with pytest.raises(am.NotAFusion, match=r"over i in \{.*\}, j in \{.*\} is \d+ at h=\d"):
+        am.fuse_direct(scheme, am.ClassPartition.from_string("2,3|1", 3))
+
+
+def test_three_oracles_agree_on_every_corpus_partition(corpus):
+    """Tensor oracle, label re-validation and bm_check give one answer on
+    every partition of every corpus scheme; fused schemes coincide."""
+    checks = fusions = 0
+    for name, scheme in corpus:
+        spec = am.spectral_decomposition(scheme)
+        for pi in am.enumerate_partitions(scheme.d):
+            checks += 1
+            try:
+                fusion._check_fusion(scheme, pi)
+                ok_tensor = True
+            except am.NotAFusion:
+                ok_tensor = False
+            relabeled = fuse_by_relabeling(scheme, pi)
+            try:
+                dual = am.bm_check(spec, pi)
+                ok_bm = True
+            except am.NotAFusion:
+                ok_bm = False
+            assert ok_tensor == (relabeled is not None) == ok_bm, (name, str(pi))
+            assert fusion.fuses(scheme, pi) == ok_tensor, (name, str(pi))
+            if ok_tensor:
+                fusions += 1
+                out = am.fuse_direct(scheme, pi)
+                assert out.scheme.valencies == relabeled.valencies, (name, str(pi))
+                assert out.scheme == relabeled, (name, str(pi))
+                assert out.rho == dual.rho, (name, str(pi))
+    assert checks == 1993
+    assert fusions > 0
 
 
 # ------------------------------------------------------------ triple types
