@@ -9,7 +9,6 @@ fusing hypergraphs, detect 3-sunflowers, and certify amorphicity.
 from .errors import (
     SchemeError,
     AxiomViolation,
-    NotClosed,
     DegenerateSpectrum,
     IdempotencyViolation,
     NegativeKrein,
@@ -101,7 +100,7 @@ from .cli import load_scheme, save_scheme
 __version__ = "0.1.0"
 
 __all__ = [
-    "SchemeError", "AxiomViolation", "NotClosed", "DegenerateSpectrum",
+    "SchemeError", "AxiomViolation", "DegenerateSpectrum",
     "IdempotencyViolation", "NegativeKrein", "NotAFusion", "NotFusing",
     "OracleDisagreement", "LimitExceeded", "PreconditionFailed",
     "Unclassified", "WrongUniformity", "WrongClassCount", "NotSymmetric",

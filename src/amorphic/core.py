@@ -1,7 +1,12 @@
 """Symmetric association schemes and their exact/spectral invariants.
 
 Everything combinatorial (axioms, intersection numbers, fusion closure) is
-computed in exact integer arithmetic; eigenmatrices, idempotents and Krein
+exact.  :func:`validate_scheme` checks the axioms and yields the
+intersection tensor in one pass: the tensor comes from an integer
+histogram, and closure is checked cell by cell against products of the
+0/1 class matrices taken in float64 BLAS.  Those products are exact
+because every entry, and every partial sum along the way, is an integer
+count of at most v < 2^53.  Eigenmatrices, idempotents and Krein
 parameters are floating point under an explicit tolerance policy.
 """
 
@@ -19,7 +24,6 @@ from .errors import (
     DegenerateSpectrum,
     IdempotencyViolation,
     NegativeKrein,
-    NotClosed,
 )
 
 __all__ = [
@@ -110,13 +114,16 @@ class LabelMatrix:
 class AssociationScheme:
     """A validated symmetric association scheme.
 
-    Instances are produced by :func:`validate_scheme` and are immutable;
-    all derived data is cached per instance.
+    Instances are produced by :func:`validate_scheme`, which passes in the
+    intersection tensor it computed, and are immutable; all derived data
+    is cached per instance.
     """
 
-    def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...]):
+    def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...],
+                 intersection: "IntersectionTensor | None" = None):
         self.label_matrix = label_matrix
         self.valencies = valencies
+        self._intersection = intersection
 
     @property
     def v(self) -> int:
@@ -138,9 +145,11 @@ class AssociationScheme:
     def relations(self) -> tuple[np.ndarray, ...]:
         return tuple(self.relation(i) for i in range(self.d + 1))
 
-    @cached_property
+    @property
     def intersection(self) -> "IntersectionTensor":
-        return intersection_numbers(self)
+        if self._intersection is None:
+            self._intersection = intersection_numbers(self)
+        return self._intersection
 
     @cached_property
     def spectral(self) -> "SpectralData":
@@ -223,9 +232,16 @@ def _as_label_matrix(labels) -> LabelMatrix:
 
 
 def validate_scheme(labels) -> AssociationScheme:
-    """Check the four scheme axioms in exact integer arithmetic.
+    """Check the four scheme axioms exactly and attach the intersection tensor.
 
     Raises :class:`AxiomViolation` with the failed axiom and a witness cell.
+
+    One pass does both jobs.  The candidate tensor comes from a single
+    histogram of the v^2 cells (see :func:`_row0_counts`); closure is then
+    checked on every cell as ``A_i A_j == p[i, j][labels]`` for 1 <= i <= j
+    <= d.  The products run in float64 BLAS and are still exact: every entry,
+    and every partial sum of 0/1 products on the way to it, is an integer
+    count of at most v, and float64 holds every integer up to 2^53.
     """
     lm = _as_label_matrix(labels)
     L = lm.labels
@@ -250,41 +266,59 @@ def validate_scheme(labels) -> AssociationScheme:
         x, y = map(int, np.argwhere(L != L.T)[0])
         raise AxiomViolation("symmetry", (x, y))
 
-    mats = [(L == i).astype(np.int64) for i in range(d + 1)]
-    class_cells = [np.nonzero(L == h) for h in range(d + 1)]
+    counts, k = _row0_counts(L, d)
+    # p[i, j, h] = counts / k_h where that is an integer; -1 marks a class
+    # missing from row 0 or a non-integer mean, and matches no product
+    whole = (k > 0) & (counts % np.maximum(k, 1) == 0)
+    p = np.where(whole, counts // np.maximum(k, 1), -1)
+    p_float = p.astype(np.float64)
+    mats = [None] + [(L == i).astype(np.float64) for i in range(1, d + 1)]
     for i in range(1, d + 1):
         for j in range(i, d + 1):
             prod = mats[i] @ mats[j]
+            if np.array_equal(prod, p_float[i, j][L]):
+                continue
+            # the histogram is only row 0's mean; name the first cell that
+            # differs from the first cell of its class, as a per-class scan does
             for h in range(d + 1):
-                vals = prod[class_cells[h]]
-                if vals.size and np.any(vals != vals[0]):
+                cells = np.nonzero(L == h)
+                vals = prod[cells]
+                if np.any(vals != vals[0]):
                     bad = int(np.argmax(vals != vals[0]))
-                    cell = (int(class_cells[h][0][bad]), int(class_cells[h][1][bad]))
+                    cell = (int(cells[0][bad]), int(cells[1][bad]))
                     raise AxiomViolation(
                         "closure", cell,
                         f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
+            # constant on every class, but a class missing from row 0 makes
+            # some other product move; a later pair names the cell
 
-    valencies = tuple(int(mats[i][0].sum()) for i in range(d + 1))
-    return AssociationScheme(lm, valencies)
+    return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
+
+
+def _row0_counts(L: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """counts[i, j, h] = #{(z, y): L[0,z] = i, L[z,y] = j, L[0,y] = h} and
+    the row-0 class sizes k, from one histogram over the v^2 cells.
+
+    Summing (A_i A_j)[0, y] over the k_h points y of class h gives
+    counts[i, j, h], so in a scheme counts = k_h p_ij^h.  O(v^2).
+    """
+    n = d + 1
+    r0 = L[0]
+    key = (r0[:, None] * n + L) * n + r0[None, :]
+    counts = np.bincount(key.ravel(), minlength=n ** 3).reshape(n, n, n)
+    return counts, np.bincount(r0, minlength=n)
 
 
 def intersection_numbers(scheme: AssociationScheme) -> IntersectionTensor:
-    """Exact tensor p[i][j][h]; verifies the reconstruction identity."""
-    d, L = scheme.d, scheme.labels
-    mats = scheme.relations
-    reps = [tuple(np.argwhere(L == h)[0]) for h in range(d + 1)]
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = mats[i] @ mats[j]
-            for h in range(d + 1):
-                p[i, j, h] = prod[reps[h]]
-            # constancy on every class, not just the representative
-            recon = sum(int(p[i, j, h]) * mats[h] for h in range(d + 1))
-            if not np.array_equal(prod, recon):
-                raise NotClosed(f"A_{i}A_{j} is not in the span of the classes")
-            p[j, i] = p[i, j]  # products of symmetric classes commute
-    return IntersectionTensor(p)
+    """Exact tensor p[i][j][h] of a scheme, read from one histogram.
+
+    :func:`validate_scheme` attaches the tensor to the schemes it returns,
+    so this runs only for schemes built without validation (the output of
+    :func:`~amorphic.fusion.fuse_direct`).  Closure is already proven for
+    those, so p = counts / k_h is exact and no product is formed.  O(v^2).
+    """
+    counts, k = _row0_counts(scheme.labels, scheme.d)
+    return IntersectionTensor(counts // k)
 
 
 def _intersection_matrices(tensor: IntersectionTensor) -> list[np.ndarray]:

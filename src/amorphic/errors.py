@@ -19,10 +19,6 @@ class AxiomViolation(SchemeError):
         super().__init__(message or f"axiom {axiom!r} violated{detail}")
 
 
-class NotClosed(SchemeError):
-    """A product of class matrices is not constant on some class."""
-
-
 class DegenerateSpectrum(SchemeError):
     """Eigenvalue grouping unstable after the configured number of retries."""
 

@@ -191,16 +191,15 @@ def gen_net_scheme(n: int, grouping: SlopeGrouping) -> AssociationScheme:
         for s in g:
             group_of[s] = gi
 
-    labels = np.zeros((v, v), dtype=np.int64)
-    for p1 in range(v):
-        x1, y1 = divmod(p1, n)
-        for p2 in range(p1 + 1, v):
-            x2, y2 = divmod(p2, n)
-            if x1 == x2:
-                slope = n  # vertical
-            else:
-                slope = int(F.mul[F.sub(y2, y1), F.inv(F.sub(x2, x1))])
-            labels[p1, p2] = labels[p2, p1] = group_of[slope] + 1
+    # point p = (x, y) = divmod(p, n); the slope from p1 to p2 is
+    # (y2 - y1) / (x2 - x1), or vertical (index n) when x1 == x2
+    x, y = np.divmod(np.arange(v), n)
+    dx = F.add[x[None, :], F.neg[x][:, None]]
+    dy = F.add[y[None, :], F.neg[y][:, None]]
+    inv = np.argmax(F.mul == 1, axis=1)  # inv[0] is unused
+    slope = np.where(dx == 0, n, F.mul[dy, inv[dx]])
+    labels = group_of[slope] + 1
+    np.fill_diagonal(labels, 0)
     return validate_scheme(LabelMatrix(v=v, d=grouping.d, labels=labels))
 
 
@@ -231,11 +230,10 @@ def gen_cyclotomic(spec: CyclotomicSpec) -> AssociationScheme:
             f"-1 lies outside the index-{d} subgroup of GF({q})*; "
             "the cosets would give directed relations")
 
-    labels = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(a + 1, q):
-            diff = F.sub(a, b)
-            labels[a, b] = labels[b, a] = int(dlog[diff]) % d + 1
+    idx = np.arange(q)
+    diff = F.add[idx[:, None], F.neg[idx][None, :]]  # a - b
+    labels = dlog[diff] % d + 1
+    np.fill_diagonal(labels, 0)
     return validate_scheme(LabelMatrix(v=q, d=d, labels=labels))
 
 

@@ -7,9 +7,13 @@ closed-form facts asserted directly.
 """
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amorphic import (
     AssociationScheme,
@@ -30,6 +34,7 @@ from amorphic import (
     CyclotomicSpec,
     SlopeGrouping,
 )
+from conftest import validate_by_class_cells
 
 TOL = DEFAULT_TOL
 
@@ -99,6 +104,92 @@ def test_validate_rejects_unclosed_labeling():
     assert err.value.axiom in ("closure", "partition")
 
 
+def deviates(labels, cell):
+    """True when some product A_i A_j differs at ``cell`` from its value at
+    the first cell of the same class, i.e. the cell really breaks closure."""
+    L = np.asarray(labels)
+    h = L[cell]
+    first = tuple(np.argwhere(L == h)[0])
+    mats = [(L == i).astype(np.int64) for i in range(L.max() + 1)]
+    return any((mats[i] @ mats[j])[cell] != (mats[i] @ mats[j])[first]
+               for i in range(len(mats)) for j in range(i, len(mats)))
+
+
+def validate_strictly(labels):
+    """validate_scheme with every numpy floating-point event and every
+    warning turned into an error."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        return validate_scheme(LabelMatrix(v=labels.shape[0], d=int(labels.max()), labels=labels))
+
+
+def label_missing_from_row0():
+    # label 2 occurs only on the edge {1, 2}, never in row 0, so k_2 = 0
+    labels = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
+    labels[1, 2] = labels[2, 1] = 2
+    return labels
+
+
+def irregular_class_graph():
+    # class 1 is the path 0-1-2-3-4, class 2 its complement: degrees 1 and 2
+    labels = np.full((5, 5), 2, dtype=np.int64)
+    np.fill_diagonal(labels, 0)
+    for x in range(4):
+        labels[x, x + 1] = labels[x + 1, x] = 1
+    return labels
+
+
+@pytest.mark.parametrize("make", [label_missing_from_row0, irregular_class_graph])
+def test_validate_rejects_malformed_closure(make):
+    labels = make()
+    with pytest.raises(AxiomViolation) as err:
+        validate_strictly(labels)
+    assert err.value.axiom == "closure"
+    assert deviates(labels, err.value.witness)
+    with pytest.raises(AxiomViolation) as ref:
+        validate_by_class_cells(labels)
+    assert err.value.witness == ref.value.witness
+
+
+def assert_same_verdict(labels):
+    """validate_scheme and the per-class-cell reference agree on accept or
+    reject, the axiom and witness, and the tensor and valencies."""
+    try:
+        expected = validate_by_class_cells(labels)
+    except AxiomViolation as ref:
+        with pytest.raises(AxiomViolation) as err:
+            validate_strictly(labels)
+        assert (err.value.axiom, err.value.witness) == (ref.axiom, ref.witness)
+        if err.value.axiom == "closure":
+            assert deviates(labels, err.value.witness)
+        return
+    scheme = validate_strictly(labels)
+    valencies, p = expected
+    assert scheme.valencies == valencies
+    assert scheme.intersection.p.dtype == p.dtype
+    assert np.array_equal(scheme.intersection.p, p)
+    assert np.array_equal(intersection_numbers(scheme).p, p)
+
+
+def test_validation_agrees_with_reference_on_corpus(corpus):
+    for name, scheme in corpus:
+        assert_same_verdict(np.array(scheme.labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validation_agrees_with_reference_on_label_swaps(corpus, data):
+    """One off-diagonal cell pair of a corpus scheme gets another label."""
+    name, scheme = data.draw(st.sampled_from(corpus), label="scheme")
+    v, d = scheme.v, scheme.d
+    x = data.draw(st.integers(0, v - 1), label="x")
+    y = data.draw(st.integers(0, v - 1).filter(lambda y: y != x), label="y")
+    new = data.draw(st.integers(1, d), label="label")
+    labels = np.array(scheme.labels)
+    labels[x, y] = labels[y, x] = new
+    assert_same_verdict(labels)
+
+
 def test_label_matrix_range_check():
     with pytest.raises(ValueError):
         LabelMatrix(v=2, d=1, labels=np.array([[0, 5], [5, 0]]))
@@ -149,6 +240,24 @@ def test_valencies_row_regularity():
 
 
 # ------------------------------------------------------------- eigenmatrices
+
+def test_hamming9_at_v512_krawtchouk():
+    """H(9,2), v = 512: validated, and P equals the Krawtchouk closed form
+    P[j][i] = sum_s (-1)^s C(j, s) C(m - j, i - s), multiplicity C(m, j)."""
+    m = 9
+    scheme = gen_hamming_binary(m)
+    assert scheme.v == 512
+    assert scheme.valencies == tuple(math.comb(m, i) for i in range(m + 1))
+    spec = spectral_decomposition(scheme)
+    kraw = [[sum((-1) ** s * math.comb(j, s) * math.comb(m - j, i - s) for s in range(i + 1))
+             for i in range(m + 1)] for j in range(m + 1)]
+    expected = sorted((math.comb(m, j), tuple(row)) for j, row in enumerate(kraw))
+    got = sorted((mult, tuple(float(x) for x in row))
+                 for mult, row in zip(spec.multiplicities, spec.P))
+    assert got == expected
+    assert spec.P_integer_mask.all()
+
+
 
 def test_hamming3_eigenmatrix_frozen():
     spec = spectral_decomposition(gen_hamming_binary(3))

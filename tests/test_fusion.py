@@ -193,6 +193,9 @@ def test_three_oracles_agree_on_every_corpus_partition(corpus):
                 out = am.fuse_direct(scheme, pi)
                 assert out.scheme.valencies == relabeled.valencies, (name, str(pi))
                 assert out.scheme == relabeled, (name, str(pi))
+                # histogram tensor of the unvalidated fused scheme
+                assert np.array_equal(out.scheme.intersection.p,
+                                      relabeled.intersection.p), (name, str(pi))
                 assert out.rho == dual.rho, (name, str(pi))
     assert checks == 1993
     assert fusions > 0

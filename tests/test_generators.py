@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import amorphic as am
-from amorphic.generators import SUPPORTED_FIELD_ORDERS, SmallField
+from amorphic.corpus import _CYCLOTOMIC, _NET_GROUPINGS
+from amorphic.generators import SUPPORTED_FIELD_ORDERS, SmallField, _field
 
 
 def test_field_tables_all_supported_orders():
@@ -122,3 +123,58 @@ def test_write_standard_corpus_round_trips(tmp_path):
     for path in paths[:8]:
         loaded = am.load_scheme(path)
         assert loaded == by_name[path.stem]
+
+
+# ------------------------------------------- labels against pairwise loops
+
+def net_labels_by_loops(n, grouping):
+    """Net labels one point pair at a time, straight from the definition."""
+    F = _field(n)
+    group_of = {s: gi for gi, g in enumerate(grouping.groups) for s in g}
+    v = n * n
+    labels = np.zeros((v, v), dtype=np.int64)
+    for p1 in range(v):
+        x1, y1 = divmod(p1, n)
+        for p2 in range(p1 + 1, v):
+            x2, y2 = divmod(p2, n)
+            if x1 == x2:
+                slope = n  # vertical
+            else:
+                slope = int(F.mul[F.sub(y2, y1), F.inv(F.sub(x2, x1))])
+            labels[p1, p2] = labels[p2, p1] = group_of[slope] + 1
+    return labels
+
+
+def cyclotomic_labels_by_loops(q, d):
+    """Cyclotomic labels one point pair at a time: coset of a - b."""
+    F = _field(q)
+    g = F.multiplicative_generator()
+    dlog, x = {}, 1
+    for e in range(q - 1):
+        dlog[x] = e
+        x = int(F.mul[x, g])
+    labels = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(a + 1, q):
+            labels[a, b] = labels[b, a] = dlog[F.sub(a, b)] % d + 1
+    return labels
+
+
+def test_net_labels_match_pairwise_loops():
+    """Every net entry of the standard corpus, plus net(16; 8, 9) at v = 256."""
+    cases = [(n, groups) for n, gs in _NET_GROUPINGS.items() for groups in gs]
+    cases.append((16, [list(range(8)), list(range(8, 17))]))
+    for n, groups in cases:
+        grouping = am.SlopeGrouping.from_groups(n, groups)
+        labels = am.gen_net_scheme(n, grouping).labels
+        expected = net_labels_by_loops(n, grouping)
+        assert labels.dtype == expected.dtype
+        assert labels.tobytes() == expected.tobytes(), (n, groups)
+
+
+def test_cyclotomic_labels_match_pairwise_loops():
+    for q, d in _CYCLOTOMIC:
+        labels = am.gen_cyclotomic(am.CyclotomicSpec(q=q, d=d)).labels
+        expected = cyclotomic_labels_by_loops(q, d)
+        assert labels.dtype == expected.dtype
+        assert labels.tobytes() == expected.tobytes(), (q, d)
