@@ -32,7 +32,6 @@ from .fusion import (
     classify_triple,
     contraction_check,
     enumerate_fusing_tuples,
-    enumerate_partitions,
     fuses,
     overlap_case,
 )
@@ -202,13 +201,29 @@ def canonical_form_check(spec: SpectralData) -> CanonicalFormCertificate | None:
 
 
 def amorphic_oracle(scheme: AssociationScheme,
-                    tol: Tolerance = DEFAULT_TOL, seed: int = 0,
+                    tol: Tolerance = DEFAULT_TOL,
                     limit: int = PARTITION_LIMIT) -> bool:
-    """Exhaustive exact check: every class partition must fuse."""
+    """Exact check that every class partition fuses, decided on the
+    2^d - d - 1 partitions that merge one set T (|T| >= 2) of classes.
+
+    Each merge is decided by :func:`fuses`, so every yes is cross-checked
+    by the eigenmatrix criterion.  The single merges suffice, by the block
+    sum criterion on the intersection tensor.  Let pi have a nontrivial
+    block H, and suppose merging H alone fuses.  Its block sums over the
+    blocks {i}, {j}, H of that merge say that
+      - p_ij^h is constant on h in H for i, j outside H;
+      - sum_{i in H} p_ij^h is constant on h in H for j outside H;
+      - sum_{i, j in H} p_ij^h is constant on h in H.
+    Every other block of pi is disjoint from H, so each block sum of pi
+    over blocks I, J at a class h in H is a sum of these pieces and is
+    constant on H.  When every nontrivial block's merge fuses, this holds
+    for every block of pi (singletons trivially), so pi fuses.
+    """
     if scheme.d > limit:
         raise LimitExceeded(f"d={scheme.d} exceeds the oracle limit {limit}")
-    return all(fuses(scheme, pi, tol=tol, seed=seed)
-               for pi in enumerate_partitions(scheme.d, limit=limit))
+    return all(fuses(scheme, ClassPartition.merge(scheme.d, T), tol=tol)
+               for r in range(2, scheme.d + 1)
+               for T in itertools.combinations(range(1, scheme.d + 1), r))
 
 
 @dataclass(frozen=True)
@@ -219,25 +234,25 @@ class AmorphicVerdict:
 
 
 def is_amorphic(scheme: AssociationScheme,
-                tol: Tolerance = DEFAULT_TOL, seed: int = 0,
+                tol: Tolerance = DEFAULT_TOL,
                 limit: int = PARTITION_LIMIT) -> AmorphicVerdict:
-    """Canonical-form fast path, cross-checked by the exhaustive oracle
+    """Canonical-form fast path, cross-checked by :func:`amorphic_oracle`
     whenever d is small enough; disagreement is fatal.
 
     For d <= 2 every admissible partition fuses vacuously, so the verdict
     is amorphic by convention (the form equivalence starts at d = 3).
     """
     if scheme.d <= 2:
-        ok = amorphic_oracle(scheme, tol=tol, seed=seed, limit=limit)
+        ok = amorphic_oracle(scheme, tol=tol, limit=limit)
         if not ok:
             raise OracleDisagreement("a d <= 2 scheme failed the vacuous oracle")
         return AmorphicVerdict(amorphic=True, certificate=None, oracle_checked=True)
-    spec = spectral_decomposition(scheme, tol=tol, seed=seed)
+    spec = spectral_decomposition(scheme, tol=tol)
     cert = canonical_form_check(spec)
     fast = cert is not None
     checked = False
     if scheme.d <= limit:
-        slow = amorphic_oracle(scheme, tol=tol, seed=seed, limit=limit)
+        slow = amorphic_oracle(scheme, tol=tol, limit=limit)
         if slow != fast:
             raise OracleDisagreement(
                 f"canonical form says amorphic={fast}, exhaustive oracle says {slow}")
@@ -344,7 +359,7 @@ class ClaimReport:
 
 
 def verify_paper_claims(scheme: AssociationScheme,
-                        tol: Tolerance = DEFAULT_TOL, seed: int = 0,
+                        tol: Tolerance = DEFAULT_TOL,
                         limit: int = PARTITION_LIMIT) -> ClaimReport:
     """Machine-check every theorem-shaped claim that applies to one scheme.
 
@@ -353,10 +368,10 @@ def verify_paper_claims(scheme: AssociationScheme,
     corpus runs).  Per-claim enumeration limits are recorded, not fatal.
     """
     d = scheme.d
-    spec = spectral_decomposition(scheme, tol=tol, seed=seed)
+    spec = spectral_decomposition(scheme, tol=tol)
     records: list[ClaimRecord] = []
 
-    triples = enumerate_fusing_tuples(scheme, 3, tol=tol, seed=seed) if d >= 3 else []
+    triples = enumerate_fusing_tuples(scheme, 3, tol=tol) if d >= 3 else []
     H3 = None
     cores = []
     if d >= 3:
@@ -366,7 +381,7 @@ def verify_paper_claims(scheme: AssociationScheme,
 
     @functools.cache  # claims (a), (b) and both dual claims share one verdict
     def verdict() -> bool:
-        return is_amorphic(scheme, tol=tol, seed=seed, limit=limit).amorphic
+        return is_amorphic(scheme, tol=tol, limit=limit).amorphic
 
     # (a) two different 3-sunflowers force amorphicity (d >= 5)
     applicable = d >= 5 and len(cores) >= 2
@@ -387,7 +402,7 @@ def verify_paper_claims(scheme: AssociationScheme,
     ok = True
     if applicable:
         for c in cores:
-            if not fuses(scheme, ClassPartition.merge(d, c.core), tol=tol, seed=seed):
+            if not fuses(scheme, ClassPartition.merge(d, c.core), tol=tol):
                 ok = False
                 break
     records.append(ClaimRecord(
@@ -399,7 +414,7 @@ def verify_paper_claims(scheme: AssociationScheme,
     if d >= 5:
         try:
             Hd = build_fusing_hypergraph(scheme, 3, side="idempotents",
-                                         tol=tol, seed=seed, limit=limit)
+                                         tol=tol, limit=limit)
         except LimitExceeded as exc:
             note = str(exc)
     for name, applicable in (
@@ -416,7 +431,7 @@ def verify_paper_claims(scheme: AssociationScheme,
                 if ell in T:
                     continue
                 try:
-                    res = contraction_check(scheme, T, ell, tol=tol, seed=seed)
+                    res = contraction_check(scheme, T, ell, tol=tol)
                 except PreconditionFailed:
                     continue
                 applicable = True

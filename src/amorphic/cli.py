@@ -128,7 +128,8 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=_tolerance, default=1e-8, metavar="REAL",
                     help="absolute and relative comparison tolerance (finite, >= 0)")
     ap.add_argument("--seed", type=int, default=0,
-                    help="seed for the random eigen-splitting coefficients")
+                    help="ignored, since the eigen-split is deterministic; the report "
+                         "keeps its seed key at 0 (kept for one release)")
     ap.add_argument("--report", type=Path, default=None, metavar="PATH",
                     help="write a JSON report with deterministic key order")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -137,7 +138,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("file", type=Path)
     sub.choices["amorphic"].add_argument("--oracle", action="store_true",
-                                         help="force the exhaustive partition oracle")
+                                         help="force the exact oracle over all partitions")
 
     p = sub.add_parser("fuse")
     p.add_argument("file", type=Path)
@@ -181,7 +182,8 @@ def run_command(argv) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     args = _parser().parse_args(argv)
     tol = Tolerance(atol=args.tol, rtol=args.tol)
-    report: dict = {"command": args.command, "tol": args.tol, "seed": args.seed}
+    # --seed is ignored; its report key keeps the old default so reports stay byte-stable
+    report: dict = {"command": args.command, "tol": args.tol, "seed": 0}
 
     try:
         status = _dispatch(args, tol, report)
@@ -228,7 +230,7 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
         return EXIT_OK
 
     if cmd == "spectrum":
-        spec = spectral_decomposition(scheme, tol=tol, seed=args.seed)
+        spec = spectral_decomposition(scheme, tol=tol)
         report["P"] = _matrix_rows(spec.P)
         report["Q"] = _matrix_rows(spec.Q)
         report["multiplicities"] = list(spec.multiplicities)
@@ -241,7 +243,7 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
     if cmd == "fuse":
         pi = ClassPartition.from_string(args.partition, scheme.d)
         try:
-            out = fuse_direct(scheme, pi, tol=tol, seed=args.seed)
+            out = fuse_direct(scheme, pi, tol=tol)
         except NotAFusion as exc:
             print(f"not a fusion: {exc}", file=sys.stderr)
             report["fuses"] = False
@@ -256,7 +258,7 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
         return EXIT_OK
 
     if cmd == "tuples":
-        tuples = enumerate_fusing_tuples(scheme, args.k, tol=tol, seed=args.seed)
+        tuples = enumerate_fusing_tuples(scheme, args.k, tol=tol)
         report["fusing_tuples"] = [list(t) for t in tuples]
         for t in tuples:
             print(" ".join(str(i) for i in t))
@@ -264,7 +266,7 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
         return EXIT_OK
 
     if cmd == "hypergraph":
-        H = build_fusing_hypergraph(scheme, args.k, side=args.side, tol=tol, seed=args.seed)
+        H = build_fusing_hypergraph(scheme, args.k, side=args.side, tol=tol)
         report["edges"] = [list(e) for e in H.sorted_edges()]
         report["side"] = H.side
         if args.k == 2:
@@ -282,7 +284,7 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
         return EXIT_OK
 
     if cmd == "sunflowers":
-        H = build_fusing_hypergraph(scheme, 3, side="relations", tol=tol, seed=args.seed)
+        H = build_fusing_hypergraph(scheme, 3, side="relations", tol=tol)
         cores = sunflower_cores(H)
         report["cores"] = [list(c.core) for c in cores]
         for c in cores:
@@ -292,11 +294,11 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
 
     if cmd == "amorphic":
         if args.oracle:
-            ok = amorphic_oracle(scheme, tol=tol, seed=args.seed)
+            ok = amorphic_oracle(scheme, tol=tol)
             report["amorphic"] = ok
             print(f"amorphic={ok} (exhaustive oracle)")
         else:
-            verdict = is_amorphic(scheme, tol=tol, seed=args.seed)
+            verdict = is_amorphic(scheme, tol=tol)
             report["amorphic"] = verdict.amorphic
             report["oracle_checked"] = verdict.oracle_checked
             if verdict.certificate is not None:
@@ -307,7 +309,7 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
         return EXIT_OK
 
     if cmd == "verify":
-        claims = verify_paper_claims(scheme, tol=tol, seed=args.seed)
+        claims = verify_paper_claims(scheme, tol=tol)
         report["claims"] = claims.as_dict()
         for r in claims.records:
             state = ("FALSIFIED" if r.applicable and not r.verified
@@ -330,7 +332,7 @@ def _run_corpus(args, tol: Tolerance, report: dict) -> int:
     for path in files:
         try:
             scheme = load_scheme(path)
-            claims = verify_paper_claims(scheme, tol=tol, seed=args.seed)
+            claims = verify_paper_claims(scheme, tol=tol)
         except Falsification as exc:
             print(f"{path.name}: FALSIFICATION: {exc}", file=sys.stderr)
             report["files"][path.name] = {"error": str(exc), "falsified": True}

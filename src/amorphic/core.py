@@ -8,6 +8,11 @@ histogram, and closure is checked cell by cell against products of the
 because every entry, and every partial sum along the way, is an integer
 count of at most v < 2^53.  Eigenmatrices, idempotents and Krein
 parameters are floating point under an explicit tolerance policy.
+
+The eigenmatrices come from a deterministic split of the symmetrized
+(d+1)-dimensional intersection matrices, class by class with ``eigh``; no
+random numbers are drawn.  Each scheme caches its tensor and its spectral
+data (one entry per :class:`Tolerance`) on the instance.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ DEFAULT_TOL = Tolerance()
 
 # Inter-eigenvalue gap needed before we trust a grouping, in units of atol.
 _GAP_FACTOR = 100.0
-_MAX_SPECTRAL_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class AssociationScheme:
 
     Instances are produced by :func:`validate_scheme`, which passes in the
     intersection tensor it computed, and are immutable; all derived data
-    is cached per instance.
+    is cached per instance, spectral data once per :class:`Tolerance`.
     """
 
     def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...],
@@ -124,6 +128,7 @@ class AssociationScheme:
         self.label_matrix = label_matrix
         self.valencies = valencies
         self._intersection = intersection
+        self._spectra: dict[Tolerance, SpectralData] = {}
 
     @property
     def v(self) -> int:
@@ -151,9 +156,9 @@ class AssociationScheme:
             self._intersection = intersection_numbers(self)
         return self._intersection
 
-    @cached_property
+    @property
     def spectral(self) -> "SpectralData":
-        """Spectral data at default tolerance and seed."""
+        """Spectral data at the default tolerance, from the instance cache."""
         return spectral_decomposition(self)
 
     def __eq__(self, other):
@@ -272,10 +277,11 @@ def validate_scheme(labels) -> AssociationScheme:
     whole = (k > 0) & (counts % np.maximum(k, 1) == 0)
     p = np.where(whole, counts // np.maximum(k, 1), -1)
     p_float = p.astype(np.float64)
-    mats = [None] + [(L == i).astype(np.float64) for i in range(1, d + 1)]
+    # at most two v x v class matrices are held at once: A_i per row, A_j per pair
     for i in range(1, d + 1):
+        A_i = (L == i).astype(np.float64)
         for j in range(i, d + 1):
-            prod = mats[i] @ mats[j]
+            prod = A_i @ (A_i if j == i else (L == j).astype(np.float64))
             if np.array_equal(prod, p_float[i, j][L]):
                 continue
             # the histogram is only row 0's mean; name the first cell that
@@ -321,63 +327,78 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionTensor:
     return IntersectionTensor(counts // k)
 
 
-def _intersection_matrices(tensor: IntersectionTensor) -> list[np.ndarray]:
-    # B_i[h][j] = p[i][j][h]
-    return [np.asarray(tensor.p[i].T, dtype=float) for i in range(tensor.p.shape[0])]
-
-
-_SPECTRAL_CACHE: dict = {}
-
-
 def spectral_decomposition(scheme: AssociationScheme,
                            tol: Tolerance = DEFAULT_TOL,
                            seed: int = 0) -> SpectralData:
-    """Eigenmatrices from the (d+1)-dimensional intersection matrices.
+    """Eigenmatrices P and Q from the (d+1)-dimensional intersection matrices.
 
-    Diagonalizes a random small-integer combination of the B_i and reads
-    each P entry off as a Rayleigh quotient; retries with fresh coefficients
-    on eigenvalue collision.  Results are memoized per (scheme, tol, seed).
+    Each B_i (B_i[h, j] = p_ij^h) is symmetrized as S_i = diag(sqrt k) B_i
+    diag(1/sqrt k), which is symmetric because k_h p_ij^h = k_j p_ih^j.  The
+    S_i commute, so their common eigenvectors are found by splitting: start
+    from the whole space and, for i = 1..d, diagonalize S_i on each current
+    subspace with ``eigh`` and cut it where consecutive eigenvalues differ.
+    Each of the d + 1 lines u left at the end gives one row of P, read off
+    as P[j, i] = u^T S_i u.  Two consecutive eigenvalues are equal when they
+    are close under ``tol`` and distinct when they are at least
+    ``_GAP_FACTOR * tol.atol`` apart; a gap in between raises
+    :class:`DegenerateSpectrum` naming the class, both eigenvalues and the
+    gap required.
+
+    No random numbers are drawn, so the result depends only on the scheme
+    and ``tol``; it is cached on the scheme instance, one entry per
+    tolerance.  ``seed`` is accepted and ignored, for callers written when
+    the split was random; it will be removed.
     """
-    key = (scheme, tol, seed)
-    cached = _SPECTRAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _spectral_decomposition(scheme, tol, seed)
-    _SPECTRAL_CACHE[key] = out
-    return out
+    spec = scheme._spectra.get(tol)
+    if spec is None:
+        spec = scheme._spectra[tol] = _spectral_decomposition(scheme, tol)
+    return spec
 
 
-def _spectral_decomposition(scheme: AssociationScheme,
-                            tol: Tolerance,
-                            seed: int) -> SpectralData:
+def _common_eigenvectors(S: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal common eigenvectors of the commuting symmetric S[i], one
+    per column, split class by class as :func:`spectral_decomposition` says."""
+    n = S.shape[0]
+    gap_needed = _GAP_FACTOR * tol.atol
+    spaces = [np.eye(n)]
+    for i in range(1, n):
+        if len(spaces) == n:
+            break
+        split = []
+        for U in spaces:
+            if U.shape[1] == 1:
+                split.append(U)
+                continue
+            w, V = np.linalg.eigh(U.T @ S[i] @ U)
+            start = 0
+            for a in range(len(w) - 1):
+                if tol.close(w[a], w[a + 1]):
+                    continue
+                gap = w[a + 1] - w[a]
+                if gap < gap_needed:
+                    raise DegenerateSpectrum(
+                        f"class {i}: eigenvalues {round(w[a], 12)} and {round(w[a + 1], 12)} "
+                        f"are {round(gap, 12)} apart, neither equal within tolerance nor "
+                        f"the required gap {round(gap_needed, 12)} ({_GAP_FACTOR:g}*atol) apart")
+                split.append(U @ V[:, start:a + 1])
+                start = a + 1
+            split.append(U @ V[:, start:])
+        spaces = split
+    if len(spaces) != n:
+        dim = max(U.shape[1] for U in spaces)
+        raise DegenerateSpectrum(
+            f"an eigenspace of dimension {dim} is common to all {n - 1} classes")
+    return np.hstack(spaces)
+
+
+def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> SpectralData:
     v, d = scheme.v, scheme.d
     k = np.asarray(scheme.valencies, dtype=float)
-    B = _intersection_matrices(scheme.intersection)
-    rng = np.random.default_rng(seed)
-
-    gap_needed = _GAP_FACTOR * tol.atol
-    vecs = None
-    for _ in range(_MAX_SPECTRAL_RETRIES):
-        c = rng.integers(1, 10, size=d + 1)
-        C = sum(int(ci) * Bi for ci, Bi in zip(c, B))
-        w, u = np.linalg.eig(C)
-        if np.max(np.abs(w.imag)) > gap_needed:
-            continue
-        wr = np.sort(w.real)
-        if d == 0 or np.min(np.diff(wr)) >= gap_needed:
-            vecs = u
-            break
-    if vecs is None:
-        raise DegenerateSpectrum(
-            f"no coefficient choice separated the {d + 1} eigenvalues "
-            f"after {_MAX_SPECTRAL_RETRIES} attempts")
-
-    rows = np.empty((d + 1, d + 1), dtype=float)
-    for j in range(d + 1):
-        u = vecs[:, j]
-        denom = (u.conj() @ u).real
-        for i in range(d + 1):
-            rows[j, i] = ((u.conj() @ (B[i] @ u)) / denom).real
+    root = np.sqrt(k)
+    # S[i, h, j] = sqrt(k_h) p_ij^h / sqrt(k_j)
+    S = scheme.intersection.p.transpose(0, 2, 1) * root[None, :, None] / root[None, None, :]
+    U = _common_eigenvectors(S, tol)
+    rows = np.einsum("aj,iab,bj->ji", U, S, U)
 
     # locate the valency row
     val_idx = None

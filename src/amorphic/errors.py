@@ -20,7 +20,8 @@ class AxiomViolation(SchemeError):
 
 
 class DegenerateSpectrum(SchemeError):
-    """Eigenvalue grouping unstable after the configured number of retries."""
+    """Two eigenvalues are neither equal within tolerance nor far enough
+    apart to trust, or a spectral identity fails beyond tolerance."""
 
 
 class IdempotencyViolation(SchemeError):

@@ -199,9 +199,9 @@ def _check_fusion(scheme: AssociationScheme, pi: ClassPartition) -> None:
 
 
 def _cross_check(scheme: AssociationScheme, pi: ClassPartition,
-                 tol: Tolerance, seed: int) -> DualPartition:
+                 tol: Tolerance) -> DualPartition:
     """The eigenmatrix criterion on a partition the exact oracle accepted."""
-    spec = spectral_decomposition(scheme, tol=tol, seed=seed)
+    spec = spectral_decomposition(scheme, tol=tol)
     try:
         return bm_check(spec, pi)
     except NotAFusion as exc:
@@ -211,7 +211,7 @@ def _cross_check(scheme: AssociationScheme, pi: ClassPartition,
 
 
 def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
-                tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> FusionOutcome:
+                tol: Tolerance = DEFAULT_TOL) -> FusionOutcome:
     """Exact oracle on the intersection tensor, then the fused scheme.
 
     The dual partition is read off the eigenmatrix criterion, whose
@@ -220,7 +220,7 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     identity, partition and symmetry carry over from the parent.
     """
     _check_fusion(scheme, pi)
-    dual = _cross_check(scheme, pi, tol, seed)
+    dual = _cross_check(scheme, pi, tol)
     fused = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
     valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
     return FusionOutcome(scheme=AssociationScheme(fused, valencies),
@@ -262,19 +262,19 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
 
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
-          tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> bool:
+          tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact yes/no for a single partition; a yes is cross-checked by the
     eigenmatrix criterion.  Builds no fused scheme."""
     try:
         _check_fusion(scheme, pi)
     except NotAFusion:
         return False
-    _cross_check(scheme, pi, tol, seed)
+    _cross_check(scheme, pi, tol)
     return True
 
 
 def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
-                            tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> list[tuple[int, ...]]:
+                            tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """All k-subsets of nontrivial classes whose merge fuses.
 
     Decided by the eigenmatrix criterion and cross-checked against the
@@ -284,7 +284,7 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
         raise ValueError("k must be 2 or 3")
     if scheme.d < k:
         return []
-    spec = spectral_decomposition(scheme, tol=tol, seed=seed)
+    spec = spectral_decomposition(scheme, tol=tol)
     out = []
     for T in itertools.combinations(range(1, scheme.d + 1), k):
         pi = ClassPartition.merge(scheme.d, T)
@@ -346,7 +346,7 @@ def classify_triple(spec, T) -> TripleType:
 
 
 def contraction_check(scheme: AssociationScheme, t1, ell: int,
-                      tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> bool:
+                      tol: Tolerance = DEFAULT_TOL) -> bool:
     """Merge a fusing triple and test whether the merged class still fuses
     with a fourth class that completes a second fusing triple.
 
@@ -357,25 +357,25 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     t1 = tuple(sorted(t1))
     if len(t1) != 3 or ell in t1:
         raise PreconditionFailed(f"need a 3-subset and an outside class, got {t1}, {ell}")
-    if not fuses(scheme, ClassPartition.merge(scheme.d, t1), tol=tol, seed=seed):
+    if not fuses(scheme, ClassPartition.merge(scheme.d, t1), tol=tol):
         raise PreconditionFailed(f"{set(t1)} does not fuse")
     overlapping = [
         s for s in itertools.combinations(t1, 2)
-        if fuses(scheme, ClassPartition.merge(scheme.d, set(s) | {ell}), tol=tol, seed=seed)
+        if fuses(scheme, ClassPartition.merge(scheme.d, set(s) | {ell}), tol=tol)
     ]
     if not overlapping:
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
 
     pi = ClassPartition.merge(scheme.d, t1)
-    contracted = fuse_direct(scheme, pi, tol=tol, seed=seed).scheme
+    contracted = fuse_direct(scheme, pi, tol=tol).scheme
     idx = pi.block_index()
     merged_new, ell_new = int(idx[t1[0]]), int(idx[ell])
     # independent verification path: the contracted scheme's tensor and
     # spectral data are computed afresh inside fuses, nothing is reused
     # from P_fused
     pair = ClassPartition.merge(contracted.d, (merged_new, ell_new))
-    return fuses(contracted, pair, tol=tol, seed=seed)
+    return fuses(contracted, pair, tol=tol)
 
 
 # Representative dual-set layouts for the 18 overlap subcases: for each

@@ -50,7 +50,7 @@ class SunflowerCore:
 
 def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
                             side: str = "relations",
-                            tol: Tolerance = DEFAULT_TOL, seed: int = 0,
+                            tol: Tolerance = DEFAULT_TOL,
                             limit: int = PARTITION_LIMIT) -> UniformHypergraph:
     """Edges are the fusing k-tuples.
 
@@ -64,7 +64,7 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
         raise WrongUniformity(f"k must be 2 or 3, got {k}")
     vertices = tuple(range(1, scheme.d + 1))
     if side == "relations":
-        edges = frozenset(enumerate_fusing_tuples(scheme, k, tol=tol, seed=seed))
+        edges = frozenset(enumerate_fusing_tuples(scheme, k, tol=tol))
         return UniformHypergraph(k=k, vertices=vertices, edges=edges, side=side)
     if side != "idempotents":
         raise ValueError(f"unknown side {side!r}")
@@ -74,7 +74,7 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
     edges = set()
     for pi in enumerate_partitions(scheme.d, limit=limit):
         try:
-            outcome = fuse_direct(scheme, pi, tol=tol, seed=seed)
+            outcome = fuse_direct(scheme, pi, tol=tol)
         except NotAFusion:
             continue
         big = [b for b in outcome.rho.blocks if len(b) >= 2]

@@ -1,10 +1,12 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
-reference validator, and the acceptance-criteria summary lines."""
+reference validator, the all-partitions amorphicity reference, and the
+acceptance-criteria summary lines."""
 
 import numpy as np
 import pytest
 
 import amorphic as am
+from amorphic.fusion import fuses
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
@@ -26,6 +28,21 @@ def fuse_by_relabeling(scheme, pi):
         return am.validate_scheme(am.LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=labels))
     except am.AxiomViolation:
         return None
+
+
+def amorphic_by_all_partitions(scheme):
+    """Test-only reference for ``amorphic_oracle``: the exact oracle asked
+    about every one of the Bell(d) class partitions, not just the single
+    merges."""
+    return all(fuses(scheme, pi) for pi in am.enumerate_partitions(scheme.d))
+
+
+def net_with_group_sizes(n, sizes):
+    """Net scheme on AG(2, n) whose class i unites ``sizes[i-1]`` consecutive
+    parallel classes; the sizes must add up to n + 1."""
+    starts = np.cumsum([0] + list(sizes))
+    groups = [list(range(a, b)) for a, b in zip(starts[:-1], starts[1:])]
+    return am.gen_net_scheme(n, am.SlopeGrouping.from_groups(n, groups))
 
 
 def validate_by_class_cells(labels):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import amorphic as am
+from amorphic.fusion import fuses
+from conftest import amorphic_by_all_partitions, net_with_group_sizes
 
 TOL = am.DEFAULT_TOL
 
@@ -96,6 +98,36 @@ def test_is_amorphic_cross_checks():
     assert v.amorphic and v.oracle_checked and v.certificate is not None
     v = am.is_amorphic(am.gen_hamming_binary(5))
     assert not v.amorphic and v.oracle_checked
+
+
+def test_oracle_agrees_with_all_partitions_on_corpus(corpus):
+    verdicts = []
+    for name, scheme in corpus:
+        verdict = am.amorphic_oracle(scheme)
+        assert verdict == amorphic_by_all_partitions(scheme), name
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_single_block_merges_decide_every_corpus_partition(corpus):
+    """The lemma behind amorphic_oracle: when merging each nontrivial block
+    of pi alone fuses, pi fuses."""
+    checked = premise = 0
+    for name, scheme in corpus:
+        for pi in am.enumerate_partitions(scheme.d):
+            checked += 1
+            merges = [am.ClassPartition.merge(scheme.d, b) for b in pi.blocks if len(b) >= 2]
+            if all(fuses(scheme, m) for m in merges):
+                premise += 1
+                assert fuses(scheme, pi), (name, str(pi))
+    assert checked == 1993
+    assert premise == 604
+
+
+@pytest.mark.parametrize("n, sizes", [(7, [1] * 8), (8, [2] + [1] * 7)])
+def test_d8_nets_are_amorphic_and_oracle_checked(n, sizes):
+    verdict = am.is_amorphic(net_with_group_sizes(n, sizes))
+    assert verdict.amorphic and verdict.oracle_checked and verdict.certificate is not None
 
 
 def test_is_amorphic_clebsch():

@@ -110,6 +110,23 @@ def test_spectrum_report(h3_file, tmp_path, capsys):
     assert rep.read_text() == (tmp_path / "rep2.json").read_text()
 
 
+def test_seed_is_a_no_op(h3_file, tmp_path, capsys):
+    for command in ("spectrum", "verify"):
+        default, seeded = tmp_path / f"{command}0.json", tmp_path / f"{command}7.json"
+        assert run_command(["--report", str(default), command, str(h3_file)]) == 0
+        assert run_command(["--seed", "7", "--report", str(seeded), command, str(h3_file)]) == 0
+        assert default.read_bytes() == seeded.read_bytes()
+
+
+def test_thin_eigenvalue_gap_is_an_operational_error(tmp_path, capsys):
+    path = tmp_path / "k3.scheme"
+    am.save_scheme(am.gen_complete(3), path)
+    assert run_command(["--tol", "0.5", "spectrum", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "are 3.0 apart" in err
+    assert "required gap 50.0 (100*atol)" in err
+
+
 def test_fuse_success_and_failure(h3_file, capsys):
     assert run_command(["fuse", str(h3_file), "--partition", "1,3|2"]) == 0
     assert "rho = 0|1|2,3" in capsys.readouterr().out

@@ -19,6 +19,7 @@ from amorphic import (
     AssociationScheme,
     AxiomViolation,
     DEFAULT_TOL,
+    DegenerateSpectrum,
     LabelMatrix,
     Tolerance,
     formal_duality_permutation,
@@ -34,7 +35,7 @@ from amorphic import (
     CyclotomicSpec,
     SlopeGrouping,
 )
-from conftest import validate_by_class_cells
+from conftest import net_with_group_sizes, validate_by_class_cells
 
 TOL = DEFAULT_TOL
 
@@ -299,11 +300,66 @@ def test_pq_identity_and_row_sums():
 
 
 def test_row_order_is_deterministic():
-    a = spectral_decomposition(gen_hamming_binary(4), seed=0)
-    b = spectral_decomposition(gen_hamming_binary(4), seed=12345)
+    scheme = gen_hamming_binary(4)
+    a = spectral_decomposition(scheme)
+    perm = np.random.default_rng(12345).permutation(scheme.v)
+    b = spectral_decomposition(validate_scheme(scheme.labels[perm][:, perm]))
     assert TOL.allclose(a.P, b.P)
     mults = a.multiplicities
     assert list(mults[1:]) == sorted(mults[1:])
+
+
+def test_eigenmatrix_follows_class_relabeling():
+    """Renaming the classes permutes the columns of P; the rows, an
+    unordered set, are the same up to that permutation."""
+    scheme = gen_cyclotomic(CyclotomicSpec(q=13, d=3))
+    sigma = np.array([0, 3, 1, 2])  # class i is renamed sigma[i]
+    renamed = validate_scheme(sigma[scheme.labels])
+    a, b = spectral_decomposition(scheme), spectral_decomposition(renamed)
+    assert sorted(map(tuple, np.round(a.P, 9))) == sorted(map(tuple, np.round(b.P[:, sigma], 9)))
+
+
+def test_spectral_data_cached_per_instance_and_tolerance():
+    scheme = gen_hamming_binary(4)
+    spec = spectral_decomposition(scheme)
+    assert scheme.spectral is spec
+    assert spectral_decomposition(scheme, seed=5) is spec  # seed is ignored
+    loose = Tolerance(atol=1e-6, rtol=1e-6)
+    other = spectral_decomposition(scheme, tol=loose)
+    assert other is not spec and other.tol == loose
+    assert spectral_decomposition(scheme, tol=loose) is other
+    # an equal scheme built separately holds its own cache
+    twin = gen_hamming_binary(4)
+    assert twin == scheme
+    assert spectral_decomposition(twin) is not spec
+    assert np.array_equal(spectral_decomposition(twin).P, spec.P)
+
+
+@pytest.mark.parametrize("n, sizes", [(7, [1] * 8), (8, [2] + [1] * 7)])
+def test_d8_net_eigenmatrix_closed_form(n, sizes):
+    """d = 8 nets net(7;1^8) and net(8;2,1^7).  On the eigenspace of the
+    slopes in group j, class i has eigenvalue n - g_i if i == j and -g_i
+    otherwise, with multiplicity g_j (n - 1)."""
+    scheme = net_with_group_sizes(n, sizes)
+    assert scheme.d == 8
+    spec = spectral_decomposition(scheme)
+    expected = [(1, (1,) + tuple(g * (n - 1) for g in sizes))] + [
+        (gj * (n - 1), (1,) + tuple(n - g if i == j else -g for i, g in enumerate(sizes)))
+        for j, gj in enumerate(sizes)]
+    got = [(mult, tuple(float(x) for x in row))
+           for mult, row in zip(spec.multiplicities, spec.P)]
+    assert sorted(got) == sorted(expected)
+    assert spec.P_integer_mask.all() and spec.Q_integer_mask.all()
+
+
+def test_thin_eigenvalue_gap_names_both_numbers():
+    """K_3 has eigenvalues 2 and -1; under atol = rtol = 0.5 the gap of 3 is
+    neither a tie nor the 100*atol = 50 a split needs."""
+    loose = Tolerance(atol=0.5, rtol=0.5)
+    with pytest.raises(DegenerateSpectrum,
+                       match=r"class 1: eigenvalues -1\.0 and 2\.0 are 3\.0 apart.*"
+                             r"required gap 50\.0 \(100\*atol\)"):
+        spectral_decomposition(gen_complete(3), tol=loose)
 
 
 def test_irrational_entries_not_snapped():
