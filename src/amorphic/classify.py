@@ -201,16 +201,15 @@ def canonical_form_check(spec: SpectralData) -> CanonicalFormCertificate | None:
 
 
 def amorphic_oracle(scheme: AssociationScheme,
-                    tol: Tolerance = DEFAULT_TOL,
-                    limit: int = PARTITION_LIMIT) -> bool:
+                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact check that every class partition fuses, decided on the
     2^d - d - 1 partitions that merge one set T (|T| >= 2) of classes.
 
-    Each merge is decided by :func:`fuses`, so every yes is cross-checked
-    by the eigenmatrix criterion.  The single merges suffice, by the block
-    sum criterion on the intersection tensor.  Let pi have a nontrivial
-    block H, and suppose merging H alone fuses.  Its block sums over the
-    blocks {i}, {j}, H of that merge say that
+    Each merge is decided by :func:`fuses`, so every answer is
+    cross-checked by the eigenmatrix criterion.  The single merges
+    suffice, by the block sum criterion on the intersection tensor.  Let
+    pi have a nontrivial block H, and suppose merging H alone fuses.  Its
+    block sums over the blocks {i}, {j}, H of that merge say that
       - p_ij^h is constant on h in H for i, j outside H;
       - sum_{i in H} p_ij^h is constant on h in H for j outside H;
       - sum_{i, j in H} p_ij^h is constant on h in H.
@@ -219,8 +218,8 @@ def amorphic_oracle(scheme: AssociationScheme,
     constant on H.  When every nontrivial block's merge fuses, this holds
     for every block of pi (singletons trivially), so pi fuses.
     """
-    if scheme.d > limit:
-        raise LimitExceeded(f"d={scheme.d} exceeds the oracle limit {limit}")
+    if scheme.d > PARTITION_LIMIT:
+        raise LimitExceeded(f"d={scheme.d} exceeds the oracle limit {PARTITION_LIMIT}")
     return all(fuses(scheme, ClassPartition.merge(scheme.d, T), tol=tol)
                for r in range(2, scheme.d + 1)
                for T in itertools.combinations(range(1, scheme.d + 1), r))
@@ -234,8 +233,7 @@ class AmorphicVerdict:
 
 
 def is_amorphic(scheme: AssociationScheme,
-                tol: Tolerance = DEFAULT_TOL,
-                limit: int = PARTITION_LIMIT) -> AmorphicVerdict:
+                tol: Tolerance = DEFAULT_TOL) -> AmorphicVerdict:
     """Canonical-form fast path, cross-checked by :func:`amorphic_oracle`
     whenever d is small enough; disagreement is fatal.
 
@@ -243,7 +241,7 @@ def is_amorphic(scheme: AssociationScheme,
     is amorphic by convention (the form equivalence starts at d = 3).
     """
     if scheme.d <= 2:
-        ok = amorphic_oracle(scheme, tol=tol, limit=limit)
+        ok = amorphic_oracle(scheme, tol=tol)
         if not ok:
             raise OracleDisagreement("a d <= 2 scheme failed the vacuous oracle")
         return AmorphicVerdict(amorphic=True, certificate=None, oracle_checked=True)
@@ -251,8 +249,8 @@ def is_amorphic(scheme: AssociationScheme,
     cert = canonical_form_check(spec)
     fast = cert is not None
     checked = False
-    if scheme.d <= limit:
-        slow = amorphic_oracle(scheme, tol=tol, limit=limit)
+    if scheme.d <= PARTITION_LIMIT:
+        slow = amorphic_oracle(scheme, tol=tol)
         if slow != fast:
             raise OracleDisagreement(
                 f"canonical form says amorphic={fast}, exhaustive oracle says {slow}")
@@ -359,8 +357,7 @@ class ClaimReport:
 
 
 def verify_paper_claims(scheme: AssociationScheme,
-                        tol: Tolerance = DEFAULT_TOL,
-                        limit: int = PARTITION_LIMIT) -> ClaimReport:
+                        tol: Tolerance = DEFAULT_TOL) -> ClaimReport:
     """Machine-check every theorem-shaped claim that applies to one scheme.
 
     A claim whose hypothesis fails is recorded as not applicable; a claim
@@ -381,7 +378,7 @@ def verify_paper_claims(scheme: AssociationScheme,
 
     @functools.cache  # claims (a), (b) and both dual claims share one verdict
     def verdict() -> bool:
-        return is_amorphic(scheme, tol=tol, limit=limit).amorphic
+        return is_amorphic(scheme, tol=tol).amorphic
 
     # (a) two different 3-sunflowers force amorphicity (d >= 5)
     applicable = d >= 5 and len(cores) >= 2
@@ -413,8 +410,7 @@ def verify_paper_claims(scheme: AssociationScheme,
     Hd, note = None, ""
     if d >= 5:
         try:
-            Hd = build_fusing_hypergraph(scheme, 3, side="idempotents",
-                                         tol=tol, limit=limit)
+            Hd = build_fusing_hypergraph(scheme, 3, side="idempotents", tol=tol)
         except LimitExceeded as exc:
             note = str(exc)
     for name, applicable in (

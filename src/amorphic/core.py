@@ -45,6 +45,7 @@ __all__ = [
     "spectral_decomposition",
     "idempotents",
     "krein_parameters",
+    "formal_duality_permutation",
 ]
 
 

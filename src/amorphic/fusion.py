@@ -1,14 +1,14 @@
 """Fusion-scheme questions: exact integer oracle, eigenmatrix criterion,
 fusing-tuple enumeration, triple types, contraction, and overlap cases.
 
-The exact oracle (:func:`fuse_direct`, :func:`fuses`) is ground truth: a
-partition pi fuses iff, for all blocks I, J, H, the block sum
-sum_{i in I, j in J} p_ij^h is constant over h in H (Bannai & Ito,
-*Algebraic Combinatorics I*, 1984, II.9).  It is integer work on the
-(d+1)^3 intersection tensor and does not depend on v.  The row-sum
-criterion on the eigenmatrix (:func:`bm_check`) is the second, independent
-oracle.  Any disagreement between the two aborts with
-:class:`OracleDisagreement`.
+Every fusion question is decided by two independent oracles, in both
+directions (:func:`_decide`).  The exact oracle: a partition pi fuses iff,
+for all blocks I, J, H, the block sum sum_{i in I, j in J} p_ij^h is
+constant over h in H (Bannai & Ito, *Algebraic Combinatorics I*, 1984,
+II.9).  It is integer work on the (d+1)^3 intersection tensor and does not
+depend on v.  The second is the row-sum criterion on the eigenmatrix
+(:func:`bm_check`).  Any disagreement, a yes against a no either way,
+aborts with :class:`OracleDisagreement`.
 """
 
 from __future__ import annotations
@@ -148,11 +148,11 @@ class FusionOutcome:
     P_fused: np.ndarray
 
 
-def enumerate_partitions(d: int, limit: int = PARTITION_LIMIT):
+def enumerate_partitions(d: int):
     """All partitions of {1,...,d} (0 stays singleton), in restricted-growth
     string order, each exactly once."""
-    if d > limit:
-        raise LimitExceeded(f"d={d} exceeds the partition enumeration limit {limit}")
+    if d > PARTITION_LIMIT:
+        raise LimitExceeded(f"d={d} exceeds the partition enumeration limit {PARTITION_LIMIT}")
     if d == 0:
         yield ClassPartition.from_blocks([[0]], 0)
         return
@@ -198,12 +198,27 @@ def _check_fusion(scheme: AssociationScheme, pi: ClassPartition) -> None:
             f"h={h} but {F[I, J, rep[h]]} at h={rep[h]}")
 
 
-def _cross_check(scheme: AssociationScheme, pi: ClassPartition,
-                 tol: Tolerance) -> DualPartition:
-    """The eigenmatrix criterion on a partition the exact oracle accepted."""
-    spec = spectral_decomposition(scheme, tol=tol)
+def _decide(scheme: AssociationScheme, pi: ClassPartition,
+            tol: Tolerance) -> DualPartition:
+    """The one place a fusion question is decided.
+
+    Both oracles answer: the exact block-sum test on the intersection
+    tensor, then the eigenmatrix criterion on the scheme's cached spectrum.
+    Both yes: the dual partition.  Both no: the exact oracle's
+    :class:`NotAFusion`.  Otherwise :class:`OracleDisagreement`.
+    """
     try:
-        return bm_check(spec, pi)
+        _check_fusion(scheme, pi)
+    except NotAFusion as exact:
+        try:
+            bm_check(spectral_decomposition(scheme, tol=tol), pi)
+        except NotAFusion:
+            raise exact from None
+        raise OracleDisagreement(
+            f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: {exact}"
+        ) from exact
+    try:
+        return bm_check(spectral_decomposition(scheme, tol=tol), pi)
     except NotAFusion as exc:
         raise OracleDisagreement(
             f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: {exc}"
@@ -214,13 +229,12 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
                 tol: Tolerance = DEFAULT_TOL) -> FusionOutcome:
     """Exact oracle on the intersection tensor, then the fused scheme.
 
-    The dual partition is read off the eigenmatrix criterion, whose
-    agreement is asserted.  The fused scheme is built from the merged
-    labels without re-validation: the tensor check proves closure, and
-    identity, partition and symmetry carry over from the parent.
+    The dual partition is read off the eigenmatrix criterion, which must
+    agree either way.  The fused scheme is built from the merged labels
+    without re-validation: the tensor check proves closure, and identity,
+    partition and symmetry carry over from the parent.
     """
-    _check_fusion(scheme, pi)
-    dual = _cross_check(scheme, pi, tol)
+    dual = _decide(scheme, pi, tol)
     fused = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
     valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
     return FusionOutcome(scheme=AssociationScheme(fused, valencies),
@@ -263,13 +277,12 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
           tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Exact yes/no for a single partition; a yes is cross-checked by the
-    eigenmatrix criterion.  Builds no fused scheme."""
+    """Exact yes/no for a single partition; every answer is cross-checked
+    by the eigenmatrix criterion.  Builds no fused scheme."""
     try:
-        _check_fusion(scheme, pi)
+        _decide(scheme, pi, tol)
     except NotAFusion:
         return False
-    _cross_check(scheme, pi, tol)
     return True
 
 
@@ -277,33 +290,13 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
                             tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """All k-subsets of nontrivial classes whose merge fuses.
 
-    Decided by the eigenmatrix criterion and cross-checked against the
-    exact tensor oracle for every tuple, at every v.
+    Each tuple is decided by :func:`fuses`, so by the exact tensor oracle
+    and the eigenmatrix criterion together, at every v.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    if scheme.d < k:
-        return []
-    spec = spectral_decomposition(scheme, tol=tol)
-    out = []
-    for T in itertools.combinations(range(1, scheme.d + 1), k):
-        pi = ClassPartition.merge(scheme.d, T)
-        try:
-            bm_check(spec, pi)
-            ok = True
-        except NotAFusion:
-            ok = False
-        try:
-            _check_fusion(scheme, pi)
-            exact = True
-        except NotAFusion:
-            exact = False
-        if exact != ok:
-            raise OracleDisagreement(
-                f"tuple {T}: criterion says {ok}, exact oracle says {exact}")
-        if ok:
-            out.append(T)
-    return out
+    return [T for T in itertools.combinations(range(1, scheme.d + 1), k)
+            if fuses(scheme, ClassPartition.merge(scheme.d, T), tol=tol)]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import itertools
 from dataclasses import dataclass
 
 from .core import AssociationScheme, DEFAULT_TOL, Tolerance
-from .errors import LimitExceeded, NotAFusion, WrongUniformity
-from .fusion import PARTITION_LIMIT, enumerate_fusing_tuples, enumerate_partitions, fuse_direct
+from .errors import NotAFusion, WrongUniformity
+# fuse_direct is unused here; bench/selftest.py looks the binding up in this module
+from .fusion import _decide, enumerate_fusing_tuples, enumerate_partitions, fuse_direct
 
 __all__ = [
     "UniformHypergraph",
@@ -32,8 +33,8 @@ class UniformHypergraph:
 
     def __post_init__(self):
         for e in self.edges:
-            if len(e) != self.k or not set(e) <= set(self.vertices):
-                raise ValueError(f"edge {e} is not a {self.k}-subset of the vertex set")
+            if len(e) != self.k or not set(e) <= set(self.vertices) or list(e) != sorted(set(e)):
+                raise ValueError(f"edge {e} is not a sorted {self.k}-subset of the vertex set")
 
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(self.edges)
@@ -50,15 +51,17 @@ class SunflowerCore:
 
 def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
                             side: str = "relations",
-                            tol: Tolerance = DEFAULT_TOL,
-                            limit: int = PARTITION_LIMIT) -> UniformHypergraph:
+                            tol: Tolerance = DEFAULT_TOL) -> UniformHypergraph:
     """Edges are the fusing k-tuples.
 
     On the relation side a tuple fuses if merging exactly it yields a
     fusion scheme.  On the idempotent side a tuple is an edge if some
     fusion scheme's dual partition merges exactly that tuple and keeps the
-    other idempotents singleton; this exhausts every class partition, so d
-    must be within the enumeration limit.
+    other idempotents singleton.  Such a rho has d + 2 - k blocks, and a
+    fusing pi has as many blocks as its rho (the row-sum criterion accepts
+    only when the folded rows form ``pi.n_blocks`` groups), so only the
+    class partitions with d + 2 - k blocks are asked about; d must be
+    within the enumeration limit.
     """
     if k not in (2, 3):
         raise WrongUniformity(f"k must be 2 or 3, got {k}")
@@ -68,18 +71,17 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
         return UniformHypergraph(k=k, vertices=vertices, edges=edges, side=side)
     if side != "idempotents":
         raise ValueError(f"unknown side {side!r}")
-    if scheme.d > limit:
-        raise LimitExceeded(
-            f"idempotent-side construction needs exhaustive enumeration, d={scheme.d} > {limit}")
     edges = set()
-    for pi in enumerate_partitions(scheme.d, limit=limit):
+    for pi in enumerate_partitions(scheme.d):
+        if pi.n_blocks != scheme.d + 2 - k:
+            continue
         try:
-            outcome = fuse_direct(scheme, pi, tol=tol)
+            rho = _decide(scheme, pi, tol).rho
         except NotAFusion:
             continue
-        big = [b for b in outcome.rho.blocks if len(b) >= 2]
+        big = [b for b in rho.blocks if len(b) >= 2]
         if len(big) == 1 and len(big[0]) == k:
-            edges.add(tuple(big[0]))
+            edges.add(big[0])
     return UniformHypergraph(k=k, vertices=vertices, edges=frozenset(edges), side=side)
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
-reference validator, the all-partitions amorphicity reference, and the
-acceptance-criteria summary lines."""
+reference validator, the all-partitions amorphicity and idempotent-side
+hypergraph references, and the acceptance-criteria summary lines."""
 
 import numpy as np
 import pytest
@@ -35,6 +35,23 @@ def amorphic_by_all_partitions(scheme):
     about every one of the Bell(d) class partitions, not just the single
     merges."""
     return all(fuses(scheme, pi) for pi in am.enumerate_partitions(scheme.d))
+
+
+def idempotent_edges_by_all_partitions(scheme, k):
+    """Test-only reference for the idempotent side of
+    ``build_fusing_hypergraph``: build the fusion for every one of the
+    Bell(d) class partitions and keep each k-set that its dual partition
+    merges alone."""
+    edges = set()
+    for pi in am.enumerate_partitions(scheme.d):
+        try:
+            rho = am.fuse_direct(scheme, pi).rho
+        except am.NotAFusion:
+            continue
+        big = [b for b in rho.blocks if len(b) >= 2]
+        if len(big) == 1 and len(big[0]) == k:
+            edges.add(big[0])
+    return frozenset(edges)
 
 
 def net_with_group_sizes(n, sizes):

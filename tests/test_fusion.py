@@ -161,6 +161,27 @@ def test_enumeration_cross_checks_exactly_above_v64(monkeypatch):
     assert len(calls) == 1
 
 
+def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
+    """A rejection is cross-checked too: when the criterion accepts what the
+    tensor rejects, no caller answers."""
+    scheme = am.gen_hamming_binary(3)
+    bad = am.ClassPartition.from_string("2,3|1", 3)
+    with pytest.raises(am.NotAFusion):
+        fusion._check_fusion(scheme, bad)
+    real = fusion.bm_check
+
+    def accept_bad(spec, pi):
+        if pi == bad:
+            return fusion.DualPartition(rho=pi, P_fused=spec.P)
+        return real(spec, pi)
+
+    monkeypatch.setattr(fusion, "bm_check", accept_bad)
+    with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
+        fusion.fuses(scheme, bad)
+    with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
+        am.fuse_direct(scheme, bad)
+
+
 def test_rejection_names_block_pair_and_class():
     scheme = am.gen_hamming_binary(3)
     with pytest.raises(am.NotAFusion, match=r"over i in \{.*\}, j in \{.*\} is \d+ at h=\d"):

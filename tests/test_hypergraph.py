@@ -3,6 +3,7 @@
 import pytest
 
 import amorphic as am
+from conftest import idempotent_edges_by_all_partitions, net_with_group_sizes
 
 
 def test_hamming3_fusing_graph_is_path():
@@ -43,10 +44,24 @@ def test_idempotent_side_hypergraph():
     assert Hd.is_complete() and Hr.is_complete()
 
 
+def test_idempotent_side_matches_all_partitions(corpus):
+    """Asking only the d + 2 - k block partitions loses no edge."""
+    checked = 0
+    for name, scheme in corpus:
+        if scheme.d < 3:
+            continue
+        for k in (2, 3):
+            H = am.build_fusing_hypergraph(scheme, k, side="idempotents")
+            assert H.edges == idempotent_edges_by_all_partitions(scheme, k), (name, k)
+            checked += 1
+    assert checked > 0
+
+
 def test_idempotent_side_respects_limit():
-    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    scheme = net_with_group_sizes(8, [1] * 9)  # v = 64, d = 9 > PARTITION_LIMIT
+    assert scheme.d == am.PARTITION_LIMIT + 1
     with pytest.raises(am.LimitExceeded):
-        am.build_fusing_hypergraph(scheme, 3, side="idempotents", limit=4)
+        am.build_fusing_hypergraph(scheme, 3, side="idempotents")
 
 
 def test_uniformity_checks():
@@ -66,6 +81,11 @@ def test_uniformity_checks():
 def test_edge_validation():
     with pytest.raises(ValueError):
         am.UniformHypergraph(k=2, vertices=(1, 2), edges=frozenset({(1, 2, 3)}))
+    with pytest.raises(ValueError):  # a repeated vertex is not a 3-set
+        am.UniformHypergraph(k=3, vertices=(1, 2, 3), edges=frozenset({(1, 1, 2)}))
+    with pytest.raises(ValueError):  # an unsorted edge would count twice
+        am.UniformHypergraph(k=3, vertices=(1, 2, 3),
+                             edges=frozenset({(1, 2, 3), (3, 2, 1)}))
 
 
 def test_dot_and_edge_list_deterministic():
