@@ -47,7 +47,6 @@ from .fusion import (
     FusionOutcome,
     TripleType,
     OverlapCase,
-    enumerate_partitions,
     fuse_direct,
     bm_check,
     enumerate_fusing_tuples,
@@ -56,7 +55,6 @@ from .fusion import (
     overlap_case,
     CASE_REPRESENTATIVES,
     SURVIVING_CASES,
-    PARTITION_LIMIT,
 )
 from .hypergraph import (
     UniformHypergraph,
@@ -110,10 +108,9 @@ __all__ = [
     "validate_scheme", "intersection_numbers", "spectral_decomposition",
     "idempotents", "krein_parameters", "formal_duality_permutation",
     "ClassPartition", "DualPartition", "FusionOutcome", "TripleType",
-    "OverlapCase", "enumerate_partitions", "fuse_direct", "bm_check",
+    "OverlapCase", "fuse_direct", "bm_check",
     "enumerate_fusing_tuples", "classify_triple", "contraction_check",
     "overlap_case", "CASE_REPRESENTATIVES", "SURVIVING_CASES",
-    "PARTITION_LIMIT",
     "UniformHypergraph", "SunflowerCore", "GraphShape",
     "build_fusing_hypergraph", "sunflower_cores", "graph_shape",
     "to_dot", "to_edge_list",

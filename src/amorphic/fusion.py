@@ -9,6 +9,10 @@ II.9).  It is integer work on the (d+1)^3 intersection tensor and does not
 depend on v.  The second is the row-sum criterion on the eigenmatrix
 (:func:`bm_check`).  Any disagreement, a yes against a no either way,
 aborts with :class:`OracleDisagreement`.
+
+Neither oracle formats text to answer; a :class:`NotAFusion` message is
+built only where it is raised to the caller.  Nothing here enumerates
+class partitions: every caller names the partitions it asks about.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .core import (
 )
 from .errors import (
     Falsification,
-    LimitExceeded,
     NotAFusion,
     NotFusing,
     OracleDisagreement,
@@ -43,17 +46,13 @@ __all__ = [
     "FusionOutcome",
     "TripleType",
     "OverlapCase",
-    "enumerate_partitions",
     "fuse_direct",
     "bm_check",
     "enumerate_fusing_tuples",
     "classify_triple",
     "contraction_check",
     "overlap_case",
-    "PARTITION_LIMIT",
 ]
-
-PARTITION_LIMIT = 8  # Bell(8) = 4140, the most we ever enumerate
 
 
 @dataclass(frozen=True)
@@ -148,30 +147,6 @@ class FusionOutcome:
     P_fused: np.ndarray
 
 
-def enumerate_partitions(d: int):
-    """All partitions of {1,...,d} (0 stays singleton), in restricted-growth
-    string order, each exactly once."""
-    if d > PARTITION_LIMIT:
-        raise LimitExceeded(f"d={d} exceeds the partition enumeration limit {PARTITION_LIMIT}")
-    if d == 0:
-        yield ClassPartition.from_blocks([[0]], 0)
-        return
-
-    def rec(prefix, nmax):
-        if len(prefix) == d:
-            yield tuple(prefix)
-            return
-        for a in range(nmax + 2):
-            yield from rec(prefix + [a], max(nmax, a))
-
-    for rgs in rec([0], 0):
-        nblocks = max(rgs) + 1
-        blocks = [[] for _ in range(nblocks)]
-        for i, a in enumerate(rgs):
-            blocks[a].append(i + 1)
-        yield ClassPartition.from_blocks([[0]] + blocks, d)
-
-
 def _membership(pi: ClassPartition) -> np.ndarray:
     """S[i, b] = 1 iff class i lies in block b of pi."""
     S = np.zeros((pi.d + 1, pi.n_blocks), dtype=np.int64)
@@ -179,50 +154,51 @@ def _membership(pi: ClassPartition) -> np.ndarray:
     return S
 
 
-def _check_fusion(scheme: AssociationScheme, pi: ClassPartition) -> None:
-    """Exact oracle on the intersection tensor; raises NotAFusion naming
-    the first block pair (I, J) and class h where the block sum moves."""
+def _check_fusion(scheme: AssociationScheme, pi: ClassPartition) -> tuple[int, int, int] | None:
+    """Exact oracle on the intersection tensor: the first block pair (I, J)
+    and class h where the block sum moves, or None when pi fuses."""
     if pi.d != scheme.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, scheme has d={scheme.d}")
     S = _membership(pi)
     # F[I, J, h] = sum over i in I, j in J of p_ij^h, folded one side at a time
     F = np.einsum("Ijh,jJ->IJh", np.einsum("iI,ijh->Ijh", S, scheme.intersection.p), S)
-    idx = pi.block_index()
-    rep = np.array([b[0] for b in pi.blocks])[idx]  # first class of h's block
+    rep = np.array([b[0] for b in pi.blocks])[pi.block_index()]  # first class of h's block
     bad = np.argwhere(F != F[:, :, rep])
-    if bad.size:
-        I, J, h = map(int, bad[0])
-        raise NotAFusion(
-            f"partition {pi} does not fuse: the sum of p_ij^h over i in "
-            f"{set(pi.blocks[I])}, j in {set(pi.blocks[J])} is {F[I, J, h]} at "
-            f"h={h} but {F[I, J, rep[h]]} at h={rep[h]}")
+    return tuple(map(int, bad[0])) if bad.size else None
+
+
+def _tensor_failure(scheme: AssociationScheme, pi: ClassPartition) -> NotAFusion:
+    """The exact oracle's rejection of pi, naming its witness (I, J, h)."""
+    I, J, h = _check_fusion(scheme, pi)
+    r = pi.blocks[pi.block_index()[h]][0]
+    sums = scheme.intersection.p[np.ix_(pi.blocks[I], pi.blocks[J])].sum(axis=(0, 1))
+    return NotAFusion(
+        f"partition {pi} does not fuse: the sum of p_ij^h over i in "
+        f"{set(pi.blocks[I])}, j in {set(pi.blocks[J])} is {sums[h]} at "
+        f"h={h} but {sums[r]} at h={r}")
 
 
 def _decide(scheme: AssociationScheme, pi: ClassPartition,
-            tol: Tolerance) -> DualPartition:
+            tol: Tolerance) -> DualPartition | None:
     """The one place a fusion question is decided.
 
     Both oracles answer: the exact block-sum test on the intersection
     tensor, then the eigenmatrix criterion on the scheme's cached spectrum.
-    Both yes: the dual partition.  Both no: the exact oracle's
-    :class:`NotAFusion`.  Otherwise :class:`OracleDisagreement`.
+    Both yes: the dual partition.  Both no: None.  Otherwise
+    :class:`OracleDisagreement`, the only case in which text is formatted.
     """
-    try:
-        _check_fusion(scheme, pi)
-    except NotAFusion as exact:
-        try:
-            bm_check(spectral_decomposition(scheme, tol=tol), pi)
-        except NotAFusion:
-            raise exact from None
+    witness = _check_fusion(scheme, pi)
+    spec = spectral_decomposition(scheme, tol=tol)
+    dual = _row_sum(spec, pi)
+    if (witness is None) == (dual is not None):
+        return dual
+    if witness is None:
         raise OracleDisagreement(
-            f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: {exact}"
-        ) from exact
-    try:
-        return bm_check(spectral_decomposition(scheme, tol=tol), pi)
-    except NotAFusion as exc:
-        raise OracleDisagreement(
-            f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: {exc}"
-        ) from exc
+            f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: "
+            f"{_row_sum_failure(spec, pi)}")
+    raise OracleDisagreement(
+        f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: "
+        f"{_tensor_failure(scheme, pi)}")
 
 
 def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
@@ -235,10 +211,49 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     partition and symmetry carry over from the parent.
     """
     dual = _decide(scheme, pi, tol)
+    if dual is None:
+        raise _tensor_failure(scheme, pi)
     fused = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
     valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
     return FusionOutcome(scheme=AssociationScheme(fused, valencies),
                          rho=dual.rho, P_fused=dual.P_fused)
+
+
+def _group_rows(M: np.ndarray, tol: Tolerance) -> list[list[int]]:
+    """Indices of the rows of M grouped by closeness under tol; each group
+    is led by its smallest index, and groups are in order of their leader."""
+    a, b = M[:, None, :], M[None, :, :]
+    bound = tol.atol + tol.rtol * np.maximum(np.abs(a), np.abs(b))
+    close = np.all(np.abs(a - b) <= bound, axis=2)  # close[j, g]: rows j, g agree
+    groups: list[list[int]] = []
+    for j in range(M.shape[0]):
+        for g in groups:
+            if close[j, g[0]]:
+                g.append(j)
+                break
+        else:
+            groups.append([j])
+    return groups
+
+
+def _row_sum(spec: SpectralData, pi: ClassPartition) -> DualPartition | None:
+    """The row-sum criterion of :func:`bm_check` without its error text:
+    the dual partition, or None when pi does not fuse."""
+    folded = spec.P @ _membership(pi)
+    groups = _group_rows(folded, spec.tol)
+    # the valency row must stay alone for a genuine fusion
+    if len(groups) != pi.n_blocks or groups[0] != [0]:
+        return None
+    P_fused, _ = spec.tol.snap(folded[[g[0] for g in groups]])
+    return DualPartition(rho=ClassPartition.from_blocks(groups, spec.d), P_fused=P_fused)
+
+
+def _row_sum_failure(spec: SpectralData, pi: ClassPartition) -> NotAFusion:
+    """The row-sum criterion's rejection of pi."""
+    n = len(_group_rows(spec.P @ _membership(pi), spec.tol))
+    if n != pi.n_blocks:
+        return NotAFusion(f"partition {pi}: {n} distinct folded rows, need {pi.n_blocks}")
+    return NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
 
 
 def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
@@ -250,40 +265,17 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
     """
     if pi.d != spec.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, spectral data has d={spec.d}")
-    tol = spec.tol
-    folded = spec.P @ _membership(pi)
-    a, b = folded[:, None, :], folded[None, :, :]
-    bound = tol.atol + tol.rtol * np.maximum(np.abs(a), np.abs(b))
-    close = np.all(np.abs(a - b) <= bound, axis=2)  # close[j, g]: rows j, g agree
-    groups: list[list[int]] = []
-    for j in range(spec.d + 1):
-        for g in groups:
-            if close[j, g[0]]:
-                g.append(j)
-                break
-        else:
-            groups.append([j])
-    if len(groups) != pi.n_blocks:
-        raise NotAFusion(
-            f"partition {pi}: {len(groups)} distinct folded rows, need {pi.n_blocks}")
-    if groups[0] != [0]:
-        # the valency row must stay alone for a genuine fusion
-        raise NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
-    rho = ClassPartition.from_blocks(groups, spec.d)
-    order = sorted(range(len(groups)), key=lambda g: groups[g][0])
-    P_fused, _ = tol.snap(np.array([folded[groups[g][0]] for g in order]))
-    return DualPartition(rho=rho, P_fused=P_fused)
+    dual = _row_sum(spec, pi)
+    if dual is None:
+        raise _row_sum_failure(spec, pi)
+    return dual
 
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
           tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact yes/no for a single partition; every answer is cross-checked
     by the eigenmatrix criterion.  Builds no fused scheme."""
-    try:
-        _decide(scheme, pi, tol)
-    except NotAFusion:
-        return False
-    return True
+    return _decide(scheme, pi, tol) is not None
 
 
 def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,

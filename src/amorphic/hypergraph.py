@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import AssociationScheme, DEFAULT_TOL, Tolerance
-from .errors import NotAFusion, WrongUniformity
+from .core import AssociationScheme, DEFAULT_TOL, Tolerance, spectral_decomposition
+from .errors import OracleDisagreement, WrongUniformity
 # fuse_direct is unused here; bench/selftest.py looks the binding up in this module
-from .fusion import _decide, enumerate_fusing_tuples, enumerate_partitions, fuse_direct
+from .fusion import ClassPartition, _decide, _row_sum, enumerate_fusing_tuples, fuse_direct
 
 __all__ = [
     "UniformHypergraph",
@@ -55,13 +55,17 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
     """Edges are the fusing k-tuples.
 
     On the relation side a tuple fuses if merging exactly it yields a
-    fusion scheme.  On the idempotent side a tuple is an edge if some
-    fusion scheme's dual partition merges exactly that tuple and keeps the
-    other idempotents singleton.  Such a rho has d + 2 - k blocks, and a
-    fusing pi has as many blocks as its rho (the row-sum criterion accepts
-    only when the folded rows form ``pi.n_blocks`` groups), so only the
-    class partitions with d + 2 - k blocks are asked about; d must be
-    within the enumeration limit.
+    fusion scheme.  On the idempotent side a tuple T is an edge if some
+    fusion scheme's dual partition merges exactly T and keeps the other
+    idempotents singleton.  That side asks C(d, k) dual questions, by
+    Bannai and Ito's duality of fusions (*Algebraic Combinatorics I*,
+    II.9): the row-sum criterion run on Q folded over rho = merge(T) yields
+    the only candidate class partition pi, and both oracles must then
+    return exactly rho for pi.  Sound: every edge passes the tensor test
+    and the row sums of P and of Q.  Complete: a fusion pi with dual
+    partition rho folds Q over rho into exactly |pi| distinct rows,
+    grouped by pi.  A failed confirmation means the numerics are wrong and
+    raises :class:`OracleDisagreement`.  There is no limit on d.
     """
     if k not in (2, 3):
         raise WrongUniformity(f"k must be 2 or 3, got {k}")
@@ -71,17 +75,22 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
         return UniformHypergraph(k=k, vertices=vertices, edges=edges, side=side)
     if side != "idempotents":
         raise ValueError(f"unknown side {side!r}")
+    spec = spectral_decomposition(scheme, tol=tol)
+    dual_spec = replace(spec, P=spec.Q, Q=spec.P, valencies=spec.multiplicities,
+                        multiplicities=spec.valencies, P_integer_mask=spec.Q_integer_mask,
+                        Q_integer_mask=spec.P_integer_mask)
     edges = set()
-    for pi in enumerate_partitions(scheme.d):
-        if pi.n_blocks != scheme.d + 2 - k:
+    for T in itertools.combinations(vertices, k):
+        rho = ClassPartition.merge(scheme.d, T)
+        candidate = _row_sum(dual_spec, rho)
+        if candidate is None:
             continue
-        try:
-            rho = _decide(scheme, pi, tol).rho
-        except NotAFusion:
-            continue
-        big = [b for b in rho.blocks if len(b) >= 2]
-        if len(big) == 1 and len(big[0]) == k:
-            edges.add(big[0])
+        found = _decide(scheme, candidate.rho, tol)
+        if found is None or found.rho != rho:
+            raise OracleDisagreement(
+                f"Q folded over idempotent partition {rho} groups the classes as {candidate.rho}, "
+                f"but the two oracles give {'no fusion' if found is None else found.rho}")
+        edges.add(T)
     return UniformHypergraph(k=k, vertices=vertices, edges=frozenset(edges), side=side)
 
 

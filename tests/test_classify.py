@@ -6,7 +6,7 @@ import pytest
 
 import amorphic as am
 from amorphic.fusion import fuses
-from conftest import amorphic_by_all_partitions, net_with_group_sizes
+from conftest import amorphic_by_all_partitions, enumerate_partitions, net_with_group_sizes
 
 TOL = am.DEFAULT_TOL
 
@@ -114,7 +114,7 @@ def test_single_block_merges_decide_every_corpus_partition(corpus):
     of pi alone fuses, pi fuses."""
     checked = premise = 0
     for name, scheme in corpus:
-        for pi in am.enumerate_partitions(scheme.d):
+        for pi in enumerate_partitions(scheme.d):
             checked += 1
             merges = [am.ClassPartition.merge(scheme.d, b) for b in pi.blocks if len(b) >= 2]
             if all(fuses(scheme, m) for m in merges):
@@ -128,6 +128,23 @@ def test_single_block_merges_decide_every_corpus_partition(corpus):
 def test_d8_nets_are_amorphic_and_oracle_checked(n, sizes):
     verdict = am.is_amorphic(net_with_group_sizes(n, sizes))
     assert verdict.amorphic and verdict.oracle_checked and verdict.certificate is not None
+
+
+def test_d9_net_is_oracle_checked():
+    """Above the old d <= 8 ceiling the exact oracle still cross-checks."""
+    verdict = am.is_amorphic(net_with_group_sizes(8, [1] * 9))
+    assert verdict.amorphic and verdict.oracle_checked and verdict.certificate is not None
+
+
+def test_oracle_bound_rejects_d13_before_asking(monkeypatch):
+    import amorphic.classify as classify
+    scheme = net_with_group_sizes(13, [2] + [1] * 12)
+    assert scheme.d == 13
+    asked = []
+    monkeypatch.setattr(classify, "fuses", lambda *args, **kwargs: asked.append(args))
+    with pytest.raises(am.LimitExceeded):
+        am.amorphic_oracle(scheme)
+    assert asked == []
 
 
 def test_is_amorphic_clebsch():
@@ -237,6 +254,17 @@ def test_verify_claims_computes_the_verdict_once(monkeypatch):
             if by_name[name].applicable]
     assert len(uses) >= 2 and all(by_name[name].verified for name in uses)
     assert len(calls) == 1
+
+
+def test_verify_claims_dual_side_at_d9():
+    """Claim (d) applies above the old partition limit, with no note."""
+    report = am.verify_paper_claims(net_with_group_sizes(8, [1] * 9))
+    assert not report.falsified
+    by_name = {r.claim: r for r in report.records}
+    for name in ("dual_two_sunflowers_imply_amorphic",
+                 "dual_complete_3hypergraph_implies_amorphic"):
+        assert by_name[name].applicable and by_name[name].verified, name
+        assert by_name[name].witness == "", name
 
 
 def test_verify_claims_hamming5():

@@ -10,6 +10,7 @@ import pytest
 
 import amorphic as am
 from amorphic.cli import run_command
+from conftest import net_with_group_sizes
 
 
 @pytest.fixture()
@@ -142,6 +143,13 @@ def test_tuples_and_hypergraph(h3_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "is_path=True" in out
     assert "1 -- 2" in dot.read_text()
+
+
+def test_idempotent_hypergraph_above_old_limit(tmp_path, capsys):
+    path = tmp_path / "net64.scheme"
+    am.save_scheme(net_with_group_sizes(8, [1] * 9), path)  # d = 9
+    assert run_command(["hypergraph", str(path), "--k", "3", "--side", "idempotents"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "84 edges"
 
 
 def test_sunflowers_and_amorphic(tmp_path, capsys):

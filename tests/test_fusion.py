@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import amorphic as am
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
-from conftest import fuse_by_relabeling
+from conftest import enumerate_partitions, fuse_by_relabeling
 
 TOL = am.DEFAULT_TOL
 
@@ -22,17 +22,13 @@ BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
 
 def test_partition_counts_are_bell_numbers():
+    """The test-only Bell(d) reference that the all-partition checks use."""
     for d, bell in BELL.items():
-        parts = list(am.enumerate_partitions(d))
+        parts = list(enumerate_partitions(d))
         assert len(parts) == bell
         assert len({p.rgs() for p in parts}) == bell  # no duplicates
         for p in parts:
             assert p.blocks[0] == (0,)
-
-
-def test_partition_limit_enforced():
-    with pytest.raises(am.LimitExceeded):
-        list(am.enumerate_partitions(9))
 
 
 def test_partition_from_string_forms():
@@ -97,7 +93,7 @@ def test_bm_check_matches_direct_everywhere_small():
     ]
     for scheme in schemes:
         spec = am.spectral_decomposition(scheme)
-        for pi in am.enumerate_partitions(scheme.d):
+        for pi in enumerate_partitions(scheme.d):
             try:
                 direct = am.fuse_direct(scheme, pi)
                 ok_direct = True
@@ -142,20 +138,18 @@ def test_enumerate_fusing_tuples_amorphic_complete():
 def test_enumeration_cross_checks_exactly_above_v64(monkeypatch):
     """H(8,2) has v = 256: a flipped criterion answer is still caught."""
     scheme = am.gen_hamming_binary(8)
-    real = fusion.bm_check
+    real = fusion._row_sum
     calls = []
 
     def flip_first(spec, pi):
         calls.append(pi)
         if len(calls) > 1:
             return real(spec, pi)
-        try:
-            real(spec, pi)
-        except am.NotAFusion:
-            return None  # claim that a rejected tuple fuses
-        raise am.NotAFusion("flipped")
+        if real(spec, pi) is None:  # claim that a rejected tuple fuses
+            return fusion.DualPartition(rho=pi, P_fused=spec.P)
+        return None
 
-    monkeypatch.setattr(fusion, "bm_check", flip_first)
+    monkeypatch.setattr(fusion, "_row_sum", flip_first)
     with pytest.raises(am.OracleDisagreement):
         am.enumerate_fusing_tuples(scheme, 2)
     assert len(calls) == 1
@@ -166,16 +160,15 @@ def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
     tensor rejects, no caller answers."""
     scheme = am.gen_hamming_binary(3)
     bad = am.ClassPartition.from_string("2,3|1", 3)
-    with pytest.raises(am.NotAFusion):
-        fusion._check_fusion(scheme, bad)
-    real = fusion.bm_check
+    assert fusion._check_fusion(scheme, bad) is not None  # the tensor's witness
+    real = fusion._row_sum
 
     def accept_bad(spec, pi):
         if pi == bad:
             return fusion.DualPartition(rho=pi, P_fused=spec.P)
         return real(spec, pi)
 
-    monkeypatch.setattr(fusion, "bm_check", accept_bad)
+    monkeypatch.setattr(fusion, "_row_sum", accept_bad)
     with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
         fusion.fuses(scheme, bad)
     with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
@@ -194,13 +187,9 @@ def test_three_oracles_agree_on_every_corpus_partition(corpus):
     checks = fusions = 0
     for name, scheme in corpus:
         spec = am.spectral_decomposition(scheme)
-        for pi in am.enumerate_partitions(scheme.d):
+        for pi in enumerate_partitions(scheme.d):
             checks += 1
-            try:
-                fusion._check_fusion(scheme, pi)
-                ok_tensor = True
-            except am.NotAFusion:
-                ok_tensor = False
+            ok_tensor = fusion._check_fusion(scheme, pi) is None
             relabeled = fuse_by_relabeling(scheme, pi)
             try:
                 dual = am.bm_check(spec, pi)

@@ -1,8 +1,13 @@
 """Fusing hypergraphs, sunflower cores, and graph shape predicates."""
 
+import itertools
+import re
+
 import pytest
 
 import amorphic as am
+import amorphic.fusion as fusion
+import amorphic.hypergraph as hypergraph
 from conftest import idempotent_edges_by_all_partitions, net_with_group_sizes
 
 
@@ -57,11 +62,36 @@ def test_idempotent_side_matches_all_partitions(corpus):
     assert checked > 0
 
 
-def test_idempotent_side_respects_limit():
-    scheme = net_with_group_sizes(8, [1] * 9)  # v = 64, d = 9 > PARTITION_LIMIT
-    assert scheme.d == am.PARTITION_LIMIT + 1
-    with pytest.raises(am.LimitExceeded):
+def test_idempotent_side_exact_at_d9():
+    """net(8; 1^9) is amorphic: every idempotent triple and pair is an edge."""
+    scheme = net_with_group_sizes(8, [1] * 9)  # v = 64, d = 9
+    assert scheme.d == 9
+    H3 = am.build_fusing_hypergraph(scheme, 3, side="idempotents")
+    assert H3.sorted_edges() == list(itertools.combinations(range(1, 10), 3))
+    assert len(H3.edges) == 84
+    H2 = am.build_fusing_hypergraph(scheme, 2, side="idempotents")
+    assert H2.sorted_edges() == list(itertools.combinations(range(1, 10), 2))
+    assert len(H2.edges) == 36
+
+
+def test_idempotent_side_disagreement_is_fatal(monkeypatch):
+    """A confirmation that returns another dual partition is not skipped."""
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    real = hypergraph._decide
+    calls = []
+
+    def wrong_rho_once(scheme, pi, tol):
+        calls.append(pi)
+        dual = real(scheme, pi, tol)
+        if len(calls) > 1:
+            return dual
+        return fusion.DualPartition(rho=am.ClassPartition.singletons(scheme.d),
+                                    P_fused=dual.P_fused)
+
+    monkeypatch.setattr(hypergraph, "_decide", wrong_rho_once)
+    with pytest.raises(am.OracleDisagreement, match=re.escape("the two oracles give 0|1|2|3|4|5")):
         am.build_fusing_hypergraph(scheme, 3, side="idempotents")
+    assert len(calls) == 1
 
 
 def test_uniformity_checks():
