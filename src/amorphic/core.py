@@ -11,8 +11,9 @@ parameters are floating point under an explicit tolerance policy.
 
 The eigenmatrices come from a deterministic split of the symmetrized
 (d+1)-dimensional intersection matrices, class by class with ``eigh``; no
-random numbers are drawn.  Each scheme caches its tensor and its spectral
-data (one entry per :class:`Tolerance`) on the instance.
+random numbers are drawn.  Each scheme caches its tensor, its spectral
+data and its fusion decisions on the instance (see
+:class:`AssociationScheme`).
 """
 
 from __future__ import annotations
@@ -121,7 +122,18 @@ class AssociationScheme:
 
     Instances are produced by :func:`validate_scheme`, which passes in the
     intersection tensor it computed, and are immutable; all derived data
-    is cached per instance, spectral data once per :class:`Tolerance`.
+    is cached per instance:
+
+    - the intersection tensor;
+    - spectral data, one entry per :class:`Tolerance`;
+    - fusion decisions, one entry per (:class:`Tolerance`, partition
+      blocks), written by :func:`~amorphic.fusion._decide` only when both
+      oracles agree;
+    - the last fused scheme built by :func:`~amorphic.fusion.fuse_direct`,
+      with the blocks it was built for.  One slot, not one per partition:
+      each fused scheme holds its own v x v label matrix, and callers ask
+      for the same fusion in runs (the contraction claim, one triple at a
+      time), so one slot keeps the reuse at a bounded cost.
     """
 
     def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...],
@@ -130,6 +142,8 @@ class AssociationScheme:
         self.valencies = valencies
         self._intersection = intersection
         self._spectra: dict[Tolerance, SpectralData] = {}
+        self._decisions: dict = {}
+        self._fused: tuple | None = None
 
     @property
     def v(self) -> int:

@@ -10,6 +10,12 @@ depend on v.  The second is the row-sum criterion on the eigenmatrix
 (:func:`bm_check`).  Any disagreement, a yes against a no either way,
 aborts with :class:`OracleDisagreement`.
 
+Each question is decided once per scheme instance and tolerance: an answer
+on which both oracles agree is kept on the scheme, and asking again
+returns it.  A disagreement is never kept, so it raises every time it is
+asked.  The fused scheme of the last partition passed to
+:func:`fuse_direct` is kept too, in one slot on the parent.
+
 Neither oracle formats text to answer; a :class:`NotAFusion` message is
 built only where it is raised to the caller.  Nothing here enumerates
 class partitions: every caller names the partitions it asks about.
@@ -100,12 +106,23 @@ class ClassPartition:
 
     @classmethod
     def merge(cls, d: int, subset) -> "ClassPartition":
-        """Merge exactly ``subset`` (of nontrivial classes), all else singleton."""
-        subset = set(subset)
-        if 0 in subset:
+        """Merge exactly ``subset`` (of nontrivial classes), all else singleton.
+
+        The blocks are built in canonical order directly; a subset of at
+        most one class gives the singletons.
+        """
+        merged = tuple(sorted(set(subset)))
+        if 0 in merged:
             raise ValueError("cannot merge the trivial class")
-        blocks = [[0], sorted(subset)] + [[i] for i in range(1, d + 1) if i not in subset]
-        return cls.from_blocks(blocks, d)
+        if not merged:
+            return cls(d=d, blocks=tuple((i,) for i in range(d + 1)))
+        low = merged[0]
+        if low < 1 or merged[-1] > d:
+            raise ValueError(f"classes {list(merged)} are not all in 1..{d}")
+        rest = set(merged)
+        blocks = ([(i,) for i in range(low)] + [merged]
+                  + [(i,) for i in range(low + 1, d + 1) if i not in rest])
+        return cls(d=d, blocks=tuple(blocks))
 
     @property
     def n_blocks(self) -> int:
@@ -134,10 +151,19 @@ class ClassPartition:
 @dataclass(frozen=True)
 class DualPartition:
     """Result of the row-sum criterion: the unique dual partition and the
-    fused eigenmatrix (rows ordered by dual block minimum)."""
+    fused eigenmatrix (rows ordered by dual block minimum).
+
+    ``P_fused`` is read-only: a decision is kept on its scheme and handed
+    to every later caller asking the same question.
+    """
 
     rho: ClassPartition
     P_fused: np.ndarray
+
+    def __post_init__(self):
+        P_fused = np.asarray(self.P_fused).view()
+        P_fused.flags.writeable = False
+        object.__setattr__(self, "P_fused", P_fused)
 
 
 @dataclass(frozen=True)
@@ -178,6 +204,9 @@ def _tensor_failure(scheme: AssociationScheme, pi: ClassPartition) -> NotAFusion
         f"h={h} but {sums[r]} at h={r}")
 
 
+_UNDECIDED = object()
+
+
 def _decide(scheme: AssociationScheme, pi: ClassPartition,
             tol: Tolerance) -> DualPartition | None:
     """The one place a fusion question is decided.
@@ -186,11 +215,21 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     tensor, then the eigenmatrix criterion on the scheme's cached spectrum.
     Both yes: the dual partition.  Both no: None.  Otherwise
     :class:`OracleDisagreement`, the only case in which text is formatted.
+
+    An agreed answer is kept on the scheme, keyed by ``(tol, pi.blocks)``
+    (the blocks are canonical), and returned when the question comes again.
+    A disagreement is not kept: asking again runs both oracles again and
+    raises again.
     """
+    key = (tol, pi.blocks)
+    dual = scheme._decisions.get(key, _UNDECIDED)
+    if dual is not _UNDECIDED:
+        return dual
     witness = _check_fusion(scheme, pi)
     spec = spectral_decomposition(scheme, tol=tol)
     dual = _row_sum(spec, pi)
     if (witness is None) == (dual is not None):
+        scheme._decisions[key] = dual
         return dual
     if witness is None:
         raise OracleDisagreement(
@@ -209,14 +248,22 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     agree either way.  The fused scheme is built from the merged labels
     without re-validation: the tensor check proves closure, and identity,
     partition and symmetry carry over from the parent.
+
+    The parent keeps the last fused scheme in one slot: asking for the same
+    partition again returns that same instance, with its tensor, spectrum
+    and decisions already cached; any other partition replaces it.
     """
     dual = _decide(scheme, pi, tol)
     if dual is None:
         raise _tensor_failure(scheme, pi)
-    fused = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
-    valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
-    return FusionOutcome(scheme=AssociationScheme(fused, valencies),
-                         rho=dual.rho, P_fused=dual.P_fused)
+    if scheme._fused is not None and scheme._fused[0] == pi.blocks:
+        fused = scheme._fused[1]
+    else:
+        labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
+        valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
+        fused = AssociationScheme(labels, valencies)
+        scheme._fused = (pi.blocks, fused)
+    return FusionOutcome(scheme=fused, rho=dual.rho, P_fused=dual.P_fused)
 
 
 def _group_rows(M: np.ndarray, tol: Tolerance) -> list[list[int]]:
@@ -224,11 +271,12 @@ def _group_rows(M: np.ndarray, tol: Tolerance) -> list[list[int]]:
     is led by its smallest index, and groups are in order of their leader."""
     a, b = M[:, None, :], M[None, :, :]
     bound = tol.atol + tol.rtol * np.maximum(np.abs(a), np.abs(b))
-    close = np.all(np.abs(a - b) <= bound, axis=2)  # close[j, g]: rows j, g agree
+    # close[j][g]: rows j, g agree; Python lists index faster than numpy scalars
+    close = np.all(np.abs(a - b) <= bound, axis=2).tolist()
     groups: list[list[int]] = []
-    for j in range(M.shape[0]):
+    for j, row in enumerate(close):
         for g in groups:
-            if close[j, g[0]]:
+            if row[g[0]]:
                 g.append(j)
                 break
         else:
@@ -245,7 +293,9 @@ def _row_sum(spec: SpectralData, pi: ClassPartition) -> DualPartition | None:
     if len(groups) != pi.n_blocks or groups[0] != [0]:
         return None
     P_fused, _ = spec.tol.snap(folded[[g[0] for g in groups]])
-    return DualPartition(rho=ClassPartition.from_blocks(groups, spec.d), P_fused=P_fused)
+    # groups come ascending and in order of their leaders: already canonical
+    rho = ClassPartition(d=spec.d, blocks=tuple(map(tuple, groups)))
+    return DualPartition(rho=rho, P_fused=P_fused)
 
 
 def _row_sum_failure(spec: SpectralData, pi: ClassPartition) -> NotAFusion:
@@ -353,12 +403,14 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
 
     pi = ClassPartition.merge(scheme.d, t1)
+    # the parent's fused-scheme slot returns one contracted scheme for every
+    # outside class of t1, so a caller looping ell inside t1 builds it once
     contracted = fuse_direct(scheme, pi, tol=tol).scheme
     idx = pi.block_index()
     merged_new, ell_new = int(idx[t1[0]]), int(idx[ell])
-    # independent verification path: the contracted scheme's tensor and
-    # spectral data are computed afresh inside fuses, nothing is reused
-    # from P_fused
+    # independent verification path: the contracted scheme's tensor comes
+    # from its own labels and its spectral data from its own eigh, once per
+    # contracted scheme; nothing is read from P_fused
     pair = ClassPartition.merge(contracted.d, (merged_new, ell_new))
     return fuses(contracted, pair, tol=tol)
 

@@ -1,7 +1,14 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
 reference validator, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references built
-on it, and the acceptance-criteria summary lines."""
+on it, and the acceptance-criteria summary lines.
+
+A scheme keeps its fusion decisions, spectra and last fused scheme on the
+instance, and the ``corpus`` fixture shares its schemes across the whole
+session.  A warm scheme answers a question it has seen without running
+either oracle, so a test that monkeypatches an oracle, or counts calls into
+one, builds its own scheme and never uses a ``corpus`` scheme.
+"""
 
 import numpy as np
 import pytest

@@ -1,7 +1,9 @@
 """Fusion machinery: partitions, the two fusion oracles, triple types,
 contraction, and the overlap case analysis."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amorphic as am
+import amorphic.core as core
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
 from conftest import enumerate_partitions, fuse_by_relabeling
@@ -43,6 +46,30 @@ def test_partition_rejects_zero_in_nontrivial_block():
         am.ClassPartition.from_string("0,1|2", 2)
     with pytest.raises(ValueError):
         am.ClassPartition.merge(3, {0, 1})
+
+
+def test_merge_matches_from_blocks_reference():
+    """merge builds its blocks directly; the reference goes through
+    from_blocks's sort and checks."""
+    def reference(d, subset):
+        subset = set(subset)
+        blocks = [[0], sorted(subset)] + [[i] for i in range(1, d + 1) if i not in subset]
+        return am.ClassPartition.from_blocks(blocks, d)
+
+    checked = 0
+    for d in range(1, 10):
+        assert am.ClassPartition.merge(d, ()) == am.ClassPartition.singletons(d)
+        for r in range(1, d + 1):
+            for T in itertools.combinations(range(1, d + 1), r):
+                assert am.ClassPartition.merge(d, T) == reference(d, T), (d, T)
+                assert am.ClassPartition.merge(d, reversed(T)) == reference(d, T), (d, T)
+                checked += 1
+    assert checked == 1013
+    for d, subset in ((3, {0}), (3, {0, 1}), (3, {4}), (3, {1, 4}), (3, {-1, 2}), (0, {1})):
+        with pytest.raises(ValueError):
+            am.ClassPartition.merge(d, subset)
+        with pytest.raises(ValueError):
+            reference(d, subset)
 
 
 @settings(max_examples=50, deadline=None)
@@ -175,6 +202,80 @@ def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
         am.fuse_direct(scheme, bad)
 
 
+def test_fused_eigenmatrix_is_read_only():
+    """A decision is shared by every caller asking it, so its fused
+    eigenmatrix cannot be written through."""
+    scheme = am.gen_hamming_binary(3)
+    pi = am.ClassPartition.from_string("1,3|2", 3)
+    out = am.fuse_direct(scheme, pi)
+    before = out.P_fused.copy()
+    with pytest.raises(ValueError):
+        out.P_fused[1, 1] = 99.0
+    assert np.array_equal(am.fuse_direct(scheme, pi).P_fused, before)
+    assert np.array_equal(am.bm_check(am.spectral_decomposition(scheme), pi).P_fused, before)
+
+
+def test_disagreement_is_never_stored(monkeypatch):
+    """Asked twice, a disagreement raises twice; the honest oracles then
+    answer afresh."""
+    scheme = am.gen_hamming_binary(3)
+    bad = am.ClassPartition.from_string("2,3|1", 3)
+    real = fusion._row_sum
+
+    def accept_bad(spec, pi):
+        if pi == bad:
+            return fusion.DualPartition(rho=pi, P_fused=spec.P)
+        return real(spec, pi)
+
+    monkeypatch.setattr(fusion, "_row_sum", accept_bad)
+    for _ in range(2):
+        with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
+            fusion.fuses(scheme, bad)
+    monkeypatch.undo()
+    assert fusion.fuses(scheme, bad) is False
+
+
+def test_repeated_question_is_decided_once(monkeypatch):
+    """A question is decided once per scheme and tolerance; another
+    tolerance is another question."""
+    scheme = am.gen_hamming_binary(4)
+    real = fusion._check_fusion
+    calls = []
+
+    def counted(scheme, pi):
+        calls.append(pi)
+        return real(scheme, pi)
+
+    monkeypatch.setattr(fusion, "_check_fusion", counted)
+    yes = am.ClassPartition.from_string("1,3|2,4", 4)
+    no = am.ClassPartition.merge(4, (1, 2))
+    for _ in range(3):
+        assert fusion.fuses(scheme, yes)
+        assert not fusion.fuses(scheme, no)
+        assert am.fuse_direct(scheme, yes).scheme.d == 2
+    assert calls == [yes, no]
+    other = am.Tolerance(atol=1e-9, rtol=1e-9)
+    assert fusion.fuses(scheme, yes, tol=other)
+    assert fusion.fuses(scheme, yes, tol=other)
+    assert calls == [yes, no, yes]
+
+
+def test_fused_scheme_is_kept_in_one_slot():
+    """The same fusion returns the same fused instance; another fusion
+    replaces it, and the first is then freed."""
+    scheme = am.gen_hamming_binary(4)
+    pi = am.ClassPartition.from_string("1,3|2,4", 4)
+    pi2 = am.ClassPartition.from_string("1,2,3,4", 4)
+    first = am.fuse_direct(scheme, pi).scheme
+    assert am.fuse_direct(scheme, pi).scheme is first
+    ref = weakref.ref(first)
+    del first
+    second = am.fuse_direct(scheme, pi2).scheme
+    gc.collect()
+    assert ref() is None
+    assert am.fuse_direct(scheme, pi2).scheme is second
+
+
 def test_rejection_names_block_pair_and_class():
     scheme = am.gen_hamming_binary(3)
     with pytest.raises(am.NotAFusion, match=r"over i in \{.*\}, j in \{.*\} is \d+ at h=\d"):
@@ -244,13 +345,27 @@ def test_classify_triple_rejects_nonfusing():
 
 # ------------------------------------------------------------- contraction
 
-def test_contraction_on_amorphic_net():
+def test_contraction_on_amorphic_net(monkeypatch):
+    """Every admissible pair contracts, and looping the outside class
+    inside the triple builds each contracted scheme's tensor once."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
     triples = am.enumerate_fusing_tuples(scheme, 3)
+    real = core.intersection_numbers
+    tensors = []
+
+    def counted(s):
+        tensors.append(s)
+        return real(s)
+
+    monkeypatch.setattr(core, "intersection_numbers", counted)
+    pairs = 0
     for T in triples:
         for ell in range(1, 6):
             if ell not in T:
                 assert am.contraction_check(scheme, T, ell)
+                pairs += 1
+    assert (len(triples), pairs) == (10, 20)
+    assert len(tensors) == len(triples)
 
 
 def test_contraction_preconditions():
