@@ -20,7 +20,6 @@ from .core import (
 from .errors import (
     Falsification,
     LimitExceeded,
-    NotFusing,
     OracleDisagreement,
     PreconditionFailed,
     WrongClassCount,
@@ -28,11 +27,13 @@ from .errors import (
 from .fusion import (
     ClassPartition,
     SURVIVING_CASES,
-    classify_triple,
+    _decide,
+    _decide_merges,
+    _overlap_from_types,
+    _triple_type,
     contraction_check,
     enumerate_fusing_tuples,
     fuses,
-    overlap_case,
 )
 from .hypergraph import UniformHypergraph, build_fusing_hypergraph, sunflower_cores
 
@@ -53,7 +54,7 @@ __all__ = [
     "verify_paper_claims",
 ]
 
-_MERGE_ORACLE_MAX_D = 12  # amorphic_oracle asks 2^d - d - 1 merges: 4083 at d = 12
+_MERGE_ORACLE_MAX_D = 14  # amorphic_oracle asks 2^d - d - 1 merges: 16369 at d = 14
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,15 @@ def amorphic_oracle(scheme: AssociationScheme,
     """Exact check that every class partition fuses, decided on the
     2^d - d - 1 partitions that merge one set T (|T| >= 2) of classes.
 
-    Each merge is decided by :func:`fuses`, so every answer is
-    cross-checked by the eigenmatrix criterion.  The single merges
-    suffice, by the block sum criterion on the intersection tensor.  Let
-    pi have a nontrivial block H, and suppose merging H alone fuses.  Its
-    block sums over the blocks {i}, {j}, H of that merge say that
+    The merges of each size r are decided together by
+    :func:`~amorphic.fusion._decide_merges`: both oracles, the block sums
+    on the intersection tensor and the eigenmatrix row-sum criterion, run
+    on stacks of membership matrices a fixed number of merges at a time,
+    and any merge they answer differently raises
+    :class:`OracleDisagreement`.  The single merges suffice, by the block
+    sum criterion on the intersection tensor.  Let pi have a nontrivial
+    block H, and suppose merging H alone fuses.  Its block sums over the
+    blocks {i}, {j}, H of that merge say that
       - p_ij^h is constant on h in H for i, j outside H;
       - sum_{i in H} p_ij^h is constant on h in H for j outside H;
       - sum_{i, j in H} p_ij^h is constant on h in H.
@@ -219,14 +224,13 @@ def amorphic_oracle(scheme: AssociationScheme,
     constant on H.  When every nontrivial block's merge fuses, this holds
     for every block of pi (singletons trivially), so pi fuses.
 
-    The merge count doubles with each class, so d is bounded (d <= 12);
-    above it :class:`LimitExceeded` is raised before any question is asked.
+    The merge count doubles with each class, so d is bounded (d <= 14,
+    about half a second on an amorphic net at d = 14); above it
+    :class:`LimitExceeded` is raised before any question is asked.
     """
     if scheme.d > _MERGE_ORACLE_MAX_D:
         raise LimitExceeded(f"d={scheme.d} exceeds the oracle limit {_MERGE_ORACLE_MAX_D}")
-    return all(fuses(scheme, ClassPartition.merge(scheme.d, T), tol=tol)
-               for r in range(2, scheme.d + 1)
-               for T in itertools.combinations(range(1, scheme.d + 1), r))
+    return all(_decide_merges(scheme, r, tol).all() for r in range(2, scheme.d + 1))
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,7 @@ class AmorphicVerdict:
 def is_amorphic(scheme: AssociationScheme,
                 tol: Tolerance = DEFAULT_TOL) -> AmorphicVerdict:
     """Canonical-form fast path, cross-checked by :func:`amorphic_oracle`
-    whenever d is within its bound (d <= 12); disagreement is fatal.  Above
+    whenever d is within its bound (d <= 14); disagreement is fatal.  Above
     it the verdict rests on the canonical form alone and ``oracle_checked``
     is False.
 
@@ -439,13 +443,15 @@ def verify_paper_claims(scheme: AssociationScheme,
         "contraction", applicable, applicable and ok,
         witness=f"{checked} admissible pairs"))
 
-    # (f) every fusing triple is exactly type 1 or type 2
-    applicable, ok = bool(triples), True
+    # (f) every fusing triple is exactly type 1 or type 2; each type is read
+    # once, off the dual that enumerate_fusing_tuples kept on the scheme
+    types = {}
     for T in triples:
         try:
-            classify_triple(spec, T)
-        except (Falsification, NotFusing):
-            ok = False
+            types[T] = _triple_type(_decide(scheme, ClassPartition.merge(d, T), tol), T)
+        except Falsification:
+            types[T] = None
+    applicable, ok = bool(triples), all(ty is not None for ty in types.values())
     records.append(ClaimRecord(
         "triple_types", applicable, applicable and ok,
         witness=f"{len(triples)} fusing triples"))
@@ -466,9 +472,12 @@ def verify_paper_claims(scheme: AssociationScheme,
              if len(set(T1) & set(T2)) == 2]
     applicable, ok, labels = bool(pairs), True, set()
     for T1, T2 in pairs:
+        if types[T1] is None or types[T2] is None:
+            ok = False
+            continue
         try:
-            labels.add(overlap_case(spec, T1, T2).label)
-        except (Falsification, PreconditionFailed):
+            labels.add(_overlap_from_types(T1, types[T1], T2, types[T2]).label)
+        except Falsification:
             ok = False
     if not labels <= SURVIVING_CASES:
         ok = False

@@ -16,6 +16,13 @@ returns it.  A disagreement is never kept, so it raises every time it is
 asked.  The fused scheme of the last partition passed to
 :func:`fuse_direct` is kept too, in one slot on the parent.
 
+The single merges of one size are also decided all together
+(:func:`_decide_merges`): both oracles run on a stack of membership
+matrices, a fixed number of merges at a time, and any merge they answer
+differently raises.  These answers are asked once per scheme, by the
+amorphicity oracle, so they are neither read from nor kept in the
+scheme's decisions.
+
 Neither oracle formats text to answer; a :class:`NotAFusion` message is
 built only where it is raised to the caller.  Nothing here enumerates
 class partitions: every caller names the partitions it asks about.
@@ -129,11 +136,19 @@ class ClassPartition:
         return len(self.blocks)
 
     def block_index(self) -> np.ndarray:
-        """index[i] = which block class i belongs to."""
-        idx = np.empty(self.d + 1, dtype=np.int64)
-        for b, block in enumerate(self.blocks):
-            for i in block:
-                idx[i] = b
+        """index[i] = which block class i belongs to.
+
+        Built once per instance and read-only: both oracles of one
+        question read it.
+        """
+        idx = self.__dict__.get("_block_index")
+        if idx is None:
+            idx = np.empty(self.d + 1, dtype=np.int64)
+            for b, block in enumerate(self.blocks):
+                for i in block:
+                    idx[i] = b
+            idx.flags.writeable = False
+            object.__setattr__(self, "_block_index", idx)
         return idx
 
     def rgs(self) -> tuple[int, ...]:
@@ -195,7 +210,10 @@ def _check_fusion(scheme: AssociationScheme, pi: ClassPartition) -> tuple[int, i
 
 def _tensor_failure(scheme: AssociationScheme, pi: ClassPartition) -> NotAFusion:
     """The exact oracle's rejection of pi, naming its witness (I, J, h)."""
-    I, J, h = _check_fusion(scheme, pi)
+    witness = _check_fusion(scheme, pi)
+    if witness is None:  # only a stacked answer can reject what this accepts
+        return NotAFusion(f"partition {pi}: the stacked block sums reject it, the scalar ones accept it")
+    I, J, h = witness
     r = pi.blocks[pi.block_index()[h]][0]
     sums = scheme.intersection.p[np.ix_(pi.blocks[I], pi.blocks[J])].sum(axis=(0, 1))
     return NotAFusion(
@@ -231,11 +249,18 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     if (witness is None) == (dual is not None):
         scheme._decisions[key] = dual
         return dual
-    if witness is None:
-        raise OracleDisagreement(
+    raise _disagreement(scheme, spec, pi, exact_accepts=witness is None)
+
+
+def _disagreement(scheme: AssociationScheme, spec: SpectralData, pi: ClassPartition,
+                  exact_accepts: bool) -> OracleDisagreement:
+    """The error for a question the two oracles answer differently; the
+    side that rejects pi names its reason."""
+    if exact_accepts:
+        return OracleDisagreement(
             f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: "
             f"{_row_sum_failure(spec, pi)}")
-    raise OracleDisagreement(
+    return OracleDisagreement(
         f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: "
         f"{_tensor_failure(scheme, pi)}")
 
@@ -300,10 +325,13 @@ def _row_sum(spec: SpectralData, pi: ClassPartition) -> DualPartition | None:
 
 def _row_sum_failure(spec: SpectralData, pi: ClassPartition) -> NotAFusion:
     """The row-sum criterion's rejection of pi."""
-    n = len(_group_rows(spec.P @ _membership(pi), spec.tol))
-    if n != pi.n_blocks:
-        return NotAFusion(f"partition {pi}: {n} distinct folded rows, need {pi.n_blocks}")
-    return NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
+    groups = _group_rows(spec.P @ _membership(pi), spec.tol)
+    if len(groups) != pi.n_blocks:
+        return NotAFusion(f"partition {pi}: {len(groups)} distinct folded rows, need {pi.n_blocks}")
+    if groups[0] != [0]:
+        return NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
+    # only a stacked answer can reject what this accepts
+    return NotAFusion(f"partition {pi}: the stacked row sums reject it, the scalar ones accept it")
 
 
 def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
@@ -326,6 +354,104 @@ def fuses(scheme: AssociationScheme, pi: ClassPartition,
     """Exact yes/no for a single partition; every answer is cross-checked
     by the eigenmatrix criterion.  Builds no fused scheme."""
     return _decide(scheme, pi, tol) is not None
+
+
+# Merges stacked per pass of _decide_merges.  Its largest arrays hold
+# _MERGE_CHUNK * (d+1)^3 floats, a few MB at d = 14, whatever the merge count.
+_MERGE_CHUNK = 64
+
+
+def _merge_stack(d: int, merges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Membership matrices of the single merges named by the rows of
+    ``merges`` (sorted r-subsets of 1..d), and each class's representative.
+
+    S[m] is the float64 (d+1) x (d+2-r) membership matrix of
+    ``ClassPartition.merge(d, merges[m])``, blocks in its order; rep[m, h]
+    is the first class of h's block.
+    """
+    c, r = merges.shape
+    classes = np.arange(d + 1)
+    merged = np.zeros((c, d + 1), dtype=bool)
+    merged[np.arange(c)[:, None], merges] = True
+    low = merges[:, :1]
+    # a class outside T moves down one block per class of T above low and below it
+    below = np.cumsum(merged, axis=1) - merged
+    block = np.where(merged, low, classes - np.maximum(below - 1, 0))
+    S = np.zeros((c, d + 1, d + 2 - r))
+    S[np.arange(c)[:, None], classes, block] = 1.0
+    return S, np.where(merged, low, classes)
+
+
+def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """The exact oracle on a stack of partitions: entry m is True iff every
+    block sum F[m, h] = S[m]^T p[:, :, h] S[m] equals F[m, rep[m, h]].
+
+    ``p`` is the intersection tensor as float64 in (h, i, j) order.  The
+    products are exact: every entry and partial sum is an integer <= v < 2^53.
+    """
+    c, n, nb = S.shape
+    # G[h, i, m, J] = sum over j in J of p_ij^h, one product for the whole stack
+    G = (p.reshape(n * n, n) @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, n, c, nb)
+    G = G.transpose(2, 1, 0, 3).reshape(c, n, n * nb)
+    # F[m, I, h, J] = sum over i in I of G[h, i, m, J], then one row per (m, h)
+    F = (S.transpose(0, 2, 1) @ G).reshape(c, nb, n, nb)
+    F = F.transpose(0, 2, 1, 3).reshape(c * n, nb * nb)
+    at_rep = F[(rep + n * np.arange(c)[:, None]).ravel()]
+    return np.all((F == at_rep).reshape(c, n * nb * nb), axis=1)
+
+
+def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The row-sum criterion on a stack of partitions: entry m is True iff
+    the rows of P S[m] fall into as many groups as S[m] has blocks, with
+    row 0 alone.
+
+    The grouping is :func:`_group_rows`'s, one row at a time across the
+    whole stack: a row joins the first leader it is close to, so it leads
+    a group iff it is close to no earlier leader.
+    """
+    c, n, nb = S.shape
+    folded = (P @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, c, nb).transpose(1, 0, 2)
+    size = np.abs(folded)
+    leader = np.zeros((c, n), dtype=bool)
+    leader[:, 0] = True
+    alone = np.ones(c, dtype=bool)
+    for j in range(1, n):
+        bound = tol.atol + tol.rtol * np.maximum(size[:, j:j + 1], size[:, :j])
+        close = np.all(np.abs(folded[:, j:j + 1] - folded[:, :j]) <= bound, axis=2)
+        alone &= ~close[:, 0]  # row 0 leads the first group
+        leader[:, j] = ~np.any(close & leader[:, :j], axis=1)
+    return (leader.sum(axis=1) == nb) & alone
+
+
+def _decide_merges(scheme: AssociationScheme, r: int, tol: Tolerance) -> np.ndarray:
+    """Whether each merge of r nontrivial classes fuses, decided together.
+
+    Entry m answers ``ClassPartition.merge(d, T)`` for the m-th T of
+    ``itertools.combinations(range(1, d + 1), r)``.  Both oracles answer
+    every merge, on stacks of _MERGE_CHUNK membership matrices, so memory
+    stays flat however many merges there are.  A merge the two answer
+    differently raises :class:`OracleDisagreement` with :func:`_decide`'s
+    text.  The scheme's decisions are neither read nor written: a kept
+    answer cannot hide a disagreement, and one pass per scheme would
+    only fill the memo.
+    """
+    d = scheme.d
+    p = scheme.intersection.p.transpose(2, 0, 1).astype(np.float64)
+    spec = spectral_decomposition(scheme, tol=tol)
+    combos = itertools.combinations(range(1, d + 1), r)
+    answers = []
+    while chunk := list(itertools.islice(combos, _MERGE_CHUNK)):
+        merges = np.array(chunk, dtype=np.int64).reshape(len(chunk), r)
+        S, rep = _merge_stack(d, merges)
+        exact = _stacked_block_sums(p, S, rep)
+        criterion = _stacked_row_sum(spec.P, S, tol)
+        differ = np.flatnonzero(exact != criterion)
+        if differ.size:
+            m = differ[0]
+            raise _disagreement(scheme, spec, ClassPartition.merge(d, chunk[m]),
+                                exact_accepts=bool(exact[m]))
+        answers.append(exact)
+    return np.concatenate(answers)
 
 
 def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
@@ -369,6 +495,11 @@ def classify_triple(spec, T) -> TripleType:
         dual = bm_check(spec, pi)
     except NotAFusion as exc:
         raise NotFusing(str(exc)) from exc
+    return _triple_type(dual, T)
+
+
+def _triple_type(dual: DualPartition, T: tuple[int, ...]) -> TripleType:
+    """Type of the fusing triple T (sorted) from the dual partition of its merge."""
     big = [frozenset(b) for b in dual.rho.blocks if len(b) >= 2]
     sizes = sorted(len(b) for b in big)
     if sizes == [3]:
@@ -527,6 +658,14 @@ def overlap_case(spec, t1, t2,
         ty2 = classify_triple(spec, t2)
     except NotFusing as exc:
         raise PreconditionFailed(str(exc)) from exc
+    return _overlap_from_types(t1, ty1, t2, ty2, ruled_out_fatal)
+
+
+def _overlap_from_types(t1, ty1: TripleType, t2, ty2: TripleType,
+                        ruled_out_fatal: bool = True) -> OverlapCase:
+    """:func:`overlap_case` for two sorted fusing triples sharing two
+    classes, given their types."""
+    common = sorted(set(t1) & set(t2))
 
     # role assignments: which triple plays {1,2,3} and which {2,3,4}.
     # Mixed types pin the type-1 triple to the {1,2,3} role (the subcase

@@ -136,15 +136,42 @@ def test_d9_net_is_oracle_checked():
     assert verdict.amorphic and verdict.oracle_checked and verdict.certificate is not None
 
 
-def test_oracle_bound_rejects_d13_before_asking(monkeypatch):
+def test_d14_net_is_oracle_checked():
+    """The stacked single-merge oracle cross-checks net n = 13 (d = 14)."""
+    scheme = net_with_group_sizes(13, [1] * 14)
+    assert scheme.d == 14
+    verdict = am.is_amorphic(scheme)
+    assert verdict.amorphic and verdict.oracle_checked and verdict.certificate is not None
+
+
+def test_oracle_bound_rejects_d15_before_asking(monkeypatch):
     import amorphic.classify as classify
-    scheme = net_with_group_sizes(13, [2] + [1] * 12)
-    assert scheme.d == 13
+    scheme = net_with_group_sizes(16, [2, 2] + [1] * 13)
+    assert scheme.d == classify._MERGE_ORACLE_MAX_D + 1 == 15
     asked = []
-    monkeypatch.setattr(classify, "fuses", lambda *args, **kwargs: asked.append(args))
+    monkeypatch.setattr(classify, "_decide_merges", lambda *args, **kwargs: asked.append(args))
     with pytest.raises(am.LimitExceeded):
         am.amorphic_oracle(scheme)
     assert asked == []
+
+
+# Measured peak: 4.96 MB on net n = 13 (numpy 2.4, 64 merges per stack);
+# the stack of all 3432 merges of size 7 would need over 100 MB.
+ORACLE_PEAK_BOUND_MB = 8.0
+
+
+def test_oracle_memory_is_flat_at_d14():
+    import tracemalloc
+    scheme = net_with_group_sizes(13, [1] * 14)
+    am.spectral_decomposition(scheme)
+    scheme.intersection
+    tracemalloc.start()
+    try:
+        assert am.amorphic_oracle(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ORACLE_PEAK_BOUND_MB * 1e6, peak
 
 
 def test_is_amorphic_clebsch():
@@ -254,6 +281,33 @@ def test_verify_claims_computes_the_verdict_once(monkeypatch):
             if by_name[name].applicable]
     assert len(uses) >= 2 and all(by_name[name].verified for name in uses)
     assert len(calls) == 1
+
+
+def test_verify_claims_types_each_triple_once(monkeypatch):
+    """Claims (f) and (h) read each fusing triple's type once, off the dual
+    that the triple enumeration kept, and run no row-sum criterion of their
+    own."""
+    import amorphic.classify as classify
+    import amorphic.fusion as fusion
+    typed, criterion = [], []
+    real_type, real_bm = classify._triple_type, fusion.bm_check
+
+    def counted_type(dual, T):
+        typed.append(T)
+        return real_type(dual, T)
+
+    def counted_bm(*args, **kwargs):
+        criterion.append(args)
+        return real_bm(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "_triple_type", counted_type)
+    monkeypatch.setattr(fusion, "bm_check", counted_bm)
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    report = am.verify_paper_claims(scheme)
+    by_name = {r.claim: r for r in report.records}
+    assert by_name["triple_types"].verified and by_name["overlap_cases"].verified
+    assert sorted(typed) == am.enumerate_fusing_tuples(scheme, 3)
+    assert len(typed) == 10 and criterion == []
 
 
 def test_verify_claims_dual_side_at_d9():

@@ -3,6 +3,7 @@ contraction, and the overlap case analysis."""
 
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -14,7 +15,7 @@ import amorphic as am
 import amorphic.core as core
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
-from conftest import enumerate_partitions, fuse_by_relabeling
+from conftest import enumerate_partitions, fuse_by_relabeling, net_with_group_sizes
 
 TOL = am.DEFAULT_TOL
 
@@ -310,6 +311,119 @@ def test_three_oracles_agree_on_every_corpus_partition(corpus):
                 assert out.rho == dual.rho, (name, str(pi))
     assert checks == 1993
     assert fusions > 0
+
+
+# ------------------------------------------------- stacked single merges
+
+def _merges(d, r):
+    return list(itertools.combinations(range(1, d + 1), r))
+
+
+def test_block_index_is_built_once_per_partition():
+    """Both oracles of one question read one read-only index."""
+    pi = am.ClassPartition.from_string("1,3|2", 3)
+    idx = pi.block_index()
+    assert idx is pi.block_index() and not idx.flags.writeable
+    assert idx.tolist() == [0, 1, 2, 1]
+
+
+def test_merge_stack_matches_membership():
+    for d in range(1, 8):
+        for r in range(1, d + 1):
+            S, rep = fusion._merge_stack(d, np.array(_merges(d, r)).reshape(-1, r))
+            for m, T in enumerate(_merges(d, r)):
+                pi = am.ClassPartition.merge(d, T)
+                assert np.array_equal(S[m], fusion._membership(pi)), (d, T)
+                assert rep[m].tolist() == [pi.blocks[b][0] for b in pi.block_index()], (d, T)
+
+
+def test_stacked_merges_match_fuses_on_corpus(corpus):
+    """Merge by merge, the stacked answers of every size are the scalar ones."""
+    merges = accepted = 0
+    for name, scheme in corpus:
+        for r in range(1, scheme.d + 1):
+            want = [fusion.fuses(scheme, am.ClassPartition.merge(scheme.d, T))
+                    for T in _merges(scheme.d, r)]
+            assert fusion._decide_merges(scheme, r, TOL).tolist() == want, (name, r)
+            merges += len(want)
+            accepted += sum(want)
+    assert 0 < accepted < merges
+
+
+@pytest.mark.parametrize("build", [
+    lambda: net_with_group_sizes(8, [1] * 9),
+    lambda: net_with_group_sizes(9, [1] * 10),
+    lambda: am.gen_hamming_binary(9),
+], ids=["net8-d9", "net9-d10", "H(9,2)-d9"])
+def test_stacked_merges_match_fuses_above_d8(build):
+    scheme = build()
+    for r in range(2, scheme.d + 1):
+        want = [fusion.fuses(scheme, am.ClassPartition.merge(scheme.d, T))
+                for T in _merges(scheme.d, r)]
+        assert fusion._decide_merges(scheme, r, TOL).tolist() == want, r
+
+
+def test_stacked_merges_keep_no_decisions():
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    assert am.amorphic_oracle(scheme)
+    assert scheme._decisions == {}
+
+
+def _flip_one(monkeypatch, oracle, pi):
+    """Make the stacked oracle named ``oracle`` answer ``pi`` the other way."""
+    real = getattr(fusion, oracle)
+    want = fusion._membership(pi)
+
+    def flipped(*args):
+        out = real(*args)
+        S = args[1]
+        for m in range(len(out)):
+            if S[m].shape == want.shape and np.array_equal(S[m], want):
+                out[m] = not out[m]
+        return out
+
+    monkeypatch.setattr(fusion, oracle, flipped)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("fuses", [True, False], ids=["yes", "no"])
+@pytest.mark.parametrize("oracle", ["_stacked_block_sums", "_stacked_row_sum"])
+def test_stacked_disagreement_is_fatal(monkeypatch, oracle, fuses, warm):
+    """One flipped stacked answer, either way and on either oracle, raises
+    and names its merge, also when the scalar path already kept it."""
+    scheme = am.gen_hamming_binary(4)
+    pi = am.ClassPartition.merge(4, (1, 3) if fuses else (1, 2))
+    if warm:
+        assert fusion.fuses(scheme, pi) is fuses
+        assert (TOL, pi.blocks) in scheme._decisions
+    _flip_one(monkeypatch, oracle, pi)
+    exact_accepts = fuses != (oracle == "_stacked_block_sums")
+    side = "exact oracle" if exact_accepts else "eigenmatrix criterion"
+    with pytest.raises(am.OracleDisagreement, match=re.escape(f"{side} accepts {pi} but")):
+        am.amorphic_oracle(scheme)
+
+
+def _crafted_spectrum(P, tol):
+    P = np.asarray(P, dtype=float)
+    ones = (1,) * len(P)
+    return am.SpectralData(v=len(P), P=P, Q=P, valencies=ones, multiplicities=ones, tol=tol)
+
+
+@pytest.mark.parametrize("P, fuses", [
+    # rows 1 ~ 2 ~ 3 but not 1 ~ 3: leaders 0, 1 and 3 make three groups
+    ([[1, 5, 3, 2], [1, 0, 0, 0], [1, 8e-4, 0, 0], [1, 1.6e-3, 0, 0]], True),
+    # three groups, but the valency row shares one with row 1
+    ([[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 2, 0, 0]], False),
+], ids=["chain", "valency-row-shared"])
+def test_stacked_row_sum_groups_like_group_rows(P, fuses):
+    """The stacked grouping is the scalar greedy one where closeness is not
+    transitive, and it keeps the valency row alone."""
+    tol = am.Tolerance(atol=1e-3, rtol=0.0)
+    spec = _crafted_spectrum(P, tol)
+    pi = am.ClassPartition.merge(3, (2, 3))
+    S, _ = fusion._merge_stack(3, np.array([[2, 3]]))
+    assert (fusion._row_sum(spec, pi) is not None) is fuses
+    assert fusion._stacked_row_sum(spec.P, S, tol).tolist() == [fuses]
 
 
 # ------------------------------------------------------------ triple types
