@@ -3,11 +3,14 @@
 Everything combinatorial (axioms, intersection numbers, fusion closure) is
 exact.  :func:`validate_scheme` checks the axioms and yields the
 intersection tensor in one pass: the tensor comes from an integer
-histogram, and closure is checked cell by cell against products of the
-0/1 class matrices taken in float64 BLAS.  Those products are exact
-because every entry, and every partial sum along the way, is an integer
-count of at most v < 2^53.  Eigenmatrices, idempotents and Krein
-parameters are floating point under an explicit tolerance policy.
+histogram, and closure is checked cell by cell against float64 BLAS
+products that each pack a run of class pairs: A_i times a sum of the next
+class matrices A_j weighted by powers of v + 1.  Each pair's count is a
+digit in 0..v-1 of base v + 1, and a run holds as many digits as keep
+every packed entry, and every partial sum along the way, an integer below
+2^53, so the products are exact and the digits read back uniquely.
+Eigenmatrices, idempotents and Krein parameters are floating point under
+an explicit tolerance policy.
 
 The eigenmatrices come from a deterministic split of the symmetrized
 (d+1)-dimensional intersection matrices, class by class with ``eigh``; no
@@ -259,9 +262,21 @@ def validate_scheme(labels) -> AssociationScheme:
     One pass does both jobs.  The candidate tensor comes from a single
     histogram of the v^2 cells (see :func:`_row0_counts`); closure is then
     checked on every cell as ``A_i A_j == p[i, j][labels]`` for 1 <= i <= j
-    <= d.  The products run in float64 BLAS and are still exact: every entry,
-    and every partial sum of 0/1 products on the way to it, is an integer
-    count of at most v, and float64 holds every integer up to 2^53.
+    <= d, several pairs per product.  For each i, the classes j = i..d are
+    cut into consecutive runs of at most c, the largest c with
+    (v + 1)^c <= 2^53 (see :func:`_digits`).  Class j of a run gets the
+    weight (v + 1)^pos, its position in the run, and one float64 BLAS
+    product ``A_i @ w[labels]`` is compared with ``(w @ p[i])[labels]``.
+
+    The packed check is exact.  Every entry of a product A_i A_j, and every
+    whole p_ij^h, is a count in 0..v-1, a digit in base v + 1; so every
+    partial sum on the way to a packed entry is an integer below
+    (v + 1)^c <= 2^53, which float64 holds exactly in any summation order,
+    and base-(v + 1) digits are unique, so the packed cells agree exactly
+    when every pair of the run does.  A run whose packed cells differ, or
+    whose tensor entries hold a -1 mark (the input is then invalid), is
+    checked pair by pair only to name the witness (see
+    :func:`_closure_witness`).
     """
     lm = _as_label_matrix(labels)
     L = lm.labels
@@ -271,15 +286,14 @@ def validate_scheme(labels) -> AssociationScheme:
     if np.any(diag != 0):
         x = int(np.argmax(diag != 0))
         raise AxiomViolation("identity", (x, x))
-    off_zero = (L == 0) & ~np.eye(v, dtype=bool)
-    if off_zero.any():
-        x, y = map(int, np.argwhere(off_zero)[0])
+    count = np.bincount(L.ravel(), minlength=d + 1)
+    # the diagonal is all 0, so label 0 is confined to it exactly when it
+    # occurs v times
+    if count[0] != v:
+        x, y = map(int, np.argwhere((L == 0) & ~np.eye(v, dtype=bool))[0])
         raise AxiomViolation("identity", (x, y), "label 0 occurs off the diagonal")
-
-    present = np.zeros(d + 1, dtype=bool)
-    present[np.unique(L)] = True
-    if not present.all():
-        missing = int(np.argmin(present))
+    if not count.all():
+        missing = int(np.argmin(count))
         raise AxiomViolation("partition", missing, f"label {missing} never occurs")
 
     if not np.array_equal(L, L.T):
@@ -291,29 +305,57 @@ def validate_scheme(labels) -> AssociationScheme:
     # missing from row 0 or a non-integer mean, and matches no product
     whole = (k > 0) & (counts % np.maximum(k, 1) == 0)
     p = np.where(whole, counts // np.maximum(k, 1), -1)
-    p_float = p.astype(np.float64)
-    # at most two v x v class matrices are held at once: A_i per row, A_j per pair
+    c = _digits(v)
+    weights = ((v + 1) ** np.arange(c, dtype=np.int64)).astype(np.float64)
+    # at most four v x v float64 arrays are held at once: A_i, the weighted
+    # classes of one run, their product and the expected packed cells
     for i in range(1, d + 1):
         A_i = (L == i).astype(np.float64)
-        for j in range(i, d + 1):
-            prod = A_i @ (A_i if j == i else (L == j).astype(np.float64))
-            if np.array_equal(prod, p_float[i, j][L]):
-                continue
-            # the histogram is only row 0's mean; name the first cell that
-            # differs from the first cell of its class, as a per-class scan does
-            for h in range(d + 1):
-                cells = np.nonzero(L == h)
-                vals = prod[cells]
-                if np.any(vals != vals[0]):
-                    bad = int(np.argmax(vals != vals[0]))
-                    cell = (int(cells[0][bad]), int(cells[1][bad]))
-                    raise AxiomViolation(
-                        "closure", cell,
-                        f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
-            # constant on every class, but a class missing from row 0 makes
-            # some other product move; a later pair names the cell
+        for start in range(i, d + 1, c):
+            run = range(start, min(start + c, d + 1))
+            if (p[i, run.start:run.stop] >= 0).all():
+                w = np.zeros(d + 1)
+                w[run.start:run.stop] = weights[:len(run)]
+                if np.array_equal(A_i @ w[L], (w @ p[i])[L]):
+                    continue
+            _closure_witness(L, p, A_i, i, run)
 
     return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
+
+
+def _digits(v: int) -> int:
+    """The largest c with (v + 1)^c <= 2^53: how many counts in 0..v-1 one
+    float64 holds exactly as base-(v + 1) digits."""
+    c = 0
+    while (v + 1) ** (c + 1) <= 2 ** 53:
+        c += 1
+    return c
+
+
+def _closure_witness(L: np.ndarray, p: np.ndarray, A_i: np.ndarray, i: int, run: range) -> None:
+    """Check the pairs (i, j), j in ``run``, one product each, and raise the
+    first closure violation among them.
+
+    The histogram is only row 0's mean, so the witness is the first cell
+    that differs from the first cell of its class, as a per-class scan
+    names it.  A pair whose product is constant on every class but still
+    differs from p (a class missing from row 0 makes some other product
+    move) raises nothing; a later pair names the cell.
+    """
+    d = p.shape[0] - 1
+    for j in run:
+        prod = A_i @ (L == j).astype(np.float64)
+        if np.array_equal(prod, p[i, j][L]):
+            continue
+        for h in range(d + 1):
+            cells = np.nonzero(L == h)
+            vals = prod[cells]
+            if np.any(vals != vals[0]):
+                bad = int(np.argmax(vals != vals[0]))
+                cell = (int(cells[0][bad]), int(cells[1][bad]))
+                raise AxiomViolation(
+                    "closure", cell,
+                    f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
 
 
 def _row0_counts(L: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

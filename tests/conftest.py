@@ -97,7 +97,7 @@ def validate_by_class_cells(labels):
     read off one representative cell per class.
 
     Returns (valencies, p) or raises AxiomViolation exactly as
-    ``validate_scheme`` must: same axiom, same witness cell.
+    ``validate_scheme`` must: same axiom, witness cell and message.
     """
     L = np.asarray(labels, dtype=np.int64)
     v, d = L.shape[0], int(L.max())
@@ -108,11 +108,12 @@ def validate_by_class_cells(labels):
     off_zero = (L == 0) & ~np.eye(v, dtype=bool)
     if off_zero.any():
         x, y = map(int, np.argwhere(off_zero)[0])
-        raise am.AxiomViolation("identity", (x, y))
+        raise am.AxiomViolation("identity", (x, y), "label 0 occurs off the diagonal")
     present = np.zeros(d + 1, dtype=bool)
     present[np.unique(L)] = True
     if not present.all():
-        raise am.AxiomViolation("partition", int(np.argmin(present)))
+        missing = int(np.argmin(present))
+        raise am.AxiomViolation("partition", missing, f"label {missing} never occurs")
     if not np.array_equal(L, L.T):
         x, y = map(int, np.argwhere(L != L.T)[0])
         raise am.AxiomViolation("symmetry", (x, y))
@@ -128,7 +129,8 @@ def validate_by_class_cells(labels):
                 if np.any(vals != vals[0]):
                     bad = int(np.argmax(vals != vals[0]))
                     cell = (int(class_cells[h][0][bad]), int(class_cells[h][1][bad]))
-                    raise am.AxiomViolation("closure", cell)
+                    raise am.AxiomViolation(
+                        "closure", cell, f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
                 p[i, j, h] = p[j, i, h] = vals[0]
     valencies = tuple(int(mats[i][0].sum()) for i in range(d + 1))
     return valencies, p

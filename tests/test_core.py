@@ -8,7 +8,11 @@ closed-form facts asserted directly.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from amorphic import (
     CyclotomicSpec,
     SlopeGrouping,
 )
+from amorphic import core
 from conftest import net_with_group_sizes, validate_by_class_cells
 
 TOL = DEFAULT_TOL
@@ -150,17 +155,19 @@ def test_validate_rejects_malformed_closure(make):
     with pytest.raises(AxiomViolation) as ref:
         validate_by_class_cells(labels)
     assert err.value.witness == ref.value.witness
+    assert str(err.value) == str(ref.value)
 
 
 def assert_same_verdict(labels):
     """validate_scheme and the per-class-cell reference agree on accept or
-    reject, the axiom and witness, and the tensor and valencies."""
+    reject, the axiom, witness and message, and the tensor and valencies."""
     try:
         expected = validate_by_class_cells(labels)
     except AxiomViolation as ref:
         with pytest.raises(AxiomViolation) as err:
             validate_strictly(labels)
         assert (err.value.axiom, err.value.witness) == (ref.axiom, ref.witness)
+        assert str(err.value) == str(ref)
         if err.value.axiom == "closure":
             assert deviates(labels, err.value.witness)
         return
@@ -177,18 +184,103 @@ def test_validation_agrees_with_reference_on_corpus(corpus):
         assert_same_verdict(np.array(scheme.labels))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_validation_agrees_with_reference_on_label_swaps(corpus, data):
-    """One off-diagonal cell pair of a corpus scheme gets another label."""
-    name, scheme = data.draw(st.sampled_from(corpus), label="scheme")
+def draw_label_swap(data, scheme):
+    """The labels of ``scheme`` with one off-diagonal cell pair relabeled."""
     v, d = scheme.v, scheme.d
     x = data.draw(st.integers(0, v - 1), label="x")
     y = data.draw(st.integers(0, v - 1).filter(lambda y: y != x), label="y")
     new = data.draw(st.integers(1, d), label="label")
     labels = np.array(scheme.labels)
     labels[x, y] = labels[y, x] = new
+    return labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_validation_agrees_with_reference_on_label_swaps(corpus, data):
+    """One off-diagonal cell pair of a corpus scheme gets another label."""
+    name, scheme = data.draw(st.sampled_from(corpus), label="scheme")
+    assert_same_verdict(draw_label_swap(data, scheme))
+
+
+@pytest.fixture(scope="module")
+def thin_z2_4():
+    """The thin scheme of Z_2^4: v = 16 and d = 15, more classes than the
+    12 that one packed product holds at v = 16, so rows 1-3 split into two
+    runs."""
+    return gen_cyclotomic(CyclotomicSpec(q=16, d=15))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_validation_agrees_with_reference_on_split_runs(thin_z2_4, data):
+    """One off-diagonal cell pair of the thin scheme of Z_2^4 gets another
+    label."""
+    assert_same_verdict(draw_label_swap(data, thin_z2_4))
+
+
+# H(8,2) with its classes renumbered: class j is distance order[j].  With
+# the antipodal matching as class 1, A_1 A_j is another class, so no pair
+# (1, j) with j <= 6 sees a cell move between classes 7 and 8 (distances 3
+# and 5); the first failing pair of such a move is (1, 7), in the second run
+# of row 1 (runs of 6 at v = 256).
+ANTIPODAL_FIRST = (0, 8, 1, 2, 4, 6, 7, 3, 5)
+# p_35^8 = 56, so a run of 7 (one digit too many) from class 1 = distance 3
+# to class 7 = distance 5 would pass 2^53 in its last digit and round.
+LARGE_SEVENTH = (0, 3, 1, 2, 4, 6, 7, 5, 8)
+
+
+def hamming8(order=tuple(range(9))):
+    label_of = np.zeros(9, dtype=np.int64)
+    label_of[list(order)] = np.arange(9)
+    return label_of[gen_hamming_binary(8).labels]
+
+
+@pytest.mark.parametrize("order, x, y, new", [
+    (tuple(range(9)), 5, 9, 3),  # first failing pair (1, 1), in the first run
+    (ANTIPODAL_FIRST, 3, 100, 7),  # first failing pair (1, 7), in the second run
+    (ANTIPODAL_FIRST, 0, 7, 8),  # row 0 moves too, so the tensor holds -1 marks
+])
+def test_validation_agrees_with_reference_on_hamming8_swaps(order, x, y, new):
+    labels = hamming8(order)
+    assert labels[x, y] != new
+    labels[x, y] = labels[y, x] = new
     assert_same_verdict(labels)
+
+
+def test_valid_schemes_never_scan_pairs(monkeypatch, corpus, thin_z2_4):
+    """A valid scheme is decided by the packed products alone: the pair by
+    pair scan runs only to name the witness of a violation."""
+    def scan(*args):
+        raise AssertionError(f"pair scan ran on a valid scheme: {args[3:]}")
+
+    monkeypatch.setattr(core, "_closure_witness", scan)
+    labels = [scheme.labels for _, scheme in corpus]
+    labels += [thin_z2_4.labels, net_with_group_sizes(16, [8, 9]).labels]
+    labels += [hamming8(order) for order in (tuple(range(9)), ANTIPODAL_FIRST, LARGE_SEVENTH)]
+    for L in labels:
+        validate_scheme(np.array(L))
+
+
+@pytest.mark.parametrize("v", [1, 2, 16, 64, 256, 1023, 1024, 2048, 2 ** 20])
+def test_packed_digits_fill_the_float64_mantissa(v):
+    c = core._digits(v)
+    assert (v + 1) ** c <= 2 ** 53 < (v + 1) ** (c + 1)
+
+
+def test_validation_leaves_numpy_ma_unimported():
+    """Validation reads its partition and identity checks from one
+    bincount; ``np.unique`` would import ``numpy.ma`` on first use."""
+    src = str(Path(core.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, amorphic\n"
+            "amorphic.validate_scheme(amorphic.gen_hamming_binary(4).labels)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_label_matrix_range_check():
