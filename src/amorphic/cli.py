@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -60,14 +61,15 @@ def load_scheme(path) -> AssociationScheme:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            tokens = stripped.split()
             values = []
-            for tok in tokens:
+            for tok in stripped.split():
                 try:
                     values.append(int(tok))
                 except ValueError:
-                    col = line.index(tok) + 1
-                    raise ParseError(f"bad integer {tok!r}", line=lineno, column=col)
+                    # the bad token is token number len(values) of the line
+                    starts = [m.start() for m in re.finditer(r"\S+", line)]
+                    raise ParseError(f"bad integer {tok!r}", line=lineno,
+                                     column=starts[len(values)] + 1)
             if header is None:
                 if len(values) != 2:
                     raise ParseError("header must be 'v d'", line=lineno)

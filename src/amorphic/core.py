@@ -8,9 +8,14 @@ products that each pack a run of class pairs: A_i times a sum of the next
 class matrices A_j weighted by powers of v + 1.  Each pair's count is a
 digit in 0..v-1 of base v + 1, and a run holds as many digits as keep
 every packed entry, and every partial sum along the way, an integer below
-2^53, so the products are exact and the digits read back uniquely.
-Eigenmatrices, idempotents and Krein parameters are floating point under
-an explicit tolerance policy.
+2^53, so the products are exact and the digits read back uniquely.  That
+is the path of files and explicit label matrices, which carry no group.
+The generators build translation schemes of abelian groups,
+``labels[x, y] = row0[y - x]``, and hand over row 0 and the group's
+subtraction table instead: :func:`_translation_scheme` checks the same
+axioms on row 0, with closure as the Schur-ring condition, in O(v^2),
+and raises the same violations.  Eigenmatrices, idempotents and Krein
+parameters are floating point under an explicit tolerance policy.
 
 The eigenmatrices come from a deterministic split of the symmetrized
 (d+1)-dimensional intersection matrices, class by class with ``eigh``; no
@@ -123,8 +128,9 @@ class LabelMatrix:
 class AssociationScheme:
     """A validated symmetric association scheme.
 
-    Instances are produced by :func:`validate_scheme`, which passes in the
-    intersection tensor it computed, and are immutable; all derived data
+    Instances are produced by :func:`validate_scheme` or, for generated
+    schemes, :func:`_translation_scheme`, which pass in the intersection
+    tensor they computed, and are immutable; all derived data
     is cached per instance:
 
     - the intersection tensor;
@@ -370,6 +376,68 @@ def _row0_counts(L: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     key = (r0[:, None] * n + L) * n + r0[None, :]
     counts = np.bincount(key.ravel(), minlength=n ** 3).reshape(n, n, n)
     return counts, np.bincount(r0, minlength=n)
+
+
+def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> AssociationScheme:
+    """Validate the translation scheme ``labels[x, y] = row0[y - x]`` of an
+    abelian group from its row 0 and attach the intersection tensor.
+
+    ``sub[g, a]`` is the index of g - a in the group, whose zero is 0, so
+    the label matrix is ``row0[sub.T]`` and its row 0 is ``row0``.  Every
+    row is a translate of row 0, so :func:`validate_scheme` on that matrix
+    finds its first bad cell, in row-major order, in row 0; this checks the
+    axioms in the same order and raises the same :class:`AxiomViolation`
+    (axiom, witness, message).  Identity and partition read ``row0``;
+    symmetry is ``row0[-a] == row0[a]``.
+
+    Closure is the Schur-ring condition.  (A_i A_j)[x, y] is
+    c[i, j, y - x], where c[i, j, g] = #{a : row0[a] = i, row0[g - a] = j}
+    comes from one ``bincount`` over the v^2 pairs (g, a); so c must be
+    constant on each class, and p[i, j, h] is c at the first g of class h.
+    O(v^2), against
+    O(d^2 v^3 / c) for :func:`validate_scheme`.  ``d`` is passed, not read
+    off ``row0``, so a missing class is a partition violation.
+    """
+    v, n = len(row0), d + 1
+    if d < 1 or row0.min() < 0 or row0.max() > d:
+        LabelMatrix(v=v, d=d, labels=row0[sub.T])  # raises as validate_scheme's input would
+
+    if row0[0] != 0:
+        raise AxiomViolation("identity", (0, 0))
+    k = np.bincount(row0, minlength=n)
+    if k[0] != 1:
+        raise AxiomViolation("identity", (0, int(np.flatnonzero(row0[1:] == 0)[0]) + 1),
+                             "label 0 occurs off the diagonal")
+    if not k.all():
+        missing = int(np.argmin(k))
+        raise AxiomViolation("partition", missing, f"label {missing} never occurs")
+    asym = row0[sub[0]] != row0
+    if asym.any():
+        raise AxiomViolation("symmetry", (0, int(np.argmax(asym))))
+
+    # row0 is symmetric, so row0[sub] is row0[sub.T], and in C order
+    lm = LabelMatrix(v=v, d=d, labels=row0[sub])
+    L = lm.labels
+    # key[g, a] = (row0[a], row0[g - a], g)
+    g = np.arange(v)
+    key = L * v
+    key += row0 * (n * v)
+    key += g[:, None]
+    c = np.bincount(key.ravel(), minlength=n * n * v).reshape(n, n, v)
+    first = np.argmax(row0 == np.arange(n)[:, None], axis=1)  # first g of each class
+    p = c[:, :, first]
+    bad = c != p[:, :, row0]
+    # c is symmetric in (i, j) and c[0, j] is constant on classes, so the
+    # first bad pair in row-major order is validate_scheme's: 1 <= i <= j
+    pair_bad = bad.any(axis=2)
+    if pair_bad.any():
+        i, j = map(int, np.argwhere(pair_bad)[0])
+        h = int(row0[bad[i, j]].min())
+        cell = (0, int(np.argmax(bad[i, j] & (row0 == h))))
+        raise AxiomViolation(
+            "closure", cell, f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
+
+    return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
 
 
 def intersection_numbers(scheme: AssociationScheme) -> IntersectionTensor:

@@ -1,6 +1,17 @@
 """Desk-scale corpus constructors: net (slope-grouping) schemes on n^2
 points, cyclotomic schemes over small prime-power fields, binary Hamming
-schemes, and the one-class scheme."""
+schemes, and the one-class scheme.
+
+Each is a translation scheme of an abelian group G, ``labels[x, y] =
+row0[y - x]``: GF(n)^2, GF(q), Z_2^m and Z_v.  A generator computes only
+row 0 and the subtraction table of G, and
+:func:`~amorphic.core._translation_scheme` checks the axioms on row 0 and
+reads the intersection tensor off it, in O(v^2); the v x v
+:func:`~amorphic.core.validate_scheme` is left to files and relabelled
+matrices, which carry no group.  Closure on row 0 is sound only when the
+subtraction table is one of a group, so :class:`SmallField` checks the
+field axioms on its tables and raises :class:`FieldUnsupported` when one
+fails."""
 
 from __future__ import annotations
 
@@ -9,7 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AssociationScheme, LabelMatrix, validate_scheme
+from .core import (
+    AssociationScheme,
+    _translation_scheme,
+    validate_scheme,  # unused here; bench/selftest.py looks the binding up in this module
+)
 from .errors import FieldUnsupported, LimitExceeded, NotSymmetric
 
 __all__ = [
@@ -75,8 +90,8 @@ class SmallField:
                                   for b in range(n)] for a in range(n)])
             self.mul = np.array([[self._polymul(a, b) for b in range(n)]
                                  for a in range(n)])
-        self.neg = np.array([int(np.nonzero(self.add[a] == 0)[0][0]) for a in range(n)])
         self._check_axioms()
+        self.neg = np.argmax(self.add == 0, axis=1)
 
     def _digits(self, x: int):
         out = []
@@ -100,22 +115,29 @@ class SmallField:
         return self._undigits(prod[: self.e])
 
     def _check_axioms(self):
+        """Raise :class:`FieldUnsupported` naming the first field axiom the
+        tables break.  The translation schemes built on GF(n) are only
+        sound when addition is an abelian group, so this is no ``assert``,
+        which ``python -O`` strips."""
         n, add, mul = self.order, self.add, self.mul
         idx = np.arange(n)
-        assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
-        assert np.array_equal(add[0], idx)
-        assert np.array_equal(mul[1], idx)
-        assert np.array_equal(mul[0], np.zeros(n, dtype=add.dtype))
-        # (a+b)+c == a+(b+c), (a*b)*c == a*(b*c), (a+b)*c == a*c + b*c
-        assert np.array_equal(add[add[:, :, None], idx[None, None, :]],
-                              add[idx[:, None, None], add[None, :, :]])
-        assert np.array_equal(mul[mul[:, :, None], idx[None, None, :]],
-                              mul[idx[:, None, None], mul[None, :, :]])
-        assert np.array_equal(mul[add[:, :, None], idx[None, None, :]],
-                              add[mul[:, None, :], mul[None, :, :]])
-        # every nonzero element has a multiplicative inverse
-        for a in range(1, n):
-            assert 1 in mul[a]
+        axioms = {
+            "commutativity": np.array_equal(add, add.T) and np.array_equal(mul, mul.T),
+            "identities": (np.array_equal(add[0], idx) and np.array_equal(mul[1], idx)
+                           and not mul[0].any()),
+            "additive inverses": (add == 0).any(axis=1).all(),
+            # (a+b)+c == a+(b+c), (a*b)*c == a*(b*c), (a+b)*c == a*c + b*c
+            "associativity": (np.array_equal(add[add[:, :, None], idx[None, None, :]],
+                                             add[idx[:, None, None], add[None, :, :]])
+                              and np.array_equal(mul[mul[:, :, None], idx[None, None, :]],
+                                                 mul[idx[:, None, None], mul[None, :, :]])),
+            "distributivity": np.array_equal(mul[add[:, :, None], idx[None, None, :]],
+                                             add[mul[:, None, :], mul[None, :, :]]),
+            "multiplicative inverses": (mul[1:] == 1).any(axis=1).all(),
+        }
+        for name, holds in axioms.items():
+            if not holds:
+                raise FieldUnsupported(f"the tables for order {n} break the field axiom: {name}")
 
     def sub(self, a: int, b: int) -> int:
         return int(self.add[a, self.neg[b]])
@@ -191,16 +213,15 @@ def gen_net_scheme(n: int, grouping: SlopeGrouping) -> AssociationScheme:
         for s in g:
             group_of[s] = gi
 
-    # point p = (x, y) = divmod(p, n); the slope from p1 to p2 is
-    # (y2 - y1) / (x2 - x1), or vertical (index n) when x1 == x2
+    # point p = (x, y) = divmod(p, n); the slope from the origin to p is
+    # y / x, or vertical (index n) when x == 0
     x, y = np.divmod(np.arange(v), n)
-    dx = F.add[x[None, :], F.neg[x][:, None]]
-    dy = F.add[y[None, :], F.neg[y][:, None]]
     inv = np.argmax(F.mul == 1, axis=1)  # inv[0] is unused
-    slope = np.where(dx == 0, n, F.mul[dy, inv[dx]])
-    labels = group_of[slope] + 1
-    np.fill_diagonal(labels, 0)
-    return validate_scheme(LabelMatrix(v=v, d=grouping.d, labels=labels))
+    row0 = group_of[np.where(x == 0, n, F.mul[y, inv[x]])] + 1
+    row0[0] = 0
+    # g - a coordinatewise over GF(n)^2
+    sub = F.add[x[:, None], F.neg[x][None, :]] * n + F.add[y[:, None], F.neg[y][None, :]]
+    return _translation_scheme(row0, sub, grouping.d)
 
 
 def gen_cyclotomic(spec: CyclotomicSpec) -> AssociationScheme:
@@ -214,6 +235,8 @@ def gen_cyclotomic(spec: CyclotomicSpec) -> AssociationScheme:
     if d < 1 or (q - 1) % d != 0:
         raise ValueError(f"d={d} must divide q-1={q - 1}")
     g = spec.generator if spec.generator is not None else F.multiplicative_generator()
+    if not 1 <= g < q:
+        raise ValueError(f"generator {g} is not a nonzero element 1..{q - 1} of GF({q})")
 
     dlog = np.full(q, -1, dtype=np.int64)
     x, e = 1, 0
@@ -230,11 +253,11 @@ def gen_cyclotomic(spec: CyclotomicSpec) -> AssociationScheme:
             f"-1 lies outside the index-{d} subgroup of GF({q})*; "
             "the cosets would give directed relations")
 
+    row0 = dlog % d + 1
+    row0[0] = 0
     idx = np.arange(q)
-    diff = F.add[idx[:, None], F.neg[idx][None, :]]  # a - b
-    labels = dlog[diff] % d + 1
-    np.fill_diagonal(labels, 0)
-    return validate_scheme(LabelMatrix(v=q, d=d, labels=labels))
+    sub = F.add[idx[:, None], F.neg[idx][None, :]]  # g - a
+    return _translation_scheme(row0, sub, d)
 
 
 def gen_hamming_binary(m: int) -> AssociationScheme:
@@ -243,16 +266,19 @@ def gen_hamming_binary(m: int) -> AssociationScheme:
         raise LimitExceeded(f"m must be in 1..10, got {m}")
     v = 1 << m
     pts = np.arange(v)
-    xor = pts[:, None] ^ pts[None, :]
-    labels = np.zeros((v, v), dtype=np.int64)
+    row0 = np.zeros(v, dtype=np.int64)
     for bit in range(m):
-        labels += (xor >> bit) & 1
-    return validate_scheme(LabelMatrix(v=v, d=m, labels=labels))
+        row0 += (pts >> bit) & 1
+    # over Z_2^m, g - a is g xor a
+    return _translation_scheme(row0, pts[:, None] ^ pts[None, :], m)
 
 
 def gen_complete(v: int) -> AssociationScheme:
     """The 1-class scheme K_v."""
     if v < 2:
         raise ValueError(f"need v >= 2, got {v}")
-    labels = np.ones((v, v), dtype=np.int64) - np.eye(v, dtype=np.int64)
-    return validate_scheme(LabelMatrix(v=v, d=1, labels=labels))
+    pts = np.arange(v)
+    row0 = np.ones(v, dtype=np.int64)
+    row0[0] = 0
+    # the cyclic group Z_v
+    return _translation_scheme(row0, (pts[:, None] - pts[None, :]) % v, 1)

@@ -1,7 +1,12 @@
-"""The public API has no dangling names."""
+"""The public API has no dangling names, and the benchmark's tracer still
+finds every binding it wraps."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import amorphic as am
 
@@ -27,3 +32,14 @@ def test_public_api_has_no_dangling_names():
         if info.name == "cli":
             names -= CLI_ONLY
         assert sorted(names - exported) == [], mod.__name__
+
+
+def test_benchmark_bindings_and_manifest():
+    """bench/selftest.py's fast checks: tracing patches every module binding
+    of the wrapped functions (``generators.validate_scheme`` among them),
+    and BENCHMARK.json names exactly the metrics the benchmark prints."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "bench/selftest.py", "Bindings", "Manifest"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

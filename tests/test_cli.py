@@ -47,6 +47,15 @@ def test_parse_error_reports_line_and_column(tmp_path):
     assert err.value.line == 2 and err.value.column == 3
 
 
+def test_parse_error_column_of_token_repeated_inside_an_earlier_one(tmp_path):
+    # '-' also occurs inside '-1', at column 1; the bad token starts at 4
+    path = tmp_path / "bad.scheme"
+    path.write_text("2 1\n-1 -\n1 0\n")
+    with pytest.raises(am.ParseError) as err:
+        am.load_scheme(path)
+    assert err.value.line == 2 and err.value.column == 4
+
+
 def test_parse_error_wrong_row_count(tmp_path):
     path = tmp_path / "short.scheme"
     path.write_text("3 1\n0 1 1\n1 0 1\n")

@@ -283,6 +283,89 @@ def test_validation_leaves_numpy_ma_unimported():
     assert proc.stdout.strip() == "False"
 
 
+# ------------------------------------------- translation schemes on row 0
+
+def xor_table(m):
+    """sub[g, a] = g - a in Z_2^m."""
+    pts = np.arange(1 << m)
+    return pts[:, None] ^ pts[None, :]
+
+
+def cyclic_table(v):
+    """sub[g, a] = g - a in Z_v."""
+    pts = np.arange(v)
+    return (pts[:, None] - pts[None, :]) % v
+
+
+def outcome(build):
+    """A build's scheme (labels, valencies, tensor) or its rejection
+    (axiom, witness, message), comparable across the two validators."""
+    try:
+        s = build()
+    except AxiomViolation as exc:
+        return ("rejected", exc.axiom, exc.witness, str(exc))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return ("valid", s.labels.tobytes(), s.valencies, s.intersection.p.tobytes())
+
+
+def assert_row0_agrees(row0, sub, d):
+    """The row-0 validator and validate_scheme on the v x v label matrix
+    give the same scheme or the same rejection."""
+    row0 = np.asarray(row0, dtype=np.int64)
+    fast = outcome(lambda: core._translation_scheme(row0, sub, d))
+    full = outcome(lambda: validate_scheme(LabelMatrix(v=len(row0), d=d, labels=row0[sub.T])))
+    assert fast == full
+    return fast
+
+
+def hamming8_row0(order=tuple(range(9))):
+    label_of = np.zeros(9, dtype=np.int64)
+    label_of[list(order)] = np.arange(9)
+    return label_of[gen_hamming_binary(8).labels[0]]
+
+
+def moved(row0, g, new):
+    row0 = row0.copy()
+    assert row0[g] != new
+    row0[g] = new
+    return row0
+
+
+@pytest.mark.parametrize("row0, sub, d, expected", [
+    ([1, 1, 1, 1, 1], cyclic_table(5), 1, ("identity", (0, 0))),
+    ([0, 1, 0, 0, 1], cyclic_table(5), 1, ("identity", (0, 2))),
+    ([0, 1, 1, 1, 1], cyclic_table(5), 2, ("partition", 2)),  # d passed, not read off row 0
+    ([0, 1, 1, 2, 2], cyclic_table(5), 2, ("symmetry", (0, 1))),
+    ([0, 1, 1, 2, 2, 2, 2, 2], xor_table(3), 2, ("closure", (0, 4))),
+    (moved(hamming8_row0(), 5, 3), xor_table(8), 8, ("closure", (0, 7))),
+    # the antipodal class first: the first failing pair is (1, 7), as in
+    # the v x v H(8,2) swaps
+    (moved(hamming8_row0(ANTIPODAL_FIRST), 7, 8), xor_table(8), 8, ("closure", (0, 31))),
+])
+def test_row0_rejection_matches_full_validation(row0, sub, d, expected):
+    result = assert_row0_agrees(row0, sub, d)
+    assert result[0] == "rejected" and result[1:3] == expected
+
+
+def test_row0_range_error_matches_label_matrix():
+    assert assert_row0_agrees([0, 3, 1, 1, 3], cyclic_table(5), 2)[0] == "ValueError"
+
+
+def test_row0_agrees_with_full_validation_exhaustively():
+    """Every row 0 of Z_6 with entries 0..2, and every labelling of Z_2^3
+    off 0 with labels 1..3: each axiom fails somewhere, some rows pass, and
+    closure fails first on several different pairs."""
+    results = [assert_row0_agrees(row0, cyclic_table(6), 2)
+               for row0 in itertools.product(range(2), *[range(3)] * 5)]
+    results += [assert_row0_agrees((0,) + tail, xor_table(3), 3)
+                for tail in itertools.product(range(1, 4), repeat=7)]
+    kinds = {r[1] if r[0] == "rejected" else r[0] for r in results}
+    assert kinds == {"identity", "partition", "symmetry", "closure", "valid"}
+    pairs = {r[3].split()[0] for r in results if r[:2] == ("rejected", "closure")}
+    assert len(pairs) >= 3, pairs
+
+
 def test_label_matrix_range_check():
     with pytest.raises(ValueError):
         LabelMatrix(v=2, d=1, labels=np.array([[0, 5], [5, 0]]))

@@ -1,6 +1,10 @@
 """Scheme generators and the finite-field tables behind them."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +182,89 @@ def test_cyclotomic_labels_match_pairwise_loops():
         expected = cyclotomic_labels_by_loops(q, d)
         assert labels.dtype == expected.dtype
         assert labels.tobytes() == expected.tobytes(), (q, d)
+
+
+# ------------------------------------------- row-0 validation against the v x v one
+
+def _same_as_full_validation(scheme):
+    full = am.validate_scheme(scheme.labels)
+    assert scheme.labels.tobytes() == full.labels.tobytes()
+    assert scheme.valencies == full.valencies
+    assert scheme.intersection.p.tobytes() == full.intersection.p.tobytes()
+
+
+def test_corpus_matches_full_validation(corpus):
+    for _, scheme in corpus:
+        _same_as_full_validation(scheme)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_hamming_matches_full_validation(m):
+    _same_as_full_validation(am.gen_hamming_binary(m))
+
+
+@pytest.mark.parametrize("n, groups", [
+    (7, [[i] for i in range(8)]),
+    (7, [[0, 1, 2], [3, 4], [5, 6, 7]]),
+    (8, [[0, 1, 2, 3], [4, 5, 6, 7, 8]]),
+    (8, [[0], [1, 2], [3, 4, 5], [6, 7, 8]]),
+    (9, [[i] for i in range(10)]),
+    (9, [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]),
+    (16, [list(range(8)), list(range(8, 17))]),
+    (16, [[0], [1, 2], list(range(3, 17))]),
+])
+def test_net_matches_full_validation(n, groups):
+    _same_as_full_validation(am.gen_net_scheme(n, am.SlopeGrouping.from_groups(n, groups)))
+
+
+@pytest.mark.parametrize("d", [1, 13])
+def test_cyclotomic_q27_matches_full_validation(d):
+    _same_as_full_validation(am.gen_cyclotomic(am.CyclotomicSpec(q=27, d=d)))
+
+
+def test_generators_never_call_validate_scheme(monkeypatch):
+    """Generated schemes are checked on row 0 only; a file or a relabelled
+    matrix is what still goes through ``validate_scheme``."""
+    def spy(labels):
+        raise AssertionError("a generator called validate_scheme")
+
+    monkeypatch.setattr(am.core, "validate_scheme", spy)
+    monkeypatch.setattr(am.generators, "validate_scheme", spy)
+    assert len(am.standard_corpus()) == 46
+    am.gen_hamming_binary(8)
+    am.gen_net_scheme(16, am.SlopeGrouping.from_groups(16, [list(range(8)), list(range(8, 17))]))
+    am.gen_cyclotomic(am.CyclotomicSpec(q=27, d=13))
+    am.gen_complete(5)
+
+
+# ------------------------------------------------------- input checks
+
+@pytest.mark.parametrize("q, d, generator", [(5, 2, 7), (3, 2, 0), (5, 2, -1)])
+def test_cyclotomic_rejects_generator_out_of_range(q, d, generator):
+    # 7 used to index past the tables (IndexError); 0 used to pass as a
+    # generator of GF(3)*, since the walk 1 -> 0 -> 0 has length q - 1
+    with pytest.raises(ValueError, match="not a nonzero element"):
+        am.gen_cyclotomic(am.CyclotomicSpec(q=q, d=d, generator=generator))
+
+
+def test_cyclotomic_rejects_non_generator():
+    with pytest.raises(ValueError, match="does not generate"):
+        am.gen_cyclotomic(am.CyclotomicSpec(q=13, d=2, generator=3))
+
+
+def test_field_axioms_checked_under_optimize():
+    """x^2 + 1 = (x + 1)^2 over GF(2) is reducible: x + 1 has no inverse.
+    The check must raise even where ``python -O`` strips asserts."""
+    code = (
+        "import amorphic.generators as g\n"
+        "g._IRREDUCIBLE[4] = (1, 0, 1)\n"
+        "try:\n"
+        "    g.SmallField(4)\n"
+        "except g.FieldUnsupported as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(am.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "the tables for order 4 break the field axiom: multiplicative inverses\n"
