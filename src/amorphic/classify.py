@@ -19,7 +19,6 @@ from .core import (
 )
 from .errors import (
     Falsification,
-    LimitExceeded,
     OracleDisagreement,
     PreconditionFailed,
     WrongClassCount,
@@ -53,9 +52,6 @@ __all__ = [
     "row_lemma_check",
     "verify_paper_claims",
 ]
-
-_MERGE_ORACLE_MAX_D = 14  # amorphic_oracle asks 2^d - d - 1 merges: 16369 at d = 14
-
 
 @dataclass(frozen=True)
 class LatinInfo:
@@ -205,47 +201,73 @@ def canonical_form_check(spec: SpectralData) -> CanonicalFormCertificate | None:
 def amorphic_oracle(scheme: AssociationScheme,
                     tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact check that every class partition fuses, decided on the
-    2^d - d - 1 partitions that merge one set T (|T| >= 2) of classes.
+    C(d, 2) partitions that merge two classes.
 
-    The merges of each size r are decided together by
+    The pair merges are decided together by
     :func:`~amorphic.fusion._decide_merges`: both oracles, the block sums
     on the intersection tensor and the eigenmatrix row-sum criterion, run
     on stacks of membership matrices a fixed number of merges at a time,
     and any merge they answer differently raises
-    :class:`OracleDisagreement`.  The single merges suffice, by the block
-    sum criterion on the intersection tensor.  Let pi have a nontrivial
-    block H, and suppose merging H alone fuses.  Its block sums over the
-    blocks {i}, {j}, H of that merge say that
-      - p_ij^h is constant on h in H for i, j outside H;
-      - sum_{i in H} p_ij^h is constant on h in H for j outside H;
-      - sum_{i, j in H} p_ij^h is constant on h in H.
-    Every other block of pi is disjoint from H, so each block sum of pi
-    over blocks I, J at a class h in H is a sum of these pieces and is
-    constant on H.  When every nontrivial block's merge fuses, this holds
-    for every block of pi (singletons trivially), so pi fuses.
+    :class:`OracleDisagreement`.  There is no bound on d: at d = 28 the
+    pass asks 378 merges.  For d <= 2 the pairs are every partition there
+    is (none at d = 1).  For d >= 3 two lemmas on the block-sum criterion
+    show that the pairs suffice.  Every p below is p_ij^h with i, j, h
+    nontrivial and p_ij^h = p_ji^h.  Block sums over the block {0} need no
+    check: sum_{j in J} p_0j^h is 1 for h in J and 0 otherwise, so it is
+    constant on every block.
 
-    The merge count doubles with each class, so d is bounded (d <= 14,
-    about half a second on an amorphic net at d = 14); above it
-    :class:`LimitExceeded` is raised before any question is asked.
+    Single merges suffice.  Merging one set H (|H| >= 2) alone fuses iff,
+    for h in H,
+      - (A) p_ij^h is constant for i, j outside H;
+      - (B) sum_{i in H} p_ij^h is constant for j outside H;
+      - (C) sum_{i, j in H} p_ij^h is constant.
+    Let pi have a nontrivial block H whose merge alone fuses.  Every other
+    block of pi is disjoint from H, so each block sum of pi over blocks
+    I, J at a class h in H is a sum of the pieces (A)-(C) and is constant
+    on H.  When every nontrivial block's merge fuses, this holds for every
+    block of pi (singletons trivially), so pi fuses.
+
+    Pairs decide the single merges, for d >= 3.  Suppose every pair fuses.
+      1. For i, j (possibly equal), any two classes h, h' outside {i, j}
+         form a pair that avoids i and j, so by (A) p_ij^h takes one value
+         a_ij on all h outside {i, j}; d >= 3 leaves at least one such h.
+      2. For a pair {a, b} and j outside it, (B) reads
+         p_aj^a + p_bj^a = p_aj^b + p_bj^b, with p_bj^a = a_bj and
+         p_aj^b = a_aj by step 1.  So b_j = p_hj^h - a_hj is one value
+         for all h != j.
+      3. For a pair {a, b}, (C) reads p_aa^a + 2 p_ab^a + p_bb^a =
+         p_aa^b + 2 p_ab^b + p_bb^b, with p_bb^a = a_bb, p_aa^b = a_aa,
+         p_ab^a = a_ab + b_b and p_ab^b = a_ab + b_a by steps 1-2.  So
+         c = p_hh^h - a_hh - 2 b_h is one value for all h.
+    Now take any H and h in H.  By step 1, (A) is a_ij.  By steps 1-2,
+    (B) is p_hj^h + sum_{i in H - h} a_ij = b_j + sum_{i in H} a_ij.  By
+    steps 1-3, splitting (C) into i = j = h, exactly one of i, j equal
+    to h, and neither, gives
+      c + a_hh + 2 b_h + 2 sum_{j in H - h} (a_hj + b_j)
+        + sum_{i, j in H - h} a_ij = c + 2 sum_{j in H} b_j + sum_{i, j in H} a_ij.
+    None of the three depends on h, so every single merge fuses.  The
+    converse is immediate, so a scheme is amorphic iff every pair of its
+    classes fuses.
+
+    This is not the paper's corollary (every triple fuses, d >= 5), so
+    :func:`verify_paper_claims` can check that corollary against this
+    oracle without assuming it.
     """
-    if scheme.d > _MERGE_ORACLE_MAX_D:
-        raise LimitExceeded(f"d={scheme.d} exceeds the oracle limit {_MERGE_ORACLE_MAX_D}")
-    return all(_decide_merges(scheme, r, tol).all() for r in range(2, scheme.d + 1))
+    return bool(_decide_merges(scheme, 2, tol).all())
 
 
 @dataclass(frozen=True)
 class AmorphicVerdict:
     amorphic: bool
     certificate: CanonicalFormCertificate | None
-    oracle_checked: bool
+    oracle_checked: bool  # always True; kept so that reports stay byte-stable
 
 
 def is_amorphic(scheme: AssociationScheme,
                 tol: Tolerance = DEFAULT_TOL) -> AmorphicVerdict:
     """Canonical-form fast path, cross-checked by :func:`amorphic_oracle`
-    whenever d is within its bound (d <= 14); disagreement is fatal.  Above
-    it the verdict rests on the canonical form alone and ``oracle_checked``
-    is False.
+    at every d; disagreement is fatal.  ``oracle_checked`` is therefore
+    always True.
 
     For d <= 2 every admissible partition fuses vacuously, so the verdict
     is amorphic by convention (the form equivalence starts at d = 3).
@@ -258,14 +280,11 @@ def is_amorphic(scheme: AssociationScheme,
     spec = spectral_decomposition(scheme, tol=tol)
     cert = canonical_form_check(spec)
     fast = cert is not None
-    checked = False
-    if scheme.d <= _MERGE_ORACLE_MAX_D:
-        slow = amorphic_oracle(scheme, tol=tol)
-        if slow != fast:
-            raise OracleDisagreement(
-                f"canonical form says amorphic={fast}, exhaustive oracle says {slow}")
-        checked = True
-    return AmorphicVerdict(amorphic=fast, certificate=cert, oracle_checked=checked)
+    slow = amorphic_oracle(scheme, tol=tol)
+    if slow != fast:
+        raise OracleDisagreement(
+            f"canonical form says amorphic={fast}, exhaustive oracle says {slow}")
+    return AmorphicVerdict(amorphic=fast, certificate=cert, oracle_checked=True)
 
 
 @dataclass(frozen=True)

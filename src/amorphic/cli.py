@@ -129,9 +129,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Fusion analysis of symmetric association schemes")
     ap.add_argument("--tol", type=_tolerance, default=1e-8, metavar="REAL",
                     help="absolute and relative comparison tolerance (finite, >= 0)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="ignored, since the eigen-split is deterministic; the report "
-                         "keeps its seed key at 0 (kept for one release)")
     ap.add_argument("--report", type=Path, default=None, metavar="PATH",
                     help="write a JSON report with deterministic key order")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -140,7 +137,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("file", type=Path)
     sub.choices["amorphic"].add_argument("--oracle", action="store_true",
-                                         help="force the exact oracle over all partitions")
+                                         help="run only the exact oracle over all pairs of classes")
 
     p = sub.add_parser("fuse")
     p.add_argument("file", type=Path)
@@ -184,7 +181,7 @@ def run_command(argv) -> int:
     """Dispatch one parsed invocation; returns the process exit status."""
     args = _parser().parse_args(argv)
     tol = Tolerance(atol=args.tol, rtol=args.tol)
-    # --seed is ignored; its report key keeps the old default so reports stay byte-stable
+    # the eigen-split is deterministic; the seed key stays 0 so reports stay byte-stable
     report: dict = {"command": args.command, "tol": args.tol, "seed": 0}
 
     try:

@@ -120,7 +120,7 @@ class LabelMatrix:
             raise ValueError("need v >= 1 and d >= 1")
         if labels.min() < 0 or labels.max() > self.d:
             bad = np.argwhere((labels < 0) | (labels > self.d))[0]
-            raise ValueError(f"label out of range [0, {self.d}] at {tuple(bad)}")
+            raise ValueError(f"label out of range [0, {self.d}] at {tuple(int(x) for x in bad)}")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 

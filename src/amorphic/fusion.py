@@ -19,9 +19,9 @@ asked.  The fused scheme of the last partition passed to
 The single merges of one size are also decided all together
 (:func:`_decide_merges`): both oracles run on a stack of membership
 matrices, a fixed number of merges at a time, and any merge they answer
-differently raises.  These answers are asked once per scheme, by the
-amorphicity oracle, so they are neither read from nor kept in the
-scheme's decisions.
+differently raises.  The amorphicity oracle asks the C(d, 2) pair merges
+this way, once per scheme, so these answers are neither read from nor
+kept in the scheme's decisions.
 
 Neither oracle formats text to answer; a :class:`NotAFusion` message is
 built only where it is raised to the caller.  Nothing here enumerates
@@ -357,7 +357,8 @@ def fuses(scheme: AssociationScheme, pi: ClassPartition,
 
 
 # Merges stacked per pass of _decide_merges.  Its largest arrays hold
-# _MERGE_CHUNK * (d+1)^3 floats, a few MB at d = 14, whatever the merge count.
+# _MERGE_CHUNK * (d+1)^3 floats, about 12 MB each at d = 28, whatever the
+# merge count; the 378 pairs of d = 28 in one stack would need over 70 MB each.
 _MERGE_CHUNK = 64
 
 
@@ -439,7 +440,7 @@ def _decide_merges(scheme: AssociationScheme, r: int, tol: Tolerance) -> np.ndar
     p = scheme.intersection.p.transpose(2, 0, 1).astype(np.float64)
     spec = spectral_decomposition(scheme, tol=tol)
     combos = itertools.combinations(range(1, d + 1), r)
-    answers = []
+    answers = [np.zeros(0, dtype=bool)]  # no merges at all when r > d
     while chunk := list(itertools.islice(combos, _MERGE_CHUNK)):
         merges = np.array(chunk, dtype=np.int64).reshape(len(chunk), r)
         S, rep = _merge_stack(d, merges)

@@ -1,7 +1,8 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
 reference validator, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references built
-on it, and the acceptance-criteria summary lines.
+on it, the single-merge amorphicity reference, and the acceptance-criteria
+summary lines.
 
 A scheme keeps its fusion decisions, spectra and last fused scheme on the
 instance, and the ``corpus`` fixture shares its schemes across the whole
@@ -9,6 +10,8 @@ session.  A warm scheme answers a question it has seen without running
 either oracle, so a test that monkeypatches an oracle, or counts calls into
 one, builds its own scheme and never uses a ``corpus`` scheme.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -64,6 +67,16 @@ def amorphic_by_all_partitions(scheme):
     about every one of the Bell(d) class partitions, not just the single
     merges."""
     return all(fuses(scheme, pi) for pi in enumerate_partitions(scheme.d))
+
+
+def amorphic_by_single_merges(scheme):
+    """Test-only reference for ``amorphic_oracle``: the scalar exact oracle
+    asked about each of the 2^d - d - 1 partitions that merge one set of at
+    least two classes, one merge at a time."""
+    d = scheme.d
+    return all(fuses(scheme, am.ClassPartition.merge(d, T))
+               for r in range(2, d + 1)
+               for T in itertools.combinations(range(1, d + 1), r))
 
 
 def idempotent_edges_by_all_partitions(scheme, k):

@@ -1,12 +1,20 @@
 """SRG typing, canonical form, amorphicity, the distinguished 4-class
 eigenmatrix pattern, the row lemma, and the per-scheme claim verifier."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import amorphic as am
 from amorphic.fusion import fuses
-from conftest import amorphic_by_all_partitions, enumerate_partitions, net_with_group_sizes
+from conftest import (
+    amorphic_by_all_partitions,
+    amorphic_by_single_merges,
+    enumerate_partitions,
+    net_with_group_sizes,
+)
 
 TOL = am.DEFAULT_TOL
 
@@ -91,6 +99,7 @@ def test_canonical_form_needs_three_classes():
 def test_amorphic_oracle_exhaustive():
     assert am.amorphic_oracle(am.gen_net_scheme(4, am.SlopeGrouping.singletons(4)))
     assert not am.amorphic_oracle(am.gen_hamming_binary(4))
+    assert am.amorphic_oracle(am.gen_complete(5)) is True  # d = 1: no pairs to ask
 
 
 def test_is_amorphic_cross_checks():
@@ -107,6 +116,95 @@ def test_oracle_agrees_with_all_partitions_on_corpus(corpus):
         assert verdict == amorphic_by_all_partitions(scheme), name
         verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_oracle_agrees_with_single_merges(corpus):
+    """The pair pass against the 2^d - d - 1 single merges, asked one at a
+    time through the scalar exact oracle."""
+    cases = [(f"corpus {name}", s) for name, s in corpus]
+    cases += [(f"H({m},2)", am.gen_hamming_binary(m)) for m in range(1, 10)]
+    cases += [(f"net({n}; {sizes})", net_with_group_sizes(n, sizes))
+              for n, sizes in ((7, [1] * 8), (8, [2] + [1] * 7), (8, [1] * 9), (9, [1] * 10))]
+    verdicts = []
+    for name, scheme in cases:
+        verdict = am.amorphic_oracle(scheme)
+        assert verdict == amorphic_by_single_merges(scheme), name
+        verdicts.append(verdict)
+    assert max(s.d for _, s in cases) == 10
+    assert any(verdicts) and not all(verdicts)
+
+
+def _block_sum_conditions(d, H):
+    """The block-sum conditions of merging H alone, as integer rows over
+    the generic symmetric tensor: one unknown p_ij^h per nontrivial h and
+    i <= j.  Row (I, J, h) says that sum_{i in I, j in J} p_ij^h equals
+    the same sum at h = min H.  Sums over the block {0} give no rows:
+    sum_{j in J} p_0j^h is 1 for h in J and 0 otherwise, constant on H."""
+    col = {}
+    for h in range(1, d + 1):
+        for i in range(1, d + 1):
+            for j in range(i, d + 1):
+                col[i, j, h] = len(col)
+    blocks = [tuple(H)] + [(k,) for k in range(1, d + 1) if k not in H]
+    rows = set()
+    for a, I in enumerate(blocks):
+        for J in blocks[a:]:
+            for h in H[1:]:
+                row = [0] * len(col)
+                for i in I:
+                    for j in J:
+                        row[col[min(i, j), max(i, j), h]] += 1
+                        row[col[min(i, j), max(i, j), H[0]]] -= 1
+                if any(row):
+                    rows.add(tuple(row))
+    return rows
+
+
+def _combine(a, ca, b, cb):
+    """ca * a - cb * b, divided by the gcd of its entries: fraction-free."""
+    row = [ca * x - cb * y for x, y in zip(a, b)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _reduce(row, basis):
+    """Remainder of ``row`` against a basis kept in fraction-free reduced
+    echelon form, {pivot column: row}: zero at every pivot column."""
+    row = list(row)
+    for c, pivot in basis.items():
+        if row[c]:
+            row = _combine(row, pivot[c], pivot, row[c])
+    return row
+
+
+def _add(row, basis):
+    row = _reduce(row, basis)
+    c = next((k for k, x in enumerate(row) if x), None)
+    if c is None:
+        return
+    for k, pivot in basis.items():
+        if pivot[c]:
+            basis[k] = _combine(pivot, row[c], row, pivot[c])
+    basis[c] = row
+
+
+@pytest.mark.parametrize("d, rank", [(3, 8), (4, 25), (5, 54), (6, 98), (7, 160)])
+def test_pair_conditions_imply_every_merge(d, rank):
+    """The lemma behind amorphic_oracle, in exact integer arithmetic on a
+    generic symmetric intersection tensor: the block-sum conditions of the
+    C(d, 2) pair merges span those of every larger single merge."""
+    basis = {}
+    for H in itertools.combinations(range(1, d + 1), 2):
+        for row in _block_sum_conditions(d, H):
+            _add(row, basis)
+    assert len(basis) == rank
+    larger = 0
+    for r in range(3, d + 1):
+        for H in itertools.combinations(range(1, d + 1), r):
+            for row in _block_sum_conditions(d, H):
+                larger += 1
+                assert not any(_reduce(row, basis)), (H, row)
+    assert larger > 0
 
 
 def test_single_block_merges_decide_every_corpus_partition(corpus):
@@ -137,32 +235,34 @@ def test_d9_net_is_oracle_checked():
 
 
 def test_d14_net_is_oracle_checked():
-    """The stacked single-merge oracle cross-checks net n = 13 (d = 14)."""
+    """The pair oracle cross-checks net n = 13 (d = 14)."""
     scheme = net_with_group_sizes(13, [1] * 14)
     assert scheme.d == 14
     verdict = am.is_amorphic(scheme)
     assert verdict.amorphic and verdict.oracle_checked and verdict.certificate is not None
 
 
-def test_oracle_bound_rejects_d15_before_asking(monkeypatch):
-    import amorphic.classify as classify
-    scheme = net_with_group_sizes(16, [2, 2] + [1] * 13)
-    assert scheme.d == classify._MERGE_ORACLE_MAX_D + 1 == 15
-    asked = []
-    monkeypatch.setattr(classify, "_decide_merges", lambda *args, **kwargs: asked.append(args))
-    with pytest.raises(am.LimitExceeded):
-        am.amorphic_oracle(scheme)
-    assert asked == []
+@pytest.mark.parametrize("build, amorphic", [
+    (lambda: net_with_group_sizes(16, [1] * 17), True),
+    (lambda: net_with_group_sizes(27, [1] * 28), True),
+    # Z_2^4 with every nonzero element its own class: thin, not amorphic
+    (lambda: am.gen_cyclotomic(am.CyclotomicSpec(q=16, d=15)), False),
+], ids=["net16-d17", "net27-d28", "cyclotomic16-d15"])
+def test_is_amorphic_is_oracle_checked_above_d14(build, amorphic):
+    verdict = am.is_amorphic(build())
+    assert verdict.amorphic == amorphic and verdict.oracle_checked
+    assert (verdict.certificate is not None) == amorphic
 
 
-# Measured peak: 4.96 MB on net n = 13 (numpy 2.4, 64 merges per stack);
-# the stack of all 3432 merges of size 7 would need over 100 MB.
-ORACLE_PEAK_BOUND_MB = 8.0
+# Measured peak: 37.4 MB on net n = 27 (d = 28, 378 pairs; numpy 2.4, 64
+# merges per stack).  The product array alone for all 378 pairs in one
+# stack would be about 72 MB.
+ORACLE_PEAK_BOUND_MB = 48.0
 
 
-def test_oracle_memory_is_flat_at_d14():
+def test_oracle_memory_is_flat_at_d28():
     import tracemalloc
-    scheme = net_with_group_sizes(13, [1] * 14)
+    scheme = net_with_group_sizes(27, [1] * 28)
     am.spectral_decomposition(scheme)
     scheme.intersection
     tracemalloc.start()

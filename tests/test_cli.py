@@ -120,12 +120,15 @@ def test_spectrum_report(h3_file, tmp_path, capsys):
     assert rep.read_text() == (tmp_path / "rep2.json").read_text()
 
 
-def test_seed_is_a_no_op(h3_file, tmp_path, capsys):
+def test_seed_flag_is_removed(h3_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_command(["--seed", "7", "spectrum", str(h3_file)])
+    assert err.value.code == 2
+    assert "usage:" in capsys.readouterr().err
     for command in ("spectrum", "verify"):
-        default, seeded = tmp_path / f"{command}0.json", tmp_path / f"{command}7.json"
-        assert run_command(["--report", str(default), command, str(h3_file)]) == 0
-        assert run_command(["--seed", "7", "--report", str(seeded), command, str(h3_file)]) == 0
-        assert default.read_bytes() == seeded.read_bytes()
+        rep = tmp_path / f"{command}.json"
+        assert run_command(["--report", str(rep), command, str(h3_file)]) == 0
+        assert json.loads(rep.read_text())["seed"] == 0
 
 
 def test_thin_eigenvalue_gap_is_an_operational_error(tmp_path, capsys):
@@ -169,6 +172,20 @@ def test_sunflowers_and_amorphic(tmp_path, capsys):
     assert run_command(["amorphic", str(path)]) == 0
     assert "amorphic=True" in capsys.readouterr().out
     assert run_command(["amorphic", str(path), "--oracle"]) == 0
+
+
+def test_exhaustive_oracle_at_d17(tmp_path, capsys):
+    path = tmp_path / "net256.scheme"
+    am.save_scheme(net_with_group_sizes(16, [1] * 17), path)  # d = 17
+    assert run_command(["amorphic", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().out == "amorphic=True (exhaustive oracle)\n"
+
+
+def test_validate_label_out_of_range_names_plain_cell(tmp_path, capsys):
+    path = tmp_path / "k2.scheme"
+    path.write_text("2 1\n0 5\n5 0\n")
+    assert run_command(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: label out of range [0, 1] at (0, 1)\n"
 
 
 def test_verify_command(h3_file, capsys):
