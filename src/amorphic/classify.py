@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,7 +208,8 @@ def amorphic_oracle(scheme: AssociationScheme,
     on the intersection tensor and the eigenmatrix row-sum criterion, run
     on stacks of membership matrices a fixed number of merges at a time,
     and any merge they answer differently raises
-    :class:`OracleDisagreement`.  There is no bound on d: at d = 28 the
+    :class:`OracleDisagreement`.  No answer is kept on the scheme.  There
+    is no bound on d: at d = 28 the
     pass asks 378 merges.  For d <= 2 the pairs are every partition there
     is (none at d = 1).  For d >= 3 two lemmas on the block-sum criterion
     show that the pairs suffice.  Every p below is p_ij^h with i, j, h
@@ -253,7 +254,8 @@ def amorphic_oracle(scheme: AssociationScheme,
     :func:`verify_paper_claims` can check that corollary against this
     oracle without assuming it.
     """
-    return bool(_decide_merges(scheme, 2, tol).all())
+    # every stack is decided, so a disagreement after the first no still raises
+    return all([bool(fused.all()) for _, _, fused, _ in _decide_merges(scheme, 2, tol)])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
-    canonical_form_check,
     is_amorphic,
     amorphic_oracle,
     verify_paper_claims,
@@ -28,7 +27,7 @@ from .core import (
     validate_scheme,
 )
 from .errors import Falsification, NotAFusion, ParseError, SchemeError
-from .fusion import ClassPartition, bm_check, enumerate_fusing_tuples, fuse_direct
+from .fusion import ClassPartition, enumerate_fusing_tuples, fuse_direct
 from .generators import (
     CyclotomicSpec,
     SlopeGrouping,
@@ -93,7 +92,7 @@ def save_scheme(scheme: AssociationScheme, path, comment: str | None = None) -> 
     path = Path(path)
     with open(path, "w") as fh:
         if comment:
-            fh.write(f"# {comment}\n")
+            fh.writelines(f"# {line}\n" for line in comment.splitlines())
         fh.write(f"{scheme.v} {scheme.d}\n")
         for row in scheme.labels:
             fh.write(" ".join(str(int(x)) for x in row) + "\n")

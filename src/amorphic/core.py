@@ -26,7 +26,6 @@ data and its fusion decisions on the instance (see
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -136,7 +135,8 @@ class AssociationScheme:
     - the intersection tensor;
     - spectral data, one entry per :class:`Tolerance`;
     - fusion decisions, one entry per (:class:`Tolerance`, partition
-      blocks), written by :func:`~amorphic.fusion._decide` only when both
+      blocks), written by :func:`~amorphic.fusion._decide` and
+      :func:`~amorphic.fusion.enumerate_fusing_tuples` only when both
       oracles agree;
     - the last fused scheme built by :func:`~amorphic.fusion.fuse_direct`,
       with the blocks it was built for.  One slot, not one per partition:
@@ -630,15 +630,29 @@ def formal_duality_permutation(spec: SpectralData) -> tuple[int, ...] | None:
     Returns the permutation as a tuple (sigma[j] = new position of row j),
     or None when the scheme is not formally self-dual. Row order of P is a
     free convention, so self-duality is decided up to such a reordering.
+
+    The condition reads P[j, sigma(c)] = Q[sigma(j), c] for every pair
+    (j, c).  A depth-first search extends sigma one index at a time, in
+    lexicographic order, and drops a branch as soon as a pair of assigned
+    indices breaks it, so it returns the lexicographically first sigma.
     """
-    d, tol = spec.d, spec.tol
-    if d > 7:
-        return None
-    for perm in itertools.permutations(range(1, d + 1)):
-        sigma = (0,) + perm
-        S = np.zeros((d + 1, d + 1))
-        for j, sj in enumerate(sigma):
-            S[sj, j] = 1.0
-        if tol.allclose(S @ spec.P, spec.Q @ S.T):
-            return sigma
-    return None
+    d, tol, P, Q = spec.d, spec.tol, spec.P, spec.Q
+    sigma = [0]
+
+    def extend() -> bool:
+        t = len(sigma)
+        if t > d:
+            return True
+        for x in range(1, d + 1):
+            if x in sigma:
+                continue
+            s = sigma + [x]
+            # the new pairs: (t, c) and (c, t) for every assigned c <= t
+            if tol.allclose(P[t, s], Q[x, :t + 1]) and tol.allclose(P[:t + 1, x], Q[s, t]):
+                sigma.append(x)
+                if extend():
+                    return True
+                sigma.pop()
+        return False
+
+    return tuple(sigma) if extend() else None

@@ -2,26 +2,28 @@
 fusing-tuple enumeration, triple types, contraction, and overlap cases.
 
 Every fusion question is decided by two independent oracles, in both
-directions (:func:`_decide`).  The exact oracle: a partition pi fuses iff,
-for all blocks I, J, H, the block sum sum_{i in I, j in J} p_ij^h is
-constant over h in H (Bannai & Ito, *Algebraic Combinatorics I*, 1984,
-II.9).  It is integer work on the (d+1)^3 intersection tensor and does not
-depend on v.  The second is the row-sum criterion on the eigenmatrix
-(:func:`bm_check`).  Any disagreement, a yes against a no either way,
-aborts with :class:`OracleDisagreement`.
+directions.  The exact oracle: a partition pi fuses iff, for all blocks
+I, J, H, the block sum sum_{i in I, j in J} p_ij^h is constant over h in H
+(Bannai & Ito, *Algebraic Combinatorics I*, 1984, II.9).  It is integer
+work on the (d+1)^3 intersection tensor and does not depend on v.  The
+second is the row-sum criterion on the eigenmatrix (:func:`bm_check`).
+Any disagreement, a yes against a no either way, aborts with
+:class:`OracleDisagreement`.
+
+Each oracle has one kernel, and it answers a stack of partitions at once:
+:func:`_stacked_block_sums` and :func:`_stacked_row_sum`, both reading the
+membership matrices that :func:`_stack` builds.  A single question
+(:func:`_decide`) is a stack of one; the single merges of one size
+(:func:`_decide_merges`) come a fixed number of merges per stack.
 
 Each question is decided once per scheme instance and tolerance: an answer
 on which both oracles agree is kept on the scheme, and asking again
-returns it.  A disagreement is never kept, so it raises every time it is
-asked.  The fused scheme of the last partition passed to
-:func:`fuse_direct` is kept too, in one slot on the parent.
-
-The single merges of one size are also decided all together
-(:func:`_decide_merges`): both oracles run on a stack of membership
-matrices, a fixed number of merges at a time, and any merge they answer
-differently raises.  The amorphicity oracle asks the C(d, 2) pair merges
-this way, once per scheme, so these answers are neither read from nor
-kept in the scheme's decisions.
+returns it.  :func:`enumerate_fusing_tuples` keeps the answers of its
+stacks the same way, dual partitions included; the amorphicity oracle asks
+the C(d, 2) pair merges once per scheme and keeps none.  A disagreement is
+never kept, so it raises every time it is asked.  The fused scheme of the
+last partition passed to :func:`fuse_direct` is kept too, in one slot on
+the parent.
 
 Neither oracle formats text to answer; a :class:`NotAFusion` message is
 built only where it is raised to the caller.  Nothing here enumerates
@@ -30,6 +32,7 @@ class partitions: every caller names the partitions it asks about.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -188,38 +191,159 @@ class FusionOutcome:
     P_fused: np.ndarray
 
 
-def _membership(pi: ClassPartition) -> np.ndarray:
-    """S[i, b] = 1 iff class i lies in block b of pi."""
-    S = np.zeros((pi.d + 1, pi.n_blocks), dtype=np.int64)
-    S[np.arange(pi.d + 1), pi.block_index()] = 1
-    return S
+# Merges stacked per pass of _merge_stacks.  The exact kernel's largest
+# arrays hold _MERGE_CHUNK * (d+1)^3 floats, about 12 MB each at d = 28,
+# whatever the merge count; the 378 pairs of d = 28 in one stack would need
+# over 70 MB each.
+_MERGE_CHUNK = 64
 
 
-def _check_fusion(scheme: AssociationScheme, pi: ClassPartition) -> tuple[int, int, int] | None:
-    """Exact oracle on the intersection tensor: the first block pair (I, J)
-    and class h where the block sum moves, or None when pi fuses."""
-    if pi.d != scheme.d:
-        raise PreconditionFailed(f"partition is over 0..{pi.d}, scheme has d={scheme.d}")
-    S = _membership(pi)
-    # F[I, J, h] = sum over i in I, j in J of p_ij^h, folded one side at a time
-    F = np.einsum("Ijh,jJ->IJh", np.einsum("iI,ijh->Ijh", S, scheme.intersection.p), S)
-    rep = np.array([b[0] for b in pi.blocks])[pi.block_index()]  # first class of h's block
-    bad = np.argwhere(F != F[:, :, rep])
-    return tuple(map(int, bad[0])) if bad.size else None
+def _stack(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack both kernels read, built from the block-index rows ``idx``
+    of partitions with one number of blocks (row m is
+    ``pi.block_index()`` of partition m).
+
+    S[m] is the float64 (d+1) x n_blocks membership matrix of partition m,
+    S[m, i, b] = 1 iff class i lies in block b; rep[m, h] is the first
+    class of h's block.
+    """
+    c, n = idx.shape
+    S = np.zeros((c, n, int(idx[0].max()) + 1))
+    S[np.arange(c)[:, None], np.arange(n), idx] = 1.0
+    return S, np.argmax(idx[:, :, None] == idx[:, None, :], axis=2)
+
+
+def _merge_stacks(d: int, r: int):
+    """The single merges of r nontrivial classes, _MERGE_CHUNK at a time.
+
+    Yields (chunk, S, rep): the next r-tuples T of
+    ``itertools.combinations(range(1, d + 1), r)`` and the :func:`_stack`
+    of their ``ClassPartition.merge(d, T)``, with the block indices
+    computed for the whole chunk at once.
+    """
+    classes = np.arange(d + 1)
+    combos = itertools.combinations(range(1, d + 1), r)
+    while chunk := list(itertools.islice(combos, _MERGE_CHUNK)):
+        merges = np.array(chunk, dtype=np.int64).reshape(len(chunk), r)
+        merged = np.zeros((len(chunk), d + 1), dtype=bool)
+        merged[np.arange(len(chunk))[:, None], merges] = True
+        # a class outside T moves down one block per class of T above T's
+        # lowest class and below it
+        below = np.cumsum(merged, axis=1) - merged
+        idx = np.where(merged, merges[:, :1], classes - np.maximum(below - 1, 0))
+        yield (chunk, *_stack(idx))
+
+
+def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """The exact oracle on a stack of partitions: entry m is True iff every
+    block sum F[m, h] = S[m]^T p[:, :, h] S[m] equals F[m, rep[m, h]].
+
+    ``p`` is the intersection tensor, p[i, j, h] = p_ij^h.  The float64
+    products are exact: every entry and partial sum is an integer <= v < 2^53.
+    """
+    c, n, nb = S.shape
+    p = p.transpose(2, 0, 1).astype(np.float64)
+    # G[h, i, m, J] = sum over j in J of p_ij^h, one product for the whole stack
+    G = (p.reshape(n * n, n) @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, n, c, nb)
+    G = G.transpose(2, 1, 0, 3).reshape(c, n, n * nb)
+    # F[m, I, h, J] = sum over i in I of G[h, i, m, J], then one row per (m, h)
+    F = (S.transpose(0, 2, 1) @ G).reshape(c, nb, n, nb)
+    F = F.transpose(0, 2, 1, 3).reshape(c * n, nb * nb)
+    at_rep = F[(rep + n * np.arange(c)[:, None]).ravel()]
+    return np.all((F == at_rep).reshape(c, n * nb * nb), axis=1)
+
+
+@functools.cache
+def _earlier_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair (j, g) of rows 0..n-1 with g < j, as two index arrays."""
+    return np.tril_indices(n, -1)
+
+
+def _stacked_row_sum(P: np.ndarray, S: np.ndarray,
+                     tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The row-sum criterion on a stack of partitions: fused[m] is True iff
+    the rows of P S[m] fall into as many groups as S[m] has blocks, with
+    row 0 alone.  lead[m, j] is the leader of row j's group.
+
+    A row joins the first leader it is close to under tol, so it leads a
+    group iff it is close to no earlier leader; closeness need not be
+    transitive.  Only the n(n-1)/2 pairs of a row and an earlier row are
+    compared.
+    """
+    c, n, nb = S.shape
+    folded = P @ S
+    later, earlier = _earlier_pairs(n)
+    size = np.abs(folded)
+    bound = np.maximum(size[:, later], size[:, earlier])
+    bound *= tol.rtol
+    bound += tol.atol
+    gap = folded[:, later]
+    gap -= folded[:, earlier]
+    np.abs(gap, out=gap)
+    close = np.zeros((c, n, n), dtype=bool)
+    close[:, later, earlier] = np.all(gap <= bound, axis=2)
+    # leader[j] depends only on leader[:j], so each pass fixes at least one
+    # more row, and the first pass that changes nothing has them all
+    leader = ~close.any(axis=2)
+    while True:
+        joins = close & leader[:, None, :]
+        step = ~joins.any(axis=2)
+        if (step == leader).all():
+            break
+        leader = step
+    lead = np.where(leader, np.arange(n), joins.argmax(axis=2))
+    # a row close to row 0 joins its group
+    fused = (leader.sum(axis=1) == nb) & ~close[:, :, 0].any(axis=1)
+    return fused, lead
+
+
+def _dual(P: np.ndarray, S: np.ndarray, lead: np.ndarray, tol: Tolerance) -> DualPartition:
+    """The dual partition and fused eigenmatrix of one accepted stack entry,
+    from its membership matrix S and the row-sum kernel's leaders."""
+    groups: dict[int, list[int]] = {}
+    for j, g in enumerate(lead.tolist()):
+        groups.setdefault(g, []).append(j)
+    # a leader is the first row of its group and the leaders come ascending,
+    # so the blocks are already canonical
+    rho = ClassPartition(d=len(lead) - 1, blocks=tuple(map(tuple, groups.values())))
+    P_fused, _ = tol.snap((P @ S)[list(groups)])
+    return DualPartition(rho=rho, P_fused=P_fused)
 
 
 def _tensor_failure(scheme: AssociationScheme, pi: ClassPartition) -> NotAFusion:
-    """The exact oracle's rejection of pi, naming its witness (I, J, h)."""
-    witness = _check_fusion(scheme, pi)
-    if witness is None:  # only a stacked answer can reject what this accepts
-        return NotAFusion(f"partition {pi}: the stacked block sums reject it, the scalar ones accept it")
-    I, J, h = witness
-    r = pi.blocks[pi.block_index()[h]][0]
-    sums = scheme.intersection.p[np.ix_(pi.blocks[I], pi.blocks[J])].sum(axis=(0, 1))
+    """The exact oracle's rejection of pi, naming the first block pair
+    (I, J) and class h where the block sum moves; only this error path
+    scans the block sums for it."""
+    idx = pi.block_index()
+    F = np.zeros((pi.n_blocks, pi.n_blocks, pi.d + 1), dtype=np.int64)
+    np.add.at(F, (idx[:, None], idx[None, :]), scheme.intersection.p)
+    rep = np.array([b[0] for b in pi.blocks])[idx]
+    I, J, h = map(int, np.unravel_index(np.argmax(F != F[:, :, rep]), F.shape))
     return NotAFusion(
         f"partition {pi} does not fuse: the sum of p_ij^h over i in "
-        f"{set(pi.blocks[I])}, j in {set(pi.blocks[J])} is {sums[h]} at "
-        f"h={h} but {sums[r]} at h={r}")
+        f"{set(pi.blocks[I])}, j in {set(pi.blocks[J])} is {F[I, J, h]} at "
+        f"h={h} but {F[I, J, rep[h]]} at h={rep[h]}")
+
+
+def _row_sum_failure(pi: ClassPartition, lead: np.ndarray) -> NotAFusion:
+    """The row-sum criterion's rejection of pi, from the kernel's leaders."""
+    groups = len(set(lead.tolist()))
+    if groups != pi.n_blocks:
+        return NotAFusion(f"partition {pi}: {groups} distinct folded rows, need {pi.n_blocks}")
+    return NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
+
+
+def _disagreement(scheme: AssociationScheme, pi: ClassPartition, exact_accepts: bool,
+                  lead: np.ndarray) -> OracleDisagreement:
+    """The error for a question the two oracles answer differently; the
+    side that rejects pi names its reason."""
+    if exact_accepts:
+        return OracleDisagreement(
+            f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: "
+            f"{_row_sum_failure(pi, lead)}")
+    return OracleDisagreement(
+        f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: "
+        f"{_tensor_failure(scheme, pi)}")
 
 
 _UNDECIDED = object()
@@ -227,42 +351,33 @@ _UNDECIDED = object()
 
 def _decide(scheme: AssociationScheme, pi: ClassPartition,
             tol: Tolerance) -> DualPartition | None:
-    """The one place a fusion question is decided.
+    """The one place a single fusion question is decided.
 
-    Both oracles answer: the exact block-sum test on the intersection
-    tensor, then the eigenmatrix criterion on the scheme's cached spectrum.
-    Both yes: the dual partition.  Both no: None.  Otherwise
+    Both kernels answer on a stack of one: the exact block sums on the
+    intersection tensor, and the row-sum criterion on the scheme's cached
+    eigenmatrix.  Both yes: the dual partition.  Both no: None.  Otherwise
     :class:`OracleDisagreement`, the only case in which text is formatted.
 
     An agreed answer is kept on the scheme, keyed by ``(tol, pi.blocks)``
     (the blocks are canonical), and returned when the question comes again.
-    A disagreement is not kept: asking again runs both oracles again and
+    A disagreement is not kept: asking again runs both kernels again and
     raises again.
     """
     key = (tol, pi.blocks)
     dual = scheme._decisions.get(key, _UNDECIDED)
     if dual is not _UNDECIDED:
         return dual
-    witness = _check_fusion(scheme, pi)
-    spec = spectral_decomposition(scheme, tol=tol)
-    dual = _row_sum(spec, pi)
-    if (witness is None) == (dual is not None):
-        scheme._decisions[key] = dual
-        return dual
-    raise _disagreement(scheme, spec, pi, exact_accepts=witness is None)
-
-
-def _disagreement(scheme: AssociationScheme, spec: SpectralData, pi: ClassPartition,
-                  exact_accepts: bool) -> OracleDisagreement:
-    """The error for a question the two oracles answer differently; the
-    side that rejects pi names its reason."""
-    if exact_accepts:
-        return OracleDisagreement(
-            f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: "
-            f"{_row_sum_failure(spec, pi)}")
-    return OracleDisagreement(
-        f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: "
-        f"{_tensor_failure(scheme, pi)}")
+    if pi.d != scheme.d:
+        raise PreconditionFailed(f"partition is over 0..{pi.d}, scheme has d={scheme.d}")
+    S, rep = _stack(pi.block_index()[None])
+    exact = bool(_stacked_block_sums(scheme.intersection.p, S, rep)[0])
+    P = spectral_decomposition(scheme, tol=tol).P
+    fused, lead = _stacked_row_sum(P, S, tol)
+    if exact != fused[0]:
+        raise _disagreement(scheme, pi, exact, lead[0])
+    dual = _dual(P, S[0], lead[0], tol) if exact else None
+    scheme._decisions[key] = dual
+    return dual
 
 
 def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
@@ -291,49 +406,6 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     return FusionOutcome(scheme=fused, rho=dual.rho, P_fused=dual.P_fused)
 
 
-def _group_rows(M: np.ndarray, tol: Tolerance) -> list[list[int]]:
-    """Indices of the rows of M grouped by closeness under tol; each group
-    is led by its smallest index, and groups are in order of their leader."""
-    a, b = M[:, None, :], M[None, :, :]
-    bound = tol.atol + tol.rtol * np.maximum(np.abs(a), np.abs(b))
-    # close[j][g]: rows j, g agree; Python lists index faster than numpy scalars
-    close = np.all(np.abs(a - b) <= bound, axis=2).tolist()
-    groups: list[list[int]] = []
-    for j, row in enumerate(close):
-        for g in groups:
-            if row[g[0]]:
-                g.append(j)
-                break
-        else:
-            groups.append([j])
-    return groups
-
-
-def _row_sum(spec: SpectralData, pi: ClassPartition) -> DualPartition | None:
-    """The row-sum criterion of :func:`bm_check` without its error text:
-    the dual partition, or None when pi does not fuse."""
-    folded = spec.P @ _membership(pi)
-    groups = _group_rows(folded, spec.tol)
-    # the valency row must stay alone for a genuine fusion
-    if len(groups) != pi.n_blocks or groups[0] != [0]:
-        return None
-    P_fused, _ = spec.tol.snap(folded[[g[0] for g in groups]])
-    # groups come ascending and in order of their leaders: already canonical
-    rho = ClassPartition(d=spec.d, blocks=tuple(map(tuple, groups)))
-    return DualPartition(rho=rho, P_fused=P_fused)
-
-
-def _row_sum_failure(spec: SpectralData, pi: ClassPartition) -> NotAFusion:
-    """The row-sum criterion's rejection of pi."""
-    groups = _group_rows(spec.P @ _membership(pi), spec.tol)
-    if len(groups) != pi.n_blocks:
-        return NotAFusion(f"partition {pi}: {len(groups)} distinct folded rows, need {pi.n_blocks}")
-    if groups[0] != [0]:
-        return NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
-    # only a stacked answer can reject what this accepts
-    return NotAFusion(f"partition {pi}: the stacked row sums reject it, the scalar ones accept it")
-
-
 def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
     """Row-sum criterion on the first eigenmatrix.
 
@@ -343,10 +415,11 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
     """
     if pi.d != spec.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, spectral data has d={spec.d}")
-    dual = _row_sum(spec, pi)
-    if dual is None:
-        raise _row_sum_failure(spec, pi)
-    return dual
+    S, _ = _stack(pi.block_index()[None])
+    fused, lead = _stacked_row_sum(spec.P, S, spec.tol)
+    if not fused[0]:
+        raise _row_sum_failure(pi, lead[0])
+    return _dual(spec.P, S[0], lead[0], spec.tol)
 
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
@@ -356,116 +429,51 @@ def fuses(scheme: AssociationScheme, pi: ClassPartition,
     return _decide(scheme, pi, tol) is not None
 
 
-# Merges stacked per pass of _decide_merges.  Its largest arrays hold
-# _MERGE_CHUNK * (d+1)^3 floats, about 12 MB each at d = 28, whatever the
-# merge count; the 378 pairs of d = 28 in one stack would need over 70 MB each.
-_MERGE_CHUNK = 64
-
-
-def _merge_stack(d: int, merges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Membership matrices of the single merges named by the rows of
-    ``merges`` (sorted r-subsets of 1..d), and each class's representative.
-
-    S[m] is the float64 (d+1) x (d+2-r) membership matrix of
-    ``ClassPartition.merge(d, merges[m])``, blocks in its order; rep[m, h]
-    is the first class of h's block.
-    """
-    c, r = merges.shape
-    classes = np.arange(d + 1)
-    merged = np.zeros((c, d + 1), dtype=bool)
-    merged[np.arange(c)[:, None], merges] = True
-    low = merges[:, :1]
-    # a class outside T moves down one block per class of T above low and below it
-    below = np.cumsum(merged, axis=1) - merged
-    block = np.where(merged, low, classes - np.maximum(below - 1, 0))
-    S = np.zeros((c, d + 1, d + 2 - r))
-    S[np.arange(c)[:, None], classes, block] = 1.0
-    return S, np.where(merged, low, classes)
-
-
-def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """The exact oracle on a stack of partitions: entry m is True iff every
-    block sum F[m, h] = S[m]^T p[:, :, h] S[m] equals F[m, rep[m, h]].
-
-    ``p`` is the intersection tensor as float64 in (h, i, j) order.  The
-    products are exact: every entry and partial sum is an integer <= v < 2^53.
-    """
-    c, n, nb = S.shape
-    # G[h, i, m, J] = sum over j in J of p_ij^h, one product for the whole stack
-    G = (p.reshape(n * n, n) @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, n, c, nb)
-    G = G.transpose(2, 1, 0, 3).reshape(c, n, n * nb)
-    # F[m, I, h, J] = sum over i in I of G[h, i, m, J], then one row per (m, h)
-    F = (S.transpose(0, 2, 1) @ G).reshape(c, nb, n, nb)
-    F = F.transpose(0, 2, 1, 3).reshape(c * n, nb * nb)
-    at_rep = F[(rep + n * np.arange(c)[:, None]).ravel()]
-    return np.all((F == at_rep).reshape(c, n * nb * nb), axis=1)
-
-
-def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The row-sum criterion on a stack of partitions: entry m is True iff
-    the rows of P S[m] fall into as many groups as S[m] has blocks, with
-    row 0 alone.
-
-    The grouping is :func:`_group_rows`'s, one row at a time across the
-    whole stack: a row joins the first leader it is close to, so it leads
-    a group iff it is close to no earlier leader.
-    """
-    c, n, nb = S.shape
-    folded = (P @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, c, nb).transpose(1, 0, 2)
-    size = np.abs(folded)
-    leader = np.zeros((c, n), dtype=bool)
-    leader[:, 0] = True
-    alone = np.ones(c, dtype=bool)
-    for j in range(1, n):
-        bound = tol.atol + tol.rtol * np.maximum(size[:, j:j + 1], size[:, :j])
-        close = np.all(np.abs(folded[:, j:j + 1] - folded[:, :j]) <= bound, axis=2)
-        alone &= ~close[:, 0]  # row 0 leads the first group
-        leader[:, j] = ~np.any(close & leader[:, :j], axis=1)
-    return (leader.sum(axis=1) == nb) & alone
-
-
-def _decide_merges(scheme: AssociationScheme, r: int, tol: Tolerance) -> np.ndarray:
+def _decide_merges(scheme: AssociationScheme, r: int, tol: Tolerance):
     """Whether each merge of r nontrivial classes fuses, decided together.
 
-    Entry m answers ``ClassPartition.merge(d, T)`` for the m-th T of
-    ``itertools.combinations(range(1, d + 1), r)``.  Both oracles answer
-    every merge, on stacks of _MERGE_CHUNK membership matrices, so memory
-    stays flat however many merges there are.  A merge the two answer
-    differently raises :class:`OracleDisagreement` with :func:`_decide`'s
-    text.  The scheme's decisions are neither read nor written: a kept
-    answer cannot hide a disagreement, and one pass per scheme would
-    only fill the memo.
+    Yields, per stack of :func:`_merge_stacks`, (chunk, S, fused, lead):
+    the merges, their membership matrices, the answers and the row-sum
+    kernel's leaders, from which :func:`_dual` reads the dual partition of
+    an accepted merge.  Both kernels answer every merge of a stack before it
+    is yielded, so memory stays flat however many merges there are.  A merge
+    the two answer differently raises :class:`OracleDisagreement` with
+    :func:`_decide`'s text.  The scheme's decisions are not read: a kept
+    answer cannot hide a disagreement.
     """
-    d = scheme.d
-    p = scheme.intersection.p.transpose(2, 0, 1).astype(np.float64)
-    spec = spectral_decomposition(scheme, tol=tol)
-    combos = itertools.combinations(range(1, d + 1), r)
-    answers = [np.zeros(0, dtype=bool)]  # no merges at all when r > d
-    while chunk := list(itertools.islice(combos, _MERGE_CHUNK)):
-        merges = np.array(chunk, dtype=np.int64).reshape(len(chunk), r)
-        S, rep = _merge_stack(d, merges)
-        exact = _stacked_block_sums(p, S, rep)
-        criterion = _stacked_row_sum(spec.P, S, tol)
-        differ = np.flatnonzero(exact != criterion)
+    for chunk, S, rep in _merge_stacks(scheme.d, r):
+        P = spectral_decomposition(scheme, tol=tol).P
+        exact = _stacked_block_sums(scheme.intersection.p, S, rep)
+        fused, lead = _stacked_row_sum(P, S, tol)
+        differ = np.flatnonzero(exact != fused)
         if differ.size:
             m = differ[0]
-            raise _disagreement(scheme, spec, ClassPartition.merge(d, chunk[m]),
-                                exact_accepts=bool(exact[m]))
-        answers.append(exact)
-    return np.concatenate(answers)
+            raise _disagreement(scheme, ClassPartition.merge(scheme.d, chunk[m]),
+                                bool(exact[m]), lead[m])
+        yield chunk, S, fused, lead
 
 
 def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
                             tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """All k-subsets of nontrivial classes whose merge fuses.
 
-    Each tuple is decided by :func:`fuses`, so by the exact tensor oracle
-    and the eigenmatrix criterion together, at every v.
+    The merges are decided in :func:`_decide_merges` stacks, by the exact
+    block sums and the eigenmatrix criterion together, at every v.  Each
+    answer is kept in the scheme's decisions, the dual partition of every
+    fusing tuple included, so asking :func:`fuses` or :func:`fuse_direct`
+    about a tuple afterwards runs neither kernel.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    return [T for T in itertools.combinations(range(1, scheme.d + 1), k)
-            if fuses(scheme, ClassPartition.merge(scheme.d, T), tol=tol)]
+    found = []
+    for chunk, S, fused, lead in _decide_merges(scheme, k, tol):
+        P = spectral_decomposition(scheme, tol=tol).P
+        for m, T in enumerate(chunk):
+            dual = _dual(P, S[m], lead[m], tol) if fused[m] else None
+            scheme._decisions[(tol, ClassPartition.merge(scheme.d, T).blocks)] = dual
+            if dual is not None:
+                found.append(T)
+    return found
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .core import AssociationScheme, DEFAULT_TOL, Tolerance, spectral_decomposition
 from .errors import OracleDisagreement, WrongUniformity
 # fuse_direct is unused here; bench/selftest.py looks the binding up in this module
-from .fusion import ClassPartition, _decide, _row_sum, enumerate_fusing_tuples, fuse_direct
+from .fusion import (ClassPartition, _decide, _dual, _merge_stacks, _stacked_row_sum,
+                     enumerate_fusing_tuples, fuse_direct)
 
 __all__ = [
     "UniformHypergraph",
@@ -75,22 +78,19 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
         return UniformHypergraph(k=k, vertices=vertices, edges=edges, side=side)
     if side != "idempotents":
         raise ValueError(f"unknown side {side!r}")
-    spec = spectral_decomposition(scheme, tol=tol)
-    dual_spec = replace(spec, P=spec.Q, Q=spec.P, valencies=spec.multiplicities,
-                        multiplicities=spec.valencies, P_integer_mask=spec.Q_integer_mask,
-                        Q_integer_mask=spec.P_integer_mask)
+    Q = spectral_decomposition(scheme, tol=tol).Q
     edges = set()
-    for T in itertools.combinations(vertices, k):
-        rho = ClassPartition.merge(scheme.d, T)
-        candidate = _row_sum(dual_spec, rho)
-        if candidate is None:
-            continue
-        found = _decide(scheme, candidate.rho, tol)
-        if found is None or found.rho != rho:
-            raise OracleDisagreement(
-                f"Q folded over idempotent partition {rho} groups the classes as {candidate.rho}, "
-                f"but the two oracles give {'no fusion' if found is None else found.rho}")
-        edges.add(T)
+    for chunk, S, _ in _merge_stacks(scheme.d, k):
+        fused, lead = _stacked_row_sum(Q, S, tol)
+        for m in np.flatnonzero(fused):
+            rho = ClassPartition.merge(scheme.d, chunk[m])
+            candidate = _dual(Q, S[m], lead[m], tol)
+            found = _decide(scheme, candidate.rho, tol)
+            if found is None or found.rho != rho:
+                raise OracleDisagreement(
+                    f"Q folded over idempotent partition {rho} groups the classes as {candidate.rho}, "
+                    f"but the two oracles give {'no fusion' if found is None else found.rho}")
+            edges.add(chunk[m])
     return UniformHypergraph(k=k, vertices=vertices, edges=frozenset(edges), side=side)
 
 

@@ -32,6 +32,15 @@ def test_save_load_round_trip_byte_stable(tmp_path):
     assert am.load_scheme(p2) == scheme
 
 
+def test_multi_line_comment_round_trips(tmp_path):
+    """Every line of a comment is written as its own comment line."""
+    scheme = am.gen_hamming_binary(3)
+    path = tmp_path / "h3.scheme"
+    am.save_scheme(scheme, path, comment="a\nb\r\n\nc\rd")
+    assert path.read_text().startswith("# a\n# b\n# \n# c\n# d\n8 3\n")
+    assert am.load_scheme(path) == scheme
+
+
 def test_load_accepts_comments_and_blank_lines(tmp_path):
     path = tmp_path / "k2.scheme"
     path.write_text("# complete on two points\n\n2 1\n0 1\n\n1 0\n")

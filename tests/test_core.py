@@ -6,6 +6,7 @@ oracle (full v x v linear algebra, neighbor counting on the cube) or are
 closed-form facts asserted directly.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -599,7 +600,7 @@ def test_krein_nonnegative_and_symmetric():
 # --------------------------------------------------------- formal duality
 
 def test_hamming_self_duality_up_to_permutation():
-    for m in (3, 4):
+    for m in (3, 4, 8, 9):
         spec = spectral_decomposition(gen_hamming_binary(m))
         sigma = formal_duality_permutation(spec)
         assert sigma is not None
@@ -607,6 +608,16 @@ def test_hamming_self_duality_up_to_permutation():
         for j, sj in enumerate(sigma):
             S[sj, j] = 1.0
         assert TOL.allclose(S @ spec.P, spec.Q @ S.T)
+
+
+def test_no_duality_permutation_when_q_is_not_a_relabelled_p():
+    """At d = 8, a Q with one multiplicity moved off every entry of P has
+    no sigma; row 0 of Q is met only in pairs (0, c) with c > 0."""
+    spec = spectral_decomposition(gen_hamming_binary(8))
+    Q = spec.Q.copy()
+    Q[0, 3] += 0.5
+    assert not np.isclose(spec.P, Q[0, 3]).any()
+    assert formal_duality_permutation(dataclasses.replace(spec, Q=Q)) is None
 
 
 def test_net16_entrywise_self_dual():

@@ -3,6 +3,7 @@ contraction, and the overlap case analysis."""
 
 import gc
 import itertools
+import math
 import re
 import weakref
 
@@ -163,24 +164,43 @@ def test_enumerate_fusing_tuples_amorphic_complete():
     assert len(am.enumerate_fusing_tuples(scheme, 3)) == 10  # C(5,3)
 
 
+def _membership(pi):
+    """Test-side membership matrix: S[i, b] = 1 iff class i lies in block b."""
+    return np.eye(pi.n_blocks)[pi.block_index()]
+
+
+def _flip_one(monkeypatch, kernel, pi):
+    """Make the kernel named ``kernel`` answer ``pi`` the other way, in any
+    stack it appears in."""
+    real = getattr(fusion, kernel)
+    want = _membership(pi)
+
+    def flipped(*args):
+        out = real(*args)
+        answers = out[0] if kernel == "_stacked_row_sum" else out
+        for m, S in enumerate(args[1]):
+            if S.shape == want.shape and np.array_equal(S, want):
+                answers[m] = not answers[m]
+        return out
+
+    monkeypatch.setattr(fusion, kernel, flipped)
+
+
 def test_enumeration_cross_checks_exactly_above_v64(monkeypatch):
-    """H(8,2) has v = 256: a flipped criterion answer is still caught."""
-    scheme = am.gen_hamming_binary(8)
-    real = fusion._row_sum
-    calls = []
-
-    def flip_first(spec, pi):
-        calls.append(pi)
-        if len(calls) > 1:
-            return real(spec, pi)
-        if real(spec, pi) is None:  # claim that a rejected tuple fuses
-            return fusion.DualPartition(rho=pi, P_fused=spec.P)
-        return None
-
-    monkeypatch.setattr(fusion, "_row_sum", flip_first)
-    with pytest.raises(am.OracleDisagreement):
-        am.enumerate_fusing_tuples(scheme, 2)
-    assert len(calls) == 1
+    """H(8,2) has v = 256: one flipped answer of either kernel is caught by
+    a single question, by the amorphicity oracle and by the enumeration."""
+    pi = am.ClassPartition.merge(8, (1, 2))
+    for kernel in ("_stacked_block_sums", "_stacked_row_sum"):
+        scheme = am.gen_hamming_binary(8)
+        assert fuse_by_relabeling(scheme, pi) is None
+        with monkeypatch.context() as mp:
+            _flip_one(mp, kernel, pi)
+            for ask in (lambda: fusion.fuses(scheme, pi), lambda: am.amorphic_oracle(scheme),
+                        lambda: am.enumerate_fusing_tuples(scheme, 2)):
+                with pytest.raises(am.OracleDisagreement, match=re.escape(f"accepts {pi} but")):
+                    ask()
+        assert scheme._decisions == {}
+        assert fusion.fuses(scheme, pi) is False
 
 
 def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
@@ -188,15 +208,8 @@ def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
     tensor rejects, no caller answers."""
     scheme = am.gen_hamming_binary(3)
     bad = am.ClassPartition.from_string("2,3|1", 3)
-    assert fusion._check_fusion(scheme, bad) is not None  # the tensor's witness
-    real = fusion._row_sum
-
-    def accept_bad(spec, pi):
-        if pi == bad:
-            return fusion.DualPartition(rho=pi, P_fused=spec.P)
-        return real(spec, pi)
-
-    monkeypatch.setattr(fusion, "_row_sum", accept_bad)
+    assert fuse_by_relabeling(scheme, bad) is None
+    _flip_one(monkeypatch, "_stacked_row_sum", bad)
     with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
         fusion.fuses(scheme, bad)
     with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
@@ -221,14 +234,7 @@ def test_disagreement_is_never_stored(monkeypatch):
     answer afresh."""
     scheme = am.gen_hamming_binary(3)
     bad = am.ClassPartition.from_string("2,3|1", 3)
-    real = fusion._row_sum
-
-    def accept_bad(spec, pi):
-        if pi == bad:
-            return fusion.DualPartition(rho=pi, P_fused=spec.P)
-        return real(spec, pi)
-
-    monkeypatch.setattr(fusion, "_row_sum", accept_bad)
+    _flip_one(monkeypatch, "_stacked_row_sum", bad)
     for _ in range(2):
         with pytest.raises(am.OracleDisagreement, match="criterion accepts"):
             fusion.fuses(scheme, bad)
@@ -240,25 +246,26 @@ def test_repeated_question_is_decided_once(monkeypatch):
     """A question is decided once per scheme and tolerance; another
     tolerance is another question."""
     scheme = am.gen_hamming_binary(4)
-    real = fusion._check_fusion
+    real = fusion._stacked_block_sums
     calls = []
 
-    def counted(scheme, pi):
-        calls.append(pi)
-        return real(scheme, pi)
+    def counted(p, S, rep):
+        calls.extend(S)
+        return real(p, S, rep)
 
-    monkeypatch.setattr(fusion, "_check_fusion", counted)
+    monkeypatch.setattr(fusion, "_stacked_block_sums", counted)
     yes = am.ClassPartition.from_string("1,3|2,4", 4)
     no = am.ClassPartition.merge(4, (1, 2))
     for _ in range(3):
         assert fusion.fuses(scheme, yes)
         assert not fusion.fuses(scheme, no)
         assert am.fuse_direct(scheme, yes).scheme.d == 2
-    assert calls == [yes, no]
+    asked = [_membership(yes), _membership(no)]
+    assert len(calls) == 2 and all(map(np.array_equal, calls, asked))
     other = am.Tolerance(atol=1e-9, rtol=1e-9)
     assert fusion.fuses(scheme, yes, tol=other)
     assert fusion.fuses(scheme, yes, tol=other)
-    assert calls == [yes, no, yes]
+    assert len(calls) == 3 and np.array_equal(calls[2], asked[0])
 
 
 def test_fused_scheme_is_kept_in_one_slot():
@@ -291,7 +298,8 @@ def test_three_oracles_agree_on_every_corpus_partition(corpus):
         spec = am.spectral_decomposition(scheme)
         for pi in enumerate_partitions(scheme.d):
             checks += 1
-            ok_tensor = fusion._check_fusion(scheme, pi) is None
+            ok_tensor = bool(fusion._stacked_block_sums(
+                scheme.intersection.p, *fusion._stack(pi.block_index()[None]))[0])
             relabeled = fuse_by_relabeling(scheme, pi)
             try:
                 dual = am.bm_check(spec, pi)
@@ -328,40 +336,77 @@ def test_block_index_is_built_once_per_partition():
 
 
 def test_merge_stack_matches_membership():
-    for d in range(1, 8):
+    """The single-merge stacks, chunk after chunk, hold each merge's
+    membership matrix and the first class of each class's block; so does a
+    stack built from any partition's block indices."""
+    for d in range(1, 10):  # at d = 9 the 126 merges of size 4 fill two chunks
         for r in range(1, d + 1):
-            S, rep = fusion._merge_stack(d, np.array(_merges(d, r)).reshape(-1, r))
+            stacks = list(fusion._merge_stacks(d, r))
+            assert [T for chunk, _, _ in stacks for T in chunk] == _merges(d, r)
+            S = np.concatenate([S for _, S, _ in stacks])
+            rep = np.concatenate([rep for _, _, rep in stacks])
             for m, T in enumerate(_merges(d, r)):
                 pi = am.ClassPartition.merge(d, T)
-                assert np.array_equal(S[m], fusion._membership(pi)), (d, T)
+                assert np.array_equal(S[m], _membership(pi)), (d, T)
                 assert rep[m].tolist() == [pi.blocks[b][0] for b in pi.block_index()], (d, T)
+    for pi in enumerate_partitions(5):
+        (S,), (rep,) = fusion._stack(pi.block_index()[None])
+        assert np.array_equal(S, _membership(pi)), str(pi)
+        assert rep.tolist() == [pi.blocks[b][0] for b in pi.block_index()], str(pi)
+
+
+def _stacked_answers(scheme, r):
+    return [bool(x) for _, _, fused, _ in fusion._decide_merges(scheme, r, TOL) for x in fused]
 
 
 def test_stacked_merges_match_fuses_on_corpus(corpus):
-    """Merge by merge, the stacked answers of every size are the scalar ones;
-    a size above d (pairs at d = 1) asks no merges."""
+    """Merge by merge, the stacked answers of every size are the relabeling
+    reference's, and each accepted merge's dual partition is the one
+    bm_check reads off a stack of one; a size above d (pairs at d = 1)
+    asks no merges."""
     merges = accepted = 0
     for name, scheme in corpus:
+        spec = am.spectral_decomposition(scheme)
         for r in range(1, scheme.d + 2):
-            want = [fusion.fuses(scheme, am.ClassPartition.merge(scheme.d, T))
+            want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T)) is not None
                     for T in _merges(scheme.d, r)]
-            assert fusion._decide_merges(scheme, r, TOL).tolist() == want, (name, r)
+            assert _stacked_answers(scheme, r) == want, (name, r)
+            for chunk, S, fused, lead in fusion._decide_merges(scheme, r, TOL):
+                for m in np.flatnonzero(fused):
+                    dual = fusion._dual(spec.P, S[m], lead[m], TOL)
+                    ref = am.bm_check(spec, am.ClassPartition.merge(scheme.d, chunk[m]))
+                    assert dual.rho == ref.rho and np.array_equal(dual.P_fused, ref.P_fused)
             merges += len(want)
             accepted += sum(want)
     assert 0 < accepted < merges
 
 
-@pytest.mark.parametrize("build", [
-    lambda: net_with_group_sizes(8, [1] * 9),
-    lambda: net_with_group_sizes(9, [1] * 10),
-    lambda: am.gen_hamming_binary(9),
+def _by_relabeling(scheme, T):
+    return fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T)) is not None
+
+
+def _by_krawtchouk(scheme, T):
+    """Test-only reference for H(m,2): the row-sum criterion in exact
+    integers on the Krawtchouk eigenmatrix, P[j][i] = K_i(j)."""
+    m = scheme.d
+    pi = am.ClassPartition.merge(m, T)
+    rows = [tuple(sum(sum((-1) ** s * math.comb(j, s) * math.comb(m - j, i - s)
+                          for s in range(i + 1)) for i in block) for block in pi.blocks)
+            for j in range(m + 1)]
+    return len(set(rows)) == pi.n_blocks and rows.count(rows[0]) == 1
+
+
+@pytest.mark.parametrize("build, reference", [
+    (lambda: net_with_group_sizes(8, [1] * 9), _by_relabeling),
+    (lambda: net_with_group_sizes(9, [1] * 10), _by_relabeling),
+    (lambda: am.gen_hamming_binary(9), _by_krawtchouk),
 ], ids=["net8-d9", "net9-d10", "H(9,2)-d9"])
-def test_stacked_merges_match_fuses_above_d8(build):
+def test_stacked_merges_match_fuses_above_d8(build, reference):
+    """Above d = 8 the merges of one size fill more than one stack."""
     scheme = build()
     for r in range(2, scheme.d + 1):
-        want = [fusion.fuses(scheme, am.ClassPartition.merge(scheme.d, T))
-                for T in _merges(scheme.d, r)]
-        assert fusion._decide_merges(scheme, r, TOL).tolist() == want, r
+        want = [reference(scheme, T) for T in _merges(scheme.d, r)]
+        assert _stacked_answers(scheme, r) == want, r
 
 
 def test_stacked_merges_keep_no_decisions():
@@ -370,28 +415,32 @@ def test_stacked_merges_keep_no_decisions():
     assert scheme._decisions == {}
 
 
-def _flip_one(monkeypatch, oracle, pi):
-    """Make the stacked oracle named ``oracle`` answer ``pi`` the other way."""
-    real = getattr(fusion, oracle)
-    want = fusion._membership(pi)
-
-    def flipped(*args):
-        out = real(*args)
-        S = args[1]
-        for m in range(len(out)):
-            if S[m].shape == want.shape and np.array_equal(S[m], want):
-                out[m] = not out[m]
-        return out
-
-    monkeypatch.setattr(fusion, oracle, flipped)
+def test_enumerated_tuples_are_kept(monkeypatch):
+    """The enumeration keeps every answer: asking fuses or fuse_direct about
+    any triple afterwards runs neither kernel, and the kept dual partition
+    is bm_check's."""
+    scheme = am.gen_hamming_binary(5)
+    triples = am.enumerate_fusing_tuples(scheme, 3)
+    assert triples == [(1, 3, 5)]
+    calls = []
+    for kernel in ("_stacked_block_sums", "_stacked_row_sum"):
+        real = getattr(fusion, kernel)
+        monkeypatch.setattr(fusion, kernel, lambda *args, real=real: calls.append(args) or real(*args))
+    for T in _merges(5, 3):
+        assert fusion.fuses(scheme, am.ClassPartition.merge(5, T)) is (T in triples)
+    out = am.fuse_direct(scheme, am.ClassPartition.merge(5, (1, 3, 5)))
+    assert calls == []
+    ref = am.bm_check(am.spectral_decomposition(scheme), am.ClassPartition.merge(5, (1, 3, 5)))
+    assert out.rho == ref.rho and np.array_equal(out.P_fused, ref.P_fused)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("fuses", [True, False], ids=["yes", "no"])
 @pytest.mark.parametrize("oracle", ["_stacked_block_sums", "_stacked_row_sum"])
 def test_stacked_disagreement_is_fatal(monkeypatch, oracle, fuses, warm):
-    """One flipped stacked answer, either way and on either oracle, raises
-    and names its merge, also when the scalar path already kept it."""
+    """One flipped answer, either way and of either kernel, raises and names
+    its merge: on a single question, in the amorphicity oracle and in the
+    enumeration, which raise also when the answer was already kept."""
     scheme = am.gen_hamming_binary(4)
     pi = am.ClassPartition.merge(4, (1, 3) if fuses else (1, 2))
     if warm:
@@ -400,8 +449,14 @@ def test_stacked_disagreement_is_fatal(monkeypatch, oracle, fuses, warm):
     _flip_one(monkeypatch, oracle, pi)
     exact_accepts = fuses != (oracle == "_stacked_block_sums")
     side = "exact oracle" if exact_accepts else "eigenmatrix criterion"
-    with pytest.raises(am.OracleDisagreement, match=re.escape(f"{side} accepts {pi} but")):
-        am.amorphic_oracle(scheme)
+    asks = [lambda: am.amorphic_oracle(scheme), lambda: am.enumerate_fusing_tuples(scheme, 2)]
+    if warm:
+        assert fusion.fuses(scheme, pi) is fuses  # the kept answer, no kernel asked
+    else:
+        asks.append(lambda: fusion.fuses(scheme, pi))
+    for ask in asks:
+        with pytest.raises(am.OracleDisagreement, match=re.escape(f"{side} accepts {pi} but")):
+            ask()
 
 
 def _crafted_spectrum(P, tol):
@@ -410,21 +465,38 @@ def _crafted_spectrum(P, tol):
     return am.SpectralData(v=len(P), P=P, Q=P, valencies=ones, multiplicities=ones, tol=tol)
 
 
-@pytest.mark.parametrize("P, fuses", [
+@pytest.mark.parametrize("P, lead, fuses", [
     # rows 1 ~ 2 ~ 3 but not 1 ~ 3: leaders 0, 1 and 3 make three groups
-    ([[1, 5, 3, 2], [1, 0, 0, 0], [1, 8e-4, 0, 0], [1, 1.6e-3, 0, 0]], True),
+    ([[1, 5, 3, 2], [1, 0, 0, 0], [1, 8e-4, 0, 0], [1, 1.6e-3, 0, 0]], [0, 1, 1, 3], True),
     # three groups, but the valency row shares one with row 1
-    ([[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 2, 0, 0]], False),
+    ([[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 2, 0, 0]], [0, 0, 2, 3], False),
 ], ids=["chain", "valency-row-shared"])
-def test_stacked_row_sum_groups_like_group_rows(P, fuses):
-    """The stacked grouping is the scalar greedy one where closeness is not
-    transitive, and it keeps the valency row alone."""
+def test_stacked_row_sum_groups_like_group_rows(P, lead, fuses):
+    """A row joins the first leader it is close to, also where closeness is
+    not transitive, and the valency row must stay alone; the stack of all
+    pairs and bm_check's stack of one give the same answer."""
     tol = am.Tolerance(atol=1e-3, rtol=0.0)
     spec = _crafted_spectrum(P, tol)
     pi = am.ClassPartition.merge(3, (2, 3))
-    S, _ = fusion._merge_stack(3, np.array([[2, 3]]))
-    assert (fusion._row_sum(spec, pi) is not None) is fuses
-    assert fusion._stacked_row_sum(spec.P, S, tol).tolist() == [fuses]
+    ((chunk, S, _),) = fusion._merge_stacks(3, 2)
+    fused, got = fusion._stacked_row_sum(spec.P, S, tol)
+    m = chunk.index((2, 3))
+    assert (bool(fused[m]), got[m].tolist()) == (fuses, lead)
+    if fuses:
+        assert am.bm_check(spec, pi).rho == am.ClassPartition.from_string("1,2|3", 3)
+    else:
+        with pytest.raises(am.NotAFusion, match="valency row folds onto another eigenrow"):
+            am.bm_check(spec, pi)
+
+
+def test_partition_over_another_d_is_rejected():
+    scheme = am.gen_hamming_binary(3)
+    spec = am.spectral_decomposition(scheme)
+    for pi in (am.ClassPartition.merge(2, (1, 2)), am.ClassPartition.merge(4, (1, 2))):
+        for ask in (lambda: am.fuse_direct(scheme, pi), lambda: fusion.fuses(scheme, pi),
+                    lambda: am.bm_check(spec, pi)):
+            with pytest.raises(am.PreconditionFailed, match=rf"partition is over 0..{pi.d}"):
+                ask()
 
 
 # ------------------------------------------------------------ triple types
