@@ -13,8 +13,12 @@ Any disagreement, a yes against a no either way, aborts with
 Each oracle has one kernel, and it answers a stack of partitions at once:
 :func:`_stacked_block_sums` and :func:`_stacked_row_sum`, both reading the
 membership matrices that :func:`_stack` builds.  A single question
-(:func:`_decide`) is a stack of one; the single merges of one size
-(:func:`_decide_merges`) come a fixed number of merges per stack.
+(:func:`_decide`) is a stack of one; single merges named by the caller,
+all of one size (:func:`_decide_merges`), come a fixed number of merges
+per stack.  One builder, :func:`_merge_stacks`, makes those stacks for
+every caller: the r-subsets of the tuple enumeration, the amorphicity
+oracle and the idempotent side, and the 4-sets and contracted pairs of the
+contraction claim.
 
 Each question is decided once per scheme instance and tolerance: an answer
 on which both oracles agree is kept on the scheme, and asking again
@@ -24,6 +28,15 @@ the C(d, 2) pair merges once per scheme and keeps none.  A disagreement is
 never kept, so it raises every time it is asked.  The fused scheme of the
 last partition passed to :func:`fuse_direct` is kept too, in one slot on
 the parent.
+
+The contraction claim runs as one batch per scheme (:func:`_contractions`)
+with two witnesses that must agree: the parent decides each 4-set
+T + {ell} in stacks, and each contracted scheme decides its pairs
+{merged class, ell} in one stack on its own tensor and eigh.  The overlap
+labels are classified once per intersection signature
+(:func:`_overlap_labels`).  :func:`contraction_check`,
+:func:`classify_triple` and :func:`overlap_case` stay as single questions
+on the same code.
 
 Neither oracle formats text to answer; a :class:`NotAFusion` message is
 built only where it is raised to the caller.  Nothing here enumerates
@@ -213,24 +226,25 @@ def _stack(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S, np.argmax(idx[:, :, None] == idx[:, None, :], axis=2)
 
 
-def _merge_stacks(d: int, r: int):
-    """The single merges of r nontrivial classes, _MERGE_CHUNK at a time.
+def _merge_stacks(d: int, merges):
+    """The single merges named by ``merges``, _MERGE_CHUNK at a time.
 
-    Yields (chunk, S, rep): the next r-tuples T of
-    ``itertools.combinations(range(1, d + 1), r)`` and the :func:`_stack`
-    of their ``ClassPartition.merge(d, T)``, with the block indices
-    computed for the whole chunk at once.
+    ``merges`` is an iterable of sorted tuples of nontrivial classes, all of
+    one size, such as ``itertools.combinations(range(1, d + 1), r)``.
+    Yields (chunk, S, rep): the next tuples T and the :func:`_stack` of
+    their ``ClassPartition.merge(d, T)``, with the block indices computed
+    for the whole chunk at once.
     """
     classes = np.arange(d + 1)
-    combos = itertools.combinations(range(1, d + 1), r)
-    while chunk := list(itertools.islice(combos, _MERGE_CHUNK)):
-        merges = np.array(chunk, dtype=np.int64).reshape(len(chunk), r)
+    todo = iter(merges)
+    while chunk := list(itertools.islice(todo, _MERGE_CHUNK)):
+        tuples = np.array(chunk, dtype=np.int64)
         merged = np.zeros((len(chunk), d + 1), dtype=bool)
-        merged[np.arange(len(chunk))[:, None], merges] = True
+        merged[np.arange(len(chunk))[:, None], tuples] = True
         # a class outside T moves down one block per class of T above T's
         # lowest class and below it
         below = np.cumsum(merged, axis=1) - merged
-        idx = np.where(merged, merges[:, :1], classes - np.maximum(below - 1, 0))
+        idx = np.where(merged, tuples[:, :1], classes - np.maximum(below - 1, 0))
         yield (chunk, *_stack(idx))
 
 
@@ -429,19 +443,23 @@ def fuses(scheme: AssociationScheme, pi: ClassPartition,
     return _decide(scheme, pi, tol) is not None
 
 
-def _decide_merges(scheme: AssociationScheme, r: int, tol: Tolerance):
-    """Whether each merge of r nontrivial classes fuses, decided together.
+def _decide_merges(scheme: AssociationScheme, merges, tol: Tolerance):
+    """Whether each single merge in ``merges`` fuses, decided together.
 
-    Yields, per stack of :func:`_merge_stacks`, (chunk, S, fused, lead):
-    the merges, their membership matrices, the answers and the row-sum
-    kernel's leaders, from which :func:`_dual` reads the dual partition of
-    an accepted merge.  Both kernels answer every merge of a stack before it
-    is yielded, so memory stays flat however many merges there are.  A merge
-    the two answer differently raises :class:`OracleDisagreement` with
-    :func:`_decide`'s text.  The scheme's decisions are not read: a kept
-    answer cannot hide a disagreement.
+    ``merges`` is what :func:`_merge_stacks` takes: sorted tuples of
+    nontrivial classes, all of one size.  The amorphicity oracle, the
+    tuple enumeration and the idempotent side pass every r-subset; the
+    contraction claim passes the 4-sets and contracted pairs it asks about.
+    Yields, per stack, (chunk, S, fused, lead): the merges, their
+    membership matrices, the answers and the row-sum kernel's leaders, from
+    which :func:`_dual` reads the dual partition of an accepted merge.  Both
+    kernels answer every merge of a stack before it is yielded, so memory
+    stays flat however many merges there are.  A merge the two answer
+    differently raises :class:`OracleDisagreement` with :func:`_decide`'s
+    text.  The scheme's decisions are not read: a kept answer cannot hide a
+    disagreement.
     """
-    for chunk, S, rep in _merge_stacks(scheme.d, r):
+    for chunk, S, rep in _merge_stacks(scheme.d, merges):
         P = spectral_decomposition(scheme, tol=tol).P
         exact = _stacked_block_sums(scheme.intersection.p, S, rep)
         fused, lead = _stacked_row_sum(P, S, tol)
@@ -466,7 +484,8 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     found = []
-    for chunk, S, fused, lead in _decide_merges(scheme, k, tol):
+    merges = itertools.combinations(range(1, scheme.d + 1), k)
+    for chunk, S, fused, lead in _decide_merges(scheme, merges, tol):
         P = spectral_decomposition(scheme, tol=tol).P
         for m, T in enumerate(chunk):
             dual = _dual(P, S[m], lead[m], tol) if fused[m] else None
@@ -497,8 +516,8 @@ def classify_triple(spec, T) -> TripleType:
     if isinstance(spec, AssociationScheme):
         spec = spectral_decomposition(spec)
     T = tuple(sorted(T))
-    if len(T) != 3:
-        raise PreconditionFailed(f"{T} is not a 3-subset")
+    if not _is_triple(T, spec.d):
+        raise PreconditionFailed(f"{T} is not a 3-subset of 1..{spec.d}")
     pi = ClassPartition.merge(spec.d, T)
     try:
         dual = bm_check(spec, pi)
@@ -520,17 +539,25 @@ def _triple_type(dual: DualPartition, T: tuple[int, ...]) -> TripleType:
         f"fusing triple {T} has dual block sizes {sizes}, expected [3] or [2, 2]")
 
 
+def _is_triple(T: tuple[int, ...], d: int) -> bool:
+    """Whether the sorted tuple T is three distinct classes in 1..d."""
+    return len(T) == 3 and len(set(T)) == 3 and 1 <= T[0] and T[-1] <= d
+
+
 def contraction_check(scheme: AssociationScheme, t1, ell: int,
                       tol: Tolerance = DEFAULT_TOL) -> bool:
     """Merge a fusing triple and test whether the merged class still fuses
     with a fourth class that completes a second fusing triple.
 
-    Preconditions: t1 fuses, ell is outside t1, and some 2-subset of t1
-    together with ell also fuses.  By the contraction property the result
-    must be True; the caller treats False as a falsification event.
+    Preconditions: t1 is three distinct classes in 1..d and fuses, ell is a
+    class in 1..d outside t1, and some 2-subset of t1 together with ell
+    also fuses.  By the contraction property the result must be True; the
+    caller treats False as a falsification event.  The answer is
+    :func:`_contractions` on a batch of this one pair, both witnesses
+    included.
     """
     t1 = tuple(sorted(t1))
-    if len(t1) != 3 or ell in t1:
+    if not _is_triple(t1, scheme.d) or not 1 <= ell <= scheme.d or ell in t1:
         raise PreconditionFailed(f"need a 3-subset and an outside class, got {t1}, {ell}")
     if not fuses(scheme, ClassPartition.merge(scheme.d, t1), tol=tol):
         raise PreconditionFailed(f"{set(t1)} does not fuse")
@@ -541,18 +568,59 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     if not overlapping:
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
+    return _contractions(scheme, [(t1, ell)], tol)[0]
 
-    pi = ClassPartition.merge(scheme.d, t1)
-    # the parent's fused-scheme slot returns one contracted scheme for every
-    # outside class of t1, so a caller looping ell inside t1 builds it once
-    contracted = fuse_direct(scheme, pi, tol=tol).scheme
-    idx = pi.block_index()
-    merged_new, ell_new = int(idx[t1[0]]), int(idx[ell])
-    # independent verification path: the contracted scheme's tensor comes
-    # from its own labels and its spectral data from its own eigh, once per
-    # contracted scheme; nothing is read from P_fused
-    pair = ClassPartition.merge(contracted.d, (merged_new, ell_new))
-    return fuses(contracted, pair, tol=tol)
+
+def _admissible_pairs(triples, d: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (triple, outside class) pairs the contraction claim covers, read
+    off the fusing triples: ell lies outside T and some 2-subset s of T has
+    s + {ell} among ``triples``.  Triples in the given order, ell ascending."""
+    fusing = set(triples)
+    return [(T, ell) for T in triples for ell in range(1, d + 1)
+            if ell not in T
+            and any(tuple(sorted(s + (ell,))) in fusing for s in itertools.combinations(T, 2))]
+
+
+def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool]:
+    """Whether the merged class of T still fuses with ell, for each
+    admissible pair (T, ell) of ``pairs``, from two witnesses.
+
+    Witness A: the parent decides the merge of each distinct 4-set
+    T + {ell} once, in :func:`_decide_merges` stacks on its cached tensor
+    and eigenmatrix.  Fusion is transitive, so this is the contracted
+    question: merging T and then its class with ell merges exactly
+    T + {ell}.  Witness B: per triple, the contracted scheme that
+    :func:`fuse_direct` builds, with its tensor from its own labels and its
+    spectrum from its own eigh, decides every pair {merged class, ell} of
+    that triple in one stack; nothing is read from the parent's answers or
+    P_fused.  Both witnesses run both oracles, and a pair on which they
+    differ raises :class:`OracleDisagreement`.
+    """
+    quads = sorted({tuple(sorted(T + (ell,))) for T, ell in pairs})
+    parent = {}
+    for chunk, _, fused, _ in _decide_merges(scheme, quads, tol):
+        parent.update(zip(chunk, fused.tolist()))
+    outside: dict[tuple[int, ...], list[int]] = {}
+    for T, ell in pairs:
+        outside.setdefault(T, []).append(ell)
+    answers = {}
+    for T, ells in outside.items():
+        pi = ClassPartition.merge(scheme.d, T)
+        # the parent's fused-scheme slot keeps this contracted scheme, so
+        # contraction_check asked once per ell builds it once
+        contracted = fuse_direct(scheme, pi, tol=tol).scheme
+        idx = pi.block_index()
+        asks = [tuple(sorted((int(idx[T[0]]), int(idx[ell])))) for ell in ells]
+        got = [ok for _, _, fused, _ in _decide_merges(contracted, asks, tol)
+               for ok in fused.tolist()]
+        for ell, ok in zip(ells, got):
+            quad = tuple(sorted(T + (ell,)))
+            if parent[quad] != ok:
+                raise OracleDisagreement(
+                    f"contraction of {set(T)} with {ell}: the parent answers {parent[quad]} "
+                    f"for merging {set(quad)}, the contracted scheme answers {ok}")
+            answers[(T, ell)] = ok
+    return [answers[pair] for pair in pairs]
 
 
 # Representative dual-set layouts for the 18 overlap subcases: for each
@@ -668,6 +736,55 @@ def overlap_case(spec, t1, t2,
     except NotFusing as exc:
         raise PreconditionFailed(str(exc)) from exc
     return _overlap_from_types(t1, ty1, t2, ty2, ruled_out_fatal)
+
+
+def _overlapping_pairs(triples) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs of ``triples`` (sorted tuples, ascending) that share
+    exactly two classes, in ``itertools.combinations`` order.
+
+    Two distinct triples through one 2-subset share exactly it, so grouping
+    the triples on their 2-subsets finds each pair once.
+    """
+    through: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for T in triples:
+        for s in itertools.combinations(T, 2):
+            through.setdefault(s, []).append(T)
+    return sorted(pair for group in through.values() for pair in itertools.combinations(group, 2))
+
+
+def _overlap_signature(ty1: TripleType, ty2: TripleType) -> tuple:
+    """The kinds of two triple types and their dual-set intersection sizes,
+    the matrix taken up to row and column order."""
+    sizes = [[len(a & b) for b in ty2.sets] for a in ty1.sets]
+    return ty1.kind, ty2.kind, min(
+        tuple(tuple(row[j] for j in cols) for row in rows)
+        for rows in itertools.permutations(sizes)
+        for cols in itertools.permutations(range(len(ty2.sets))))
+
+
+def _overlap_labels(pairs, types: dict) -> list[str | None]:
+    """The subcase label of each overlapping pair (T1, T2) of fusing
+    triples, with ``types[T]`` the type of T; None where the pair realizes
+    a ruled-out case.
+
+    The sets of each side are disjoint and their sizes fixed by the kind,
+    so the signature of :func:`_overlap_signature` fixes the size of every
+    region of the sets' Venn diagram.  Those sizes decide the label and
+    whether an idempotent relabeling onto the representative exists, so
+    :func:`_overlap_from_types`, with its :class:`Unclassified` and
+    :class:`Falsification` checks, runs once per signature.
+    """
+    memo: dict[tuple, str | None] = {}
+    labels = []
+    for T1, T2 in pairs:
+        key = _overlap_signature(types[T1], types[T2])
+        if key not in memo:
+            try:
+                memo[key] = _overlap_from_types(T1, types[T1], T2, types[T2]).label
+            except Falsification:
+                memo[key] = None
+        labels.append(memo[key])
+    return labels
 
 
 def _overlap_from_types(t1, ty1: TripleType, t2, ty2: TripleType,

@@ -80,7 +80,7 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
         raise ValueError(f"unknown side {side!r}")
     Q = spectral_decomposition(scheme, tol=tol).Q
     edges = set()
-    for chunk, S, _ in _merge_stacks(scheme.d, k):
+    for chunk, S, _ in _merge_stacks(scheme.d, itertools.combinations(vertices, k)):
         fused, lead = _stacked_row_sum(Q, S, tol)
         for m in np.flatnonzero(fused):
             rho = ClassPartition.merge(scheme.d, chunk[m])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import amorphic as am
+import amorphic.classify as classify
 from amorphic.fusion import fuses
 from conftest import (
     amorphic_by_all_partitions,
@@ -346,6 +347,43 @@ def test_row_lemma_detects_failure():
 def test_row_lemma_needs_two_rows():
     with pytest.raises(am.PreconditionFailed):
         am.row_lemma_check(np.eye(3), [0])
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [-1, 0], [0, 3], [0, 5]],
+                         ids=["repeated", "negative", "one-past-end", "out-of-range"])
+def test_row_lemma_rejects_bad_rows(rows):
+    """A repeated or out-of-range row is a malformed request: it neither
+    falsifies the theory nor wraps around to the last row."""
+    with pytest.raises(am.PreconditionFailed, match="not distinct rows in 0..2"):
+        am.row_lemma_check(np.eye(3), rows)
+
+
+def _row_lemma_by_scalars(M, rows):
+    """Test-side reference: the non-constant columns counted entry by entry
+    with Tolerance.close against the subset's first row."""
+    nonconstant = sum(not all(TOL.close(M[r, j], M[rows[0], j]) for r in rows[1:])
+                      for j in range(M.shape[1]))
+    return nonconstant >= len(rows)
+
+
+def test_batched_row_lemma_matches_single_subsets(corpus):
+    """All subsets of one size, read off one closeness tensor, get the
+    answers of row_lemma_check and of the scalar reference, on every
+    principal part of the corpus and on a crafted M that fails."""
+    crafted = np.array([[1, 1, 5], [1, 1, 7], [2, 1 + 1e-9, 5]], dtype=float)
+    parts = [(name, spec.principal(which)) for name, scheme in corpus
+             for spec in [am.spectral_decomposition(scheme)] for which in ("P", "Q")]
+    failures = 0
+    for name, M in parts + [("crafted", crafted)]:
+        close = classify._closeness(M, TOL)
+        for r in range(2, M.shape[0] + 1):
+            subsets = np.array(list(itertools.combinations(range(M.shape[0]), r)))
+            got = classify._row_lemma_holds(close, subsets).tolist()
+            assert got == [am.row_lemma_check(M, rows) for rows in subsets.tolist()], (name, r)
+            assert got == [_row_lemma_by_scalars(M, rows) for rows in subsets.tolist()], (name, r)
+            failures += got.count(False)
+    # the crafted M fails on {0, 1}, {0, 2} and {0, 1, 2}, and no corpus part fails
+    assert failures == 3
 
 
 # ------------------------------------------------------------ claim verifier

@@ -1,5 +1,6 @@
 """Scheme file format and the command-line surface (exit codes, reports)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -227,3 +228,23 @@ def test_corpus_command(tmp_path, capsys):
     data = json.loads(rep.read_text())
     assert set(data["files"]) == {"hamming_m3.scheme", "complete_v5.scheme"}
     assert run_command(["corpus", str(tmp_path / "empty")]) == 1
+
+
+# The corpus run's report and standard output, byte for byte.  A change that
+# keeps every answer keeps both digests; a change meant to alter a report
+# states why and updates them.
+CORPUS_REPORT_SHA256 = "24cb7f670dc0a562f8136816c975298dbb6686cc52e625e19ec1cf540ec85f33"
+CORPUS_STDOUT_SHA256 = "2aa36c275ba733093b3b9f387a0c46411daa714a143b7716598c9e0d707f97ef"
+
+
+def test_corpus_run_is_byte_identical(corpus, tmp_path, capsys):
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    for name, scheme in corpus:
+        am.save_scheme(scheme, directory / f"{name}.scheme")
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run_command(["--report", str(report), "corpus", str(directory)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CORPUS_REPORT_SHA256
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CORPUS_STDOUT_SHA256

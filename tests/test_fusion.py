@@ -341,7 +341,7 @@ def test_merge_stack_matches_membership():
     stack built from any partition's block indices."""
     for d in range(1, 10):  # at d = 9 the 126 merges of size 4 fill two chunks
         for r in range(1, d + 1):
-            stacks = list(fusion._merge_stacks(d, r))
+            stacks = list(fusion._merge_stacks(d, _merges(d, r)))
             assert [T for chunk, _, _ in stacks for T in chunk] == _merges(d, r)
             S = np.concatenate([S for _, S, _ in stacks])
             rep = np.concatenate([rep for _, _, rep in stacks])
@@ -356,7 +356,8 @@ def test_merge_stack_matches_membership():
 
 
 def _stacked_answers(scheme, r):
-    return [bool(x) for _, _, fused, _ in fusion._decide_merges(scheme, r, TOL) for x in fused]
+    return [bool(x) for _, _, fused, _ in fusion._decide_merges(scheme, _merges(scheme.d, r), TOL)
+            for x in fused]
 
 
 def test_stacked_merges_match_fuses_on_corpus(corpus):
@@ -371,7 +372,7 @@ def test_stacked_merges_match_fuses_on_corpus(corpus):
             want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T)) is not None
                     for T in _merges(scheme.d, r)]
             assert _stacked_answers(scheme, r) == want, (name, r)
-            for chunk, S, fused, lead in fusion._decide_merges(scheme, r, TOL):
+            for chunk, S, fused, lead in fusion._decide_merges(scheme, _merges(scheme.d, r), TOL):
                 for m in np.flatnonzero(fused):
                     dual = fusion._dual(spec.P, S[m], lead[m], TOL)
                     ref = am.bm_check(spec, am.ClassPartition.merge(scheme.d, chunk[m]))
@@ -478,7 +479,7 @@ def test_stacked_row_sum_groups_like_group_rows(P, lead, fuses):
     tol = am.Tolerance(atol=1e-3, rtol=0.0)
     spec = _crafted_spectrum(P, tol)
     pi = am.ClassPartition.merge(3, (2, 3))
-    ((chunk, S, _),) = fusion._merge_stacks(3, 2)
+    ((chunk, S, _),) = fusion._merge_stacks(3, _merges(3, 2))
     fused, got = fusion._stacked_row_sum(spec.P, S, tol)
     m = chunk.index((2, 3))
     assert (bool(fused[m]), got[m].tolist()) == (fuses, lead)
@@ -566,6 +567,107 @@ def test_contraction_preconditions():
         am.contraction_check(scheme, (1, 3, 5), 2)
 
 
+def test_malformed_triples_and_classes_are_preconditions():
+    """A repeated or out-of-range class is a malformed request, not a
+    falsified theorem, and not a contraction either."""
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))  # d = 5
+    for T in ((1, 2, 2), (0, 1, 2), (1, 2, 6), (1, 2)):
+        with pytest.raises(am.PreconditionFailed, match="is not a 3-subset of 1..5"):
+            am.classify_triple(scheme, T)
+    with pytest.raises(am.PreconditionFailed, match="is not a 3-subset"):
+        am.overlap_case(scheme, (1, 2, 2), (1, 2, 3))
+    with pytest.raises(am.PreconditionFailed, match="need a 3-subset and an outside class"):
+        am.contraction_check(scheme, (1, 2, 2), 4)
+    for ell in (0, -1, 6):
+        with pytest.raises(am.PreconditionFailed, match="need a 3-subset and an outside class"):
+            am.contraction_check(scheme, (1, 2, 3), ell)
+
+
+def _admissible_by_definition(scheme, triples):
+    """Test-side reference: the pairs on which contraction_check's
+    preconditions hold, each asked as single fusion questions."""
+    d = scheme.d
+    return [(T, ell) for T in triples for ell in range(1, d + 1)
+            if ell not in T and any(fusion.fuses(scheme, am.ClassPartition.merge(d, s + (ell,)))
+                                    for s in itertools.combinations(T, 2))]
+
+
+def test_batched_contraction_matches_relabeling(corpus):
+    """The admissible pairs read off the fusing triples are the pairs that
+    meet contraction_check's preconditions, and the batched answers are the
+    relabeling reference's for merging T + {ell} in the parent."""
+    schemes = [(name, s) for name, s in corpus if s.d >= 4]
+    schemes.append(("net7", net_with_group_sizes(7, [1] * 8)))
+    checked = 0
+    for name, scheme in schemes:
+        triples = am.enumerate_fusing_tuples(scheme, 3)
+        pairs = fusion._admissible_pairs(triples, scheme.d)
+        assert pairs == _admissible_by_definition(scheme, triples), name
+        want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T + (ell,))) is not None
+                for T, ell in pairs]
+        assert fusion._contractions(scheme, pairs, TOL) == want, name
+        checked += len(pairs)
+    assert checked > 280
+
+
+def _flip_first(monkeypatch, on_parent, parent):
+    """Make _decide_merges flip its first answer on the parent scheme, or
+    on the first contracted scheme; returns the flipped merges."""
+    real = fusion._decide_merges
+    flipped = []
+
+    def flip(scheme, merges, tol):
+        for chunk, S, fused, lead in real(scheme, merges, tol):
+            if not flipped and (scheme is parent) == on_parent:
+                fused = fused.copy()
+                fused[0] = not fused[0]
+                flipped.append(chunk[0])
+            yield chunk, S, fused, lead
+
+    monkeypatch.setattr(fusion, "_decide_merges", flip)
+    return flipped
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["batch", "single"])
+@pytest.mark.parametrize("on_parent", [True, False], ids=["parent-4-set", "contracted-pair"])
+def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
+    """Flipping one answer of either witness, in the batch or in a single
+    contraction_check, raises OracleDisagreement naming both answers."""
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    pairs = fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
+    flipped = _flip_first(monkeypatch, on_parent, scheme)
+    pattern = (r"contraction of \{1, 2, 3\} with 4: the parent answers (True|False) for "
+               r"merging \{1, 2, 3, 4\}, the contracted scheme answers (True|False)")
+    with pytest.raises(am.OracleDisagreement, match=pattern):
+        if single:
+            am.contraction_check(scheme, (1, 2, 3), 4)
+        else:
+            fusion._contractions(scheme, pairs, TOL)
+    assert len(flipped) == 1
+
+
+def test_contraction_stacks(monkeypatch):
+    """On net(7; 1^8) the parent decides the 70 distinct 4-sets in stacks of
+    64 and 6, and each of the 56 contracted schemes its 5 pairs in one
+    stack; no stack holds a single question."""
+    scheme = net_with_group_sizes(7, [1] * 8)
+    triples = am.enumerate_fusing_tuples(scheme, 3)
+    pairs = fusion._admissible_pairs(triples, scheme.d)
+    real = fusion._decide_merges
+    stacks = []
+
+    def spy(s, merges, tol):
+        for chunk, *rest in real(s, merges, tol):
+            stacks.append((s is scheme, len(chunk)))
+            yield (chunk, *rest)
+
+    monkeypatch.setattr(fusion, "_decide_merges", spy)
+    assert all(fusion._contractions(scheme, pairs, TOL))
+    assert (len(triples), len(pairs)) == (56, 280)
+    assert [n for on_parent, n in stacks if on_parent] == [64, 6]
+    assert [n for on_parent, n in stacks if not on_parent] == [5] * 56
+
+
 # ------------------------------------------------------------ overlap cases
 
 def test_eighteen_representatives_self_classify():
@@ -613,3 +715,56 @@ def test_overlap_requires_two_common_classes():
     scheme = am.gen_net_scheme(5, am.SlopeGrouping.singletons(5))
     with pytest.raises(am.PreconditionFailed):
         am.overlap_case(scheme, (1, 2, 3), (4, 5, 6))
+
+
+def _direct_labels(pairs, types):
+    out = []
+    for a, b in pairs:
+        try:
+            out.append(fusion._overlap_from_types(a, types[a], b, types[b]).label)
+        except am.Falsification:
+            out.append(None)
+    return out
+
+
+def test_memoized_overlap_labels_match_direct(corpus):
+    """Grouping on 2-subsets finds exactly the overlapping pairs, in
+    combinations order, and the labels memoized per signature are the
+    unmemoized ones on every overlapping pair."""
+    schemes = [(name, s) for name, s in corpus if s.d >= 3]
+    schemes.append(("net8", net_with_group_sizes(8, [1] * 9)))
+    overlapping = 0
+    for name, scheme in schemes:
+        spec = am.spectral_decomposition(scheme)
+        triples = am.enumerate_fusing_tuples(scheme, 3)
+        pairs = fusion._overlapping_pairs(triples)
+        assert pairs == [(a, b) for a, b in itertools.combinations(triples, 2)
+                         if len(set(a) & set(b)) == 2], name
+        types = {T: am.classify_triple(spec, T) for T in triples}
+        assert fusion._overlap_labels(pairs, types) == _direct_labels(pairs, types), name
+        overlapping += len(pairs)
+    assert overlapping > 756
+
+
+def test_overlap_labels_run_once_per_signature(monkeypatch):
+    """Pairs with one signature share one full classification, a ruled-out
+    case included, whatever the concrete dual sets."""
+    one = lambda *sets: am.TripleType(kind=1, sets=tuple(frozenset(x) for x in sets))
+    types = {
+        (1, 2, 3): one({1, 2, 3}), (2, 3, 4): one({2, 3, 4}),  # I.3
+        (1, 2, 5): one({5, 6, 7}), (2, 5, 6): one({6, 7, 8}),  # I.3, other sets
+        (3, 4, 5): one({1, 2, 3}), (4, 5, 6): one({4, 5, 6}),  # I.1, ruled out
+        (3, 4, 7): one({7, 8, 9}), (4, 7, 8): one({1, 2, 4}),  # I.1, other sets
+    }
+    pairs = [((1, 2, 3), (2, 3, 4)), ((1, 2, 5), (2, 5, 6)),
+             ((3, 4, 5), (4, 5, 6)), ((3, 4, 7), (4, 7, 8))]
+    real = fusion._overlap_from_types
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "_overlap_from_types", counted)
+    assert fusion._overlap_labels(pairs, types) == ["I.3", "I.3", None, None]
+    assert calls == [(1, 2, 3), (3, 4, 5)]
