@@ -49,32 +49,38 @@ EXIT_FALSIFIED = 3
 def load_scheme(path) -> AssociationScheme:
     """Parse a scheme file: header "v d", then v rows of v labels.
 
-    Lines starting with '#' are comments.  Parse errors carry the 1-based
-    line (and column for bad tokens).
+    Lines starting with '#' are comments.  A file that is not UTF-8 text,
+    a malformed header or row, or a label outside 0..d raises
+    :class:`ParseError` with the 1-based line (and column for bad tokens).
     """
     path = Path(path)
     rows = []
     header = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            values = []
-            for tok in stripped.split():
-                try:
-                    values.append(int(tok))
-                except ValueError:
-                    # the bad token is token number len(values) of the line
-                    starts = [m.start() for m in re.finditer(r"\S+", line)]
-                    raise ParseError(f"bad integer {tok!r}", line=lineno,
-                                     column=starts[len(values)] + 1)
-            if header is None:
-                if len(values) != 2:
-                    raise ParseError("header must be 'v d'", line=lineno)
-                header = (values[0], values[1], lineno)
-            else:
-                rows.append((values, lineno))
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from exc
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        values = []
+        for tok in stripped.split():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                # the bad token is token number len(values) of the line
+                starts = [m.start() for m in re.finditer(r"\S+", line)]
+                raise ParseError(f"bad integer {tok!r}", line=lineno,
+                                 column=starts[len(values)] + 1)
+        if header is None:
+            if len(values) != 2:
+                raise ParseError("header must be 'v d'", line=lineno)
+            if min(values) < 1:
+                raise ParseError("header needs v >= 1 and d >= 1", line=lineno)
+            header = (values[0], values[1], lineno)
+        else:
+            rows.append((values, lineno))
     if header is None:
         raise ParseError("empty scheme file", line=1)
     v, d, hline = header
@@ -85,7 +91,12 @@ def load_scheme(path) -> AssociationScheme:
         if len(values) != v:
             raise ParseError(f"expected {v} labels, found {len(values)}", line=lineno)
     labels = np.array([values for values, _ in rows], dtype=np.int64)
-    return validate_scheme(LabelMatrix(v=v, d=d, labels=labels))
+    try:
+        lm = LabelMatrix(v=v, d=d, labels=labels)
+    except ValueError as exc:  # the shape is v x v, so a label is out of range
+        row = int(np.argwhere((labels < 0) | (labels > d))[0, 0])
+        raise ParseError(str(exc), line=rows[row][1]) from exc
+    return validate_scheme(lm)
 
 
 def save_scheme(scheme: AssociationScheme, path, comment: str | None = None) -> None:
@@ -336,7 +347,7 @@ def _run_corpus(args, tol: Tolerance, report: dict) -> int:
             report["files"][path.name] = {"error": str(exc), "falsified": True}
             worst = EXIT_FALSIFIED
             continue
-        except SchemeError as exc:
+        except (SchemeError, OSError) as exc:
             print(f"{path.name}: error: {exc}", file=sys.stderr)
             report["files"][path.name] = {"error": str(exc)}
             worst = max(worst, EXIT_ERROR)

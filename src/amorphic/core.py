@@ -75,11 +75,14 @@ class Tolerance:
         b = float(b)
         return abs(a - b) <= self.atol + self.rtol * max(abs(a), abs(b))
 
-    def allclose(self, a, b) -> bool:
+    def isclose(self, a, b) -> np.ndarray:
+        """Elementwise :meth:`close`, broadcasting a against b."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        bound = self.atol + self.rtol * np.maximum(np.abs(a), np.abs(b))
-        return bool(np.all(np.abs(a - b) <= bound))
+        return np.abs(a - b) <= self.atol + self.rtol * np.maximum(np.abs(a), np.abs(b))
+
+    def allclose(self, a, b) -> bool:
+        return bool(np.all(self.isclose(a, b)))
 
     def snap(self, arr):
         """Round entries that sit within tolerance of an integer.
@@ -137,12 +140,11 @@ class AssociationScheme:
     - fusion decisions, one entry per (:class:`Tolerance`, partition
       blocks), written by :func:`~amorphic.fusion._decide` and
       :func:`~amorphic.fusion.enumerate_fusing_tuples` only when both
-      oracles agree;
-    - the last fused scheme built by :func:`~amorphic.fusion.fuse_direct`,
-      with the blocks it was built for.  One slot, not one per partition:
-      each fused scheme holds its own v x v label matrix, and callers ask
-      for the same fusion in runs (the contraction claim, one triple at a
-      time), so one slot keeps the reuse at a bounded cost.
+      oracles agree.
+
+    No fused scheme is kept: each holds its own v x v label matrix, and
+    the contraction claim asks its contracted schemes' questions without
+    building them.
     """
 
     def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...],
@@ -152,7 +154,6 @@ class AssociationScheme:
         self._intersection = intersection
         self._spectra: dict[Tolerance, SpectralData] = {}
         self._decisions: dict = {}
-        self._fused: tuple | None = None
 
     @property
     def v(self) -> int:

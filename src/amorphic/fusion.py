@@ -12,7 +12,8 @@ Any disagreement, a yes against a no either way, aborts with
 
 Each oracle has one kernel, and it answers a stack of partitions at once:
 :func:`_stacked_block_sums` and :func:`_stacked_row_sum`, both reading the
-membership matrices that :func:`_stack` builds.  A single question
+membership matrices that :func:`_stack` builds, on one tensor and
+eigenmatrix for the whole stack or one per entry.  A single question
 (:func:`_decide`) is a stack of one; single merges named by the caller,
 all of one size (:func:`_decide_merges`), come a fixed number of merges
 per stack.  One builder, :func:`_merge_stacks`, makes those stacks for
@@ -25,14 +26,15 @@ on which both oracles agree is kept on the scheme, and asking again
 returns it.  :func:`enumerate_fusing_tuples` keeps the answers of its
 stacks the same way, dual partitions included; the amorphicity oracle asks
 the C(d, 2) pair merges once per scheme and keeps none.  A disagreement is
-never kept, so it raises every time it is asked.  The fused scheme of the
-last partition passed to :func:`fuse_direct` is kept too, in one slot on
-the parent.
+never kept, so it raises every time it is asked.  No fused scheme is
+kept: :func:`fuse_direct` builds a new one for each call.
 
 The contraction claim runs as one batch per scheme (:func:`_contractions`)
 with two witnesses that must agree: the parent decides each 4-set
-T + {ell} in stacks, and each contracted scheme decides its pairs
-{merged class, ell} in one stack on its own tensor and eigh.  The overlap
+T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
+of all contracted schemes in stacks, without building one: on tensors
+folded from one histogram of the parent's labels and on eigenmatrices
+proven to be their character tables.  The overlap
 labels are classified once per intersection signature
 (:func:`_overlap_labels`).  :func:`contraction_check`,
 :func:`classify_triple` and :func:`overlap_case` stay as single questions
@@ -57,6 +59,7 @@ from .core import (
     LabelMatrix,
     SpectralData,
     Tolerance,
+    _row0_counts,
     spectral_decomposition,
     validate_scheme,  # unused here; bench/selftest.py looks the binding up in this module
 )
@@ -252,16 +255,24 @@ def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.nda
     """The exact oracle on a stack of partitions: entry m is True iff every
     block sum F[m, h] = S[m]^T p[:, :, h] S[m] equals F[m, rep[m, h]].
 
-    ``p`` is the intersection tensor, p[i, j, h] = p_ij^h.  The float64
-    products are exact: every entry and partial sum is an integer <= v < 2^53.
+    ``p`` is one intersection tensor shared by the whole stack,
+    p[i, j, h] = p_ij^h, or one tensor per stack entry, p[m, i, j, h].  The
+    shared tensor takes one product for the whole stack, the per-entry
+    tensors one batched product.  The float64 products are exact: every
+    entry and partial sum is an integer <= v < 2^53.
     """
     c, n, nb = S.shape
-    p = p.transpose(2, 0, 1).astype(np.float64)
-    # G[h, i, m, J] = sum over j in J of p_ij^h, one product for the whole stack
-    G = (p.reshape(n * n, n) @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, n, c, nb)
-    G = G.transpose(2, 1, 0, 3).reshape(c, n, n * nb)
-    # F[m, I, h, J] = sum over i in I of G[h, i, m, J], then one row per (m, h)
-    F = (S.transpose(0, 2, 1) @ G).reshape(c, nb, n, nb)
+    if p.ndim == 3:
+        # G[h, i, m, J] = sum over j in J of p_ij^h, one product for the whole stack
+        p = p.transpose(2, 0, 1).astype(np.float64)
+        G = (p.reshape(n * n, n) @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, n, c, nb)
+        G = G.transpose(2, 1, 0, 3)
+    else:
+        # G[m, h, i, J], one product per stack entry
+        p = p.transpose(0, 3, 1, 2).astype(np.float64)
+        G = (p.reshape(c, n * n, n) @ S).reshape(c, n, n, nb).transpose(0, 2, 1, 3)
+    # F[m, I, h, J] = sum over i in I of G[m, i, h, J], then one row per (m, h)
+    F = (S.transpose(0, 2, 1) @ G.reshape(c, n, n * nb)).reshape(c, nb, n, nb)
     F = F.transpose(0, 2, 1, 3).reshape(c * n, nb * nb)
     at_rep = F[(rep + n * np.arange(c)[:, None]).ravel()]
     return np.all((F == at_rep).reshape(c, n * nb * nb), axis=1)
@@ -277,7 +288,8 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray,
                      tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The row-sum criterion on a stack of partitions: fused[m] is True iff
     the rows of P S[m] fall into as many groups as S[m] has blocks, with
-    row 0 alone.  lead[m, j] is the leader of row j's group.
+    row 0 alone.  lead[m, j] is the leader of row j's group.  ``P`` is one
+    eigenmatrix shared by the whole stack or one per entry, P[m].
 
     A row joins the first leader it is close to under tol, so it leads a
     group iff it is close to no earlier leader; closeness need not be
@@ -324,13 +336,13 @@ def _dual(P: np.ndarray, S: np.ndarray, lead: np.ndarray, tol: Tolerance) -> Dua
     return DualPartition(rho=rho, P_fused=P_fused)
 
 
-def _tensor_failure(scheme: AssociationScheme, pi: ClassPartition) -> NotAFusion:
-    """The exact oracle's rejection of pi, naming the first block pair
-    (I, J) and class h where the block sum moves; only this error path
-    scans the block sums for it."""
+def _tensor_failure(p: np.ndarray, pi: ClassPartition) -> NotAFusion:
+    """The exact oracle's rejection of pi on the intersection tensor p,
+    naming the first block pair (I, J) and class h where the block sum
+    moves; only this error path scans the block sums for it."""
     idx = pi.block_index()
     F = np.zeros((pi.n_blocks, pi.n_blocks, pi.d + 1), dtype=np.int64)
-    np.add.at(F, (idx[:, None], idx[None, :]), scheme.intersection.p)
+    np.add.at(F, (idx[:, None], idx[None, :]), p.astype(np.int64))
     rep = np.array([b[0] for b in pi.blocks])[idx]
     I, J, h = map(int, np.unravel_index(np.argmax(F != F[:, :, rep]), F.shape))
     return NotAFusion(
@@ -347,17 +359,18 @@ def _row_sum_failure(pi: ClassPartition, lead: np.ndarray) -> NotAFusion:
     return NotAFusion(f"partition {pi}: valency row folds onto another eigenrow")
 
 
-def _disagreement(scheme: AssociationScheme, pi: ClassPartition, exact_accepts: bool,
+def _disagreement(p: np.ndarray, pi: ClassPartition, exact_accepts: bool,
                   lead: np.ndarray) -> OracleDisagreement:
-    """The error for a question the two oracles answer differently; the
-    side that rejects pi names its reason."""
+    """The error for a question the two oracles answer differently, with p
+    the tensor the exact oracle read; the side that rejects pi names its
+    reason."""
     if exact_accepts:
         return OracleDisagreement(
             f"exact oracle accepts {pi} but the eigenmatrix criterion rejects it: "
             f"{_row_sum_failure(pi, lead)}")
     return OracleDisagreement(
         f"eigenmatrix criterion accepts {pi} but the exact oracle rejects it: "
-        f"{_tensor_failure(scheme, pi)}")
+        f"{_tensor_failure(p, pi)}")
 
 
 _UNDECIDED = object()
@@ -388,7 +401,7 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     P = spectral_decomposition(scheme, tol=tol).P
     fused, lead = _stacked_row_sum(P, S, tol)
     if exact != fused[0]:
-        raise _disagreement(scheme, pi, exact, lead[0])
+        raise _disagreement(scheme.intersection.p, pi, exact, lead[0])
     dual = _dual(P, S[0], lead[0], tol) if exact else None
     scheme._decisions[key] = dual
     return dual
@@ -401,23 +414,16 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     The dual partition is read off the eigenmatrix criterion, which must
     agree either way.  The fused scheme is built from the merged labels
     without re-validation: the tensor check proves closure, and identity,
-    partition and symmetry carry over from the parent.
-
-    The parent keeps the last fused scheme in one slot: asking for the same
-    partition again returns that same instance, with its tensor, spectrum
-    and decisions already cached; any other partition replaces it.
+    partition and symmetry carry over from the parent.  Each call builds a
+    new fused scheme with its own v x v labels; the parent keeps none.
     """
     dual = _decide(scheme, pi, tol)
     if dual is None:
-        raise _tensor_failure(scheme, pi)
-    if scheme._fused is not None and scheme._fused[0] == pi.blocks:
-        fused = scheme._fused[1]
-    else:
-        labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
-        valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
-        fused = AssociationScheme(labels, valencies)
-        scheme._fused = (pi.blocks, fused)
-    return FusionOutcome(scheme=fused, rho=dual.rho, P_fused=dual.P_fused)
+        raise _tensor_failure(scheme.intersection.p, pi)
+    labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
+    valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
+    return FusionOutcome(scheme=AssociationScheme(labels, valencies), rho=dual.rho,
+                         P_fused=dual.P_fused)
 
 
 def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
@@ -466,7 +472,7 @@ def _decide_merges(scheme: AssociationScheme, merges, tol: Tolerance):
         differ = np.flatnonzero(exact != fused)
         if differ.size:
             m = differ[0]
-            raise _disagreement(scheme, ClassPartition.merge(scheme.d, chunk[m]),
+            raise _disagreement(scheme.intersection.p, ClassPartition.merge(scheme.d, chunk[m]),
                                 bool(exact[m]), lead[m])
         yield chunk, S, fused, lead
 
@@ -589,12 +595,12 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
     T + {ell} once, in :func:`_decide_merges` stacks on its cached tensor
     and eigenmatrix.  Fusion is transitive, so this is the contracted
     question: merging T and then its class with ell merges exactly
-    T + {ell}.  Witness B: per triple, the contracted scheme that
-    :func:`fuse_direct` builds, with its tensor from its own labels and its
-    spectrum from its own eigh, decides every pair {merged class, ell} of
-    that triple in one stack; nothing is read from the parent's answers or
-    P_fused.  Both witnesses run both oracles, and a pair on which they
-    differ raises :class:`OracleDisagreement`.
+    T + {ell}.  Witness B, :func:`_decide_contracted`, asks every pair
+    {merged class, ell} of the contracted schemes on tensors folded from
+    the parent's labels and eigenmatrices proven against them; it reads
+    neither the parent's tensor nor witness A's answers.  Both witnesses
+    run both oracles, and a pair on which they differ raises
+    :class:`OracleDisagreement`.
     """
     quads = sorted({tuple(sorted(T + (ell,))) for T, ell in pairs})
     parent = {}
@@ -604,16 +610,8 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
     for T, ell in pairs:
         outside.setdefault(T, []).append(ell)
     answers = {}
-    for T, ells in outside.items():
-        pi = ClassPartition.merge(scheme.d, T)
-        # the parent's fused-scheme slot keeps this contracted scheme, so
-        # contraction_check asked once per ell builds it once
-        contracted = fuse_direct(scheme, pi, tol=tol).scheme
-        idx = pi.block_index()
-        asks = [tuple(sorted((int(idx[T[0]]), int(idx[ell])))) for ell in ells]
-        got = [ok for _, _, fused, _ in _decide_merges(contracted, asks, tol)
-               for ok in fused.tolist()]
-        for ell, ok in zip(ells, got):
+    for asked, fused in _decide_contracted(scheme, outside, tol):
+        for (T, ell), ok in zip(asked, fused.tolist()):
             quad = tuple(sorted(T + (ell,)))
             if parent[quad] != ok:
                 raise OracleDisagreement(
@@ -621,6 +619,112 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
                     f"for merging {set(quad)}, the contracted scheme answers {ok}")
             answers[(T, ell)] = ok
     return [answers[pair] for pair in pairs]
+
+
+def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance):
+    """Witness B of the contraction claim: whether the contracted scheme of
+    each fusing triple T (T merged) fuses its merged class with each ell of
+    ``outside[T]``, without building it.  Every T must fuse.
+
+    The parent's cells are histogrammed once.  Per _MERGE_CHUNK triples,
+    their tensors are folded from it (:func:`_contracted_tensors`), and
+    the fused eigenmatrices the parent's decisions keep are accepted only
+    as the character tables of those tensors (:func:`_check_characters`).
+    Both kernels then ask the pairs {merged class, ell} in
+    :func:`_merge_stacks` over 0..d-2, each entry on its own triple's
+    tensor and eigenmatrix.  Yields, per stack, the (T, ell) asked and the
+    answers; a pair the kernels answer differently raises
+    :class:`OracleDisagreement` naming T.
+    """
+    d = scheme.d
+    counts, k = _row0_counts(scheme.labels, d)
+    for chunk, S, _ in _merge_stacks(d, outside):
+        p, k_fused = _contracted_tensors(chunk, counts, k, S)
+        P = np.array([_decide(scheme, ClassPartition.merge(d, T), tol).P_fused for T in chunk])
+        _check_characters(chunk, p, k_fused, P, scheme.v, tol)
+        # ell's block: ell less the classes of T above T[0] and below ell
+        asked = [(m, ell, tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))))
+                 for m, T in enumerate(chunk) for ell in outside[T]]
+        todo = iter(asked)
+        for pairs, S2, rep in _merge_stacks(d - 2, [pair for *_, pair in asked]):
+            here = list(itertools.islice(todo, len(pairs)))
+            own = np.array([m for m, *_ in here])
+            exact = _stacked_block_sums(p[own], S2, rep)
+            fused, lead = _stacked_row_sum(P[own], S2, tol)
+            differ = np.flatnonzero(exact != fused)
+            if differ.size:
+                i = differ[0]
+                error = _disagreement(p[own[i]], ClassPartition.merge(d - 2, pairs[i]),
+                                      bool(exact[i]), lead[i])
+                raise OracleDisagreement(f"contraction of {set(chunk[own[i]])}: {error}")
+            yield [(chunk[m], ell) for m, ell, _ in here], fused
+
+
+def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray,
+                        S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tensors p' and valencies k' of the fusions in the stack S, the
+    merges of the triples in ``chunk``, from the parent's histogram
+    ``counts, k = _row0_counts(labels, d)``.
+
+    counts summed over the blocks on all three axes is, integer for
+    integer, the fused labels' histogram, and k' = k S, so p' = counts'
+    / k'_h.  Three batched float64 products, exact since every count is
+    <= v^2 < 2^53.  A folded count that k'_h does not divide raises
+    :class:`OracleDisagreement` naming the triple.
+    """
+    c, n, nb = S.shape
+    # sum over the blocks of i, then of h, then of j
+    X = S.transpose(0, 2, 1) @ counts.reshape(n, n * n).astype(np.float64)
+    Y = (X.reshape(c, nb * n, n) @ S).reshape(c, nb, n, nb).transpose(0, 1, 3, 2)
+    folded = (Y.reshape(c, nb * nb, n) @ S).reshape(c, nb, nb, nb).transpose(0, 1, 3, 2)
+    k_fused = (k @ S)[:, None, None, :]
+    if (folded % k_fused).any():
+        m, a, b, h = np.argwhere(folded % k_fused)[0]
+        raise OracleDisagreement(
+            f"contraction of {set(chunk[m])}: the folded count {folded[m, a, b, h]:g} of "
+            f"classes {a}, {b} at {h} is not a multiple of k'_{h} = {k_fused[m, 0, 0, h]:g}")
+    return folded // k_fused, k_fused[:, 0, 0]
+
+
+_CHECKS = ("column 0 is not 1 in row {0}", "row 0 is not the valencies at class {0}",
+           "row {2} is not a character of the folded tensor at classes {0}, {1}",
+           "rows {lead} and {0} repeat")
+
+
+def _check_characters(chunk, p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int,
+                      tol: Tolerance) -> None:
+    """Accept each P[m] as the eigenmatrix of the tensor p[m] with
+    valencies k[m] only if it is p[m]'s full character table:
+
+    1. column 0 is all 1;
+    2. row 0 is k[m];
+    3. P[j, a] P[j, b] = sum_h p_ab^h P[j, h] for every row j and classes
+       a, b, under the PQ = vI check's ``Tolerance(atol * v, rtol)``;
+    4. the rows are pairwise distinct: the row-sum kernel leaves every row
+       of the singleton partition in its own group.
+
+    By 1 and 3 each row is a character of the algebra p[m] defines, and an
+    n-dimensional commutative semisimple algebra has exactly n of them, so
+    by 4 P[m] is p[m]'s eigenmatrix up to row order.  Otherwise
+    :class:`OracleDisagreement` names the triple and the failed check.
+    """
+    scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    c, n, _ = P.shape
+    Pt = P.transpose(0, 2, 1)
+    _, lead = _stacked_row_sum(P, np.broadcast_to(np.eye(n), (c, n, n)), tol)
+    # fails[check][m] marks where triple m breaks the check: rows, classes
+    # or (a, b, row j)
+    fails = [~scale.isclose(P[:, :, 0], 1.0), ~scale.isclose(P[:, 0], k),
+             ~scale.isclose(Pt[:, :, None] * Pt[:, None],
+                            (p.reshape(c, n * n, n) @ Pt).reshape(c, n, n, n)),
+             lead != np.arange(n)]
+    bad = np.array([fail.reshape(c, -1).any(axis=1) for fail in fails])
+    if bad.any():
+        m = int(np.argmax(bad.any(axis=0)))
+        check = int(np.argmax(bad[:, m]))
+        at = np.unravel_index(np.argmax(fails[check][m]), fails[check][m].shape)
+        what = _CHECKS[check].format(*at, lead=lead[m, at[0]])
+        raise OracleDisagreement(f"contraction of {set(chunk[m])}: contracted eigenmatrix: {what}")
 
 
 # Representative dual-set layouts for the 18 overlap subcases: for each

@@ -195,7 +195,20 @@ def test_validate_label_out_of_range_names_plain_cell(tmp_path, capsys):
     path = tmp_path / "k2.scheme"
     path.write_text("2 1\n0 5\n5 0\n")
     assert run_command(["validate", str(path)]) == 1
-    assert capsys.readouterr().err == "error: label out of range [0, 1] at (0, 1)\n"
+    assert capsys.readouterr().err == "error: label out of range [0, 1] at (0, 1) (line 2)\n"
+
+
+def test_malformed_files_are_parse_errors(tmp_path):
+    """A label out of range, a header without classes and a file that is
+    not text each raise ParseError naming the line."""
+    cases = [("# labels\n2 1\n0 1\n1 5\n", 4), ("2 0\n0 1\n1 0\n", 1),
+             (b"2 1\n0 1\n\xff\xfe\n", 3)]
+    for text, line in cases:
+        path = tmp_path / "bad.scheme"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        with pytest.raises(am.ParseError) as err:
+            am.load_scheme(path)
+        assert err.value.line == line, text
 
 
 def test_verify_command(h3_file, capsys):
@@ -228,6 +241,29 @@ def test_corpus_command(tmp_path, capsys):
     data = json.loads(rep.read_text())
     assert set(data["files"]) == {"hamming_m3.scheme", "complete_v5.scheme"}
     assert run_command(["corpus", str(tmp_path / "empty")]) == 1
+
+
+def test_corpus_run_continues_past_bad_files(tmp_path, capsys):
+    """A bad file is recorded as an error and the run goes on: the valid
+    files before and after it are checked, and the report is written."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    h3 = am.gen_hamming_binary(3)
+    am.save_scheme(h3, d / "a.scheme")
+    (d / "b.scheme").write_text("2 1\n0 5\n5 0\n")
+    (d / "c.scheme").write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+    (d / "d.scheme").mkdir()
+    am.save_scheme(h3, d / "e.scheme")
+    rep = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run_command(["--report", str(rep), "corpus", str(d)]) == 1
+    assert capsys.readouterr().out == "a.scheme: ok\ne.scheme: ok\n"
+    files = json.loads(rep.read_text())["files"]
+    assert sorted(files) == ["a.scheme", "b.scheme", "c.scheme", "d.scheme", "e.scheme"]
+    assert files["a.scheme"] == files["e.scheme"] and "contraction" in files["a.scheme"]
+    assert files["b.scheme"] == {"error": "label out of range [0, 1] at (0, 1) (line 2)"}
+    assert files["c.scheme"]["error"].startswith("not UTF-8 text")
+    assert set(files["d.scheme"]) == {"error"}
 
 
 # The corpus run's report and standard output, byte for byte.  A change that

@@ -268,20 +268,19 @@ def test_repeated_question_is_decided_once(monkeypatch):
     assert len(calls) == 3 and np.array_equal(calls[2], asked[0])
 
 
-def test_fused_scheme_is_kept_in_one_slot():
-    """The same fusion returns the same fused instance; another fusion
-    replaces it, and the first is then freed."""
+def test_fused_scheme_is_not_kept():
+    """Each fusion builds a new fused scheme and the parent keeps none, so
+    a fused scheme is freed with its caller's last reference."""
     scheme = am.gen_hamming_binary(4)
     pi = am.ClassPartition.from_string("1,3|2,4", 4)
-    pi2 = am.ClassPartition.from_string("1,2,3,4", 4)
     first = am.fuse_direct(scheme, pi).scheme
-    assert am.fuse_direct(scheme, pi).scheme is first
+    second = am.fuse_direct(scheme, pi).scheme
+    assert first == second and first is not second
     ref = weakref.ref(first)
     del first
-    second = am.fuse_direct(scheme, pi2).scheme
     gc.collect()
     assert ref() is None
-    assert am.fuse_direct(scheme, pi2).scheme is second
+    assert not hasattr(scheme, "_fused") and not hasattr(second, "_fused")
 
 
 def test_rejection_names_block_pair_and_class():
@@ -534,18 +533,25 @@ def test_classify_triple_rejects_nonfusing():
 # ------------------------------------------------------------- contraction
 
 def test_contraction_on_amorphic_net(monkeypatch):
-    """Every admissible pair contracts, and looping the outside class
-    inside the triple builds each contracted scheme's tensor once."""
+    """Every admissible pair contracts.  Each contraction_check is a batch
+    of one that histograms the parent's cells once and builds no contracted
+    scheme: no fused scheme, tensor or spectrum of one is asked for."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
     triples = am.enumerate_fusing_tuples(scheme, 3)
-    real = core.intersection_numbers
-    tensors = []
+    calls = {name: [] for name in ("_contractions", "_row0_counts", "fuse_direct",
+                                   "intersection_numbers", "spectral_decomposition")}
 
-    def counted(s):
-        tensors.append(s)
-        return real(s)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(core, "intersection_numbers", counted)
+        def counted(*args, **kwargs):
+            calls[name].append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in calls:
+        spy(core if name == "intersection_numbers" else fusion, name)
     pairs = 0
     for T in triples:
         for ell in range(1, 6):
@@ -553,7 +559,10 @@ def test_contraction_on_amorphic_net(monkeypatch):
                 assert am.contraction_check(scheme, T, ell)
                 pairs += 1
     assert (len(triples), pairs) == (10, 20)
-    assert len(tensors) == len(triples)
+    assert len(calls["_contractions"]) == len(calls["_row0_counts"]) == 20
+    assert all(L is scheme.labels for L in calls["_row0_counts"])
+    assert calls["fuse_direct"] == calls["intersection_numbers"] == []
+    assert all(s is scheme for s in calls["spectral_decomposition"])
 
 
 def test_contraction_preconditions():
@@ -592,14 +601,19 @@ def _admissible_by_definition(scheme, triples):
                                     for s in itertools.combinations(T, 2))]
 
 
+def _contraction_schemes(corpus):
+    """The corpus schemes with d >= 4, and net(7; 1^8)."""
+    schemes = [(name, s) for name, s in corpus if s.d >= 4]
+    schemes.append(("net7", net_with_group_sizes(7, [1] * 8)))
+    return schemes
+
+
 def test_batched_contraction_matches_relabeling(corpus):
     """The admissible pairs read off the fusing triples are the pairs that
     meet contraction_check's preconditions, and the batched answers are the
     relabeling reference's for merging T + {ell} in the parent."""
-    schemes = [(name, s) for name, s in corpus if s.d >= 4]
-    schemes.append(("net7", net_with_group_sizes(7, [1] * 8)))
     checked = 0
-    for name, scheme in schemes:
+    for name, scheme in _contraction_schemes(corpus):
         triples = am.enumerate_fusing_tuples(scheme, 3)
         pairs = fusion._admissible_pairs(triples, scheme.d)
         assert pairs == _admissible_by_definition(scheme, triples), name
@@ -610,21 +624,25 @@ def test_batched_contraction_matches_relabeling(corpus):
     assert checked > 280
 
 
-def _flip_first(monkeypatch, on_parent, parent):
-    """Make _decide_merges flip its first answer on the parent scheme, or
-    on the first contracted scheme; returns the flipped merges."""
-    real = fusion._decide_merges
+def _flip_first(monkeypatch, on_parent):
+    """Flip the first answer of witness A's 4-set stacks (_decide_merges
+    on the parent) or of witness B's contracted-pair stacks
+    (_decide_contracted); returns the flipped questions."""
+    name = "_decide_merges" if on_parent else "_decide_contracted"
+    real = getattr(fusion, name)
+    at = 2 if on_parent else 1  # where the answers sit in a yielded stack
     flipped = []
 
-    def flip(scheme, merges, tol):
-        for chunk, S, fused, lead in real(scheme, merges, tol):
-            if not flipped and (scheme is parent) == on_parent:
-                fused = fused.copy()
-                fused[0] = not fused[0]
-                flipped.append(chunk[0])
-            yield chunk, S, fused, lead
+    def flip(*args):
+        for stack in real(*args):
+            if not flipped:
+                stack = list(stack)
+                stack[at] = stack[at].copy()
+                stack[at][0] = not stack[at][0]
+                flipped.append(stack[0][0])
+            yield tuple(stack)
 
-    monkeypatch.setattr(fusion, "_decide_merges", flip)
+    monkeypatch.setattr(fusion, name, flip)
     return flipped
 
 
@@ -635,7 +653,7 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
     contraction_check, raises OracleDisagreement naming both answers."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
     pairs = fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
-    flipped = _flip_first(monkeypatch, on_parent, scheme)
+    flipped = _flip_first(monkeypatch, on_parent)
     pattern = (r"contraction of \{1, 2, 3\} with 4: the parent answers (True|False) for "
                r"merging \{1, 2, 3, 4\}, the contracted scheme answers (True|False)")
     with pytest.raises(am.OracleDisagreement, match=pattern):
@@ -643,29 +661,134 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
             am.contraction_check(scheme, (1, 2, 3), 4)
         else:
             fusion._contractions(scheme, pairs, TOL)
-    assert len(flipped) == 1
+    assert flipped == [(1, 2, 3, 4) if on_parent else ((1, 2, 3), 4)]
 
 
 def test_contraction_stacks(monkeypatch):
     """On net(7; 1^8) the parent decides the 70 distinct 4-sets in stacks of
-    64 and 6, and each of the 56 contracted schemes its 5 pairs in one
-    stack; no stack holds a single question."""
+    64 and 6, and witness B answers the 280 pairs of its 56 contracted
+    schemes in stacks of 64 across triples."""
     scheme = net_with_group_sizes(7, [1] * 8)
     triples = am.enumerate_fusing_tuples(scheme, 3)
     pairs = fusion._admissible_pairs(triples, scheme.d)
-    real = fusion._decide_merges
-    stacks = []
+    stacks = {"_decide_merges": [], "_decide_contracted": []}
+    for name, sizes in stacks.items():
+        def spy(*args, real=getattr(fusion, name), sizes=sizes):
+            for stack in real(*args):
+                sizes.append(len(stack[0]))
+                yield stack
 
-    def spy(s, merges, tol):
-        for chunk, *rest in real(s, merges, tol):
-            stacks.append((s is scheme, len(chunk)))
-            yield (chunk, *rest)
-
-    monkeypatch.setattr(fusion, "_decide_merges", spy)
+        monkeypatch.setattr(fusion, name, spy)
     assert all(fusion._contractions(scheme, pairs, TOL))
     assert (len(triples), len(pairs)) == (56, 280)
-    assert [n for on_parent, n in stacks if on_parent] == [64, 6]
-    assert [n for on_parent, n in stacks if not on_parent] == [5] * 56
+    assert stacks == {"_decide_merges": [64, 6], "_decide_contracted": [64, 64, 64, 64, 24]}
+
+
+def test_witness_b_inputs_match_fused_schemes(corpus):
+    """For every fusing triple T, the tensor folded from the parent's
+    histogram is the fused scheme's own tensor, integer for integer, and
+    the eigenmatrix witness B accepts is the fused scheme's eigh-based P up
+    to row order."""
+    checked = 0
+    for name, scheme in _contraction_schemes(corpus):
+        d = scheme.d
+        triples = am.enumerate_fusing_tuples(scheme, 3)
+        counts, k = core._row0_counts(scheme.labels, d)
+        for chunk, S, _ in fusion._merge_stacks(d, triples):
+            p, k_fused = fusion._contracted_tensors(chunk, counts, k, S)
+            P = np.array([fusion._decide(scheme, am.ClassPartition.merge(d, T), TOL).P_fused
+                          for T in chunk])
+            fusion._check_characters(chunk, p, k_fused, P, scheme.v, TOL)
+            for m, T in enumerate(chunk):
+                fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
+                assert np.array_equal(p[m], core.intersection_numbers(fused).p), (name, T)
+                assert k_fused[m].tolist() == list(fused.valencies), (name, T)
+                eigh_P = am.spectral_decomposition(fused).P
+                assert (sorted(map(tuple, np.round(P[m], 6)))
+                        == sorted(map(tuple, np.round(eigh_P, 6)))), (name, T)
+                checked += 1
+    assert checked > 56
+
+
+def test_per_entry_tensors_match_shared_tensor(corpus):
+    """Given c copies of one tensor, the per-entry exact kernel answers
+    every pair and triple merge of the corpus as the shared one does."""
+    for name, scheme in corpus:
+        p = scheme.intersection.p
+        for r in (2, 3):
+            for chunk, S, rep in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
+                shared = fusion._stacked_block_sums(p, S, rep)
+                copies = np.broadcast_to(p, (len(chunk),) + p.shape)
+                assert np.array_equal(fusion._stacked_block_sums(copies, S, rep), shared), (name, r)
+
+
+def _net5_pairs():
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    return scheme, fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda P: P.__setitem__((2, 3), P[2, 3] + 0.5), "row 2 is not a character"),
+    (lambda P: P.__setitem__(2, P[1]), "rows 1 and 2 repeat"),
+], ids=["perturbed-entry", "duplicated-row"])
+def test_witness_b_rejects_a_wrong_eigenmatrix(tamper, message):
+    """A contracted eigenmatrix that is not its folded tensor's character
+    table is refused, naming the triple and the check."""
+    scheme, pairs = _net5_pairs()
+    key = (TOL, am.ClassPartition.merge(scheme.d, (1, 2, 3)).blocks)
+    dual = scheme._decisions[key]
+    P = dual.P_fused.copy()
+    tamper(P)
+    scheme._decisions[key] = fusion.DualPartition(rho=dual.rho, P_fused=P)
+    with pytest.raises(am.OracleDisagreement,
+                       match=r"contraction of \{1, 2, 3\}: contracted eigenmatrix: " + message):
+        fusion._contractions(scheme, pairs, TOL)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ((1, 1, 1), r"the folded count 37 of classes 1, 1 at 1 is not a multiple of k'_1 = 9"),
+    ((1, 1, 0), r"contracted eigenmatrix: row 0 is not a character of the folded tensor "
+                r"at classes 1, 1"),
+], ids=["count-not-whole", "count-whole"])
+def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
+    """One count off in the histogram witness B folds is caught: as a
+    count k' does not divide, or else by the eigenmatrix check."""
+    scheme, pairs = _net5_pairs()
+    real = fusion._row0_counts
+
+    def off_by_one(L, d):
+        counts, k = real(L, d)
+        counts = counts.copy()
+        counts[cell] += 1
+        return counts, k
+
+    monkeypatch.setattr(fusion, "_row0_counts", off_by_one)
+    with pytest.raises(am.OracleDisagreement, match=r"contraction of \{1, 2, 3\}: " + message):
+        fusion._contractions(scheme, pairs, TOL)
+
+
+@pytest.mark.parametrize("kernel, side", [
+    ("_stacked_block_sums", "eigenmatrix criterion"),
+    ("_stacked_row_sum", "exact oracle"),
+])
+def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
+    """A flipped answer of either kernel on a contracted pair raises
+    _decide's text, naming the triple."""
+    scheme, pairs = _net5_pairs()
+    real = getattr(fusion, kernel)
+
+    def flipped(tensor, S, *rest):
+        out = real(tensor, S, *rest)
+        answers = out[0] if kernel == "_stacked_row_sum" else out
+        # witness B's stacks: one tensor or eigenmatrix per entry, a pair merged
+        if tensor.ndim == (4 if kernel == "_stacked_block_sums" else 3) and S.shape[2] < S.shape[1]:
+            answers[0] = not answers[0]
+        return out
+
+    monkeypatch.setattr(fusion, kernel, flipped)
+    with pytest.raises(am.OracleDisagreement,
+                       match=r"contraction of \{1, 2, 3\}: " + side + r" accepts 0\|1,2\|3 but"):
+        fusion._contractions(scheme, pairs, TOL)
 
 
 # ------------------------------------------------------------ overlap cases
