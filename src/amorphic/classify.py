@@ -353,13 +353,6 @@ def ephemeral_form_check(spec: SpectralData) -> EphemeralPattern | None:
     return None
 
 
-def _closeness(M: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """close[a, b, j] is True iff M[a, j] and M[b, j] are equal under tol,
-    by :meth:`Tolerance.close`'s formula."""
-    a, b = M[:, None, :], M[None, :, :]
-    return np.abs(a - b) <= tol.atol + tol.rtol * np.maximum(np.abs(a), np.abs(b))
-
-
 def _row_lemma_holds(close: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """For each row subset (a row of ``subsets``, ascending), whether at
     least as many columns as it has rows are non-constant on it; a column
@@ -380,7 +373,7 @@ def row_lemma_check(M: np.ndarray, rows, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise PreconditionFailed("need at least 2 rows")
     if len(set(rows)) != len(rows) or rows[0] < 0 or rows[-1] >= M.shape[0]:
         raise PreconditionFailed(f"rows {rows} are not distinct rows in 0..{M.shape[0] - 1}")
-    return bool(_row_lemma_holds(_closeness(M, tol), np.array([rows]))[0])
+    return bool(_row_lemma_holds(tol.isclose(M[:, None, :], M[None, :, :]), np.array([rows]))[0])
 
 
 @dataclass(frozen=True)
@@ -420,7 +413,7 @@ def verify_paper_claims(scheme: AssociationScheme,
     one stack per contracted scheme, which must agree.  The row lemma (g)
     reads every row subset of one size off one closeness tensor per
     principal part.  The overlap cases (h) group the triples on their
-    2-subsets and classify each intersection signature once.
+    2-subsets and look each label up once per kinds-and-sizes key.
     """
     d = scheme.d
     spec = spectral_decomposition(scheme, tol=tol)
@@ -499,7 +492,7 @@ def verify_paper_claims(scheme: AssociationScheme,
     ok = True
     if applicable:
         for M in (spec.principal("P"), spec.principal("Q")):
-            close = _closeness(M, tol)
+            close = tol.isclose(M[:, None, :], M[None, :, :])
             for r in range(2, d + 1):
                 subsets = np.array(list(itertools.combinations(range(d), r)))
                 ok = ok and bool(_row_lemma_holds(close, subsets).all())

@@ -325,7 +325,9 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
                      else "verified" if r.applicable else "n/a")
             print(f"{r.claim:45s} {state}  {r.witness}")
         if claims.falsified:
-            raise Falsification(f"claims falsified on {args.file}")
+            # returned, not raised, so that run_command still writes the report
+            print(f"FALSIFICATION: claims falsified on {args.file}", file=sys.stderr)
+            return EXIT_FALSIFIED
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover

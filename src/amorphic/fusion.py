@@ -34,11 +34,11 @@ with two witnesses that must agree: the parent decides each 4-set
 T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
 of all contracted schemes in stacks, without building one: on tensors
 folded from one histogram of the parent's labels and on eigenmatrices
-proven to be their character tables.  The overlap
-labels are classified once per intersection signature
-(:func:`_overlap_labels`).  :func:`contraction_check`,
-:func:`classify_triple` and :func:`overlap_case` stay as single questions
-on the same code.
+proven to be their character tables.  The 18 overlap subcases are
+written once, as :data:`CASE_REPRESENTATIVES`, and a pair of triples gets
+the label of the one with its :func:`_overlap_signature`.
+:func:`contraction_check`, :func:`classify_triple` and
+:func:`overlap_case` stay as single questions on the same code.
 
 Neither oracle formats text to answer; a :class:`NotAFusion` message is
 built only where it is raised to the caller.  Nothing here enumerates
@@ -509,10 +509,6 @@ class TripleType:
     kind: int  # 1 or 2
     sets: tuple[frozenset, ...]
 
-    @property
-    def is_type1(self) -> bool:
-        return self.kind == 1
-
 
 def classify_triple(spec, T) -> TripleType:
     """Type of a fusing triple, read off the dual partition.
@@ -713,11 +709,17 @@ def _check_characters(chunk, p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int
     Pt = P.transpose(0, 2, 1)
     _, lead = _stacked_row_sum(P, np.broadcast_to(np.eye(n), (c, n, n)), tol)
     # fails[check][m] marks where triple m breaks the check: rows, classes
-    # or (a, b, row j)
+    # or (a, b, row j).  Check 3 is Tolerance.isclose done in place: its
+    # sides are (c, n, n, n) arrays, and isclose adds temporaries that size
+    lhs = Pt[:, :, None] * Pt[:, None]
+    rhs = (p.reshape(c, n * n, n) @ Pt).reshape(c, n, n, n)
+    bound = np.abs(lhs)
+    lhs -= rhs
+    np.maximum(bound, np.abs(rhs, out=rhs), out=bound)
+    bound *= scale.rtol
+    bound += scale.atol
     fails = [~scale.isclose(P[:, :, 0], 1.0), ~scale.isclose(P[:, 0], k),
-             ~scale.isclose(Pt[:, :, None] * Pt[:, None],
-                            (p.reshape(c, n * n, n) @ Pt).reshape(c, n, n, n)),
-             lead != np.arange(n)]
+             ~(np.abs(lhs, out=lhs) <= bound), lead != np.arange(n)]
     bad = np.array([fail.reshape(c, -1).any(axis=1) for fail in fails])
     if bad.any():
         m = int(np.argmax(bad.any(axis=0)))
@@ -763,83 +765,65 @@ class OverlapCase:
     idempotent_map: dict[int, int]
 
 
-def _signature_map(concrete: tuple[frozenset, ...], rep: tuple[frozenset, ...]):
-    """Bijection on dual indices matching concrete sets onto representative
-    sets, or None.  Elements are matched by their membership pattern; ties
-    are broken towards the lexicographically smallest witness."""
-    if tuple(len(s) for s in concrete) != tuple(len(s) for s in rep):
-        return None
-    c_elems = set().union(*concrete)
-    r_elems = set().union(*rep)
-    if len(c_elems) != len(r_elems):
-        return None
+def _sizes(sets_a, sets_b) -> tuple[int, ...]:
+    """The sizes |a & b| for a in ``sets_a`` and b in ``sets_b``, row by row."""
+    return tuple(len(a & b) for a in sets_a for b in sets_b)
 
-    def patterns(sets, elems):
-        return {e: tuple(e in s for s in sets) for e in elems}
 
-    cp, rp = patterns(concrete, c_elems), patterns(rep, r_elems)
-    buckets: dict[tuple, list[int]] = {}
-    for e in sorted(r_elems):
-        buckets.setdefault(rp[e], []).append(e)
-    out = {}
-    for e in sorted(c_elems):
-        pool = buckets.get(cp[e])
-        if not pool:
-            return None
-        out[e] = pool.pop(0)
-    return out
+def _orientations(sets_a, sets_b):
+    """The ways to lay two dual sides onto a representative, in order:
+    (swapped, sets in the {1,2,3} role, sets in the {2,3,4} role).
+
+    Mixed kinds pin the type-1 side to the {1,2,3} role (the subcase list
+    is stated that way); equal kinds allow either role.  Within a role the
+    order of a side's sets is free.
+    """
+    for swapped, (x, y) in enumerate([(sets_a, sets_b), (sets_b, sets_a)]):
+        if len(x) <= len(y):
+            for sa in itertools.permutations(x):
+                for sb in itertools.permutations(y):
+                    yield swapped, sa, sb
+
+
+def _overlap_signature(sets_a, sets_b) -> tuple:
+    """The kinds of two dual sides (one 3-set or two 2-sets each), the
+    type-1 side first, and their smallest intersection sizes over all
+    :func:`_orientations`.
+
+    Within a side the sets are disjoint and their sizes are fixed by the
+    kind, so these sizes fix every region of the sets' Venn diagram: two
+    pairs of sides have one signature iff one is a relabeling of the other.
+    """
+    kinds = sorted((len(sets_a), len(sets_b)))
+    return (*kinds, min(_sizes(sa, sb) for _, sa, sb in _orientations(sets_a, sets_b)))
+
+
+_LABELS = {_overlap_signature(*rep): label for label, rep in CASE_REPRESENTATIVES.items()}
 
 
 def _overlap_label(sets_a, sets_b) -> str:
-    """Subcase label from the dual-set intersection signature.
-
-    The signature is invariant under relabeling idempotents and swapping
-    the two dual pairs of a type-2 triple, so any representative works.
-    The first argument must be the type-1 side when the types differ.
-    """
-    kinds = (len(sets_a), len(sets_b))
-    if kinds == (1, 1):
-        inter = len(sets_a[0] & sets_b[0])
-        return {0: "I.1", 1: "I.2", 2: "I.3", 3: "I.4"}[inter]
-    if kinds == (1, 2):
-        sig = tuple(sorted(len(sets_a[0] & s) for s in sets_b))
-        table = {(0, 0): "II.1", (0, 1): "II.2", (0, 2): "II.3",
-                 (1, 1): "II.4", (1, 2): "II.5"}
-        if sig not in table:
-            raise Unclassified(("II", sig))
-        return table[sig]
-    M = [[len(a & b) for b in sets_b] for a in sets_a]
-    flat = sorted(x for row in M for x in row)
-    if flat == [0, 0, 1, 1]:
-        # one overlap per dual pair on each side vs both overlaps
-        # through one shared dual pair (transpose-invariant test)
-        diag = (M[0][0] and M[1][1]) or (M[0][1] and M[1][0])
-        return "III.4" if diag else "III.5"
-    table = {(0, 0, 0, 0): "III.1", (0, 0, 0, 1): "III.2",
-             (0, 0, 0, 2): "III.3", (0, 0, 1, 2): "III.6",
-             (0, 1, 1, 1): "III.7", (0, 0, 2, 2): "III.8",
-             (1, 1, 1, 1): "III.9"}
-    if tuple(flat) not in table:
-        raise Unclassified(("III", tuple(flat)))
-    return table[tuple(flat)]
+    """Subcase label of two dual sides, in either order: the representative
+    with the same :func:`_overlap_signature`."""
+    signature = _overlap_signature(sets_a, sets_b)
+    if signature not in _LABELS:
+        raise Unclassified(signature)
+    return _LABELS[signature]
 
 
-def overlap_case(spec, t1, t2,
-                 ruled_out_fatal: bool = True) -> OverlapCase:
+def overlap_case(spec, t1, t2) -> OverlapCase:
     """Match a pair of fusing triples sharing two classes against the 18
     subcases, up to relabeling of relations and idempotents."""
     if isinstance(spec, AssociationScheme):
         spec = spectral_decomposition(spec)
     t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
-    common = sorted(set(t1) & set(t2))
-    if len(common) != 2:
+    if len(set(t1) & set(t2)) != 2:
         raise PreconditionFailed(f"triples {t1}, {t2} must share exactly 2 classes")
     try:
         ty1 = classify_triple(spec, t1)
         ty2 = classify_triple(spec, t2)
     except NotFusing as exc:
         raise PreconditionFailed(str(exc)) from exc
-    return _overlap_from_types(t1, ty1, t2, ty2, ruled_out_fatal)
+    return _overlap_from_types(t1, ty1, t2, ty2)
 
 
 def _overlapping_pairs(triples) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -856,82 +840,47 @@ def _overlapping_pairs(triples) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
     return sorted(pair for group in through.values() for pair in itertools.combinations(group, 2))
 
 
-def _overlap_signature(ty1: TripleType, ty2: TripleType) -> tuple:
-    """The kinds of two triple types and their dual-set intersection sizes,
-    the matrix taken up to row and column order."""
-    sizes = [[len(a & b) for b in ty2.sets] for a in ty1.sets]
-    return ty1.kind, ty2.kind, min(
-        tuple(tuple(row[j] for j in cols) for row in rows)
-        for rows in itertools.permutations(sizes)
-        for cols in itertools.permutations(range(len(ty2.sets))))
-
-
 def _overlap_labels(pairs, types: dict) -> list[str | None]:
     """The subcase label of each overlapping pair (T1, T2) of fusing
     triples, with ``types[T]`` the type of T; None where the pair realizes
-    a ruled-out case.
-
-    The sets of each side are disjoint and their sizes fixed by the kind,
-    so the signature of :func:`_overlap_signature` fixes the size of every
-    region of the sets' Venn diagram.  Those sizes decide the label and
-    whether an idempotent relabeling onto the representative exists, so
-    :func:`_overlap_from_types`, with its :class:`Unclassified` and
-    :class:`Falsification` checks, runs once per signature.
+    a ruled-out case.  The label depends only on the kinds and the
+    intersection sizes, so it is looked up once per (kinds, sizes) key.
     """
     memo: dict[tuple, str | None] = {}
     labels = []
     for T1, T2 in pairs:
-        key = _overlap_signature(types[T1], types[T2])
+        a, b = types[T1], types[T2]
+        key = (a.kind, b.kind, _sizes(a.sets, b.sets))
         if key not in memo:
-            try:
-                memo[key] = _overlap_from_types(T1, types[T1], T2, types[T2]).label
-            except Falsification:
-                memo[key] = None
+            label = _overlap_label(a.sets, b.sets)
+            memo[key] = label if label in SURVIVING_CASES else None
         labels.append(memo[key])
     return labels
 
 
-def _overlap_from_types(t1, ty1: TripleType, t2, ty2: TripleType,
-                        ruled_out_fatal: bool = True) -> OverlapCase:
+def _overlap_from_types(t1, ty1: TripleType, t2, ty2: TripleType) -> OverlapCase:
     """:func:`overlap_case` for two sorted fusing triples sharing two
-    classes, given their types."""
-    common = sorted(set(t1) & set(t2))
+    classes, given their types.
 
-    # role assignments: which triple plays {1,2,3} and which {2,3,4}.
-    # Mixed types pin the type-1 triple to the {1,2,3} role (the subcase
-    # list is stated that way); equal types allow either role.
-    if (ty1.kind, ty2.kind) == (2, 1):
-        roles = [(t2, ty2, t1, ty1)]
-    elif ty1.kind == ty2.kind:
-        roles = [(t1, ty1, t2, ty2), (t2, ty2, t1, ty1)]
-    else:
-        roles = [(t1, ty1, t2, ty2)]
-
-    tya, tyb = roles[0][1], roles[0][3]
-    label = _overlap_label(tya.sets, tyb.sets)
-
-    rep_a, rep_b = CASE_REPRESENTATIVES[label]
-    idem_map = None
-    relation_map = None
-    for first, fty, second, sty in roles:
-        only_a = (set(first) - set(common)).pop()
-        only_b = (set(second) - set(common)).pop()
-        orders_a = [fty.sets] if len(fty.sets) == 1 else [fty.sets, fty.sets[::-1]]
-        orders_b = [sty.sets] if len(sty.sets) == 1 else [sty.sets, sty.sets[::-1]]
-        for sa in orders_a:
-            for sb in orders_b:
-                idem_map = _signature_map(tuple(sa) + tuple(sb), rep_a + rep_b)
-                if idem_map is not None:
-                    relation_map = {only_a: 1, common[0]: 2, common[1]: 3, only_b: 4}
-                    break
-            if idem_map is not None:
-                break
-        if idem_map is not None:
-            break
-    if idem_map is None:
-        raise Unclassified((label, "no idempotent relabeling found"))
-
-    if ruled_out_fatal and label not in SURVIVING_CASES:
+    The maps come from the first of the :func:`_orientations` whose
+    intersection sizes are the representative's.  Equal sizes give equal
+    Venn regions, so each idempotent goes to a representative idempotent
+    in the same sets, both taken in ascending order.
+    """
+    label = _overlap_label(ty1.sets, ty2.sets)
+    if label not in SURVIVING_CASES:
         raise Falsification(
             f"overlapping fusing triples {t1}, {t2} realize ruled-out case {label}")
-    return OverlapCase(label=label, relation_map=relation_map, idempotent_map=idem_map)
+    rep_a, rep_b = CASE_REPRESENTATIVES[label]
+    swapped, sa, sb = next(o for o in _orientations(ty1.sets, ty2.sets)
+                           if _sizes(o[1], o[2]) == _sizes(rep_a, rep_b))
+    first, second = (t2, t1) if swapped else (t1, t2)
+    common = sorted(set(first) & set(second))
+    (only_a,), (only_b,) = set(first) - set(common), set(second) - set(common)
+    pool: dict[tuple, list[int]] = {}
+    for e in sorted(set().union(*rep_a, *rep_b)):
+        pool.setdefault(tuple(e in s for s in rep_a + rep_b), []).append(e)
+    idempotent_map = {e: pool[tuple(e in s for s in sa + sb)].pop(0)
+                      for e in sorted(set().union(*sa, *sb))}
+    return OverlapCase(label=label, idempotent_map=idempotent_map,
+                       relation_map={only_a: 1, common[0]: 2, common[1]: 3, only_b: 4})

@@ -1,8 +1,8 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
 reference validator, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references built
-on it, the single-merge amorphicity reference, and the acceptance-criteria
-summary lines.
+on it, the single-merge amorphicity reference, the hand-written overlap
+label tables, and the acceptance-criteria summary lines.
 
 A scheme keeps its fusion decisions, spectra and last fused scheme on the
 instance, and the ``corpus`` fixture shares its schemes across the whole
@@ -147,6 +147,41 @@ def validate_by_class_cells(labels):
                 p[i, j, h] = p[j, i, h] = vals[0]
     valencies = tuple(int(mats[i][0].sum()) for i in range(d + 1))
     return valencies, p
+
+
+def overlap_label_by_tables(sets_a, sets_b) -> str:
+    """Test-only reference for ``fusion._overlap_label``: the subcase label
+    from hand-written tables of the dual-set intersection sizes.
+
+    The signature is invariant under relabeling idempotents and swapping
+    the two dual pairs of a type-2 triple, so any representative works.
+    The first argument must be the type-1 side when the types differ.
+    """
+    kinds = (len(sets_a), len(sets_b))
+    if kinds == (1, 1):
+        inter = len(sets_a[0] & sets_b[0])
+        return {0: "I.1", 1: "I.2", 2: "I.3", 3: "I.4"}[inter]
+    if kinds == (1, 2):
+        sig = tuple(sorted(len(sets_a[0] & s) for s in sets_b))
+        table = {(0, 0): "II.1", (0, 1): "II.2", (0, 2): "II.3",
+                 (1, 1): "II.4", (1, 2): "II.5"}
+        if sig not in table:
+            raise am.Unclassified(("II", sig))
+        return table[sig]
+    M = [[len(a & b) for b in sets_b] for a in sets_a]
+    flat = sorted(x for row in M for x in row)
+    if flat == [0, 0, 1, 1]:
+        # one overlap per dual pair on each side vs both overlaps
+        # through one shared dual pair (transpose-invariant test)
+        diag = (M[0][0] and M[1][1]) or (M[0][1] and M[1][0])
+        return "III.4" if diag else "III.5"
+    table = {(0, 0, 0, 0): "III.1", (0, 0, 0, 1): "III.2",
+             (0, 0, 0, 2): "III.3", (0, 0, 1, 2): "III.6",
+             (0, 1, 1, 1): "III.7", (0, 0, 2, 2): "III.8",
+             (1, 1, 1, 1): "III.9"}
+    if tuple(flat) not in table:
+        raise am.Unclassified(("III", tuple(flat)))
+    return table[tuple(flat)]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

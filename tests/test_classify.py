@@ -275,6 +275,25 @@ def test_oracle_memory_is_flat_at_d28():
     assert peak < ORACLE_PEAK_BOUND_MB * 1e6, peak
 
 
+def test_is_amorphic_raises_when_the_two_answers_differ(monkeypatch):
+    """A canonical form the oracle rejects, or a missing form on a scheme
+    the oracle accepts, raises OracleDisagreement naming both answers."""
+    net = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))  # amorphic
+    cert = classify.canonical_form_check(am.spectral_decomposition(net))
+    cases = [(net, None, "amorphic=False, exhaustive oracle says True"),
+             (am.gen_hamming_binary(3), cert, "amorphic=True, exhaustive oracle says False")]
+    for scheme, forced, message in cases:
+        monkeypatch.setattr(classify, "canonical_form_check", lambda spec: forced)
+        with pytest.raises(am.OracleDisagreement, match=message):
+            am.is_amorphic(scheme)
+
+
+def test_is_amorphic_raises_when_a_low_class_scheme_fails_the_oracle(monkeypatch):
+    monkeypatch.setattr(classify, "amorphic_oracle", lambda scheme, tol: False)
+    with pytest.raises(am.OracleDisagreement, match="d <= 2 scheme failed the vacuous oracle"):
+        am.is_amorphic(am.gen_cyclotomic(am.CyclotomicSpec(q=5, d=2)))
+
+
 def test_is_amorphic_clebsch():
     assert am.is_amorphic(am.gen_cyclotomic(am.CyclotomicSpec(q=16, d=3))).amorphic
 
@@ -375,7 +394,7 @@ def test_batched_row_lemma_matches_single_subsets(corpus):
              for spec in [am.spectral_decomposition(scheme)] for which in ("P", "Q")]
     failures = 0
     for name, M in parts + [("crafted", crafted)]:
-        close = classify._closeness(M, TOL)
+        close = TOL.isclose(M[:, None, :], M[None, :, :])
         for r in range(2, M.shape[0] + 1):
             subsets = np.array(list(itertools.combinations(range(M.shape[0]), r)))
             got = classify._row_lemma_holds(close, subsets).tolist()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import amorphic as am
+import amorphic.cli as cli
 from amorphic.cli import run_command
 from conftest import net_with_group_sizes
 
@@ -199,20 +200,69 @@ def test_validate_label_out_of_range_names_plain_cell(tmp_path, capsys):
 
 
 def test_malformed_files_are_parse_errors(tmp_path):
-    """A label out of range, a header without classes and a file that is
-    not text each raise ParseError naming the line."""
-    cases = [("# labels\n2 1\n0 1\n1 5\n", 4), ("2 0\n0 1\n1 0\n", 1),
-             (b"2 1\n0 1\n\xff\xfe\n", 3)]
-    for text, line in cases:
+    """A label out of range, a header without classes, a file that is not
+    text, a header with one or three values, a file of comments only and a
+    short row each raise ParseError naming the line."""
+    cases = [("# labels\n2 1\n0 1\n1 5\n", 4, "label out of range"),
+             ("2 0\n0 1\n1 0\n", 1, "header needs"),
+             (b"2 1\n0 1\n\xff\xfe\n", 3, "not UTF-8 text"),
+             ("2\n0 1\n1 0\n", 1, "header must be 'v d'"),
+             ("# h\n2 1 1\n0 1\n1 0\n", 2, "header must be 'v d'"),
+             ("# only\n# comments\n\n", 1, "empty scheme file"),
+             ("2 1\n0 1\n1\n", 3, "expected 2 labels, found 1")]
+    for text, line, message in cases:
         path = tmp_path / "bad.scheme"
         (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
-        with pytest.raises(am.ParseError) as err:
+        with pytest.raises(am.ParseError, match=message) as err:
             am.load_scheme(path)
         assert err.value.line == line, text
 
 
 def test_verify_command(h3_file, capsys):
     assert run_command(["verify", str(h3_file)]) == 0
+
+
+def _falsified(scheme, tol):
+    """A claim report whose only claim applies and fails."""
+    return am.ClaimReport(records=(am.ClaimRecord("contraction", True, False, "forced"),))
+
+
+def test_verify_falsified_writes_report(h3_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_paper_claims", _falsified)
+    rep = tmp_path / "rep.json"
+    assert run_command(["--report", str(rep), "verify", str(h3_file)]) == 3
+    assert capsys.readouterr().err == f"FALSIFICATION: claims falsified on {h3_file}\n"
+    assert json.loads(rep.read_text())["claims"] == {
+        "contraction": {"applicable": True, "verified": False, "witness": "forced"}}
+
+
+def test_corpus_falsified_exits_3(tmp_path, monkeypatch, capsys):
+    """A falsified report and a raised Falsification are both recorded, the
+    run goes on, and the exit status is 3."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for name in ("a", "b", "c"):
+        am.save_scheme(am.gen_hamming_binary(3), d / f"{name}.scheme")
+    real = cli.verify_paper_claims
+    answers = iter([_falsified, am.Falsification("forced falsification"), real])
+
+    def verify(scheme, tol):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer(scheme, tol=tol)
+
+    monkeypatch.setattr(cli, "verify_paper_claims", verify)
+    rep = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run_command(["--report", str(rep), "corpus", str(d)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "a.scheme: FALSIFIED\nc.scheme: ok\n"
+    assert err == "b.scheme: FALSIFICATION: forced falsification\n"
+    files = json.loads(rep.read_text())["files"]
+    assert files["a.scheme"]["contraction"]["verified"] is False
+    assert files["b.scheme"] == {"error": "forced falsification", "falsified": True}
+    assert "contraction" in files["c.scheme"]
 
 
 def test_generate_commands(tmp_path, capsys):

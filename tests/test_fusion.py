@@ -16,7 +16,8 @@ import amorphic as am
 import amorphic.core as core
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
-from conftest import enumerate_partitions, fuse_by_relabeling, net_with_group_sizes
+from conftest import (enumerate_partitions, fuse_by_relabeling, net_with_group_sizes,
+                      overlap_label_by_tables)
 
 TOL = am.DEFAULT_TOL
 
@@ -730,7 +731,8 @@ def _net5_pairs():
 @pytest.mark.parametrize("tamper, message", [
     (lambda P: P.__setitem__((2, 3), P[2, 3] + 0.5), "row 2 is not a character"),
     (lambda P: P.__setitem__(2, P[1]), "rows 1 and 2 repeat"),
-], ids=["perturbed-entry", "duplicated-row"])
+    (lambda P: P.__setitem__((2, 3), np.nan), "row 2 is not a character"),
+], ids=["perturbed-entry", "duplicated-row", "nan-entry"])
 def test_witness_b_rejects_a_wrong_eigenmatrix(tamper, message):
     """A contracted eigenmatrix that is not its folded tensor's character
     table is refused, naming the triple and the check."""
@@ -795,8 +797,94 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
 
 def test_eighteen_representatives_self_classify():
     assert len(CASE_REPRESENTATIVES) == 18
+    assert len(fusion._LABELS) == 18  # the representatives' signatures are distinct
     for label, (sa, sb) in CASE_REPRESENTATIVES.items():
         assert _overlap_label(sa, sb) == label
+        assert overlap_label_by_tables(sa, sb) == label
+
+
+# the first sides of the sweeps below: a type-1 and a type-2 dual side
+FIRST_SIDES = [(frozenset({1, 2, 3}),), (frozenset({1, 2}), frozenset({3, 4}))]
+
+
+def _second_sides():
+    """Every dual side over the idempotents 1..8: each 3-set, and each
+    ordered pair of disjoint 2-sets."""
+    yield from ((frozenset(s),) for s in itertools.combinations(range(1, 9), 3))
+    pairs = [frozenset(s) for s in itertools.combinations(range(1, 9), 2)]
+    yield from ((a, b) for a in pairs for b in pairs if not a & b)
+
+
+def test_overlap_labels_match_reference_tables():
+    """Every second side gets, in both argument orders, the label of the
+    hand-written tables, asked with the type-1 side first."""
+    for first, second in itertools.product(FIRST_SIDES, _second_sides()):
+        want = overlap_label_by_tables(*sorted((first, second), key=len))
+        assert _overlap_label(first, second) == want, (first, second)
+        assert _overlap_label(second, first) == want, (first, second)
+
+
+def test_overlap_maps_carry_dual_sets_onto_representative():
+    """For every second side, in both triple orders: a ruled-out label
+    raises Falsification; otherwise the relations go to 1..4, mixed kinds
+    put the type-1 triple in the {1,2,3} role, and the idempotent map
+    carries each triple's dual sets onto the representative's sets of its
+    role."""
+    t1, t2 = (1, 2, 3), (2, 3, 4)
+    for first, second in itertools.product(FIRST_SIDES, _second_sides()):
+        for sa, sb in ((first, second), (second, first)):
+            ty1, ty2 = am.TripleType(len(sa), sa), am.TripleType(len(sb), sb)
+            label = _overlap_label(sa, sb)
+            if label not in am.SURVIVING_CASES:
+                with pytest.raises(am.Falsification, match=re.escape(
+                        f"triples {t1}, {t2} realize ruled-out case {label}")):
+                    fusion._overlap_from_types(t1, ty1, t2, ty2)
+                continue
+            oc = fusion._overlap_from_types(t1, ty1, t2, ty2)
+            assert oc.label == label
+            assert sorted(oc.relation_map) == [1, 2, 3, 4]
+            assert sorted(oc.relation_map.values()) == [1, 2, 3, 4]
+            # class 1 lies only in t1, so it is 1 iff t1 plays {1,2,3}
+            role_123, role_234 = (sa, sb) if oc.relation_map[1] == 1 else (sb, sa)
+            if len(sa) != len(sb):
+                assert len(role_123) == 1, (sa, sb)
+            idem = oc.idempotent_map
+            assert set(idem) == set().union(*sa, *sb)
+            assert len(set(idem.values())) == len(idem)
+            rep_a, rep_b = CASE_REPRESENTATIVES[label]
+            assert {frozenset(idem[e] for e in s) for s in role_123} == set(rep_a)
+            assert {frozenset(idem[e] for e in s) for s in role_234} == set(rep_b)
+
+
+@pytest.mark.parametrize("sets1, sets2, label, relations, idempotents", [
+    # equal kinds: t1 keeps the {1,2,3} role when an orientation allows it
+    (({2, 3, 4},), ({1, 2, 3},), "I.3", (1, 2, 3, 4), {1: 4, 2: 2, 3: 3, 4: 1}),
+    (({1, 4}, {2, 3}), ({1, 2}, {3, 4}), "III.9", (1, 2, 3, 4), {1: 1, 2: 4, 3: 3, 4: 2}),
+    # mixed kinds: the type-1 triple t2 plays {1,2,3}; II.3 needs the
+    # second order of t1's sets
+    (({5, 6}, {7, 8}), ({6, 7, 8},), "II.5", (4, 2, 3, 1), {5: 4, 6: 3, 7: 1, 8: 2}),
+    (({4, 5}, {2, 3}), ({1, 2, 3},), "II.3", (4, 2, 3, 1), {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}),
+])
+def test_overlap_maps_follow_the_first_orientation(sets1, sets2, label, relations, idempotents):
+    """The maps of the first orientation that fits, roles before set
+    orders, with idempotents matched in ascending order."""
+    ty1, ty2 = (am.TripleType(len(s), tuple(map(frozenset, s))) for s in (sets1, sets2))
+    oc = fusion._overlap_from_types((1, 2, 3), ty1, (2, 3, 4), ty2)
+    assert oc.label == label
+    assert oc.relation_map == dict(zip(relations, (1, 2, 3, 4)))
+    assert list(oc.idempotent_map.items()) == list(idempotents.items())
+
+
+def test_signature_matching_no_representative_is_unclassified():
+    """A pair of sides no valid type pair has, a 3-set inside a type-2
+    side, matches no representative."""
+    sets_a, sets_b = (frozenset({1, 2, 3}),), (frozenset({1, 2, 3}), frozenset({4, 5}))
+    with pytest.raises(am.Unclassified) as err:
+        _overlap_label(sets_b, sets_a)
+    assert err.value.signature == (1, 2, (0, 3))
+    types = {(1, 2, 3): am.TripleType(1, sets_a), (2, 3, 4): am.TripleType(2, sets_b)}
+    with pytest.raises(am.Unclassified):
+        fusion._overlap_labels([((1, 2, 3), (2, 3, 4))], types)
 
 
 def test_overlap_label_invariant_under_relabeling():
@@ -870,8 +958,8 @@ def test_memoized_overlap_labels_match_direct(corpus):
 
 
 def test_overlap_labels_run_once_per_signature(monkeypatch):
-    """Pairs with one signature share one full classification, a ruled-out
-    case included, whatever the concrete dual sets."""
+    """Pairs with one kinds-and-sizes key share one label lookup, a
+    ruled-out case included, whatever the concrete dual sets."""
     one = lambda *sets: am.TripleType(kind=1, sets=tuple(frozenset(x) for x in sets))
     types = {
         (1, 2, 3): one({1, 2, 3}), (2, 3, 4): one({2, 3, 4}),  # I.3
@@ -881,13 +969,13 @@ def test_overlap_labels_run_once_per_signature(monkeypatch):
     }
     pairs = [((1, 2, 3), (2, 3, 4)), ((1, 2, 5), (2, 5, 6)),
              ((3, 4, 5), (4, 5, 6)), ((3, 4, 7), (4, 7, 8))]
-    real = fusion._overlap_from_types
+    real = fusion._overlap_label
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counted(sets_a, sets_b):
+        calls.append((sets_a, sets_b))
+        return real(sets_a, sets_b)
 
-    monkeypatch.setattr(fusion, "_overlap_from_types", counted)
+    monkeypatch.setattr(fusion, "_overlap_label", counted)
     assert fusion._overlap_labels(pairs, types) == ["I.3", "I.3", None, None]
-    assert calls == [(1, 2, 3), (3, 4, 5)]
+    assert calls == [(types[a].sets, types[b].sets) for a, b in (pairs[0], pairs[2])]
