@@ -34,7 +34,6 @@ from .fusion import (
     _overlapping_pairs,
     _triple_type,
     enumerate_fusing_tuples,
-    fuses,
 )
 from .hypergraph import UniformHypergraph, build_fusing_hypergraph, sunflower_cores
 
@@ -206,12 +205,12 @@ def amorphic_oracle(scheme: AssociationScheme,
     C(d, 2) partitions that merge two classes.
 
     The pair merges are decided together by
-    :func:`~amorphic.fusion._decide_merges`: both oracles, the block sums
-    on the intersection tensor and the eigenmatrix row-sum criterion, run
-    on stacks of membership matrices a fixed number of merges at a time,
-    and any merge they answer differently raises
-    :class:`OracleDisagreement`.  No answer is kept on the scheme.  There
-    is no bound on d: at d = 28 the
+    :func:`~amorphic.fusion._decide_merges`, a fixed number per stack, and
+    each pays only for its two classes: the block sums read the two tensor
+    slices at the pair, and the eigenmatrix row-sum criterion compares P's
+    own columns once per stack and the pair's folded column per merge.  Any
+    merge the two answer differently raises :class:`OracleDisagreement`.
+    No answer is kept on the scheme.  There is no bound on d: at d = 28 the
     pass asks 378 merges.  For d <= 2 the pairs are every partition there
     is (none at d = 1).  For d >= 3 two lemmas on the block-sum criterion
     show that the pairs suffice.  Every p below is p_ij^h with i, j, h
@@ -445,14 +444,11 @@ def verify_paper_claims(scheme: AssociationScheme,
         "complete_3hypergraph_implies_amorphic", applicable, ok,
         witness=f"{len(H3.edges) if H3 else 0} edges"))
 
-    # (c) at d = 5, a sunflower core is itself a fusing pair
+    # (c) at d = 5, a sunflower core is itself a fusing pair; the cores are
+    # asked as one stack of pair merges
     applicable = d == 5 and len(cores) >= 1
-    ok = True
-    if applicable:
-        for c in cores:
-            if not fuses(scheme, ClassPartition.merge(d, c.core), tol=tol):
-                ok = False
-                break
+    stacks = _decide_merges(scheme, [c.core for c in cores], tol) if applicable else []
+    ok = all([bool(fused.all()) for _, _, fused, _ in stacks])
     records.append(ClaimRecord(
         "sunflower_core_fuses", applicable, applicable and ok,
         witness=f"cores {[c.core for c in cores]}" if applicable else ""))

@@ -7,6 +7,7 @@ machine-checked mathematical claim failed (falsification).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -52,51 +53,71 @@ def load_scheme(path) -> AssociationScheme:
     Lines starting with '#' are comments.  A file that is not UTF-8 text,
     a malformed header or row, or a label outside 0..d raises
     :class:`ParseError` with the 1-based line (and column for bad tokens).
+    The data rows are converted to integers in one numpy conversion; only
+    when that fails are the tokens scanned, to name the first bad one.
     """
     path = Path(path)
-    rows = []
+    rows = []  # (tokens, line, line number) of each data row
     header = None
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode()
         except UnicodeDecodeError as exc:
+            for row in rows:  # a bad token on an earlier line comes first
+                _integers(*row)
             raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from exc
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        values = []
-        for tok in stripped.split():
-            try:
-                values.append(int(tok))
-            except ValueError:
-                # the bad token is token number len(values) of the line
-                starts = [m.start() for m in re.finditer(r"\S+", line)]
-                raise ParseError(f"bad integer {tok!r}", line=lineno,
-                                 column=starts[len(values)] + 1)
         if header is None:
+            values = _integers(stripped.split(), line, lineno)
             if len(values) != 2:
                 raise ParseError("header must be 'v d'", line=lineno)
             if min(values) < 1:
                 raise ParseError("header needs v >= 1 and d >= 1", line=lineno)
             header = (values[0], values[1], lineno)
         else:
-            rows.append((values, lineno))
+            rows.append((stripped.split(), line, lineno))
     if header is None:
         raise ParseError("empty scheme file", line=1)
     v, d, hline = header
+    tokens = itertools.chain.from_iterable(t for t, _, _ in rows)
+    try:
+        labels = np.array(list(tokens), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        for row in rows:
+            _integers(*row)
+        # every token is an integer, so one is beyond int64 and out of range
+        lineno = next(n for t, _, n in rows if any(abs(int(x)) >= 2 ** 63 for x in t))
+        raise ParseError(f"label out of range [0, {d}]", line=lineno) from exc
     if len(rows) != v:
         raise ParseError(f"expected {v} data rows, found {len(rows)}",
-                         line=rows[-1][1] if rows else hline)
-    for values, lineno in rows:
-        if len(values) != v:
-            raise ParseError(f"expected {v} labels, found {len(values)}", line=lineno)
-    labels = np.array([values for values, _ in rows], dtype=np.int64)
+                         line=rows[-1][2] if rows else hline)
+    for tokens, _, lineno in rows:
+        if len(tokens) != v:
+            raise ParseError(f"expected {v} labels, found {len(tokens)}", line=lineno)
+    labels = labels.reshape(v, v)
     try:
         lm = LabelMatrix(v=v, d=d, labels=labels)
     except ValueError as exc:  # the shape is v x v, so a label is out of range
         row = int(np.argwhere((labels < 0) | (labels > d))[0, 0])
-        raise ParseError(str(exc), line=rows[row][1]) from exc
+        raise ParseError(str(exc), line=rows[row][2]) from exc
     return validate_scheme(lm)
+
+
+def _integers(tokens: list[str], line: str, lineno: int) -> list[int]:
+    """The tokens of one line as integers; a bad token raises
+    :class:`ParseError` naming its line and column."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            # the bad token is token number len(values) of the line
+            starts = [m.start() for m in re.finditer(r"\S+", line)]
+            raise ParseError(f"bad integer {tok!r}", line=lineno,
+                             column=starts[len(values)] + 1)
+    return values
 
 
 def save_scheme(scheme: AssociationScheme, path, comment: str | None = None) -> None:

@@ -293,6 +293,15 @@ def validate_scheme(labels) -> AssociationScheme:
     if np.any(diag != 0):
         x = int(np.argmax(diag != 0))
         raise AxiomViolation("identity", (x, x))
+    if d >= v:
+        # row 0 has v - 1 cells off the diagonal, so some class misses it;
+        # the smallest label missing from the matrix is named without
+        # counting all d + 1 labels
+        present = np.unique(L)
+        gaps = np.flatnonzero(present != np.arange(len(present)))
+        missing = int(gaps[0]) if gaps.size else len(present)
+        if missing <= d:
+            raise AxiomViolation("partition", missing, f"label {missing} never occurs")
     count = np.bincount(L.ravel(), minlength=d + 1)
     # the diagonal is all 0, so label 0 is confined to it exactly when it
     # occurs v times
@@ -526,23 +535,20 @@ def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> Spectr
     U = _common_eigenvectors(S, tol)
     rows = np.einsum("aj,iab,bj->ji", U, S, U)
 
-    # locate the valency row
-    val_idx = None
-    for j in range(d + 1):
-        if tol.allclose(rows[j], k):
-            val_idx = j
-            break
-    if val_idx is None:
+    # the first row that is the valency row, and every other row's
+    # multiplicity; the first one not near an integer is named
+    valency = tol.isclose(rows, k).all(axis=1)
+    if not valency.any():
         raise DegenerateSpectrum("no eigenvector reproduces the valency row")
-
+    val_idx = int(np.argmax(valency))
+    m_raw = v / (rows ** 2 / k).sum(axis=1)
+    whole = tol.isclose(m_raw, np.round(m_raw))
+    whole[val_idx] = True
+    if not whole.all():
+        bad = float(m_raw[np.argmin(whole)])
+        raise DegenerateSpectrum(f"multiplicity {bad!r} is not near an integer")
     others = [j for j in range(d + 1) if j != val_idx]
-    mults = {}
-    for j in others:
-        m_raw = v / float(np.sum(rows[j] ** 2 / k))
-        m = int(round(m_raw))
-        if not tol.close(m_raw, m):
-            raise DegenerateSpectrum(f"multiplicity {m_raw!r} is not near an integer")
-        mults[j] = m
+    mults = dict(zip(others, np.round(m_raw[others]).astype(int).tolist()))
     others.sort(key=lambda j: (mults[j], tuple(np.round(rows[j], 6))))
 
     order = [val_idx] + others

@@ -10,16 +10,16 @@ second is the row-sum criterion on the eigenmatrix (:func:`bm_check`).
 Any disagreement, a yes against a no either way, aborts with
 :class:`OracleDisagreement`.
 
-Each oracle has one kernel, and it answers a stack of partitions at once:
-:func:`_stacked_block_sums` and :func:`_stacked_row_sum`, both reading the
-membership matrices that :func:`_stack` builds, on one tensor and
-eigenmatrix for the whole stack or one per entry.  A single question
-(:func:`_decide`) is a stack of one; single merges named by the caller,
-all of one size (:func:`_decide_merges`), come a fixed number of merges
-per stack.  One builder, :func:`_merge_stacks`, makes those stacks for
-every caller: the r-subsets of the tuple enumeration, the amorphicity
-oracle and the idempotent side, and the 4-sets and contracted pairs of the
-contraction claim.
+Each oracle has one kernel that answers a stack of partitions, on one
+tensor and eigenmatrix for the stack or one per entry, and pays only for
+the classes each partition merges: :func:`_stacked_block_sums` reads the
+tensor slices at merged classes, :func:`_stacked_row_sum` compares the
+eigenmatrix's own columns once per call and then merged blocks' columns;
+:func:`_duals` reads a stack's dual partitions off one product.  A single
+question (:func:`_decide`) is a stack of one; single merges of one size
+(:func:`_decide_merges`) come a fixed number per stack from one builder,
+:func:`_merge_stacks`, for the tuple enumeration, the amorphicity oracle,
+the idempotent side, the sunflower cores and the contraction claim.
 
 Each question is decided once per scheme instance and tolerance: an answer
 on which both oracles agree is kept on the scheme, and asking again
@@ -207,10 +207,8 @@ class FusionOutcome:
     P_fused: np.ndarray
 
 
-# Merges stacked per pass of _merge_stacks.  The exact kernel's largest
-# arrays hold _MERGE_CHUNK * (d+1)^3 floats, about 12 MB each at d = 28,
-# whatever the merge count; the 378 pairs of d = 28 in one stack would need
-# over 70 MB each.
+# Merges per stack of _merge_stacks, so that a stack's arrays have a fixed size
+# whatever the merge count (witness B's: 64 tensors of (d-1)^3, 10 MB at d = 28).
 _MERGE_CHUNK = 64
 
 
@@ -253,29 +251,22 @@ def _merge_stacks(d: int, merges):
 
 def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
     """The exact oracle on a stack of partitions: entry m is True iff every
-    block sum F[m, h] = S[m]^T p[:, :, h] S[m] equals F[m, rep[m, h]].
+    block sum S[m]^T p[:, :, h] S[m] equals the one at rep[m, h].
 
-    ``p`` is one intersection tensor shared by the whole stack,
-    p[i, j, h] = p_ij^h, or one tensor per stack entry, p[m, i, j, h].  The
-    shared tensor takes one product for the whole stack, the per-entry
-    tensors one batched product.  The float64 products are exact: every
-    entry and partial sum is an integer <= v < 2^53.
+    Only the t = d + 1 - n_blocks classes with rep[m, h] != h (t is one
+    for the stack) can break that, so entry m is accepted iff every block
+    sum of p[:, :, h] - p[:, :, rep[m, h]] is 0.  ``p`` is one tensor shared
+    by the stack, p[i, j, h] = p_ij^h, or one per entry, p[m, i, j, h];
+    neither symmetry nor p_0j^h = delta_jh is assumed.  The float64
+    products are exact: partial sums are integers below v (d+1)^2 < 2^53.
     """
     c, n, nb = S.shape
-    if p.ndim == 3:
-        # G[h, i, m, J] = sum over j in J of p_ij^h, one product for the whole stack
-        p = p.transpose(2, 0, 1).astype(np.float64)
-        G = (p.reshape(n * n, n) @ S.transpose(1, 0, 2).reshape(n, c * nb)).reshape(n, n, c, nb)
-        G = G.transpose(2, 1, 0, 3)
-    else:
-        # G[m, h, i, J], one product per stack entry
-        p = p.transpose(0, 3, 1, 2).astype(np.float64)
-        G = (p.reshape(c, n * n, n) @ S).reshape(c, n, n, nb).transpose(0, 2, 1, 3)
-    # F[m, I, h, J] = sum over i in I of G[m, i, h, J], then one row per (m, h)
-    F = (S.transpose(0, 2, 1) @ G.reshape(c, n, n * nb)).reshape(c, nb, n, nb)
-    F = F.transpose(0, 2, 1, 3).reshape(c * n, nb * nb)
-    at_rep = F[(rep + n * np.arange(c)[:, None]).ravel()]
-    return np.all((F == at_rep).reshape(c, n * nb * nb), axis=1)
+    m, h = np.nonzero(rep != np.arange(n))
+    # slices[..., h, :, :] = p[..., :, :, h], one set per entry if per entry
+    slices, entry = (p.transpose(0, 3, 1, 2), (m,)) if p.ndim == 4 else (p.transpose(2, 0, 1), ())
+    diff = (slices[(*entry, h)] - slices[(*entry, rep[m, h])]).astype(np.float64)
+    sums = S.transpose(0, 2, 1)[:, None] @ diff.reshape(c, n - nb, n, n) @ S[:, None]
+    return ~sums.reshape(c, -1).any(axis=1)
 
 
 @functools.cache
@@ -288,26 +279,34 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray,
                      tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The row-sum criterion on a stack of partitions: fused[m] is True iff
     the rows of P S[m] fall into as many groups as S[m] has blocks, with
-    row 0 alone.  lead[m, j] is the leader of row j's group.  ``P`` is one
-    eigenmatrix shared by the whole stack or one per entry, P[m].
+    row 0 alone; lead[m, j] is the leader of row j's group.  ``P`` is one
+    eigenmatrix shared by the stack or one per entry, P[m].
 
-    A row joins the first leader it is close to under tol, so it leads a
-    group iff it is close to no earlier leader; closeness need not be
-    transitive.  Only the n(n-1)/2 pairs of a row and an earlier row are
-    compared.
+    Rows are close iff close under tol in every folded column.  A block of
+    one class folds to P's own column, so the row pairs apart in each own
+    column are found once per call (per run of equal P[m]); per entry only
+    its merged blocks' columns are compared.  A row joins the first earlier
+    leader it is close to, so closeness need not be transitive.
     """
     c, n, nb = S.shape
-    folded = P @ S
+    size = S.sum(axis=1)
+    m, b = np.nonzero(size > 1)  # the merged blocks
+    merged = (P @ S)[m, :, b]
+    alone = (S @ (size == 1)[:, :, None])[:, :, 0]  # classes alone in their block
+    if P.ndim == 3:  # own columns once per run of equal P[m]
+        fresh = np.concatenate([[True], (P[1:] != P[:-1]).any(axis=(1, 2))])
+        own = np.zeros((c, fresh.sum(), n))
+        own[np.arange(c), np.cumsum(fresh) - 1] = alone
+        P, alone = P[fresh].transpose(1, 0, 2).reshape(n, -1), own.reshape(c, -1)
+    # apart[q, col]: row pair q differs in the column (own columns, then merged)
+    cols = np.concatenate([P, merged.T], axis=1)
     later, earlier = _earlier_pairs(n)
-    size = np.abs(folded)
-    bound = np.maximum(size[:, later], size[:, earlier])
-    bound *= tol.rtol
-    bound += tol.atol
-    gap = folded[:, later]
-    gap -= folded[:, earlier]
-    np.abs(gap, out=gap)
+    x, y = cols[later], cols[earlier]
+    apart = ~(np.abs(x - y) <= np.maximum(np.abs(x), np.abs(y)) * tol.rtol + tol.atol)
+    # entry m reads its own columns of classes alone in a block, and its merged
+    reads = np.concatenate([alone, m == np.arange(c)[:, None]], axis=1)
     close = np.zeros((c, n, n), dtype=bool)
-    close[:, later, earlier] = np.all(gap <= bound, axis=2)
+    close[:, later, earlier] = reads @ apart.T == 0
     # leader[j] depends only on leader[:j], so each pass fixes at least one
     # more row, and the first pass that changes nothing has them all
     leader = ~close.any(axis=2)
@@ -318,22 +317,31 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray,
             break
         leader = step
     lead = np.where(leader, np.arange(n), joins.argmax(axis=2))
-    # a row close to row 0 joins its group
-    fused = (leader.sum(axis=1) == nb) & ~close[:, :, 0].any(axis=1)
+    # a row close to row 0 joins its group, since row 0 is the first leader
+    fused = (leader.sum(axis=1) == nb) & lead[:, 1:].all(axis=1)
     return fused, lead
 
 
-def _dual(P: np.ndarray, S: np.ndarray, lead: np.ndarray, tol: Tolerance) -> DualPartition:
-    """The dual partition and fused eigenmatrix of one accepted stack entry,
-    from its membership matrix S and the row-sum kernel's leaders."""
-    groups: dict[int, list[int]] = {}
-    for j, g in enumerate(lead.tolist()):
-        groups.setdefault(g, []).append(j)
-    # a leader is the first row of its group and the leaders come ascending,
-    # so the blocks are already canonical
-    rho = ClassPartition(d=len(lead) - 1, blocks=tuple(map(tuple, groups.values())))
-    P_fused, _ = tol.snap((P @ S)[list(groups)])
-    return DualPartition(rho=rho, P_fused=P_fused)
+def _duals(P: np.ndarray, S: np.ndarray, fused: np.ndarray, lead: np.ndarray,
+           tol: Tolerance) -> list[DualPartition | None]:
+    """The dual partition and fused eigenmatrix of each accepted entry of a
+    stack (None for the others) from the row-sum kernel's answers on the
+    shared P: the leaders' rows of one product P S, snapped at once."""
+    c, n, nb = S.shape
+    duals: list[DualPartition | None] = [None] * c
+    accepted = np.flatnonzero(fused)
+    if not accepted.size:
+        return duals
+    leaders = lead[accepted] == np.arange(n)
+    P_fused, _ = tol.snap((P @ S[accepted])[leaders].reshape(-1, nb, nb))
+    for m, P_m in zip(accepted.tolist(), P_fused):
+        groups: dict[int, list[int]] = {}
+        for j, g in enumerate(lead[m].tolist()):
+            groups.setdefault(g, []).append(j)
+        # each leader is first in its group, and they ascend: canonical blocks
+        rho = ClassPartition(d=n - 1, blocks=tuple(map(tuple, groups.values())))
+        duals[m] = DualPartition(rho=rho, P_fused=P_m)
+    return duals
 
 
 def _tensor_failure(p: np.ndarray, pi: ClassPartition) -> NotAFusion:
@@ -373,9 +381,6 @@ def _disagreement(p: np.ndarray, pi: ClassPartition, exact_accepts: bool,
         f"{_tensor_failure(p, pi)}")
 
 
-_UNDECIDED = object()
-
-
 def _decide(scheme: AssociationScheme, pi: ClassPartition,
             tol: Tolerance) -> DualPartition | None:
     """The one place a single fusion question is decided.
@@ -391,9 +396,8 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     raises again.
     """
     key = (tol, pi.blocks)
-    dual = scheme._decisions.get(key, _UNDECIDED)
-    if dual is not _UNDECIDED:
-        return dual
+    if key in scheme._decisions:
+        return scheme._decisions[key]
     if pi.d != scheme.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, scheme has d={scheme.d}")
     S, rep = _stack(pi.block_index()[None])
@@ -402,8 +406,7 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     fused, lead = _stacked_row_sum(P, S, tol)
     if exact != fused[0]:
         raise _disagreement(scheme.intersection.p, pi, exact, lead[0])
-    dual = _dual(P, S[0], lead[0], tol) if exact else None
-    scheme._decisions[key] = dual
+    dual = scheme._decisions[key] = _duals(P, S, fused, lead, tol)[0] if exact else None
     return dual
 
 
@@ -439,7 +442,7 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
     fused, lead = _stacked_row_sum(spec.P, S, spec.tol)
     if not fused[0]:
         raise _row_sum_failure(pi, lead[0])
-    return _dual(spec.P, S[0], lead[0], spec.tol)
+    return _duals(spec.P, S, fused, lead, spec.tol)[0]
 
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
@@ -453,17 +456,14 @@ def _decide_merges(scheme: AssociationScheme, merges, tol: Tolerance):
     """Whether each single merge in ``merges`` fuses, decided together.
 
     ``merges`` is what :func:`_merge_stacks` takes: sorted tuples of
-    nontrivial classes, all of one size.  The amorphicity oracle, the
-    tuple enumeration and the idempotent side pass every r-subset; the
-    contraction claim passes the 4-sets and contracted pairs it asks about.
-    Yields, per stack, (chunk, S, fused, lead): the merges, their
-    membership matrices, the answers and the row-sum kernel's leaders, from
-    which :func:`_dual` reads the dual partition of an accepted merge.  Both
-    kernels answer every merge of a stack before it is yielded, so memory
-    stays flat however many merges there are.  A merge the two answer
-    differently raises :class:`OracleDisagreement` with :func:`_decide`'s
-    text.  The scheme's decisions are not read: a kept answer cannot hide a
-    disagreement.
+    nontrivial classes, all of one size.  Yields, per stack, (chunk, S,
+    fused, lead): the merges, their membership matrices, the answers and
+    the row-sum kernel's leaders, from which :func:`_duals` reads the dual
+    partitions.  Both kernels answer a whole stack before it is yielded, so
+    memory stays flat however many merges there are.  A merge the two
+    answer differently raises :class:`OracleDisagreement` with
+    :func:`_decide`'s text.  The scheme's decisions are not read: a kept
+    answer cannot hide a disagreement.
     """
     for chunk, S, rep in _merge_stacks(scheme.d, merges):
         P = spectral_decomposition(scheme, tol=tol).P
@@ -493,8 +493,7 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
     merges = itertools.combinations(range(1, scheme.d + 1), k)
     for chunk, S, fused, lead in _decide_merges(scheme, merges, tol):
         P = spectral_decomposition(scheme, tol=tol).P
-        for m, T in enumerate(chunk):
-            dual = _dual(P, S[m], lead[m], tol) if fused[m] else None
+        for T, dual in zip(chunk, _duals(P, S, fused, lead, tol)):
             scheme._decisions[(tol, ClassPartition.merge(scheme.d, T).blocks)] = dual
             if dual is not None:
                 found.append(T)
@@ -563,11 +562,8 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
         raise PreconditionFailed(f"need a 3-subset and an outside class, got {t1}, {ell}")
     if not fuses(scheme, ClassPartition.merge(scheme.d, t1), tol=tol):
         raise PreconditionFailed(f"{set(t1)} does not fuse")
-    overlapping = [
-        s for s in itertools.combinations(t1, 2)
-        if fuses(scheme, ClassPartition.merge(scheme.d, set(s) | {ell}), tol=tol)
-    ]
-    if not overlapping:
+    if not any(fuses(scheme, ClassPartition.merge(scheme.d, set(s) | {ell}), tol=tol)
+               for s in itertools.combinations(t1, 2)):
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
     return _contractions(scheme, [(t1, ell)], tol)[0]
@@ -622,20 +618,20 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     each fusing triple T (T merged) fuses its merged class with each ell of
     ``outside[T]``, without building it.  Every T must fuse.
 
-    The parent's cells are histogrammed once.  Per _MERGE_CHUNK triples,
-    their tensors are folded from it (:func:`_contracted_tensors`), and
-    the fused eigenmatrices the parent's decisions keep are accepted only
-    as the character tables of those tensors (:func:`_check_characters`).
-    Both kernels then ask the pairs {merged class, ell} in
-    :func:`_merge_stacks` over 0..d-2, each entry on its own triple's
-    tensor and eigenmatrix.  Yields, per stack, the (T, ell) asked and the
-    answers; a pair the kernels answer differently raises
+    Per _MERGE_CHUNK triples, the tensors are folded from one histogram of
+    the parent's cells (:func:`_contracted_tensors`), and the fused
+    eigenmatrices the parent's decisions keep are accepted only as their
+    character tables (:func:`_check_characters`).  Both kernels then ask
+    the pairs {merged class, ell} in :func:`_merge_stacks` over 0..d-2,
+    each entry on its own triple's tensor and eigenmatrix.  Yields, per
+    stack, the (T, ell) asked and the answers; a disagreement raises
     :class:`OracleDisagreement` naming T.
     """
     d = scheme.d
     counts, k = _row0_counts(scheme.labels, d)
-    for chunk, S, _ in _merge_stacks(d, outside):
-        p, k_fused = _contracted_tensors(chunk, counts, k, S)
+    triples = iter(outside)
+    while chunk := list(itertools.islice(triples, _MERGE_CHUNK)):
+        p, k_fused = _contracted_tensors(chunk, counts, k)
         P = np.array([_decide(scheme, ClassPartition.merge(d, T), tol).P_fused for T in chunk])
         _check_characters(chunk, p, k_fused, P, scheme.v, tol)
         # ell's block: ell less the classes of T above T[0] and below ell
@@ -656,30 +652,34 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
             yield [(chunk[m], ell) for m, ell, _ in here], fused
 
 
-def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray,
-                        S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tensors p' and valencies k' of the fusions in the stack S, the
-    merges of the triples in ``chunk``, from the parent's histogram
-    ``counts, k = _row0_counts(labels, d)``.
+def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tensors p' and valencies k' of the contracted schemes of the
+    triples T in ``chunk`` (T merged in T[0]'s place), from the parent's
+    histogram ``counts, k = _row0_counts(labels, d)``.
 
-    counts summed over the blocks on all three axes is, integer for
-    integer, the fused labels' histogram, and k' = k S, so p' = counts'
-    / k'_h.  Three batched float64 products, exact since every count is
-    <= v^2 < 2^53.  A folded count that k'_h does not divide raises
+    Only the merged class is folded: on each axis T[1] and T[2] are added
+    into T[0] and dropped, integer for integer the fused labels' histogram,
+    so p' = counts' / k'_h; a count k'_h does not divide raises
     :class:`OracleDisagreement` naming the triple.
     """
-    c, n, nb = S.shape
-    # sum over the blocks of i, then of h, then of j
-    X = S.transpose(0, 2, 1) @ counts.reshape(n, n * n).astype(np.float64)
-    Y = (X.reshape(c, nb * n, n) @ S).reshape(c, nb, n, nb).transpose(0, 1, 3, 2)
-    folded = (Y.reshape(c, nb * nb, n) @ S).reshape(c, nb, nb, nb).transpose(0, 1, 3, 2)
-    k_fused = (k @ S)[:, None, None, :]
-    if (folded % k_fused).any():
-        m, a, b, h = np.argwhere(folded % k_fused)[0]
+    T, rows, n = np.array(chunk), np.arange(len(chunk)), len(k)
+    keep = np.array([[i for i in range(n) if i not in t[1:]] for t in chunk])
+
+    def fold(X):  # axis 1 of X[m, i, ...] folded, and moved last
+        Y = X[rows[:, None], keep]
+        Y[rows, T[:, 0]] += X[rows, T[:, 1]] + X[rows, T[:, 2]]
+        return np.moveaxis(Y, 1, -1)
+
+    k_fused = fold(np.broadcast_to(k, (len(T), n)))
+    folded = fold(fold(fold(np.broadcast_to(counts, (len(T), n, n, n)))))
+    # p' in C order and float64, as check 3's product reads it
+    p, rest = np.divmod(folded, k_fused[:, None, None, :], out=(np.empty(folded.shape), None))
+    if rest.any():
+        m, a, b, h = np.argwhere(rest)[0]
         raise OracleDisagreement(
-            f"contraction of {set(chunk[m])}: the folded count {folded[m, a, b, h]:g} of "
-            f"classes {a}, {b} at {h} is not a multiple of k'_{h} = {k_fused[m, 0, 0, h]:g}")
-    return folded // k_fused, k_fused[:, 0, 0]
+            f"contraction of {set(chunk[m])}: the folded count {folded[m, a, b, h]} of "
+            f"classes {a}, {b} at {h} is not a multiple of k'_{h} = {k_fused[m, h]}")
+    return p, k_fused
 
 
 _CHECKS = ("column 0 is not 1 in row {0}", "row 0 is not the valencies at class {0}",

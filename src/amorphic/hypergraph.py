@@ -5,12 +5,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import AssociationScheme, DEFAULT_TOL, Tolerance, spectral_decomposition
 from .errors import OracleDisagreement, WrongUniformity
 # fuse_direct is unused here; bench/selftest.py looks the binding up in this module
-from .fusion import (ClassPartition, _decide, _dual, _merge_stacks, _stacked_row_sum,
+from .fusion import (ClassPartition, _decide, _duals, _merge_stacks, _stacked_row_sum,
                      enumerate_fusing_tuples, fuse_direct)
 
 __all__ = [
@@ -82,15 +80,16 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
     edges = set()
     for chunk, S, _ in _merge_stacks(scheme.d, itertools.combinations(vertices, k)):
         fused, lead = _stacked_row_sum(Q, S, tol)
-        for m in np.flatnonzero(fused):
-            rho = ClassPartition.merge(scheme.d, chunk[m])
-            candidate = _dual(Q, S[m], lead[m], tol)
+        for T, candidate in zip(chunk, _duals(Q, S, fused, lead, tol)):
+            if candidate is None:
+                continue
+            rho = ClassPartition.merge(scheme.d, T)
             found = _decide(scheme, candidate.rho, tol)
             if found is None or found.rho != rho:
                 raise OracleDisagreement(
                     f"Q folded over idempotent partition {rho} groups the classes as {candidate.rho}, "
                     f"but the two oracles give {'no fusion' if found is None else found.rho}")
-            edges.add(chunk[m])
+            edges.add(T)
     return UniformHypergraph(k=k, vertices=vertices, edges=frozenset(edges), side=side)
 
 

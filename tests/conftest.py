@@ -1,8 +1,9 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
 reference validator, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references built
-on it, the single-merge amorphicity reference, the hand-written overlap
-label tables, and the acceptance-criteria summary lines.
+on it, the single-merge amorphicity reference, the full-tensor references
+of the two fusion kernels and of the dual partition, the hand-written
+overlap label tables, and the acceptance-criteria summary lines.
 
 A scheme keeps its fusion decisions, spectra and last fused scheme on the
 instance, and the ``corpus`` fixture shares its schemes across the whole
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import amorphic as am
-from amorphic.fusion import fuses
+from amorphic.fusion import ClassPartition, DualPartition, fuses
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
@@ -94,6 +95,48 @@ def idempotent_edges_by_all_partitions(scheme, k):
         if len(big) == 1 and len(big[0]) == k:
             edges.add(big[0])
     return frozenset(edges)
+
+
+def block_sums_by_full_tensor(p, S, rep):
+    """Test-only reference for ``fusion._stacked_block_sums``: all
+    (d+1)^3 block sums F[m, I, J, h] = sum_{i in I, j in J} p_ij^h of every
+    stack entry, each compared with its value at h's block representative
+    rep[m, h].  ``p`` is shared, p[i, j, h], or per entry, p[m, i, j, h]."""
+    c, n, nb = S.shape
+    if p.ndim == 3:
+        p = np.broadcast_to(p, (c, n, n, n))
+    F = np.einsum("mia,mijh,mjb->mabh", S, p.astype(np.float64), S)
+    return np.all(F == np.take_along_axis(F, rep[:, None, None, :], axis=3), axis=(1, 2, 3))
+
+
+def row_sum_by_full_fold(P, S, tol):
+    """Test-only reference for ``fusion._stacked_row_sum``: the rows of
+    every folded eigenmatrix P S[m] compared pairwise on all its columns,
+    then the greedy grouping (a row joins the first earlier leader it is
+    close to) one row at a time.  Returns (fused, lead) like the kernel."""
+    folded = P @ S
+    c, n, nb = S.shape
+    fused, lead = np.zeros(c, dtype=bool), np.zeros((c, n), dtype=np.int64)
+    for m in range(c):
+        close = tol.isclose(folded[m][:, None, :], folded[m][None, :, :]).all(axis=2)
+        leaders = []
+        for j in range(n):
+            lead[m, j] = next((g for g in leaders if close[j, g]), j)
+            if lead[m, j] == j:
+                leaders.append(j)
+        fused[m] = len(leaders) == nb and not close[1:, 0].any()
+    return fused, lead
+
+
+def dual_by_full_fold(P, S, lead, tol):
+    """Test-only reference for one entry of ``fusion._duals``: the dual
+    partition grouped by the row-sum kernel's leaders ``lead`` and the
+    leaders' rows of P S (S one membership matrix), snapped."""
+    groups = {}
+    for j, g in enumerate(lead.tolist()):
+        groups.setdefault(g, []).append(j)
+    rho = ClassPartition(d=len(lead) - 1, blocks=tuple(map(tuple, groups.values())))
+    return DualPartition(rho=rho, P_fused=tol.snap((P @ S)[list(groups)])[0])
 
 
 def net_with_group_sizes(n, sizes):

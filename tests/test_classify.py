@@ -3,6 +3,7 @@ eigenmatrix pattern, the row lemma, and the per-scheme claim verifier."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     enumerate_partitions,
     net_with_group_sizes,
 )
+from test_fusion import _flip_one
 
 TOL = am.DEFAULT_TOL
 
@@ -438,6 +440,43 @@ def test_verify_claims_computes_the_verdict_once(monkeypatch):
             if by_name[name].applicable]
     assert len(uses) >= 2 and all(by_name[name].verified for name in uses)
     assert len(calls) == 1
+
+
+def _claims_with_a_fixed_verdict(monkeypatch, scheme):
+    """verify_paper_claims with the amorphicity verdict stubbed as True, so
+    that the pair merges it would ask are not asked."""
+    monkeypatch.setattr(classify, "is_amorphic",
+                        lambda scheme, tol: classify.AmorphicVerdict(True, None, True))
+    return {r.claim: r for r in am.verify_paper_claims(scheme).records}
+
+
+def test_sunflower_cores_are_asked_in_one_stack(monkeypatch):
+    """Claim (c) asks all ten cores of the d = 5 net as one stack of pair
+    merges, and a flipped answer of either kernel on a core still raises."""
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    stacks = []
+    real = classify._decide_merges
+
+    def spy(scheme, merges, tol):
+        for stack in real(scheme, merges, tol):
+            stacks.append(stack[0])
+            yield stack
+
+    monkeypatch.setattr(classify, "_decide_merges", spy)
+    claim = _claims_with_a_fixed_verdict(monkeypatch, scheme)["sunflower_core_fuses"]
+    assert claim.applicable and claim.verified
+    assert stacks == [_pairs(5)]
+    core = am.ClassPartition.merge(5, (2, 4))
+    for kernel in ("_stacked_block_sums", "_stacked_row_sum"):
+        fresh = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+        with monkeypatch.context() as mp:
+            _flip_one(mp, kernel, core)
+            with pytest.raises(am.OracleDisagreement, match=re.escape(f"accepts {core} but")):
+                _claims_with_a_fixed_verdict(mp, fresh)
+
+
+def _pairs(d):
+    return list(itertools.combinations(range(1, d + 1), 2))
 
 
 def test_verify_claims_types_each_triple_once(monkeypatch):

@@ -218,6 +218,39 @@ def test_malformed_files_are_parse_errors(tmp_path):
         assert err.value.line == line, text
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("2 1\n0\n1 x\n", 3, 3, "bad integer 'x'"),       # before the short row on line 2
+    ("3 1\n0 1 1\n1 0 q\n", 3, 5, "bad integer 'q'"),  # before the missing row
+    (b"2 1\n0 y\n\xff\n", 2, 3, "bad integer 'y'"),    # before a later non-UTF-8 line
+    (b"2 1\n\xff\n0 y\n", 2, None, "not UTF-8 text"),  # after an earlier one
+    ("2 z\n0 w\n1 0\n", 1, 3, "bad integer 'z'"),      # the header first
+])
+def test_parse_errors_keep_line_order(tmp_path, text, line, column, message):
+    """The rows are converted at once, yet a file gets the error its first
+    bad line gives: a bad token comes before a short or missing row
+    anywhere and before a later line that is not UTF-8."""
+    path = tmp_path / "bad.scheme"
+    (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    with pytest.raises(am.ParseError, match=message) as err:
+        am.load_scheme(path)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_label_beyond_int64_is_a_parse_error(tmp_path, capsys):
+    """A label too large for int64 is out of range, named by its line, and
+    the corpus run records the file and goes on; it used to abort the run
+    with OverflowError."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "a.scheme").write_text("2 1\n0 1\n99999999999999999999 0\n")
+    with pytest.raises(am.ParseError, match=r"^label out of range \[0, 1\] \(line 3\)$"):
+        am.load_scheme(d / "a.scheme")
+    am.save_scheme(am.gen_hamming_binary(3), d / "b.scheme")
+    capsys.readouterr()
+    assert run_command(["corpus", str(d)]) == 1
+    assert capsys.readouterr().out == "b.scheme: ok\n"
+
+
 def test_verify_command(h3_file, capsys):
     assert run_command(["verify", str(h3_file)]) == 0
 
@@ -314,6 +347,22 @@ def test_corpus_run_continues_past_bad_files(tmp_path, capsys):
     assert files["b.scheme"] == {"error": "label out of range [0, 1] at (0, 1) (line 2)"}
     assert files["c.scheme"]["error"].startswith("not UTF-8 text")
     assert set(files["d.scheme"]) == {"error"}
+
+
+def test_corpus_records_a_header_with_more_classes_than_points(tmp_path, capsys):
+    """A header "2 1000000000000" is recorded as an error, the run goes on
+    and exits 1; it used to abort with numpy's memory error."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "a.scheme").write_text("2 1000000000000\n0 1\n1 0\n")
+    am.save_scheme(am.gen_hamming_binary(3), d / "b.scheme")
+    rep = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert run_command(["--report", str(rep), "corpus", str(d)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "b.scheme: ok\n"
+    assert out.err == "a.scheme: error: label 2 never occurs\n"
+    assert json.loads(rep.read_text())["files"]["a.scheme"] == {"error": "label 2 never occurs"}
 
 
 # The corpus run's report and standard output, byte for byte.  A change that

@@ -111,6 +111,20 @@ def test_validate_rejects_unclosed_labeling():
     assert err.value.axiom in ("closure", "partition")
 
 
+@pytest.mark.parametrize("labels, d, missing", [
+    ([[0, 1], [1, 0]], 10 ** 12, 2),
+    ([[0, 1, 3], [1, 0, 3], [3, 3, 0]], 10 ** 12, 2),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 3, 2),
+])
+def test_more_classes_than_points_is_a_partition_violation(labels, d, missing):
+    """d >= v cannot be a scheme: row 0 has v - 1 cells off the diagonal.
+    The smallest missing label is named without counting all d + 1 labels,
+    which at d = 10^12 would need 8 TB."""
+    with pytest.raises(AxiomViolation, match=f"^label {missing} never occurs$") as err:
+        validate_scheme(LabelMatrix(v=len(labels), d=d, labels=np.array(labels)))
+    assert (err.value.axiom, err.value.witness) == ("partition", missing)
+
+
 def deviates(labels, cell):
     """True when some product A_i A_j differs at ``cell`` from its value at
     the first cell of the same class, i.e. the cell really breaks closure."""
@@ -483,6 +497,59 @@ def test_row_order_is_deterministic():
     assert TOL.allclose(a.P, b.P)
     mults = a.multiplicities
     assert list(mults[1:]) == sorted(mults[1:])
+
+
+def _bookkeeping_by_rows(rows, k, v, tol):
+    """Test-only reference: the row-by-row search for the valency row and
+    the multiplicities that spectral_decomposition ran before it used
+    array operations; returns (valency row, multiplicities) or raises."""
+    val_idx = next((j for j in range(len(rows)) if tol.allclose(rows[j], k)), None)
+    if val_idx is None:
+        raise DegenerateSpectrum("no eigenvector reproduces the valency row")
+    mults = {}
+    for j in (j for j in range(len(rows)) if j != val_idx):
+        m_raw = v / float(np.sum(rows[j] ** 2 / k))
+        if not tol.close(m_raw, int(round(m_raw))):
+            raise DegenerateSpectrum(f"multiplicity {m_raw!r} is not near an integer")
+        mults[j] = int(round(m_raw))
+    return val_idx, mults
+
+
+@pytest.mark.parametrize("scale", ["none", "valency", "two-rows"])
+def test_spectral_bookkeeping_matches_row_by_row_reference(monkeypatch, scale):
+    """The valency row and the multiplicities are found by array
+    operations with the row-by-row search's results: the same P and
+    multiplicities, and the same error naming the first bad row when an
+    eigenvector is scaled off its unit length."""
+    scheme = gen_hamming_binary(5)
+    real = core._common_eigenvectors
+    seen = {}
+
+    def scaled(S, tol):
+        U = real(S, tol)
+        rows = np.einsum("aj,iab,bj->ji", U, S, U)
+        k = np.asarray(scheme.valencies, dtype=float)
+        val_idx = int(np.argmax(TOL.isclose(rows, k).all(axis=1)))
+        cols = {"none": [], "valency": [val_idx],
+                "two-rows": [j for j in range(len(k)) if j != val_idx][2:4]}[scale]
+        U = U.copy()
+        U[:, cols] *= 1.5
+        seen["rows"], seen["k"] = np.einsum("aj,iab,bj->ji", U, S, U), k
+        return U
+
+    monkeypatch.setattr(core, "_common_eigenvectors", scaled)
+    if scale == "none":
+        spec = spectral_decomposition(scheme)
+        val_idx, mults = _bookkeeping_by_rows(seen["rows"], seen["k"], scheme.v, TOL)
+        assert TOL.allclose(spec.P[0], seen["rows"][val_idx])
+        assert list(spec.multiplicities[1:]) == sorted(mults.values())
+        return
+    with pytest.raises(DegenerateSpectrum) as got:
+        spectral_decomposition(scheme)
+    with pytest.raises(DegenerateSpectrum) as ref:
+        _bookkeeping_by_rows(seen["rows"], seen["k"], scheme.v, TOL)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("no eigenvector" if scale == "valency" else "multiplicity")
 
 
 def test_eigenmatrix_follows_class_relabeling():

@@ -16,8 +16,9 @@ import amorphic as am
 import amorphic.core as core
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
-from conftest import (enumerate_partitions, fuse_by_relabeling, net_with_group_sizes,
-                      overlap_label_by_tables)
+from conftest import (block_sums_by_full_tensor, dual_by_full_fold, enumerate_partitions,
+                      fuse_by_relabeling, net_with_group_sizes, overlap_label_by_tables,
+                      row_sum_by_full_fold)
 
 TOL = am.DEFAULT_TOL
 
@@ -373,10 +374,15 @@ def test_stacked_merges_match_fuses_on_corpus(corpus):
                     for T in _merges(scheme.d, r)]
             assert _stacked_answers(scheme, r) == want, (name, r)
             for chunk, S, fused, lead in fusion._decide_merges(scheme, _merges(scheme.d, r), TOL):
-                for m in np.flatnonzero(fused):
-                    dual = fusion._dual(spec.P, S[m], lead[m], TOL)
-                    ref = am.bm_check(spec, am.ClassPartition.merge(scheme.d, chunk[m]))
-                    assert dual.rho == ref.rho and np.array_equal(dual.P_fused, ref.P_fused)
+                duals = fusion._duals(spec.P, S, fused, lead, TOL)
+                assert [dual is not None for dual in duals] == fused.tolist()
+                for m, dual in enumerate(duals):
+                    if dual is not None:
+                        ref = dual_by_full_fold(spec.P, S[m], lead[m], TOL)
+                        one = am.bm_check(spec, am.ClassPartition.merge(scheme.d, chunk[m]))
+                        for other in (ref, one):
+                            assert dual.rho == other.rho
+                            assert np.array_equal(dual.P_fused, other.P_fused)
             merges += len(want)
             accepted += sum(want)
     assert 0 < accepted < merges
@@ -498,6 +504,102 @@ def test_partition_over_another_d_is_rejected():
                     lambda: am.bm_check(spec, pi)):
             with pytest.raises(am.PreconditionFailed, match=rf"partition is over 0..{pi.d}"):
                 ask()
+
+
+# ------------------------------------ merge-local kernels against references
+
+def _check_kernels(p, P, S, rep, tol=TOL):
+    """Both kernels, and _duals where P is shared, agree entry by entry with
+    the full-tensor references on one stack; returns the exact answers."""
+    exact = fusion._stacked_block_sums(p, S, rep)
+    assert np.array_equal(exact, block_sums_by_full_tensor(p, S, rep))
+    fused, lead = fusion._stacked_row_sum(P, S, tol)
+    ref_fused, ref_lead = row_sum_by_full_fold(P, S, tol)
+    assert np.array_equal(fused, ref_fused) and np.array_equal(lead, ref_lead)
+    if P.ndim == 2:
+        for m, dual in enumerate(fusion._duals(P, S, fused, lead, tol)):
+            assert (dual is None) != bool(fused[m])
+            if dual is not None:
+                ref = dual_by_full_fold(P, S[m], lead[m], tol)
+                assert dual.rho == ref.rho and np.array_equal(dual.P_fused, ref.P_fused)
+    return exact
+
+
+def test_kernels_match_references_on_corpus_partitions(corpus):
+    """Every partition of every corpus scheme, stacked 64 at a time with
+    the others of its block count, so one stack mixes partitions with
+    different numbers of merged blocks."""
+    checked = accepted = 0
+    for name, scheme in corpus:
+        P = am.spectral_decomposition(scheme).P
+        by_blocks = {}
+        for pi in enumerate_partitions(scheme.d):
+            by_blocks.setdefault(pi.n_blocks, []).append(pi.block_index())
+        for rows in by_blocks.values():
+            for start in range(0, len(rows), 64):
+                S, rep = fusion._stack(np.array(rows[start:start + 64]))
+                exact = _check_kernels(scheme.intersection.p, P, S, rep)
+                checked += len(exact)
+                accepted += int(exact.sum())
+    assert checked == 1993 and 0 < accepted < checked
+
+
+def test_kernels_match_references_on_net13_merges():
+    """Every pair and triple merge of net(13; 1^14), d = 14."""
+    scheme = net_with_group_sizes(13, [1] * 14)
+    P = am.spectral_decomposition(scheme).P
+    for r in (2, 3):
+        for _, S, rep in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
+            assert _check_kernels(scheme.intersection.p, P, S, rep).all()
+
+
+def test_kernels_match_references_on_per_entry_stacks(corpus):
+    """Per-entry tensors and eigenmatrices of the corpus schemes of one d,
+    in runs of one scheme and alternating between schemes."""
+    by_d = {}
+    for _, scheme in corpus:
+        by_d.setdefault(scheme.d, []).append(scheme)
+    stacks = 0
+    for d, schemes in by_d.items():
+        if d < 2 or len(schemes) < 2:
+            continue
+        for r in range(2, d + 1):
+            for _, S, rep in fusion._merge_stacks(d, _merges(d, r)):
+                c = len(S)
+                for order in (np.arange(c) * len(schemes) // c, np.arange(c) % len(schemes)):
+                    p = np.array([schemes[i].intersection.p for i in order])
+                    P = np.array([am.spectral_decomposition(schemes[i]).P for i in order])
+                    _check_kernels(p, P, S, rep)
+                    stacks += 1
+    assert stacks > 20
+
+
+def _random_stack(rng, d, nb, c):
+    """c random partitions of 0..d with {0} alone and nb blocks."""
+    idx = []
+    for _ in range(c):
+        block = rng.permutation(np.r_[np.arange(1, nb), rng.integers(1, nb, d - nb + 1)])
+        blocks = [[0]] + [list(np.flatnonzero(block == b) + 1) for b in range(1, nb)]
+        idx.append(am.ClassPartition.from_blocks(blocks, d).block_index())
+    return fusion._stack(np.array(idx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), c=st.integers(1, 6),
+       per_entry=st.booleans())
+def test_kernels_match_references_on_arbitrary_tensors(seed, d, c, per_entry):
+    """Integer tensors with no symmetry and no p_0j^h = delta_jh, and
+    eigenmatrices with entries equal, within tol or just beyond it, on
+    stacks of arbitrary partitions; per-entry eigenmatrices come in runs
+    and alternations of a few distinct ones."""
+    rng = np.random.default_rng(seed)
+    n = d + 1
+    S, rep = _random_stack(rng, d, int(rng.integers(2, n + 1)), c)
+    p = rng.integers(0, 2, size=(c, n, n, n) if per_entry else (n, n, n))
+    base = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(3, n, n))
+    base += rng.choice([0.0, 0.0, 4e-9, -4e-9, 3e-8], size=(3, n, n))
+    P = base[rng.integers(0, 3, c)] if per_entry else base[0]
+    _check_kernels(p, P, S, rep)
 
 
 # ------------------------------------------------------------ triple types
@@ -695,8 +797,8 @@ def test_witness_b_inputs_match_fused_schemes(corpus):
         d = scheme.d
         triples = am.enumerate_fusing_tuples(scheme, 3)
         counts, k = core._row0_counts(scheme.labels, d)
-        for chunk, S, _ in fusion._merge_stacks(d, triples):
-            p, k_fused = fusion._contracted_tensors(chunk, counts, k, S)
+        for chunk, _, _ in fusion._merge_stacks(d, triples):
+            p, k_fused = fusion._contracted_tensors(chunk, counts, k)
             P = np.array([fusion._decide(scheme, am.ClassPartition.merge(d, T), TOL).P_fused
                           for T in chunk])
             fusion._check_characters(chunk, p, k_fused, P, scheme.v, TOL)
