@@ -4,12 +4,13 @@ Everything combinatorial (axioms, intersection numbers, fusion closure) is
 exact.  :func:`validate_scheme` checks the axioms and yields the
 intersection tensor in one pass: the tensor comes from an integer
 histogram, and closure is checked cell by cell against float64 BLAS
-products that each pack a run of class pairs: A_i times a sum of the next
-class matrices A_j weighted by powers of v + 1.  Each pair's count is a
-digit in 0..v-1 of base v + 1, and a run holds as many digits as keep
-every packed entry, and every partial sum along the way, an integer below
-2^53, so the products are exact and the digits read back uniquely.  That
-is the path of files and explicit label matrices, which carry no group.
+products that each pack many class pairs: a weighted sum of consecutive
+class matrices A_i times a weighted sum of the A_j.  A count of pair (i,
+j) is at most min(k_i, k_j), so it is one digit in radix min(k_i, k_j) +
+1, and a product holds as many digits as keep every packed entry, and
+every partial sum along the way, an integer below 2^53, so the products
+are exact and the digits read back uniquely.  That is the path of files
+and explicit label matrices, which carry no group.
 The generators build translation schemes of abelian groups,
 ``labels[x, y] = row0[y - x]``, and hand over row 0 and the group's
 subtraction table instead: :func:`_translation_scheme` checks the same
@@ -26,7 +27,9 @@ data and its fusion decisions on the instance (see
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,6 +102,9 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# float64 holds every integer up to 2^53 exactly
+_EXACT = 2 ** 53
 
 # Inter-eigenvalue gap needed before we trust a grouping, in units of atol.
 _GAP_FACTOR = 100.0
@@ -269,21 +275,34 @@ def validate_scheme(labels) -> AssociationScheme:
     One pass does both jobs.  The candidate tensor comes from a single
     histogram of the v^2 cells (see :func:`_row0_counts`); closure is then
     checked on every cell as ``A_i A_j == p[i, j][labels]`` for 1 <= i <= j
-    <= d, several pairs per product.  For each i, the classes j = i..d are
-    cut into consecutive runs of at most c, the largest c with
-    (v + 1)^c <= 2^53 (see :func:`_digits`).  Class j of a run gets the
-    weight (v + 1)^pos, its position in the run, and one float64 BLAS
-    product ``A_i @ w[labels]`` is compared with ``(w @ p[i])[labels]``.
+    <= d, many pairs per float64 BLAS product, packed as digits in a mixed
+    radix sized by the class degrees (see :func:`_closure_plan`).
 
-    The packed check is exact.  Every entry of a product A_i A_j, and every
-    whole p_ij^h, is a count in 0..v-1, a digit in base v + 1; so every
-    partial sum on the way to a packed entry is an integer below
-    (v + 1)^c <= 2^53, which float64 holds exactly in any summation order,
-    and base-(v + 1) digits are unique, so the packed cells agree exactly
-    when every pair of the run does.  A run whose packed cells differ, or
-    whose tensor entries hold a -1 mark (the input is then invalid), is
-    checked pair by pair only to name the witness (see
-    :func:`_closure_witness`).
+    The digit bound.  K_c, the largest count of class c in one row, is k_c
+    on a valid input.  The count N_ij(x, y) = #{z : L[x, z] = i, L[z, y] =
+    j} is at most min(K_i, K_j), since row x holds at most K_i cells of
+    class i and column y, row y by symmetry, at most K_j of class j; p_ij^h
+    is a mean of such counts, so it is bounded the same way.  Pair (i, j)
+    is therefore one digit in radix min(K_i, K_j) + 1.
+
+    One product stacks consecutive rows I of the pair table against the
+    columns J from the first of them to d, or one run of columns of a row
+    too long for 53 bits, with one radix r_j per column (the largest over
+    I) and B = prod r_j.  With weights U_i = B^t (t is i's place in I) and
+    W_j = prod of the radices before j, it compares ``U[labels] @
+    W[labels]``, the sum over I x J of U_i W_j A_i A_j, with ``einsum(U,
+    W, p)[labels]``.  Every term is a nonnegative integer and every partial
+    sum is at most the total, which is below B^|I| <= 2^53, so float64
+    holds each exactly in any summation order; mixed-radix digits are
+    unique, so the packed cells agree exactly when every digit does.  The
+    digits (i, j) with j < i, which a stack packs too, are the pairs (j,
+    i) again: where pair (j, i) closes, so do they.
+
+    Products run in row-major order.  One whose packed cells differ, or
+    whose tensor entries hold a -1 mark (the input is then invalid), has
+    its pairs checked one by one in row-major order only to name the
+    witness (see :func:`_closure_witness`); a valid scheme never gets
+    there.
     """
     lm = _as_label_matrix(labels)
     L = lm.labels
@@ -302,14 +321,14 @@ def validate_scheme(labels) -> AssociationScheme:
         missing = int(gaps[0]) if gaps.size else len(present)
         if missing <= d:
             raise AxiomViolation("partition", missing, f"label {missing} never occurs")
-    count = np.bincount(L.ravel(), minlength=d + 1)
-    # the diagonal is all 0, so label 0 is confined to it exactly when it
-    # occurs v times
-    if count[0] != v:
+    K = _largest_row_counts(L, d)
+    # the diagonal is all 0, so label 0 is confined to it exactly when no
+    # row holds it twice, and a label occurs exactly when some row holds it
+    if K[0] != 1:
         x, y = map(int, np.argwhere((L == 0) & ~np.eye(v, dtype=bool))[0])
         raise AxiomViolation("identity", (x, y), "label 0 occurs off the diagonal")
-    if not count.all():
-        missing = int(np.argmin(count))
+    if not all(K):
+        missing = K.index(0)
         raise AxiomViolation("partition", missing, f"label {missing} never occurs")
 
     if not np.array_equal(L, L.T):
@@ -321,31 +340,74 @@ def validate_scheme(labels) -> AssociationScheme:
     # missing from row 0 or a non-integer mean, and matches no product
     whole = (k > 0) & (counts % np.maximum(k, 1) == 0)
     p = np.where(whole, counts // np.maximum(k, 1), -1)
-    c = _digits(v)
-    weights = ((v + 1) ** np.arange(c, dtype=np.int64)).astype(np.float64)
-    # at most four v x v float64 arrays are held at once: A_i, the weighted
-    # classes of one run, their product and the expected packed cells
-    for i in range(1, d + 1):
-        A_i = (L == i).astype(np.float64)
-        for start in range(i, d + 1, c):
-            run = range(start, min(start + c, d + 1))
-            if (p[i, run.start:run.stop] >= 0).all():
-                w = np.zeros(d + 1)
-                w[run.start:run.stop] = weights[:len(run)]
-                if np.array_equal(A_i @ w[L], (w @ p[i])[L]):
-                    continue
-            _closure_witness(L, p, A_i, i, run)
+    # at most three v x v float64 arrays are held at once: the weighted rows,
+    # the weighted columns and their product; then the product and the
+    # expected cells
+    for rows, cols, radix in _closure_plan(K, d):
+        U, W, B = np.zeros(d + 1), np.zeros(d + 1), math.prod(radix)
+        U[rows.start:rows.stop] = [B ** t for t in range(len(rows))]
+        W[cols.start:cols.stop] = list(itertools.accumulate(radix[:-1], operator.mul, initial=1))
+        if (p[rows.start:rows.stop, cols.start:cols.stop] >= 0).all():
+            if np.array_equal(U[L] @ W[L], np.einsum("i,j,ijh->h", U, W, p)[L]):
+                continue
+        for i in rows:
+            run = range(max(i, cols.start), cols.stop)
+            _closure_witness(L, p, (L == i).astype(np.float64), i, run)
 
     return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
 
 
-def _digits(v: int) -> int:
-    """The largest c with (v + 1)^c <= 2^53: how many counts in 0..v-1 one
-    float64 holds exactly as base-(v + 1) digits."""
-    c = 0
-    while (v + 1) ** (c + 1) <= 2 ** 53:
-        c += 1
-    return c
+def _largest_row_counts(L: np.ndarray, d: int) -> list[int]:
+    """K[c], the largest number of cells of class c in one row of L, from
+    one bincount per block of rows, so no v x v int64 key array is made."""
+    v, n = L.shape[0], d + 1
+    block = min(v, max(1, 2 ** 14 // v))
+    shift = n * np.arange(block)[:, None]
+    K = np.zeros(n, dtype=np.int64)
+    for start in range(0, v, block):
+        rows = L[start:start + block]
+        counts = np.bincount((rows + shift[:len(rows)]).ravel(), minlength=n * len(rows))
+        np.maximum(K, counts.reshape(len(rows), n).max(axis=0), out=K)
+    return K.tolist()
+
+
+def _closure_plan(K, d: int) -> list[tuple[range, range, tuple[int, ...]]]:
+    """The packed products that check closure on every pair 1 <= i <= j <= d,
+    given K[c], a bound on every row count of class c.
+
+    Returns (rows, cols, radix) per product, in row-major order of the pair
+    table: the product covers the pairs (i, j) with i in ``rows`` and j in
+    ``cols``, j >= i, and column j is a digit in radix ``radix[j -
+    cols.start]`` = min(max K over ``rows``, K_j) + 1.  Consecutive rows
+    share one product, with cols from the first of them to d, while the
+    product of all radices, ``prod(radix) ** len(rows)``, stays <= 2^53; a
+    row whose radices alone pass 2^53 is cut into consecutive runs of
+    columns, each as long as that bound lets it be.
+    """
+    def radices(top, cols):
+        return tuple(min(top, K[j]) + 1 for j in cols)
+
+    plan, i = [], 1
+    while i <= d:
+        cols = range(i, d + 1)
+        if math.prod(radices(K[i], cols)) > _EXACT:
+            start = i
+            while start <= d:
+                stop = start + 1
+                while stop <= d and math.prod(radices(K[i], range(start, stop + 1))) <= _EXACT:
+                    stop += 1
+                run = range(start, stop)
+                plan.append((range(i, i + 1), run, radices(K[i], run)))
+                start = stop
+            i += 1
+            continue
+        stop, top = i + 1, K[i]
+        while stop <= d and math.prod(radices(max(top, K[stop]), cols)) ** (stop + 1 - i) <= _EXACT:
+            top = max(top, K[stop])
+            stop += 1
+        plan.append((range(i, stop), cols, radices(top, cols)))
+        i = stop
+    return plan
 
 
 def _closure_witness(L: np.ndarray, p: np.ndarray, A_i: np.ndarray, i: int, run: range) -> None:
@@ -404,9 +466,9 @@ def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> Associatio
     c[i, j, y - x], where c[i, j, g] = #{a : row0[a] = i, row0[g - a] = j}
     comes from one ``bincount`` over the v^2 pairs (g, a); so c must be
     constant on each class, and p[i, j, h] is c at the first g of class h.
-    O(v^2), against
-    O(d^2 v^3 / c) for :func:`validate_scheme`.  ``d`` is passed, not read
-    off ``row0``, so a missing class is a partition violation.
+    O(v^2), against O(v^3) per packed product of :func:`validate_scheme`.
+    ``d`` is passed, not read off ``row0``, so a missing class is a
+    partition violation.
     """
     v, n = len(row0), d + 1
     if d < 1 or row0.min() < 0 or row0.max() > d:

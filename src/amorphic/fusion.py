@@ -249,21 +249,27 @@ def _merge_stacks(d: int, merges):
         yield (chunk, *_stack(idx))
 
 
-def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
+def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray,
+                        own: np.ndarray | None = None) -> np.ndarray:
     """The exact oracle on a stack of partitions: entry m is True iff every
     block sum S[m]^T p[:, :, h] S[m] equals the one at rep[m, h].
 
     Only the t = d + 1 - n_blocks classes with rep[m, h] != h (t is one
     for the stack) can break that, so entry m is accepted iff every block
     sum of p[:, :, h] - p[:, :, rep[m, h]] is 0.  ``p`` is one tensor shared
-    by the stack, p[i, j, h] = p_ij^h, or one per entry, p[m, i, j, h];
-    neither symmetry nor p_0j^h = delta_jh is assumed.  The float64
-    products are exact: partial sums are integers below v (d+1)^2 < 2^53.
+    by the stack, p[i, j, h] = p_ij^h, or a stack of tensors p[e, i, j, h]
+    of which entry m reads p[own[m]] (p[m] when ``own`` is None), two
+    slices each, with no per-entry copy; neither symmetry nor p_0j^h =
+    delta_jh is assumed.  The float64 products are exact: partial sums are
+    integers below v (d+1)^2 < 2^53.
     """
     c, n, nb = S.shape
     m, h = np.nonzero(rep != np.arange(n))
-    # slices[..., h, :, :] = p[..., :, :, h], one set per entry if per entry
-    slices, entry = (p.transpose(0, 3, 1, 2), (m,)) if p.ndim == 4 else (p.transpose(2, 0, 1), ())
+    # slices[..., h, :, :] = p[..., :, :, h], one set per tensor if a stack
+    if p.ndim == 4:
+        slices, entry = p.transpose(0, 3, 1, 2), (m if own is None else own[m],)
+    else:
+        slices, entry = p.transpose(2, 0, 1), ()
     diff = (slices[(*entry, h)] - slices[(*entry, rep[m, h])]).astype(np.float64)
     sums = S.transpose(0, 2, 1)[:, None] @ diff.reshape(c, n - nb, n, n) @ S[:, None]
     return ~sums.reshape(c, -1).any(axis=1)
@@ -641,7 +647,7 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
         for pairs, S2, rep in _merge_stacks(d - 2, [pair for *_, pair in asked]):
             here = list(itertools.islice(todo, len(pairs)))
             own = np.array([m for m, *_ in here])
-            exact = _stacked_block_sums(p[own], S2, rep)
+            exact = _stacked_block_sums(p, S2, rep, own)
             fused, lead = _stacked_row_sum(P[own], S2, tol)
             differ = np.flatnonzero(exact != fused)
             if differ.size:

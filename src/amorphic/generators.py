@@ -11,7 +11,13 @@ reads the intersection tensor off it, in O(v^2); the v x v
 matrices, which carry no group.  Closure on row 0 is sound only when the
 subtraction table is one of a group, so :class:`SmallField` checks the
 field axioms on its tables and raises :class:`FieldUnsupported` when one
-fails."""
+fails.
+
+GF(n) is supported for the primes up to 31 and for 4, 8, 9, 16, 25, 27,
+32, 49, 64 and 81 (``SUPPORTED_FIELD_ORDERS``).  A prime power's tables
+are array operations on the base-p digits of its elements: one broadcast
+polynomial product, reduced by an irreducible modulus from
+``_IRREDUCIBLE``."""
 
 from __future__ import annotations
 
@@ -47,14 +53,18 @@ _IRREDUCIBLE = {
     16: (1, 1, 0, 0, 1),  # x^4 + x + 1
     25: (2, 0, 1),       # x^2 + 2 over GF(5)
     27: (1, 2, 0, 1),    # x^3 + 2x + 1 over GF(3)
+    32: (1, 0, 1, 0, 0, 1),  # x^5 + x^2 + 1
+    49: (1, 0, 1),       # x^2 + 1 over GF(7)
+    64: (1, 1, 0, 0, 0, 0, 1),  # x^6 + x + 1
+    81: (2, 1, 0, 0, 1),  # x^4 + x + 2 over GF(3)
 }
 
-_PRIMES = {2, 3, 5, 7, 11, 13}
-SUPPORTED_FIELD_ORDERS = frozenset({2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27})
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+SUPPORTED_FIELD_ORDERS = frozenset(_PRIMES) | frozenset(_IRREDUCIBLE)
 
 
 def _char_of(n: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _PRIMES:
         e = 0
         m = n
         while m % p == 0:
@@ -80,39 +90,9 @@ class SmallField:
         self.p, self.e = _char_of(n)
         self.modulus = _IRREDUCIBLE.get(n)
 
-        idx = np.arange(n)
-        if self.e == 1:
-            self.add = (idx[:, None] + idx[None, :]) % n
-            self.mul = (idx[:, None] * idx[None, :]) % n
-        else:
-            digits = np.array([self._digits(x) for x in range(n)])
-            self.add = np.array([[self._undigits((digits[a] + digits[b]) % self.p)
-                                  for b in range(n)] for a in range(n)])
-            self.mul = np.array([[self._polymul(a, b) for b in range(n)]
-                                 for a in range(n)])
+        self.add, self.mul = _poly_tables(self.p, self.e, self.modulus)
         self._check_axioms()
         self.neg = np.argmax(self.add == 0, axis=1)
-
-    def _digits(self, x: int):
-        out = []
-        for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
-        return np.array(out)
-
-    def _undigits(self, ds) -> int:
-        return int(sum(int(c) * self.p ** i for i, c in enumerate(ds)))
-
-    def _polymul(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = np.convolve(da, db) % self.p
-        mod = np.array(self.modulus)
-        # reduce by the monic modulus, highest degree first
-        for deg in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg - self.e:deg + 1] = (prod[deg - self.e:deg + 1] - c * mod) % self.p
-        return self._undigits(prod[: self.e])
 
     def _check_axioms(self):
         """Raise :class:`FieldUnsupported` naming the first field axiom the
@@ -159,6 +139,27 @@ class SmallField:
             if order == n - 1:
                 return g
         raise FieldUnsupported(f"no generator found for order {n}")  # unreachable
+
+
+def _poly_tables(p: int, e: int, modulus) -> tuple[np.ndarray, np.ndarray]:
+    """The addition and multiplication tables of GF(p^e) = GF(p)[x] /
+    (modulus), element x encoding the polynomial whose coefficients are
+    the base-p digits of x, lowest degree first; a prime field (e = 1)
+    needs no modulus.
+
+    All n^2 products are one broadcast polynomial product of digit arrays,
+    reduced by the monic modulus from the highest degree down."""
+    n = p ** e
+    power = p ** np.arange(e)
+    digits = np.arange(n)[:, None] // power % p
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ power
+    # place[s, t, u] = 1 when s = t + u: coefficient s of a product
+    place = np.arange(2 * e - 1)[:, None, None] == np.add.outer(np.arange(e), np.arange(e))
+    prod = np.einsum("at,bu,stu->abs", digits, digits, place.astype(np.int64)) % p
+    for deg in range(2 * e - 2, e - 1, -1):
+        prod[:, :, deg - e:deg + 1] = (prod[:, :, deg - e:deg + 1]
+                                       - prod[:, :, deg:deg + 1] * np.array(modulus)) % p
+    return add, prod[:, :, :e] @ power
 
 
 @lru_cache(maxsize=None)

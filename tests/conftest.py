@@ -1,9 +1,10 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
-reference validator, the Bell(d) partition enumeration with the
-all-partitions amorphicity and idempotent-side hypergraph references built
-on it, the single-merge amorphicity reference, the full-tensor references
-of the two fusion kernels and of the dual partition, the hand-written
-overlap label tables, and the acceptance-criteria summary lines.
+reference validator, the element-by-element finite-field tables, the
+Bell(d) partition enumeration with the all-partitions amorphicity and
+idempotent-side hypergraph references built on it, the single-merge
+amorphicity reference, the full-tensor references of the two fusion
+kernels and of the dual partition, the hand-written overlap label tables,
+and the acceptance-criteria summary lines.
 
 A scheme keeps its fusion decisions, spectra and last fused scheme on the
 instance, and the ``corpus`` fixture shares its schemes across the whole
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import amorphic as am
+from amorphic import generators
 from amorphic.fusion import ClassPartition, DualPartition, fuses
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
@@ -190,6 +192,34 @@ def validate_by_class_cells(labels):
                 p[i, j, h] = p[j, i, h] = vals[0]
     valencies = tuple(int(mats[i][0].sum()) for i in range(d + 1))
     return valencies, p
+
+
+def field_tables_by_loops(n):
+    """Test-only reference for ``SmallField``'s tables: GF(n) = GF(p)[x] /
+    (modulus) built one pair of elements at a time, element x encoding the
+    polynomial of its base-p digits.  Each product is a ``np.convolve``
+    reduced by the monic modulus from the highest degree down.  Returns
+    (add, mul) as int64 arrays."""
+    p, e = generators._char_of(n)
+    modulus = generators._IRREDUCIBLE.get(n)
+
+    def digits(x):
+        return np.array([x // p ** t % p for t in range(e)])
+
+    def undigits(ds):
+        return int(sum(int(c) * p ** t for t, c in enumerate(ds)))
+
+    def polymul(a, b):
+        prod = np.convolve(digits(a), digits(b)) % p
+        for deg in range(len(prod) - 1, e - 1, -1):
+            c = prod[deg]
+            if c:
+                prod[deg - e:deg + 1] = (prod[deg - e:deg + 1] - c * np.array(modulus)) % p
+        return undigits(prod[:e])
+
+    add = np.array([[undigits((digits(a) + digits(b)) % p) for b in range(n)] for a in range(n)])
+    mul = np.array([[polymul(a, b) for b in range(n)] for a in range(n)])
+    return add, mul
 
 
 def overlap_label_by_tables(sets_a, sets_b) -> str:

@@ -220,9 +220,8 @@ def test_validation_agrees_with_reference_on_label_swaps(corpus, data):
 
 @pytest.fixture(scope="module")
 def thin_z2_4():
-    """The thin scheme of Z_2^4: v = 16 and d = 15, more classes than the
-    12 that one packed product holds at v = 16, so rows 1-3 split into two
-    runs."""
+    """The thin scheme of Z_2^4: v = 16 and d = 15, all digits bits, so
+    rows 1-3, 4-7, 8-13 and 14-15 each share one packed product."""
     return gen_cyclotomic(CyclotomicSpec(q=16, d=15))
 
 
@@ -237,11 +236,12 @@ def test_validation_agrees_with_reference_on_split_runs(thin_z2_4, data):
 # H(8,2) with its classes renumbered: class j is distance order[j].  With
 # the antipodal matching as class 1, A_1 A_j is another class, so no pair
 # (1, j) with j <= 6 sees a cell move between classes 7 and 8 (distances 3
-# and 5); the first failing pair of such a move is (1, 7), in the second run
-# of row 1 (runs of 6 at v = 256).
+# and 5); the first failing pair of such a move is (1, 7), late in the first
+# product, which stacks rows 1 and 2 (46.4 of 53 bits).
 ANTIPODAL_FIRST = (0, 8, 1, 2, 4, 6, 7, 3, 5)
-# p_35^8 = 56, so a run of 7 (one digit too many) from class 1 = distance 3
-# to class 7 = distance 5 would pass 2^53 in its last digit and round.
+# Class 1 is distance 3, so row 1 packs the large counts p_35^h in base 57;
+# rows 3 and 4 share a product of 51.7 bits, and rows 4 and 5 under
+# ANTIPODAL_FIRST one of 51.7, near the 2^53 that float64 holds exactly.
 LARGE_SEVENTH = (0, 3, 1, 2, 4, 6, 7, 5, 8)
 
 
@@ -252,8 +252,8 @@ def hamming8(order=tuple(range(9))):
 
 
 @pytest.mark.parametrize("order, x, y, new", [
-    (tuple(range(9)), 5, 9, 3),  # first failing pair (1, 1), in the first run
-    (ANTIPODAL_FIRST, 3, 100, 7),  # first failing pair (1, 7), in the second run
+    (tuple(range(9)), 5, 9, 3),  # first failing pair (1, 1), in the first product
+    (ANTIPODAL_FIRST, 3, 100, 7),  # first failing pair (1, 7), in a stack of rows 1-2
     (ANTIPODAL_FIRST, 0, 7, 8),  # row 0 moves too, so the tensor holds -1 marks
 ])
 def test_validation_agrees_with_reference_on_hamming8_swaps(order, x, y, new):
@@ -277,10 +277,71 @@ def test_valid_schemes_never_scan_pairs(monkeypatch, corpus, thin_z2_4):
         validate_scheme(np.array(L))
 
 
-@pytest.mark.parametrize("v", [1, 2, 16, 64, 256, 1023, 1024, 2048, 2 ** 20])
-def test_packed_digits_fill_the_float64_mantissa(v):
-    c = core._digits(v)
-    assert (v + 1) ** c <= 2 ** 53 < (v + 1) ** (c + 1)
+def assert_tight_plan(K):
+    """The closure plan for row-count bounds K covers every pair once, in
+    row-major order; every digit has room for its count; every product
+    stays within 2^53 and would pass it with one more row or column.
+    Returns the number of products."""
+    d = len(K) - 1
+    plan = core._closure_plan(K, d)
+    pairs = [(i, j) for rows, cols, _ in plan for i in rows for j in cols if j >= i]
+    assert pairs == [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
+    for rows, cols, radix in plan:
+        assert len(radix) == len(cols)
+        # j < i in a stack of rows is the pair (j, i) again, and is packed too
+        assert all(r > min(K[i], K[j]) for i in rows for j, r in zip(cols, radix))
+        assert math.prod(radix) ** len(rows) <= 2 ** 53
+        if cols.start == rows.start and cols.stop == d + 1:  # whole rows
+            if rows.stop <= d:
+                top = max(K[i] for i in range(rows.start, rows.stop + 1))
+                more = math.prod(min(top, K[j]) + 1 for j in cols)
+                assert more ** (len(rows) + 1) > 2 ** 53
+        else:  # a run of a row too long for one product
+            (i,) = rows
+            assert math.prod(min(K[i], K[j]) + 1 for j in range(i, d + 1)) > 2 ** 53
+            if cols.stop <= d:
+                assert math.prod(radix) * (min(K[i], K[cols.stop]) + 1) > 2 ** 53
+    return len(plan)
+
+
+@pytest.mark.parametrize("K, products", [
+    ([math.comb(8, i) for i in range(9)], 5),  # H(8,2)
+    ([math.comb(10, i) for i in range(11)], 7),  # H(10,2)
+    ([1, 8 * 15, 9 * 15], 1),  # net(16; 8,9)
+    ([1] + [31] * 33, 69),  # net(32; 1^33)
+    ([1] * 64, 56),  # the thin scheme of Z_2^6: rows 1-10 split
+], ids=["H(8,2)", "H(10,2)", "net(16;8,9)", "net(32;1^33)", "thin-Z2^6"])
+def test_closure_plan_is_tight(K, products):
+    assert assert_tight_plan(K) == products
+
+
+def test_closure_plan_is_tight_on_corpus(corpus):
+    for name, scheme in corpus:
+        products = assert_tight_plan(list(scheme.valencies))
+        if scheme.d <= 6:
+            assert products <= 2, name
+
+
+@pytest.mark.parametrize("v, d", [(1, 1), (5, 3), (128, 4), (300, 7)])
+def test_largest_row_counts(v, d):
+    L = np.random.default_rng(v).integers(0, d + 1, (v, v))
+    expected = [max(np.count_nonzero(row == c) for row in L) for c in range(d + 1)]
+    assert core._largest_row_counts(L, d) == expected
+
+
+@pytest.fixture(scope="module")
+def thin_z2_6():
+    """The thin scheme of Z_2^6: v = 64 and d = 63, all digits bits, so each
+    of rows 1-10 (63 to 54 classes) is cut into two runs of columns."""
+    return gen_cyclotomic(CyclotomicSpec(q=64, d=63))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_validation_agrees_with_reference_on_split_rows(thin_z2_6, data):
+    """One off-diagonal cell pair of the thin scheme of Z_2^6 gets another
+    label."""
+    assert_same_verdict(draw_label_swap(data, thin_z2_6))
 
 
 def test_validation_leaves_numpy_ma_unimported():

@@ -12,6 +12,7 @@ import pytest
 import amorphic as am
 from amorphic.corpus import _CYCLOTOMIC, _NET_GROUPINGS
 from amorphic.generators import SUPPORTED_FIELD_ORDERS, SmallField, _field
+from conftest import field_tables_by_loops
 
 
 def test_field_tables_all_supported_orders():
@@ -37,11 +38,38 @@ def test_field_inverse_and_subtraction():
             assert F.mul[a, F.inv(a)] == 1
 
 
+@pytest.mark.parametrize("n", sorted(SUPPORTED_FIELD_ORDERS))
+def test_field_tables_match_element_loops(n):
+    """The broadcast tables equal, dtype and all, the ones built one pair
+    of elements at a time."""
+    F = SmallField(n)
+    add, mul = field_tables_by_loops(n)
+    for table, ref in ((F.add, add), (F.mul, mul)):
+        assert table.dtype == ref.dtype and np.array_equal(table, ref)
+
+
+def test_supported_field_orders():
+    assert SUPPORTED_FIELD_ORDERS == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                                      29, 31, 32, 49, 64, 81}
+
+
 def test_unsupported_order_rejected():
-    with pytest.raises(am.FieldUnsupported):
-        SmallField(6)
-    with pytest.raises(am.FieldUnsupported):
-        SmallField(32)
+    for n in (6, 37, 121, 128, 243):
+        with pytest.raises(am.FieldUnsupported):
+            SmallField(n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: am.gen_net_scheme(17, am.SlopeGrouping.from_groups(17, [range(6), range(6, 18)])),
+    lambda: am.gen_cyclotomic(am.CyclotomicSpec(q=19, d=3)),
+], ids=["net-GF17", "cyclotomic-GF19"])
+def test_new_prime_fields_agree_with_full_validation(build):
+    """Schemes over the added prime fields: the row-0 validator and the
+    v x v validate_scheme give the same valencies and tensor."""
+    scheme = build()
+    full = am.validate_scheme(np.array(scheme.labels))
+    assert full.valencies == scheme.valencies
+    assert np.array_equal(full.intersection.p, scheme.intersection.p)
 
 
 def test_hamming_valencies_are_binomials():
