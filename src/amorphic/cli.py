@@ -97,6 +97,7 @@ def load_scheme(path) -> AssociationScheme:
         if len(tokens) != v:
             raise ParseError(f"expected {v} labels, found {len(tokens)}", line=lineno)
     labels = labels.reshape(v, v)
+    labels.flags.writeable = False  # handed over, not copied
     try:
         lm = LabelMatrix(v=v, d=d, labels=labels)
     except ValueError as exc:  # the shape is v x v, so a label is out of range

@@ -9,8 +9,12 @@ class matrices A_i times a weighted sum of the A_j.  A count of pair (i,
 j) is at most min(k_i, k_j), so it is one digit in radix min(k_i, k_j) +
 1, and a product holds as many digits as keep every packed entry, and
 every partial sum along the way, an integer below 2^53, so the products
-are exact and the digits read back uniquely.  That is the path of files
-and explicit label matrices, which carry no group.
+are exact and the digits read back uniquely.  Where that takes several
+products of a large matrix, one generator X = sum_i U_i A_i usually does
+with fewer: its products X A_j are checked the same way, and an exact
+certificate modulo a prime shows that the powers of X span the algebra,
+so every A_i is a polynomial in X and closure follows.  That is the path
+of files and explicit label matrices, which carry no group.
 The generators build translation schemes of abelian groups,
 ``labels[x, y] = row0[y - x]``, and hand over row 0 and the group's
 subtraction table instead: :func:`_translation_scheme` checks the same
@@ -106,20 +110,38 @@ DEFAULT_TOL = Tolerance()
 # float64 holds every integer up to 2^53 exactly
 _EXACT = 2 ** 53
 
+# The largest prime below 2^24: the closure certificate's residues, whose
+# products summed over up to 2^15 terms stay below 2^63.
+_PRIME = 2 ** 24 - 3
+
+# One step of the closure certificate (:func:`_generates`) costs about as
+# much as this many of a packed product's v^3 float64 multiply-adds: 15-17
+# us against 0.05-0.07 ns each at v = 128..512, with one BLAS thread.
+_CERTIFICATE_STEP = 2 ** 18
+
 # Inter-eigenvalue gap needed before we trust a grouping, in units of atol.
 _GAP_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
 class LabelMatrix:
-    """A v x v matrix of class labels 0..d; label 0 marks the identity class."""
+    """A v x v matrix of class labels 0..d; label 0 marks the identity class.
+
+    The labels are held read-only.  A writeable array that the labels would
+    share memory with is copied first, so the caller's array stays
+    writeable and later writes to it do not reach the matrix; callers that
+    build the array and hand it over mark it read-only to skip the copy.
+    """
 
     v: int
     d: int
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        given = self.labels
+        labels = np.ascontiguousarray(np.asarray(given, dtype=np.int64))
+        if labels.flags.writeable and np.may_share_memory(labels, given):
+            labels = labels.copy()
         if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
             raise ValueError(f"label matrix must be square, got shape {labels.shape}")
         if labels.shape[0] != self.v:
@@ -264,6 +286,8 @@ def _as_label_matrix(labels) -> LabelMatrix:
     if isinstance(labels, AssociationScheme):
         return labels.label_matrix
     arr = np.asarray(labels, dtype=np.int64)
+    if not isinstance(labels, np.ndarray):
+        arr.flags.writeable = False  # a new array: handed over, not copied
     return LabelMatrix(v=arr.shape[0], d=int(arr.max(initial=0)), labels=arr)
 
 
@@ -303,6 +327,36 @@ def validate_scheme(labels) -> AssociationScheme:
     its pairs checked one by one in row-major order only to name the
     witness (see :func:`_closure_witness`); a valid scheme never gets
     there.
+
+    Closure from one generator.  Before that pairwise loop, when the tensor
+    holds no -1 mark and the loop needs more than one product, a generator
+    X = sum_i U_i A_i (U a nonnegative integer vector) can prove closure in
+    fewer products (see :func:`_generator_closes`).  Let B[h, j] = sum_i
+    U_i p_ij^h.  The products check X A_j == sum_h B[h, j] A_h for j = 1..d
+    (j = 0 holds by the histogram), packed as above with one row: a cell
+    of X A_j is sum over {z : L[z, y] = j} of U[L[x, z]], at most
+    sum_i U_i min(K_i, K_j) and at most max(U) K_j, and so is B[h, j], so
+    column j is a digit in radix r_j = min of the two + 1 (see
+    :func:`_generator_plan`).  The certificate (:func:`_generates`) checks
+    exactly that e_0, B e_0, ..., B^d e_0 are independent.  Then closure
+    follows.  The A_h are independent, as their supports are disjoint and
+    not empty, and X maps each A_j into their span; so X^t has coordinates
+    B^t e_0, and the d + 1 powers X^0, ..., X^d span the same space as the
+    A_h.  Every A_i is then a polynomial f_i(X), and A_i A_j = f_i(X) A_j
+    lies in the span, since X maps the span into itself.  An integer matrix
+    constant on classes, A_i A_j has p_ij^h at every cell of class h, row
+    0's included, so the histogram's p is the true tensor.
+
+    The candidates are tried in a fixed order, with no random numbers:
+    each single class e_c, the smallest K_c (and so the smallest radices)
+    first, then U = (0, 1, ..., d); one that would need as many products
+    as the pairwise loop is skipped.  The generator is tried only where it
+    can pay: when the products it can save, (len(plan) - 1) v^3
+    multiply-adds, exceed the certificate's worst case, (d + 1)^2 steps
+    of ``_CERTIFICATE_STEP`` each.  When no candidate is certified, or one
+    of the generator's products disagrees (the input is then not closed),
+    the pairwise loop runs unchanged, so every accepted tensor and every
+    violation (axiom, witness, message) is the same on either path.
     """
     lm = _as_label_matrix(labels)
     L = lm.labels
@@ -343,18 +397,51 @@ def validate_scheme(labels) -> AssociationScheme:
     # at most three v x v float64 arrays are held at once: the weighted rows,
     # the weighted columns and their product; then the product and the
     # expected cells
-    for rows, cols, radix in _closure_plan(K, d):
-        U, W, B = np.zeros(d + 1), np.zeros(d + 1), math.prod(radix)
-        U[rows.start:rows.stop] = [B ** t for t in range(len(rows))]
-        W[cols.start:cols.stop] = list(itertools.accumulate(radix[:-1], operator.mul, initial=1))
-        if (p[rows.start:rows.stop, cols.start:cols.stop] >= 0).all():
-            if np.array_equal(U[L] @ W[L], np.einsum("i,j,ijh->h", U, W, p)[L]):
-                continue
-        for i in rows:
-            run = range(max(i, cols.start), cols.stop)
-            _closure_witness(L, p, (L == i).astype(np.float64), i, run)
+    plan = _closure_plan(K, d)
+    if len(plan) == 1 or not _generator_closes(L, p, K, plan):
+        for rows, cols, radix in plan:
+            U, B = np.zeros(d + 1), math.prod(radix)
+            U[rows.start:rows.stop] = [B ** t for t in range(len(rows))]
+            if (p[rows.start:rows.stop, cols.start:cols.stop] >= 0).all():
+                if _packed_agrees(L, p, U[L], U, _place_values(d, cols, radix)):
+                    continue
+            for i in rows:
+                run = range(max(i, cols.start), cols.stop)
+                _closure_witness(L, p, (L == i).astype(np.float64), i, run)
 
     return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
+
+
+def _generator_closes(L: np.ndarray, p: np.ndarray, K, plan) -> bool:
+    """True when a generator proves closure in fewer products than ``plan``
+    (see :func:`validate_scheme`); False when none is tried, none is
+    certified, or one of its products disagrees (the input is then not
+    closed, and the pairwise loop names the witness)."""
+    v, d = L.shape[0], p.shape[0] - 1
+    if (len(plan) - 1) * v ** 3 <= _CERTIFICATE_STEP * (d + 1) ** 2 or (p < 0).any():
+        return False
+    generator = _generator_plan(p, K, d, len(plan))
+    if generator is None:
+        return False
+    U, runs = generator
+    X = U.astype(np.float64)[L]
+    return all(_packed_agrees(L, p, X, U, _place_values(d, cols, radix)) for cols, radix in runs)
+
+
+def _place_values(d: int, cols: range, radix) -> np.ndarray:
+    """W_j, the mixed-radix place value of column j in ``cols`` (the product
+    of the radices before it), and 0 off ``cols``."""
+    W = np.zeros(d + 1)
+    W[cols.start:cols.stop] = list(itertools.accumulate(radix[:-1], operator.mul, initial=1))
+    return W
+
+
+def _packed_agrees(L: np.ndarray, p: np.ndarray, X: np.ndarray, U: np.ndarray,
+                   W: np.ndarray) -> bool:
+    """``X @ W[L] == einsum(U, W, p)[L]`` on every cell, with X = U[L]: the
+    weighted sum of the products A_i A_j against the same weighted sum of
+    intersection numbers, exact when every packed cell is below 2^53."""
+    return np.array_equal(X @ W[L], np.einsum("i,j,ijh->h", U, W, p)[L])
 
 
 def _largest_row_counts(L: np.ndarray, d: int) -> list[int]:
@@ -391,14 +478,7 @@ def _closure_plan(K, d: int) -> list[tuple[range, range, tuple[int, ...]]]:
     while i <= d:
         cols = range(i, d + 1)
         if math.prod(radices(K[i], cols)) > _EXACT:
-            start = i
-            while start <= d:
-                stop = start + 1
-                while stop <= d and math.prod(radices(K[i], range(start, stop + 1))) <= _EXACT:
-                    stop += 1
-                run = range(start, stop)
-                plan.append((range(i, i + 1), run, radices(K[i], run)))
-                start = stop
+            plan += [(range(i, i + 1), run, radix) for run, radix in _runs(radices(K[i], cols), i)]
             i += 1
             continue
         stop, top = i + 1, K[i]
@@ -408,6 +488,78 @@ def _closure_plan(K, d: int) -> list[tuple[range, range, tuple[int, ...]]]:
         plan.append((range(i, stop), cols, radices(top, cols)))
         i = stop
     return plan
+
+
+def _runs(radix, first: int) -> list[tuple[range, tuple[int, ...]]]:
+    """Columns first, first + 1, ... with the given radices, cut into
+    consecutive runs, each as long as a product of its radices <= 2^53 lets
+    it be: (cols, radix) per run."""
+    runs, start = [], 0
+    while start < len(radix):
+        stop, width = start + 1, radix[start]
+        while stop < len(radix) and width * radix[stop] <= _EXACT:
+            width *= radix[stop]
+            stop += 1
+        runs.append((range(first + start, first + stop), tuple(radix[start:stop])))
+        start = stop
+    return runs
+
+
+def _generator_plan(p: np.ndarray, K, d: int, most: int):
+    """The first candidate generator X = sum_i U_i A_i that needs fewer than
+    ``most`` products and that :func:`_generates` certifies: (U, runs), with
+    ``runs`` as :func:`_runs` cuts the columns 1..d, or None.
+
+    The candidates, in order: each single class e_c, by K_c and then c (the
+    smallest radices first), then U = (0, 1, ..., d).  Column j of X's
+    products is a digit in radix min(sum_i U_i min(K_i, K_j), max(U) K_j)
+    + 1.  A pure function of (p, K): no v x v work.
+    """
+    K = np.asarray(K, dtype=np.int64)
+    bound = np.minimum(K[:, None], K[None, :])
+    singles = np.eye(d + 1, dtype=np.int64)[sorted(range(1, d + 1), key=lambda c: (K[c], c))]
+    for U in [*singles, np.arange(d + 1)]:
+        radix = np.minimum(U @ bound, U.max() * K) + 1
+        runs = _runs(radix[1:].tolist(), 1)
+        # B[h, j] = sum_i U_i p_ij^h: the coordinates of X A_j
+        if len(runs) < most and _generates(np.tensordot(U, p, 1).T):
+            return U, runs
+    return None
+
+
+def _generates(B: np.ndarray) -> bool:
+    """True when e_0, B e_0, ..., B^d e_0 are independent modulo
+    ``_PRIME``, which proves them independent over the rationals: the
+    vectors mod the prime are those of B mod the prime, and an integer
+    determinant that is nonzero mod the prime is nonzero.  Each vector is
+    reduced against the earlier ones, kept in reduced echelon form, and
+    the first that reduces to 0 ends the check.  Every product of two
+    residues, summed d + 1 times, stays below 2^63, so int64 holds each
+    exactly.
+    """
+    n = B.shape[0]
+    if n * _PRIME ** 2 >= 2 ** 63:
+        return False
+    B = B % _PRIME
+    basis = np.zeros((n, n), dtype=np.int64)
+    pivots = np.zeros(n, dtype=np.intp)
+    w = np.zeros(n, dtype=np.int64)
+    w[0] = 1
+    for t in range(n):
+        r = w - w[pivots[:t]] @ basis[:t]
+        r %= _PRIME
+        nonzero = np.flatnonzero(r)
+        if not nonzero.size:
+            return False
+        c = nonzero[0]
+        r *= pow(int(r[c]), -1, _PRIME)
+        r %= _PRIME
+        basis[:t] -= basis[:t, c, None] * r
+        basis[:t] %= _PRIME
+        basis[t], pivots[t] = r, c
+        w = B @ w
+        w %= _PRIME
+    return True
 
 
 def _closure_witness(L: np.ndarray, p: np.ndarray, A_i: np.ndarray, i: int, run: range) -> None:
@@ -488,7 +640,9 @@ def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> Associatio
         raise AxiomViolation("symmetry", (0, int(np.argmax(asym))))
 
     # row0 is symmetric, so row0[sub] is row0[sub.T], and in C order
-    lm = LabelMatrix(v=v, d=d, labels=row0[sub])
+    labels = row0[sub]
+    labels.flags.writeable = False  # handed over, not copied
+    lm = LabelMatrix(v=v, d=d, labels=labels)
     L = lm.labels
     # key[g, a] = (row0[a], row0[g - a], g)
     g = np.arange(v)

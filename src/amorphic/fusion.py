@@ -429,7 +429,9 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     dual = _decide(scheme, pi, tol)
     if dual is None:
         raise _tensor_failure(scheme.intersection.p, pi)
-    labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=pi.block_index()[scheme.labels])
+    fused = pi.block_index()[scheme.labels]
+    fused.flags.writeable = False  # handed over, not copied
+    labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=fused)
     valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
     return FusionOutcome(scheme=AssociationScheme(labels, valencies), rho=dual.rho,
                          P_fused=dual.P_fused)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amorphic import (
@@ -327,6 +327,158 @@ def test_largest_row_counts(v, d):
     L = np.random.default_rng(v).integers(0, d + 1, (v, v))
     expected = [max(np.count_nonzero(row == c) for row in L) for c in range(d + 1)]
     assert core._largest_row_counts(L, d) == expected
+
+
+def test_validation_leaves_the_callers_array_writeable():
+    """The scheme keeps its own read-only labels; the array passed in stays
+    the caller's, writeable, and writing into it does not reach the scheme."""
+    L = np.array(gen_hamming_binary(3).labels)
+    scheme = validate_scheme(L)
+    assert L.flags.writeable and not scheme.labels.flags.writeable
+    L[0, 1] = L[1, 0] = 3
+    assert scheme.labels[0, 1] == 1
+    assert scheme == gen_hamming_binary(3)
+
+
+# ----------------------------------------- closure from one generator
+
+def assert_generator_plan(scheme):
+    """The generator plan of a scheme's (p, K) against its pairwise closure
+    plan: the runs cover the columns 1..d once, in order; every digit has
+    room for its count; every product stays within 2^53 and would pass it
+    with one more column; and it needs fewer products.  Returns (U, number
+    of products)."""
+    p, K, d = scheme.intersection.p, list(scheme.valencies), scheme.d
+    most = len(core._closure_plan(K, d))
+    U, runs = core._generator_plan(p, K, d, most)
+    assert [j for cols, _ in runs for j in cols] == list(range(1, d + 1))
+    for (cols, radix), later in zip(runs, runs[1:] + [None]):
+        assert len(radix) == len(cols)
+        for j, r in zip(cols, radix):
+            assert r > min(sum(u * min(K[i], K[j]) for i, u in enumerate(U)), max(U) * K[j])
+        assert math.prod(radix) <= 2 ** 53
+        if later is not None:
+            assert math.prod(radix) * later[1][0] > 2 ** 53
+    assert len(runs) < most
+    return tuple(int(u) for u in U), len(runs)
+
+
+def generates(scheme, U):
+    """The Krylov certificate for the generator sum_i U_i A_i."""
+    return core._generates(np.tensordot(np.asarray(U), scheme.intersection.p, 1).T)
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_hamming_closure_is_generated_by_the_distance_one_class(m):
+    """A_1 has m + 1 eigenvalues on H(m,2), so it generates, in 1 product
+    against the pairwise 5 (m = 8) or 7 (m = 10).  The antipodal class,
+    tried first (K = 1), does not; nor does U = 0..d, since the eigenvalue
+    sum_i i K_i(r) of the Krawtchouk polynomials is 0 for every r >= 2."""
+    scheme = gen_hamming_binary(m)
+    e = np.eye(m + 1, dtype=np.int64)
+    assert assert_generator_plan(scheme) == (tuple(e[1]), 1)
+    assert not generates(scheme, e[m])
+    assert not generates(scheme, np.arange(m + 1))
+
+
+def test_net32_closure_is_generated_by_all_classes_weighted():
+    """net(32; 1^33): each A_i is strongly regular, with 3 eigenvalues, so no
+    single class generates the 34-dimensional algebra; U = 0..d does, in 7
+    products against the pairwise 69."""
+    scheme = gen_net_scheme(32, SlopeGrouping.singletons(32))
+    d = scheme.d
+    assert not any(generates(scheme, np.eye(d + 1, dtype=np.int64)[c]) for c in range(1, d + 1))
+    assert assert_generator_plan(scheme) == (tuple(range(d + 1)), 7)
+
+
+def test_thin_closure_is_generated_by_all_classes_weighted(thin_z2_6):
+    """The thin scheme of Z_2^6: every class is an involution, with 2
+    eigenvalues; U = 0..d generates in 8 products against the pairwise 56."""
+    assert assert_generator_plan(thin_z2_6) == (tuple(range(64)), 8)
+
+
+def count_products(monkeypatch):
+    """Record every packed closure product that validate_scheme forms."""
+    products = []
+    agrees = core._packed_agrees
+
+    def spy(*args):
+        products.append(args[3])
+        return agrees(*args)
+
+    monkeypatch.setattr(core, "_packed_agrees", spy)
+    return products
+
+
+def test_relabelled_hamming8_is_validated_by_one_product(monkeypatch):
+    products = count_products(monkeypatch)
+    for order in (tuple(range(9)), ANTIPODAL_FIRST, LARGE_SEVENTH):
+        products.clear()
+        scheme = validate_scheme(hamming8(order))
+        assert len(products) == 1
+        assert list(products[0]) == list(np.eye(9)[order.index(1)])
+        assert scheme.valencies == tuple(math.comb(8, order[c]) for c in range(9))
+
+
+def test_uncertified_generator_falls_back_to_pairwise_products(
+        monkeypatch, corpus, thin_z2_4, thin_z2_6):
+    """With a certificate that never succeeds, every input is validated by
+    the products of ``_closure_plan``, to the same tensor."""
+    labels = [scheme.labels for _, scheme in corpus]
+    labels += [thin_z2_4.labels, thin_z2_6.labels, net_with_group_sizes(16, [5, 4, 4, 4]).labels]
+    labels += [hamming8(order) for order in (tuple(range(9)), ANTIPODAL_FIRST, LARGE_SEVENTH)]
+    labels = [np.array(L) for L in labels]
+    expected = [validate_scheme(L) for L in labels]
+    monkeypatch.setattr(core, "_generates", lambda B: False)
+    products = count_products(monkeypatch)
+    for L, want in zip(labels, expected):
+        products.clear()
+        scheme = validate_scheme(L)
+        assert scheme.valencies == want.valencies
+        assert np.array_equal(scheme.intersection.p, want.intersection.p)
+        assert len(products) == len(core._closure_plan(list(scheme.valencies), scheme.d))
+
+
+def draw_label_exchange(data, labels):
+    """``labels`` with two off-diagonal cell pairs off row 0 exchanging their
+    labels, where the two pairs lie in the same classes of row 0.  The row-0
+    histogram, and so the candidate tensor, is unchanged; a single swap
+    would make some mean a fraction, a -1 mark."""
+    row0 = labels[0]
+    x = data.draw(st.integers(1, len(row0) - 1), label="x")
+    y = data.draw(st.integers(1, len(row0) - 1).filter(lambda y: y != x), label="y")
+    others = [(a, b) for a in np.flatnonzero(row0 == row0[x]) for b in np.flatnonzero(row0 == row0[y])
+              if a != b and labels[a, b] != labels[x, y]]
+    assume(others)
+    a, b = data.draw(st.sampled_from(others), label="other pair")
+    labels = labels.copy()
+    labels[x, y], labels[a, b] = labels[a, b], labels[x, y]
+    labels[y, x], labels[b, a] = labels[x, y], labels[a, b]
+    return labels
+
+
+@settings(max_examples=6, deadline=None)
+@given(order=st.permutations(range(1, 9)), data=st.data())
+def test_validation_agrees_with_reference_on_relabelled_hamming8_exchanges(order, data):
+    """Relabelled H(8,2) with two cell pairs exchanging labels: the tensor is
+    still H(8,2)'s, so a generator is certified, and its product disagrees
+    before the pairwise loop names the witness."""
+    assert_same_verdict(draw_label_exchange(data, hamming8((0,) + tuple(order))))
+
+
+def test_generator_product_catches_a_label_exchange(monkeypatch):
+    """A label exchange that keeps the tensor is caught by the generator's
+    product, then named by the pairwise loop as the reference names it."""
+    labels = hamming8(ANTIPODAL_FIRST)
+    # vertices 3 and 5 are at distance 2 from 0; 6 and 9 at distance 2 too
+    assert labels[0, 3] == labels[0, 5] == labels[0, 6] == labels[0, 9]
+    labels[3, 5], labels[6, 9] = labels[6, 9], labels[3, 5]
+    labels[5, 3], labels[9, 6] = labels[3, 5], labels[6, 9]
+    assert labels[3, 5] != labels[6, 9]
+    products = count_products(monkeypatch)
+    assert_same_verdict(labels)
+    assert np.count_nonzero(products[0]) == 1  # the single class of distance 1
+    assert len(products) > 1
 
 
 @pytest.fixture(scope="module")
