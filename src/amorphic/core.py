@@ -2,31 +2,24 @@
 
 Everything combinatorial (axioms, intersection numbers, fusion closure) is
 exact.  :func:`validate_scheme` checks the axioms and yields the
-intersection tensor in one pass: the tensor comes from an integer
-histogram, and closure is checked cell by cell against float64 BLAS
-products that each pack many class pairs: a weighted sum of consecutive
-class matrices A_i times a weighted sum of the A_j.  A count of pair (i,
-j) is at most min(k_i, k_j), so it is one digit in radix min(k_i, k_j) +
-1, and a product holds as many digits as keep every packed entry, and
-every partial sum along the way, an integer below 2^53, so the products
-are exact and the digits read back uniquely.  Where that takes several
-products of a large matrix, one generator X = sum_i U_i A_i usually does
-with fewer: its products X A_j are checked the same way, and an exact
-certificate modulo a prime shows that the powers of X span the algebra,
-so every A_i is a polynomial in X and closure follows.  That is the path
-of files and explicit label matrices, which carry no group.
-The generators build translation schemes of abelian groups,
-``labels[x, y] = row0[y - x]``, and hand over row 0 and the group's
-subtraction table instead: :func:`_translation_scheme` checks the same
-axioms on row 0, with closure as the Schur-ring condition, in O(v^2),
-and raises the same violations.  Eigenmatrices, idempotents and Krein
-parameters are floating point under an explicit tolerance policy.
+intersection tensor in one pass: a histogram gives the tensor, and float64
+BLAS products check closure on every cell, packing many class pairs, or
+one generator's products, as mixed-radix digits small enough to stay
+exact.  That is the path of files and label matrices, which carry no
+group.  A translation scheme, ``labels[x, y] = row0[y - x]``, is checked
+by :func:`_translation_scheme` on row 0 and the group's subtraction table
+in O(v^2), with the same violations.
 
-The eigenmatrices come from a deterministic split of the symmetrized
-(d+1)-dimensional intersection matrices, class by class with ``eigh``; no
-random numbers are drawn.  Each scheme caches its tensor, its spectral
-data and its fusion decisions on the instance (see
-:class:`AssociationScheme`).
+Eigenmatrices, idempotents and Krein parameters are floating point under
+an explicit tolerance policy.  The eigenmatrices come from a deterministic
+split of the symmetrized (d+1)-dimensional intersection matrices, class by
+class with ``eigh``; no random numbers are drawn.  Idempotents and Krein
+parameters are read off class values, with no v x v product: a matrix
+sum_c x_c A_c is given by its d + 1 values x_c, and as the A_c are
+disjoint and none is empty, it is within a bound on every cell exactly
+when each x_c is, and its largest cell is its largest |x_c|.  Each scheme
+caches its tensor, its spectral data and its fusion decisions on the
+instance (see :class:`AssociationScheme`).
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -199,10 +191,6 @@ class AssociationScheme:
         """0/1 adjacency matrix of class i (exact integers)."""
         return (self.labels == i).astype(np.int64)
 
-    @cached_property
-    def relations(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.relation(i) for i in range(self.d + 1))
-
     @property
     def intersection(self) -> "IntersectionTensor":
         if self._intersection is None:
@@ -314,11 +302,11 @@ def validate_scheme(labels) -> AssociationScheme:
     too long for 53 bits, with one radix r_j per column (the largest over
     I) and B = prod r_j.  With weights U_i = B^t (t is i's place in I) and
     W_j = prod of the radices before j, it compares ``U[labels] @
-    W[labels]``, the sum over I x J of U_i W_j A_i A_j, with ``einsum(U,
-    W, p)[labels]``.  Every term is a nonnegative integer and every partial
-    sum is at most the total, which is below B^|I| <= 2^53, so float64
-    holds each exactly in any summation order; mixed-radix digits are
-    unique, so the packed cells agree exactly when every digit does.  The
+    W[labels]``, the sum over I x J of U_i W_j A_i A_j, with the same sum of
+    U_i W_j p_ij^h at each cell's class.  Every packed cell is below B^|I|
+    <= 2^53, so both sides are exact (see :func:`_packed_agrees`), and
+    mixed-radix digits are unique, so the packed cells agree exactly when
+    every digit does.  The
     digits (i, j) with j < i, which a stack packs too, are the pairs (j,
     i) again: where pair (j, i) closes, so do they.
 
@@ -398,12 +386,13 @@ def validate_scheme(labels) -> AssociationScheme:
     # the weighted columns and their product; then the product and the
     # expected cells
     plan = _closure_plan(K, d)
-    if len(plan) == 1 or not _generator_closes(L, p, K, plan):
+    pf = p.astype(np.float64)
+    if len(plan) == 1 or not _generator_closes(L, p, pf, K, plan):
         for rows, cols, radix in plan:
             U, B = np.zeros(d + 1), math.prod(radix)
             U[rows.start:rows.stop] = [B ** t for t in range(len(rows))]
             if (p[rows.start:rows.stop, cols.start:cols.stop] >= 0).all():
-                if _packed_agrees(L, p, U[L], U, _place_values(d, cols, radix)):
+                if _packed_agrees(L, pf, U[L], U, _place_values(d, cols, radix)):
                     continue
             for i in rows:
                 run = range(max(i, cols.start), cols.stop)
@@ -412,7 +401,7 @@ def validate_scheme(labels) -> AssociationScheme:
     return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
 
 
-def _generator_closes(L: np.ndarray, p: np.ndarray, K, plan) -> bool:
+def _generator_closes(L: np.ndarray, p: np.ndarray, pf: np.ndarray, K, plan) -> bool:
     """True when a generator proves closure in fewer products than ``plan``
     (see :func:`validate_scheme`); False when none is tried, none is
     certified, or one of its products disagrees (the input is then not
@@ -425,7 +414,7 @@ def _generator_closes(L: np.ndarray, p: np.ndarray, K, plan) -> bool:
         return False
     U, runs = generator
     X = U.astype(np.float64)[L]
-    return all(_packed_agrees(L, p, X, U, _place_values(d, cols, radix)) for cols, radix in runs)
+    return all(_packed_agrees(L, pf, X, U, _place_values(d, cols, radix)) for cols, radix in runs)
 
 
 def _place_values(d: int, cols: range, radix) -> np.ndarray:
@@ -436,12 +425,21 @@ def _place_values(d: int, cols: range, radix) -> np.ndarray:
     return W
 
 
-def _packed_agrees(L: np.ndarray, p: np.ndarray, X: np.ndarray, U: np.ndarray,
+def _packed_agrees(L: np.ndarray, pf: np.ndarray, X: np.ndarray, U: np.ndarray,
                    W: np.ndarray) -> bool:
-    """``X @ W[L] == einsum(U, W, p)[L]`` on every cell, with X = U[L]: the
-    weighted sum of the products A_i A_j against the same weighted sum of
-    intersection numbers, exact when every packed cell is below 2^53."""
-    return np.array_equal(X @ W[L], np.einsum("i,j,ijh->h", U, W, p)[L])
+    """``X @ W[L] == (W @ M)[L]`` on every cell, with X = U[L], M[j, h] =
+    sum_i U_i p_ij^h and ``pf`` = p as float64: the weighted sum of the
+    products A_i A_j against the same weighted sum of intersection numbers.
+
+    Every value on the way is an integer below 2^53, so both sides are
+    exact.  The left adds nonnegative terms up to the packed cell.  In the
+    pairwise plan U_i = B^t and each entry of p in those rows, a count or
+    a -1 mark, is below B in magnitude (B > K_i, as a stack's columns hold
+    its rows; one row has U_i = 1), so M is below B^|I|.  In the generator
+    plan M[j, h] is below column j's radix.  W is 0 off the columns.
+    """
+    n = len(U)
+    return np.array_equal(X @ W[L], (W @ (U @ pf.reshape(n, -1)).reshape(n, n))[L])
 
 
 def _largest_row_counts(L: np.ndarray, d: int) -> list[int]:
@@ -566,26 +564,23 @@ def _closure_witness(L: np.ndarray, p: np.ndarray, A_i: np.ndarray, i: int, run:
     """Check the pairs (i, j), j in ``run``, one product each, and raise the
     first closure violation among them.
 
-    The histogram is only row 0's mean, so the witness is the first cell
-    that differs from the first cell of its class, as a per-class scan
-    names it.  A pair whose product is constant on every class but still
-    differs from p (a class missing from row 0 makes some other product
-    move) raises nothing; a later pair names the cell.
+    The histogram is only row 0's mean, so the witness is the first cell,
+    in row-major order, of the smallest class on which a failing product
+    is not constant.  A pair whose product is constant on every class but
+    still differs from p (a class missing from row 0 makes some other
+    product move) raises nothing; a later pair names the cell.
     """
-    d = p.shape[0] - 1
+    first = np.unique(L, return_index=True)[1]  # each class's first cell
     for j in run:
         prod = A_i @ (L == j).astype(np.float64)
         if np.array_equal(prod, p[i, j][L]):
             continue
-        for h in range(d + 1):
-            cells = np.nonzero(L == h)
-            vals = prod[cells]
-            if np.any(vals != vals[0]):
-                bad = int(np.argmax(vals != vals[0]))
-                cell = (int(cells[0][bad]), int(cells[1][bad]))
-                raise AxiomViolation(
-                    "closure", cell,
-                    f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
+        off = prod != prod.ravel()[first][L]
+        if off.any():
+            h = int(L[off].min())
+            cell = tuple(int(x) for x in np.unravel_index(np.argmax(off & (L == h)), L.shape))
+            raise AxiomViolation(
+                "closure", cell, f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
 
 
 def _row0_counts(L: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -697,8 +692,9 @@ def spectral_decomposition(scheme: AssociationScheme,
 
     No random numbers are drawn, so the result depends only on the scheme
     and ``tol``; it is cached on the scheme instance, one entry per
-    tolerance.  ``seed`` is accepted and ignored, for callers written when
-    the split was random; it will be removed.
+    tolerance.  ``seed`` is accepted and ignored.  It stays because
+    ``bench/spans.py`` keys its spectral spans on it, and goes with the
+    benchmark change of ROADMAP item 4.
     """
     spec = scheme._spectra.get(tol)
     if spec is None:
@@ -793,55 +789,58 @@ def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> Spectr
 
 
 def idempotents(scheme: AssociationScheme, spec: SpectralData | None = None) -> IdempotentBasis:
-    """Assemble E_j = (1/v) sum_i Q[i][j] A_i and verify the basis axioms."""
-    spec = spec or scheme.spectral
-    v, d, tol = scheme.v, scheme.d, spec.tol
-    mats = scheme.relations
-    E = []
-    for j in range(d + 1):
-        Ej = sum(spec.Q[i, j] * mats[i].astype(float) for i in range(d + 1)) / v
-        E.append(Ej)
+    """Assemble E_j = (1/v) sum_i Q[i][j] A_i and verify the basis axioms.
 
+    E_j is the gather ``(Q / v)[labels, j]``, symmetric as the labels are,
+    and the axioms are checked on class values (see the module docstring),
+    in order: E_0 = J/v; sum_j E_j = I; then for each j, trace E_j = Q[0,
+    j] = m_j and E_j E_h = delta_jh E_j for h >= j, where E_j E_h = sum_c
+    C[j, h, c] A_c with C[j, h, c] = v^-2 sum_{i, l} Q_ij Q_lh p_il^c.
+    """
+    spec = spec or scheme.spectral
+    v, n, tol = scheme.v, scheme.d + 1, spec.tol
+    e = spec.Q / v  # e[c, j]: the value of E_j on class c
     scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
-    if not scale.allclose(E[0], np.full((v, v), 1.0 / v)):
-        raise IdempotencyViolation(0, float(np.max(np.abs(E[0] - 1.0 / v))))
-    total = sum(E)
-    if not scale.allclose(total, np.eye(v)):
-        raise IdempotencyViolation(-1, float(np.max(np.abs(total - np.eye(v)))))
-    for j in range(d + 1):
-        if not scale.allclose(E[j], E[j].T):
-            raise IdempotencyViolation(j, float(np.max(np.abs(E[j] - E[j].T))))
-        tr = float(np.trace(E[j]))
+    if not scale.allclose(e[:, 0], 1.0 / v):
+        raise IdempotencyViolation(0, float(np.max(np.abs(e[:, 0] - 1.0 / v))))
+    identity, total = np.eye(n)[0], sum(e[:, j] for j in range(n))
+    if not scale.allclose(total, identity):
+        raise IdempotencyViolation(-1, float(np.max(np.abs(total - identity))))
+    C = np.einsum("ij,lh,ilc->jhc", e, e, scheme.intersection.p, optimize=True)
+    resid = np.abs(C - np.eye(n)[:, :, None] * e.T[:, None, :]).max(axis=2)  # [j, h]
+    for j in range(n):
+        tr = v * float(e[0, j])
         if not scale.close(tr, spec.multiplicities[j]):
             raise IdempotencyViolation(j, abs(tr - spec.multiplicities[j]))
-        for h in range(j, d + 1):
-            target = E[j] if h == j else np.zeros((v, v))
-            resid = float(np.max(np.abs(E[j] @ E[h] - target)))
-            if resid > scale.atol + scale.rtol:
-                raise IdempotencyViolation(j, resid)
-    return IdempotentBasis(E=tuple(E), tol=tol)
+        bad = np.flatnonzero(resid[j, j:] > scale.atol + scale.rtol)
+        if bad.size:
+            raise IdempotencyViolation(j, float(resid[j, j + bad[0]]))
+    return IdempotentBasis(E=tuple(e[scheme.labels, j] for j in range(n)), tol=tol)
 
 
 def krein_parameters(scheme: AssociationScheme, basis: IdempotentBasis,
                      spec: SpectralData | None = None) -> KreinTensor:
-    """q[i][j][h] = (v/m_h) trace((E_i o E_j) E_h), checked nonnegative."""
+    """q[i][j][h] = (v/m_h) trace((E_i o E_j) E_h), checked nonnegative.
+
+    Class c holds v k_c cells, so q_ij^h = (v m_h)^-1 sum_c k_c Q_ci Q_cj
+    Q_ch, with Q_cj = v E_j at row 0's first cell of class c.  The first
+    entry with i <= j below -v atol, in row-major order, raises; the rest
+    are clamped at 0, and q_jj^0 = m_j must hold.
+    """
     spec = spec or scheme.spectral
-    v, d, tol = scheme.v, scheme.d, basis.tol
-    E = basis.E
-    m = spec.multiplicities
-    q = np.zeros((d + 1, d + 1, d + 1), dtype=float)
-    neg_bound = tol.atol * v
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            had = E[i] * E[j]
-            for h in range(d + 1):
-                val = (v / m[h]) * float(np.sum(had * E[h]))  # trace(M E_h), E_h symmetric
-                if val < -neg_bound:
-                    raise NegativeKrein(i, j, h, val)
-                q[i, j, h] = max(val, 0.0)
-            q[j, i] = q[i, j]
+    v, n, tol = scheme.v, scheme.d + 1, basis.tol
+    m = np.asarray(spec.multiplicities, dtype=float)
+    first = np.argmax(scheme.labels[0] == np.arange(n)[:, None], axis=1)
+    Q = v * np.stack([E[0, first] for E in basis.E], axis=1)
+    q = np.einsum("c,ci,cj,ch->ijh", scheme.valencies, Q, Q, Q, optimize=True) / (v * m)
+    upper = np.triu(np.ones((n, n), dtype=bool))[:, :, None]
+    negative = (q < -tol.atol * v) & upper
+    if negative.any():
+        i, j, h = map(int, np.argwhere(negative)[0])
+        raise NegativeKrein(i, j, h, float(q[i, j, h]))
+    q = np.maximum(np.where(upper, q, q.transpose(1, 0, 2)), 0.0)
     scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
-    for j in range(d + 1):
+    for j in range(n):
         if not scale.close(q[j, j, 0], m[j]):
             raise NegativeKrein(j, j, 0, q[j, j, 0])
     return KreinTensor(q=q, tol=tol)

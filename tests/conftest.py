@@ -1,16 +1,18 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
-reference validator, the element-by-element finite-field tables, the
-Bell(d) partition enumeration with the all-partitions amorphicity and
-idempotent-side hypergraph references built on it, the single-merge
-amorphicity reference, the full-tensor references of the two fusion
-kernels and of the dual partition, the hand-written overlap label tables,
-and the acceptance-criteria summary lines.
+reference validator and closure witness scan, the v x v references of the
+idempotent basis and the Krein parameters, the element-by-element
+finite-field tables, the Bell(d) partition enumeration with the
+all-partitions amorphicity and idempotent-side hypergraph references
+built on it, the single-merge amorphicity reference, the full-tensor
+references of the two fusion kernels and of the dual partition, the
+hand-written overlap label tables, and the acceptance-criteria summary
+lines.
 
-A scheme keeps its fusion decisions, spectra and last fused scheme on the
-instance, and the ``corpus`` fixture shares its schemes across the whole
-session.  A warm scheme answers a question it has seen without running
-either oracle, so a test that monkeypatches an oracle, or counts calls into
-one, builds its own scheme and never uses a ``corpus`` scheme.
+A scheme keeps its fusion decisions and spectra on the instance (no fused
+scheme is kept), and the ``corpus`` fixture shares its schemes across the
+whole session.  A warm scheme answers a question it has seen without
+running either oracle, so a test that monkeypatches an oracle, or counts
+calls into one, builds its own scheme and never uses a ``corpus`` scheme.
 """
 
 import itertools
@@ -151,8 +153,9 @@ def net_with_group_sizes(n, sizes):
 
 def validate_by_class_cells(labels):
     """Test-only reference validator: the four axioms checked with one
-    int64 product per class pair, scanned class by class, and the tensor
-    read off one representative cell per class.
+    float64 product per class pair (exact, as every count is below 2^53),
+    scanned class by class, and the tensor read off one representative
+    cell per class.
 
     Returns (valencies, p) or raises AxiomViolation exactly as
     ``validate_scheme`` must: same axiom, witness cell and message.
@@ -176,7 +179,7 @@ def validate_by_class_cells(labels):
         x, y = map(int, np.argwhere(L != L.T)[0])
         raise am.AxiomViolation("symmetry", (x, y))
 
-    mats = [(L == i).astype(np.int64) for i in range(d + 1)]
+    mats = [(L == i).astype(np.float64) for i in range(d + 1)]
     class_cells = [np.nonzero(L == h) for h in range(d + 1)]
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
@@ -192,6 +195,83 @@ def validate_by_class_cells(labels):
                 p[i, j, h] = p[j, i, h] = vals[0]
     valencies = tuple(int(mats[i][0].sum()) for i in range(d + 1))
     return valencies, p
+
+
+def closure_witness_by_class_scans(L, p, A_i, i, run):
+    """Test-only reference for ``core._closure_witness``: each failing
+    product A_i A_j scanned class by class, one ``np.nonzero`` per class,
+    raising at the first cell that differs from its class's first cell."""
+    d = p.shape[0] - 1
+    for j in run:
+        prod = A_i @ (L == j).astype(np.float64)
+        if np.array_equal(prod, p[i, j][L]):
+            continue
+        for h in range(d + 1):
+            cells = np.nonzero(L == h)
+            vals = prod[cells]
+            if np.any(vals != vals[0]):
+                bad = int(np.argmax(vals != vals[0]))
+                cell = (int(cells[0][bad]), int(cells[1][bad]))
+                raise am.AxiomViolation(
+                    "closure", cell,
+                    f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
+
+
+def idempotents_by_class_matrices(scheme, spec=None):
+    """Test-only reference for ``idempotents``: each E_j summed from the
+    v x v class matrices and every basis axiom checked on v x v matrices,
+    (d+1)(d+2)/2 products of them included."""
+    spec = spec or scheme.spectral
+    v, d, tol = scheme.v, scheme.d, spec.tol
+    mats = [scheme.relation(i) for i in range(d + 1)]
+    E = []
+    for j in range(d + 1):
+        Ej = sum(spec.Q[i, j] * mats[i].astype(float) for i in range(d + 1)) / v
+        E.append(Ej)
+
+    scale = am.Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    if not scale.allclose(E[0], np.full((v, v), 1.0 / v)):
+        raise am.IdempotencyViolation(0, float(np.max(np.abs(E[0] - 1.0 / v))))
+    total = sum(E)
+    if not scale.allclose(total, np.eye(v)):
+        raise am.IdempotencyViolation(-1, float(np.max(np.abs(total - np.eye(v)))))
+    for j in range(d + 1):
+        if not scale.allclose(E[j], E[j].T):
+            raise am.IdempotencyViolation(j, float(np.max(np.abs(E[j] - E[j].T))))
+        tr = float(np.trace(E[j]))
+        if not scale.close(tr, spec.multiplicities[j]):
+            raise am.IdempotencyViolation(j, abs(tr - spec.multiplicities[j]))
+        for h in range(j, d + 1):
+            target = E[j] if h == j else np.zeros((v, v))
+            resid = float(np.max(np.abs(E[j] @ E[h] - target)))
+            if resid > scale.atol + scale.rtol:
+                raise am.IdempotencyViolation(j, resid)
+    return am.IdempotentBasis(E=tuple(E), tol=tol)
+
+
+def krein_by_hadamard_sums(scheme, basis, spec=None):
+    """Test-only reference for ``krein_parameters``: each q_ij^h summed
+    over the v x v cells of E_i o E_j o E_h."""
+    spec = spec or scheme.spectral
+    v, d, tol = scheme.v, scheme.d, basis.tol
+    E = basis.E
+    m = spec.multiplicities
+    q = np.zeros((d + 1, d + 1, d + 1), dtype=float)
+    neg_bound = tol.atol * v
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            had = E[i] * E[j]
+            for h in range(d + 1):
+                val = (v / m[h]) * float(np.sum(had * E[h]))  # trace(M E_h), E_h symmetric
+                if val < -neg_bound:
+                    raise am.NegativeKrein(i, j, h, val)
+                q[i, j, h] = max(val, 0.0)
+            q[j, i] = q[i, j]
+    scale = am.Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    for j in range(d + 1):
+        if not scale.close(q[j, j, 0], m[j]):
+            raise am.NegativeKrein(j, j, 0, q[j, j, 0])
+    return am.KreinTensor(q=q, tol=tol)
 
 
 def field_tables_by_loops(n):

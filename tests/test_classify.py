@@ -1,12 +1,15 @@
 """SRG typing, canonical form, amorphicity, the distinguished 4-class
 eigenmatrix pattern, the row lemma, and the per-scheme claim verifier."""
 
+import ast
 import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amorphic as am
 import amorphic.classify as classify
@@ -531,3 +534,37 @@ def test_claim_report_as_dict_round_trips():
     assert set(d) == {r.claim for r in report.records}
     for rec in report.records:
         assert d[rec.claim]["verified"] == rec.verified
+
+
+def mapped_cores(witness, perm):
+    """The cores of a ``sunflower_core_fuses`` witness, each mapped through
+    the class permutation ``perm`` and sorted, in sorted order."""
+    cores = ast.literal_eval(witness.removeprefix("cores "))
+    return sorted(tuple(sorted(int(perm[c]) for c in core)) for core in cores)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_claims_are_invariant_under_relabelling(corpus, data):
+    """A random point permutation of a corpus scheme with d >= 3 leaves the
+    claim report as it is; a random class permutation fixing 0 keeps every
+    claim's applicability, verdict and witness, with the sunflower cores
+    mapped through the permutation."""
+    schemes = [scheme for _, scheme in corpus if scheme.d >= 3]
+    scheme = data.draw(st.sampled_from(schemes), label="scheme")
+    expected = am.verify_paper_claims(scheme).as_dict()
+
+    points = np.array(data.draw(st.permutations(range(scheme.v)), label="points"))
+    moved = am.validate_scheme(scheme.labels[np.ix_(points, points)])
+    assert am.verify_paper_claims(moved).as_dict() == expected
+
+    perm = np.array([0] + data.draw(st.permutations(range(1, scheme.d + 1)), label="classes"))
+    report = am.verify_paper_claims(am.validate_scheme(perm[scheme.labels])).as_dict()
+    assert report.keys() == expected.keys()
+    for claim, record in report.items():
+        want = expected[claim]
+        if claim == "sunflower_core_fuses" and want["applicable"]:
+            assert mapped_cores(record["witness"], range(scheme.d + 1)) == \
+                mapped_cores(want["witness"], perm)
+            record, want = {**record, "witness": ""}, {**want, "witness": ""}
+        assert record == want, claim

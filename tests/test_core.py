@@ -25,7 +25,10 @@ from amorphic import (
     AxiomViolation,
     DEFAULT_TOL,
     DegenerateSpectrum,
+    IdempotencyViolation,
+    IdempotentBasis,
     LabelMatrix,
+    NegativeKrein,
     Tolerance,
     formal_duality_permutation,
     gen_complete,
@@ -41,7 +44,13 @@ from amorphic import (
     SlopeGrouping,
 )
 from amorphic import core
-from conftest import net_with_group_sizes, validate_by_class_cells
+from conftest import (
+    closure_witness_by_class_scans,
+    idempotents_by_class_matrices,
+    krein_by_hadamard_sums,
+    net_with_group_sizes,
+    validate_by_class_cells,
+)
 
 TOL = DEFAULT_TOL
 
@@ -131,7 +140,7 @@ def deviates(labels, cell):
     L = np.asarray(labels)
     h = L[cell]
     first = tuple(np.argwhere(L == h)[0])
-    mats = [(L == i).astype(np.int64) for i in range(L.max() + 1)]
+    mats = [(L == i).astype(np.float64) for i in range(L.max() + 1)]
     return any((mats[i] @ mats[j])[cell] != (mats[i] @ mats[j])[first]
                for i in range(len(mats)) for j in range(i, len(mats)))
 
@@ -251,6 +260,11 @@ def hamming8(order=tuple(range(9))):
     return label_of[gen_hamming_binary(8).labels]
 
 
+def moved_pair(labels, x, y, new):
+    labels[x, y] = labels[y, x] = new
+    return labels
+
+
 @pytest.mark.parametrize("order, x, y, new", [
     (tuple(range(9)), 5, 9, 3),  # first failing pair (1, 1), in the first product
     (ANTIPODAL_FIRST, 3, 100, 7),  # first failing pair (1, 7), in a stack of rows 1-2
@@ -275,6 +289,37 @@ def test_valid_schemes_never_scan_pairs(monkeypatch, corpus, thin_z2_4):
     labels += [hamming8(order) for order in (tuple(range(9)), ANTIPODAL_FIRST, LARGE_SEVENTH)]
     for L in labels:
         validate_scheme(np.array(L))
+
+
+def raised_closure(witness, L, p, i):
+    """(axiom, witness, message) that ``witness`` raises on the pairs (i, j),
+    j >= i, or None."""
+    try:
+        witness(L, p, (L == i).astype(np.float64), i, range(i, p.shape[0]))
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("labels", [
+    label_missing_from_row0(),
+    irregular_class_graph(),
+    *(moved_pair(hamming8(order), x, y, new) for order, x, y, new in [
+        (tuple(range(9)), 5, 9, 3), (ANTIPODAL_FIRST, 3, 100, 7), (ANTIPODAL_FIRST, 0, 7, 8)]),
+], ids=["missing-from-row0", "irregular", "h8-swap", "h8-antipodal-swap", "h8-row0-swap"])
+def test_closure_witness_matches_the_class_scan(labels):
+    """Row by row, the witness read off one ``np.unique`` names the same
+    cell and message as one ``np.nonzero`` scan per class, or raises
+    nothing where the scan raises nothing, on the histogram's tensor with
+    its -1 marks."""
+    d = int(labels.max())
+    counts, k = core._row0_counts(labels, d)
+    whole = (k > 0) & (counts % np.maximum(k, 1) == 0)
+    p = np.where(whole, counts // np.maximum(k, 1), -1)
+    found = [raised_closure(core._closure_witness, labels, p, i) for i in range(1, d + 1)]
+    assert found == [raised_closure(closure_witness_by_class_scans, labels, p, i)
+                     for i in range(1, d + 1)]
+    assert any(found)
 
 
 def assert_tight_plan(K):
@@ -853,6 +898,54 @@ def test_idempotent_invariants():
     assert np.max(np.abs(total - np.eye(v))) < 1e-8 * v
 
 
+def bumped(spec, bumps):
+    """``spec`` with Q[c, j] moved by ``bumps[(c, j)]``."""
+    Q = spec.Q.copy()
+    for (c, j), delta in bumps.items():
+        Q[c, j] += delta
+    return dataclasses.replace(spec, Q=Q)
+
+
+def test_idempotents_and_krein_match_the_vxv_references(corpus):
+    """The class-value basis equals the one summed from v x v class
+    matrices, entry for entry, and q is within 1e-9 of the cell-by-cell
+    Hadamard sums, on the corpus, H(8,2), H(9,2) and two schemes with
+    irrational eigenvalues."""
+    schemes = [scheme for _, scheme in corpus]
+    schemes += [gen_hamming_binary(8), gen_hamming_binary(9),
+                gen_cyclotomic(CyclotomicSpec(q=17, d=2)), gen_cyclotomic(CyclotomicSpec(q=29, d=7))]
+    assert not schemes[-1].spectral.P_integer_mask.all()
+    assert not schemes[-2].spectral.P_integer_mask.all()
+    for scheme in schemes:
+        basis, ref = idempotents(scheme), idempotents_by_class_matrices(scheme)
+        assert all(np.array_equal(E, F) for E, F in zip(basis.E, ref.E))
+        q = krein_parameters(scheme, basis).q
+        assert np.max(np.abs(q - krein_by_hadamard_sums(scheme, ref).q)) < 1e-9
+
+
+# H(4,2): Q's row 0 is (1, 1, 4, 4, 6), k_1 = 4, k_2 = 6.  The trace and
+# product bumps keep every row sum of E_1 and E_2, so E_0 E_h, which is
+# that row sum times J/v, does not move, and each bump passes every check
+# before the one it targets.
+@pytest.mark.parametrize("bumps, index, residual", [
+    ({(1, 0): 0.5}, 0, 0.5 / 16),  # E_0 = J/v
+    ({(1, 1): 0.5}, -1, 0.5 / 16),  # sum_j E_j = I
+    ({(0, 1): 0.5, (1, 1): -0.125, (0, 2): -0.5, (1, 2): 0.125}, 1, 0.5),  # trace E_1 = m_1
+    ({(1, 1): 0.25, (2, 1): -1 / 6, (1, 2): -0.25, (2, 2): 1 / 6}, 1, None),  # E_1 E_h
+], ids=["E0", "sum", "trace", "product"])
+def test_idempotency_violations_match_the_reference(bumps, index, residual):
+    scheme = gen_hamming_binary(4)
+    spec = bumped(spectral_decomposition(scheme), bumps)
+    with pytest.raises(IdempotencyViolation) as err:
+        idempotents(scheme, spec)
+    with pytest.raises(IdempotencyViolation) as ref:
+        idempotents_by_class_matrices(scheme, spec)
+    assert err.value.index == ref.value.index == index
+    assert err.value.residual == pytest.approx(ref.value.residual, rel=1e-9, abs=0)
+    if residual is not None:
+        assert err.value.residual == pytest.approx(residual, rel=1e-9, abs=0)
+
+
 # ---------------------------------------------------------------- Krein
 
 def test_krein_complete_scheme_closed_form():
@@ -875,6 +968,33 @@ def test_krein_nonnegative_and_symmetric():
         K = krein_parameters(scheme, basis)
         assert K.q.min() >= 0.0
         assert np.max(np.abs(K.q - K.q.transpose(1, 0, 2))) < 1e-9
+
+
+def basis_of_columns(scheme, Q):
+    """A class-constant basis E_j = Q[labels, j] / v, with no check."""
+    return IdempotentBasis(E=tuple(Q[scheme.labels, j] / scheme.v for j in range(scheme.d + 1)))
+
+
+@pytest.mark.parametrize("build, column, scale, indices", [
+    (lambda: gen_hamming_binary(4), 4, -1.0, (2, 2, 4)),
+    (lambda: gen_cyclotomic(CyclotomicSpec(q=13, d=3)), 2, -1.0, (1, 1, 2)),
+    (lambda: gen_cyclotomic(CyclotomicSpec(q=13, d=3)), 1, 1.1, (1, 1, 0)),  # q_11^0 = m_1
+], ids=["hamming4", "cyclotomic13", "q_jj^0"])
+def test_krein_violations_match_the_reference(build, column, scale, indices):
+    """A basis with one column of Q scaled: negated, some q_ij^h turns
+    negative; scaled by 1.1, q_jj^0 misses m_j.  Both raise NegativeKrein
+    at the reference's (i, j, h)."""
+    scheme = build()
+    spec = spectral_decomposition(scheme)
+    Q = spec.Q.copy()
+    Q[:, column] *= scale
+    basis = basis_of_columns(scheme, Q)
+    with pytest.raises(NegativeKrein) as err:
+        krein_parameters(scheme, basis, spec)
+    with pytest.raises(NegativeKrein) as ref:
+        krein_by_hadamard_sums(scheme, basis, spec)
+    assert err.value.indices == ref.value.indices == indices
+    assert err.value.value == pytest.approx(ref.value.value, rel=1e-9)
 
 
 # --------------------------------------------------------- formal duality
