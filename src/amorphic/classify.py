@@ -70,11 +70,24 @@ class SrgInfo:
     latin: LatinInfo | None
 
 
+def _peel(M: np.ndarray, free: np.ndarray, tol: Tolerance):
+    """In every column of M, the first row still ``free`` and the free rows
+    close to it under ``tol``: (its values, bool mask of those rows).
+
+    Peeling until no row is free groups each column greedily in row order,
+    each row joining the first representative it is close to."""
+    rep = M[np.argmax(free, axis=0), np.arange(M.shape[1])]
+    return rep, free & tol.isclose(M, rep)
+
+
 def _distinct(values, tol: Tolerance):
-    reps: list[float] = []
-    for x in values:
-        if not any(tol.close(x, r) for r in reps):
-            reps.append(float(x))
+    """The representatives of ``values`` grouped under ``tol``, sorted."""
+    col = np.asarray(values, dtype=float)[:, None]
+    free, reps = np.ones(col.shape, dtype=bool), []
+    while free.any():
+        rep, group = _peel(col, free, tol)
+        reps.append(float(rep[0]))
+        free &= ~group
     return sorted(reps)
 
 
@@ -130,33 +143,24 @@ class CanonicalFormCertificate:
 
 
 def _canonical_on(M: np.ndarray, tol: Tolerance):
+    """(rows, a, b) when every column of M splits under ``tol`` into one
+    distinguished row of value b and d - 1 rows of value a, the
+    distinguished rows forming a transversal; None otherwise.
+
+    Group 0 of a column is the rows close to row 0, group 1 the other rows
+    close to the first of them (see :func:`_peel`), and a row in neither
+    fails the column; each group's value is its first row's."""
     d = M.shape[0]
-    rows, a_vals, b_vals = [], [], []
-    for j in range(d):
-        col = M[:, j]
-        groups: dict[int, list[int]] = {}
-        reps: list[float] = []
-        for r, x in enumerate(col):
-            for gi, rep in enumerate(reps):
-                if tol.close(x, rep):
-                    groups[gi].append(r)
-                    break
-            else:
-                groups[len(reps)] = [r]
-                reps.append(float(x))
-        if len(reps) != 2:
-            return None
-        sizes = {gi: len(rs) for gi, rs in groups.items()}
-        single = [gi for gi, s in sizes.items() if s == 1]
-        if len(single) != 1 or sizes[1 - single[0]] != d - 1:
-            return None
-        gi = single[0]
-        rows.append(groups[gi][0])
-        b_vals.append(reps[gi])
-        a_vals.append(reps[1 - gi])
-    if sorted(rows) != list(range(d)):
+    group0 = tol.isclose(M, M[0])
+    rep1, group1 = _peel(M, ~group0, tol)
+    ones = group1.sum(axis=0)
+    lone = ones == 1  # group 1 is the distinguished row; else group 0, row 0, must be
+    if not ((group0 | group1).all() and ((ones > 0) & (lone != (ones == d - 1))).all()):
         return None
-    return rows, a_vals, b_vals
+    rows = np.where(lone, np.argmax(group1, axis=0), 0)
+    if not (np.bincount(rows, minlength=d) == 1).all():
+        return None
+    return rows.tolist(), np.where(lone, M[0], rep1).tolist(), np.where(lone, rep1, M[0]).tolist()
 
 
 def canonical_form_check(spec: SpectralData) -> CanonicalFormCertificate | None:
@@ -176,17 +180,16 @@ def canonical_form_check(spec: SpectralData) -> CanonicalFormCertificate | None:
         if hit is None:
             continue
         rows, a_vals, b_vals = hit
-        diffs = [b - a for a, b in zip(a_vals, b_vals)]
-        n = diffs[0] if all(tol.close(x, diffs[0]) for x in diffs) else None
+        diffs = np.subtract(b_vals, a_vals)
+        n = float(diffs[0]) if tol.allclose(diffs, diffs[0]) else None
         t = tuple(-a for a in a_vals) if n is not None else None
         parameterized = False
         sign = None
         if n is not None:
-            n_s, n_ok = tol.snap(np.array([n]))
-            t_s, t_ok = tol.snap(np.asarray(t))
-            if n_ok.all() and t_ok.all():
-                n_i, t_i = int(n_s[0]), [int(x) for x in t_s]
-                vals = [n_i] + t_i
+            snapped, ok = tol.snap(np.array((n,) + t))
+            if ok.all():
+                vals = [int(x) for x in snapped]
+                n_i, t_i = vals[0], vals[1:]
                 if all(x > 0 for x in vals):
                     parameterized, sign, n, t = True, "positive", n_i, tuple(t_i)
                 elif all(x < 0 for x in vals):

@@ -11,9 +11,13 @@ by :func:`_translation_scheme` on row 0 and the group's subtraction table
 in O(v^2), with the same violations.
 
 Eigenmatrices, idempotents and Krein parameters are floating point under
-an explicit tolerance policy.  The eigenmatrices come from a deterministic
-split of the symmetrized (d+1)-dimensional intersection matrices, class by
-class with ``eigh``; no random numbers are drawn.  Idempotents and Krein
+an explicit tolerance policy.  The eigenmatrices come from one ``eigh`` of
+a fixed combination of the symmetrized (d+1)-dimensional intersection
+matrices, with the square roots of the first d primes as weights; as those
+are linearly independent over the rationals, distinct integral rows of P
+get distinct eigenvalues, and only a cluster the combination leaves
+together is split further, class by class.  No random numbers are drawn.
+The margin rule is one check on P's class columns.  Idempotents and Krein
 parameters are read off class values, with no v x v product: a matrix
 sum_c x_c A_c is given by its d + 1 values x_c, and as the A_c are
 disjoint and none is empty, it is within a bound on every cell exactly
@@ -24,6 +28,7 @@ instance (see :class:`AssociationScheme`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -87,10 +92,11 @@ class Tolerance:
         """Round entries that sit within tolerance of an integer.
 
         Returns (snapped array, bool mask of entries that were snapped);
-        irrational entries stay floats.
+        irrational entries stay floats.  A snapped 0 is +0.0, whatever the
+        sign of the rounding noise.
         """
         arr = np.asarray(arr, dtype=float)
-        rounded = np.round(arr)
+        rounded = np.round(arr) + 0.0
         bound = self.atol + self.rtol * np.maximum(np.abs(arr), 1.0)
         mask = np.abs(arr - rounded) <= bound
         out = np.where(mask, rounded, arr)
@@ -680,15 +686,30 @@ def spectral_decomposition(scheme: AssociationScheme,
 
     Each B_i (B_i[h, j] = p_ij^h) is symmetrized as S_i = diag(sqrt k) B_i
     diag(1/sqrt k), which is symmetric because k_h p_ij^h = k_j p_ih^j.  The
-    S_i commute, so their common eigenvectors are found by splitting: start
-    from the whole space and, for i = 1..d, diagonalize S_i on each current
-    subspace with ``eigh`` and cut it where consecutive eigenvalues differ.
-    Each of the d + 1 lines u left at the end gives one row of P, read off
-    as P[j, i] = u^T S_i u.  Two consecutive eigenvalues are equal when they
-    are close under ``tol`` and distinct when they are at least
-    ``_GAP_FACTOR * tol.atol`` apart; a gap in between raises
-    :class:`DegenerateSpectrum` naming the class, both eigenvalues and the
-    gap required.
+    S_i commute, so their common eigenvectors are found by splitting.  The
+    first splitter is the fixed combination M = sum_i w_i S_i, w_i the square
+    root of the i-th prime: one ``eigh`` of M, cut wherever consecutive
+    eigenvalues are at least ``_GAP_FACTOR * tol.atol`` apart.  On the line
+    of row j, M has eigenvalue sum_i w_i P[j, i], and square roots of
+    distinct primes are linearly independent over the rationals, so two
+    distinct integral rows always get distinct eigenvalues of M.  A cluster
+    M leaves together (irrational rows, or eigenvalues of M closer than the
+    cut) is split further as before: for i = 1..d, ``eigh`` of S_i on each
+    current subspace, cut where consecutive eigenvalues are not close under
+    ``tol``.  Each of the d + 1 lines u left at the end gives one row of P,
+    read off as P[j, i] = u^T S_i u.
+
+    The margin rule is then one check on P's class columns (see
+    :func:`_check_column_gaps`): two rows not close under ``tol`` in a
+    column must be at least ``_GAP_FACTOR * tol.atol`` apart in it, else
+    :class:`DegenerateSpectrum` names the first such class, both
+    eigenvalues and the gap required.  This is deliberately stricter than
+    comparing consecutive eigenvalues within one split, as the class loop
+    once did: the row-sum fusion criterion compares folded columns across
+    all rows, not within one split.  The rows are then ordered and the
+    multiplicities read with array operations, and every check below
+    (valency row, integral multiplicities summing to v, PQ = vI, zero row
+    sums, row 0 of Q) raises :class:`DegenerateSpectrum` when it fails.
 
     No random numbers are drawn, so the result depends only on the scheme
     and ``tol``; it is cached on the scheme instance, one entry per
@@ -702,12 +723,34 @@ def spectral_decomposition(scheme: AssociationScheme,
     return spec
 
 
+@functools.cache
+def _combination_weights(d: int) -> np.ndarray:
+    """w_i = sqrt(i-th prime) for i = 1..d, the weights of the first
+    splitter M = sum_i w_i S_i (see :func:`spectral_decomposition`).  The
+    sieve runs to n (ln n + ln ln n), above the n-th prime for n >= 6."""
+    bound = 15 if d < 6 else int(d * (math.log(d) + math.log(math.log(d)))) + 1
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    w = np.sqrt(np.flatnonzero(sieve)[:d])
+    w.flags.writeable = False
+    return w
+
+
 def _common_eigenvectors(S: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal common eigenvectors of the commuting symmetric S[i], one
-    per column, split class by class as :func:`spectral_decomposition` says."""
+    per column: split by one ``eigh`` of the class combination M, then
+    class by class only where M left a cluster, as
+    :func:`spectral_decomposition` says."""
     n = S.shape[0]
-    gap_needed = _GAP_FACTOR * tol.atol
-    spaces = [np.eye(n)]
+    M = (_combination_weights(n - 1) @ S[1:].reshape(n - 1, n * n)).reshape(n, n)
+    w, V = np.linalg.eigh(M)
+    cuts = np.flatnonzero(np.diff(w) >= _GAP_FACTOR * tol.atol) + 1
+    if len(cuts) == n - 1:
+        return V
+    spaces = np.split(V, cuts, axis=1)
     for i in range(1, n):
         if len(spaces) == n:
             break
@@ -717,25 +760,37 @@ def _common_eigenvectors(S: np.ndarray, tol: Tolerance) -> np.ndarray:
                 split.append(U)
                 continue
             w, V = np.linalg.eigh(U.T @ S[i] @ U)
-            start = 0
-            for a in range(len(w) - 1):
-                if tol.close(w[a], w[a + 1]):
-                    continue
-                gap = w[a + 1] - w[a]
-                if gap < gap_needed:
-                    raise DegenerateSpectrum(
-                        f"class {i}: eigenvalues {round(w[a], 12)} and {round(w[a + 1], 12)} "
-                        f"are {round(gap, 12)} apart, neither equal within tolerance nor "
-                        f"the required gap {round(gap_needed, 12)} ({_GAP_FACTOR:g}*atol) apart")
-                split.append(U @ V[:, start:a + 1])
-                start = a + 1
-            split.append(U @ V[:, start:])
+            cuts = np.flatnonzero(~tol.isclose(w[:-1], w[1:])) + 1
+            split += [U @ part for part in np.split(V, cuts, axis=1)]
         spaces = split
     if len(spaces) != n:
         dim = max(U.shape[1] for U in spaces)
         raise DegenerateSpectrum(
             f"an eigenspace of dimension {dim} is common to all {n - 1} classes")
     return np.hstack(spaces)
+
+
+def _check_column_gaps(rows: np.ndarray, tol: Tolerance) -> None:
+    """Raise :class:`DegenerateSpectrum` at the first class i whose column
+    holds two eigenvalues neither close under ``tol`` nor
+    ``_GAP_FACTOR * tol.atol`` apart, naming the lowest such pair; or when
+    two rows are close in every class column, as rows of P are distinct."""
+    gap_needed = _GAP_FACTOR * tol.atol
+    cols = rows[:, 1:].T  # cols[i - 1, j]: class i's eigenvalue on row j
+    a, b = cols[:, :, None], cols[:, None, :]
+    close = tol.isclose(a, b)
+    thin = ~close & (np.abs(a - b) < gap_needed)
+    if thin.any():
+        i = int(np.argmax(thin.any(axis=(1, 2))))
+        lo, hi = min(sorted(cols[i, [r, s]]) for r, s in zip(*np.nonzero(thin[i])))
+        raise DegenerateSpectrum(
+            f"class {i + 1}: eigenvalues {round(lo, 12)} and {round(hi, 12)} "
+            f"are {round(hi - lo, 12)} apart, neither equal within tolerance nor "
+            f"the required gap {round(gap_needed, 12)} ({_GAP_FACTOR:g}*atol) apart")
+    tied = close.all(axis=0)  # tied[j, j'] for rows close in every class
+    if np.count_nonzero(tied) > len(tied):
+        raise DegenerateSpectrum(f"an eigenspace of dimension {tied.sum(axis=1).max()} "
+                                 f"is common to all {len(cols)} classes")
 
 
 def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> SpectralData:
@@ -745,7 +800,8 @@ def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> Spectr
     # S[i, h, j] = sqrt(k_h) p_ij^h / sqrt(k_j)
     S = scheme.intersection.p.transpose(0, 2, 1) * root[None, :, None] / root[None, None, :]
     U = _common_eigenvectors(S, tol)
-    rows = np.einsum("aj,iab,bj->ji", U, S, U)
+    rows = np.einsum("aj,iaj->ji", U, S @ U)
+    _check_column_gaps(rows, tol)
 
     # the first row that is the valency row, and every other row's
     # multiplicity; the first one not near an integer is named
@@ -754,19 +810,21 @@ def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> Spectr
         raise DegenerateSpectrum("no eigenvector reproduces the valency row")
     val_idx = int(np.argmax(valency))
     m_raw = v / (rows ** 2 / k).sum(axis=1)
-    whole = tol.isclose(m_raw, np.round(m_raw))
+    m = np.round(m_raw)
+    whole = tol.isclose(m_raw, m)
     whole[val_idx] = True
     if not whole.all():
         bad = float(m_raw[np.argmin(whole)])
         raise DegenerateSpectrum(f"multiplicity {bad!r} is not near an integer")
-    others = [j for j in range(d + 1) if j != val_idx]
-    mults = dict(zip(others, np.round(m_raw[others]).astype(int).tolist()))
-    others.sort(key=lambda j: (mults[j], tuple(np.round(rows[j], 6))))
+    # the valency row first (key -1), then the others by multiplicity and
+    # lexicographically on the rows rounded to 6 places; lexsort is stable
+    # and reads its last key first
+    mults = m.astype(int)
+    mults[val_idx] = -1
+    order = np.lexsort(np.vstack([np.round(rows, 6).T[::-1], mults]))
 
-    order = [val_idx] + others
-    P = rows[order]
-    P, p_mask = tol.snap(P)
-    m_list = [1] + [mults[j] for j in others]
+    P, p_mask = tol.snap(rows[order])
+    m_list = [1] + mults[order[1:]].tolist()
     if sum(m_list) != v:
         raise DegenerateSpectrum(f"multiplicities {m_list} do not sum to v={v}")
 

@@ -1,6 +1,8 @@
 """Shared fixtures, the label re-validation oracle, the per-class-cell
 reference validator and closure witness scan, the v x v references of the
-idempotent basis and the Krein parameters, the element-by-element
+idempotent basis and the Krein parameters, the class-by-class
+eigenvector split with its row-sort bookkeeping, the entry-by-entry
+canonical form and tolerance grouping, the element-by-element
 finite-field tables, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references
 built on it, the single-merge amorphicity reference, the full-tensor
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 import amorphic as am
-from amorphic import generators
+from amorphic import core, generators
 from amorphic.fusion import ClassPartition, DualPartition, fuses
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
@@ -31,6 +33,16 @@ ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 def corpus():
     """The standard generated corpus, built once per session."""
     return am.standard_corpus()
+
+
+@pytest.fixture(scope="session")
+def spectral_schemes(corpus):
+    """The corpus, the six amorphic schemes of the benchmark's ``oracle``
+    workload and net(27; 1^28): (name, scheme) pairs."""
+    nets = [(7, [2] + [1] * 6), (8, [2, 2] + [1] * 5), (16, [5, 4, 4, 4]),
+            (7, [1] * 8), (8, [2] + [1] * 7), (27, [1] * 28)]
+    more = [(f"net({n};{sizes})", net_with_group_sizes(n, sizes)) for n, sizes in nets]
+    return corpus + more + [("cyclotomic(25,6)", am.gen_cyclotomic(am.CyclotomicSpec(q=25, d=6)))]
 
 
 def fuse_by_relabeling(scheme, pi):
@@ -272,6 +284,107 @@ def krein_by_hadamard_sums(scheme, basis, spec=None):
         if not scale.close(q[j, j, 0], m[j]):
             raise am.NegativeKrein(j, j, 0, q[j, j, 0])
     return am.KreinTensor(q=q, tol=tol)
+
+
+def common_eigenvectors_by_classes(S, tol):
+    """Test-only reference for ``core._common_eigenvectors``: split the
+    whole space class by class, one ``eigh`` of S_i per current subspace,
+    cutting where consecutive eigenvalues are not close and raising where
+    such a gap is below ``_GAP_FACTOR * atol``."""
+    n = S.shape[0]
+    gap_needed = core._GAP_FACTOR * tol.atol
+    spaces = [np.eye(n)]
+    for i in range(1, n):
+        if len(spaces) == n:
+            break
+        split = []
+        for U in spaces:
+            if U.shape[1] == 1:
+                split.append(U)
+                continue
+            w, V = np.linalg.eigh(U.T @ S[i] @ U)
+            start = 0
+            for a in range(len(w) - 1):
+                if tol.close(w[a], w[a + 1]):
+                    continue
+                gap = w[a + 1] - w[a]
+                if gap < gap_needed:
+                    raise am.DegenerateSpectrum(
+                        f"class {i}: eigenvalues {round(w[a], 12)} and {round(w[a + 1], 12)} "
+                        f"are {round(gap, 12)} apart, neither equal within tolerance nor "
+                        f"the required gap {round(gap_needed, 12)} ({core._GAP_FACTOR:g}*atol) apart")
+                split.append(U @ V[:, start:a + 1])
+                start = a + 1
+            split.append(U @ V[:, start:])
+        spaces = split
+    if len(spaces) != n:
+        dim = max(U.shape[1] for U in spaces)
+        raise am.DegenerateSpectrum(
+            f"an eigenspace of dimension {dim} is common to all {n - 1} classes")
+    return np.hstack(spaces)
+
+
+def spectral_by_class_splits(scheme, tol=am.DEFAULT_TOL):
+    """Test-only reference for ``core._spectral_decomposition``: the
+    class-by-class split, rows read by one einsum, and the other rows
+    sorted one key tuple at a time by (multiplicity, rounded row)."""
+    v, d = scheme.v, scheme.d
+    k = np.asarray(scheme.valencies, dtype=float)
+    root = np.sqrt(k)
+    S = scheme.intersection.p.transpose(0, 2, 1) * root[None, :, None] / root[None, None, :]
+    U = common_eigenvectors_by_classes(S, tol)
+    rows = np.einsum("aj,iab,bj->ji", U, S, U)
+    val_idx = int(np.argmax(tol.isclose(rows, k).all(axis=1)))
+    m_raw = v / (rows ** 2 / k).sum(axis=1)
+    others = [j for j in range(d + 1) if j != val_idx]
+    mults = dict(zip(others, np.round(m_raw[others]).astype(int).tolist()))
+    others.sort(key=lambda j: (mults[j], tuple(np.round(rows[j], 6))))
+    P, p_mask = tol.snap(rows[[val_idx] + others])
+    Q, q_mask = tol.snap(v * np.linalg.inv(P))
+    return am.SpectralData(v=v, P=P, Q=Q, valencies=tuple(scheme.valencies),
+                           multiplicities=tuple([1] + [mults[j] for j in others]),
+                           tol=tol, P_integer_mask=p_mask, Q_integer_mask=q_mask)
+
+
+def canonical_on_by_entries(M, tol):
+    """Test-only reference for ``classify._canonical_on``: each column's
+    rows grouped one entry at a time, each joining the first
+    representative it is close to."""
+    d = M.shape[0]
+    rows, a_vals, b_vals = [], [], []
+    for j in range(d):
+        groups, reps = {}, []
+        for r, x in enumerate(M[:, j]):
+            for gi, rep in enumerate(reps):
+                if tol.close(x, rep):
+                    groups[gi].append(r)
+                    break
+            else:
+                groups[len(reps)] = [r]
+                reps.append(float(x))
+        if len(reps) != 2:
+            return None
+        sizes = {gi: len(rs) for gi, rs in groups.items()}
+        single = [gi for gi, s in sizes.items() if s == 1]
+        if len(single) != 1 or sizes[1 - single[0]] != d - 1:
+            return None
+        gi = single[0]
+        rows.append(groups[gi][0])
+        b_vals.append(reps[gi])
+        a_vals.append(reps[1 - gi])
+    if sorted(rows) != list(range(d)):
+        return None
+    return rows, a_vals, b_vals
+
+
+def distinct_by_entries(values, tol):
+    """Test-only reference for ``classify._distinct``: each value kept
+    unless it is close to a representative kept before it, sorted."""
+    reps = []
+    for x in values:
+        if not any(tol.close(x, r) for r in reps):
+            reps.append(float(x))
+    return sorted(reps)
 
 
 def field_tables_by_loops(n):

@@ -2,6 +2,7 @@
 eigenmatrix pattern, the row lemma, and the per-scheme claim verifier."""
 
 import ast
+import dataclasses
 import itertools
 import math
 import re
@@ -17,6 +18,8 @@ from amorphic.fusion import fuses
 from conftest import (
     amorphic_by_all_partitions,
     amorphic_by_single_merges,
+    canonical_on_by_entries,
+    distinct_by_entries,
     enumerate_partitions,
     net_with_group_sizes,
 )
@@ -98,6 +101,50 @@ def test_canonical_form_needs_three_classes():
     spec = am.spectral_decomposition(am.gen_complete(4))
     with pytest.raises(am.PreconditionFailed):
         am.canonical_form_check(spec)
+
+
+def reference_certificate(spec):
+    """``canonical_form_check`` with the entry-by-entry ``_canonical_on``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_canonical_on", canonical_on_by_entries)
+        return classify.canonical_form_check(spec)
+
+
+def test_canonical_form_matches_entry_by_entry_reference(spectral_schemes):
+    """On both principal parts of the corpus, the six ``oracle`` schemes
+    and net(27; 1^28), the column grouping finds the reference's form, or
+    its absence, and the certificates are identical."""
+    for name, scheme in spectral_schemes:
+        spec = am.spectral_decomposition(scheme)
+        for which in "PQ":
+            M = spec.principal(which)
+            assert classify._canonical_on(M, TOL) == canonical_on_by_entries(M, TOL), (name, which)
+        if scheme.d >= 3:
+            assert am.canonical_form_check(spec) == reference_certificate(spec), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tolerance_grouping_matches_entry_by_entry_reference(spectral_schemes, data):
+    """A principal part with its rows permuted and every entry moved by
+    noise of 1e-9 (or 1e-8, where ties start to break): the canonical
+    form, the certificate and each column's distinct values are the
+    entry-by-entry reference's."""
+    _, scheme = data.draw(st.sampled_from(spectral_schemes), label="scheme")
+    spec = am.spectral_decomposition(scheme)
+    which = data.draw(st.sampled_from("PQ"), label="which")
+    rows = [0] + data.draw(st.permutations(range(1, scheme.d + 1)), label="rows")
+    scale = data.draw(st.sampled_from([0.0, 1e-9, 1e-8]), label="scale")
+    noise = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    E = getattr(spec, which)[rows]
+    E[1:, 1:] += scale * noise.standard_normal((scheme.d, scheme.d))
+    M = E[1:, 1:]
+    assert classify._canonical_on(M, TOL) == canonical_on_by_entries(M, TOL)
+    for j in range(scheme.d):
+        assert classify._distinct(M[:, j], TOL) == distinct_by_entries(M[:, j], TOL)
+    if scheme.d >= 3:
+        moved = dataclasses.replace(spec, **{which: E})
+        assert am.canonical_form_check(moved) == reference_certificate(moved)
 
 
 # -------------------------------------------------------------- amorphicity

@@ -37,6 +37,7 @@ from amorphic import (
     gen_cyclotomic,
     idempotents,
     intersection_numbers,
+    is_amorphic,
     krein_parameters,
     spectral_decomposition,
     validate_scheme,
@@ -49,6 +50,7 @@ from conftest import (
     idempotents_by_class_matrices,
     krein_by_hadamard_sums,
     net_with_group_sizes,
+    spectral_by_class_splits,
     validate_by_class_cells,
 )
 
@@ -810,14 +812,117 @@ def test_spectral_bookkeeping_matches_row_by_row_reference(monkeypatch, scale):
     assert str(got.value).startswith("no eigenvector" if scale == "valency" else "multiplicity")
 
 
-def test_eigenmatrix_follows_class_relabeling():
-    """Renaming the classes permutes the columns of P; the rows, an
-    unordered set, are the same up to that permutation."""
-    scheme = gen_cyclotomic(CyclotomicSpec(q=13, d=3))
-    sigma = np.array([0, 3, 1, 2])  # class i is renamed sigma[i]
-    renamed = validate_scheme(sigma[scheme.labels])
+def uncached(scheme):
+    """The same scheme with empty caches, sharing labels and tensor."""
+    return AssociationScheme(scheme.label_matrix, scheme.valencies, scheme.intersection)
+
+
+def count_eigh(monkeypatch):
+    """Count the ``np.linalg.eigh`` calls from here on: a one-item list."""
+    calls, real = [0], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls[0] += 1
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def assert_matches_reference(spec, ref, name):
+    """Same row order, multiplicities and snap masks; P and Q bit for bit
+    where P is integral, within 1e-12 otherwise."""
+    assert spec.multiplicities == ref.multiplicities, name
+    assert np.array_equal(spec.P_integer_mask, ref.P_integer_mask), name
+    assert np.array_equal(spec.Q_integer_mask, ref.Q_integer_mask), name
+    if ref.P_integer_mask.all():
+        assert spec.P.tobytes() == ref.P.tobytes() and spec.Q.tobytes() == ref.Q.tobytes(), name
+    else:
+        assert np.abs(spec.P - ref.P).max() <= 1e-12, name
+        assert np.abs(spec.Q - ref.Q).max() <= 1e-12, name
+
+
+def test_spectral_decomposition_matches_class_by_class_reference(spectral_schemes):
+    """On the corpus, the six ``oracle`` schemes and net(27; 1^28), the
+    eigenmatrices from the class combination are the class-by-class
+    split's."""
+    for name, scheme in spectral_schemes:
+        assert_matches_reference(core._spectral_decomposition(scheme, TOL),
+                                 spectral_by_class_splits(scheme), name)
+
+
+def test_one_eigh_per_spectral_decomposition(monkeypatch, corpus):
+    """The combination alone splits every corpus scheme: one ``eigh`` per
+    decomposition, so a return to class-by-class splitting fails here."""
+    calls = count_eigh(monkeypatch)
+    for name, scheme in corpus:
+        calls[0] = 0
+        spectral_decomposition(uncached(scheme))
+        assert calls[0] == 1, name
+
+
+@pytest.mark.parametrize("weights, least", [(np.zeros, 2), (lambda d: np.eye(d)[0], 1)],
+                         ids=["zero", "class-1"])
+def test_class_loop_finishes_the_split(monkeypatch, spectral_schemes, weights, least):
+    """With weights that make M separate nothing (M = 0, so the loop always
+    runs) or only what class 1 does, the class loop finishes the split and
+    gives the reference P."""
+    monkeypatch.setattr(core, "_combination_weights", weights)
+    calls = count_eigh(monkeypatch)
+    for name, scheme in spectral_schemes:
+        calls[0] = 0
+        spec = core._spectral_decomposition(scheme, TOL)
+        assert calls[0] >= least, name
+        assert_matches_reference(spec, spectral_by_class_splits(scheme), name)
+
+
+def test_ambiguous_gap_across_a_class_1_split_names_class_2():
+    """H(5,2) with distance 3 as class 1 and distance 1 as class 2: rows
+    with class-1 eigenvalues -2 and 2 (apart by 4 >= 100*atol) have
+    class-2 eigenvalues 1 and -1, apart by 2, more than the tolerance
+    there (1.025) and less than 100*atol = 2.5.  The class split never
+    compares them, as class 1 splits them first, and decomposes; the
+    column rule raises, naming class 2."""
+    sigma = np.array([0, 2, 3, 1, 4, 5])  # distance i becomes class sigma[i]
+    scheme = validate_scheme(sigma[gen_hamming_binary(5).labels])
+    tol = Tolerance(atol=0.025, rtol=1.0)
+    ref = spectral_by_class_splits(scheme, tol)
+    assert TOL.allclose(ref.P, spectral_decomposition(scheme).P)
+    with pytest.raises(DegenerateSpectrum,
+                       match=r"^class 2: eigenvalues -1\.0 and 1\.0 are 2\.0 apart, neither equal "
+                             r"within tolerance nor the required gap 2\.5 \(100\*atol\) apart$"):
+        spectral_decomposition(scheme, tol=tol)
+
+
+def test_rows_close_in_every_class_column_raise():
+    """Two rows that M may separate but that are close in every class
+    column raise as the class loop's common eigenspace did."""
+    rows = np.array([[1.0, 3.0, 3.0], [1.0, 1.0, -1.0], [1.0, 1.0 + 1e-12, -1.0]])
+    with pytest.raises(DegenerateSpectrum,
+                       match=r"^an eigenspace of dimension 2 is common to all 2 classes$"):
+        core._check_column_gaps(rows, TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_eigenmatrix_follows_class_relabeling(corpus, data):
+    """The combination's weights depend on class order, but renaming the
+    classes only permutes the columns of P: each row, with its
+    multiplicity, is a row of the renamed P up to that permutation, and
+    the amorphic verdict and the certificate's n are unchanged."""
+    scheme = data.draw(st.sampled_from([s for _, s in corpus]), label="scheme")
+    sigma = np.array([0] + data.draw(st.permutations(range(1, scheme.d + 1)), label="classes"))
+    renamed = validate_scheme(sigma[scheme.labels])  # class i is renamed sigma[i]
     a, b = spectral_decomposition(scheme), spectral_decomposition(renamed)
-    assert sorted(map(tuple, np.round(a.P, 9))) == sorted(map(tuple, np.round(b.P[:, sigma], 9)))
+    assert a.multiplicities == b.multiplicities
+    unmatched = list(range(scheme.d + 1))
+    for row, mult in zip(a.P, a.multiplicities):
+        j = next(j for j in unmatched
+                 if b.multiplicities[j] == mult and TOL.allclose(b.P[j, sigma], row))
+        unmatched.remove(j)
+    va, vb = is_amorphic(scheme), is_amorphic(renamed)
+    assert va.amorphic == vb.amorphic
+    assert (va.certificate and va.certificate.n) == (vb.certificate and vb.certificate.n)
 
 
 def test_spectral_data_cached_per_instance_and_tolerance():
