@@ -24,16 +24,14 @@ from .errors import (
     WrongClassCount,
 )
 from .fusion import (
-    ClassPartition,
     SURVIVING_CASES,
     _admissible_pairs,
     _contractions,
-    _decide,
     _decide_merges,
+    _fusing_triples,
     _overlap_labels,
     _overlapping_pairs,
     _triple_type,
-    enumerate_fusing_tuples,
 )
 from .hypergraph import UniformHypergraph, build_fusing_hypergraph, sunflower_cores
 
@@ -409,19 +407,21 @@ def verify_paper_claims(scheme: AssociationScheme,
     corpus runs).  No claim is skipped because of the scheme's size.
 
     The claims that ask many questions run as batched passes with the
-    witnesses of their single-question forms.  Contraction (e) reads its
-    admissible pairs off the enumerated triples and answers all of them in
-    :func:`~amorphic.fusion._contractions`: the parent's 4-set stacks and
-    one stack per contracted scheme, which must agree.  The row lemma (g)
-    reads every row subset of one size off one closeness tensor per
-    principal part.  The overlap cases (h) group the triples on their
+    witnesses of their single-question forms.  One pass yields the fusing
+    triples with their duals, which types (f) and contraction (e) read.
+    Contraction reads its admissible pairs off the triples and answers all
+    of them in :func:`~amorphic.fusion._contractions`: the parent's 4-set
+    stacks and one stack per contracted scheme, which must agree.  The row
+    lemma (g) reads every row subset of one size off one closeness tensor
+    per principal part.  The overlap cases (h) group the triples on their
     2-subsets and look each label up once per kinds-and-sizes key.
     """
     d = scheme.d
     spec = spectral_decomposition(scheme, tol=tol)
     records: list[ClaimRecord] = []
 
-    triples = enumerate_fusing_tuples(scheme, 3, tol=tol) if d >= 3 else []
+    duals = dict(_fusing_triples(scheme, tol)) if d >= 3 else {}
+    triples = list(duals)
     H3 = None
     cores = []
     if d >= 3:
@@ -467,17 +467,16 @@ def verify_paper_claims(scheme: AssociationScheme,
     # (e) contraction: every admissible (triple, outside class) pair, by
     # two witnesses that must agree
     pairs = _admissible_pairs(triples, d)
-    answers = _contractions(scheme, pairs, tol)
+    answers = _contractions(scheme, pairs, duals, tol)
     records.append(ClaimRecord(
         "contraction", bool(pairs), bool(pairs) and all(answers),
         witness=f"{len(pairs)} admissible pairs"))
 
-    # (f) every fusing triple is exactly type 1 or type 2; each type is read
-    # once, off the dual that enumerate_fusing_tuples kept on the scheme
+    # (f) every fusing triple is exactly type 1 or type 2, read off its dual
     types = {}
-    for T in triples:
+    for T, dual in duals.items():
         try:
-            types[T] = _triple_type(_decide(scheme, ClassPartition.merge(d, T), tol), T)
+            types[T] = _triple_type(dual, T)
         except Falsification:
             types[T] = None
     applicable, ok = bool(triples), all(ty is not None for ty in types.values())

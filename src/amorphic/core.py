@@ -158,19 +158,14 @@ class AssociationScheme:
 
     Instances are produced by :func:`validate_scheme` or, for generated
     schemes, :func:`_translation_scheme`, which pass in the intersection
-    tensor they computed, and are immutable; all derived data
-    is cached per instance:
+    tensor they computed, and are immutable.  Two derived data are cached
+    per instance: the intersection tensor, and spectral data, one entry
+    per :class:`Tolerance`.
 
-    - the intersection tensor;
-    - spectral data, one entry per :class:`Tolerance`;
-    - fusion decisions, one entry per (:class:`Tolerance`, partition
-      blocks), written by :func:`~amorphic.fusion._decide` and
-      :func:`~amorphic.fusion.enumerate_fusing_tuples` only when both
-      oracles agree.
-
-    No fused scheme is kept: each holds its own v x v label matrix, and
+    Nothing else is kept: a fusion answer is its caller's return value,
+    and no fused scheme is kept (each holds its own v x v label matrix;
     the contraction claim asks its contracted schemes' questions without
-    building them.
+    building them).
     """
 
     def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...],
@@ -179,7 +174,6 @@ class AssociationScheme:
         self.valencies = valencies
         self._intersection = intersection
         self._spectra: dict[Tolerance, SpectralData] = {}
-        self._decisions: dict = {}
 
     @property
     def v(self) -> int:

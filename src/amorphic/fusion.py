@@ -15,19 +15,17 @@ tensor and eigenmatrix for the stack or one per entry, and pays only for
 the classes each partition merges: :func:`_stacked_block_sums` reads the
 tensor slices at merged classes, :func:`_stacked_row_sum` compares the
 eigenmatrix's own columns once per call and then merged blocks' columns;
-:func:`_duals` reads a stack's dual partitions off one product.  A single
-question (:func:`_decide`) is a stack of one; single merges of one size
-(:func:`_decide_merges`) come a fixed number per stack from one builder,
-:func:`_merge_stacks`, for the tuple enumeration, the amorphicity oracle,
-the idempotent side, the sunflower cores and the contraction claim.
+:func:`_duals` reads a stack's dual partitions off one product.  One
+helper, :func:`_reconcile`, runs both kernels on a stack and raises at the
+first entry they answer differently; every two-oracle question goes
+through it.  A single question (:func:`_decide`) is a stack of one; single
+merges of one size (:func:`_decide_merges`) come a fixed number per stack
+from one builder, :func:`_merge_stacks`, for the tuple enumeration, the
+amorphicity oracle, the idempotent side, the sunflower cores and the
+contraction claim.
 
-Each question is decided once per scheme instance and tolerance: an answer
-on which both oracles agree is kept on the scheme, and asking again
-returns it.  :func:`enumerate_fusing_tuples` keeps the answers of its
-stacks the same way, dual partitions included; the amorphicity oracle asks
-the C(d, 2) pair merges once per scheme and keeps none.  A disagreement is
-never kept, so it raises every time it is asked.  No fused scheme is
-kept: :func:`fuse_direct` builds a new one for each call.
+Answers are return values: a scheme keeps only its tensor and spectra,
+and :func:`fuse_direct` builds a new fused scheme for each call.
 
 The contraction claim runs as one batch per scheme (:func:`_contractions`)
 with two witnesses that must agree: the parent decides each 4-set
@@ -187,8 +185,8 @@ class DualPartition:
     """Result of the row-sum criterion: the unique dual partition and the
     fused eigenmatrix (rows ordered by dual block minimum).
 
-    ``P_fused`` is read-only: a decision is kept on its scheme and handed
-    to every later caller asking the same question.
+    ``P_fused`` is read-only: the claim verifier hands one dual to several
+    readers, and none may change what another reads.
     """
 
     rho: ClassPartition
@@ -336,18 +334,20 @@ def _duals(P: np.ndarray, S: np.ndarray, fused: np.ndarray, lead: np.ndarray,
     c, n, nb = S.shape
     duals: list[DualPartition | None] = [None] * c
     accepted = np.flatnonzero(fused)
-    if not accepted.size:
-        return duals
     leaders = lead[accepted] == np.arange(n)
     P_fused, _ = tol.snap((P @ S[accepted])[leaders].reshape(-1, nb, nb))
     for m, P_m in zip(accepted.tolist(), P_fused):
-        groups: dict[int, list[int]] = {}
-        for j, g in enumerate(lead[m].tolist()):
-            groups.setdefault(g, []).append(j)
-        # each leader is first in its group, and they ascend: canonical blocks
-        rho = ClassPartition(d=n - 1, blocks=tuple(map(tuple, groups.values())))
-        duals[m] = DualPartition(rho=rho, P_fused=P_m)
+        duals[m] = DualPartition(rho=_partition_of(lead[m]), P_fused=P_m)
     return duals
+
+
+def _partition_of(labels: np.ndarray) -> ClassPartition:
+    """The partition grouping equal ``labels``, a row of block indices or
+    of leaders: both first appear in ascending order, so blocks are canonical."""
+    groups: dict[int, list[int]] = {}
+    for j, g in enumerate(labels.tolist()):
+        groups.setdefault(g, []).append(j)
+    return ClassPartition(d=len(labels) - 1, blocks=tuple(map(tuple, groups.values())))
 
 
 def _tensor_failure(p: np.ndarray, pi: ClassPartition) -> NotAFusion:
@@ -387,33 +387,40 @@ def _disagreement(p: np.ndarray, pi: ClassPartition, exact_accepts: bool,
         f"{_tensor_failure(p, pi)}")
 
 
+def _reconcile(p: np.ndarray, P: np.ndarray, S: np.ndarray, rep: np.ndarray, tol: Tolerance,
+               own: np.ndarray | None = None, where=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both kernels on one stack, on the shared tensor ``p`` and eigenmatrix
+    ``P``, or with ``own`` on per-entry ones (entry m reads p[own[m]] and
+    P[own[m]]): the row-sum kernel's (fused, lead), or :func:`_disagreement`'s
+    error, prefixed by ``where(m)``, at the first entry the two differ on.
+    """
+    exact = _stacked_block_sums(p, S, rep, own)
+    fused, lead = _stacked_row_sum(P if own is None else P[own], S, tol)
+    differ = np.flatnonzero(exact != fused)
+    if differ.size:
+        m = differ[0]
+        error = _disagreement(p if own is None else p[own[m]], _partition_of(S[m].argmax(axis=1)),
+                              bool(exact[m]), lead[m])
+        raise error if where is None else OracleDisagreement(f"{where(m)}: {error}")
+    return fused, lead
+
+
 def _decide(scheme: AssociationScheme, pi: ClassPartition,
             tol: Tolerance) -> DualPartition | None:
     """The one place a single fusion question is decided.
 
-    Both kernels answer on a stack of one: the exact block sums on the
-    intersection tensor, and the row-sum criterion on the scheme's cached
-    eigenmatrix.  Both yes: the dual partition.  Both no: None.  Otherwise
-    :class:`OracleDisagreement`, the only case in which text is formatted.
-
-    An agreed answer is kept on the scheme, keyed by ``(tol, pi.blocks)``
-    (the blocks are canonical), and returned when the question comes again.
-    A disagreement is not kept: asking again runs both kernels again and
-    raises again.
+    Both kernels answer on a stack of one (:func:`_reconcile`): the exact
+    block sums on the intersection tensor, and the row-sum criterion on the
+    scheme's cached eigenmatrix.  Both yes: the dual partition.  Both no:
+    None.  Otherwise :class:`OracleDisagreement`, the only case in which
+    text is formatted.
     """
-    key = (tol, pi.blocks)
-    if key in scheme._decisions:
-        return scheme._decisions[key]
     if pi.d != scheme.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, scheme has d={scheme.d}")
     S, rep = _stack(pi.block_index()[None])
-    exact = bool(_stacked_block_sums(scheme.intersection.p, S, rep)[0])
     P = spectral_decomposition(scheme, tol=tol).P
-    fused, lead = _stacked_row_sum(P, S, tol)
-    if exact != fused[0]:
-        raise _disagreement(scheme.intersection.p, pi, exact, lead[0])
-    dual = scheme._decisions[key] = _duals(P, S, fused, lead, tol)[0] if exact else None
-    return dual
+    fused, lead = _reconcile(scheme.intersection.p, P, S, rep, tol)
+    return _duals(P, S, fused, lead, tol)[0]
 
 
 def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
@@ -470,19 +477,11 @@ def _decide_merges(scheme: AssociationScheme, merges, tol: Tolerance):
     partitions.  Both kernels answer a whole stack before it is yielded, so
     memory stays flat however many merges there are.  A merge the two
     answer differently raises :class:`OracleDisagreement` with
-    :func:`_decide`'s text.  The scheme's decisions are not read: a kept
-    answer cannot hide a disagreement.
+    :func:`_decide`'s text.
     """
     for chunk, S, rep in _merge_stacks(scheme.d, merges):
         P = spectral_decomposition(scheme, tol=tol).P
-        exact = _stacked_block_sums(scheme.intersection.p, S, rep)
-        fused, lead = _stacked_row_sum(P, S, tol)
-        differ = np.flatnonzero(exact != fused)
-        if differ.size:
-            m = differ[0]
-            raise _disagreement(scheme.intersection.p, ClassPartition.merge(scheme.d, chunk[m]),
-                                bool(exact[m]), lead[m])
-        yield chunk, S, fused, lead
+        yield (chunk, S, *_reconcile(scheme.intersection.p, P, S, rep, tol))
 
 
 def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
@@ -490,22 +489,25 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
     """All k-subsets of nontrivial classes whose merge fuses.
 
     The merges are decided in :func:`_decide_merges` stacks, by the exact
-    block sums and the eigenmatrix criterion together, at every v.  Each
-    answer is kept in the scheme's decisions, the dual partition of every
-    fusing tuple included, so asking :func:`fuses` or :func:`fuse_direct`
-    about a tuple afterwards runs neither kernel.
+    block sums and the eigenmatrix criterion together, at every v; only
+    their answers are read.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    found = []
     merges = itertools.combinations(range(1, scheme.d + 1), k)
+    return [T for chunk, _, fused, _ in _decide_merges(scheme, merges, tol)
+            for T, ok in zip(chunk, fused.tolist()) if ok]
+
+
+def _fusing_triples(scheme: AssociationScheme, tol: Tolerance):
+    """Each fusing triple T, in :func:`enumerate_fusing_tuples` order, and
+    the dual partition of its merge, read off the stacks that decide it."""
+    P = spectral_decomposition(scheme, tol=tol).P
+    merges = itertools.combinations(range(1, scheme.d + 1), 3)
     for chunk, S, fused, lead in _decide_merges(scheme, merges, tol):
-        P = spectral_decomposition(scheme, tol=tol).P
         for T, dual in zip(chunk, _duals(P, S, fused, lead, tol)):
-            scheme._decisions[(tol, ClassPartition.merge(scheme.d, T).blocks)] = dual
             if dual is not None:
-                found.append(T)
-    return found
+                yield T, dual
 
 
 @dataclass(frozen=True)
@@ -520,14 +522,17 @@ class TripleType:
 def classify_triple(spec, T) -> TripleType:
     """Type of a fusing triple, read off the dual partition.
 
-    Accepts spectral data or a scheme (decomposed with defaults).
+    Given a scheme, both oracles decide whether T fuses (:func:`_decide`);
+    given bare spectral data, the row-sum criterion (:func:`bm_check`) alone.
     """
-    if isinstance(spec, AssociationScheme):
-        spec = spectral_decomposition(spec)
     T = tuple(sorted(T))
     if not _is_triple(T, spec.d):
         raise PreconditionFailed(f"{T} is not a 3-subset of 1..{spec.d}")
     pi = ClassPartition.merge(spec.d, T)
+    if isinstance(spec, AssociationScheme):
+        if (dual := _decide(spec, pi, DEFAULT_TOL)) is None:
+            raise NotFusing(str(_tensor_failure(spec.intersection.p, pi)))
+        return _triple_type(dual, T)
     try:
         dual = bm_check(spec, pi)
     except NotAFusion as exc:
@@ -562,19 +567,20 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     class in 1..d outside t1, and some 2-subset of t1 together with ell
     also fuses.  By the contraction property the result must be True; the
     caller treats False as a falsification event.  The answer is
-    :func:`_contractions` on a batch of this one pair, both witnesses
-    included.
+    :func:`_contractions` on a batch of this one pair and the precondition's
+    dual, both witnesses included.
     """
     t1 = tuple(sorted(t1))
     if not _is_triple(t1, scheme.d) or not 1 <= ell <= scheme.d or ell in t1:
         raise PreconditionFailed(f"need a 3-subset and an outside class, got {t1}, {ell}")
-    if not fuses(scheme, ClassPartition.merge(scheme.d, t1), tol=tol):
+    dual = _decide(scheme, ClassPartition.merge(scheme.d, t1), tol)
+    if dual is None:
         raise PreconditionFailed(f"{set(t1)} does not fuse")
     if not any(fuses(scheme, ClassPartition.merge(scheme.d, set(s) | {ell}), tol=tol)
                for s in itertools.combinations(t1, 2)):
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
-    return _contractions(scheme, [(t1, ell)], tol)[0]
+    return _contractions(scheme, [(t1, ell)], {t1: dual}, tol)[0]
 
 
 def _admissible_pairs(triples, d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -587,7 +593,7 @@ def _admissible_pairs(triples, d: int) -> list[tuple[tuple[int, ...], int]]:
             and any(tuple(sorted(s + (ell,))) in fusing for s in itertools.combinations(T, 2))]
 
 
-def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool]:
+def _contractions(scheme: AssociationScheme, pairs, duals: dict, tol: Tolerance) -> list[bool]:
     """Whether the merged class of T still fuses with ell, for each
     admissible pair (T, ell) of ``pairs``, from two witnesses.
 
@@ -597,10 +603,10 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
     question: merging T and then its class with ell merges exactly
     T + {ell}.  Witness B, :func:`_decide_contracted`, asks every pair
     {merged class, ell} of the contracted schemes on tensors folded from
-    the parent's labels and eigenmatrices proven against them; it reads
-    neither the parent's tensor nor witness A's answers.  Both witnesses
-    run both oracles, and a pair on which they differ raises
-    :class:`OracleDisagreement`.
+    the parent's labels and the fused eigenmatrices ``duals[T].P_fused``
+    proven against them; it reads neither the parent's tensor nor witness
+    A's answers.  Both witnesses run both oracles, and a pair on which they
+    differ raises :class:`OracleDisagreement`.
     """
     quads = sorted({tuple(sorted(T + (ell,))) for T, ell in pairs})
     parent = {}
@@ -610,7 +616,7 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
     for T, ell in pairs:
         outside.setdefault(T, []).append(ell)
     answers = {}
-    for asked, fused in _decide_contracted(scheme, outside, tol):
+    for asked, fused in _decide_contracted(scheme, outside, duals, tol):
         for (T, ell), ok in zip(asked, fused.tolist()):
             quad = tuple(sorted(T + (ell,)))
             if parent[quad] != ok:
@@ -621,14 +627,14 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
     return [answers[pair] for pair in pairs]
 
 
-def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance):
+def _decide_contracted(scheme: AssociationScheme, outside: dict, duals: dict, tol: Tolerance):
     """Witness B of the contraction claim: whether the contracted scheme of
     each fusing triple T (T merged) fuses its merged class with each ell of
-    ``outside[T]``, without building it.  Every T must fuse.
+    ``outside[T]``, without building it.
 
     Per _MERGE_CHUNK triples, the tensors are folded from one histogram of
     the parent's cells (:func:`_contracted_tensors`), and the fused
-    eigenmatrices the parent's decisions keep are accepted only as their
+    eigenmatrices ``duals[T].P_fused`` are accepted only as their
     character tables (:func:`_check_characters`).  Both kernels then ask
     the pairs {merged class, ell} in :func:`_merge_stacks` over 0..d-2,
     each entry on its own triple's tensor and eigenmatrix.  Yields, per
@@ -640,7 +646,7 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     triples = iter(outside)
     while chunk := list(itertools.islice(triples, _MERGE_CHUNK)):
         p, k_fused = _contracted_tensors(chunk, counts, k)
-        P = np.array([_decide(scheme, ClassPartition.merge(d, T), tol).P_fused for T in chunk])
+        P = np.array([duals[T].P_fused for T in chunk])
         _check_characters(chunk, p, k_fused, P, scheme.v, tol)
         # ell's block: ell less the classes of T above T[0] and below ell
         asked = [(m, ell, tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))))
@@ -649,14 +655,8 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
         for pairs, S2, rep in _merge_stacks(d - 2, [pair for *_, pair in asked]):
             here = list(itertools.islice(todo, len(pairs)))
             own = np.array([m for m, *_ in here])
-            exact = _stacked_block_sums(p, S2, rep, own)
-            fused, lead = _stacked_row_sum(P[own], S2, tol)
-            differ = np.flatnonzero(exact != fused)
-            if differ.size:
-                i = differ[0]
-                error = _disagreement(p[own[i]], ClassPartition.merge(d - 2, pairs[i]),
-                                      bool(exact[i]), lead[i])
-                raise OracleDisagreement(f"contraction of {set(chunk[own[i]])}: {error}")
+            fused, _ = _reconcile(p, P, S2, rep, tol, own,
+                                  lambda i: f"contraction of {set(chunk[own[i]])}")
             yield [(chunk[m], ell) for m, ell, _ in here], fused
 
 
@@ -820,9 +820,8 @@ def _overlap_label(sets_a, sets_b) -> str:
 
 def overlap_case(spec, t1, t2) -> OverlapCase:
     """Match a pair of fusing triples sharing two classes against the 18
-    subcases, up to relabeling of relations and idempotents."""
-    if isinstance(spec, AssociationScheme):
-        spec = spectral_decomposition(spec)
+    subcases, up to relabeling of relations and idempotents; each triple
+    is typed by :func:`classify_triple`, given a scheme or spectral data."""
     t1, t2 = tuple(sorted(t1)), tuple(sorted(t2))
     if len(set(t1) & set(t2)) != 2:
         raise PreconditionFailed(f"triples {t1}, {t2} must share exactly 2 classes")

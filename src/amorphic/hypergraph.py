@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import AssociationScheme, DEFAULT_TOL, Tolerance, spectral_decomposition
 from .errors import OracleDisagreement, WrongUniformity
 # fuse_direct is unused here; bench/selftest.py looks the binding up in this module
-from .fusion import (ClassPartition, _decide, _duals, _merge_stacks, _stacked_row_sum,
-                     enumerate_fusing_tuples, fuse_direct)
+from .fusion import (ClassPartition, _merge_stacks, _partition_of, _reconcile, _stack,
+                     _stacked_row_sum, enumerate_fusing_tuples, fuse_direct)
 
 __all__ = [
     "UniformHypergraph",
@@ -62,7 +64,8 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
     Bannai and Ito's duality of fusions (*Algebraic Combinatorics I*,
     II.9): the row-sum criterion run on Q folded over rho = merge(T) yields
     the only candidate class partition pi, and both oracles must then
-    return exactly rho for pi.  Sound: every edge passes the tensor test
+    return exactly rho for pi; a stack's candidates (d + 2 - k blocks each)
+    are confirmed in one stack.  Sound: every edge passes the tensor test
     and the row sums of P and of Q.  Complete: a fusion pi with dual
     partition rho folds Q over rho into exactly |pi| distinct rows,
     grouped by pi.  A failed confirmation means the numerics are wrong and
@@ -76,20 +79,24 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
         return UniformHypergraph(k=k, vertices=vertices, edges=edges, side=side)
     if side != "idempotents":
         raise ValueError(f"unknown side {side!r}")
-    Q = spectral_decomposition(scheme, tol=tol).Q
-    edges = set()
-    for chunk, S, _ in _merge_stacks(scheme.d, itertools.combinations(vertices, k)):
-        fused, lead = _stacked_row_sum(Q, S, tol)
-        for T, candidate in zip(chunk, _duals(Q, S, fused, lead, tol)):
-            if candidate is None:
-                continue
-            rho = ClassPartition.merge(scheme.d, T)
-            found = _decide(scheme, candidate.rho, tol)
-            if found is None or found.rho != rho:
+    spec = spectral_decomposition(scheme, tol=tol)
+    edges = []
+    for chunk, S, rep in _merge_stacks(scheme.d, itertools.combinations(vertices, k)):
+        fused, lead = _stacked_row_sum(spec.Q, S, tol)
+        ask = np.flatnonzero(fused)
+        if ask.size:
+            # candidate m puts each class in the block of its leader on Q's side
+            idx = np.take_along_axis(np.cumsum(lead == np.arange(scheme.d + 1), axis=1) - 1, lead, 1)
+            found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)
+            # rep[m] leads the idempotents as rho = merge(T) does
+            wrong = ~found | (found_lead != rep[ask]).any(axis=1)
+            if wrong.any():
+                i = int(np.argmax(wrong))
                 raise OracleDisagreement(
-                    f"Q folded over idempotent partition {rho} groups the classes as {candidate.rho}, "
-                    f"but the two oracles give {'no fusion' if found is None else found.rho}")
-            edges.add(T)
+                    f"Q folded over idempotent partition {ClassPartition.merge(scheme.d, chunk[ask[i]])} "
+                    f"groups the classes as {_partition_of(lead[ask[i]])}, but the two oracles give "
+                    f"{_partition_of(found_lead[i]) if found[i] else 'no fusion'}")
+            edges += [chunk[m] for m in ask]
     return UniformHypergraph(k=k, vertices=vertices, edges=frozenset(edges), side=side)
 
 

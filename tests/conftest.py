@@ -10,11 +10,9 @@ references of the two fusion kernels and of the dual partition, the
 hand-written overlap label tables, and the acceptance-criteria summary
 lines.
 
-A scheme keeps its fusion decisions and spectra on the instance (no fused
-scheme is kept), and the ``corpus`` fixture shares its schemes across the
-whole session.  A warm scheme answers a question it has seen without
-running either oracle, so a test that monkeypatches an oracle, or counts
-calls into one, builds its own scheme and never uses a ``corpus`` scheme.
+The ``corpus`` fixture shares its schemes across the whole session.  A
+scheme keeps only its tensor and spectra, so every fusion question runs
+both oracles again and a monkeypatched oracle is seen on any scheme.
 """
 
 import itertools

@@ -531,8 +531,8 @@ def _pairs(d):
 
 def test_verify_claims_types_each_triple_once(monkeypatch):
     """Claims (f) and (h) read each fusing triple's type once, off the dual
-    that the triple enumeration kept, and run no row-sum criterion of their
-    own."""
+    of the verifier's pass over the triples, and run no row-sum criterion
+    of their own."""
     import amorphic.classify as classify
     import amorphic.fusion as fusion
     typed, criterion = [], []
@@ -554,6 +554,36 @@ def test_verify_claims_types_each_triple_once(monkeypatch):
     assert by_name["triple_types"].verified and by_name["overlap_cases"].verified
     assert sorted(typed) == am.enumerate_fusing_tuples(scheme, 3)
     assert len(typed) == 10 and criterion == []
+
+
+def test_verifier_reads_bm_check_duals(corpus, monkeypatch):
+    """The triples the verifier reads are the enumeration's, and each dual
+    it hands to claim (f) and to witness B is bm_check's, on every corpus
+    scheme with d >= 3; afterwards the scheme holds only its labels,
+    valencies, tensor and spectra."""
+    seen = []
+    real = classify._fusing_triples
+
+    def spy(scheme, tol):
+        for T, dual in real(scheme, tol):
+            seen.append((T, dual))
+            yield T, dual
+
+    monkeypatch.setattr(classify, "_fusing_triples", spy)
+    checked = 0
+    for name, scheme in corpus:
+        if scheme.d < 3:
+            continue
+        seen.clear()
+        am.verify_paper_claims(scheme)
+        assert sorted(vars(scheme)) == ["_intersection", "_spectra", "label_matrix", "valencies"]
+        assert [T for T, _ in seen] == am.enumerate_fusing_tuples(scheme, 3), name
+        spec = am.spectral_decomposition(scheme)
+        for T, dual in seen:
+            ref = am.bm_check(spec, am.ClassPartition.merge(scheme.d, T))
+            assert dual.rho == ref.rho and np.array_equal(dual.P_fused, ref.P_fused), (name, T)
+        checked += len(seen)
+    assert checked > 50
 
 
 def test_verify_claims_dual_side_at_d9():

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -201,7 +202,6 @@ def test_enumeration_cross_checks_exactly_above_v64(monkeypatch):
                         lambda: am.enumerate_fusing_tuples(scheme, 2)):
                 with pytest.raises(am.OracleDisagreement, match=re.escape(f"accepts {pi} but")):
                     ask()
-        assert scheme._decisions == {}
         assert fusion.fuses(scheme, pi) is False
 
 
@@ -219,8 +219,8 @@ def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
 
 
 def test_fused_eigenmatrix_is_read_only():
-    """A decision is shared by every caller asking it, so its fused
-    eigenmatrix cannot be written through."""
+    """A dual can be handed to several readers, so its fused eigenmatrix
+    cannot be written through."""
     scheme = am.gen_hamming_binary(3)
     pi = am.ClassPartition.from_string("1,3|2", 3)
     out = am.fuse_direct(scheme, pi)
@@ -242,32 +242,6 @@ def test_disagreement_is_never_stored(monkeypatch):
             fusion.fuses(scheme, bad)
     monkeypatch.undo()
     assert fusion.fuses(scheme, bad) is False
-
-
-def test_repeated_question_is_decided_once(monkeypatch):
-    """A question is decided once per scheme and tolerance; another
-    tolerance is another question."""
-    scheme = am.gen_hamming_binary(4)
-    real = fusion._stacked_block_sums
-    calls = []
-
-    def counted(p, S, rep):
-        calls.extend(S)
-        return real(p, S, rep)
-
-    monkeypatch.setattr(fusion, "_stacked_block_sums", counted)
-    yes = am.ClassPartition.from_string("1,3|2,4", 4)
-    no = am.ClassPartition.merge(4, (1, 2))
-    for _ in range(3):
-        assert fusion.fuses(scheme, yes)
-        assert not fusion.fuses(scheme, no)
-        assert am.fuse_direct(scheme, yes).scheme.d == 2
-    asked = [_membership(yes), _membership(no)]
-    assert len(calls) == 2 and all(map(np.array_equal, calls, asked))
-    other = am.Tolerance(atol=1e-9, rtol=1e-9)
-    assert fusion.fuses(scheme, yes, tol=other)
-    assert fusion.fuses(scheme, yes, tol=other)
-    assert len(calls) == 3 and np.array_equal(calls[2], asked[0])
 
 
 def test_fused_scheme_is_not_kept():
@@ -416,51 +390,20 @@ def test_stacked_merges_match_fuses_above_d8(build, reference):
         assert _stacked_answers(scheme, r) == want, r
 
 
-def test_stacked_merges_keep_no_decisions():
-    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    assert am.amorphic_oracle(scheme)
-    assert scheme._decisions == {}
-
-
-def test_enumerated_tuples_are_kept(monkeypatch):
-    """The enumeration keeps every answer: asking fuses or fuse_direct about
-    any triple afterwards runs neither kernel, and the kept dual partition
-    is bm_check's."""
-    scheme = am.gen_hamming_binary(5)
-    triples = am.enumerate_fusing_tuples(scheme, 3)
-    assert triples == [(1, 3, 5)]
-    calls = []
-    for kernel in ("_stacked_block_sums", "_stacked_row_sum"):
-        real = getattr(fusion, kernel)
-        monkeypatch.setattr(fusion, kernel, lambda *args, real=real: calls.append(args) or real(*args))
-    for T in _merges(5, 3):
-        assert fusion.fuses(scheme, am.ClassPartition.merge(5, T)) is (T in triples)
-    out = am.fuse_direct(scheme, am.ClassPartition.merge(5, (1, 3, 5)))
-    assert calls == []
-    ref = am.bm_check(am.spectral_decomposition(scheme), am.ClassPartition.merge(5, (1, 3, 5)))
-    assert out.rho == ref.rho and np.array_equal(out.P_fused, ref.P_fused)
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize("fuses", [True, False], ids=["yes", "no"])
+# "cold": asked on a fresh scheme, as every question is, since no scheme keeps answers
+@pytest.mark.parametrize("fuses", [True, False], ids=["yes-cold", "no-cold"])
 @pytest.mark.parametrize("oracle", ["_stacked_block_sums", "_stacked_row_sum"])
-def test_stacked_disagreement_is_fatal(monkeypatch, oracle, fuses, warm):
+def test_stacked_disagreement_is_fatal(monkeypatch, oracle, fuses):
     """One flipped answer, either way and of either kernel, raises and names
     its merge: on a single question, in the amorphicity oracle and in the
-    enumeration, which raise also when the answer was already kept."""
+    enumeration."""
     scheme = am.gen_hamming_binary(4)
     pi = am.ClassPartition.merge(4, (1, 3) if fuses else (1, 2))
-    if warm:
-        assert fusion.fuses(scheme, pi) is fuses
-        assert (TOL, pi.blocks) in scheme._decisions
     _flip_one(monkeypatch, oracle, pi)
     exact_accepts = fuses != (oracle == "_stacked_block_sums")
     side = "exact oracle" if exact_accepts else "eigenmatrix criterion"
-    asks = [lambda: am.amorphic_oracle(scheme), lambda: am.enumerate_fusing_tuples(scheme, 2)]
-    if warm:
-        assert fusion.fuses(scheme, pi) is fuses  # the kept answer, no kernel asked
-    else:
-        asks.append(lambda: fusion.fuses(scheme, pi))
+    asks = [lambda: am.amorphic_oracle(scheme), lambda: am.enumerate_fusing_tuples(scheme, 2),
+            lambda: fusion.fuses(scheme, pi)]
     for ask in asks:
         with pytest.raises(am.OracleDisagreement, match=re.escape(f"{side} accepts {pi} but")):
             ask()
@@ -633,6 +576,41 @@ def test_classify_triple_rejects_nonfusing():
         am.classify_triple(am.gen_hamming_binary(4), (1, 3, 4))
 
 
+@pytest.mark.parametrize("T", [(1, 3, 5), (1, 2, 3)], ids=["fusing", "not-fusing"])
+def test_scheme_triples_are_typed_by_both_oracles(monkeypatch, T):
+    """Given a scheme, classify_triple and overlap_case decide fusion with
+    both oracles, so a flipped exact answer on the triple raises; given
+    bare spectral data the row-sum criterion alone answers."""
+    scheme = am.gen_hamming_binary(5)  # (1, 3, 5) is its one fusing triple
+    spec = am.spectral_decomposition(scheme)
+    _flip_one(monkeypatch, "_stacked_block_sums", am.ClassPartition.merge(5, T))
+    for ask in (lambda: am.classify_triple(scheme, T),
+                lambda: am.overlap_case(scheme, T, (1, 3, 4))):
+        with pytest.raises(am.OracleDisagreement, match="accepts 0"):
+            ask()
+    if T == (1, 3, 5):
+        assert am.classify_triple(spec, T).kind == 2
+    else:
+        with pytest.raises(am.NotFusing):
+            am.classify_triple(spec, T)
+
+
+def test_enumeration_holds_no_memory():
+    """Enumerating the 680 triples of net(16; 1^17) leaves nothing behind
+    but its answer: no dual partition or fused eigenmatrix is kept."""
+    scheme = net_with_group_sizes(16, [1] * 17)
+    am.spectral_decomposition(scheme)
+    tracemalloc.start()
+    try:
+        triples = am.enumerate_fusing_tuples(scheme, 3)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(triples) == 680
+    assert held < 0.5 * 2 ** 20
+    assert sorted(vars(scheme)) == ["_intersection", "_spectra", "label_matrix", "valencies"]
+
+
 # ------------------------------------------------------------- contraction
 
 def test_contraction_on_amorphic_net(monkeypatch):
@@ -704,6 +682,12 @@ def _admissible_by_definition(scheme, triples):
                                     for s in itertools.combinations(T, 2))]
 
 
+def _triple_duals(scheme):
+    """The fusing triples of ``scheme`` and their duals, as the claim
+    verifier reads them."""
+    return dict(fusion._fusing_triples(scheme, TOL))
+
+
 def _contraction_schemes(corpus):
     """The corpus schemes with d >= 4, and net(7; 1^8)."""
     schemes = [(name, s) for name, s in corpus if s.d >= 4]
@@ -717,12 +701,12 @@ def test_batched_contraction_matches_relabeling(corpus):
     relabeling reference's for merging T + {ell} in the parent."""
     checked = 0
     for name, scheme in _contraction_schemes(corpus):
-        triples = am.enumerate_fusing_tuples(scheme, 3)
-        pairs = fusion._admissible_pairs(triples, scheme.d)
-        assert pairs == _admissible_by_definition(scheme, triples), name
+        duals = _triple_duals(scheme)
+        pairs = fusion._admissible_pairs(list(duals), scheme.d)
+        assert pairs == _admissible_by_definition(scheme, list(duals)), name
         want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T + (ell,))) is not None
                 for T, ell in pairs]
-        assert fusion._contractions(scheme, pairs, TOL) == want, name
+        assert fusion._contractions(scheme, pairs, duals, TOL) == want, name
         checked += len(pairs)
     assert checked > 280
 
@@ -754,8 +738,7 @@ def _flip_first(monkeypatch, on_parent):
 def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
     """Flipping one answer of either witness, in the batch or in a single
     contraction_check, raises OracleDisagreement naming both answers."""
-    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    pairs = fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
+    scheme, duals, pairs = _net5_pairs()
     flipped = _flip_first(monkeypatch, on_parent)
     pattern = (r"contraction of \{1, 2, 3\} with 4: the parent answers (True|False) for "
                r"merging \{1, 2, 3, 4\}, the contracted scheme answers (True|False)")
@@ -763,7 +746,7 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
         if single:
             am.contraction_check(scheme, (1, 2, 3), 4)
         else:
-            fusion._contractions(scheme, pairs, TOL)
+            fusion._contractions(scheme, pairs, duals, TOL)
     assert flipped == [(1, 2, 3, 4) if on_parent else ((1, 2, 3), 4)]
 
 
@@ -772,8 +755,8 @@ def test_contraction_stacks(monkeypatch):
     64 and 6, and witness B answers the 280 pairs of its 56 contracted
     schemes in stacks of 64 across triples."""
     scheme = net_with_group_sizes(7, [1] * 8)
-    triples = am.enumerate_fusing_tuples(scheme, 3)
-    pairs = fusion._admissible_pairs(triples, scheme.d)
+    duals = _triple_duals(scheme)
+    pairs = fusion._admissible_pairs(list(duals), scheme.d)
     stacks = {"_decide_merges": [], "_decide_contracted": []}
     for name, sizes in stacks.items():
         def spy(*args, real=getattr(fusion, name), sizes=sizes):
@@ -782,8 +765,8 @@ def test_contraction_stacks(monkeypatch):
                 yield stack
 
         monkeypatch.setattr(fusion, name, spy)
-    assert all(fusion._contractions(scheme, pairs, TOL))
-    assert (len(triples), len(pairs)) == (56, 280)
+    assert all(fusion._contractions(scheme, pairs, duals, TOL))
+    assert (len(duals), len(pairs)) == (56, 280)
     assert stacks == {"_decide_merges": [64, 6], "_decide_contracted": [64, 64, 64, 64, 24]}
 
 
@@ -795,12 +778,11 @@ def test_witness_b_inputs_match_fused_schemes(corpus):
     checked = 0
     for name, scheme in _contraction_schemes(corpus):
         d = scheme.d
-        triples = am.enumerate_fusing_tuples(scheme, 3)
+        duals = _triple_duals(scheme)
         counts, k = core._row0_counts(scheme.labels, d)
-        for chunk, _, _ in fusion._merge_stacks(d, triples):
+        for chunk, _, _ in fusion._merge_stacks(d, list(duals)):
             p, k_fused = fusion._contracted_tensors(chunk, counts, k)
-            P = np.array([fusion._decide(scheme, am.ClassPartition.merge(d, T), TOL).P_fused
-                          for T in chunk])
+            P = np.array([duals[T].P_fused for T in chunk])
             fusion._check_characters(chunk, p, k_fused, P, scheme.v, TOL)
             for m, T in enumerate(chunk):
                 fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
@@ -826,8 +808,10 @@ def test_per_entry_tensors_match_shared_tensor(corpus):
 
 
 def _net5_pairs():
+    """net(4; 1^5), the duals of its fusing triples and its admissible pairs."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    return scheme, fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
+    duals = _triple_duals(scheme)
+    return scheme, duals, fusion._admissible_pairs(list(duals), scheme.d)
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -838,15 +822,14 @@ def _net5_pairs():
 def test_witness_b_rejects_a_wrong_eigenmatrix(tamper, message):
     """A contracted eigenmatrix that is not its folded tensor's character
     table is refused, naming the triple and the check."""
-    scheme, pairs = _net5_pairs()
-    key = (TOL, am.ClassPartition.merge(scheme.d, (1, 2, 3)).blocks)
-    dual = scheme._decisions[key]
+    scheme, duals, pairs = _net5_pairs()
+    dual = duals[(1, 2, 3)]
     P = dual.P_fused.copy()
     tamper(P)
-    scheme._decisions[key] = fusion.DualPartition(rho=dual.rho, P_fused=P)
+    duals[(1, 2, 3)] = fusion.DualPartition(rho=dual.rho, P_fused=P)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: contracted eigenmatrix: " + message):
-        fusion._contractions(scheme, pairs, TOL)
+        fusion._contractions(scheme, pairs, duals, TOL)
 
 
 @pytest.mark.parametrize("cell, message", [
@@ -857,7 +840,7 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(tamper, message):
 def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
     """One count off in the histogram witness B folds is caught: as a
     count k' does not divide, or else by the eigenmatrix check."""
-    scheme, pairs = _net5_pairs()
+    scheme, duals, pairs = _net5_pairs()
     real = fusion._row0_counts
 
     def off_by_one(L, d):
@@ -868,7 +851,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 
     monkeypatch.setattr(fusion, "_row0_counts", off_by_one)
     with pytest.raises(am.OracleDisagreement, match=r"contraction of \{1, 2, 3\}: " + message):
-        fusion._contractions(scheme, pairs, TOL)
+        fusion._contractions(scheme, pairs, duals, TOL)
 
 
 @pytest.mark.parametrize("kernel, side", [
@@ -878,7 +861,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     """A flipped answer of either kernel on a contracted pair raises
     _decide's text, naming the triple."""
-    scheme, pairs = _net5_pairs()
+    scheme, duals, pairs = _net5_pairs()
     real = getattr(fusion, kernel)
 
     def flipped(tensor, S, *rest):
@@ -892,7 +875,7 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     monkeypatch.setattr(fusion, kernel, flipped)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: " + side + r" accepts 0\|1,2\|3 but"):
-        fusion._contractions(scheme, pairs, TOL)
+        fusion._contractions(scheme, pairs, duals, TOL)
 
 
 # ------------------------------------------------------------ overlap cases

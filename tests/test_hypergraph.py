@@ -3,11 +3,13 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amorphic as am
 import amorphic.fusion as fusion
-import amorphic.hypergraph as hypergraph
 from conftest import idempotent_edges_by_all_partitions, net_with_group_sizes
 
 
@@ -75,23 +77,68 @@ def test_idempotent_side_exact_at_d9():
 
 
 def test_idempotent_side_disagreement_is_fatal(monkeypatch):
-    """A confirmation that returns another dual partition is not skipped."""
+    """A confirmation stack whose P-side kernel groups the idempotents
+    otherwise than rho is not skipped: the first candidate is named."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    real = hypergraph._decide
+    P = am.spectral_decomposition(scheme).P
+    real = fusion._stacked_row_sum
     calls = []
 
-    def wrong_rho_once(scheme, pi, tol):
-        calls.append(pi)
-        dual = real(scheme, pi, tol)
-        if len(calls) > 1:
-            return dual
-        return fusion.DualPartition(rho=am.ClassPartition.singletons(scheme.d),
-                                    P_fused=dual.P_fused)
+    def singletons_once(M, S, tol):
+        fused, lead = real(M, S, tol)
+        if M is P:  # the confirmation stack, on the scheme's P
+            calls.append(len(S))
+            lead[0] = np.arange(len(lead[0]))
+        return fused, lead
 
-    monkeypatch.setattr(hypergraph, "_decide", wrong_rho_once)
-    with pytest.raises(am.OracleDisagreement, match=re.escape("the two oracles give 0|1|2|3|4|5")):
+    monkeypatch.setattr(fusion, "_stacked_row_sum", singletons_once)
+    with pytest.raises(am.OracleDisagreement, match=re.escape(
+            "Q folded over idempotent partition 0|1,2,3|4|5 groups the classes as 0|1|2|3,4,5, "
+            "but the two oracles give 0|1|2|3|4|5")):
         am.build_fusing_hypergraph(scheme, 3, side="idempotents")
-    assert len(calls) == 1
+    assert calls == [10]
+
+
+def _idempotent_map(P, moved_P, perm, tol):
+    """tau with moved_P[tau[j]] = row j of P with its columns moved by the
+    class permutation ``perm``, each row matched within ``tol``."""
+    rows = np.empty_like(P)
+    rows[:, perm] = P
+    close = tol.isclose(rows[:, None, :], moved_P[None, :, :]).all(axis=2)
+    assert (close.sum(axis=1) == 1).all() and (close.sum(axis=0) == 1).all()
+    return close.argmax(axis=1)
+
+
+def _moved(edges, perm):
+    return {tuple(sorted(int(perm[i]) for i in e)) for e in edges}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_fusion_answers_follow_relabelling(corpus, data):
+    """Under a random point permutation and class permutation (fixing 0) of
+    a corpus scheme with d >= 3, the fusing pairs and triples and the
+    relation-side hypergraph move with the classes, the idempotent side
+    with the matching permutation of P's rows, and each overlapping pair
+    of fusing triples keeps its subcase label."""
+    schemes = [scheme for _, scheme in corpus if scheme.d >= 3]
+    scheme = data.draw(st.sampled_from(schemes), label="scheme")
+    d, tol = scheme.d, am.DEFAULT_TOL
+    points = np.array(data.draw(st.permutations(range(scheme.v)), label="points"))
+    perm = np.array([0] + data.draw(st.permutations(range(1, d + 1)), label="classes"))
+    moved = am.validate_scheme(perm[scheme.labels[np.ix_(points, points)]])
+    tau = _idempotent_map(am.spectral_decomposition(scheme).P,
+                          am.spectral_decomposition(moved).P, perm, tol)
+    for k in (2, 3):
+        tuples = am.enumerate_fusing_tuples(scheme, k)
+        assert set(am.enumerate_fusing_tuples(moved, k)) == _moved(tuples, perm), k
+        for side, relabel in (("relations", perm), ("idempotents", tau)):
+            H = am.build_fusing_hypergraph(scheme, k, side=side)
+            assert am.build_fusing_hypergraph(moved, k, side=side).edges == \
+                _moved(H.edges, relabel), (k, side)
+    for t1, t2 in fusion._overlapping_pairs(am.enumerate_fusing_tuples(scheme, 3)):
+        (u1,), (u2,) = _moved([t1], perm), _moved([t2], perm)
+        assert am.overlap_case(moved, u1, u2).label == am.overlap_case(scheme, t1, t2).label
 
 
 def test_uniformity_checks():
