@@ -408,10 +408,10 @@ def verify_paper_claims(scheme: AssociationScheme,
 
     The claims that ask many questions run as batched passes with the
     witnesses of their single-question forms.  One pass yields the fusing
-    triples with their duals, which types (f) and contraction (e) read.
-    Contraction reads its admissible pairs off the triples and answers all
-    of them in :func:`~amorphic.fusion._contractions`: the parent's 4-set
-    stacks and one stack per contracted scheme, which must agree.  The row
+    triples with their dual partitions, which types (f) read.  Contraction
+    (e) reads its admissible pairs off the triples and answers all of them
+    in :func:`~amorphic.fusion._contractions`: the parent's 4-set stacks
+    and stacks across the contracted schemes, which must agree.  The row
     lemma (g) reads every row subset of one size off one closeness tensor
     per principal part.  The overlap cases (h) group the triples on their
     2-subsets and look each label up once per kinds-and-sizes key.
@@ -420,8 +420,8 @@ def verify_paper_claims(scheme: AssociationScheme,
     spec = spectral_decomposition(scheme, tol=tol)
     records: list[ClaimRecord] = []
 
-    duals = dict(_fusing_triples(scheme, tol)) if d >= 3 else {}
-    triples = list(duals)
+    rhos = dict(_fusing_triples(scheme, tol)) if d >= 3 else {}
+    triples = list(rhos)
     H3 = None
     cores = []
     if d >= 3:
@@ -467,16 +467,16 @@ def verify_paper_claims(scheme: AssociationScheme,
     # (e) contraction: every admissible (triple, outside class) pair, by
     # two witnesses that must agree
     pairs = _admissible_pairs(triples, d)
-    answers = _contractions(scheme, pairs, duals, tol)
+    answers = _contractions(scheme, pairs, tol)
     records.append(ClaimRecord(
         "contraction", bool(pairs), bool(pairs) and all(answers),
         witness=f"{len(pairs)} admissible pairs"))
 
     # (f) every fusing triple is exactly type 1 or type 2, read off its dual
     types = {}
-    for T, dual in duals.items():
+    for T, rho in rhos.items():
         try:
-            types[T] = _triple_type(dual, T)
+            types[T] = _triple_type(rho, T)
         except Falsification:
             types[T] = None
     applicable, ok = bool(triples), all(ty is not None for ty in types.values())

@@ -297,6 +297,8 @@ def _dispatch(args, tol: Tolerance, report: dict) -> int:
         return EXIT_OK
 
     if cmd == "hypergraph":
+        if args.dot is not None and args.k != 2:
+            raise ValueError(f"--dot: DOT export is for k = 2 (graphs), got k = {args.k}")
         H = build_fusing_hypergraph(scheme, args.k, side=args.side, tol=tol)
         report["edges"] = [list(e) for e in H.sorted_edges()]
         report["side"] = H.side

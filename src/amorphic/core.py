@@ -22,8 +22,8 @@ parameters are read off class values, with no v x v product: a matrix
 sum_c x_c A_c is given by its d + 1 values x_c, and as the A_c are
 disjoint and none is empty, it is within a bound on every cell exactly
 when each x_c is, and its largest cell is its largest |x_c|.  Each scheme
-caches its tensor, its spectral data and its fusion decisions on the
-instance (see :class:`AssociationScheme`).
+caches its tensor and its spectral data on the instance, and nothing
+else (see :class:`AssociationScheme`).
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ with two witnesses that must agree: the parent decides each 4-set
 T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
 of all contracted schemes in stacks, without building one: on tensors
 folded from one histogram of the parent's labels and on eigenmatrices
-proven to be their character tables.  The 18 overlap subcases are
-written once, as :data:`CASE_REPRESENTATIVES`, and a pair of triples gets
-the label of the one with its :func:`_overlap_signature`.
+read off the parent's P and proven to be their character tables.  The
+18 overlap subcases are written once, as :data:`CASE_REPRESENTATIVES`,
+and a pair of triples gets the label of its :func:`_overlap_signature`.
 :func:`contraction_check`, :func:`classify_triple` and
 :func:`overlap_case` stay as single questions on the same code.
 
@@ -185,8 +185,8 @@ class DualPartition:
     """Result of the row-sum criterion: the unique dual partition and the
     fused eigenmatrix (rows ordered by dual block minimum).
 
-    ``P_fused`` is read-only: the claim verifier hands one dual to several
-    readers, and none may change what another reads.
+    ``P_fused`` is read-only, as a frozen answer: an edited matrix would
+    no longer be the one the oracles agreed on.
     """
 
     rho: ClassPartition
@@ -501,13 +501,11 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
 
 def _fusing_triples(scheme: AssociationScheme, tol: Tolerance):
     """Each fusing triple T, in :func:`enumerate_fusing_tuples` order, and
-    the dual partition of its merge, read off the stacks that decide it."""
-    P = spectral_decomposition(scheme, tol=tol).P
+    the dual partition of its merge, read off its stack's row-sum leaders."""
     merges = itertools.combinations(range(1, scheme.d + 1), 3)
-    for chunk, S, fused, lead in _decide_merges(scheme, merges, tol):
-        for T, dual in zip(chunk, _duals(P, S, fused, lead, tol)):
-            if dual is not None:
-                yield T, dual
+    for chunk, _, fused, lead in _decide_merges(scheme, merges, tol):
+        for m in np.flatnonzero(fused).tolist():
+            yield chunk[m], _partition_of(lead[m])
 
 
 @dataclass(frozen=True)
@@ -532,17 +530,17 @@ def classify_triple(spec, T) -> TripleType:
     if isinstance(spec, AssociationScheme):
         if (dual := _decide(spec, pi, DEFAULT_TOL)) is None:
             raise NotFusing(str(_tensor_failure(spec.intersection.p, pi)))
-        return _triple_type(dual, T)
+        return _triple_type(dual.rho, T)
     try:
         dual = bm_check(spec, pi)
     except NotAFusion as exc:
         raise NotFusing(str(exc)) from exc
-    return _triple_type(dual, T)
+    return _triple_type(dual.rho, T)
 
 
-def _triple_type(dual: DualPartition, T: tuple[int, ...]) -> TripleType:
-    """Type of the fusing triple T (sorted) from the dual partition of its merge."""
-    big = [frozenset(b) for b in dual.rho.blocks if len(b) >= 2]
+def _triple_type(rho: ClassPartition, T: tuple[int, ...]) -> TripleType:
+    """Type of the fusing triple T (sorted) from the dual partition rho of its merge."""
+    big = [frozenset(b) for b in rho.blocks if len(b) >= 2]
     sizes = sorted(len(b) for b in big)
     if sizes == [3]:
         return TripleType(kind=1, sets=(big[0],))
@@ -567,20 +565,19 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     class in 1..d outside t1, and some 2-subset of t1 together with ell
     also fuses.  By the contraction property the result must be True; the
     caller treats False as a falsification event.  The answer is
-    :func:`_contractions` on a batch of this one pair and the precondition's
-    dual, both witnesses included.
+    :func:`_contractions` on a batch of this one pair, both witnesses
+    included.
     """
     t1 = tuple(sorted(t1))
     if not _is_triple(t1, scheme.d) or not 1 <= ell <= scheme.d or ell in t1:
         raise PreconditionFailed(f"need a 3-subset and an outside class, got {t1}, {ell}")
-    dual = _decide(scheme, ClassPartition.merge(scheme.d, t1), tol)
-    if dual is None:
+    if not fuses(scheme, ClassPartition.merge(scheme.d, t1), tol=tol):
         raise PreconditionFailed(f"{set(t1)} does not fuse")
     if not any(fuses(scheme, ClassPartition.merge(scheme.d, set(s) | {ell}), tol=tol)
                for s in itertools.combinations(t1, 2)):
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
-    return _contractions(scheme, [(t1, ell)], {t1: dual}, tol)[0]
+    return _contractions(scheme, [(t1, ell)], tol)[0]
 
 
 def _admissible_pairs(triples, d: int) -> list[tuple[tuple[int, ...], int]]:
@@ -593,7 +590,7 @@ def _admissible_pairs(triples, d: int) -> list[tuple[tuple[int, ...], int]]:
             and any(tuple(sorted(s + (ell,))) in fusing for s in itertools.combinations(T, 2))]
 
 
-def _contractions(scheme: AssociationScheme, pairs, duals: dict, tol: Tolerance) -> list[bool]:
+def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool]:
     """Whether the merged class of T still fuses with ell, for each
     admissible pair (T, ell) of ``pairs``, from two witnesses.
 
@@ -603,10 +600,10 @@ def _contractions(scheme: AssociationScheme, pairs, duals: dict, tol: Tolerance)
     question: merging T and then its class with ell merges exactly
     T + {ell}.  Witness B, :func:`_decide_contracted`, asks every pair
     {merged class, ell} of the contracted schemes on tensors folded from
-    the parent's labels and the fused eigenmatrices ``duals[T].P_fused``
-    proven against them; it reads neither the parent's tensor nor witness
-    A's answers.  Both witnesses run both oracles, and a pair on which they
-    differ raises :class:`OracleDisagreement`.
+    the parent's labels and fused eigenmatrices read off the parent's P
+    and proven against them; it reads neither the parent's tensor nor
+    witness A's answers.  Both witnesses run both oracles, and a pair on
+    which they differ raises :class:`OracleDisagreement`.
     """
     quads = sorted({tuple(sorted(T + (ell,))) for T, ell in pairs})
     parent = {}
@@ -616,7 +613,7 @@ def _contractions(scheme: AssociationScheme, pairs, duals: dict, tol: Tolerance)
     for T, ell in pairs:
         outside.setdefault(T, []).append(ell)
     answers = {}
-    for asked, fused in _decide_contracted(scheme, outside, duals, tol):
+    for asked, fused in _decide_contracted(scheme, outside, tol):
         for (T, ell), ok in zip(asked, fused.tolist()):
             quad = tuple(sorted(T + (ell,)))
             if parent[quad] != ok:
@@ -627,26 +624,27 @@ def _contractions(scheme: AssociationScheme, pairs, duals: dict, tol: Tolerance)
     return [answers[pair] for pair in pairs]
 
 
-def _decide_contracted(scheme: AssociationScheme, outside: dict, duals: dict, tol: Tolerance):
+def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance):
     """Witness B of the contraction claim: whether the contracted scheme of
     each fusing triple T (T merged) fuses its merged class with each ell of
     ``outside[T]``, without building it.
 
-    Per _MERGE_CHUNK triples, the tensors are folded from one histogram of
-    the parent's cells (:func:`_contracted_tensors`), and the fused
-    eigenmatrices ``duals[T].P_fused`` are accepted only as their
-    character tables (:func:`_check_characters`).  Both kernels then ask
-    the pairs {merged class, ell} in :func:`_merge_stacks` over 0..d-2,
-    each entry on its own triple's tensor and eigenmatrix.  Yields, per
-    stack, the (T, ell) asked and the answers; a disagreement raises
-    :class:`OracleDisagreement` naming T.
+    Per :func:`_merge_stacks` chunk of triples, the tensors are folded from
+    one histogram of the parent's cells (:func:`_contracted_tensors`), and
+    the fused eigenmatrices, read off the parent's P by the row-sum kernel
+    and :func:`_duals`, are accepted only as their character tables
+    (:func:`_check_characters`).  Both kernels then ask the pairs {merged
+    class, ell} in :func:`_merge_stacks` over 0..d-2, each entry on its own
+    triple's tensor and eigenmatrix.  Yields, per stack, the (T, ell) asked
+    and the answers; a disagreement raises :class:`OracleDisagreement`.
     """
     d = scheme.d
     counts, k = _row0_counts(scheme.labels, d)
-    triples = iter(outside)
-    while chunk := list(itertools.islice(triples, _MERGE_CHUNK)):
+    parent_P = spectral_decomposition(scheme, tol=tol).P
+    for chunk, S, _ in _merge_stacks(d, outside):
         p, k_fused = _contracted_tensors(chunk, counts, k)
-        P = np.array([duals[T].P_fused for T in chunk])
+        duals = _duals(parent_P, S, *_stacked_row_sum(parent_P, S, tol), tol)
+        P = np.array([dual.P_fused for dual in duals])
         _check_characters(chunk, p, k_fused, P, scheme.v, tol)
         # ell's block: ell less the classes of T above T[0] and below ell
         asked = [(m, ell, tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))))

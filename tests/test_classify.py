@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import amorphic as am
 import amorphic.classify as classify
+import amorphic.fusion as fusion
 from amorphic.fusion import fuses
 from conftest import (
     amorphic_by_all_partitions,
@@ -531,16 +532,16 @@ def _pairs(d):
 
 def test_verify_claims_types_each_triple_once(monkeypatch):
     """Claims (f) and (h) read each fusing triple's type once, off the dual
-    of the verifier's pass over the triples, and run no row-sum criterion
-    of their own."""
+    partition from the verifier's pass over the triples, and run no
+    row-sum criterion of their own."""
     import amorphic.classify as classify
     import amorphic.fusion as fusion
     typed, criterion = [], []
     real_type, real_bm = classify._triple_type, fusion.bm_check
 
-    def counted_type(dual, T):
+    def counted_type(rho, T):
         typed.append(T)
-        return real_type(dual, T)
+        return real_type(rho, T)
 
     def counted_bm(*args, **kwargs):
         criterion.append(args)
@@ -557,33 +558,43 @@ def test_verify_claims_types_each_triple_once(monkeypatch):
 
 
 def test_verifier_reads_bm_check_duals(corpus, monkeypatch):
-    """The triples the verifier reads are the enumeration's, and each dual
-    it hands to claim (f) and to witness B is bm_check's, on every corpus
-    scheme with d >= 3; afterwards the scheme holds only its labels,
-    valencies, tensor and spectra."""
-    seen = []
-    real = classify._fusing_triples
+    """The triples the verifier reads are the enumeration's, each dual
+    partition it hands to claim (f) is bm_check's, and each fused
+    eigenmatrix witness B derives is bm_check's, on every corpus scheme
+    with d >= 3; afterwards the scheme holds only its labels, valencies,
+    tensor and spectra."""
+    seen, derived = [], []
+    real, real_check = classify._fusing_triples, fusion._check_characters
 
     def spy(scheme, tol):
-        for T, dual in real(scheme, tol):
-            seen.append((T, dual))
-            yield T, dual
+        for T, rho in real(scheme, tol):
+            seen.append((T, rho))
+            yield T, rho
+
+    def spy_check(chunk, p, k, P, v, tol):
+        derived.extend(zip(chunk, P))
+        real_check(chunk, p, k, P, v, tol)
 
     monkeypatch.setattr(classify, "_fusing_triples", spy)
-    checked = 0
+    monkeypatch.setattr(fusion, "_check_characters", spy_check)
+    checked = compared = 0
     for name, scheme in corpus:
         if scheme.d < 3:
             continue
         seen.clear()
+        derived.clear()
         am.verify_paper_claims(scheme)
         assert sorted(vars(scheme)) == ["_intersection", "_spectra", "label_matrix", "valencies"]
         assert [T for T, _ in seen] == am.enumerate_fusing_tuples(scheme, 3), name
         spec = am.spectral_decomposition(scheme)
-        for T, dual in seen:
+        for T, rho in seen:
+            assert rho == am.bm_check(spec, am.ClassPartition.merge(scheme.d, T)).rho, (name, T)
+        for T, P in derived:
             ref = am.bm_check(spec, am.ClassPartition.merge(scheme.d, T))
-            assert dual.rho == ref.rho and np.array_equal(dual.P_fused, ref.P_fused), (name, T)
+            assert np.array_equal(P, ref.P_fused), (name, T)
         checked += len(seen)
-    assert checked > 50
+        compared += len(derived)
+    assert checked > 50 and compared > 50
 
 
 def test_verify_claims_dual_side_at_d9():

@@ -168,6 +168,18 @@ def test_tuples_and_hypergraph(h3_file, tmp_path, capsys):
     assert "1 -- 2" in dot.read_text()
 
 
+def test_hypergraph_dot_is_for_graphs(h3_file, tmp_path, capsys):
+    """--dot with k = 3 exits 1 before any output, saying DOT export is for
+    k = 2, and writes neither the DOT file nor the report."""
+    dot, report = tmp_path / "h.dot", tmp_path / "r.json"
+    assert run_command(["--report", str(report), "hypergraph", str(h3_file), "--k", "3",
+                        "--dot", str(dot)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --dot: DOT export is for k = 2 (graphs), got k = 3\n"
+    assert not dot.exists() and not report.exists()
+
+
 def test_idempotent_hypergraph_above_old_limit(tmp_path, capsys):
     path = tmp_path / "net64.scheme"
     am.save_scheme(net_with_group_sizes(8, [1] * 9), path)  # d = 9

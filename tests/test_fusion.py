@@ -219,8 +219,8 @@ def test_criterion_yes_against_exact_no_is_fatal(monkeypatch):
 
 
 def test_fused_eigenmatrix_is_read_only():
-    """A dual can be handed to several readers, so its fused eigenmatrix
-    cannot be written through."""
+    """A dual partition is a frozen answer, so its fused eigenmatrix cannot
+    be written through."""
     scheme = am.gen_hamming_binary(3)
     pi = am.ClassPartition.from_string("1,3|2", 3)
     out = am.fuse_direct(scheme, pi)
@@ -611,6 +611,24 @@ def test_enumeration_holds_no_memory():
     assert sorted(vars(scheme)) == ["_intersection", "_spectra", "label_matrix", "valencies"]
 
 
+def test_fusing_triples_hold_only_their_dual_partitions():
+    """The verifier's pass over the 680 triples of net(16; 1^17) holds each
+    triple's dual partition and no array: no fused eigenmatrix is built
+    for it (0.74 MiB held; the fused eigenmatrices would add 1.5 MiB)."""
+    scheme = net_with_group_sizes(16, [1] * 17)
+    am.spectral_decomposition(scheme)
+    tracemalloc.start()
+    try:
+        rhos = dict(fusion._fusing_triples(scheme, TOL))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(rhos) == am.enumerate_fusing_tuples(scheme, 3)
+    assert all(type(rho) is am.ClassPartition and sorted(vars(rho)) == ["blocks", "d"]
+               for rho in rhos.values())
+    assert held < 1.25 * 2 ** 20
+
+
 # ------------------------------------------------------------- contraction
 
 def test_contraction_on_amorphic_net(monkeypatch):
@@ -682,12 +700,6 @@ def _admissible_by_definition(scheme, triples):
                                     for s in itertools.combinations(T, 2))]
 
 
-def _triple_duals(scheme):
-    """The fusing triples of ``scheme`` and their duals, as the claim
-    verifier reads them."""
-    return dict(fusion._fusing_triples(scheme, TOL))
-
-
 def _contraction_schemes(corpus):
     """The corpus schemes with d >= 4, and net(7; 1^8)."""
     schemes = [(name, s) for name, s in corpus if s.d >= 4]
@@ -701,12 +713,12 @@ def test_batched_contraction_matches_relabeling(corpus):
     relabeling reference's for merging T + {ell} in the parent."""
     checked = 0
     for name, scheme in _contraction_schemes(corpus):
-        duals = _triple_duals(scheme)
-        pairs = fusion._admissible_pairs(list(duals), scheme.d)
-        assert pairs == _admissible_by_definition(scheme, list(duals)), name
+        triples = am.enumerate_fusing_tuples(scheme, 3)
+        pairs = fusion._admissible_pairs(triples, scheme.d)
+        assert pairs == _admissible_by_definition(scheme, triples), name
         want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T + (ell,))) is not None
                 for T, ell in pairs]
-        assert fusion._contractions(scheme, pairs, duals, TOL) == want, name
+        assert fusion._contractions(scheme, pairs, TOL) == want, name
         checked += len(pairs)
     assert checked > 280
 
@@ -738,7 +750,7 @@ def _flip_first(monkeypatch, on_parent):
 def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
     """Flipping one answer of either witness, in the batch or in a single
     contraction_check, raises OracleDisagreement naming both answers."""
-    scheme, duals, pairs = _net5_pairs()
+    scheme, pairs = _net5_pairs()
     flipped = _flip_first(monkeypatch, on_parent)
     pattern = (r"contraction of \{1, 2, 3\} with 4: the parent answers (True|False) for "
                r"merging \{1, 2, 3, 4\}, the contracted scheme answers (True|False)")
@@ -746,7 +758,7 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
         if single:
             am.contraction_check(scheme, (1, 2, 3), 4)
         else:
-            fusion._contractions(scheme, pairs, duals, TOL)
+            fusion._contractions(scheme, pairs, TOL)
     assert flipped == [(1, 2, 3, 4) if on_parent else ((1, 2, 3), 4)]
 
 
@@ -755,8 +767,8 @@ def test_contraction_stacks(monkeypatch):
     64 and 6, and witness B answers the 280 pairs of its 56 contracted
     schemes in stacks of 64 across triples."""
     scheme = net_with_group_sizes(7, [1] * 8)
-    duals = _triple_duals(scheme)
-    pairs = fusion._admissible_pairs(list(duals), scheme.d)
+    triples = am.enumerate_fusing_tuples(scheme, 3)
+    pairs = fusion._admissible_pairs(triples, scheme.d)
     stacks = {"_decide_merges": [], "_decide_contracted": []}
     for name, sizes in stacks.items():
         def spy(*args, real=getattr(fusion, name), sizes=sizes):
@@ -765,25 +777,32 @@ def test_contraction_stacks(monkeypatch):
                 yield stack
 
         monkeypatch.setattr(fusion, name, spy)
-    assert all(fusion._contractions(scheme, pairs, duals, TOL))
-    assert (len(duals), len(pairs)) == (56, 280)
+    assert all(fusion._contractions(scheme, pairs, TOL))
+    assert (len(triples), len(pairs)) == (56, 280)
     assert stacks == {"_decide_merges": [64, 6], "_decide_contracted": [64, 64, 64, 64, 24]}
 
 
-def test_witness_b_inputs_match_fused_schemes(corpus):
+def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
     """For every fusing triple T, the tensor folded from the parent's
     histogram is the fused scheme's own tensor, integer for integer, and
-    the eigenmatrix witness B accepts is the fused scheme's eigh-based P up
-    to row order."""
+    the eigenmatrix witness B derives from the parent's P and accepts is
+    the fused scheme's eigh-based P up to row order."""
+    seen = []
+    real = fusion._check_characters
+
+    def spy(chunk, p, k, P, v, tol):
+        real(chunk, p, k, P, v, tol)
+        seen.append((chunk, p, k, P))
+
+    monkeypatch.setattr(fusion, "_check_characters", spy)
     checked = 0
     for name, scheme in _contraction_schemes(corpus):
         d = scheme.d
-        duals = _triple_duals(scheme)
-        counts, k = core._row0_counts(scheme.labels, d)
-        for chunk, _, _ in fusion._merge_stacks(d, list(duals)):
-            p, k_fused = fusion._contracted_tensors(chunk, counts, k)
-            P = np.array([duals[T].P_fused for T in chunk])
-            fusion._check_characters(chunk, p, k_fused, P, scheme.v, TOL)
+        triples = am.enumerate_fusing_tuples(scheme, 3)
+        seen.clear()
+        assert list(fusion._decide_contracted(scheme, dict.fromkeys(triples, []), TOL)) == []
+        assert [T for chunk, *_ in seen for T in chunk] == triples, name
+        for chunk, p, k_fused, P in seen:
             for m, T in enumerate(chunk):
                 fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
                 assert np.array_equal(p[m], core.intersection_numbers(fused).p), (name, T)
@@ -808,10 +827,36 @@ def test_per_entry_tensors_match_shared_tensor(corpus):
 
 
 def _net5_pairs():
-    """net(4; 1^5), the duals of its fusing triples and its admissible pairs."""
+    """net(4; 1^5) and the admissible pairs of its fusing triples."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    duals = _triple_duals(scheme)
-    return scheme, duals, fusion._admissible_pairs(list(duals), scheme.d)
+    return scheme, fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
+
+
+def test_witness_b_reads_no_parent_tensor(monkeypatch):
+    """Witness B answers on a scheme whose spectra are cached and whose
+    intersection tensor cannot be read, as it does on the plain scheme;
+    its eigenmatrices come from P by the row-sum kernel alone."""
+    scheme, pairs = _net5_pairs()
+    outside = {}
+    for T, ell in pairs:
+        outside.setdefault(T, []).append(ell)
+    want = [(asked, fused.tolist()) for asked, fused in fusion._decide_contracted(scheme, outside, TOL)]
+
+    class NoTensor(am.AssociationScheme):
+        @property
+        def _intersection(self):
+            raise AssertionError("witness B read the parent's tensor")
+
+    blind = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    am.spectral_decomposition(blind)
+    blind.__class__ = NoTensor
+    with pytest.raises(AssertionError, match="parent's tensor"):
+        blind.intersection
+    for name in ("_decide", "_decide_merges"):  # nor witness A's kernel runs
+        monkeypatch.setattr(fusion, name, None)
+    got = [(asked, fused.tolist()) for asked, fused in fusion._decide_contracted(blind, outside, TOL)]
+    assert got == want
+    assert len(got) == 1 and len(got[0][0]) == len(pairs) == 20
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -819,17 +864,25 @@ def _net5_pairs():
     (lambda P: P.__setitem__(2, P[1]), "rows 1 and 2 repeat"),
     (lambda P: P.__setitem__((2, 3), np.nan), "row 2 is not a character"),
 ], ids=["perturbed-entry", "duplicated-row", "nan-entry"])
-def test_witness_b_rejects_a_wrong_eigenmatrix(tamper, message):
+def test_witness_b_rejects_a_wrong_eigenmatrix(monkeypatch, tamper, message):
     """A contracted eigenmatrix that is not its folded tensor's character
-    table is refused, naming the triple and the check."""
-    scheme, duals, pairs = _net5_pairs()
-    dual = duals[(1, 2, 3)]
-    P = dual.P_fused.copy()
-    tamper(P)
-    duals[(1, 2, 3)] = fusion.DualPartition(rho=dual.rho, P_fused=P)
+    table is refused, naming the triple and the check: the fused
+    eigenmatrix of {1, 2, 3}, the first that witness B derives, is
+    tampered with as _duals returns it."""
+    scheme, pairs = _net5_pairs()
+    real = fusion._duals
+
+    def tampered(*args):
+        duals = real(*args)
+        P = duals[0].P_fused.copy()
+        tamper(P)
+        duals[0] = fusion.DualPartition(rho=duals[0].rho, P_fused=P)
+        return duals
+
+    monkeypatch.setattr(fusion, "_duals", tampered)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: contracted eigenmatrix: " + message):
-        fusion._contractions(scheme, pairs, duals, TOL)
+        fusion._contractions(scheme, pairs, TOL)
 
 
 @pytest.mark.parametrize("cell, message", [
@@ -840,7 +893,7 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(tamper, message):
 def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
     """One count off in the histogram witness B folds is caught: as a
     count k' does not divide, or else by the eigenmatrix check."""
-    scheme, duals, pairs = _net5_pairs()
+    scheme, pairs = _net5_pairs()
     real = fusion._row0_counts
 
     def off_by_one(L, d):
@@ -851,7 +904,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 
     monkeypatch.setattr(fusion, "_row0_counts", off_by_one)
     with pytest.raises(am.OracleDisagreement, match=r"contraction of \{1, 2, 3\}: " + message):
-        fusion._contractions(scheme, pairs, duals, TOL)
+        fusion._contractions(scheme, pairs, TOL)
 
 
 @pytest.mark.parametrize("kernel, side", [
@@ -861,7 +914,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     """A flipped answer of either kernel on a contracted pair raises
     _decide's text, naming the triple."""
-    scheme, duals, pairs = _net5_pairs()
+    scheme, pairs = _net5_pairs()
     real = getattr(fusion, kernel)
 
     def flipped(tensor, S, *rest):
@@ -875,7 +928,7 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     monkeypatch.setattr(fusion, kernel, flipped)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: " + side + r" accepts 0\|1,2\|3 but"):
-        fusion._contractions(scheme, pairs, duals, TOL)
+        fusion._contractions(scheme, pairs, TOL)
 
 
 # ------------------------------------------------------------ overlap cases
