@@ -398,6 +398,20 @@ class ClaimReport:
                 for r in self.records}
 
 
+def _triple_types(scheme: AssociationScheme, tol: Tolerance) -> dict:
+    """Each fusing triple, in :func:`~amorphic.fusion.enumerate_fusing_tuples`
+    order, and its :class:`~amorphic.fusion.TripleType`, or None where its
+    dual partition has neither shape (a falsification of claim (f)).  Each
+    triple is typed as the pass yields it, so only the types are held."""
+    types = {}
+    for T, rho in _fusing_triples(scheme, tol):
+        try:
+            types[T] = _triple_type(rho, T)
+        except Falsification:
+            types[T] = None
+    return types
+
+
 def verify_paper_claims(scheme: AssociationScheme,
                         tol: Tolerance = DEFAULT_TOL) -> ClaimReport:
     """Machine-check every theorem-shaped claim that applies to one scheme.
@@ -408,7 +422,8 @@ def verify_paper_claims(scheme: AssociationScheme,
 
     The claims that ask many questions run as batched passes with the
     witnesses of their single-question forms.  One pass yields the fusing
-    triples with their dual partitions, which types (f) read.  Contraction
+    triples and types each off its dual partition (:func:`_triple_types`);
+    (f) and (h) read the types.  Contraction
     (e) reads its admissible pairs off the triples and answers all of them
     in :func:`~amorphic.fusion._contractions`: the parent's 4-set stacks
     and stacks across the contracted schemes, which must agree.  The row
@@ -420,8 +435,8 @@ def verify_paper_claims(scheme: AssociationScheme,
     spec = spectral_decomposition(scheme, tol=tol)
     records: list[ClaimRecord] = []
 
-    rhos = dict(_fusing_triples(scheme, tol)) if d >= 3 else {}
-    triples = list(rhos)
+    types = _triple_types(scheme, tol) if d >= 3 else {}
+    triples = list(types)
     H3 = None
     cores = []
     if d >= 3:
@@ -473,12 +488,6 @@ def verify_paper_claims(scheme: AssociationScheme,
         witness=f"{len(pairs)} admissible pairs"))
 
     # (f) every fusing triple is exactly type 1 or type 2, read off its dual
-    types = {}
-    for T, rho in rhos.items():
-        try:
-            types[T] = _triple_type(rho, T)
-        except Falsification:
-            types[T] = None
     applicable, ok = bool(triples), all(ty is not None for ty in types.values())
     records.append(ClaimRecord(
         "triple_types", applicable, applicable and ok,

@@ -8,7 +8,10 @@ one generator's products, as mixed-radix digits small enough to stay
 exact.  That is the path of files and label matrices, which carry no
 group.  A translation scheme, ``labels[x, y] = row0[y - x]``, is checked
 by :func:`_translation_scheme` on row 0 and the group's subtraction table
-in O(v^2), with the same violations.
+in O(v^2), with the same violations.  Labels are held in the smallest
+unsigned dtype that holds d (see :class:`LabelMatrix`), and every v^2 pass
+runs in row blocks of bounded size (see :func:`_row_blocks`), so none
+makes a v x v int64 array.
 
 Eigenmatrices, idempotents and Krein parameters are floating point under
 an explicit tolerance policy.  The eigenmatrices come from one ``eigh`` of
@@ -121,14 +124,41 @@ _CERTIFICATE_STEP = 2 ** 18
 _GAP_FACTOR = 100.0
 
 
+# Cells per row block of a v x v pass, so that a block's int64 and float64
+# arrays stay at 512 KiB whatever v is.
+_BLOCK_CELLS = 2 ** 16
+
+# Rows per block of a packed product at least: BLAS runs a 64-row block
+# against 1024 columns about 1.4x slower per row than a 256-row one.
+_PRODUCT_ROWS = 256
+
+
+def _row_blocks(v: int, least: int = 1):
+    """Slices of consecutive rows of a v x v pass, each of at most
+    ``_BLOCK_CELLS`` cells or of ``least`` rows, whichever is more."""
+    step = max(least, _BLOCK_CELLS // v)
+    return (slice(start, start + step) for start in range(0, v, step))
+
+
+def _label_dtype(d: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds the labels 0..d:
+    uint8 up to d = 255."""
+    return np.min_scalar_type(min(d, np.iinfo(np.uint64).max))
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     """A v x v matrix of class labels 0..d; label 0 marks the identity class.
 
-    The labels are held read-only.  A writeable array that the labels would
+    The labels are held read-only, C-contiguous, in ``_label_dtype(d)``,
+    the smallest unsigned integer dtype that holds d (uint8 up to d = 255),
+    so a matrix takes v^2 bytes up to d = 255.  Integer input of any dtype
+    is range-checked as given and then narrowed, so a label outside 0..d
+    is rejected and never wraps.  A writeable array that the labels would
     share memory with is copied first, so the caller's array stays
     writeable and later writes to it do not reach the matrix; callers that
-    build the array and hand it over mark it read-only to skip the copy.
+    build the array in the narrow dtype and hand it over mark it read-only
+    to skip the copy.
     """
 
     v: int
@@ -137,18 +167,21 @@ class LabelMatrix:
 
     def __post_init__(self):
         given = self.labels
-        labels = np.ascontiguousarray(np.asarray(given, dtype=np.int64))
-        if labels.flags.writeable and np.may_share_memory(labels, given):
-            labels = labels.copy()
+        labels = np.asarray(given)
+        if labels.dtype.kind not in "iu":
+            labels = labels.astype(np.int64)
         if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
             raise ValueError(f"label matrix must be square, got shape {labels.shape}")
         if labels.shape[0] != self.v:
             raise ValueError(f"label matrix is {labels.shape[0]}x{labels.shape[0]}, header says v={self.v}")
         if self.v < 1 or self.d < 1:
             raise ValueError("need v >= 1 and d >= 1")
-        if labels.min() < 0 or labels.max() > self.d:
+        if int(labels.min()) < 0 or int(labels.max()) > self.d:
             bad = np.argwhere((labels < 0) | (labels > self.d))[0]
             raise ValueError(f"label out of range [0, {self.d}] at {tuple(int(x) for x in bad)}")
+        labels = np.ascontiguousarray(labels, dtype=_label_dtype(self.d))
+        if labels.flags.writeable and np.may_share_memory(labels, given):
+            labels = labels.copy()
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
@@ -163,7 +196,8 @@ class AssociationScheme:
     per :class:`Tolerance`.
 
     Nothing else is kept: a fusion answer is its caller's return value,
-    and no fused scheme is kept (each holds its own v x v label matrix;
+    and no fused scheme is kept (each holds its own v x v label matrix, in
+    the smallest unsigned dtype that holds its d, see :class:`LabelMatrix`;
     the contraction claim asks its contracted schemes' questions without
     building them).
     """
@@ -273,7 +307,7 @@ def _as_label_matrix(labels) -> LabelMatrix:
         return labels
     if isinstance(labels, AssociationScheme):
         return labels.label_matrix
-    arr = np.asarray(labels, dtype=np.int64)
+    arr = np.asarray(labels)  # integer input as it is: LabelMatrix narrows it
     if not isinstance(labels, np.ndarray):
         arr.flags.writeable = False  # a new array: handed over, not copied
     return LabelMatrix(v=arr.shape[0], d=int(arr.max(initial=0)), labels=arr)
@@ -382,9 +416,9 @@ def validate_scheme(labels) -> AssociationScheme:
     # missing from row 0 or a non-integer mean, and matches no product
     whole = (k > 0) & (counts % np.maximum(k, 1) == 0)
     p = np.where(whole, counts // np.maximum(k, 1), -1)
-    # at most three v x v float64 arrays are held at once: the weighted rows,
-    # the weighted columns and their product; then the product and the
-    # expected cells
+    # one v x v float64 array is held at a time, the weighted columns; the
+    # weighted rows, their product and the expected cells come a row block
+    # at a time
     plan = _closure_plan(K, d)
     pf = p.astype(np.float64)
     if len(plan) == 1 or not _generator_closes(L, p, pf, K, plan):
@@ -392,7 +426,7 @@ def validate_scheme(labels) -> AssociationScheme:
             U, B = np.zeros(d + 1), math.prod(radix)
             U[rows.start:rows.stop] = [B ** t for t in range(len(rows))]
             if (p[rows.start:rows.stop, cols.start:cols.stop] >= 0).all():
-                if _packed_agrees(L, pf, U[L], U, _place_values(d, cols, radix)):
+                if _packed_agrees(L, pf, U, _place_values(d, cols, radix)):
                     continue
             for i in rows:
                 run = range(max(i, cols.start), cols.stop)
@@ -413,8 +447,8 @@ def _generator_closes(L: np.ndarray, p: np.ndarray, pf: np.ndarray, K, plan) -> 
     if generator is None:
         return False
     U, runs = generator
-    X = U.astype(np.float64)[L]
-    return all(_packed_agrees(L, pf, X, U, _place_values(d, cols, radix)) for cols, radix in runs)
+    return all(_packed_agrees(L, pf, U.astype(np.float64), _place_values(d, cols, radix))
+               for cols, radix in runs)
 
 
 def _place_values(d: int, cols: range, radix) -> np.ndarray:
@@ -425,11 +459,13 @@ def _place_values(d: int, cols: range, radix) -> np.ndarray:
     return W
 
 
-def _packed_agrees(L: np.ndarray, pf: np.ndarray, X: np.ndarray, U: np.ndarray,
-                   W: np.ndarray) -> bool:
-    """``X @ W[L] == (W @ M)[L]`` on every cell, with X = U[L], M[j, h] =
-    sum_i U_i p_ij^h and ``pf`` = p as float64: the weighted sum of the
-    products A_i A_j against the same weighted sum of intersection numbers.
+def _packed_agrees(L: np.ndarray, pf: np.ndarray, U: np.ndarray, W: np.ndarray) -> bool:
+    """``U[L] @ W[L] == (W @ M)[L]`` on every cell, with M[j, h] = sum_i
+    U_i p_ij^h and ``pf`` = p as float64: the weighted sum of the products
+    A_i A_j against the same weighted sum of intersection numbers.  Only
+    W[L], the BLAS operand, is a v x v float64 array; U[L], the product and
+    the expected cells are formed one row block at a time, and the first
+    block that differs ends the check.
 
     Every value on the way is an integer below 2^53, so both sides are
     exact.  The left adds nonnegative terms up to the packed cell.  In the
@@ -439,20 +475,22 @@ def _packed_agrees(L: np.ndarray, pf: np.ndarray, X: np.ndarray, U: np.ndarray,
     plan M[j, h] is below column j's radix.  W is 0 off the columns.
     """
     n = len(U)
-    return np.array_equal(X @ W[L], (W @ (U @ pf.reshape(n, -1)).reshape(n, n))[L])
+    columns = W[L]
+    cells = W @ (U @ pf.reshape(n, -1)).reshape(n, n)  # the expected value on class h
+    return all(np.array_equal(U[L[rows]] @ columns, cells[L[rows]])
+               for rows in _row_blocks(L.shape[0], _PRODUCT_ROWS))
 
 
 def _largest_row_counts(L: np.ndarray, d: int) -> list[int]:
     """K[c], the largest number of cells of class c in one row of L, from
     one bincount per block of rows, so no v x v int64 key array is made."""
-    v, n = L.shape[0], d + 1
-    block = min(v, max(1, 2 ** 14 // v))
-    shift = n * np.arange(block)[:, None]
+    n = d + 1
     K = np.zeros(n, dtype=np.int64)
-    for start in range(0, v, block):
-        rows = L[start:start + block]
-        counts = np.bincount((rows + shift[:len(rows)]).ravel(), minlength=n * len(rows))
-        np.maximum(K, counts.reshape(len(rows), n).max(axis=0), out=K)
+    for rows in _row_blocks(L.shape[0]):
+        block = L[rows].astype(np.intp)
+        block += n * np.arange(len(block))[:, None]
+        counts = np.bincount(block.ravel(), minlength=n * len(block))
+        np.maximum(K, counts.reshape(-1, n).max(axis=0), out=K)
     return K.tolist()
 
 
@@ -588,13 +626,20 @@ def _row0_counts(L: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     the row-0 class sizes k, from one histogram over the v^2 cells.
 
     Summing (A_i A_j)[0, y] over the k_h points y of class h gives
-    counts[i, j, h], so in a scheme counts = k_h p_ij^h.  O(v^2).
+    counts[i, j, h], so in a scheme counts = k_h p_ij^h.  O(v^2).  The
+    histogram adds one ``bincount`` per row block of z, each on a key cast
+    to intp, as ``bincount`` would copy any other dtype in full.
     """
     n = d + 1
-    r0 = L[0]
-    key = (r0[:, None] * n + L) * n + r0[None, :]
-    counts = np.bincount(key.ravel(), minlength=n ** 3).reshape(n, n, n)
-    return counts, np.bincount(r0, minlength=n)
+    r0 = L[0].astype(np.intp)
+    counts = np.zeros(n ** 3, dtype=np.intp)
+    for rows in _row_blocks(len(r0)):
+        key = L[rows].astype(np.intp)
+        key += r0[rows, None] * n
+        key *= n
+        key += r0
+        counts += np.bincount(key.ravel(), minlength=n ** 3)
+    return counts.reshape(n, n, n), np.bincount(r0, minlength=n)
 
 
 def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> AssociationScheme:
@@ -607,15 +652,19 @@ def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> Associatio
     finds its first bad cell, in row-major order, in row 0; this checks the
     axioms in the same order and raises the same :class:`AxiomViolation`
     (axiom, witness, message).  Identity and partition read ``row0``;
-    symmetry is ``row0[-a] == row0[a]``.
+    symmetry is ``row0[-a] == row0[a]``.  The labels are gathered in the
+    :class:`LabelMatrix` dtype, so the only v x v arrays are ``sub`` and
+    the labels, at one or two bytes a cell.
 
     Closure is the Schur-ring condition.  (A_i A_j)[x, y] is
-    c[i, j, y - x], where c[i, j, g] = #{a : row0[a] = i, row0[g - a] = j}
-    comes from one ``bincount`` over the v^2 pairs (g, a); so c must be
-    constant on each class, and p[i, j, h] is c at the first g of class h.
-    O(v^2), against O(v^3) per packed product of :func:`validate_scheme`.
-    ``d`` is passed, not read off ``row0``, so a missing class is a
-    partition violation.
+    c[i, j, y - x], where c[i, j, g] = #{a : row0[a] = i, row0[g - a] = j};
+    so c must be constant on each class, and p[i, j, h] is c at the first g
+    of class h.  c is counted by ``bincount`` over the pairs (g, a), one row
+    block of g at a time with n^2 bins per g of the block, and each block
+    is compared with p and dropped, so c is never held whole.  O(v^2),
+    against O(v^3) per packed product of :func:`validate_scheme`.  ``d``
+    is passed, not read off ``row0``, so a missing class is a partition
+    violation.
     """
     v, n = len(row0), d + 1
     if d < 1 or row0.min() < 0 or row0.max() > d:
@@ -635,30 +684,39 @@ def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> Associatio
         raise AxiomViolation("symmetry", (0, int(np.argmax(asym))))
 
     # row0 is symmetric, so row0[sub] is row0[sub.T], and in C order
-    labels = row0[sub]
+    labels = row0.astype(_label_dtype(d))[sub]
     labels.flags.writeable = False  # handed over, not copied
     lm = LabelMatrix(v=v, d=d, labels=labels)
     L = lm.labels
-    # key[g, a] = (row0[a], row0[g - a], g)
-    g = np.arange(v)
-    key = L * v
-    key += row0 * (n * v)
-    key += g[:, None]
-    c = np.bincount(key.ravel(), minlength=n * n * v).reshape(n, n, v)
     first = np.argmax(row0 == np.arange(n)[:, None], axis=1)  # first g of each class
-    p = c[:, :, first]
-    bad = c != p[:, :, row0]
+    ra = row0.astype(np.intp) * n
+    p = _schur_counts(L[first], ra, n)
+    pair_bad = np.zeros((n, n), dtype=bool)
+    for rows in _row_blocks(v):
+        pair_bad |= (_schur_counts(L[rows], ra, n) != p[:, :, row0[rows]]).any(axis=2)
     # c is symmetric in (i, j) and c[0, j] is constant on classes, so the
     # first bad pair in row-major order is validate_scheme's: 1 <= i <= j
-    pair_bad = bad.any(axis=2)
     if pair_bad.any():
         i, j = map(int, np.argwhere(pair_bad)[0])
-        h = int(row0[bad[i, j]].min())
-        cell = (0, int(np.argmax(bad[i, j] & (row0 == h))))
+        bad = np.count_nonzero((L == j) & (row0 == i), axis=1) != p[i, j][row0]  # c[i, j] moves
+        h = int(row0[bad].min())
+        cell = (0, int(np.argmax(bad & (row0 == h))))
         raise AxiomViolation(
             "closure", cell, f"A_{i}A_{j} is not constant on class {h} (cell {cell})")
 
     return AssociationScheme(lm, tuple(int(x) for x in k), IntersectionTensor(p))
+
+
+def _schur_counts(rows: np.ndarray, ra: np.ndarray, n: int) -> np.ndarray:
+    """c[i, j, t] = #{a : row0[a] = i, rows[t, a] = j} for rows of a
+    translation scheme's labels (row g gives c[:, :, g]), with ``ra`` =
+    n row0 as intp: one ``bincount`` with n^2 bins per row."""
+    b = len(rows)
+    key = rows.astype(np.intp)
+    key += ra
+    key *= b
+    key += np.arange(b)[:, None]
+    return np.bincount(key.ravel(), minlength=n * n * b).reshape(n, n, b)
 
 
 def intersection_numbers(scheme: AssociationScheme) -> IntersectionTensor:

@@ -57,6 +57,7 @@ from .core import (
     LabelMatrix,
     SpectralData,
     Tolerance,
+    _label_dtype,
     _row0_counts,
     spectral_decomposition,
     validate_scheme,  # unused here; bench/selftest.py looks the binding up in this module
@@ -431,12 +432,14 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     agree either way.  The fused scheme is built from the merged labels
     without re-validation: the tensor check proves closure, and identity,
     partition and symmetry carry over from the parent.  Each call builds a
-    new fused scheme with its own v x v labels; the parent keeps none.
+    new fused scheme with its own v x v labels, gathered from the block
+    index in the fused scheme's label dtype (uint8 up to 255 blocks, see
+    :class:`~amorphic.core.LabelMatrix`); the parent keeps none.
     """
     dual = _decide(scheme, pi, tol)
     if dual is None:
         raise _tensor_failure(scheme.intersection.p, pi)
-    fused = pi.block_index()[scheme.labels]
+    fused = pi.block_index().astype(_label_dtype(pi.n_blocks - 1))[scheme.labels]
     fused.flags.writeable = False  # handed over, not copied
     labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=fused)
     valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
@@ -637,7 +640,10 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     class, ell} in :func:`_merge_stacks` over 0..d-2, each entry on its own
     triple's tensor and eigenmatrix.  Yields, per stack, the (T, ell) asked
     and the answers; a disagreement raises :class:`OracleDisagreement`.
+    With no triple asked it reads nothing, not even the parent's cells.
     """
+    if not outside:
+        return
     d = scheme.d
     counts, k = _row0_counts(scheme.labels, d)
     parent_P = spectral_decomposition(scheme, tol=tol).P

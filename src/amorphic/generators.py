@@ -4,9 +4,11 @@ schemes, and the one-class scheme.
 
 Each is a translation scheme of an abelian group G, ``labels[x, y] =
 row0[y - x]``: GF(n)^2, GF(q), Z_2^m and Z_v.  A generator computes only
-row 0 and the subtraction table of G, and
+row 0 and the subtraction table of G, in the smallest integer dtype that
+holds its indices (uint8 up to v = 256, uint16 up to 65536), and
 :func:`~amorphic.core._translation_scheme` checks the axioms on row 0 and
-reads the intersection tensor off it, in O(v^2); the v x v
+reads the intersection tensor off it, in O(v^2), with labels in the
+smallest dtype that holds d; no v x v int64 array is made.  The v x v
 :func:`~amorphic.core.validate_scheme` is left to files and relabelled
 matrices, which carry no group.  Closure on row 0 is sound only when the
 subtraction table is one of a group, so :class:`SmallField` checks the
@@ -220,8 +222,11 @@ def gen_net_scheme(n: int, grouping: SlopeGrouping) -> AssociationScheme:
     inv = np.argmax(F.mul == 1, axis=1)  # inv[0] is unused
     row0 = group_of[np.where(x == 0, n, F.mul[y, inv[x]])] + 1
     row0[0] = 0
-    # g - a coordinatewise over GF(n)^2
-    sub = F.add[x[:, None], F.neg[x][None, :]] * n + F.add[y[:, None], F.neg[y][None, :]]
+    # g - a coordinatewise over GF(n)^2; (n - 1) n + n - 1 = v - 1 fits
+    add = F.add.astype(np.min_scalar_type(v - 1))
+    sub = add[x[:, None], F.neg[x][None, :]]
+    sub *= n
+    sub += add[y[:, None], F.neg[y][None, :]]
     return _translation_scheme(row0, sub, grouping.d)
 
 
@@ -257,7 +262,7 @@ def gen_cyclotomic(spec: CyclotomicSpec) -> AssociationScheme:
     row0 = dlog % d + 1
     row0[0] = 0
     idx = np.arange(q)
-    sub = F.add[idx[:, None], F.neg[idx][None, :]]  # g - a
+    sub = F.add.astype(np.min_scalar_type(q - 1))[idx[:, None], F.neg[idx][None, :]]  # g - a
     return _translation_scheme(row0, sub, d)
 
 
@@ -266,7 +271,7 @@ def gen_hamming_binary(m: int) -> AssociationScheme:
     if not 1 <= m <= 10:
         raise LimitExceeded(f"m must be in 1..10, got {m}")
     v = 1 << m
-    pts = np.arange(v)
+    pts = np.arange(v, dtype=np.min_scalar_type(v - 1))
     row0 = np.zeros(v, dtype=np.int64)
     for bit in range(m):
         row0 += (pts >> bit) & 1
@@ -278,7 +283,8 @@ def gen_complete(v: int) -> AssociationScheme:
     """The 1-class scheme K_v."""
     if v < 2:
         raise ValueError(f"need v >= 2, got {v}")
-    pts = np.arange(v)
+    # signed and holding v itself: g - a goes below 0 before the % v
+    pts = np.arange(v, dtype=np.min_scalar_type(-v - 1))
     row0 = np.ones(v, dtype=np.int64)
     row0[0] = 0
     # the cyclic group Z_v

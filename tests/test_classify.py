@@ -328,6 +328,50 @@ def test_oracle_memory_is_flat_at_d28():
     assert peak < ORACLE_PEAK_BOUND_MB * 1e6, peak
 
 
+# Measured peaks at v = 1024, in units of v^2 bytes (numpy 2.4): 4.6 to
+# generate net(32; 1^33) and 13.3 to validate a relabelled H(10,2), whose
+# one v x v float64 array is the packed products' BLAS operand.  With int64
+# labels and whole-matrix int64 keys they were 43.6 and 33.0.
+GENERATION_PEAK_BOUND = 8
+VALIDATION_PEAK_BOUND = 16
+
+
+def test_v1024_generation_and_validation_peaks_are_bounded():
+    import tracemalloc
+    v = 1024
+    hamming = am.gen_hamming_binary(10)
+    perm = np.random.default_rng(5).permutation(v)
+    relabelled = np.ascontiguousarray(hamming.labels[perm][:, perm])
+    for bound, build in (
+            (GENERATION_PEAK_BOUND, lambda: net_with_group_sizes(32, [1] * 33)),
+            (VALIDATION_PEAK_BOUND, lambda: am.validate_scheme(relabelled))):
+        tracemalloc.start()
+        try:
+            assert build().v == v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * v ** 2, peak / v ** 2
+
+
+def test_verifier_holds_only_triple_types():
+    """The verifier types each of the 680 fusing triples of net(16; 1^17) as
+    the pass yields it and holds only the types, 0.40 MiB; the triples'
+    dual partitions would hold 0.74 MiB."""
+    import tracemalloc
+    scheme = net_with_group_sizes(16, [1] * 17)
+    am.spectral_decomposition(scheme)
+    tracemalloc.start()
+    try:
+        types = classify._triple_types(scheme, TOL)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(types) == am.enumerate_fusing_tuples(scheme, 3)
+    assert all(type(ty) is fusion.TripleType for ty in types.values())
+    assert held < 0.55 * 2 ** 20, held
+
+
 def test_is_amorphic_raises_when_the_two_answers_differ(monkeypatch):
     """A canonical form the oracle rejects, or a missing form on a scheme
     the oracle accepts, raises OracleDisagreement naming both answers."""

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from amorphic import (
     AssociationScheme,
     AxiomViolation,
+    ClassPartition,
     DEFAULT_TOL,
     DegenerateSpectrum,
     IdempotencyViolation,
@@ -31,6 +32,7 @@ from amorphic import (
     NegativeKrein,
     Tolerance,
     formal_duality_permutation,
+    fuse_direct,
     gen_complete,
     gen_hamming_binary,
     gen_net_scheme,
@@ -450,7 +452,7 @@ def count_products(monkeypatch):
     agrees = core._packed_agrees
 
     def spy(*args):
-        products.append(args[3])
+        products.append(args[2])  # U, the row weights
         return agrees(*args)
 
     monkeypatch.setattr(core, "_packed_agrees", spy)
@@ -644,6 +646,73 @@ def test_row0_agrees_with_full_validation_exhaustively():
 def test_label_matrix_range_check():
     with pytest.raises(ValueError):
         LabelMatrix(v=2, d=1, labels=np.array([[0, 5], [5, 0]]))
+
+
+def test_label_dtype_does_not_depend_on_the_input_dtype():
+    """One scheme given as uint8, uint16, int32 and int64 arrays and as a
+    nested list is one scheme: labels in the smallest dtype that holds d,
+    one tensor, equal and with one hash."""
+    base = gen_net_scheme(4, SlopeGrouping.singletons(4))
+    given = [base.labels.astype(dt) for dt in (np.uint8, np.uint16, np.int32, np.int64)]
+    schemes = [validate_scheme(L) for L in given + [base.labels.tolist()]]
+    for scheme in schemes:
+        assert scheme.labels.dtype == np.min_scalar_type(base.d) == np.uint8
+        assert np.array_equal(scheme.labels, base.labels)
+        assert np.array_equal(scheme.intersection.p, base.intersection.p)
+        assert scheme == base and hash(scheme) == hash(base)
+    assert all(L.flags.writeable for L in given)  # the caller's arrays are left as they were
+
+
+@pytest.mark.parametrize("d, dtype", [(255, np.uint8), (256, np.uint16), (65536, np.uint32)])
+def test_label_matrix_narrows_to_the_smallest_dtype_that_holds_d(d, dtype):
+    labels = np.array([[0, d], [d, 0]], dtype=np.int64)
+    lm = LabelMatrix(v=2, d=d, labels=labels)
+    assert lm.labels.dtype == dtype
+    assert lm.labels.tolist() == labels.tolist()
+    assert not lm.labels.flags.writeable and lm.labels.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 256])
+def test_out_of_range_labels_are_rejected_in_any_dtype(bad):
+    """A label outside 0..d is named before narrowing, so 256 with d = 5
+    does not wrap to 0 in uint8, whatever dtype holds it."""
+    labels = np.zeros((3, 3), dtype=np.int64) + 1 - np.eye(3, dtype=np.int64)
+    labels[1, 2] = bad
+    message = r"^label out of range \[0, 5\] at \(1, 2\)$"
+    inputs = [labels.tolist()] + [labels.astype(dt) for dt in (
+        np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64)
+        if np.can_cast(np.min_scalar_type(bad), dt)]
+    assert len(inputs) >= 4
+    for given in inputs:
+        with pytest.raises(ValueError, match=message):
+            LabelMatrix(v=3, d=5, labels=given)
+
+
+def test_v1024_uint8_labels_answer_as_int64_ones():
+    """Above v = 255 a row index no longer fits uint8: validation, fusion and
+    the row-0 histogram on relabelled uint8 H(10,2) labels give the answers
+    the same labels give as int64."""
+    base = gen_hamming_binary(10)
+    perm = np.random.default_rng(3).permutation(base.v)
+    L8 = np.ascontiguousarray(base.labels[perm][:, perm])
+    L64 = L8.astype(np.int64)
+    assert L8.dtype == np.uint8 and base.v == 1024
+    scheme = validate_scheme(L8)
+    assert np.array_equal(scheme.labels, L64)
+    assert scheme.valencies == base.valencies
+    assert np.array_equal(scheme.intersection.p, base.intersection.p)
+    # the histogram's own arithmetic, on the whole int64 matrix at once
+    n, r0 = base.d + 1, L64[0]
+    key = (r0[:, None] * n + L64) * n + r0[None, :]
+    counts = np.bincount(key.ravel(), minlength=n ** 3).reshape(n, n, n)
+    for L in (L8, L64):
+        got, k = core._row0_counts(L, base.d)
+        assert np.array_equal(got, counts) and np.array_equal(k, np.bincount(r0, minlength=n))
+    odd_even = ClassPartition.from_blocks([range(1, 11, 2), range(2, 11, 2)], base.d)
+    fused = fuse_direct(scheme, odd_even).scheme
+    assert fused.labels.dtype == np.uint8
+    assert np.array_equal(fused.labels, odd_even.block_index()[L64])
+    assert np.array_equal(fused.intersection.p, validate_scheme(fused.labels).intersection.p)
 
 
 def test_scheme_equality_and_hash():

@@ -611,24 +611,6 @@ def test_enumeration_holds_no_memory():
     assert sorted(vars(scheme)) == ["_intersection", "_spectra", "label_matrix", "valencies"]
 
 
-def test_fusing_triples_hold_only_their_dual_partitions():
-    """The verifier's pass over the 680 triples of net(16; 1^17) holds each
-    triple's dual partition and no array: no fused eigenmatrix is built
-    for it (0.74 MiB held; the fused eigenmatrices would add 1.5 MiB)."""
-    scheme = net_with_group_sizes(16, [1] * 17)
-    am.spectral_decomposition(scheme)
-    tracemalloc.start()
-    try:
-        rhos = dict(fusion._fusing_triples(scheme, TOL))
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert list(rhos) == am.enumerate_fusing_tuples(scheme, 3)
-    assert all(type(rho) is am.ClassPartition and sorted(vars(rho)) == ["blocks", "d"]
-               for rho in rhos.values())
-    assert held < 1.25 * 2 ** 20
-
-
 # ------------------------------------------------------------- contraction
 
 def test_contraction_on_amorphic_net(monkeypatch):
@@ -780,6 +762,32 @@ def test_contraction_stacks(monkeypatch):
     assert all(fusion._contractions(scheme, pairs, TOL))
     assert (len(triples), len(pairs)) == (56, 280)
     assert stacks == {"_decide_merges": [64, 6], "_decide_contracted": [64, 64, 64, 64, 24]}
+
+
+def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
+    """H(6,2) has one fusing triple and no admissible pair, so the
+    verifier's contraction batch asks nothing, and witness B neither
+    histograms the parent's cells nor looks up its spectrum."""
+    scheme = am.gen_hamming_binary(6)
+    calls = []
+
+    def spy(name):
+        real = getattr(fusion, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, name, counted)
+
+    spy("_row0_counts")
+    report = am.verify_paper_claims(scheme)
+    contraction = next(r for r in report.records if r.claim == "contraction")
+    assert not contraction.applicable and contraction.witness == "0 admissible pairs"
+    assert len(am.enumerate_fusing_tuples(scheme, 3)) == 1
+    spy("spectral_decomposition")
+    assert list(fusion._decide_contracted(scheme, {}, TOL)) == []
+    assert calls == []
 
 
 def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
