@@ -97,7 +97,6 @@ def load_scheme(path) -> AssociationScheme:
         if len(tokens) != v:
             raise ParseError(f"expected {v} labels, found {len(tokens)}", line=lineno)
     labels = labels.reshape(v, v)
-    labels.flags.writeable = False  # handed over, not copied
     try:
         lm = LabelMatrix(v=v, d=d, labels=labels)
     except ValueError as exc:  # the shape is v x v, so a label is out of range
@@ -127,8 +126,7 @@ def save_scheme(scheme: AssociationScheme, path, comment: str | None = None) -> 
         if comment:
             fh.writelines(f"# {line}\n" for line in comment.splitlines())
         fh.write(f"{scheme.v} {scheme.d}\n")
-        for row in scheme.labels:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+        np.savetxt(fh, scheme.labels, fmt="%d")
 
 
 def _fmt(x) -> str:

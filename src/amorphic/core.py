@@ -24,9 +24,9 @@ The margin rule is one check on P's class columns.  Idempotents and Krein
 parameters are read off class values, with no v x v product: a matrix
 sum_c x_c A_c is given by its d + 1 values x_c, and as the A_c are
 disjoint and none is empty, it is within a bound on every cell exactly
-when each x_c is, and its largest cell is its largest |x_c|.  Each scheme
-caches its tensor and its spectral data on the instance, and nothing
-else (see :class:`AssociationScheme`).
+when each x_c is, and its largest cell is its largest |x_c|.  A scheme is
+built with its tensor, caches its spectral data on the instance, and
+keeps nothing else (see :class:`AssociationScheme`).
 """
 
 from __future__ import annotations
@@ -189,10 +189,10 @@ class LabelMatrix:
 class AssociationScheme:
     """A validated symmetric association scheme.
 
-    Instances are produced by :func:`validate_scheme` or, for generated
-    schemes, :func:`_translation_scheme`, which pass in the intersection
-    tensor they computed, and are immutable.  Two derived data are cached
-    per instance: the intersection tensor, and spectral data, one entry
+    Instances are produced, with their intersection tensor, by
+    :func:`validate_scheme`, by :func:`_translation_scheme` for generated
+    schemes and by :func:`~amorphic.fusion.fuse_direct` for fused ones,
+    and are immutable.  Spectral data are cached per instance, one entry
     per :class:`Tolerance`.
 
     Nothing else is kept: a fusion answer is its caller's return value,
@@ -203,7 +203,7 @@ class AssociationScheme:
     """
 
     def __init__(self, label_matrix: LabelMatrix, valencies: tuple[int, ...],
-                 intersection: "IntersectionTensor | None" = None):
+                 intersection: "IntersectionTensor"):
         self.label_matrix = label_matrix
         self.valencies = valencies
         self._intersection = intersection
@@ -227,8 +227,6 @@ class AssociationScheme:
 
     @property
     def intersection(self) -> "IntersectionTensor":
-        if self._intersection is None:
-            self._intersection = intersection_numbers(self)
         return self._intersection
 
     @property
@@ -288,9 +286,10 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class IdempotentBasis:
-    """Minimal idempotents E_0..E_d assembled from the Q columns."""
+    """Minimal idempotents E_0..E_d by class values: E_j is values[c, j] =
+    Q[c, j] / v on class c, so no v x v E_j is formed."""
 
-    E: tuple[np.ndarray, ...]
+    values: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL)
 
 
@@ -720,15 +719,9 @@ def _schur_counts(rows: np.ndarray, ra: np.ndarray, n: int) -> np.ndarray:
 
 
 def intersection_numbers(scheme: AssociationScheme) -> IntersectionTensor:
-    """Exact tensor p[i][j][h] of a scheme, read from one histogram.
-
-    :func:`validate_scheme` attaches the tensor to the schemes it returns,
-    so this runs only for schemes built without validation (the output of
-    :func:`~amorphic.fusion.fuse_direct`).  Closure is already proven for
-    those, so p = counts / k_h is exact and no product is formed.  O(v^2).
-    """
-    counts, k = _row0_counts(scheme.labels, scheme.d)
-    return IntersectionTensor(counts // k)
+    """Exact tensor p[i][j][h] of a scheme: the one it was built with (a
+    validated, generated or fused scheme alike), with no v^2 work."""
+    return scheme.intersection
 
 
 def spectral_decomposition(scheme: AssociationScheme,
@@ -899,11 +892,11 @@ def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> Spectr
 
 
 def idempotents(scheme: AssociationScheme, spec: SpectralData | None = None) -> IdempotentBasis:
-    """Assemble E_j = (1/v) sum_i Q[i][j] A_i and verify the basis axioms.
+    """The basis E_j = (1/v) sum_i Q[i][j] A_i, checked against its axioms.
 
-    E_j is the gather ``(Q / v)[labels, j]``, symmetric as the labels are,
-    and the axioms are checked on class values (see the module docstring),
-    in order: E_0 = J/v; sum_j E_j = I; then for each j, trace E_j = Q[0,
+    E_j is held as its class values Q / v (see :class:`IdempotentBasis`),
+    and the axioms are checked on them, not on the labels (see the module
+    docstring), in order: E_0 = J/v; sum_j E_j = I; then for each j, trace E_j = Q[0,
     j] = m_j and E_j E_h = delta_jh E_j for h >= j, where E_j E_h = sum_c
     C[j, h, c] A_c with C[j, h, c] = v^-2 sum_{i, l} Q_ij Q_lh p_il^c.
     """
@@ -925,7 +918,7 @@ def idempotents(scheme: AssociationScheme, spec: SpectralData | None = None) -> 
         bad = np.flatnonzero(resid[j, j:] > scale.atol + scale.rtol)
         if bad.size:
             raise IdempotencyViolation(j, float(resid[j, j + bad[0]]))
-    return IdempotentBasis(E=tuple(e[scheme.labels, j] for j in range(n)), tol=tol)
+    return IdempotentBasis(values=e, tol=tol)
 
 
 def krein_parameters(scheme: AssociationScheme, basis: IdempotentBasis,
@@ -933,15 +926,14 @@ def krein_parameters(scheme: AssociationScheme, basis: IdempotentBasis,
     """q[i][j][h] = (v/m_h) trace((E_i o E_j) E_h), checked nonnegative.
 
     Class c holds v k_c cells, so q_ij^h = (v m_h)^-1 sum_c k_c Q_ci Q_cj
-    Q_ch, with Q_cj = v E_j at row 0's first cell of class c.  The first
-    entry with i <= j below -v atol, in row-major order, raises; the rest
-    are clamped at 0, and q_jj^0 = m_j must hold.
+    Q_ch, with Q_cj = v E_j on class c, the basis's values times v.  The
+    first entry with i <= j below -v atol, in row-major order, raises; the
+    rest are clamped at 0, and q_jj^0 = m_j must hold.
     """
     spec = spec or scheme.spectral
     v, n, tol = scheme.v, scheme.d + 1, basis.tol
     m = np.asarray(spec.multiplicities, dtype=float)
-    first = np.argmax(scheme.labels[0] == np.arange(n)[:, None], axis=1)
-    Q = v * np.stack([E[0, first] for E in basis.E], axis=1)
+    Q = v * basis.values
     q = np.einsum("c,ci,cj,ch->ijh", scheme.valencies, Q, Q, Q, optimize=True) / (v * m)
     upper = np.triu(np.ones((n, n), dtype=bool))[:, :, None]
     negative = (q < -tol.atol * v) & upper

@@ -54,6 +54,7 @@ import numpy as np
 from .core import (
     AssociationScheme,
     DEFAULT_TOL,
+    IntersectionTensor,
     LabelMatrix,
     SpectralData,
     Tolerance,
@@ -351,14 +352,21 @@ def _partition_of(labels: np.ndarray) -> ClassPartition:
     return ClassPartition(d=len(labels) - 1, blocks=tuple(map(tuple, groups.values())))
 
 
+def _block_sums(p: np.ndarray, pi: ClassPartition) -> np.ndarray:
+    """F[I, J, h] = sum_{i in I, j in J} p_ij^h over the blocks I, J of pi;
+    when pi fuses, F at the first class of block H is the fused p_IJ^H."""
+    idx = pi.block_index()
+    F = np.zeros((pi.n_blocks, pi.n_blocks, pi.d + 1), dtype=np.int64)
+    np.add.at(F, (idx[:, None], idx[None, :]), p.astype(np.int64))
+    return F
+
+
 def _tensor_failure(p: np.ndarray, pi: ClassPartition) -> NotAFusion:
     """The exact oracle's rejection of pi on the intersection tensor p,
     naming the first block pair (I, J) and class h where the block sum
     moves; only this error path scans the block sums for it."""
-    idx = pi.block_index()
-    F = np.zeros((pi.n_blocks, pi.n_blocks, pi.d + 1), dtype=np.int64)
-    np.add.at(F, (idx[:, None], idx[None, :]), p.astype(np.int64))
-    rep = np.array([b[0] for b in pi.blocks])[idx]
+    F = _block_sums(p, pi)
+    rep = np.array([b[0] for b in pi.blocks])[pi.block_index()]
     I, J, h = map(int, np.unravel_index(np.argmax(F != F[:, :, rep]), F.shape))
     return NotAFusion(
         f"partition {pi} does not fuse: the sum of p_ij^h over i in "
@@ -429,12 +437,13 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     """Exact oracle on the intersection tensor, then the fused scheme.
 
     The dual partition is read off the eigenmatrix criterion, which must
-    agree either way.  The fused scheme is built from the merged labels
-    without re-validation: the tensor check proves closure, and identity,
-    partition and symmetry carry over from the parent.  Each call builds a
-    new fused scheme with its own v x v labels, gathered from the block
-    index in the fused scheme's label dtype (uint8 up to 255 blocks, see
-    :class:`~amorphic.core.LabelMatrix`); the parent keeps none.
+    agree either way.  The fused scheme is built without re-validation:
+    the tensor check proves closure, and identity, partition and symmetry
+    carry over from the parent.  Its tensor is the block sums at each
+    block's first class, an O(d^3) fold; its v x v labels are gathered
+    from the block index in the fused label dtype (uint8 up to 255 blocks,
+    see :class:`~amorphic.core.LabelMatrix`).  Each call builds a new
+    fused scheme; the parent keeps none.
     """
     dual = _decide(scheme, pi, tol)
     if dual is None:
@@ -443,8 +452,9 @@ def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
     fused.flags.writeable = False  # handed over, not copied
     labels = LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=fused)
     valencies = tuple(sum(scheme.valencies[i] for i in b) for b in pi.blocks)
-    return FusionOutcome(scheme=AssociationScheme(labels, valencies), rho=dual.rho,
-                         P_fused=dual.P_fused)
+    F = _block_sums(scheme.intersection.p, pi)[:, :, [b[0] for b in pi.blocks]]
+    return FusionOutcome(scheme=AssociationScheme(labels, valencies, IntersectionTensor(F)),
+                         rho=dual.rho, P_fused=dual.P_fused)
 
 
 def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:

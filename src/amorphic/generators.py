@@ -121,14 +121,6 @@ class SmallField:
             if not holds:
                 raise FieldUnsupported(f"the tables for order {n} break the field axiom: {name}")
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(np.nonzero(self.mul[a] == 1)[0][0])
-
     def multiplicative_generator(self) -> int:
         n = self.order
         if n == 2:

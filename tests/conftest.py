@@ -1,4 +1,5 @@
-"""Shared fixtures, the label re-validation oracle, the per-class-cell
+"""Shared fixtures, the label re-validation oracle, the label histogram
+reference of the intersection tensor, the per-class-cell
 reference validator and closure witness scan, the v x v references of the
 idempotent basis and the Krein parameters, the class-by-class
 eigenvector split with its row-sort bookkeeping, the entry-by-entry
@@ -54,6 +55,19 @@ def fuse_by_relabeling(scheme, pi):
         return am.validate_scheme(am.LabelMatrix(v=scheme.v, d=pi.n_blocks - 1, labels=labels))
     except am.AxiomViolation:
         return None
+
+
+def tensor_by_label_histogram(scheme):
+    """Test-only reference for the tensor a scheme is built with: p_ij^h =
+    counts[i, j, h] / k_h, where counts[i, j, h] = #{(z, y): L[0, z] = i,
+    L[z, y] = j, L[0, y] = h} is one histogram of all v^2 cells of the
+    labels, keyed in int64 on the whole matrix at once.  Exact once closure
+    holds."""
+    L = scheme.labels.astype(np.int64)
+    n, r0 = scheme.d + 1, L[0]
+    key = (r0[:, None] * n + L) * n + r0[None, :]
+    counts = np.bincount(key.ravel(), minlength=n ** 3).reshape(n, n, n)
+    return counts // np.bincount(r0, minlength=n)
 
 
 def enumerate_partitions(d):
@@ -230,7 +244,7 @@ def closure_witness_by_class_scans(L, p, A_i, i, run):
 def idempotents_by_class_matrices(scheme, spec=None):
     """Test-only reference for ``idempotents``: each E_j summed from the
     v x v class matrices and every basis axiom checked on v x v matrices,
-    (d+1)(d+2)/2 products of them included."""
+    (d+1)(d+2)/2 products of them included.  Returns the E_j as a tuple."""
     spec = spec or scheme.spectral
     v, d, tol = scheme.v, scheme.d, spec.tol
     mats = [scheme.relation(i) for i in range(d + 1)]
@@ -256,15 +270,14 @@ def idempotents_by_class_matrices(scheme, spec=None):
             resid = float(np.max(np.abs(E[j] @ E[h] - target)))
             if resid > scale.atol + scale.rtol:
                 raise am.IdempotencyViolation(j, resid)
-    return am.IdempotentBasis(E=tuple(E), tol=tol)
+    return tuple(E)
 
 
-def krein_by_hadamard_sums(scheme, basis, spec=None):
+def krein_by_hadamard_sums(scheme, E, spec=None):
     """Test-only reference for ``krein_parameters``: each q_ij^h summed
-    over the v x v cells of E_i o E_j o E_h."""
+    over the v x v cells of E_i o E_j o E_h, given the v x v E_j."""
     spec = spec or scheme.spectral
-    v, d, tol = scheme.v, scheme.d, basis.tol
-    E = basis.E
+    v, d, tol = scheme.v, scheme.d, spec.tol
     m = spec.multiplicities
     q = np.zeros((d + 1, d + 1, d + 1), dtype=float)
     neg_bound = tol.atol * v

@@ -354,6 +354,23 @@ def test_v1024_generation_and_validation_peaks_are_bounded():
         assert peak < bound * v ** 2, peak / v ** 2
 
 
+def test_h10_idempotents_and_krein_peak_is_bounded():
+    """The idempotent basis and the Krein parameters of H(10,2), v = 1024,
+    are read off the 11 x 11 class values: together they peak under
+    1 MiB, where 11 dense 1024 x 1024 float64 E_j took 88 MiB."""
+    import tracemalloc
+    scheme = am.gen_hamming_binary(10)
+    am.spectral_decomposition(scheme)
+    tracemalloc.start()
+    try:
+        q = am.krein_parameters(scheme, am.idempotents(scheme)).q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (11, 11, 11)
+    assert peak < 2 ** 20, peak
+
+
 def test_verifier_holds_only_triple_types():
     """The verifier types each of the 680 fusing triples of net(16; 1^17) as
     the pass yields it and holds only the types, 0.40 MiB; the triples'

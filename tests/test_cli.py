@@ -34,6 +34,24 @@ def test_save_load_round_trip_byte_stable(tmp_path):
     assert am.load_scheme(p2) == scheme
 
 
+def saved_by_row_joins(scheme, comment):
+    """Test-only reference for a scheme file: the comment lines, the header
+    and one Python join of each row's labels."""
+    lines = [f"# {line}" for line in comment.splitlines()]
+    lines.append(f"{scheme.v} {scheme.d}")
+    lines += [" ".join(str(int(x)) for x in row) for row in scheme.labels]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_saved_bytes_match_row_joins(corpus, tmp_path):
+    """save_scheme writes the row-join format byte for byte on the corpus
+    and H(8,2)."""
+    for name, scheme in corpus + [("H(8,2)", am.gen_hamming_binary(8))]:
+        path = tmp_path / f"{name}.scheme"
+        am.save_scheme(scheme, path, comment=name)
+        assert path.read_bytes() == saved_by_row_joins(scheme, name), name
+
+
 def test_multi_line_comment_round_trips(tmp_path):
     """Every line of a comment is written as its own comment line."""
     scheme = am.gen_hamming_binary(3)

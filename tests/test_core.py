@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -799,9 +800,7 @@ def test_eigenvalues_against_full_adjacency():
                    gen_net_scheme(3, SlopeGrouping.singletons(3)),
                    gen_cyclotomic(CyclotomicSpec(q=13, d=2))):
         spec = spectral_decomposition(scheme)
-        basis = idempotents(scheme, spec)
-        for j in range(scheme.d + 1):
-            Ej = basis.E[j]
+        for j, Ej in enumerate(dense_idempotents(scheme, idempotents(scheme, spec))):
             for i in range(scheme.d + 1):
                 A = scheme.relation(i).astype(float)
                 assert np.max(np.abs(A @ Ej - spec.P[j, i] * Ej)) < 1e-7
@@ -1051,24 +1050,29 @@ def test_irrational_entries_not_snapped():
 
 # ----------------------------------------------------------- idempotents
 
+def dense_idempotents(scheme, basis):
+    """The v x v E_j of a basis, gathered from its class values."""
+    return tuple(basis.values[scheme.labels, j] for j in range(scheme.d + 1))
+
+
 def test_idempotents_of_complete_scheme_closed_form():
     v = 6
     scheme = gen_complete(v)
-    basis = idempotents(scheme)
+    E = dense_idempotents(scheme, idempotents(scheme))
     J = np.full((v, v), 1.0 / v)
-    assert np.max(np.abs(basis.E[0] - J)) < 1e-9
-    assert np.max(np.abs(basis.E[1] - (np.eye(v) - J))) < 1e-9
+    assert np.max(np.abs(E[0] - J)) < 1e-9
+    assert np.max(np.abs(E[1] - (np.eye(v) - J))) < 1e-9
 
 
 def test_idempotent_invariants():
     scheme = gen_net_scheme(4, SlopeGrouping.singletons(4))
     spec = spectral_decomposition(scheme)
-    basis = idempotents(scheme, spec)
+    E = dense_idempotents(scheme, idempotents(scheme, spec))
     v = scheme.v
-    for j, Ej in enumerate(basis.E):
+    for j, Ej in enumerate(E):
         assert np.max(np.abs(Ej @ Ej - Ej)) < 1e-8 * v
         assert abs(np.trace(Ej) - spec.multiplicities[j]) < 1e-7
-    total = sum(basis.E)
+    total = sum(E)
     assert np.max(np.abs(total - np.eye(v))) < 1e-8 * v
 
 
@@ -1092,9 +1096,32 @@ def test_idempotents_and_krein_match_the_vxv_references(corpus):
     assert not schemes[-2].spectral.P_integer_mask.all()
     for scheme in schemes:
         basis, ref = idempotents(scheme), idempotents_by_class_matrices(scheme)
-        assert all(np.array_equal(E, F) for E, F in zip(basis.E, ref.E))
+        E = dense_idempotents(scheme, basis)
+        assert len(E) == len(ref) and all(np.array_equal(Ej, Fj) for Ej, Fj in zip(E, ref))
         q = krein_parameters(scheme, basis).q
         assert np.max(np.abs(q - krein_by_hadamard_sums(scheme, ref).q)) < 1e-9
+
+
+def test_idempotents_and_krein_read_no_labels(corpus):
+    """The basis and the Krein parameters come from the tensor and the
+    spectrum alone: on a scheme whose labels cannot be read they are the
+    plain scheme's, bit for bit, on the corpus and H(8,2)."""
+
+    class NoLabels(AssociationScheme):
+        @property
+        def labels(self):
+            raise AssertionError("the labels were read")
+
+    for name, scheme in corpus + [("H(8,2)", gen_hamming_binary(8))]:
+        basis = idempotents(scheme)
+        q = krein_parameters(scheme, basis).q
+        no_matrix = SimpleNamespace(v=scheme.v, d=scheme.d)  # v and d, and no labels
+        blind = NoLabels(no_matrix, scheme.valencies, scheme.intersection)
+        with pytest.raises(AssertionError, match="labels were read"):
+            blind.labels
+        blind_basis = idempotents(blind)
+        assert blind_basis.values.tobytes() == basis.values.tobytes(), name
+        assert krein_parameters(blind, blind_basis).q.tobytes() == q.tobytes(), name
 
 
 # H(4,2): Q's row 0 is (1, 1, 4, 4, 6), k_1 = 4, k_2 = 6.  The trace and
@@ -1145,8 +1172,8 @@ def test_krein_nonnegative_and_symmetric():
 
 
 def basis_of_columns(scheme, Q):
-    """A class-constant basis E_j = Q[labels, j] / v, with no check."""
-    return IdempotentBasis(E=tuple(Q[scheme.labels, j] / scheme.v for j in range(scheme.d + 1)))
+    """The basis with class values Q / v, with no check."""
+    return IdempotentBasis(values=Q / scheme.v)
 
 
 @pytest.mark.parametrize("build, column, scale, indices", [
@@ -1166,7 +1193,7 @@ def test_krein_violations_match_the_reference(build, column, scale, indices):
     with pytest.raises(NegativeKrein) as err:
         krein_parameters(scheme, basis, spec)
     with pytest.raises(NegativeKrein) as ref:
-        krein_by_hadamard_sums(scheme, basis, spec)
+        krein_by_hadamard_sums(scheme, dense_idempotents(scheme, basis), spec)
     assert err.value.indices == ref.value.indices == indices
     assert err.value.value == pytest.approx(ref.value.value, rel=1e-9)
 

@@ -19,7 +19,7 @@ import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
 from conftest import (block_sums_by_full_tensor, dual_by_full_fold, enumerate_partitions,
                       fuse_by_relabeling, net_with_group_sizes, overlap_label_by_tables,
-                      row_sum_by_full_fold)
+                      row_sum_by_full_fold, tensor_by_label_histogram)
 
 TOL = am.DEFAULT_TOL
 
@@ -288,12 +288,29 @@ def test_three_oracles_agree_on_every_corpus_partition(corpus):
                 out = am.fuse_direct(scheme, pi)
                 assert out.scheme.valencies == relabeled.valencies, (name, str(pi))
                 assert out.scheme == relabeled, (name, str(pi))
-                # histogram tensor of the unvalidated fused scheme
+                # the folded tensor of the unvalidated fused scheme
                 assert np.array_equal(out.scheme.intersection.p,
                                       relabeled.intersection.p), (name, str(pi))
                 assert out.rho == dual.rho, (name, str(pi))
     assert checks == 1993
     assert fusions > 0
+
+
+def test_fused_tensor_is_the_fused_labels_histogram(corpus):
+    """The tensor fuse_direct folds from the parent's block sums is the
+    histogram of the fused labels, for every fusing pair and triple merge
+    of the corpus and for H(8,2) with odd and even distances merged."""
+    cases = [(name, scheme, am.ClassPartition.merge(scheme.d, T))
+             for name, scheme in corpus for r in (2, 3)
+             for T in am.enumerate_fusing_tuples(scheme, r)]
+    h8 = am.gen_hamming_binary(8)
+    cases.append(("H(8,2)", h8, am.ClassPartition.from_blocks([range(1, 9, 2), range(2, 9, 2)], 8)))
+    for name, scheme, pi in cases:
+        fused = am.fuse_direct(scheme, pi).scheme
+        p = fused.intersection.p
+        assert p.dtype == np.int64 and not p.flags.writeable, (name, str(pi))
+        assert np.array_equal(p, tensor_by_label_histogram(fused)), (name, str(pi))
+    assert len(cases) == 224 + 1  # the corpus's fusing pairs and triples, and H(8,2)
 
 
 # ------------------------------------------------- stacked single merges
@@ -792,7 +809,8 @@ def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
 
 def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
     """For every fusing triple T, the tensor folded from the parent's
-    histogram is the fused scheme's own tensor, integer for integer, and
+    histogram is the histogram of the fused scheme's labels, integer for
+    integer (a source fuse_direct's block sums do not share), and
     the eigenmatrix witness B derives from the parent's P and accepts is
     the fused scheme's eigh-based P up to row order."""
     seen = []
@@ -813,7 +831,7 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
         for chunk, p, k_fused, P in seen:
             for m, T in enumerate(chunk):
                 fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
-                assert np.array_equal(p[m], core.intersection_numbers(fused).p), (name, T)
+                assert np.array_equal(p[m], tensor_by_label_histogram(fused)), (name, T)
                 assert k_fused[m].tolist() == list(fused.valencies), (name, T)
                 eigh_P = am.spectral_decomposition(fused).P
                 assert (sorted(map(tuple, np.round(P[m], 6)))

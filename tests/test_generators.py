@@ -29,13 +29,25 @@ def test_field_tables_all_supported_orders():
         assert len(seen) == n - 1
 
 
+def field_sub(F, a, b):
+    """a - b in the field F, from its addition table and negation."""
+    return int(F.add[a, F.neg[b]])
+
+
+def field_inv(F, a):
+    """The inverse of a nonzero a in the field F, from its multiplication table."""
+    return int(np.flatnonzero(F.mul[a] == 1)[0])
+
+
 def test_field_inverse_and_subtraction():
+    """The negation table undoes addition and every nonzero element has an
+    inverse, which the pairwise label references below rely on."""
     F = SmallField(9)
     for a in range(9):
         for b in range(9):
-            assert F.add[F.sub(a, b), b] == a
+            assert F.add[field_sub(F, a, b), b] == a
         if a:
-            assert F.mul[a, F.inv(a)] == 1
+            assert F.mul[a, field_inv(F, a)] == 1
 
 
 @pytest.mark.parametrize("n", sorted(SUPPORTED_FIELD_ORDERS))
@@ -172,7 +184,7 @@ def net_labels_by_loops(n, grouping):
             if x1 == x2:
                 slope = n  # vertical
             else:
-                slope = int(F.mul[F.sub(y2, y1), F.inv(F.sub(x2, x1))])
+                slope = int(F.mul[field_sub(F, y2, y1), field_inv(F, field_sub(F, x2, x1))])
             labels[p1, p2] = labels[p2, p1] = group_of[slope] + 1
     return labels
 
@@ -188,7 +200,7 @@ def cyclotomic_labels_by_loops(q, d):
     labels = np.zeros((q, q), dtype=np.int64)
     for a in range(q):
         for b in range(a + 1, q):
-            labels[a, b] = labels[b, a] = dlog[F.sub(a, b)] % d + 1
+            labels[a, b] = labels[b, a] = dlog[field_sub(F, a, b)] % d + 1
     return labels
 
 

@@ -1,0 +1,149 @@
+"""A fixed catalogue of mutations of the library, each with the tests that
+must kill it: the record of what the two oracles, the two witnesses and
+their tests catch.
+
+Run from anywhere:  python3 tools/mutants.py
+
+First the named tests of every entry run on an unmutated copy and must
+pass, or nothing else runs.  Then, for each entry, the script copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a new temporary
+directory, replaces one exact snippet of one file by its mutation, and
+runs pytest there on the entry's named tests only (stopping at the first
+failure, BLAS threads 1, the copy's ``src/`` first on the path).  The
+mutant is killed when pytest reports a failed test (exit status 1) and
+survives when every named test passes; any other pytest status (a test
+id that no longer exists, a collection error) is reported as an error.
+A snippet that does not occur exactly once in its file is reported as
+stale and runs nothing.  The exit status is 0 only when every mutant is
+killed.
+
+It uses only the standard library and pytest, and is not part of the test
+suite (pytest collects ``tests/`` only).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    snippet: str  # occurs exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+CATALOGUE = (
+    # Witness B of the contraction claim (fusion._decide_contracted).
+    Mutant("witness-b-neighbouring-P", "src/amorphic/fusion.py",
+           "        P = np.array([dual.P_fused for dual in duals])\n",
+           "        P = np.roll(np.array([dual.P_fused for dual in duals]), 1, axis=0)\n",
+           ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
+            "tests/test_fusion.py::test_batched_contraction_matches_relabeling",
+            "tests/test_classify.py::test_verifier_reads_bm_check_duals")),
+    Mutant("witness-b-no-character-check", "src/amorphic/fusion.py",
+           "        _check_characters(chunk, p, k_fused, P, scheme.v, tol)\n",
+           "",
+           ("tests/test_fusion.py::test_witness_b_rejects_a_wrong_eigenmatrix",
+            "tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one")),
+    # The verifier's fusing triples (fusion._fusing_triples).
+    Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
+           "            yield chunk[m], _partition_of(lead[m])\n",
+           "            yield chunk[m], _partition_of(lead[m - 1])\n",
+           ("tests/test_classify.py::test_verifier_reads_bm_check_duals",
+            "tests/test_classify.py::test_verify_claims_types_each_triple_once")),
+    # The fused tensor fuse_direct folds from the parent's block sums.
+    Mutant("fused-tensor-at-first-classes", "src/amorphic/fusion.py",
+           "_block_sums(scheme.intersection.p, pi)[:, :, [b[0] for b in pi.blocks]]",
+           "_block_sums(scheme.intersection.p, pi)[:, :, :pi.n_blocks]",
+           ("tests/test_fusion.py::test_fused_tensor_is_the_fused_labels_histogram",)),
+    Mutant("block-sums-assigned-not-added", "src/amorphic/fusion.py",
+           "    np.add.at(F, (idx[:, None], idx[None, :]), p.astype(np.int64))\n",
+           "    F[idx[:, None], idx[None, :]] = p\n",
+           ("tests/test_fusion.py::test_fused_tensor_is_the_fused_labels_histogram",)),
+    # The idempotent basis and the Krein parameters read class values only.
+    Mutant("krein-reads-labels", "src/amorphic/core.py",
+           "    Q = v * basis.values\n",
+           "    Q = v * basis.values[np.unique(scheme.labels[0])]\n",
+           ("tests/test_core.py::test_idempotents_and_krein_read_no_labels",)),
+    Mutant("idempotents-gather-dense", "src/amorphic/core.py",
+           "    return IdempotentBasis(values=e, tol=tol)\n",
+           "    dense = [e[scheme.labels, j] for j in range(n)]\n"
+           "    return IdempotentBasis(values=e, tol=tol)\n",
+           ("tests/test_classify.py::test_h10_idempotents_and_krein_peak_is_bounded",
+            "tests/test_core.py::test_idempotents_and_krein_read_no_labels")),
+    # The scheme file format.
+    Mutant("save-tab-delimited", "src/amorphic/cli.py",
+           'np.savetxt(fh, scheme.labels, fmt="%d")',
+           'np.savetxt(fh, scheme.labels, fmt="%d", delimiter="\\t")',
+           ("tests/test_cli.py::test_saved_bytes_match_row_joins",)),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tests, edit=None) -> subprocess.CompletedProcess:
+    """pytest on ``tests`` in a fresh copy of the tree, with ``edit`` =
+    (file, new text) written into the copy first."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(tmp)
+        if edit:
+            (tmp / edit[0]).write_text(edit[1])
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tmp, env=env, capture_output=True, text=True)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """(outcome, detail) of one mutant: killed, SURVIVED, STALE or ERROR."""
+    source = (ROOT / mutant.file).read_text()
+    if source.count(mutant.snippet) != 1:
+        return "STALE", f"snippet occurs {source.count(mutant.snippet)} times in {mutant.file}"
+    proc = _pytest(mutant.tests, (mutant.file, source.replace(mutant.snippet, mutant.replacement)))
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    last = (failed or proc.stdout.strip().splitlines() or [""])[-1]
+    if proc.returncode == 1:
+        return "killed", last
+    if proc.returncode == 0:
+        return "SURVIVED", last
+    return "ERROR", f"pytest exit {proc.returncode}: {last}"
+
+
+def main() -> int:
+    start, failed = time.perf_counter(), 0
+    baseline = _pytest(sorted({test for m in CATALOGUE for test in m.tests}))
+    print(f"unmutated: {(baseline.stdout.strip().splitlines() or [''])[-1]}", flush=True)
+    if baseline.returncode != 0:
+        print(baseline.stdout[-2000:], baseline.stderr[-2000:], sep="\n")
+        return 1
+    for m in CATALOGUE:
+        began = time.perf_counter()
+        outcome, detail = run(m)
+        failed += outcome != "killed"
+        print(f"{outcome:8} {m.name} ({time.perf_counter() - began:.1f} s): {detail}", flush=True)
+    print(f"{len(CATALOGUE) - failed} of {len(CATALOGUE)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
