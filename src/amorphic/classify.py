@@ -24,16 +24,15 @@ from .errors import (
     WrongClassCount,
 )
 from .fusion import (
-    SURVIVING_CASES,
-    _admissible_pairs,
     _contractions,
     _decide_merges,
     _fusing_triples,
+    _outside,
     _overlap_labels,
-    _overlapping_pairs,
     _triple_type,
+    _triples_through,
 )
-from .hypergraph import UniformHypergraph, build_fusing_hypergraph, sunflower_cores
+from .hypergraph import _cores, build_fusing_hypergraph, sunflower_cores
 
 __all__ = [
     "LatinInfo",
@@ -423,26 +422,21 @@ def verify_paper_claims(scheme: AssociationScheme,
     The claims that ask many questions run as batched passes with the
     witnesses of their single-question forms.  One pass yields the fusing
     triples and types each off its dual partition (:func:`_triple_types`);
-    (f) and (h) read the types.  Contraction
-    (e) reads its admissible pairs off the triples and answers all of them
-    in :func:`~amorphic.fusion._contractions`: the parent's 4-set stacks
-    and stacks across the contracted schemes, which must agree.  The row
-    lemma (g) reads every row subset of one size off one closeness tensor
-    per principal part.  The overlap cases (h) group the triples on their
-    2-subsets and look each label up once per kinds-and-sizes key.
+    (f) and (h) read the types.  The cores (a, c), the contraction pairs (e)
+    and the overlapping pairs (h) are read off one map from each 2-subset
+    to the triples through it (:func:`~amorphic.fusion._triples_through`).
+    :func:`~amorphic.fusion._contractions` answers (e) with the parent's
+    4-set stacks and stacks across the contracted schemes, which must
+    agree.  The row lemma (g) reads every row subset of one size off one
+    closeness tensor per principal part.
     """
     d = scheme.d
     spec = spectral_decomposition(scheme, tol=tol)
     records: list[ClaimRecord] = []
 
     types = _triple_types(scheme, tol) if d >= 3 else {}
-    triples = list(types)
-    H3 = None
-    cores = []
-    if d >= 3:
-        # the relation-side 3-hypergraph's edges are exactly the fusing triples
-        H3 = UniformHypergraph(k=3, vertices=tuple(range(1, d + 1)), edges=frozenset(triples))
-        cores = sunflower_cores(H3)
+    through = _triples_through(types)
+    cores = _cores(through, d)
 
     @functools.cache  # claims (a), (b) and both dual claims share one verdict
     def verdict() -> bool:
@@ -456,20 +450,20 @@ def verify_paper_claims(scheme: AssociationScheme,
         witness=f"{len(cores)} cores" if d >= 5 else f"d={d} < 5"))
 
     # (b) complete fusing 3-hypergraph forces amorphicity (d >= 5)
-    applicable = d >= 5 and H3 is not None and H3.is_complete()
+    applicable = d >= 5 and len(types) == math.comb(d, 3)
     ok = verdict() if applicable else False
     records.append(ClaimRecord(
         "complete_3hypergraph_implies_amorphic", applicable, ok,
-        witness=f"{len(H3.edges) if H3 else 0} edges"))
+        witness=f"{len(types)} edges"))
 
     # (c) at d = 5, a sunflower core is itself a fusing pair; the cores are
     # asked as one stack of pair merges
     applicable = d == 5 and len(cores) >= 1
-    stacks = _decide_merges(scheme, [c.core for c in cores], tol) if applicable else []
+    stacks = _decide_merges(scheme, cores, tol) if applicable else []
     ok = all([bool(fused.all()) for _, _, fused, _ in stacks])
     records.append(ClaimRecord(
         "sunflower_core_fuses", applicable, applicable and ok,
-        witness=f"cores {[c.core for c in cores]}" if applicable else ""))
+        witness=f"cores {cores}" if applicable else ""))
 
     # (d) dual statements on the idempotent side, both on one hypergraph
     Hd = build_fusing_hypergraph(scheme, 3, side="idempotents", tol=tol) if d >= 5 else None
@@ -479,19 +473,18 @@ def verify_paper_claims(scheme: AssociationScheme,
         ok = verdict() if applicable else False
         records.append(ClaimRecord(name, applicable, ok))
 
-    # (e) contraction: every admissible (triple, outside class) pair, by
-    # two witnesses that must agree
-    pairs = _admissible_pairs(triples, d)
-    answers = _contractions(scheme, pairs, tol)
+    # (e) contraction: every fusing triple with each class that completes a
+    # second one through a 2-subset, by two witnesses that must agree
+    answers = _contractions(scheme, _outside(types, through), tol)
     records.append(ClaimRecord(
-        "contraction", bool(pairs), bool(pairs) and all(answers),
-        witness=f"{len(pairs)} admissible pairs"))
+        "contraction", bool(answers), bool(answers) and all(answers),
+        witness=f"{len(answers)} admissible pairs"))
 
     # (f) every fusing triple is exactly type 1 or type 2, read off its dual
-    applicable, ok = bool(triples), all(ty is not None for ty in types.values())
+    applicable, ok = bool(types), all(ty is not None for ty in types.values())
     records.append(ClaimRecord(
         "triple_types", applicable, applicable and ok,
-        witness=f"{len(triples)} fusing triples"))
+        witness=f"{len(types)} fusing triples"))
 
     # (g) row subsets of the principal parts have enough non-constant
     # columns; all subsets of one size are read off one closeness tensor
@@ -506,13 +499,9 @@ def verify_paper_claims(scheme: AssociationScheme,
     records.append(ClaimRecord("row_lemma", applicable, applicable and ok))
 
     # (h) overlapping fusing triples fall only in the surviving subcases
-    pairs = _overlapping_pairs(triples)
-    typed = [(T1, T2) for T1, T2 in pairs if types[T1] is not None and types[T2] is not None]
-    found = _overlap_labels(typed, types)
-    labels = set(found) - {None}
-    ok = len(typed) == len(pairs) and None not in found and labels <= SURVIVING_CASES
+    found = _overlap_labels(through, types)
     records.append(ClaimRecord(
-        "overlap_cases", bool(pairs), bool(pairs) and ok,
-        witness=",".join(sorted(labels))))
+        "overlap_cases", bool(found), bool(found) and None not in found,
+        witness=",".join(sorted(found - {None}))))
 
     return ClaimReport(records=tuple(records))

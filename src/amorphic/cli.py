@@ -24,6 +24,7 @@ from .core import (
     AssociationScheme,
     LabelMatrix,
     Tolerance,
+    _label_dtype,
     spectral_decomposition,
     validate_scheme,
 )
@@ -53,8 +54,9 @@ def load_scheme(path) -> AssociationScheme:
     Lines starting with '#' are comments.  A file that is not UTF-8 text,
     a malformed header or row, or a label outside 0..d raises
     :class:`ParseError` with the 1-based line (and column for bad tokens).
-    The data rows are converted to integers in one numpy conversion; only
-    when that fails are the tokens scanned, to name the first bad one.
+    The data rows go in one numpy conversion into the label dtype, which
+    :class:`LabelMatrix` takes without a copy (int64 if a label overflows
+    it); only when that fails are the tokens scanned, to name the first bad one.
     """
     path = Path(path)
     rows = []  # (tokens, line, line number) of each data row
@@ -81,9 +83,12 @@ def load_scheme(path) -> AssociationScheme:
     if header is None:
         raise ParseError("empty scheme file", line=1)
     v, d, hline = header
-    tokens = itertools.chain.from_iterable(t for t, _, _ in rows)
+    tokens = list(itertools.chain.from_iterable(t for t, _, _ in rows))
     try:
-        labels = np.array(list(tokens), dtype=np.int64)
+        try:
+            labels = np.array(tokens, dtype=_label_dtype(d))
+        except OverflowError:
+            labels = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         for row in rows:
             _integers(*row)
@@ -97,6 +102,7 @@ def load_scheme(path) -> AssociationScheme:
         if len(tokens) != v:
             raise ParseError(f"expected {v} labels, found {len(tokens)}", line=lineno)
     labels = labels.reshape(v, v)
+    labels.flags.writeable = False  # handed over, not copied
     try:
         lm = LabelMatrix(v=v, d=d, labels=labels)
     except ValueError as exc:  # the shape is v x v, so a label is out of range

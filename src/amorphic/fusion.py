@@ -35,6 +35,7 @@ folded from one histogram of the parent's labels and on eigenmatrices
 read off the parent's P and proven to be their character tables.  The
 18 overlap subcases are written once, as :data:`CASE_REPRESENTATIVES`,
 and a pair of triples gets the label of its :func:`_overlap_signature`.
+Both claims read their pairs off one map, :func:`_triples_through`.
 :func:`contraction_check`, :func:`classify_triple` and
 :func:`overlap_case` stay as single questions on the same code.
 
@@ -578,8 +579,7 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     class in 1..d outside t1, and some 2-subset of t1 together with ell
     also fuses.  By the contraction property the result must be True; the
     caller treats False as a falsification event.  The answer is
-    :func:`_contractions` on a batch of this one pair, both witnesses
-    included.
+    :func:`_contractions` on ``{t1: [ell]}``, both witnesses included.
     """
     t1 = tuple(sorted(t1))
     if not _is_triple(t1, scheme.d) or not 1 <= ell <= scheme.d or ell in t1:
@@ -590,22 +590,34 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
                for s in itertools.combinations(t1, 2)):
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
-    return _contractions(scheme, [(t1, ell)], tol)[0]
+    return _contractions(scheme, {t1: [ell]}, tol)[0]
 
 
-def _admissible_pairs(triples, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """The (triple, outside class) pairs the contraction claim covers, read
-    off the fusing triples: ell lies outside T and some 2-subset s of T has
-    s + {ell} among ``triples``.  Triples in the given order, ell ascending."""
-    fusing = set(triples)
-    return [(T, ell) for T in triples for ell in range(1, d + 1)
-            if ell not in T
-            and any(tuple(sorted(s + (ell,))) in fusing for s in itertools.combinations(T, 2))]
+def _triples_through(triples) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """Each 2-subset of the sorted ``triples`` and the triples through it,
+    in the given order.  Two distinct triples share at most one 2-subset,
+    so each pair sharing two classes lies in exactly one list."""
+    through: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for T in triples:
+        for s in itertools.combinations(T, 2):
+            through.setdefault(s, []).append(T)
+    return through
 
 
-def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool]:
-    """Whether the merged class of T still fuses with ell, for each
-    admissible pair (T, ell) of ``pairs``, from two witnesses.
+def _outside(triples, through: dict) -> dict[tuple[int, ...], list[int]]:
+    """outside[T]: the classes ell, ascending, that complete a second triple
+    of ``through`` with a 2-subset of T, for the T of ``triples`` that have one."""
+    outside = {}
+    for T in triples:
+        ells = {c for s in itertools.combinations(T, 2) for U in through[s] for c in U} - set(T)
+        if ells:
+            outside[T] = sorted(ells)
+    return outside
+
+
+def _contractions(scheme: AssociationScheme, outside: dict, tol: Tolerance) -> list[bool]:
+    """Whether the merged class of T still fuses with ell, for each T and
+    ell of ``outside[T]`` in that order (:func:`_outside`), from two witnesses.
 
     Witness A: the parent decides the merge of each distinct 4-set
     T + {ell} once, in :func:`_decide_merges` stacks on its cached tensor
@@ -618,14 +630,11 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
     witness A's answers.  Both witnesses run both oracles, and a pair on
     which they differ raises :class:`OracleDisagreement`.
     """
-    quads = sorted({tuple(sorted(T + (ell,))) for T, ell in pairs})
+    quads = sorted({tuple(sorted(T + (ell,))) for T, ells in outside.items() for ell in ells})
     parent = {}
     for chunk, _, fused, _ in _decide_merges(scheme, quads, tol):
         parent.update(zip(chunk, fused.tolist()))
-    outside: dict[tuple[int, ...], list[int]] = {}
-    for T, ell in pairs:
-        outside.setdefault(T, []).append(ell)
-    answers = {}
+    answers = []
     for asked, fused in _decide_contracted(scheme, outside, tol):
         for (T, ell), ok in zip(asked, fused.tolist()):
             quad = tuple(sorted(T + (ell,)))
@@ -633,8 +642,8 @@ def _contractions(scheme: AssociationScheme, pairs, tol: Tolerance) -> list[bool
                 raise OracleDisagreement(
                     f"contraction of {set(T)} with {ell}: the parent answers {parent[quad]} "
                     f"for merging {set(quad)}, the contracted scheme answers {ok}")
-            answers[(T, ell)] = ok
-    return [answers[pair] for pair in pairs]
+            answers.append(ok)
+    return answers
 
 
 def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance):
@@ -847,35 +856,23 @@ def overlap_case(spec, t1, t2) -> OverlapCase:
     return _overlap_from_types(t1, ty1, t2, ty2)
 
 
-def _overlapping_pairs(triples) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The pairs of ``triples`` (sorted tuples, ascending) that share
-    exactly two classes, in ``itertools.combinations`` order.
-
-    Two distinct triples through one 2-subset share exactly it, so grouping
-    the triples on their 2-subsets finds each pair once.
+def _overlap_labels(through: dict, types: dict) -> set[str | None]:
+    """The subcase labels of the overlapping pairs of fusing triples, the
+    pairs within the lists of ``through``, with ``types[T]`` the type of T
+    or None; None marks an untyped pair or a ruled-out case.  The label
+    depends only on the kinds and the intersection sizes, so it is looked
+    up once per (kinds, sizes) key.
     """
-    through: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for T in triples:
-        for s in itertools.combinations(T, 2):
-            through.setdefault(s, []).append(T)
-    return sorted(pair for group in through.values() for pair in itertools.combinations(group, 2))
-
-
-def _overlap_labels(pairs, types: dict) -> list[str | None]:
-    """The subcase label of each overlapping pair (T1, T2) of fusing
-    triples, with ``types[T]`` the type of T; None where the pair realizes
-    a ruled-out case.  The label depends only on the kinds and the
-    intersection sizes, so it is looked up once per (kinds, sizes) key.
-    """
-    memo: dict[tuple, str | None] = {}
-    labels = []
-    for T1, T2 in pairs:
-        a, b = types[T1], types[T2]
-        key = (a.kind, b.kind, _sizes(a.sets, b.sets))
-        if key not in memo:
-            label = _overlap_label(a.sets, b.sets)
-            memo[key] = label if label in SURVIVING_CASES else None
-        labels.append(memo[key])
+    memo: dict[tuple | None, str | None] = {None: None}  # key None: an untyped pair
+    labels = set()
+    for group in through.values():
+        for T1, T2 in itertools.combinations(group, 2):
+            a, b = types[T1], types[T2]
+            key = None if a is None or b is None else (a.kind, b.kind, _sizes(a.sets, b.sets))
+            if key not in memo:
+                label = _overlap_label(a.sets, b.sets)
+                memo[key] = label if label in SURVIVING_CASES else None
+            labels.add(memo[key])
     return labels
 
 

@@ -19,7 +19,8 @@ GF(n) is supported for the primes up to 31 and for 4, 8, 9, 16, 25, 27,
 32, 49, 64 and 81 (``SUPPORTED_FIELD_ORDERS``).  A prime power's tables
 are array operations on the base-p digits of its elements: one broadcast
 polynomial product, reduced by an irreducible modulus from
-``_IRREDUCIBLE``."""
+``_IRREDUCIBLE``.  A scheme above ``MAX_POINTS`` = 6561 points, the net on
+GF(81)^2, raises :class:`LimitExceeded` before any v x v table is made."""
 
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ __all__ = [
     "gen_complete",
     "SUPPORTED_FIELD_ORDERS",
 ]
+
+MAX_POINTS = 81 * 81
 
 # irreducible polynomial coefficients, lowest degree first, for each
 # supported prime power; prime fields need none
@@ -260,8 +263,9 @@ def gen_cyclotomic(spec: CyclotomicSpec) -> AssociationScheme:
 
 def gen_hamming_binary(m: int) -> AssociationScheme:
     """H(m, 2): points are binary m-tuples, class = Hamming distance."""
-    if not 1 <= m <= 10:
-        raise LimitExceeded(f"m must be in 1..10, got {m}")
+    top = MAX_POINTS.bit_length() - 1  # the largest m with 2^m <= MAX_POINTS
+    if not 1 <= m <= top:
+        raise LimitExceeded(f"m must be in 1..{top}, got {m}")
     v = 1 << m
     pts = np.arange(v, dtype=np.min_scalar_type(v - 1))
     row0 = np.zeros(v, dtype=np.int64)
@@ -275,6 +279,8 @@ def gen_complete(v: int) -> AssociationScheme:
     """The 1-class scheme K_v."""
     if v < 2:
         raise ValueError(f"need v >= 2, got {v}")
+    if v > MAX_POINTS:
+        raise LimitExceeded(f"v = {v} is above the generators' limit of {MAX_POINTS} points")
     # signed and holding v itself: g - a goes below 0 before the % v
     pts = np.arange(v, dtype=np.min_scalar_type(-v - 1))
     row0 = np.ones(v, dtype=np.int64)

@@ -11,7 +11,7 @@ from .core import AssociationScheme, DEFAULT_TOL, Tolerance, spectral_decomposit
 from .errors import OracleDisagreement, WrongUniformity
 # fuse_direct is unused here; bench/selftest.py looks the binding up in this module
 from .fusion import (ClassPartition, _merge_stacks, _partition_of, _reconcile, _stack,
-                     _stacked_row_sum, enumerate_fusing_tuples, fuse_direct)
+                     _stacked_row_sum, _triples_through, enumerate_fusing_tuples, fuse_direct)
 
 __all__ = [
     "UniformHypergraph",
@@ -101,19 +101,19 @@ def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
 
 
 def sunflower_cores(H: UniformHypergraph) -> list[SunflowerCore]:
-    """All 2-sets C such that C + {w} is an edge for every other vertex w.
+    """All 2-sets C, ascending, such that C + {w} is an edge for every other vertex w.
 
     Each such C is the core of a 3-sunflower subhypergraph whose edge union
     is the whole vertex set; distinct cores count as different sunflowers.
     """
     if H.k != 3:
         raise WrongUniformity(f"sunflower cores need k=3, got k={H.k}")
-    cores = []
-    for C in itertools.combinations(H.vertices, 2):
-        petals = [w for w in H.vertices if w not in C]
-        if petals and all(tuple(sorted(C + (w,))) in H.edges for w in petals):
-            cores.append(SunflowerCore(core=C))
-    return cores
+    return [SunflowerCore(core=C) for C in _cores(_triples_through(H.edges), len(H.vertices))]
+
+
+def _cores(through: dict, n: int) -> list[tuple[int, int]]:
+    """The 2-subsets in n - 2 of the 3-edges on n vertices grouped in ``through``."""
+    return sorted(C for C, edges in through.items() if len(edges) == n - 2)
 
 
 @dataclass(frozen=True)

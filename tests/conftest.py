@@ -8,8 +8,9 @@ finite-field tables, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references
 built on it, the single-merge amorphicity reference, the full-tensor
 references of the two fusion kernels and of the dual partition, the
-hand-written overlap label tables, and the acceptance-criteria summary
-lines.
+hand-written overlap label tables, the scanning references of the
+sunflower cores, contraction pairs and overlapping pairs, and the
+acceptance-criteria summary lines.
 
 The ``corpus`` fixture shares its schemes across the whole session.  A
 scheme keeps only its tensor and spectra, so every fusion question runs
@@ -459,6 +460,35 @@ def overlap_label_by_tables(sets_a, sets_b) -> str:
     if tuple(flat) not in table:
         raise am.Unclassified(("III", tuple(flat)))
     return table[tuple(flat)]
+
+
+def sunflower_cores_by_scan(H):
+    """Test-only reference for ``sunflower_cores``: each 2-subset C of the
+    vertices with C + {w} an edge for every other vertex w, found by
+    C(n, 2) (n - 2) membership tests, in ``itertools.combinations`` order."""
+    cores = []
+    for C in itertools.combinations(H.vertices, 2):
+        petals = [w for w in H.vertices if w not in C]
+        if petals and all(tuple(sorted(C + (w,))) in H.edges for w in petals):
+            cores.append(C)
+    return cores
+
+
+def admissible_pairs_by_lookup(triples, d):
+    """Test-only reference for the contraction pairs: (T, ell) with ell
+    outside T and some 2-subset s of T with s + {ell} among ``triples``,
+    one sorted-tuple lookup each; triples in the given order, ell ascending."""
+    fusing = set(triples)
+    return [(T, ell) for T in triples for ell in range(1, d + 1)
+            if ell not in T
+            and any(tuple(sorted(s + (ell,))) in fusing for s in itertools.combinations(T, 2))]
+
+
+def overlapping_pairs_by_filter(triples):
+    """Test-only reference for the overlapping pairs: the pairs of
+    ``triples`` that share exactly two classes, found by testing all
+    C(t, 2) pairs, in ``itertools.combinations`` order."""
+    return [(a, b) for a, b in itertools.combinations(triples, 2) if len(set(a) & set(b)) == 2]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -618,6 +618,60 @@ def test_verify_claims_types_each_triple_once(monkeypatch):
     assert len(typed) == 10 and criterion == []
 
 
+def test_verifier_bookkeeping_is_small_at_d33(monkeypatch):
+    """With all C(33, 3) triples fusing and every witness stubbed, what the
+    verifier itself holds, the map from 2-subsets to triples, the outside
+    classes and the answers, peaks under 8 MiB (a list of the 163,680
+    contraction pairs and the 245,520 overlapping pairs alone held 25 MiB)."""
+    import tracemalloc
+    from types import SimpleNamespace
+    d = 33
+    types = {T: am.TripleType(kind=1, sets=(frozenset(T),))  # the I.3 overlaps of a net
+             for T in itertools.combinations(range(1, d + 1), 3)}
+    asked = []
+
+    def contractions(scheme, outside, tol):
+        asked.append(sum(map(len, outside.values())))
+        return [True] * asked[-1]
+
+    vertices = tuple(range(1, d + 1))
+    monkeypatch.setattr(classify, "spectral_decomposition", lambda scheme, tol: None)
+    monkeypatch.setattr(classify, "_triple_types", lambda scheme, tol: types)
+    monkeypatch.setattr(classify, "_contractions", contractions)
+    monkeypatch.setattr(classify, "is_amorphic",
+                        lambda scheme, tol: classify.AmorphicVerdict(True, None, True))
+    monkeypatch.setattr(classify, "build_fusing_hypergraph",
+                        lambda scheme, k, side, tol: am.UniformHypergraph(3, vertices, frozenset(), side))
+    tracemalloc.start()
+    try:
+        report = am.verify_paper_claims(SimpleNamespace(d=d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    by_name = report.as_dict()
+    assert asked == [math.comb(d, 3) * (d - 3)]
+    assert by_name["two_sunflowers_imply_amorphic"]["witness"] == f"{math.comb(d, 2)} cores"
+    assert by_name["complete_3hypergraph_implies_amorphic"]["witness"] == "5456 edges"
+    assert by_name["overlap_cases"] == {"applicable": True, "verified": True, "witness": "I.3"}
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_untyped_overlapping_triple_fails_the_overlap_claim(monkeypatch):
+    """A fusing triple with neither dual shape fails claim (f), and every
+    overlapping pair through it fails claim (h): it is not skipped."""
+    scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
+    real = classify._triple_types
+    monkeypatch.setattr(classify, "_triple_types",
+                        lambda scheme, tol: {**real(scheme, tol), (1, 2, 3): None})
+    claims = _claims_with_a_fixed_verdict(monkeypatch, scheme)
+    assert claims["triple_types"].applicable and not claims["triple_types"].verified
+    overlap = claims["overlap_cases"]
+    assert overlap.applicable and not overlap.verified and overlap.witness == "I.3"
+    one = am.TripleType(kind=1, sets=(frozenset({1, 2, 3}),))
+    assert fusion._overlap_labels({(2, 3): [(1, 2, 3), (2, 3, 4)]},
+                                  {(1, 2, 3): None, (2, 3, 4): one}) == {None}
+
+
 def test_verifier_reads_bm_check_duals(corpus, monkeypatch):
     """The triples the verifier reads are the enumeration's, each dual
     partition it hands to claim (f) is bm_check's, and each fused

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import amorphic as am
@@ -279,6 +280,39 @@ def test_label_beyond_int64_is_a_parse_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["corpus", str(d)]) == 1
     assert capsys.readouterr().out == "b.scheme: ok\n"
+
+
+def test_load_scheme_hands_the_label_dtype_over(tmp_path, monkeypatch):
+    """The rows are parsed straight into the label dtype, uint8 for d = 3,
+    read-only, and LabelMatrix keeps that array without a copy."""
+    path = tmp_path / "h3.scheme"
+    am.save_scheme(am.gen_hamming_binary(3), path)
+    given = []
+    real = cli.LabelMatrix
+
+    def spy(v, d, labels):
+        given.append(labels)
+        return real(v=v, d=d, labels=labels)
+
+    monkeypatch.setattr(cli, "LabelMatrix", spy)
+    scheme = am.load_scheme(path)
+    (labels,) = given
+    assert labels.dtype == np.uint8 and not labels.flags.writeable
+    assert np.shares_memory(scheme.labels, labels)
+    assert scheme == am.gen_hamming_binary(3)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["complete", "-v", "6562"], "v = 6562 is above the generators' limit of 6561 points"),
+    (["hamming", "-m", "13"], "m must be in 1..12, got 13"),
+])
+def test_generate_above_the_point_limit_is_an_error(tmp_path, capsys, argv, message):
+    """A scheme above the generators' point bound is refused with an error
+    line and exit status 1, and no file is written."""
+    out = tmp_path / "big.scheme"
+    assert run_command(["generate", *argv, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_verify_command(h3_file, capsys):

@@ -17,9 +17,10 @@ import amorphic as am
 import amorphic.core as core
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
-from conftest import (block_sums_by_full_tensor, dual_by_full_fold, enumerate_partitions,
-                      fuse_by_relabeling, net_with_group_sizes, overlap_label_by_tables,
-                      row_sum_by_full_fold, tensor_by_label_histogram)
+from conftest import (admissible_pairs_by_lookup, block_sums_by_full_tensor, dual_by_full_fold,
+                      enumerate_partitions, fuse_by_relabeling, net_with_group_sizes,
+                      overlap_label_by_tables, overlapping_pairs_by_filter, row_sum_by_full_fold,
+                      tensor_by_label_histogram)
 
 TOL = am.DEFAULT_TOL
 
@@ -699,6 +700,17 @@ def _admissible_by_definition(scheme, triples):
                                     for s in itertools.combinations(T, 2))]
 
 
+def _outside_of(triples):
+    """The contraction claim's map T -> outside classes, read off the
+    fusing ``triples`` as the verifier reads it."""
+    return fusion._outside(triples, fusion._triples_through(triples))
+
+
+def _flat(outside):
+    """The (T, ell) pairs of an ``outside`` map, in its order."""
+    return [(T, ell) for T, ells in outside.items() for ell in ells]
+
+
 def _contraction_schemes(corpus):
     """The corpus schemes with d >= 4, and net(7; 1^8)."""
     schemes = [(name, s) for name, s in corpus if s.d >= 4]
@@ -707,17 +719,20 @@ def _contraction_schemes(corpus):
 
 
 def test_batched_contraction_matches_relabeling(corpus):
-    """The admissible pairs read off the fusing triples are the pairs that
-    meet contraction_check's preconditions, and the batched answers are the
-    relabeling reference's for merging T + {ell} in the parent."""
+    """The admissible pairs read off the map from 2-subsets to fusing
+    triples are the pairs that meet contraction_check's preconditions (and
+    the lookup reference's), and the batched answers, in the map's order,
+    are the relabeling reference's for merging T + {ell} in the parent."""
     checked = 0
     for name, scheme in _contraction_schemes(corpus):
         triples = am.enumerate_fusing_tuples(scheme, 3)
-        pairs = fusion._admissible_pairs(triples, scheme.d)
+        outside = _outside_of(triples)
+        pairs = _flat(outside)
         assert pairs == _admissible_by_definition(scheme, triples), name
+        assert pairs == admissible_pairs_by_lookup(triples, scheme.d), name
         want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T + (ell,))) is not None
                 for T, ell in pairs]
-        assert fusion._contractions(scheme, pairs, TOL) == want, name
+        assert fusion._contractions(scheme, outside, TOL) == want, name
         checked += len(pairs)
     assert checked > 280
 
@@ -749,7 +764,7 @@ def _flip_first(monkeypatch, on_parent):
 def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
     """Flipping one answer of either witness, in the batch or in a single
     contraction_check, raises OracleDisagreement naming both answers."""
-    scheme, pairs = _net5_pairs()
+    scheme, outside = _net5_outside()
     flipped = _flip_first(monkeypatch, on_parent)
     pattern = (r"contraction of \{1, 2, 3\} with 4: the parent answers (True|False) for "
                r"merging \{1, 2, 3, 4\}, the contracted scheme answers (True|False)")
@@ -757,7 +772,7 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
         if single:
             am.contraction_check(scheme, (1, 2, 3), 4)
         else:
-            fusion._contractions(scheme, pairs, TOL)
+            fusion._contractions(scheme, outside, TOL)
     assert flipped == [(1, 2, 3, 4) if on_parent else ((1, 2, 3), 4)]
 
 
@@ -767,7 +782,7 @@ def test_contraction_stacks(monkeypatch):
     schemes in stacks of 64 across triples."""
     scheme = net_with_group_sizes(7, [1] * 8)
     triples = am.enumerate_fusing_tuples(scheme, 3)
-    pairs = fusion._admissible_pairs(triples, scheme.d)
+    outside = _outside_of(triples)
     stacks = {"_decide_merges": [], "_decide_contracted": []}
     for name, sizes in stacks.items():
         def spy(*args, real=getattr(fusion, name), sizes=sizes):
@@ -776,8 +791,8 @@ def test_contraction_stacks(monkeypatch):
                 yield stack
 
         monkeypatch.setattr(fusion, name, spy)
-    assert all(fusion._contractions(scheme, pairs, TOL))
-    assert (len(triples), len(pairs)) == (56, 280)
+    assert all(fusion._contractions(scheme, outside, TOL))
+    assert (len(triples), len(_flat(outside))) == (56, 280)
     assert stacks == {"_decide_merges": [64, 6], "_decide_contracted": [64, 64, 64, 64, 24]}
 
 
@@ -852,20 +867,17 @@ def test_per_entry_tensors_match_shared_tensor(corpus):
                 assert np.array_equal(fusion._stacked_block_sums(copies, S, rep), shared), (name, r)
 
 
-def _net5_pairs():
-    """net(4; 1^5) and the admissible pairs of its fusing triples."""
+def _net5_outside():
+    """net(4; 1^5) and the outside classes of its fusing triples."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    return scheme, fusion._admissible_pairs(am.enumerate_fusing_tuples(scheme, 3), scheme.d)
+    return scheme, _outside_of(am.enumerate_fusing_tuples(scheme, 3))
 
 
 def test_witness_b_reads_no_parent_tensor(monkeypatch):
     """Witness B answers on a scheme whose spectra are cached and whose
     intersection tensor cannot be read, as it does on the plain scheme;
     its eigenmatrices come from P by the row-sum kernel alone."""
-    scheme, pairs = _net5_pairs()
-    outside = {}
-    for T, ell in pairs:
-        outside.setdefault(T, []).append(ell)
+    scheme, outside = _net5_outside()
     want = [(asked, fused.tolist()) for asked, fused in fusion._decide_contracted(scheme, outside, TOL)]
 
     class NoTensor(am.AssociationScheme):
@@ -882,7 +894,7 @@ def test_witness_b_reads_no_parent_tensor(monkeypatch):
         monkeypatch.setattr(fusion, name, None)
     got = [(asked, fused.tolist()) for asked, fused in fusion._decide_contracted(blind, outside, TOL)]
     assert got == want
-    assert len(got) == 1 and len(got[0][0]) == len(pairs) == 20
+    assert len(got) == 1 and len(got[0][0]) == len(_flat(outside)) == 20
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -895,7 +907,7 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(monkeypatch, tamper, message):
     table is refused, naming the triple and the check: the fused
     eigenmatrix of {1, 2, 3}, the first that witness B derives, is
     tampered with as _duals returns it."""
-    scheme, pairs = _net5_pairs()
+    scheme, outside = _net5_outside()
     real = fusion._duals
 
     def tampered(*args):
@@ -908,7 +920,7 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(monkeypatch, tamper, message):
     monkeypatch.setattr(fusion, "_duals", tampered)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: contracted eigenmatrix: " + message):
-        fusion._contractions(scheme, pairs, TOL)
+        fusion._contractions(scheme, outside, TOL)
 
 
 @pytest.mark.parametrize("cell, message", [
@@ -919,7 +931,7 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(monkeypatch, tamper, message):
 def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
     """One count off in the histogram witness B folds is caught: as a
     count k' does not divide, or else by the eigenmatrix check."""
-    scheme, pairs = _net5_pairs()
+    scheme, outside = _net5_outside()
     real = fusion._row0_counts
 
     def off_by_one(L, d):
@@ -930,7 +942,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 
     monkeypatch.setattr(fusion, "_row0_counts", off_by_one)
     with pytest.raises(am.OracleDisagreement, match=r"contraction of \{1, 2, 3\}: " + message):
-        fusion._contractions(scheme, pairs, TOL)
+        fusion._contractions(scheme, outside, TOL)
 
 
 @pytest.mark.parametrize("kernel, side", [
@@ -940,7 +952,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     """A flipped answer of either kernel on a contracted pair raises
     _decide's text, naming the triple."""
-    scheme, pairs = _net5_pairs()
+    scheme, outside = _net5_outside()
     real = getattr(fusion, kernel)
 
     def flipped(tensor, S, *rest):
@@ -954,7 +966,7 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     monkeypatch.setattr(fusion, kernel, flipped)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: " + side + r" accepts 0\|1,2\|3 but"):
-        fusion._contractions(scheme, pairs, TOL)
+        fusion._contractions(scheme, outside, TOL)
 
 
 # ------------------------------------------------------------ overlap cases
@@ -1048,7 +1060,7 @@ def test_signature_matching_no_representative_is_unclassified():
     assert err.value.signature == (1, 2, (0, 3))
     types = {(1, 2, 3): am.TripleType(1, sets_a), (2, 3, 4): am.TripleType(2, sets_b)}
     with pytest.raises(am.Unclassified):
-        fusion._overlap_labels([((1, 2, 3), (2, 3, 4))], types)
+        fusion._overlap_labels(fusion._triples_through(types), types)
 
 
 def test_overlap_label_invariant_under_relabeling():
@@ -1103,20 +1115,26 @@ def _direct_labels(pairs, types):
 
 
 def test_memoized_overlap_labels_match_direct(corpus):
-    """Grouping on 2-subsets finds exactly the overlapping pairs, in
-    combinations order, and the labels memoized per signature are the
-    unmemoized ones on every overlapping pair."""
+    """The pairs within the lists of the map from 2-subsets to triples are
+    exactly the overlapping pairs, each once and each in combinations
+    order; the labels memoized per signature over the map are the
+    unmemoized ones of all overlapping pairs, and each pair asked alone
+    gets its unmemoized label."""
     schemes = [(name, s) for name, s in corpus if s.d >= 3]
     schemes.append(("net8", net_with_group_sizes(8, [1] * 9)))
     overlapping = 0
     for name, scheme in schemes:
         spec = am.spectral_decomposition(scheme)
         triples = am.enumerate_fusing_tuples(scheme, 3)
-        pairs = fusion._overlapping_pairs(triples)
-        assert pairs == [(a, b) for a, b in itertools.combinations(triples, 2)
-                         if len(set(a) & set(b)) == 2], name
+        through = fusion._triples_through(triples)
+        pairs = sorted(pair for group in through.values() for pair in itertools.combinations(group, 2))
+        assert pairs == overlapping_pairs_by_filter(triples), name
         types = {T: am.classify_triple(spec, T) for T in triples}
-        assert fusion._overlap_labels(pairs, types) == _direct_labels(pairs, types), name
+        direct = _direct_labels(pairs, types)
+        assert fusion._overlap_labels(through, types) == set(direct), name
+        for (a, b), label in zip(pairs, direct):
+            alone = {tuple(sorted(set(a) & set(b))): [a, b]}
+            assert fusion._overlap_labels(alone, types) == {label}, (name, a, b)
         overlapping += len(pairs)
     assert overlapping > 756
 
@@ -1133,6 +1151,8 @@ def test_overlap_labels_run_once_per_signature(monkeypatch):
     }
     pairs = [((1, 2, 3), (2, 3, 4)), ((1, 2, 5), (2, 5, 6)),
              ((3, 4, 5), (4, 5, 6)), ((3, 4, 7), (4, 7, 8))]
+    # each pair alone in the list of the 2-subset it shares
+    through = {tuple(sorted(set(a) & set(b))): [a, b] for a, b in pairs}
     real = fusion._overlap_label
     calls = []
 
@@ -1141,5 +1161,7 @@ def test_overlap_labels_run_once_per_signature(monkeypatch):
         return real(sets_a, sets_b)
 
     monkeypatch.setattr(fusion, "_overlap_label", counted)
-    assert fusion._overlap_labels(pairs, types) == ["I.3", "I.3", None, None]
+    assert fusion._overlap_labels(through, types) == {"I.3", None}
     assert calls == [(types[a].sets, types[b].sets) for a, b in (pairs[0], pairs[2])]
+    assert [fusion._overlap_labels({s: group}, types) for s, group in through.items()] == \
+        [{"I.3"}, {"I.3"}, {None}, {None}]

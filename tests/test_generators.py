@@ -85,15 +85,19 @@ def test_new_prime_fields_agree_with_full_validation(build):
 
 
 def test_hamming_valencies_are_binomials():
-    for m in (1, 2, 3, 4, 5, 6):
+    for m in (1, 2, 3, 4, 5, 6, 11):  # 11: v = 2048, within the 6561-point bound
         scheme = am.gen_hamming_binary(m)
         assert scheme.v == 2 ** m and scheme.d == m
         assert scheme.valencies == tuple(math.comb(m, i) for i in range(m + 1))
 
 
 def test_hamming_limit():
-    with pytest.raises(am.LimitExceeded):
-        am.gen_hamming_binary(11)
+    """H(m, 2) stops at m = 12, the largest 2^m within the 6561 points of
+    the net on GF(81)^2; m = 13 and m = 0 are refused before any array."""
+    with pytest.raises(am.LimitExceeded, match=r"^m must be in 1\.\.12, got 13$"):
+        am.gen_hamming_binary(13)
+    with pytest.raises(am.LimitExceeded, match=r"^m must be in 1\.\.12, got 0$"):
+        am.gen_hamming_binary(0)
 
 
 def test_net_scheme_valencies_from_group_sizes():
@@ -151,6 +155,9 @@ def test_complete_scheme():
     assert scheme.d == 1 and scheme.valencies == (1, 6)
     with pytest.raises(ValueError):
         am.gen_complete(1)
+    # just above the generators' 6561-point bound, before any v x v table
+    with pytest.raises(am.LimitExceeded, match=r"^v = 6562 is above the generators' limit of 6561 points$"):
+        am.gen_complete(6562)
 
 
 def test_standard_corpus_deterministic():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import amorphic as am
 import amorphic.fusion as fusion
-from conftest import idempotent_edges_by_all_partitions, net_with_group_sizes
+from conftest import (admissible_pairs_by_lookup, idempotent_edges_by_all_partitions,
+                      net_with_group_sizes, overlapping_pairs_by_filter, sunflower_cores_by_scan)
 
 
 def test_hamming3_fusing_graph_is_path():
@@ -40,6 +41,28 @@ def test_hamming5_single_sunflower_free():
     H = am.build_fusing_hypergraph(am.gen_hamming_binary(5), 3)
     assert H.sorted_edges() == [(1, 3, 5)]
     assert am.sunflower_cores(H) == []  # (1,3) misses petals 2 and 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_map_matches_the_scanning_references(data):
+    """On a random 3-uniform hypergraph on at most 9 vertices, the map from
+    2-subsets to edges gives the scan's sunflower cores, the filter's
+    overlapping pairs, each once, and the lookup's contraction pairs, in
+    order."""
+    n = data.draw(st.integers(3, 9), label="n")
+    every = list(itertools.combinations(range(1, n + 1), 3))
+    # small drops keep many cores, large ones give sparse hypergraphs
+    dropped = data.draw(st.sets(st.sampled_from(every)), label="dropped")
+    triples = [T for T in every if T not in dropped]
+    H = am.UniformHypergraph(k=3, vertices=tuple(range(1, n + 1)), edges=frozenset(triples))
+    assert [c.core for c in am.sunflower_cores(H)] == sunflower_cores_by_scan(H)
+    through = fusion._triples_through(triples)
+    pairs = sorted(pair for group in through.values() for pair in itertools.combinations(group, 2))
+    assert pairs == overlapping_pairs_by_filter(triples)
+    outside = fusion._outside(triples, through)
+    assert ([(T, ell) for T, ells in outside.items() for ell in ells]
+            == admissible_pairs_by_lookup(triples, n))
 
 
 def test_idempotent_side_hypergraph():
@@ -136,7 +159,7 @@ def test_fusion_answers_follow_relabelling(corpus, data):
             H = am.build_fusing_hypergraph(scheme, k, side=side)
             assert am.build_fusing_hypergraph(moved, k, side=side).edges == \
                 _moved(H.edges, relabel), (k, side)
-    for t1, t2 in fusion._overlapping_pairs(am.enumerate_fusing_tuples(scheme, 3)):
+    for t1, t2 in overlapping_pairs_by_filter(am.enumerate_fusing_tuples(scheme, 3)):
         (u1,), (u2,) = _moved([t1], perm), _moved([t2], perm)
         assert am.overlap_case(moved, u1, u2).label == am.overlap_case(scheme, t1, t2).label
 

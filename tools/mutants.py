@@ -63,6 +63,34 @@ CATALOGUE = (
            "            yield chunk[m], _partition_of(lead[m - 1])\n",
            ("tests/test_classify.py::test_verifier_reads_bm_check_duals",
             "tests/test_classify.py::test_verify_claims_types_each_triple_once")),
+    # The map from 2-subsets to fusing triples and what the verifier reads
+    # off it (fusion._triples_through, fusion._outside, fusion._overlap_labels,
+    # hypergraph._cores).
+    Mutant("sunflower-core-off-by-one", "src/amorphic/hypergraph.py",
+           "len(edges) == n - 2)",
+           "len(edges) == n - 3)",
+           ("tests/test_hypergraph.py::test_amorphic_net_complete_3hypergraph",
+            "tests/test_hypergraph.py::test_pair_map_matches_the_scanning_references")),
+    Mutant("map-lists-out-of-triple-order", "src/amorphic/fusion.py",
+           "through.setdefault(s, []).append(T)",
+           "through.setdefault(s, []).insert(0, T)",
+           ("tests/test_fusion.py::test_memoized_overlap_labels_match_direct",
+            "tests/test_hypergraph.py::test_pair_map_matches_the_scanning_references")),
+    Mutant("outside-keeps-own-classes", "src/amorphic/fusion.py",
+           "for U in through[s] for c in U} - set(T)",
+           "for U in through[s] for c in U}",
+           ("tests/test_hypergraph.py::test_pair_map_matches_the_scanning_references",
+            "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
+    Mutant("every-outside-class-admissible", "src/amorphic/fusion.py",
+           "for s in itertools.combinations(T, 2) for U in through[s] for c in U}",
+           "for group in through.values() for U in group for c in U}",
+           # the corpus has no class in a fusing triple that is not admissible
+           # with every triple, so only the random hypergraphs tell
+           ("tests/test_hypergraph.py::test_pair_map_matches_the_scanning_references",)),
+    Mutant("overlap-skips-untyped-pairs", "src/amorphic/fusion.py",
+           "            labels.add(memo[key])\n",
+           "            if key is not None:\n                labels.add(memo[key])\n",
+           ("tests/test_classify.py::test_untyped_overlapping_triple_fails_the_overlap_claim",)),
     # The fused tensor fuse_direct folds from the parent's block sums.
     Mutant("fused-tensor-at-first-classes", "src/amorphic/fusion.py",
            "_block_sums(scheme.intersection.p, pi)[:, :, [b[0] for b in pi.blocks]]",
@@ -83,7 +111,11 @@ CATALOGUE = (
            "    return IdempotentBasis(values=e, tol=tol)\n",
            ("tests/test_classify.py::test_h10_idempotents_and_krein_peak_is_bounded",
             "tests/test_core.py::test_idempotents_and_krein_read_no_labels")),
-    # The scheme file format.
+    # The scheme file format and its parse.
+    Mutant("load-scheme-parses-int64", "src/amorphic/cli.py",
+           "labels = np.array(tokens, dtype=_label_dtype(d))",
+           "labels = np.array(tokens, dtype=np.int64)",
+           ("tests/test_cli.py::test_load_scheme_hands_the_label_dtype_over",)),
     Mutant("save-tab-delimited", "src/amorphic/cli.py",
            'np.savetxt(fh, scheme.labels, fmt="%d")',
            'np.savetxt(fh, scheme.labels, fmt="%d", delimiter="\\t")',
