@@ -26,13 +26,14 @@ from .errors import (
 from .fusion import (
     _contractions,
     _decide_merges,
+    _dual_merges,
     _fusing_triples,
     _outside,
     _overlap_labels,
     _triple_type,
     _triples_through,
 )
-from .hypergraph import _cores, build_fusing_hypergraph, sunflower_cores
+from .hypergraph import _cores
 
 __all__ = [
     "LatinInfo",
@@ -204,14 +205,11 @@ def amorphic_oracle(scheme: AssociationScheme,
     """Exact check that every class partition fuses, decided on the
     C(d, 2) partitions that merge two classes.
 
-    The pair merges are decided together by
-    :func:`~amorphic.fusion._decide_merges`, a fixed number per stack, and
-    each pays only for its two classes: the block sums read the two tensor
-    slices at the pair, and the eigenmatrix row-sum criterion compares P's
-    own columns once per stack and the pair's folded column per merge.  Any
-    merge the two answer differently raises :class:`OracleDisagreement`.
-    No answer is kept on the scheme.  There is no bound on d: at d = 28 the
-    pass asks 378 merges.  For d <= 2 the pairs are every partition there
+    The pair merges are decided in one pass of both oracles,
+    :func:`~amorphic.fusion._decide_merges`; any merge the two answer
+    differently raises :class:`OracleDisagreement`.  No answer is kept on
+    the scheme.  There is no bound on d: at d = 28 the pass asks 378
+    merges.  For d <= 2 the pairs are every partition there
     is (none at d = 1).  For d >= 3 two lemmas on the block-sum criterion
     show that the pairs suffice.  Every p below is p_ij^h with i, j, h
     nontrivial and p_ij^h = p_ji^h.  Block sums over the block {0} need no
@@ -255,9 +253,9 @@ def amorphic_oracle(scheme: AssociationScheme,
     :func:`verify_paper_claims` can check that corollary against this
     oracle without assuming it.
     """
-    # every stack is decided, so a disagreement after the first no still raises
+    # every merge is decided, so a disagreement after the first no still raises
     pairs = itertools.combinations(range(1, scheme.d + 1), 2)
-    return all([bool(fused.all()) for _, _, fused, _ in _decide_merges(scheme, pairs, tol)])
+    return all([fused for _, fused, _ in _decide_merges(scheme, pairs, tol)])
 
 
 @dataclass(frozen=True)
@@ -424,10 +422,12 @@ def verify_paper_claims(scheme: AssociationScheme,
     triples and types each off its dual partition (:func:`_triple_types`);
     (f) and (h) read the types.  The cores (a, c), the contraction pairs (e)
     and the overlapping pairs (h) are read off one map from each 2-subset
-    to the triples through it (:func:`~amorphic.fusion._triples_through`).
+    to the triples through it (:func:`~amorphic.fusion._triples_through`),
+    and the dual cores (d) off the same map of the idempotent side's
+    3-edges (:func:`~amorphic.fusion._dual_merges`).
     :func:`~amorphic.fusion._contractions` answers (e) with the parent's
-    4-set stacks and stacks across the contracted schemes, which must
-    agree.  The row lemma (g) reads every row subset of one size off one
+    4-set answers and the contracted schemes', which must agree.  The row
+    lemma (g) reads every row subset of one size off one
     closeness tensor per principal part.
     """
     d = scheme.d
@@ -457,19 +457,20 @@ def verify_paper_claims(scheme: AssociationScheme,
         witness=f"{len(types)} edges"))
 
     # (c) at d = 5, a sunflower core is itself a fusing pair; the cores are
-    # asked as one stack of pair merges
+    # asked as one pass of pair merges
     applicable = d == 5 and len(cores) >= 1
-    stacks = _decide_merges(scheme, cores, tol) if applicable else []
-    ok = all([bool(fused.all()) for _, _, fused, _ in stacks])
+    ok = applicable and all([fused for _, fused, _ in _decide_merges(scheme, cores, tol)])
     records.append(ClaimRecord(
-        "sunflower_core_fuses", applicable, applicable and ok,
+        "sunflower_core_fuses", applicable, ok,
         witness=f"cores {cores}" if applicable else ""))
 
-    # (d) dual statements on the idempotent side, both on one hypergraph
-    Hd = build_fusing_hypergraph(scheme, 3, side="idempotents", tol=tol) if d >= 5 else None
+    # (d) dual statements on the idempotent side: its cores and its
+    # completeness are read off its 3-edges as (a) and (b) read the triples
+    dual = list(_dual_merges(scheme, 3, tol)) if d >= 5 else []
+    dual_cores = _cores(_triples_through(dual), d)
     for name, applicable in (
-            ("dual_two_sunflowers_imply_amorphic", Hd is not None and len(sunflower_cores(Hd)) >= 2),
-            ("dual_complete_3hypergraph_implies_amorphic", Hd is not None and Hd.is_complete())):
+            ("dual_two_sunflowers_imply_amorphic", d >= 5 and len(dual_cores) >= 2),
+            ("dual_complete_3hypergraph_implies_amorphic", d >= 5 and len(dual) == math.comb(d, 3))):
         ok = verdict() if applicable else False
         records.append(ClaimRecord(name, applicable, ok))
 

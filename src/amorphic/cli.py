@@ -7,7 +7,6 @@ machine-checked mathematical claim failed (falsification).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -24,6 +23,7 @@ from .core import (
     AssociationScheme,
     LabelMatrix,
     Tolerance,
+    _BLOCK_CELLS,
     _label_dtype,
     spectral_decomposition,
     validate_scheme,
@@ -54,18 +54,20 @@ def load_scheme(path) -> AssociationScheme:
     Lines starting with '#' are comments.  A file that is not UTF-8 text,
     a malformed header or row, or a label outside 0..d raises
     :class:`ParseError` with the 1-based line (and column for bad tokens).
-    The data rows go in one numpy conversion into the label dtype, which
-    :class:`LabelMatrix` takes without a copy (int64 if a label overflows
-    it); only when that fails are the tokens scanned, to name the first bad one.
+    The data rows are converted a block of about ``_BLOCK_CELLS`` labels at
+    a time, each in one numpy conversion, straight into the label array in
+    the label dtype, which :class:`LabelMatrix` takes without a copy; only
+    a block that fails is scanned token by token.  The first bad token or
+    non-UTF-8 line, in file order, comes first; then a label beyond int64,
+    the row count, a row's length, and the first label out of range.
     """
-    path = Path(path)
-    rows = []  # (tokens, line, line number) of each data row
-    header = None
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+    lines = Path(path).read_bytes().splitlines()
+    header, rows, block, pending = None, [], [], 0  # rows: (label count, line number) of each row
+    for lineno, raw in enumerate(lines, start=1):
         try:
             line = raw.decode()
         except UnicodeDecodeError as exc:
-            for row in rows:  # a bad token on an earlier line comes first
+            for row in block:  # a bad token on an earlier line comes first
                 _integers(*row)
             raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from exc
         stripped = line.strip()
@@ -77,38 +79,74 @@ def load_scheme(path) -> AssociationScheme:
                 raise ParseError("header must be 'v d'", line=lineno)
             if min(values) < 1:
                 raise ParseError("header needs v >= 1 and d >= 1", line=lineno)
-            header = (values[0], values[1], lineno)
-        else:
-            rows.append((stripped.split(), line, lineno))
+            v, d = header = values
+            hline, filled, beyond, wrong = lineno, 0, None, None
+            # a file of fewer bytes than v^2 cannot hold v rows of v labels
+            labels = np.empty(v * v if v * v <= sum(map(len, lines)) else 0, dtype=_label_dtype(d))
+            continue
+        tokens = stripped.split()
+        rows.append((len(tokens), lineno))
+        block.append((tokens, line, lineno))
+        pending += len(tokens)
+        if pending >= _BLOCK_CELLS:
+            filled, beyond, wrong = _convert(block, labels, filled, d, beyond, wrong)
+            block, pending = [], 0
     if header is None:
         raise ParseError("empty scheme file", line=1)
-    v, d, hline = header
-    tokens = list(itertools.chain.from_iterable(t for t, _, _ in rows))
-    try:
-        try:
-            labels = np.array(tokens, dtype=_label_dtype(d))
-        except OverflowError:
-            labels = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        for row in rows:
-            _integers(*row)
-        # every token is an integer, so one is beyond int64 and out of range
-        lineno = next(n for t, _, n in rows if any(abs(int(x)) >= 2 ** 63 for x in t))
-        raise ParseError(f"label out of range [0, {d}]", line=lineno) from exc
+    filled, beyond, wrong = _convert(block, labels, filled, d, beyond, wrong)
+    if beyond is not None:
+        raise ParseError(f"label out of range [0, {d}]", line=beyond)
     if len(rows) != v:
         raise ParseError(f"expected {v} data rows, found {len(rows)}",
-                         line=rows[-1][2] if rows else hline)
-    for tokens, _, lineno in rows:
-        if len(tokens) != v:
-            raise ParseError(f"expected {v} labels, found {len(tokens)}", line=lineno)
+                         line=rows[-1][1] if rows else hline)
+    for count, lineno in rows:
+        if count != v:
+            raise ParseError(f"expected {v} labels, found {count}", line=lineno)
     labels = labels.reshape(v, v)
+    if wrong is not None:  # the first label out of range in a block that failed
+        labels = labels.astype(np.int64)
+        labels.flat[wrong[0]] = wrong[1]
     labels.flags.writeable = False  # handed over, not copied
     try:
         lm = LabelMatrix(v=v, d=d, labels=labels)
     except ValueError as exc:  # the shape is v x v, so a label is out of range
         row = int(np.argwhere((labels < 0) | (labels > d))[0, 0])
-        raise ParseError(str(exc), line=rows[row][2]) from exc
+        raise ParseError(str(exc), line=rows[row][1]) from exc
     return validate_scheme(lm)
+
+
+def _convert(block, labels: np.ndarray, filled: int, d: int, beyond, wrong):
+    """Write the labels of the data rows in ``block``, (tokens, line, line
+    number) each, into ``labels`` after its first ``filled``; returns the
+    new fill, the line of the first label beyond int64 so far, and the
+    (index, value) of the first label outside 0..d so far in a block that
+    failed.
+
+    A block converts in one numpy conversion.  A block that fails, on a
+    bad token or a label the dtype cannot hold, is scanned token by token:
+    a bad token raises :class:`ParseError`, and a label outside 0..d is
+    stored as 0.  A block beyond the end of ``labels`` is scanned and not
+    stored; the row counts then fail.
+    """
+    tokens = [t for row in block for t in row[0]]
+    end = filled + len(tokens)
+    if end <= len(labels):
+        try:
+            labels[filled:end] = tokens
+            return end, beyond, wrong
+        except (ValueError, OverflowError):
+            pass
+    at = filled
+    for tokens, line, lineno in block:
+        values = _integers(tokens, line, lineno)
+        if beyond is None and not all(-2 ** 63 <= x < 2 ** 63 for x in values):
+            beyond = lineno
+        if wrong is None and not all(0 <= x <= d for x in values):
+            wrong = next((at + i, x) for i, x in enumerate(values) if not 0 <= x <= d)
+        if end <= len(labels):
+            labels[at:at + len(values)] = [x if 0 <= x <= d else 0 for x in values]
+        at += len(values)
+    return end, beyond, wrong
 
 
 def _integers(tokens: list[str], line: str, lineno: int) -> list[int]:

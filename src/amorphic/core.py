@@ -91,6 +91,11 @@ class Tolerance:
     def allclose(self, a, b) -> bool:
         return bool(np.all(self.isclose(a, b)))
 
+    def scaled(self, v: int) -> "Tolerance":
+        """This tolerance with atol times v and rtol as is: the bound of the
+        checks on sums of v terms, such as PQ = vI."""
+        return Tolerance(atol=self.atol * v, rtol=self.rtol)
+
     def snap(self, arr):
         """Round entries that sit within tolerance of an integer.
 
@@ -876,7 +881,7 @@ def _spectral_decomposition(scheme: AssociationScheme, tol: Tolerance) -> Spectr
     Q = v * np.linalg.inv(P)
     Q, q_mask = tol.snap(Q)
 
-    scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    scale = tol.scaled(v)
     if not scale.allclose(P @ Q, v * np.eye(d + 1)):
         raise DegenerateSpectrum("PQ = vI fails beyond tolerance")
     if d >= 1 and not tol.allclose(P[1:].sum(axis=1), np.zeros(d)):
@@ -903,7 +908,7 @@ def idempotents(scheme: AssociationScheme, spec: SpectralData | None = None) -> 
     spec = spec or scheme.spectral
     v, n, tol = scheme.v, scheme.d + 1, spec.tol
     e = spec.Q / v  # e[c, j]: the value of E_j on class c
-    scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    scale = tol.scaled(v)
     if not scale.allclose(e[:, 0], 1.0 / v):
         raise IdempotencyViolation(0, float(np.max(np.abs(e[:, 0] - 1.0 / v))))
     identity, total = np.eye(n)[0], sum(e[:, j] for j in range(n))
@@ -941,7 +946,7 @@ def krein_parameters(scheme: AssociationScheme, basis: IdempotentBasis,
         i, j, h = map(int, np.argwhere(negative)[0])
         raise NegativeKrein(i, j, h, float(q[i, j, h]))
     q = np.maximum(np.where(upper, q, q.transpose(1, 0, 2)), 0.0)
-    scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    scale = tol.scaled(v)
     for j in range(n):
         if not scale.close(q[j, j, 0], m[j]):
             raise NegativeKrein(j, j, 0, q[j, j, 0])

@@ -11,18 +11,14 @@ Any disagreement, a yes against a no either way, aborts with
 :class:`OracleDisagreement`.
 
 Each oracle has one kernel that answers a stack of partitions, on one
-tensor and eigenmatrix for the stack or one per entry, and pays only for
-the classes each partition merges: :func:`_stacked_block_sums` reads the
-tensor slices at merged classes, :func:`_stacked_row_sum` compares the
-eigenmatrix's own columns once per call and then merged blocks' columns;
-:func:`_duals` reads a stack's dual partitions off one product.  One
-helper, :func:`_reconcile`, runs both kernels on a stack and raises at the
-first entry they answer differently; every two-oracle question goes
-through it.  A single question (:func:`_decide`) is a stack of one; single
-merges of one size (:func:`_decide_merges`) come a fixed number per stack
-from one builder, :func:`_merge_stacks`, for the tuple enumeration, the
-amorphicity oracle, the idempotent side, the sunflower cores and the
-contraction claim.
+tensor and eigenmatrix for the stack or, by index, one per entry, and pays
+only for the classes each partition merges.  :func:`_reconcile` runs both
+kernels on a stack and raises at the first entry they answer differently;
+every two-oracle question goes through it.  Stacks are internal to this
+module: a single question (:func:`_decide`) is a stack of one, and the
+batched passes (:func:`_decide_merges`, :func:`_dual_merges`,
+:func:`_decide_contracted`) build theirs a fixed number of merges at a
+time (:func:`_merge_stacks`) and yield one answer per question, in order.
 
 Answers are return values: a scheme keeps only its tensor and spectra,
 and :func:`fuse_direct` builds a new fused scheme for each call.
@@ -265,13 +261,11 @@ def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray,
     integers below v (d+1)^2 < 2^53.
     """
     c, n, nb = S.shape
+    if p.ndim == 3:  # a shared tensor is a stack of one that every entry reads
+        p, own = p[None], np.zeros(c, dtype=np.int64)
     m, h = np.nonzero(rep != np.arange(n))
-    # slices[..., h, :, :] = p[..., :, :, h], one set per tensor if a stack
-    if p.ndim == 4:
-        slices, entry = p.transpose(0, 3, 1, 2), (m if own is None else own[m],)
-    else:
-        slices, entry = p.transpose(2, 0, 1), ()
-    diff = (slices[(*entry, h)] - slices[(*entry, rep[m, h])]).astype(np.float64)
+    entry, slices = m if own is None else own[m], p.transpose(0, 3, 1, 2)  # [e, h]: p[e, :, :, h]
+    diff = (slices[entry, h] - slices[entry, rep[m, h]]).astype(np.float64)
     sums = S.transpose(0, 2, 1)[:, None] @ diff.reshape(c, n - nb, n, n) @ S[:, None]
     return ~sums.reshape(c, -1).any(axis=1)
 
@@ -282,36 +276,38 @@ def _earlier_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, -1)
 
 
-def _stacked_row_sum(P: np.ndarray, S: np.ndarray,
-                     tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance,
+                     own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The row-sum criterion on a stack of partitions: fused[m] is True iff
     the rows of P S[m] fall into as many groups as S[m] has blocks, with
     row 0 alone; lead[m, j] is the leader of row j's group.  ``P`` is one
-    eigenmatrix shared by the stack or one per entry, P[m].
+    eigenmatrix shared by the stack or a stack of them, of which entry m
+    reads P[own[m]] (P[m] when ``own`` is None), with no per-entry copy.
 
     Rows are close iff close under tol in every folded column.  A block of
     one class folds to P's own column, so the row pairs apart in each own
-    column are found once per call (per run of equal P[m]); per entry only
+    column are found once per run of entries reading one P; per entry only
     its merged blocks' columns are compared.  A row joins the first earlier
     leader it is close to, so closeness need not be transitive.
     """
     c, n, nb = S.shape
+    if P.ndim == 2:  # a shared eigenmatrix is a stack of one that every entry reads
+        P, own = P[None], np.zeros(c, dtype=np.int64)
+    elif own is None:
+        own = np.arange(c)
+    fresh = np.concatenate([[True], own[1:] != own[:-1]])  # the first entry of each run
+    first = np.flatnonzero(fresh)
     size = S.sum(axis=1)
     m, b = np.nonzero(size > 1)  # the merged blocks
-    merged = (P @ S)[m, :, b]
-    alone = (S @ (size == 1)[:, :, None])[:, :, 0]  # classes alone in their block
-    if P.ndim == 3:  # own columns once per run of equal P[m]
-        fresh = np.concatenate([[True], (P[1:] != P[:-1]).any(axis=(1, 2))])
-        own = np.zeros((c, fresh.sum(), n))
-        own[np.arange(c), np.cumsum(fresh) - 1] = alone
-        P, alone = P[fresh].transpose(1, 0, 2).reshape(n, -1), own.reshape(c, -1)
+    folded = np.concatenate([P[own[a]] @ S[a:z] for a, z in zip(first, np.r_[first[1:], c])])
+    # entry m reads its run's own columns of the classes alone in a block
+    alone = np.zeros((c, len(first), n))
+    alone[np.arange(c), np.cumsum(fresh) - 1] = (S @ (size == 1)[:, :, None])[:, :, 0]
     # apart[q, col]: row pair q differs in the column (own columns, then merged)
-    cols = np.concatenate([P, merged.T], axis=1)
+    cols = np.concatenate([P[own[first]].transpose(1, 0, 2).reshape(n, -1), folded[m, :, b].T], axis=1)
     later, earlier = _earlier_pairs(n)
-    x, y = cols[later], cols[earlier]
-    apart = ~(np.abs(x - y) <= np.maximum(np.abs(x), np.abs(y)) * tol.rtol + tol.atol)
-    # entry m reads its own columns of classes alone in a block, and its merged
-    reads = np.concatenate([alone, m == np.arange(c)[:, None]], axis=1)
+    apart = ~tol.isclose(cols[later], cols[earlier])
+    reads = np.concatenate([alone.reshape(c, -1), m == np.arange(c)[:, None]], axis=1)
     close = np.zeros((c, n, n), dtype=bool)
     close[:, later, earlier] = reads @ apart.T == 0
     # leader[j] depends only on leader[:j], so each pass fixes at least one
@@ -329,19 +325,18 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray,
     return fused, lead
 
 
-def _duals(P: np.ndarray, S: np.ndarray, fused: np.ndarray, lead: np.ndarray,
-           tol: Tolerance) -> list[DualPartition | None]:
-    """The dual partition and fused eigenmatrix of each accepted entry of a
-    stack (None for the others) from the row-sum kernel's answers on the
-    shared P: the leaders' rows of one product P S, snapped at once."""
+def _fused_eigenmatrices(P: np.ndarray, S: np.ndarray, lead: np.ndarray,
+                         tol: Tolerance) -> np.ndarray:
+    """The fused eigenmatrix of each entry of a stack that fuses on the
+    shared P, from the row-sum kernel's leaders: the leaders' rows of one
+    product P S, snapped at once."""
     c, n, nb = S.shape
-    duals: list[DualPartition | None] = [None] * c
-    accepted = np.flatnonzero(fused)
-    leaders = lead[accepted] == np.arange(n)
-    P_fused, _ = tol.snap((P @ S[accepted])[leaders].reshape(-1, nb, nb))
-    for m, P_m in zip(accepted.tolist(), P_fused):
-        duals[m] = DualPartition(rho=_partition_of(lead[m]), P_fused=P_m)
-    return duals
+    return tol.snap((P @ S)[lead == np.arange(n)].reshape(c, nb, nb))[0]
+
+
+def _dual(P: np.ndarray, S: np.ndarray, lead: np.ndarray, tol: Tolerance) -> DualPartition:
+    """The dual partition of a stack of one partition that fuses on P."""
+    return DualPartition(rho=_partition_of(lead[0]), P_fused=_fused_eigenmatrices(P, S, lead, tol)[0])
 
 
 def _partition_of(labels: np.ndarray) -> ClassPartition:
@@ -405,7 +400,7 @@ def _reconcile(p: np.ndarray, P: np.ndarray, S: np.ndarray, rep: np.ndarray, tol
     error, prefixed by ``where(m)``, at the first entry the two differ on.
     """
     exact = _stacked_block_sums(p, S, rep, own)
-    fused, lead = _stacked_row_sum(P if own is None else P[own], S, tol)
+    fused, lead = _stacked_row_sum(P, S, tol, own)
     differ = np.flatnonzero(exact != fused)
     if differ.size:
         m = differ[0]
@@ -430,7 +425,7 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     S, rep = _stack(pi.block_index()[None])
     P = spectral_decomposition(scheme, tol=tol).P
     fused, lead = _reconcile(scheme.intersection.p, P, S, rep, tol)
-    return _duals(P, S, fused, lead, tol)[0]
+    return _dual(P, S, lead, tol) if fused[0] else None
 
 
 def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
@@ -471,7 +466,7 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
     fused, lead = _stacked_row_sum(spec.P, S, spec.tol)
     if not fused[0]:
         raise _row_sum_failure(pi, lead[0])
-    return _duals(spec.P, S, fused, lead, spec.tol)[0]
+    return _dual(spec.P, S, lead, spec.tol)
 
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
@@ -485,41 +480,74 @@ def _decide_merges(scheme: AssociationScheme, merges, tol: Tolerance):
     """Whether each single merge in ``merges`` fuses, decided together.
 
     ``merges`` is what :func:`_merge_stacks` takes: sorted tuples of
-    nontrivial classes, all of one size.  Yields, per stack, (chunk, S,
-    fused, lead): the merges, their membership matrices, the answers and
-    the row-sum kernel's leaders, from which :func:`_duals` reads the dual
-    partitions.  Both kernels answer a whole stack before it is yielded, so
-    memory stays flat however many merges there are.  A merge the two
-    answer differently raises :class:`OracleDisagreement` with
-    :func:`_decide`'s text.
+    nontrivial classes, all of one size.  Yields one (merge, fused,
+    leaders) per merge, in order; :func:`_partition_of` reads the dual
+    partition off the row-sum kernel's leaders.  Both kernels answer a
+    whole stack before any of its merges is yielded, so memory stays flat
+    however many merges there are.  A merge the two answer differently
+    raises :class:`OracleDisagreement` with :func:`_decide`'s text.
     """
     for chunk, S, rep in _merge_stacks(scheme.d, merges):
         P = spectral_decomposition(scheme, tol=tol).P
-        yield (chunk, S, *_reconcile(scheme.intersection.p, P, S, rep, tol))
+        fused, lead = _reconcile(scheme.intersection.p, P, S, rep, tol)
+        yield from zip(chunk, fused.tolist(), lead)
 
 
 def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
                             tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """All k-subsets of nontrivial classes whose merge fuses.
 
-    The merges are decided in :func:`_decide_merges` stacks, by the exact
-    block sums and the eigenmatrix criterion together, at every v; only
-    their answers are read.
+    The merges are decided by :func:`_decide_merges`, by the exact block
+    sums and the eigenmatrix criterion together, at every v; only their
+    answers are read.
     """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     merges = itertools.combinations(range(1, scheme.d + 1), k)
-    return [T for chunk, _, fused, _ in _decide_merges(scheme, merges, tol)
-            for T, ok in zip(chunk, fused.tolist()) if ok]
+    return [T for T, fused, _ in _decide_merges(scheme, merges, tol) if fused]
 
 
 def _fusing_triples(scheme: AssociationScheme, tol: Tolerance):
     """Each fusing triple T, in :func:`enumerate_fusing_tuples` order, and
-    the dual partition of its merge, read off its stack's row-sum leaders."""
+    the dual partition of its merge."""
     merges = itertools.combinations(range(1, scheme.d + 1), 3)
-    for chunk, _, fused, lead in _decide_merges(scheme, merges, tol):
-        for m in np.flatnonzero(fused).tolist():
-            yield chunk[m], _partition_of(lead[m])
+    for T, fused, leaders in _decide_merges(scheme, merges, tol):
+        if fused:
+            yield T, _partition_of(leaders)
+
+
+def _dual_merges(scheme: AssociationScheme, k: int, tol: Tolerance):
+    """Each k-subset T of idempotents 1..d, in order, that some fusion's
+    dual partition merges exactly, keeping the other idempotents singleton.
+
+    By Bannai and Ito's duality of fusions (*Algebraic Combinatorics I*,
+    II.9) the row-sum criterion run on Q folded over rho = merge(T) yields
+    the only candidate class partition pi, and both oracles must then
+    return exactly rho for pi; the candidates of a :func:`_merge_stacks`
+    chunk (d + 2 - k blocks each) are confirmed in one stack before any T
+    of it is yielded.  Sound: every T passes the tensor test and the row
+    sums of P and of Q.  Complete: a fusion pi with dual partition rho
+    folds Q over rho into exactly |pi| distinct rows, grouped by pi.  A
+    failed confirmation means the numerics are wrong and raises
+    :class:`OracleDisagreement`.  There is no limit on d.
+    """
+    spec = spectral_decomposition(scheme, tol=tol)
+    for chunk, S, rep in _merge_stacks(scheme.d, itertools.combinations(range(1, scheme.d + 1), k)):
+        fused, lead = _stacked_row_sum(spec.Q, S, tol)
+        ask = np.flatnonzero(fused)
+        if ask.size:
+            # candidate m puts each class in the block of its leader on Q's side
+            idx = np.take_along_axis(np.cumsum(lead == np.arange(scheme.d + 1), axis=1) - 1, lead, 1)
+            found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)
+            # rep[m] leads the idempotents as rho = merge(T) does
+            wrong = ~found | (found_lead != rep[ask]).any(axis=1)
+            if wrong.any():
+                i = int(np.argmax(wrong))
+                raise OracleDisagreement(
+                    f"Q folded over idempotent partition {ClassPartition.merge(scheme.d, chunk[ask[i]])} "
+                    f"groups the classes as {_partition_of(lead[ask[i]])}, but the two oracles give "
+                    f"{_partition_of(found_lead[i]) if found[i] else 'no fusion'}")
+            yield from (chunk[m] for m in ask.tolist())
 
 
 @dataclass(frozen=True)
@@ -631,18 +659,15 @@ def _contractions(scheme: AssociationScheme, outside: dict, tol: Tolerance) -> l
     which they differ raises :class:`OracleDisagreement`.
     """
     quads = sorted({tuple(sorted(T + (ell,))) for T, ells in outside.items() for ell in ells})
-    parent = {}
-    for chunk, _, fused, _ in _decide_merges(scheme, quads, tol):
-        parent.update(zip(chunk, fused.tolist()))
+    parent = {quad: fused for quad, fused, _ in _decide_merges(scheme, quads, tol)}
     answers = []
-    for asked, fused in _decide_contracted(scheme, outside, tol):
-        for (T, ell), ok in zip(asked, fused.tolist()):
-            quad = tuple(sorted(T + (ell,)))
-            if parent[quad] != ok:
-                raise OracleDisagreement(
-                    f"contraction of {set(T)} with {ell}: the parent answers {parent[quad]} "
-                    f"for merging {set(quad)}, the contracted scheme answers {ok}")
-            answers.append(ok)
+    for (T, ell), ok in _decide_contracted(scheme, outside, tol):
+        quad = tuple(sorted(T + (ell,)))
+        if parent[quad] != ok:
+            raise OracleDisagreement(
+                f"contraction of {set(T)} with {ell}: the parent answers {parent[quad]} "
+                f"for merging {set(quad)}, the contracted scheme answers {ok}")
+        answers.append(ok)
     return answers
 
 
@@ -651,14 +676,15 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     each fusing triple T (T merged) fuses its merged class with each ell of
     ``outside[T]``, without building it.
 
-    Per :func:`_merge_stacks` chunk of triples, the tensors are folded from
-    one histogram of the parent's cells (:func:`_contracted_tensors`), and
-    the fused eigenmatrices, read off the parent's P by the row-sum kernel
-    and :func:`_duals`, are accepted only as their character tables
-    (:func:`_check_characters`).  Both kernels then ask the pairs {merged
-    class, ell} in :func:`_merge_stacks` over 0..d-2, each entry on its own
-    triple's tensor and eigenmatrix.  Yields, per stack, the (T, ell) asked
-    and the answers; a disagreement raises :class:`OracleDisagreement`.
+    Per :func:`_merge_stacks` chunk of triples, the fused eigenmatrices
+    are read off the parent's P (:func:`_fused_eigenmatrices`), the tensors
+    are folded from one histogram of the parent's cells
+    (:func:`_contracted_tensors`), and the eigenmatrices are accepted only
+    as the tensors' character tables (:func:`_check_characters`).  Both
+    kernels then ask the pairs {merged class, ell} in stacks over 0..d-2,
+    each entry on its own triple's tensor and eigenmatrix.  Yields one
+    ((T, ell), fused) per pair, in ``outside`` order.  A triple the parent
+    does not fuse, or a disagreement, raises :class:`OracleDisagreement`.
     With no triple asked it reads nothing, not even the parent's cells.
     """
     if not outside:
@@ -667,9 +693,12 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     counts, k = _row0_counts(scheme.labels, d)
     parent_P = spectral_decomposition(scheme, tol=tol).P
     for chunk, S, _ in _merge_stacks(d, outside):
+        fused, lead = _stacked_row_sum(parent_P, S, tol)
+        if not fused.all():
+            raise OracleDisagreement(f"contraction of {set(chunk[int(np.argmin(fused))])}: "
+                                     f"the parent's eigenmatrix does not fuse the triple")
+        P = _fused_eigenmatrices(parent_P, S, lead, tol)
         p, k_fused = _contracted_tensors(chunk, counts, k)
-        duals = _duals(parent_P, S, *_stacked_row_sum(parent_P, S, tol), tol)
-        P = np.array([dual.P_fused for dual in duals])
         _check_characters(chunk, p, k_fused, P, scheme.v, tol)
         # ell's block: ell less the classes of T above T[0] and below ell
         asked = [(m, ell, tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))))
@@ -678,9 +707,9 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
         for pairs, S2, rep in _merge_stacks(d - 2, [pair for *_, pair in asked]):
             here = list(itertools.islice(todo, len(pairs)))
             own = np.array([m for m, *_ in here])
-            fused, _ = _reconcile(p, P, S2, rep, tol, own,
-                                  lambda i: f"contraction of {set(chunk[own[i]])}")
-            yield [(chunk[m], ell) for m, ell, _ in here], fused
+            answers, _ = _reconcile(p, P, S2, rep, tol, own,
+                                    lambda i: f"contraction of {set(chunk[own[i]])}")
+            yield from zip([(chunk[m], ell) for m, ell, _ in here], answers.tolist())
 
 
 def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -726,7 +755,7 @@ def _check_characters(chunk, p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int
     1. column 0 is all 1;
     2. row 0 is k[m];
     3. P[j, a] P[j, b] = sum_h p_ab^h P[j, h] for every row j and classes
-       a, b, under the PQ = vI check's ``Tolerance(atol * v, rtol)``;
+       a, b, under the PQ = vI check's ``tol.scaled(v)``;
     4. the rows are pairwise distinct: the row-sum kernel leaves every row
        of the singleton partition in its own group.
 
@@ -735,7 +764,7 @@ def _check_characters(chunk, p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int
     by 4 P[m] is p[m]'s eigenmatrix up to row order.  Otherwise
     :class:`OracleDisagreement` names the triple and the failed check.
     """
-    scale = Tolerance(atol=tol.atol * v, rtol=tol.rtol)
+    scale = tol.scaled(v)
     c, n, _ = P.shape
     Pt = P.transpose(0, 2, 1)
     _, lead = _stacked_row_sum(P, np.broadcast_to(np.eye(n), (c, n, n)), tol)

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import AssociationScheme, DEFAULT_TOL, Tolerance, spectral_decomposition
-from .errors import OracleDisagreement, WrongUniformity
+from .core import AssociationScheme, DEFAULT_TOL, Tolerance
+from .errors import WrongUniformity
 # fuse_direct is unused here; bench/selftest.py looks the binding up in this module
-from .fusion import (ClassPartition, _merge_stacks, _partition_of, _reconcile, _stack,
-                     _stacked_row_sum, _triples_through, enumerate_fusing_tuples, fuse_direct)
+from .fusion import _dual_merges, _triples_through, enumerate_fusing_tuples, fuse_direct
 
 __all__ = [
     "UniformHypergraph",
@@ -55,49 +51,23 @@ class SunflowerCore:
 def build_fusing_hypergraph(scheme: AssociationScheme, k: int,
                             side: str = "relations",
                             tol: Tolerance = DEFAULT_TOL) -> UniformHypergraph:
-    """Edges are the fusing k-tuples.
+    """Edges are the fusing k-tuples, streamed from one fusion pass.
 
-    On the relation side a tuple fuses if merging exactly it yields a
-    fusion scheme.  On the idempotent side a tuple T is an edge if some
-    fusion scheme's dual partition merges exactly T and keeps the other
-    idempotents singleton.  That side asks C(d, k) dual questions, by
-    Bannai and Ito's duality of fusions (*Algebraic Combinatorics I*,
-    II.9): the row-sum criterion run on Q folded over rho = merge(T) yields
-    the only candidate class partition pi, and both oracles must then
-    return exactly rho for pi; a stack's candidates (d + 2 - k blocks each)
-    are confirmed in one stack.  Sound: every edge passes the tensor test
-    and the row sums of P and of Q.  Complete: a fusion pi with dual
-    partition rho folds Q over rho into exactly |pi| distinct rows,
-    grouped by pi.  A failed confirmation means the numerics are wrong and
-    raises :class:`OracleDisagreement`.  There is no limit on d.
+    On the relation side a tuple is an edge if merging exactly it yields a
+    fusion scheme; on the idempotent side, if some fusion scheme's dual
+    partition merges exactly it and keeps the other idempotents singleton
+    (:func:`~amorphic.fusion._dual_merges`).  There is no limit on d.
     """
     if k not in (2, 3):
         raise WrongUniformity(f"k must be 2 or 3, got {k}")
-    vertices = tuple(range(1, scheme.d + 1))
     if side == "relations":
-        edges = frozenset(enumerate_fusing_tuples(scheme, k, tol=tol))
-        return UniformHypergraph(k=k, vertices=vertices, edges=edges, side=side)
-    if side != "idempotents":
+        edges = enumerate_fusing_tuples(scheme, k, tol=tol)
+    elif side == "idempotents":
+        edges = _dual_merges(scheme, k, tol)
+    else:
         raise ValueError(f"unknown side {side!r}")
-    spec = spectral_decomposition(scheme, tol=tol)
-    edges = []
-    for chunk, S, rep in _merge_stacks(scheme.d, itertools.combinations(vertices, k)):
-        fused, lead = _stacked_row_sum(spec.Q, S, tol)
-        ask = np.flatnonzero(fused)
-        if ask.size:
-            # candidate m puts each class in the block of its leader on Q's side
-            idx = np.take_along_axis(np.cumsum(lead == np.arange(scheme.d + 1), axis=1) - 1, lead, 1)
-            found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)
-            # rep[m] leads the idempotents as rho = merge(T) does
-            wrong = ~found | (found_lead != rep[ask]).any(axis=1)
-            if wrong.any():
-                i = int(np.argmax(wrong))
-                raise OracleDisagreement(
-                    f"Q folded over idempotent partition {ClassPartition.merge(scheme.d, chunk[ask[i]])} "
-                    f"groups the classes as {_partition_of(lead[ask[i]])}, but the two oracles give "
-                    f"{_partition_of(found_lead[i]) if found[i] else 'no fusion'}")
-            edges += [chunk[m] for m in ask]
-    return UniformHypergraph(k=k, vertices=vertices, edges=frozenset(edges), side=side)
+    return UniformHypergraph(k=k, vertices=tuple(range(1, scheme.d + 1)),
+                             edges=frozenset(edges), side=side)
 
 
 def sunflower_cores(H: UniformHypergraph) -> list[SunflowerCore]:

@@ -563,21 +563,29 @@ def _claims_with_a_fixed_verdict(monkeypatch, scheme):
 
 
 def test_sunflower_cores_are_asked_in_one_stack(monkeypatch):
-    """Claim (c) asks all ten cores of the d = 5 net as one stack of pair
-    merges, and a flipped answer of either kernel on a core still raises."""
+    """Claim (c) asks all ten cores of the d = 5 net in one pass of pair
+    merges, which decides them in one stack, and a flipped answer of either
+    kernel on a core still raises."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
-    stacks = []
-    real = classify._decide_merges
+    asked, stacks = [], []
+    real, real_stacks = classify._decide_merges, fusion._merge_stacks
 
     def spy(scheme, merges, tol):
-        for stack in real(scheme, merges, tol):
-            stacks.append(stack[0])
-            yield stack
+        asked.append(list(merges))
+        yield from real(scheme, asked[-1], tol)
+
+    def spy_stacks(d, merges):
+        for chunk, *rest in real_stacks(d, merges):
+            stacks.append((d, chunk))
+            yield (chunk, *rest)
 
     monkeypatch.setattr(classify, "_decide_merges", spy)
+    monkeypatch.setattr(fusion, "_merge_stacks", spy_stacks)
     claim = _claims_with_a_fixed_verdict(monkeypatch, scheme)["sunflower_core_fuses"]
     assert claim.applicable and claim.verified
-    assert stacks == [_pairs(5)]
+    assert asked == [_pairs(5)]
+    # the pair merges of 1..5: no other pass asks them with the verdict fixed
+    assert [chunk for d, chunk in stacks if d == 5 and len(chunk[0]) == 2] == [_pairs(5)]
     core = am.ClassPartition.merge(5, (2, 4))
     for kernel in ("_stacked_block_sums", "_stacked_row_sum"):
         fresh = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
@@ -640,8 +648,7 @@ def test_verifier_bookkeeping_is_small_at_d33(monkeypatch):
     monkeypatch.setattr(classify, "_contractions", contractions)
     monkeypatch.setattr(classify, "is_amorphic",
                         lambda scheme, tol: classify.AmorphicVerdict(True, None, True))
-    monkeypatch.setattr(classify, "build_fusing_hypergraph",
-                        lambda scheme, k, side, tol: am.UniformHypergraph(3, vertices, frozenset(), side))
+    monkeypatch.setattr(classify, "_dual_merges", lambda scheme, k, tol: iter(()))
     tracemalloc.start()
     try:
         report = am.verify_paper_claims(SimpleNamespace(d=d))

@@ -302,6 +302,63 @@ def test_load_scheme_hands_the_label_dtype_over(tmp_path, monkeypatch):
     assert scheme == am.gen_hamming_binary(3)
 
 
+@pytest.fixture(scope="module")
+def h10_file(tmp_path_factory):
+    """H(10,2) as a file: 1024 rows of 1024 labels, sixteen parse blocks."""
+    path = tmp_path_factory.mktemp("h10") / "h10.scheme"
+    am.save_scheme(am.gen_hamming_binary(10), path)
+    return path
+
+
+def test_parse_holds_one_block_of_tokens(h10_file, monkeypatch):
+    """Parsing H(10,2), validation aside, peaks under 6 MiB: the file's
+    bytes and lines, the uint8 labels and one block of tokens (holding
+    every token as a string peaked at 19.9 MiB), and every block lands in
+    its place."""
+    import tracemalloc
+    monkeypatch.setattr(cli, "validate_scheme", lambda labels: labels)
+    tracemalloc.start()
+    try:
+        labels = am.load_scheme(h10_file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+    assert labels.labels.dtype == np.uint8
+    assert np.array_equal(labels.labels, am.gen_hamming_binary(10).labels)
+
+
+def _edit(line, column, token):
+    """``line`` with the token at 0-based ``column`` (of tokens) replaced."""
+    tokens = line.split(" ")
+    tokens[column] = token
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("edits, line, column, message", [
+    ({1024: (1023, "x")}, 1025, 2048, r"^bad integer 'x'"),
+    ({1: (0, "99999999999999999999"), 1024: (5, "x")}, 1025, 12, r"^bad integer 'x'"),
+    ({1: (0, "99999999999999999999"), 1024: (5, "")}, 2, None, r"^label out of range \[0, 10\] \(line 2\)$"),
+    ({500: (3, "11"), 1024: (5, "300")}, 501, None, r"^label out of range \[0, 10\] at \(499, 3\)"),
+    ({500: (3, "300"), 1024: (5, "11")}, 501, None, r"^label out of range \[0, 10\] at \(499, 3\)"),
+    ({1000: (3, "11"), 1024: (5, "-1")}, 1001, None, r"^label out of range \[0, 10\] at \(999, 3\)"),
+], ids=["bad-last-row", "bad-token-after-int64", "int64-before-short-row",
+        "stored-before-unstorable", "unstorable-before-stored", "stored-in-a-failed-block"])
+def test_parse_errors_across_blocks(h10_file, tmp_path, edits, line, column, message):
+    """In a file of many parse blocks the first bad token still comes first,
+    then a label beyond int64, then the row shape, and then the first label
+    out of range in row-major order, whether its block converted or failed;
+    a malformed last row names its line."""
+    lines = h10_file.read_text().splitlines()
+    for row, (at, token) in edits.items():
+        lines[row] = _edit(lines[row], at, token)
+    path = tmp_path / "bad.scheme"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(am.ParseError, match=message) as err:
+        am.load_scheme(path)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["complete", "-v", "6562"], "v = 6562 is above the generators' limit of 6561 points"),
     (["hamming", "-m", "13"], "m must be in 1..12, got 13"),

@@ -349,32 +349,29 @@ def test_merge_stack_matches_membership():
 
 
 def _stacked_answers(scheme, r):
-    return [bool(x) for _, _, fused, _ in fusion._decide_merges(scheme, _merges(scheme.d, r), TOL)
-            for x in fused]
+    return [fused for _, fused, _ in fusion._decide_merges(scheme, _merges(scheme.d, r), TOL)]
 
 
 def test_stacked_merges_match_fuses_on_corpus(corpus):
     """Merge by merge, the stacked answers of every size are the relabeling
-    reference's, and each accepted merge's dual partition is the one
-    bm_check reads off a stack of one; a size above d (pairs at d = 1)
-    asks no merges."""
+    reference's, and each accepted merge's leaders give the dual partition
+    bm_check reads off a stack of one, whose fused eigenmatrix is the full
+    fold's; a size above d (pairs at d = 1) asks no merges."""
     merges = accepted = 0
     for name, scheme in corpus:
         spec = am.spectral_decomposition(scheme)
         for r in range(1, scheme.d + 2):
             want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T)) is not None
                     for T in _merges(scheme.d, r)]
-            assert _stacked_answers(scheme, r) == want, (name, r)
-            for chunk, S, fused, lead in fusion._decide_merges(scheme, _merges(scheme.d, r), TOL):
-                duals = fusion._duals(spec.P, S, fused, lead, TOL)
-                assert [dual is not None for dual in duals] == fused.tolist()
-                for m, dual in enumerate(duals):
-                    if dual is not None:
-                        ref = dual_by_full_fold(spec.P, S[m], lead[m], TOL)
-                        one = am.bm_check(spec, am.ClassPartition.merge(scheme.d, chunk[m]))
-                        for other in (ref, one):
-                            assert dual.rho == other.rho
-                            assert np.array_equal(dual.P_fused, other.P_fused)
+            asked = list(fusion._decide_merges(scheme, _merges(scheme.d, r), TOL))
+            assert [(T, fused) for T, fused, _ in asked] == list(zip(_merges(scheme.d, r), want))
+            for T, fused, leaders in asked:
+                if fused:
+                    pi = am.ClassPartition.merge(scheme.d, T)
+                    one = am.bm_check(spec, pi)
+                    ref = dual_by_full_fold(spec.P, _membership(pi), leaders, TOL)
+                    assert fusion._partition_of(leaders) == one.rho == ref.rho
+                    assert np.array_equal(one.P_fused, ref.P_fused)
             merges += len(want)
             accepted += sum(want)
     assert 0 < accepted < merges
@@ -470,19 +467,19 @@ def test_partition_over_another_d_is_rejected():
 # ------------------------------------ merge-local kernels against references
 
 def _check_kernels(p, P, S, rep, tol=TOL):
-    """Both kernels, and _duals where P is shared, agree entry by entry with
-    the full-tensor references on one stack; returns the exact answers."""
+    """Both kernels, and the fused eigenmatrices where P is shared, agree
+    entry by entry with the full-tensor references on one stack; returns
+    the exact answers."""
     exact = fusion._stacked_block_sums(p, S, rep)
     assert np.array_equal(exact, block_sums_by_full_tensor(p, S, rep))
     fused, lead = fusion._stacked_row_sum(P, S, tol)
     ref_fused, ref_lead = row_sum_by_full_fold(P, S, tol)
     assert np.array_equal(fused, ref_fused) and np.array_equal(lead, ref_lead)
     if P.ndim == 2:
-        for m, dual in enumerate(fusion._duals(P, S, fused, lead, tol)):
-            assert (dual is None) != bool(fused[m])
-            if dual is not None:
-                ref = dual_by_full_fold(P, S[m], lead[m], tol)
-                assert dual.rho == ref.rho and np.array_equal(dual.P_fused, ref.P_fused)
+        ok = np.flatnonzero(fused)
+        for m, P_m in zip(ok, fusion._fused_eigenmatrices(P, S[ok], lead[ok], tol)):
+            ref = dual_by_full_fold(P, S[m], lead[m], tol)
+            assert fusion._partition_of(lead[m]) == ref.rho and np.array_equal(P_m, ref.P_fused)
     return exact
 
 
@@ -738,22 +735,19 @@ def test_batched_contraction_matches_relabeling(corpus):
 
 
 def _flip_first(monkeypatch, on_parent):
-    """Flip the first answer of witness A's 4-set stacks (_decide_merges
-    on the parent) or of witness B's contracted-pair stacks
-    (_decide_contracted); returns the flipped questions."""
+    """Flip the first answer of witness A's 4-sets (_decide_merges on the
+    parent) or of witness B's contracted pairs (_decide_contracted), each
+    yielded as (question, answer, ...); returns the flipped questions."""
     name = "_decide_merges" if on_parent else "_decide_contracted"
     real = getattr(fusion, name)
-    at = 2 if on_parent else 1  # where the answers sit in a yielded stack
     flipped = []
 
     def flip(*args):
-        for stack in real(*args):
+        for question, answer, *rest in real(*args):
             if not flipped:
-                stack = list(stack)
-                stack[at] = stack[at].copy()
-                stack[at][0] = not stack[at][0]
-                flipped.append(stack[0][0])
-            yield tuple(stack)
+                flipped.append(question)
+                answer = not answer
+            yield (question, answer, *rest)
 
     monkeypatch.setattr(fusion, name, flip)
     return flipped
@@ -778,22 +772,33 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
 
 def test_contraction_stacks(monkeypatch):
     """On net(7; 1^8) the parent decides the 70 distinct 4-sets in stacks of
-    64 and 6, and witness B answers the 280 pairs of its 56 contracted
-    schemes in stacks of 64 across triples."""
+    64 and 6, and witness B derives the eigenmatrices of its 56 contracted
+    schemes in one stack and answers their 280 pairs in stacks of 64 across
+    triples; each witness yields one answer per question, in order."""
     scheme = net_with_group_sizes(7, [1] * 8)
     triples = am.enumerate_fusing_tuples(scheme, 3)
     outside = _outside_of(triples)
-    stacks = {"_decide_merges": [], "_decide_contracted": []}
-    for name, sizes in stacks.items():
-        def spy(*args, real=getattr(fusion, name), sizes=sizes):
-            for stack in real(*args):
-                sizes.append(len(stack[0]))
-                yield stack
+    stacks, asked = [], {"_decide_merges": [], "_decide_contracted": []}
+    real_stacks = fusion._merge_stacks
+
+    def spy_stacks(d, merges):
+        for chunk, *rest in real_stacks(d, merges):
+            stacks.append((len(chunk[0]), len(chunk)))
+            yield (chunk, *rest)
+
+    for name, questions in asked.items():
+        def spy(*args, real=getattr(fusion, name), questions=questions):
+            for question, *rest in real(*args):
+                questions.append(question)
+                yield (question, *rest)
 
         monkeypatch.setattr(fusion, name, spy)
+    monkeypatch.setattr(fusion, "_merge_stacks", spy_stacks)
     assert all(fusion._contractions(scheme, outside, TOL))
     assert (len(triples), len(_flat(outside))) == (56, 280)
-    assert stacks == {"_decide_merges": [64, 6], "_decide_contracted": [64, 64, 64, 64, 24]}
+    assert stacks == [(4, 64), (4, 6), (3, 56)] + [(2, 64)] * 4 + [(2, 24)]
+    assert asked["_decide_merges"] == sorted({tuple(sorted(T + (ell,))) for T, ell in _flat(outside)})
+    assert asked["_decide_contracted"] == _flat(outside)
 
 
 def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
@@ -856,15 +861,31 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
 
 
 def test_per_entry_tensors_match_shared_tensor(corpus):
-    """Given c copies of one tensor, the per-entry exact kernel answers
-    every pair and triple merge of the corpus as the shared one does."""
+    """Given copies of one tensor and of one eigenmatrix, each per-entry
+    kernel answers every pair and triple merge of the corpus as the shared
+    one does: with an entry's own copy, and with runs of three entries
+    reading one copy by index."""
     for name, scheme in corpus:
-        p = scheme.intersection.p
+        p, P = scheme.intersection.p, am.spectral_decomposition(scheme).P
         for r in (2, 3):
             for chunk, S, rep in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
-                shared = fusion._stacked_block_sums(p, S, rep)
-                copies = np.broadcast_to(p, (len(chunk),) + p.shape)
-                assert np.array_equal(fusion._stacked_block_sums(copies, S, rep), shared), (name, r)
+                c = len(chunk)
+                shared = (fusion._stacked_block_sums(p, S, rep), *fusion._stacked_row_sum(P, S, TOL))
+                for own in (None, np.arange(c) // 3):
+                    copies = [np.broadcast_to(x, (c,) + x.shape) for x in (p, P)]
+                    got = (fusion._stacked_block_sums(copies[0], S, rep, own),
+                           *fusion._stacked_row_sum(copies[1], S, TOL, own))
+                    assert all(map(np.array_equal, got, shared)), (name, r, own)
+
+
+def test_witness_b_names_a_triple_the_parent_does_not_fuse():
+    """Asked directly about a triple that does not fuse, witness B refuses
+    it by name before it folds or checks anything."""
+    scheme = am.gen_hamming_binary(5)
+    assert fuse_by_relabeling(scheme, am.ClassPartition.merge(5, (1, 2, 3))) is None
+    with pytest.raises(am.OracleDisagreement, match=re.escape(
+            "contraction of {1, 2, 3}: the parent's eigenmatrix does not fuse the triple")):
+        fusion._contractions(scheme, {(1, 2, 3): [4]}, TOL)
 
 
 def _net5_outside():
@@ -878,7 +899,7 @@ def test_witness_b_reads_no_parent_tensor(monkeypatch):
     intersection tensor cannot be read, as it does on the plain scheme;
     its eigenmatrices come from P by the row-sum kernel alone."""
     scheme, outside = _net5_outside()
-    want = [(asked, fused.tolist()) for asked, fused in fusion._decide_contracted(scheme, outside, TOL)]
+    want = list(fusion._decide_contracted(scheme, outside, TOL))
 
     class NoTensor(am.AssociationScheme):
         @property
@@ -892,9 +913,9 @@ def test_witness_b_reads_no_parent_tensor(monkeypatch):
         blind.intersection
     for name in ("_decide", "_decide_merges"):  # nor witness A's kernel runs
         monkeypatch.setattr(fusion, name, None)
-    got = [(asked, fused.tolist()) for asked, fused in fusion._decide_contracted(blind, outside, TOL)]
+    got = list(fusion._decide_contracted(blind, outside, TOL))
     assert got == want
-    assert len(got) == 1 and len(got[0][0]) == len(_flat(outside)) == 20
+    assert [pair for pair, _ in got] == _flat(outside) and len(got) == 20
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -906,18 +927,16 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(monkeypatch, tamper, message):
     """A contracted eigenmatrix that is not its folded tensor's character
     table is refused, naming the triple and the check: the fused
     eigenmatrix of {1, 2, 3}, the first that witness B derives, is
-    tampered with as _duals returns it."""
+    tampered with as _fused_eigenmatrices returns it."""
     scheme, outside = _net5_outside()
-    real = fusion._duals
+    real = fusion._fused_eigenmatrices
 
     def tampered(*args):
-        duals = real(*args)
-        P = duals[0].P_fused.copy()
-        tamper(P)
-        duals[0] = fusion.DualPartition(rho=duals[0].rho, P_fused=P)
-        return duals
+        P = real(*args)
+        tamper(P[0])
+        return P
 
-    monkeypatch.setattr(fusion, "_duals", tampered)
+    monkeypatch.setattr(fusion, "_fused_eigenmatrices", tampered)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: contracted eigenmatrix: " + message):
         fusion._contractions(scheme, outside, TOL)

@@ -101,14 +101,15 @@ def test_idempotent_side_exact_at_d9():
 
 def test_idempotent_side_disagreement_is_fatal(monkeypatch):
     """A confirmation stack whose P-side kernel groups the idempotents
-    otherwise than rho is not skipped: the first candidate is named."""
+    otherwise than rho is not skipped: the first candidate is named, by the
+    hypergraph and by the verifier's dual claims alike."""
     scheme = am.gen_net_scheme(4, am.SlopeGrouping.singletons(4))
     P = am.spectral_decomposition(scheme).P
     real = fusion._stacked_row_sum
     calls = []
 
-    def singletons_once(M, S, tol):
-        fused, lead = real(M, S, tol)
+    def singletons_once(M, S, tol, own=None):
+        fused, lead = real(M, S, tol, own)
         if M is P:  # the confirmation stack, on the scheme's P
             calls.append(len(S))
             lead[0] = np.arange(len(lead[0]))
@@ -120,6 +121,8 @@ def test_idempotent_side_disagreement_is_fatal(monkeypatch):
             "but the two oracles give 0|1|2|3|4|5")):
         am.build_fusing_hypergraph(scheme, 3, side="idempotents")
     assert calls == [10]
+    with pytest.raises(am.OracleDisagreement, match=re.escape("but the two oracles give 0|1|2|3|4|5")):
+        am.verify_paper_claims(scheme)
 
 
 def _idempotent_map(P, moved_P, perm, tol):

@@ -47,8 +47,8 @@ class Mutant:
 CATALOGUE = (
     # Witness B of the contraction claim (fusion._decide_contracted).
     Mutant("witness-b-neighbouring-P", "src/amorphic/fusion.py",
-           "        P = np.array([dual.P_fused for dual in duals])\n",
-           "        P = np.roll(np.array([dual.P_fused for dual in duals]), 1, axis=0)\n",
+           "        P = _fused_eigenmatrices(parent_P, S, lead, tol)\n",
+           "        P = np.roll(_fused_eigenmatrices(parent_P, S, lead, tol), 1, axis=0)\n",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling",
             "tests/test_classify.py::test_verifier_reads_bm_check_duals")),
@@ -57,12 +57,26 @@ CATALOGUE = (
            "",
            ("tests/test_fusion.py::test_witness_b_rejects_a_wrong_eigenmatrix",
             "tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one")),
-    # The verifier's fusing triples (fusion._fusing_triples).
+    # The verifier's fusing triples (fusion._fusing_triples), read off the
+    # leaders fusion._decide_merges yields with each answer.
     Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
-           "            yield chunk[m], _partition_of(lead[m])\n",
-           "            yield chunk[m], _partition_of(lead[m - 1])\n",
+           "        yield from zip(chunk, fused.tolist(), lead)\n",
+           "        yield from zip(chunk, fused.tolist(), np.roll(lead, 1, axis=0))\n",
            ("tests/test_classify.py::test_verifier_reads_bm_check_duals",
             "tests/test_classify.py::test_verify_claims_types_each_triple_once")),
+    # The idempotent side (fusion._dual_merges): each edge Q's row sums
+    # propose is confirmed by both oracles on the scheme's P.
+    Mutant("dual-merges-unconfirmed", "src/amorphic/fusion.py",
+           "        found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)\n",
+           "        found, found_lead = fused[ask], rep[ask]\n",
+           ("tests/test_hypergraph.py::test_idempotent_side_disagreement_is_fatal",)),
+    # The row-sum kernel on per-entry eigenmatrices: each entry reads the
+    # own columns of the run before its own.
+    Mutant("row-sum-run-off-by-one", "src/amorphic/fusion.py",
+           "np.cumsum(fresh) - 1]",
+           "np.r_[0, np.cumsum(fresh)[:-1] - 1]]",
+           ("tests/test_fusion.py::test_kernels_match_references_on_per_entry_stacks",
+            "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
     # The map from 2-subsets to fusing triples and what the verifier reads
     # off it (fusion._triples_through, fusion._outside, fusion._overlap_labels,
     # hypergraph._cores).
@@ -113,9 +127,14 @@ CATALOGUE = (
             "tests/test_core.py::test_idempotents_and_krein_read_no_labels")),
     # The scheme file format and its parse.
     Mutant("load-scheme-parses-int64", "src/amorphic/cli.py",
-           "labels = np.array(tokens, dtype=_label_dtype(d))",
-           "labels = np.array(tokens, dtype=np.int64)",
+           "else 0, dtype=_label_dtype(d))",
+           "else 0, dtype=np.int64)",
            ("tests/test_cli.py::test_load_scheme_hands_the_label_dtype_over",)),
+    Mutant("parse-block-drops-last-row", "src/amorphic/cli.py",
+           "    tokens = [t for row in block for t in row[0]]\n",
+           "    tokens = [t for row in block[:-1] for t in row[0]]\n",
+           ("tests/test_cli.py::test_parse_holds_one_block_of_tokens",
+            "tests/test_cli.py::test_save_load_round_trip_byte_stable")),
     Mutant("save-tab-delimited", "src/amorphic/cli.py",
            'np.savetxt(fh, scheme.labels, fmt="%d")',
            'np.savetxt(fh, scheme.labels, fmt="%d", delimiter="\\t")',
