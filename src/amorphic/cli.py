@@ -7,7 +7,9 @@ machine-checked mathematical claim failed (falsification).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,40 +59,45 @@ def load_scheme(path) -> AssociationScheme:
     The data rows are converted a block of about ``_BLOCK_CELLS`` labels at
     a time, each in one numpy conversion, straight into the label array in
     the label dtype, which :class:`LabelMatrix` takes without a copy; only
-    a block that fails is scanned token by token.  The first bad token or
-    non-UTF-8 line, in file order, comes first; then a label beyond int64,
-    the row count, a row's length, and the first label out of range.
+    a block that fails is scanned token by token.  The lines (ended by LF,
+    CR LF or a lone CR) are read from the open file, never held whole.  The
+    first bad token or non-UTF-8 line, in file order, comes first; then a
+    label beyond int64, the row count, a row's length, and the first label
+    out of range.
     """
-    lines = Path(path).read_bytes().splitlines()
     header, rows, block, pending = None, [], [], 0  # rows: (label count, line number) of each row
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode()
-        except UnicodeDecodeError as exc:
-            for row in block:  # a bad token on an earlier line comes first
-                _integers(*row)
-            raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from exc
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            values = _integers(stripped.split(), line, lineno)
-            if len(values) != 2:
-                raise ParseError("header must be 'v d'", line=lineno)
-            if min(values) < 1:
-                raise ParseError("header needs v >= 1 and d >= 1", line=lineno)
-            v, d = header = values
-            hline, filled, beyond, wrong = lineno, 0, None, None
-            # a file of fewer bytes than v^2 cannot hold v rows of v labels
-            labels = np.empty(v * v if v * v <= sum(map(len, lines)) else 0, dtype=_label_dtype(d))
-            continue
-        tokens = stripped.split()
-        rows.append((len(tokens), lineno))
-        block.append((tokens, line, lineno))
-        pending += len(tokens)
-        if pending >= _BLOCK_CELLS:
-            filled, beyond, wrong = _convert(block, labels, filled, d, beyond, wrong)
-            block, pending = [], 0
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        # the file splits after "\n" only; each piece splits again at a lone "\r"
+        lines = itertools.chain.from_iterable(map(bytes.splitlines, f))
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                for row in block:  # a bad token on an earlier line comes first
+                    _integers(*row)
+                raise ParseError(f"not UTF-8 text: {exc.reason}", line=lineno) from exc
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if header is None:
+                values = _integers(stripped.split(), line, lineno)
+                if len(values) != 2:
+                    raise ParseError("header must be 'v d'", line=lineno)
+                if min(values) < 1:
+                    raise ParseError("header needs v >= 1 and d >= 1", line=lineno)
+                v, d = header = values
+                hline, filled, beyond, wrong = lineno, 0, None, None
+                # a file of fewer bytes than v^2 cannot hold v rows of v labels
+                labels = np.empty(v * v if v * v <= size else 0, dtype=_label_dtype(d))
+                continue
+            tokens = stripped.split()
+            rows.append((len(tokens), lineno))
+            block.append((tokens, line, lineno))
+            pending += len(tokens)
+            if pending >= _BLOCK_CELLS:
+                filled, beyond, wrong = _convert(block, labels, filled, d, beyond, wrong)
+                block, pending = [], 0
     if header is None:
         raise ParseError("empty scheme file", line=1)
     filled, beyond, wrong = _convert(block, labels, filled, d, beyond, wrong)

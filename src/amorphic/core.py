@@ -651,14 +651,12 @@ def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> Associatio
     abelian group from its row 0 and attach the intersection tensor.
 
     ``sub[g, a]`` is the index of g - a in the group, whose zero is 0, so
-    the label matrix is ``row0[sub.T]`` and its row 0 is ``row0``.  Every
-    row is a translate of row 0, so :func:`validate_scheme` on that matrix
-    finds its first bad cell, in row-major order, in row 0; this checks the
-    axioms in the same order and raises the same :class:`AxiomViolation`
-    (axiom, witness, message).  Identity and partition read ``row0``;
-    symmetry is ``row0[-a] == row0[a]``.  The labels are gathered in the
-    :class:`LabelMatrix` dtype, so the only v x v arrays are ``sub`` and
-    the labels, at one or two bytes a cell.
+    the label matrix is ``row0[sub.T]`` and its row 0 is ``row0``.  The
+    label range, identity, partition and symmetry (``row0[-a] == row0[a]``)
+    are read off ``row0``; where one fails, :func:`validate_scheme` on that
+    matrix raises, so both name the same violation.  The labels are
+    gathered in the :class:`LabelMatrix` dtype, so the only v x v arrays
+    are ``sub`` and the labels, at one or two bytes a cell.
 
     Closure is the Schur-ring condition.  (A_i A_j)[x, y] is
     c[i, j, y - x], where c[i, j, g] = #{a : row0[a] = i, row0[g - a] = j};
@@ -668,24 +666,16 @@ def _translation_scheme(row0: np.ndarray, sub: np.ndarray, d: int) -> Associatio
     is compared with p and dropped, so c is never held whole.  O(v^2),
     against O(v^3) per packed product of :func:`validate_scheme`.  ``d``
     is passed, not read off ``row0``, so a missing class is a partition
-    violation.
+    violation.  A closure failure is named below as validate_scheme names
+    it, at its first bad cell, which lies in row 0.
     """
     v, n = len(row0), d + 1
     if d < 1 or row0.min() < 0 or row0.max() > d:
         LabelMatrix(v=v, d=d, labels=row0[sub.T])  # raises as validate_scheme's input would
-
-    if row0[0] != 0:
-        raise AxiomViolation("identity", (0, 0))
     k = np.bincount(row0, minlength=n)
-    if k[0] != 1:
-        raise AxiomViolation("identity", (0, int(np.flatnonzero(row0[1:] == 0)[0]) + 1),
-                             "label 0 occurs off the diagonal")
-    if not k.all():
-        missing = int(np.argmin(k))
-        raise AxiomViolation("partition", missing, f"label {missing} never occurs")
-    asym = row0[sub[0]] != row0
-    if asym.any():
-        raise AxiomViolation("symmetry", (0, int(np.argmax(asym))))
+    if row0[0] != 0 or k[0] != 1 or not k.all() or (row0[sub[0]] != row0).any():
+        validate_scheme(LabelMatrix(v=v, d=d, labels=row0[sub.T]))
+        raise AssertionError(f"validate_scheme accepts the row 0 {row0.tolist()}")
 
     # row0 is symmetric, so row0[sub] is row0[sub.T], and in C order
     labels = row0.astype(_label_dtype(d))[sub]

@@ -255,17 +255,17 @@ def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray,
     for the stack) can break that, so entry m is accepted iff every block
     sum of p[:, :, h] - p[:, :, rep[m, h]] is 0.  ``p`` is one tensor shared
     by the stack, p[i, j, h] = p_ij^h, or a stack of tensors p[e, i, j, h]
-    of which entry m reads p[own[m]] (p[m] when ``own`` is None), two
-    slices each, with no per-entry copy; neither symmetry nor p_0j^h =
-    delta_jh is assumed.  The float64 products are exact: partial sums are
+    of which entry m reads p[own[m]] (``own`` is required), two slices
+    each, with no per-entry copy; neither symmetry nor p_0j^h = delta_jh
+    is assumed.  The float64 products are exact: partial sums are
     integers below v (d+1)^2 < 2^53.
     """
     c, n, nb = S.shape
     if p.ndim == 3:  # a shared tensor is a stack of one that every entry reads
         p, own = p[None], np.zeros(c, dtype=np.int64)
     m, h = np.nonzero(rep != np.arange(n))
-    entry, slices = m if own is None else own[m], p.transpose(0, 3, 1, 2)  # [e, h]: p[e, :, :, h]
-    diff = (slices[entry, h] - slices[entry, rep[m, h]]).astype(np.float64)
+    slices = p.transpose(0, 3, 1, 2)  # [e, h]: p[e, :, :, h]
+    diff = (slices[own[m], h] - slices[own[m], rep[m, h]]).astype(np.float64)
     sums = S.transpose(0, 2, 1)[:, None] @ diff.reshape(c, n - nb, n, n) @ S[:, None]
     return ~sums.reshape(c, -1).any(axis=1)
 
@@ -282,7 +282,7 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance,
     the rows of P S[m] fall into as many groups as S[m] has blocks, with
     row 0 alone; lead[m, j] is the leader of row j's group.  ``P`` is one
     eigenmatrix shared by the stack or a stack of them, of which entry m
-    reads P[own[m]] (P[m] when ``own`` is None), with no per-entry copy.
+    reads P[own[m]] (``own`` is required), with no per-entry copy.
 
     Rows are close iff close under tol in every folded column.  A block of
     one class folds to P's own column, so the row pairs apart in each own
@@ -293,8 +293,6 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance,
     c, n, nb = S.shape
     if P.ndim == 2:  # a shared eigenmatrix is a stack of one that every entry reads
         P, own = P[None], np.zeros(c, dtype=np.int64)
-    elif own is None:
-        own = np.arange(c)
     fresh = np.concatenate([[True], own[1:] != own[:-1]])  # the first entry of each run
     first = np.flatnonzero(fresh)
     size = S.sum(axis=1)
@@ -719,8 +717,8 @@ def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray) -> tuple[np.nd
 
     Only the merged class is folded: on each axis T[1] and T[2] are added
     into T[0] and dropped, integer for integer the fused labels' histogram,
-    so p' = counts' / k'_h; a count k'_h does not divide raises
-    :class:`OracleDisagreement` naming the triple.
+    so p' = counts' / k'_h, kept integer; a count k'_h does not divide
+    raises :class:`OracleDisagreement` naming the triple.
     """
     T, rows, n = np.array(chunk), np.arange(len(chunk)), len(k)
     keep = np.array([[i for i in range(n) if i not in t[1:]] for t in chunk])
@@ -732,60 +730,64 @@ def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray) -> tuple[np.nd
 
     k_fused = fold(np.broadcast_to(k, (len(T), n)))
     folded = fold(fold(fold(np.broadcast_to(counts, (len(T), n, n, n)))))
-    # p' in C order and float64, as check 3's product reads it
-    p, rest = np.divmod(folded, k_fused[:, None, None, :], out=(np.empty(folded.shape), None))
+    rest = folded % k_fused[:, None, None, :]
     if rest.any():
         m, a, b, h = np.argwhere(rest)[0]
         raise OracleDisagreement(
             f"contraction of {set(chunk[m])}: the folded count {folded[m, a, b, h]} of "
             f"classes {a}, {b} at {h} is not a multiple of k'_{h} = {k_fused[m, h]}")
-    return p, k_fused
+    folded //= k_fused[:, None, None, :]
+    return folded, k_fused
 
 
 _CHECKS = ("column 0 is not 1 in row {0}", "row 0 is not the valencies at class {0}",
            "row {2} is not a character of the folded tensor at classes {0}, {1}",
-           "rows {lead} and {0} repeat")
+           "rows {1} and {0} repeat")
 
 
 def _check_characters(chunk, p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int,
                       tol: Tolerance) -> None:
-    """Accept each P[m] as the eigenmatrix of the tensor p[m] with
+    """Accept each P[m] as the eigenmatrix of the integer tensor p[m] with
     valencies k[m] only if it is p[m]'s full character table:
 
     1. column 0 is all 1;
     2. row 0 is k[m];
     3. P[j, a] P[j, b] = sum_h p_ab^h P[j, h] for every row j and classes
        a, b, under the PQ = vI check's ``tol.scaled(v)``;
-    4. the rows are pairwise distinct: the row-sum kernel leaves every row
-       of the singleton partition in its own group.
+    4. the rows are pairwise distinct: no row is close under ``tol``, in
+       every column, to an earlier row.
 
     By 1 and 3 each row is a character of the algebra p[m] defines, and an
     n-dimensional commutative semisimple algebra has exactly n of them, so
-    by 4 P[m] is p[m]'s eigenmatrix up to row order.  Otherwise
-    :class:`OracleDisagreement` names the triple and the failed check.
+    by 4 P[m] is p[m]'s eigenmatrix up to row order.  Check 3 runs one
+    class a at a time and check 4 one column at a time, on (c, n, n) arrays
+    at most.  Otherwise :class:`OracleDisagreement` names the triple and
+    the failed check.
     """
     scale = tol.scaled(v)
     c, n, _ = P.shape
-    Pt = P.transpose(0, 2, 1)
-    _, lead = _stacked_row_sum(P, np.broadcast_to(np.eye(n), (c, n, n)), tol)
-    # fails[check][m] marks where triple m breaks the check: rows, classes
-    # or (a, b, row j).  Check 3 is Tolerance.isclose done in place: its
-    # sides are (c, n, n, n) arrays, and isclose adds temporaries that size
-    lhs = Pt[:, :, None] * Pt[:, None]
-    rhs = (p.reshape(c, n * n, n) @ Pt).reshape(c, n, n, n)
-    bound = np.abs(lhs)
-    lhs -= rhs
-    np.maximum(bound, np.abs(rhs, out=rhs), out=bound)
-    bound *= scale.rtol
-    bound += scale.atol
+    later, earlier = _earlier_pairs(n)
+
+    def products(a, m=slice(None)):  # [m, j, b]: row j breaks check 3 at classes a, b
+        return ~scale.isclose(P[m, :, a, None] * P[m], P[m] @ p[m, a].swapaxes(-1, -2))
+
+    close = np.ones((c, len(later)), dtype=bool)
+    for col in range(n):
+        close &= tol.isclose(P[:, later, col], P[:, earlier, col])
+    # fails[check][m]: where triple m breaks the check (rows, classes, classes a, row pairs)
     fails = [~scale.isclose(P[:, :, 0], 1.0), ~scale.isclose(P[:, 0], k),
-             ~(np.abs(lhs, out=lhs) <= bound), lead != np.arange(n)]
-    bad = np.array([fail.reshape(c, -1).any(axis=1) for fail in fails])
+             np.array([products(a).any(axis=(1, 2)) for a in range(n)]).T, close]
+    bad = np.array([fail.any(axis=1) for fail in fails])
     if bad.any():
         m = int(np.argmax(bad.any(axis=0)))
         check = int(np.argmax(bad[:, m]))
-        at = np.unravel_index(np.argmax(fails[check][m]), fails[check][m].shape)
-        what = _CHECKS[check].format(*at, lead=lead[m, at[0]])
+        first = int(np.argmax(fails[check][m]))
+        at = (first,)
+        if check == 2:  # the first (b, j) at the first class a
+            at += np.unravel_index(np.argmax(products(first, m).T), (n, n))
+        elif check == 3:
+            at = (later[first], earlier[first])
+        what = _CHECKS[check].format(*at)
         raise OracleDisagreement(f"contraction of {set(chunk[m])}: contracted eigenmatrix: {what}")
 
 

@@ -1,6 +1,7 @@
 """Scheme file format and the command-line surface (exit codes, reports)."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -67,6 +68,31 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     path.write_text("# complete on two points\n\n2 1\n0 1\n\n1 0\n")
     scheme = am.load_scheme(path)
     assert scheme.v == 2 and scheme.d == 1
+
+
+def test_mixed_line_ends_load_as_line_feeds(tmp_path):
+    """Lines ended by a mix of LF, CR LF and lone CR load as the LF file
+    does, blank lines included, and a bad token on the line after a lone CR
+    is named at the line bytes.splitlines() gives it."""
+    scheme = am.gen_hamming_binary(3)
+    plain = tmp_path / "plain.scheme"
+    am.save_scheme(scheme, plain, comment="cube")
+    lines = plain.read_bytes().splitlines()
+    lines.insert(1, b"")  # a blank line, ended by CR LF
+
+    def write(lines):
+        path = tmp_path / "mixed.scheme"
+        path.write_bytes(b"".join(line + end for line, end in
+                                  zip(lines, itertools.cycle([b"\n", b"\r\n", b"\r"]))))
+        return path
+
+    assert am.load_scheme(write(lines)) == am.load_scheme(plain) == scheme
+    assert write(lines).read_bytes().splitlines() == lines
+    # line 7 (index 6) follows the lone CR that ends line 6
+    lines[6] = b" ".join(lines[6].split()[:2] + [b"x"] + lines[6].split()[3:])
+    with pytest.raises(am.ParseError, match="^bad integer 'x'") as err:
+        am.load_scheme(write(lines))
+    assert (err.value.line, err.value.column) == (7, 5)
 
 
 def test_parse_error_reports_line_and_column(tmp_path):
@@ -311,10 +337,10 @@ def h10_file(tmp_path_factory):
 
 
 def test_parse_holds_one_block_of_tokens(h10_file, monkeypatch):
-    """Parsing H(10,2), validation aside, peaks under 6 MiB: the file's
-    bytes and lines, the uint8 labels and one block of tokens (holding
-    every token as a string peaked at 19.9 MiB), and every block lands in
-    its place."""
+    """Parsing H(10,2), validation aside, peaks under 3 MiB: the uint8
+    labels, one block of tokens and one line of the file at a time (holding
+    every token as a string peaked at 19.9 MiB, and the file's bytes and
+    their lines at 4.3 MiB), and every block lands in its place."""
     import tracemalloc
     monkeypatch.setattr(cli, "validate_scheme", lambda labels: labels)
     tracemalloc.start()
@@ -323,7 +349,7 @@ def test_parse_holds_one_block_of_tokens(h10_file, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20, peak / 2 ** 20
+    assert peak < 3 * 2 ** 20, peak / 2 ** 20
     assert labels.labels.dtype == np.uint8
     assert np.array_equal(labels.labels, am.gen_hamming_binary(10).labels)
 

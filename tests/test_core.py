@@ -620,6 +620,9 @@ def moved(row0, g, new):
     # the antipodal class first: the first failing pair is (1, 7), as in
     # the v x v H(8,2) swaps
     (moved(hamming8_row0(ANTIPODAL_FIRST), 7, 8), xor_table(8), 8, ("closure", (0, 31))),
+    # d >= v: a class is missing, and validate_scheme's order decides
+    ([0, 0, 1], cyclic_table(3), 3, ("partition", 2)),
+    ([0, 0, 0], cyclic_table(3), 3, ("partition", 1)),
 ])
 def test_row0_rejection_matches_full_validation(row0, sub, d, expected):
     result = assert_row0_agrees(row0, sub, d)

@@ -468,11 +468,13 @@ def test_partition_over_another_d_is_rejected():
 
 def _check_kernels(p, P, S, rep, tol=TOL):
     """Both kernels, and the fused eigenmatrices where P is shared, agree
-    entry by entry with the full-tensor references on one stack; returns
-    the exact answers."""
-    exact = fusion._stacked_block_sums(p, S, rep)
+    entry by entry with the full-tensor references on one stack, entry m
+    reading p[m] and P[m] where they are per entry; returns the exact
+    answers."""
+    own = None if P.ndim == 2 else np.arange(len(S))
+    exact = fusion._stacked_block_sums(p, S, rep, own)
     assert np.array_equal(exact, block_sums_by_full_tensor(p, S, rep))
-    fused, lead = fusion._stacked_row_sum(P, S, tol)
+    fused, lead = fusion._stacked_row_sum(P, S, tol, own)
     ref_fused, ref_lead = row_sum_by_full_fold(P, S, tol)
     assert np.array_equal(fused, ref_fused) and np.array_equal(lead, ref_lead)
     if P.ndim == 2:
@@ -860,18 +862,39 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
     assert checked > 56
 
 
+def test_character_check_peak_is_bounded(monkeypatch):
+    """The character check of witness B's first chunk on net(16; 1^17),
+    64 contracted schemes with n = 16, peaks under 2 MiB: it holds arrays
+    of c n^2 floats, never of c n^3 (2 MiB each; forming check 3's two
+    sides whole peaked at 6.5 MiB)."""
+    scheme = am.gen_net_scheme(16, am.SlopeGrouping.singletons(16))
+    seen = []
+    monkeypatch.setattr(fusion, "_check_characters", lambda *args: seen.append(args))
+    triples = am.enumerate_fusing_tuples(scheme, 3)[:fusion._MERGE_CHUNK]
+    assert list(fusion._decide_contracted(scheme, dict.fromkeys(triples, []), TOL)) == []
+    (chunk, p, k, P, v, tol), = seen
+    assert P.shape == (64, 16, 16) and p.dtype.kind == "i"
+    tracemalloc.start()
+    try:
+        fusion._check_characters(chunk, p, k, P, v, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak / 2 ** 20
+
+
 def test_per_entry_tensors_match_shared_tensor(corpus):
     """Given copies of one tensor and of one eigenmatrix, each per-entry
     kernel answers every pair and triple merge of the corpus as the shared
     one does: with an entry's own copy, and with runs of three entries
-    reading one copy by index."""
+    reading one copy, each by index."""
     for name, scheme in corpus:
         p, P = scheme.intersection.p, am.spectral_decomposition(scheme).P
         for r in (2, 3):
             for chunk, S, rep in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
                 c = len(chunk)
                 shared = (fusion._stacked_block_sums(p, S, rep), *fusion._stacked_row_sum(P, S, TOL))
-                for own in (None, np.arange(c) // 3):
+                for own in (np.arange(c), np.arange(c) // 3):
                     copies = [np.broadcast_to(x, (c,) + x.shape) for x in (p, P)]
                     got = (fusion._stacked_block_sums(copies[0], S, rep, own),
                            *fusion._stacked_row_sum(copies[1], S, TOL, own))
@@ -977,8 +1000,8 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     def flipped(tensor, S, *rest):
         out = real(tensor, S, *rest)
         answers = out[0] if kernel == "_stacked_row_sum" else out
-        # witness B's stacks: one tensor or eigenmatrix per entry, a pair merged
-        if tensor.ndim == (4 if kernel == "_stacked_block_sums" else 3) and S.shape[2] < S.shape[1]:
+        # witness B's stacks: one tensor or eigenmatrix per entry
+        if tensor.ndim == (4 if kernel == "_stacked_block_sums" else 3):
             answers[0] = not answers[0]
         return out
 

@@ -57,6 +57,22 @@ CATALOGUE = (
            "",
            ("tests/test_fusion.py::test_witness_b_rejects_a_wrong_eigenmatrix",
             "tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one")),
+    Mutant("character-check-neighbouring-class", "src/amorphic/fusion.py",
+           "P[m] @ p[m, a].swapaxes(-1, -2)",
+           "P[m] @ p[m, a - 1].swapaxes(-1, -2)",
+           ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
+            "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
+    # the two rows of a contracted eigenmatrix with n = 2 (a triple of a
+    # d = 3 parent) differ in the last column alone
+    Mutant("character-check-columns-short", "src/amorphic/fusion.py",
+           "    for col in range(n):\n",
+           "    for col in range(n - 1):\n",
+           ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
+            "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
+    Mutant("fold-skips-remainder-check", "src/amorphic/fusion.py",
+           "    rest = folded % k_fused[:, None, None, :]\n",
+           "    rest = np.zeros_like(folded)\n",
+           ("tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one[count-not-whole]",)),
     # The verifier's fusing triples (fusion._fusing_triples), read off the
     # leaders fusion._decide_merges yields with each answer.
     Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
@@ -125,6 +141,11 @@ CATALOGUE = (
            "    return IdempotentBasis(values=e, tol=tol)\n",
            ("tests/test_classify.py::test_h10_idempotents_and_krein_peak_is_bounded",
             "tests/test_core.py::test_idempotents_and_krein_read_no_labels")),
+    # The translation-scheme validator reads the axioms off row 0.
+    Mutant("row0-skips-symmetry", "src/amorphic/core.py",
+           " or (row0[sub[0]] != row0).any()",
+           "",
+           ("tests/test_core.py::test_row0_rejection_matches_full_validation[row03-sub3-2-expected3]",)),
     # The scheme file format and its parse.
     Mutant("load-scheme-parses-int64", "src/amorphic/cli.py",
            "else 0, dtype=_label_dtype(d))",
@@ -135,6 +156,10 @@ CATALOGUE = (
            "    tokens = [t for row in block[:-1] for t in row[0]]\n",
            ("tests/test_cli.py::test_parse_holds_one_block_of_tokens",
             "tests/test_cli.py::test_save_load_round_trip_byte_stable")),
+    Mutant("parse-keeps-lone-cr", "src/amorphic/cli.py",
+           "map(bytes.splitlines, f)",
+           '([piece.rstrip(b"\\r\\n")] for piece in f)',
+           ("tests/test_cli.py::test_mixed_line_ends_load_as_line_feeds",)),
     Mutant("save-tab-delimited", "src/amorphic/cli.py",
            'np.savetxt(fh, scheme.labels, fmt="%d")',
            'np.savetxt(fh, scheme.labels, fmt="%d", delimiter="\\t")',
