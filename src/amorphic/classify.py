@@ -94,6 +94,9 @@ def srg_info(spec: SpectralData, i: int) -> SrgInfo:
 
     A class with a single restricted eigenvalue (the complete-graph
     degenerate case) is flagged, not classified as strongly regular.
+    On v = r^2 points, a class whose restricted eigenvalues snap to
+    integers lo < hi is of Latin type when hi - lo = r and its valency is
+    t(n - 1), with n = r, t = -lo > 0 or else n = -r, t = -hi < 0.
     """
     if not 1 <= i <= spec.d:
         raise PreconditionFailed(f"class index {i} out of 1..{spec.d}")
@@ -106,20 +109,11 @@ def srg_info(spec: SpectralData, i: int) -> SrgInfo:
     root = math.isqrt(spec.v)
     if strongly_regular and root * root == spec.v:
         snapped, mask = tol.snap(np.asarray(restricted))
-        if mask.all():
-            eigs = {int(e) for e in snapped}
-            k = spec.valencies[i]
-            for n in (root, -root):
-                for e in eigs:
-                    t = -e
-                    if t == 0 or (t > 0) != (n > 0):
-                        continue
-                    if {-t, n - t} == eigs and k == t * (n - 1):
-                        latin = LatinInfo(n=n, t=t,
-                                          sign="positive" if n > 0 else "negative")
-                        break
-                if latin:
-                    break
+        lo, hi = (int(e) for e in snapped)
+        if mask.all() and hi - lo == root:
+            latin = next((LatinInfo(n=n, t=t, sign="positive" if n > 0 else "negative")
+                          for n, t in ((root, -lo), (-root, -hi))
+                          if n * t > 0 and spec.valencies[i] == t * (n - 1)), None)
     return SrgInfo(index=i, restricted=tuple(restricted),
                    strongly_regular=strongly_regular,
                    degenerate=degenerate, latin=latin)
@@ -185,13 +179,10 @@ def canonical_form_check(spec: SpectralData) -> CanonicalFormCertificate | None:
         sign = None
         if n is not None:
             snapped, ok = tol.snap(np.array((n,) + t))
-            if ok.all():
-                vals = [int(x) for x in snapped]
-                n_i, t_i = vals[0], vals[1:]
-                if all(x > 0 for x in vals):
-                    parameterized, sign, n, t = True, "positive", n_i, tuple(t_i)
-                elif all(x < 0 for x in vals):
-                    parameterized, sign, n, t = True, "negative", n_i, tuple(t_i)
+            signs = np.sign(snapped)
+            if ok.all() and signs[0] != 0 and (signs == signs[0]).all():
+                parameterized, sign = True, "positive" if signs[0] > 0 else "negative"
+                n, t = int(snapped[0]), tuple(int(x) for x in snapped[1:])
         return CanonicalFormCertificate(
             which=which,
             distinguished_rows=tuple(r + 1 for r in rows),

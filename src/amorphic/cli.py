@@ -63,7 +63,7 @@ def load_scheme(path) -> AssociationScheme:
     CR LF or a lone CR) are read from the open file, never held whole.  The
     first bad token or non-UTF-8 line, in file order, comes first; then a
     label beyond int64, the row count, a row's length, and the first label
-    out of range.
+    out of range in row-major order.
     """
     header, rows, block, pending = None, [], [], 0  # rows: (label count, line number) of each row
     with open(path, "rb") as f:
@@ -109,25 +109,24 @@ def load_scheme(path) -> AssociationScheme:
     for count, lineno in rows:
         if count != v:
             raise ParseError(f"expected {v} labels, found {count}", line=lineno)
+    # the first label out of range in a block that failed, and the first
+    # stored above d (the array is unsigned); the earlier one is named
+    cells = [] if wrong is None else [wrong]
+    if labels.max(initial=0) > d:
+        cells.append(int(np.argmax(labels > d)))
+    if cells:
+        r, c = divmod(min(cells), v)
+        raise ParseError(f"label out of range [0, {d}] at ({r}, {c})", line=rows[r][1])
     labels = labels.reshape(v, v)
-    if wrong is not None:  # the first label out of range in a block that failed
-        labels = labels.astype(np.int64)
-        labels.flat[wrong[0]] = wrong[1]
     labels.flags.writeable = False  # handed over, not copied
-    try:
-        lm = LabelMatrix(v=v, d=d, labels=labels)
-    except ValueError as exc:  # the shape is v x v, so a label is out of range
-        row = int(np.argwhere((labels < 0) | (labels > d))[0, 0])
-        raise ParseError(str(exc), line=rows[row][1]) from exc
-    return validate_scheme(lm)
+    return validate_scheme(LabelMatrix(v=v, d=d, labels=labels))
 
 
 def _convert(block, labels: np.ndarray, filled: int, d: int, beyond, wrong):
     """Write the labels of the data rows in ``block``, (tokens, line, line
     number) each, into ``labels`` after its first ``filled``; returns the
     new fill, the line of the first label beyond int64 so far, and the
-    (index, value) of the first label outside 0..d so far in a block that
-    failed.
+    index of the first label outside 0..d so far in a block that failed.
 
     A block converts in one numpy conversion.  A block that fails, on a
     bad token or a label the dtype cannot hold, is scanned token by token:
@@ -149,7 +148,7 @@ def _convert(block, labels: np.ndarray, filled: int, d: int, beyond, wrong):
         if beyond is None and not all(-2 ** 63 <= x < 2 ** 63 for x in values):
             beyond = lineno
         if wrong is None and not all(0 <= x <= d for x in values):
-            wrong = next((at + i, x) for i, x in enumerate(values) if not 0 <= x <= d)
+            wrong = at + next(i for i, x in enumerate(values) if not 0 <= x <= d)
         if end <= len(labels):
             labels[at:at + len(values)] = [x if 0 <= x <= d else 0 for x in values]
         at += len(values)

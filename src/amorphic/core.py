@@ -78,12 +78,11 @@ class Tolerance:
                 raise ValueError(f"tolerance {name}={value!r} must be finite and >= 0")
 
     def close(self, a, b) -> bool:
-        a = float(a)
-        b = float(b)
-        return abs(a - b) <= self.atol + self.rtol * max(abs(a), abs(b))
+        """Whether the scalars a and b are close: :meth:`isclose` on them."""
+        return bool(self.isclose(a, b))
 
     def isclose(self, a, b) -> np.ndarray:
-        """Elementwise :meth:`close`, broadcasting a against b."""
+        """Elementwise comparison under this policy, broadcasting a against b."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         return np.abs(a - b) <= self.atol + self.rtol * np.maximum(np.abs(a), np.abs(b))
@@ -159,7 +158,10 @@ class LabelMatrix:
     the smallest unsigned integer dtype that holds d (uint8 up to d = 255),
     so a matrix takes v^2 bytes up to d = 255.  Integer input of any dtype
     is range-checked as given and then narrowed, so a label outside 0..d
-    is rejected and never wraps.  A writeable array that the labels would
+    is rejected and never wraps.  Bool and float input is accepted where
+    every label is an integer; a float label that is not (a fraction, NaN
+    or an infinity) is rejected, naming its cell, and so is input of any
+    other dtype, never truncated.  A writeable array that the labels would
     share memory with is copied first, so the caller's array stays
     writeable and later writes to it do not reach the matrix; callers that
     build the array in the narrow dtype and hand it over mark it read-only
@@ -173,12 +175,19 @@ class LabelMatrix:
     def __post_init__(self):
         given = self.labels
         labels = np.asarray(given)
-        if labels.dtype.kind not in "iu":
-            labels = labels.astype(np.int64)
         if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
             raise ValueError(f"label matrix must be square, got shape {labels.shape}")
         if labels.shape[0] != self.v:
             raise ValueError(f"label matrix is {labels.shape[0]}x{labels.shape[0]}, header says v={self.v}")
+        if labels.dtype.kind not in "biuf":
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.dtype.kind == "f":
+            off = ~np.isfinite(labels) | (labels != np.round(labels))
+            if off.any():
+                bad = tuple(int(x) for x in np.argwhere(off)[0])
+                raise ValueError(f"label {labels[bad]} at {bad} is not an integer")
+        if labels.dtype.kind not in "iu":
+            labels = labels.astype(np.int64)
         if self.v < 1 or self.d < 1:
             raise ValueError("need v >= 1 and d >= 1")
         if int(labels.min()) < 0 or int(labels.max()) > self.d:
@@ -314,7 +323,11 @@ def _as_label_matrix(labels) -> LabelMatrix:
     arr = np.asarray(labels)  # integer input as it is: LabelMatrix narrows it
     if not isinstance(labels, np.ndarray):
         arr.flags.writeable = False  # a new array: handed over, not copied
-    return LabelMatrix(v=arr.shape[0], d=int(arr.max(initial=0)), labels=arr)
+    # input that is not a matrix of numbers, or whose largest label is not
+    # finite, gets stand-ins for v and d: LabelMatrix rejects it first
+    top = arr.max(initial=0) if arr.dtype.kind in "biuf" else 0
+    return LabelMatrix(v=len(arr) if arr.ndim else 0, d=int(top) if np.isfinite(top) else 0,
+                       labels=arr)
 
 
 def validate_scheme(labels) -> AssociationScheme:
@@ -767,14 +780,13 @@ def spectral_decomposition(scheme: AssociationScheme,
 def _combination_weights(d: int) -> np.ndarray:
     """w_i = sqrt(i-th prime) for i = 1..d, the weights of the first
     splitter M = sum_i w_i S_i (see :func:`spectral_decomposition`).  The
-    sieve runs to n (ln n + ln ln n), above the n-th prime for n >= 6."""
-    bound = 15 if d < 6 else int(d * (math.log(d) + math.log(math.log(d)))) + 1
-    sieve = np.ones(bound, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(bound) + 1):
-        if sieve[q]:
-            sieve[q * q::q] = False
-    w = np.sqrt(np.flatnonzero(sieve)[:d])
+    primes are found by trial division by the primes before them."""
+    primes, q = [], 2
+    while len(primes) < d:
+        if all(q % p for p in primes):
+            primes.append(q)
+        q += 1
+    w = np.sqrt(np.array(primes, dtype=np.int64))
     w.flags.writeable = False
     return w
 

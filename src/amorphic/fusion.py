@@ -131,21 +131,14 @@ class ClassPartition:
     def merge(cls, d: int, subset) -> "ClassPartition":
         """Merge exactly ``subset`` (of nontrivial classes), all else singleton.
 
-        The blocks are built in canonical order directly; a subset of at
-        most one class gives the singletons.
+        A subset of at most one class gives the singletons.
         """
-        merged = tuple(sorted(set(subset)))
+        merged = sorted(set(subset))
         if 0 in merged:
             raise ValueError("cannot merge the trivial class")
-        if not merged:
-            return cls(d=d, blocks=tuple((i,) for i in range(d + 1)))
-        low = merged[0]
-        if low < 1 or merged[-1] > d:
-            raise ValueError(f"classes {list(merged)} are not all in 1..{d}")
-        rest = set(merged)
-        blocks = ([(i,) for i in range(low)] + [merged]
-                  + [(i,) for i in range(low + 1, d + 1) if i not in rest])
-        return cls(d=d, blocks=tuple(blocks))
+        if merged and (merged[0] < 1 or merged[-1] > d):
+            raise ValueError(f"classes {merged} are not all in 1..{d}")
+        return cls.from_blocks([merged, *([i] for i in range(d + 1) if i not in merged)], d)
 
     @property
     def n_blocks(self) -> int:

@@ -6,7 +6,9 @@ eigenvector split with its row-sort bookkeeping, the entry-by-entry
 canonical form and tolerance grouping, the element-by-element
 finite-field tables, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references
-built on it, the single-merge amorphicity reference, the full-tensor
+built on it, the single-merge amorphicity reference, the H(2,2) x H(2,2)
+product scheme, the Latin-type search, the sieved prime weights, the
+scalar closeness formula, the full-tensor
 references of the two fusion kernels and of the dual partition, the
 hand-written overlap label tables, the scanning references of the
 sunflower cores, contraction pairs and overlapping pairs, and the
@@ -18,6 +20,7 @@ both oracles again and a monkeypatched oracle is seen on any scheme.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -357,6 +360,59 @@ def spectral_by_class_splits(scheme, tol=am.DEFAULT_TOL):
     return am.SpectralData(v=v, P=P, Q=Q, valencies=tuple(scheme.valencies),
                            multiplicities=tuple([1] + [mults[j] for j in others]),
                            tol=tol, P_integer_mask=p_mask, Q_integer_mask=q_mask)
+
+
+def hamming_square_product():
+    """H(2,2) x H(2,2): the direct product of the 4-cycle scheme with
+    itself, class i * 3 + j on a pair of points i apart in the first factor
+    and j apart in the second; v = 16, d = 8, valencies (1, 2, 1, 2, 4, 2,
+    1, 2, 1).  It is not amorphic, and its two fusing triples, (1, 4, 7)
+    and (3, 4, 5), share one class only."""
+    h = am.gen_hamming_binary(2).labels.astype(np.int64)
+    return am.validate_scheme((h[:, None, :, None] * 3 + h[None, :, None, :]).reshape(16, 16))
+
+
+def latin_by_search(spec, i):
+    """Test-only reference for the Latin typing of ``srg_info``: with v =
+    r^2 and two restricted eigenvalues, both snapped to integers, every n
+    in (r, -r) and every eigenvalue e as -t, t of the sign of n, tried as
+    {-t, n - t} and valency t(n - 1).  Returns the LatinInfo or None."""
+    restricted = distinct_by_entries(spec.P[1:, i], spec.tol)
+    root = math.isqrt(spec.v)
+    if len(restricted) != 2 or root * root != spec.v:
+        return None
+    snapped, mask = spec.tol.snap(np.asarray(restricted))
+    if not mask.all():
+        return None
+    eigs = {int(e) for e in snapped}
+    for n in (root, -root):
+        for e in eigs:
+            t = -e
+            if t == 0 or (t > 0) != (n > 0):
+                continue
+            if {-t, n - t} == eigs and spec.valencies[i] == t * (n - 1):
+                return am.LatinInfo(n=n, t=t, sign="positive" if n > 0 else "negative")
+    return None
+
+
+def weights_by_sieve(d):
+    """Test-only reference for ``core._combination_weights``: the square
+    roots of the first d primes, sieved up to n (ln n + ln ln n), which is
+    above the n-th prime for n >= 6 (to 15 below that)."""
+    bound = 15 if d < 6 else int(d * (math.log(d) + math.log(math.log(d)))) + 1
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    return np.sqrt(np.flatnonzero(sieve)[:d])
+
+
+def close_by_scalar_formula(tol, a, b):
+    """Test-only reference for ``Tolerance.close``: |a - b| <= atol + rtol
+    max(|a|, |b|) written out on Python floats."""
+    a, b = float(a), float(b)
+    return abs(a - b) <= tol.atol + tol.rtol * max(abs(a), abs(b))
 
 
 def canonical_on_by_entries(M, tol):

@@ -22,6 +22,8 @@ from conftest import (
     canonical_on_by_entries,
     distinct_by_entries,
     enumerate_partitions,
+    hamming_square_product,
+    latin_by_search,
     net_with_group_sizes,
 )
 from test_fusion import _flip_one
@@ -73,6 +75,49 @@ def test_complete_scheme_class_degenerate():
     assert info.degenerate and not info.strongly_regular
 
 
+def test_latin_typing_matches_the_search_reference(spectral_schemes):
+    """On every class of the corpus, the six ``oracle`` schemes and
+    net(27; 1^28), the closed-form Latin typing is the search's, with
+    Python ints; both signs occur."""
+    signs = []
+    for name, scheme in spectral_schemes:
+        spec = am.spectral_decomposition(scheme)
+        for i in range(1, scheme.d + 1):
+            latin = am.srg_info(spec, i).latin
+            assert latin == latin_by_search(spec, i), (name, i)
+            if latin is not None:
+                assert type(latin.n) is int and type(latin.t) is int
+                signs.append(latin.sign)
+    assert (signs.count("positive"), signs.count("negative")) == (160, 3)
+
+
+def _spectrum(r, k, lo, hi):
+    """A d = 2 spectrum on v = r^2 points whose class 1 has valency k and
+    restricted eigenvalues lo and hi, and class 2 the complement's; only
+    what ``srg_info`` reads is meaningful."""
+    v = r * r
+    P = np.array([[1, k, v - 1 - k], [1, lo, -1 - lo], [1, hi, -1 - hi]], dtype=float)
+    return am.SpectralData(v=v, P=P, Q=P, valencies=(1, k, v - 1 - k), multiplicities=(1, 1, 1))
+
+
+def test_latin_typing_matches_the_search_on_small_spectra():
+    """On d = 2 spectra with v = r^2, r = 2..9, every integer pair lo < hi
+    with hi - lo in r - 1..r + 1 and lo in -r - 2..r + 1, and class 1's
+    valency within 1 of either Latin valency, -lo (r - 1) or hi (r + 1),
+    both classes are typed as the search types them."""
+    signs = []
+    for r in range(2, 10):
+        for lo in range(-r - 2, r + 2):
+            for hi in range(lo + r - 1, lo + r + 2):
+                for k in {k + dk for k in (-lo * (r - 1), hi * (r + 1)) for dk in (-1, 0, 1)}:
+                    spec = _spectrum(r, k, lo, hi)
+                    for i in (1, 2):
+                        latin = am.srg_info(spec, i).latin
+                        assert latin == latin_by_search(spec, i), (r, k, lo, hi, i)
+                        signs.append(latin and latin.sign)
+    assert (signs.count("positive"), signs.count("negative")) == (164, 140)
+
+
 # ----------------------------------------------------------- canonical form
 
 def test_net9_coarse_grouping_certificate():
@@ -122,6 +167,31 @@ def test_canonical_form_matches_entry_by_entry_reference(spectral_schemes):
             assert classify._canonical_on(M, TOL) == canonical_on_by_entries(M, TOL), (name, which)
         if scheme.d >= 3:
             assert am.canonical_form_check(spec) == reference_certificate(spec), name
+
+
+@pytest.mark.parametrize("n, t, sign", [
+    (3, (1, 1, 2), "positive"),
+    (-4, (-1, -1, -1), "negative"),
+    (3, (1, -1, 2), None),
+    (-3, (-1, 1, -1), None),
+    (-3, (1, 1, 1), None),
+    (3, (0, 1, 1), None),
+    (3, (1, 1, 1.5), None),
+], ids=["positive", "negative", "mixed-t", "mixed-t-negative-n", "n-against-t", "zero-t",
+        "fractional-t"])
+def test_canonical_form_is_parameterized_by_one_sign(n, t, sign):
+    """A principal part with b_j = n - t_j on a transversal and a_j = -t_j
+    off it: the form is parameterized, with integer n and t, exactly when
+    n and every t_j are integers of one nonzero sign."""
+    d = len(t)
+    P = np.eye(d + 1)
+    P[1:, 1:] = -np.array(t, dtype=float) + n * np.eye(d)
+    cert = am.canonical_form_check(am.SpectralData(
+        v=16, P=P, Q=P, valencies=(1,) * (d + 1), multiplicities=(1,) * (d + 1)))
+    assert (cert.which, cert.distinguished_rows) == ("P", (1, 2, 3))
+    assert (cert.parameterized, cert.sign) == (sign is not None, sign)
+    assert (cert.n, cert.t) == (n, t)
+    assert all(type(x) is (int if sign else float) for x in (cert.n, *cert.t))
 
 
 @settings(max_examples=80, deadline=None)
@@ -728,6 +798,34 @@ def test_verify_claims_dual_side_at_d9():
                  "dual_complete_3hypergraph_implies_amorphic"):
         assert by_name[name].applicable and by_name[name].verified, name
         assert by_name[name].witness == "", name
+
+
+def test_verify_claims_on_two_triples_sharing_one_class():
+    """H(2,2) x H(2,2), d = 8, is not amorphic and has two fusing triples,
+    (1, 4, 7) and (3, 4, 5), that share one class and no 2-subset: no
+    class outside a triple completes a second one through a 2-subset of
+    it, so no contraction pair is admissible and the claim does not
+    apply; a rule that took every class of every other triple would ask
+    four pairs, and merging (1, 4, 7) with 3 does not fuse."""
+    scheme = hamming_square_product()
+    assert scheme.valencies == (1, 2, 1, 2, 4, 2, 1, 2, 1)
+    assert not am.is_amorphic(scheme).amorphic
+    types = classify._triple_types(scheme, TOL)
+    assert list(types) == [(1, 4, 7), (3, 4, 5)]
+    assert fusion._outside(types, fusion._triples_through(types)) == {}
+    assert not fuses(scheme, am.ClassPartition.merge(8, (1, 3, 4, 7)))
+    report = am.verify_paper_claims(scheme)
+    assert not report.falsified
+    assert {name: (r["applicable"], r["witness"]) for name, r in report.as_dict().items()} == {
+        "two_sunflowers_imply_amorphic": (False, "0 cores"),
+        "complete_3hypergraph_implies_amorphic": (False, "2 edges"),
+        "sunflower_core_fuses": (False, ""),
+        "dual_two_sunflowers_imply_amorphic": (False, ""),
+        "dual_complete_3hypergraph_implies_amorphic": (False, ""),
+        "contraction": (False, "0 admissible pairs"),
+        "triple_types": (True, "2 fusing triples"),
+        "row_lemma": (False, ""),
+        "overlap_cases": (False, "")}
 
 
 def test_verify_claims_hamming5():

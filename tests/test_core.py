@@ -49,12 +49,14 @@ from amorphic import (
 )
 from amorphic import core
 from conftest import (
+    close_by_scalar_formula,
     closure_witness_by_class_scans,
     idempotents_by_class_matrices,
     krein_by_hadamard_sums,
     net_with_group_sizes,
     spectral_by_class_splits,
     validate_by_class_cells,
+    weights_by_sieve,
 )
 
 TOL = DEFAULT_TOL
@@ -91,6 +93,44 @@ def test_tolerance_rejects_negative_and_nonfinite(bad):
 def test_tolerance_accepts_zero():
     t = Tolerance(atol=0.0, rtol=0)
     assert t.close(1.0, 1.0) and not t.close(1.0, 1.0 + 1e-15)
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-8, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+EDGE_TOLERANCES = [0.0, 1e-300, 1e-8, 1.0, 1e300]
+
+
+def _close_agrees(atol, rtol, a, b):
+    tol = Tolerance(atol=atol, rtol=rtol)
+    got = tol.close(a, b)
+    assert type(got) is bool and got == close_by_scalar_formula(tol, a, b), (atol, rtol, a, b)
+
+
+# numpy warns where inf - inf or 1e308 - -1e308 leaves the finite floats
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_close_matches_the_scalar_formula_on_edge_values():
+    """Every pair of signed zeros, infinities, NaN, subnormals and floats
+    near the largest, under zero, tiny, default and huge atol and rtol:
+    ``close`` answers as the scalar formula, as a bool."""
+    for atol, rtol in itertools.product(EDGE_TOLERANCES, repeat=2):
+        for a, b in itertools.product(EDGE_FLOATS, repeat=2):
+            _close_agrees(atol, rtol, a, b)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_close_matches_the_scalar_formula(data):
+    """Any floats, and pairs within a few tolerances of each other, under
+    any finite atol and rtol: ``close`` answers as the scalar formula."""
+    tolerance = st.sampled_from(EDGE_TOLERANCES) | st.floats(0, 1e3)
+    atol, rtol = data.draw(tolerance, label="atol"), data.draw(tolerance, label="rtol")
+    a = data.draw(st.floats() | st.sampled_from(EDGE_FLOATS), label="a")
+    b = data.draw(st.floats() | st.sampled_from(EDGE_FLOATS)
+                  | st.floats(-3, 3).map(lambda x: a + x * (atol + rtol * abs(a))), label="b")
+    _close_agrees(atol, rtol, a, b)
 
 
 # ------------------------------------------------------------------- axioms
@@ -652,6 +692,33 @@ def test_label_matrix_range_check():
         LabelMatrix(v=2, d=1, labels=np.array([[0, 5], [5, 0]]))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: validate_scheme(np.array([[0.0, 1.5], [1.5, 0.0]])), r"^label 1\.5 at \(0, 1\) is not an integer$"),
+    (lambda: LabelMatrix(v=2, d=1, labels=[[0, 0.9], [0.9, 0]]), r"^label 0\.9 at \(0, 1\) is not an integer$"),
+    (lambda: validate_scheme([[0, 1], [1, math.nan]]), r"^label nan at \(1, 1\) is not an integer$"),
+    (lambda: validate_scheme([[0, math.inf], [1, 0]]), r"^label inf at \(0, 1\) is not an integer$"),
+    (lambda: validate_scheme(np.float32([[0, 1], [-math.inf, 0]])), r"^label -inf at \(1, 0\) is not an integer$"),
+    (lambda: validate_scheme([["0", "1"], ["1", "0"]]), r"^labels must be integers, got dtype <U1$"),
+    (lambda: validate_scheme(np.array([[0, 1j], [1j, 0]])), r"^labels must be integers, got dtype complex128$"),
+    (lambda: validate_scheme(5), r"^label matrix must be square, got shape \(\)$"),
+], ids=["fraction", "fraction-truncated-to-0", "nan", "inf", "minus-inf-float32", "strings", "complex",
+        "scalar"])
+def test_labels_that_are_not_integers_are_rejected(build, message):
+    """A label that is not an integer is named, never truncated; a dtype
+    that holds no integer labels and input that is no matrix are refused.
+    Each used to be truncated or to escape as a numpy or Python error."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integral_bool_and_float_labels_are_accepted():
+    base = gen_hamming_binary(3)
+    for labels in (base.labels.astype(np.float64), base.labels.astype(np.float32).tolist()):
+        assert validate_scheme(labels) == base
+    k2 = LabelMatrix(v=2, d=1, labels=np.array([[False, True], [True, False]]))
+    assert k2.labels.dtype == np.uint8 and k2.labels.tolist() == [[0, 1], [1, 0]]
+
+
 def test_label_dtype_does_not_depend_on_the_input_dtype():
     """One scheme given as uint8, uint16, int32 and int64 arrays and as a
     nested list is one scheme: labels in the smallest dtype that holds d,
@@ -930,6 +997,16 @@ def test_one_eigh_per_spectral_decomposition(monkeypatch, corpus):
         calls[0] = 0
         spectral_decomposition(uncached(scheme))
         assert calls[0] == 1, name
+
+
+def test_combination_weights_match_the_sieve_reference():
+    """The square roots of the first d primes by trial division are the
+    sieve's, bit for bit, for d = 1..300, cached read-only float64."""
+    for d in range(1, 301):
+        w = core._combination_weights(d)
+        assert w.dtype == np.float64 and not w.flags.writeable
+        assert np.array_equal(w, weights_by_sieve(d)), d
+    assert core._combination_weights(300) is w
 
 
 @pytest.mark.parametrize("weights, least", [(np.zeros, 2), (lambda d: np.eye(d)[0], 1)],

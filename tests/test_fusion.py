@@ -78,6 +78,21 @@ def test_merge_matches_from_blocks_reference():
             reference(d, subset)
 
 
+@pytest.mark.parametrize("d, subset, message", [
+    (3, {0, 1}, r"^cannot merge the trivial class$"),
+    (3, {-1, 0}, r"^cannot merge the trivial class$"),
+    (3, {4}, r"^classes \[4\] are not all in 1\.\.3$"),
+    (3, {4, 1}, r"^classes \[1, 4\] are not all in 1\.\.3$"),
+    (3, {2, -1}, r"^classes \[-1, 2\] are not all in 1\.\.3$"),
+    (0, {1}, r"^classes \[1\] are not all in 1\.\.0$"),
+])
+def test_merge_names_what_it_cannot_merge(d, subset, message):
+    """merge names the trivial class, or the sorted classes outside 1..d,
+    before any block is built."""
+    with pytest.raises(ValueError, match=message):
+        am.ClassPartition.merge(d, subset)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_partition_string_round_trip(d, data):

@@ -114,9 +114,8 @@ CATALOGUE = (
     Mutant("every-outside-class-admissible", "src/amorphic/fusion.py",
            "for s in itertools.combinations(T, 2) for U in through[s] for c in U}",
            "for group in through.values() for U in group for c in U}",
-           # the corpus has no class in a fusing triple that is not admissible
-           # with every triple, so only the random hypergraphs tell
-           ("tests/test_hypergraph.py::test_pair_map_matches_the_scanning_references",)),
+           ("tests/test_hypergraph.py::test_pair_map_matches_the_scanning_references",
+            "tests/test_classify.py::test_verify_claims_on_two_triples_sharing_one_class")),
     Mutant("overlap-skips-untyped-pairs", "src/amorphic/fusion.py",
            "            labels.add(memo[key])\n",
            "            if key is not None:\n                labels.add(memo[key])\n",
@@ -146,7 +145,43 @@ CATALOGUE = (
            " or (row0[sub[0]] != row0).any()",
            "",
            ("tests/test_core.py::test_row0_rejection_matches_full_validation[row03-sub3-2-expected3]",)),
+    # Rules stated once: the Latin typing and the canonical form's sign
+    # in closed form, the scalar closeness test through the elementwise one,
+    # merge through from_blocks, the prime weights by trial division.
+    Mutant("latin-negative-reads-lo", "src/amorphic/classify.py",
+           "(-root, -hi)",
+           "(-root, -lo)",
+           ("tests/test_classify.py::test_clebsch_classes_are_negative_latin",
+            "tests/test_classify.py::test_latin_typing_matches_the_search_on_small_spectra")),
+    Mutant("canonical-mixed-sign-parameterized", "src/amorphic/classify.py",
+           "(signs == signs[0]).all()",
+           "(signs == signs[0]).any()",
+           ("tests/test_classify.py::test_canonical_form_is_parameterized_by_one_sign",)),
+    Mutant("close-absolute-only", "src/amorphic/core.py",
+           "        return bool(self.isclose(a, b))\n",
+           "        return abs(float(a) - float(b)) <= self.atol\n",
+           ("tests/test_core.py::test_tolerance_close_policy",
+            "tests/test_core.py::test_close_matches_the_scalar_formula_on_edge_values")),
+    Mutant("merge-skips-range-check", "src/amorphic/fusion.py",
+           "        if merged and (merged[0] < 1 or merged[-1] > d):\n"
+           "            raise ValueError(f\"classes {merged} are not all in 1..{d}\")\n",
+           "",
+           ("tests/test_fusion.py::test_merge_names_what_it_cannot_merge",)),
+    # "any" for "all" would find no first prime and never stop
+    Mutant("primes-skip-two", "src/amorphic/core.py",
+           "all(q % p for p in primes)",
+           "all(q % p for p in primes[1:])",
+           ("tests/test_core.py::test_combination_weights_match_the_sieve_reference",)),
+    # Labels that are not integers.
+    Mutant("float-labels-truncated", "src/amorphic/core.py",
+           " | (labels != np.round(labels))",
+           "",
+           ("tests/test_core.py::test_labels_that_are_not_integers_are_rejected",)),
     # The scheme file format and its parse.
+    Mutant("parse-names-later-cell", "src/amorphic/cli.py",
+           "divmod(min(cells), v)",
+           "divmod(max(cells), v)",
+           ("tests/test_cli.py::test_parse_errors_across_blocks",)),
     Mutant("load-scheme-parses-int64", "src/amorphic/cli.py",
            "else 0, dtype=_label_dtype(d))",
            "else 0, dtype=np.int64)",
