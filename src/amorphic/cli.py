@@ -189,9 +189,8 @@ def _matrix_rows(M) -> list[list[str]]:
 
 
 def _write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with open(path, "w") as fh:  # one write: json.dump would stream thousands of small ones
+        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _tolerance(text: str) -> float:

@@ -150,6 +150,12 @@ def _label_dtype(d: int) -> np.dtype:
     return np.min_scalar_type(min(d, np.iinfo(np.uint64).max))
 
 
+def _python_ints(labels: np.ndarray) -> bool:
+    """Whether ``labels`` is an object array of Python ints only, as numpy
+    builds from nested lists holding an integer beyond int64."""
+    return labels.dtype == object and all(isinstance(x, int) for x in labels.flat)
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     """A v x v matrix of class labels 0..d; label 0 marks the identity class.
@@ -158,7 +164,8 @@ class LabelMatrix:
     the smallest unsigned integer dtype that holds d (uint8 up to d = 255),
     so a matrix takes v^2 bytes up to d = 255.  Integer input of any dtype
     is range-checked as given and then narrowed, so a label outside 0..d
-    is rejected and never wraps.  Bool and float input is accepted where
+    is rejected and never wraps; so is an object array of Python ints,
+    compared exactly.  Bool and float input is accepted where
     every label is an integer; a float label that is not (a fraction, NaN
     or an infinity) is rejected, naming its cell, and so is input of any
     other dtype, never truncated.  A writeable array that the labels would
@@ -179,14 +186,14 @@ class LabelMatrix:
             raise ValueError(f"label matrix must be square, got shape {labels.shape}")
         if labels.shape[0] != self.v:
             raise ValueError(f"label matrix is {labels.shape[0]}x{labels.shape[0]}, header says v={self.v}")
-        if labels.dtype.kind not in "biuf":
+        if labels.dtype.kind not in "biuf" and not _python_ints(labels):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.dtype.kind == "f":
             off = ~np.isfinite(labels) | (labels != np.round(labels))
             if off.any():
                 bad = tuple(int(x) for x in np.argwhere(off)[0])
                 raise ValueError(f"label {labels[bad]} at {bad} is not an integer")
-        if labels.dtype.kind not in "iu":
+        if labels.dtype.kind in "bf":
             labels = labels.astype(np.int64)
         if self.v < 1 or self.d < 1:
             raise ValueError("need v >= 1 and d >= 1")
@@ -324,10 +331,13 @@ def _as_label_matrix(labels) -> LabelMatrix:
     if not isinstance(labels, np.ndarray):
         arr.flags.writeable = False  # a new array: handed over, not copied
     # input that is not a matrix of numbers, or whose largest label is not
-    # finite, gets stand-ins for v and d: LabelMatrix rejects it first
-    top = arr.max(initial=0) if arr.dtype.kind in "biuf" else 0
-    return LabelMatrix(v=len(arr) if arr.ndim else 0, d=int(top) if np.isfinite(top) else 0,
-                       labels=arr)
+    # finite, gets stand-ins for v and d: LabelMatrix rejects it first; d is
+    # at most the largest label any label matrix holds, so that a Python int
+    # beyond it is named as out of range
+    ints = _python_ints(arr)
+    top = arr.max(initial=0) if ints or arr.dtype.kind in "biuf" else 0
+    d = min(int(top), np.iinfo(np.uint64).max) if ints or np.isfinite(top) else 0
+    return LabelMatrix(v=len(arr) if arr.ndim else 0, d=d, labels=arr)
 
 
 def validate_scheme(labels) -> AssociationScheme:

@@ -10,13 +10,13 @@ second is the row-sum criterion on the eigenmatrix (:func:`bm_check`).
 Any disagreement, a yes against a no either way, aborts with
 :class:`OracleDisagreement`.
 
-Each oracle has one kernel that answers a stack of partitions, on one
-tensor and eigenmatrix for the stack or, by index, one per entry, and pays
-only for the classes each partition merges.  :func:`_reconcile` runs both
-kernels on a stack and raises at the first entry they answer differently;
-every two-oracle question goes through it.  Stacks are internal to this
-module: a single question (:func:`_decide`) is a stack of one, and the
-batched passes (:func:`_decide_merges`, :func:`_dual_merges`,
+Each oracle has one kernel that answers a stack of partitions of one
+scheme, on its tensor or its eigenmatrix, and pays only for the classes
+each partition merges.  :func:`_reconcile` runs both kernels on a stack
+and raises at the first entry they answer differently; every two-oracle
+question goes through it.  Stacks are internal to this module: a
+single question (:func:`_decide`) is a stack of one, and the batched
+passes (:func:`_decide_merges`, :func:`_dual_merges`,
 :func:`_decide_contracted`) build theirs a fixed number of merges at a
 time (:func:`_merge_stacks`) and yield one answer per question, in order.
 
@@ -26,11 +26,12 @@ and :func:`fuse_direct` builds a new fused scheme for each call.
 The contraction claim runs as one batch per scheme (:func:`_contractions`)
 with two witnesses that must agree: the parent decides each 4-set
 T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
-of all contracted schemes in stacks, without building one: on tensors
-folded from one histogram of the parent's labels and on eigenmatrices
-read off the parent's P and proven to be their character tables.  The
-18 overlap subcases are written once, as :data:`CASE_REPRESENTATIVES`,
-and a pair of triples gets the label of its :func:`_overlap_signature`.
+of each contracted scheme in a stack of its own, without building the
+scheme: on tensors folded from one histogram of the parent's labels and
+on eigenmatrices read off the parent's P and proven to be their
+character tables.  The 18 overlap subcases are written once, as
+:data:`CASE_REPRESENTATIVES`, and a pair of triples gets the label of
+its :func:`_overlap_signature`.
 Both claims read their pairs off one map, :func:`_triples_through`.
 :func:`contraction_check`, :func:`classify_triple` and
 :func:`overlap_case` stay as single questions on the same code.
@@ -239,26 +240,21 @@ def _merge_stacks(d: int, merges):
         yield (chunk, *_stack(idx))
 
 
-def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray,
-                        own: np.ndarray | None = None) -> np.ndarray:
+def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
     """The exact oracle on a stack of partitions: entry m is True iff every
     block sum S[m]^T p[:, :, h] S[m] equals the one at rep[m, h].
 
     Only the t = d + 1 - n_blocks classes with rep[m, h] != h (t is one
     for the stack) can break that, so entry m is accepted iff every block
-    sum of p[:, :, h] - p[:, :, rep[m, h]] is 0.  ``p`` is one tensor shared
-    by the stack, p[i, j, h] = p_ij^h, or a stack of tensors p[e, i, j, h]
-    of which entry m reads p[own[m]] (``own`` is required), two slices
-    each, with no per-entry copy; neither symmetry nor p_0j^h = delta_jh
-    is assumed.  The float64 products are exact: partial sums are
-    integers below v (d+1)^2 < 2^53.
+    sum of p[:, :, h] - p[:, :, rep[m, h]] is 0.  ``p`` is the tensor of
+    the whole stack, p[i, j, h] = p_ij^h, read two slices per moved class;
+    neither symmetry nor p_0j^h = delta_jh is assumed.  The float64
+    products are exact: partial sums are integers below v (d+1)^2 < 2^53.
     """
     c, n, nb = S.shape
-    if p.ndim == 3:  # a shared tensor is a stack of one that every entry reads
-        p, own = p[None], np.zeros(c, dtype=np.int64)
     m, h = np.nonzero(rep != np.arange(n))
-    slices = p.transpose(0, 3, 1, 2)  # [e, h]: p[e, :, :, h]
-    diff = (slices[own[m], h] - slices[own[m], rep[m, h]]).astype(np.float64)
+    slices = p.transpose(2, 0, 1)  # [h]: p[:, :, h]
+    diff = (slices[h] - slices[rep[m, h]]).astype(np.float64)
     sums = S.transpose(0, 2, 1)[:, None] @ diff.reshape(c, n - nb, n, n) @ S[:, None]
     return ~sums.reshape(c, -1).any(axis=1)
 
@@ -269,36 +265,27 @@ def _earlier_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, -1)
 
 
-def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance,
-                     own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The row-sum criterion on a stack of partitions: fused[m] is True iff
     the rows of P S[m] fall into as many groups as S[m] has blocks, with
-    row 0 alone; lead[m, j] is the leader of row j's group.  ``P`` is one
-    eigenmatrix shared by the stack or a stack of them, of which entry m
-    reads P[own[m]] (``own`` is required), with no per-entry copy.
+    row 0 alone; lead[m, j] is the leader of row j's group.  ``P`` is the
+    eigenmatrix of the whole stack.
 
     Rows are close iff close under tol in every folded column.  A block of
-    one class folds to P's own column, so the row pairs apart in each own
-    column are found once per run of entries reading one P; per entry only
-    its merged blocks' columns are compared.  A row joins the first earlier
-    leader it is close to, so closeness need not be transitive.
+    one class folds to P's own column, so the row pairs apart in each of
+    P's columns are found once per stack; per entry only its merged
+    blocks' columns are compared.  A row joins the first earlier leader it
+    is close to, so closeness need not be transitive.
     """
     c, n, nb = S.shape
-    if P.ndim == 2:  # a shared eigenmatrix is a stack of one that every entry reads
-        P, own = P[None], np.zeros(c, dtype=np.int64)
-    fresh = np.concatenate([[True], own[1:] != own[:-1]])  # the first entry of each run
-    first = np.flatnonzero(fresh)
     size = S.sum(axis=1)
     m, b = np.nonzero(size > 1)  # the merged blocks
-    folded = np.concatenate([P[own[a]] @ S[a:z] for a, z in zip(first, np.r_[first[1:], c])])
-    # entry m reads its run's own columns of the classes alone in a block
-    alone = np.zeros((c, len(first), n))
-    alone[np.arange(c), np.cumsum(fresh) - 1] = (S @ (size == 1)[:, :, None])[:, :, 0]
-    # apart[q, col]: row pair q differs in the column (own columns, then merged)
-    cols = np.concatenate([P[own[first]].transpose(1, 0, 2).reshape(n, -1), folded[m, :, b].T], axis=1)
+    alone = (S @ (size == 1)[:, :, None])[:, :, 0]  # [m, i]: class i is alone in its block
+    # apart[q, col]: row pair q differs in the column (P's own columns, then merged)
+    cols = np.concatenate([P, (P @ S)[m, :, b].T], axis=1)
     later, earlier = _earlier_pairs(n)
     apart = ~tol.isclose(cols[later], cols[earlier])
-    reads = np.concatenate([alone.reshape(c, -1), m == np.arange(c)[:, None]], axis=1)
+    reads = np.concatenate([alone, m == np.arange(c)[:, None]], axis=1)
     close = np.zeros((c, n, n), dtype=bool)
     close[:, later, earlier] = reads @ apart.T == 0
     # leader[j] depends only on leader[:j], so each pass fixes at least one
@@ -384,20 +371,19 @@ def _disagreement(p: np.ndarray, pi: ClassPartition, exact_accepts: bool,
 
 
 def _reconcile(p: np.ndarray, P: np.ndarray, S: np.ndarray, rep: np.ndarray, tol: Tolerance,
-               own: np.ndarray | None = None, where=None) -> tuple[np.ndarray, np.ndarray]:
-    """Both kernels on one stack, on the shared tensor ``p`` and eigenmatrix
-    ``P``, or with ``own`` on per-entry ones (entry m reads p[own[m]] and
-    P[own[m]]): the row-sum kernel's (fused, lead), or :func:`_disagreement`'s
-    error, prefixed by ``where(m)``, at the first entry the two differ on.
+               where: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Both kernels on one stack, on the tensor ``p`` and eigenmatrix ``P``
+    of the whole stack: the row-sum kernel's (fused, lead), or
+    :func:`_disagreement`'s error, prefixed by ``where``, at the first
+    entry the two differ on.
     """
-    exact = _stacked_block_sums(p, S, rep, own)
-    fused, lead = _stacked_row_sum(P, S, tol, own)
+    exact = _stacked_block_sums(p, S, rep)
+    fused, lead = _stacked_row_sum(P, S, tol)
     differ = np.flatnonzero(exact != fused)
     if differ.size:
         m = differ[0]
-        error = _disagreement(p if own is None else p[own[m]], _partition_of(S[m].argmax(axis=1)),
-                              bool(exact[m]), lead[m])
-        raise error if where is None else OracleDisagreement(f"{where(m)}: {error}")
+        error = _disagreement(p, _partition_of(S[m].argmax(axis=1)), bool(exact[m]), lead[m])
+        raise error if where is None else OracleDisagreement(f"{where}: {error}")
     return fused, lead
 
 
@@ -672,10 +658,11 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     are folded from one histogram of the parent's cells
     (:func:`_contracted_tensors`), and the eigenmatrices are accepted only
     as the tensors' character tables (:func:`_check_characters`).  Both
-    kernels then ask the pairs {merged class, ell} in stacks over 0..d-2,
-    each entry on its own triple's tensor and eigenmatrix.  Yields one
-    ((T, ell), fused) per pair, in ``outside`` order.  A triple the parent
-    does not fuse, or a disagreement, raises :class:`OracleDisagreement`.
+    kernels then ask each triple's pairs {merged class, ell} in stacks of
+    their own over 0..d-2, on that triple's tensor and eigenmatrix.
+    Yields one ((T, ell), fused) per pair, in ``outside`` order.  A triple
+    the parent does not fuse, or a disagreement, raises
+    :class:`OracleDisagreement`.
     With no triple asked it reads nothing, not even the parent's cells.
     """
     if not outside:
@@ -691,16 +678,13 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
         P = _fused_eigenmatrices(parent_P, S, lead, tol)
         p, k_fused = _contracted_tensors(chunk, counts, k)
         _check_characters(chunk, p, k_fused, P, scheme.v, tol)
-        # ell's block: ell less the classes of T above T[0] and below ell
-        asked = [(m, ell, tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))))
-                 for m, T in enumerate(chunk) for ell in outside[T]]
-        todo = iter(asked)
-        for pairs, S2, rep in _merge_stacks(d - 2, [pair for *_, pair in asked]):
-            here = list(itertools.islice(todo, len(pairs)))
-            own = np.array([m for m, *_ in here])
-            answers, _ = _reconcile(p, P, S2, rep, tol, own,
-                                    lambda i: f"contraction of {set(chunk[own[i]])}")
-            yield from zip([(chunk[m], ell) for m, ell, _ in here], answers.tolist())
+        for m, T in enumerate(chunk):
+            ells = iter(outside[T])
+            # ell's block: ell less the classes of T above T[0] and below ell
+            pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in outside[T]]
+            for _, S2, rep in _merge_stacks(d - 2, pairs):
+                answers, _ = _reconcile(p[m], P[m], S2, rep, tol, f"contraction of {set(T)}")
+                yield from (((T, ell), ok) for ok, ell in zip(answers.tolist(), ells))
 
 
 def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -133,11 +133,8 @@ def block_sums_by_full_tensor(p, S, rep):
     """Test-only reference for ``fusion._stacked_block_sums``: all
     (d+1)^3 block sums F[m, I, J, h] = sum_{i in I, j in J} p_ij^h of every
     stack entry, each compared with its value at h's block representative
-    rep[m, h].  ``p`` is shared, p[i, j, h], or per entry, p[m, i, j, h]."""
-    c, n, nb = S.shape
-    if p.ndim == 3:
-        p = np.broadcast_to(p, (c, n, n, n))
-    F = np.einsum("mia,mijh,mjb->mabh", S, p.astype(np.float64), S)
+    rep[m, h], on the stack's tensor p[i, j, h]."""
+    F = np.einsum("mia,ijh,mjb->mabh", S, p.astype(np.float64), S)
     return np.all(F == np.take_along_axis(F, rep[:, None, None, :], axis=3), axis=(1, 2, 3))
 
 

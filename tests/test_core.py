@@ -711,11 +711,33 @@ def test_labels_that_are_not_integers_are_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: validate_scheme([[0, 2 ** 70], [2 ** 70, 0]]),
+     r"^label out of range \[0, 18446744073709551615\] at \(0, 1\)$"),
+    (lambda: validate_scheme([[0, 1, 2 ** 70], [1, 0, 1], [-2 ** 70, 1, 0]]),
+     r"^label out of range \[0, 18446744073709551615\] at \(0, 2\)$"),
+    (lambda: LabelMatrix(v=2, d=1, labels=[[0, 2 ** 70], [2 ** 70, 0]]),
+     r"^label out of range \[0, 1\] at \(0, 1\)$"),
+    (lambda: LabelMatrix(v=2, d=3, labels=[[0, 1], [-2 ** 70, 0]]),
+     r"^label out of range \[0, 3\] at \(1, 0\)$"),
+    (lambda: validate_scheme([[0, 2 ** 70], [2 ** 70, "0"]]), r"^labels must be integers, got dtype object$"),
+    (lambda: validate_scheme([[0, None], [None, 0]]), r"^labels must be integers, got dtype object$"),
+], ids=["beyond-uint64", "first-cell-named", "above-d", "below-0", "with-a-string", "with-none"])
+def test_python_int_labels_beyond_int64_are_named(build, message):
+    """An integer label too large for int64 makes numpy build an object
+    array; its first cell out of range is named as for integer arrays.
+    Object input holding anything but Python ints is refused by dtype."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_integral_bool_and_float_labels_are_accepted():
     base = gen_hamming_binary(3)
     for labels in (base.labels.astype(np.float64), base.labels.astype(np.float32).tolist()):
         assert validate_scheme(labels) == base
     k2 = LabelMatrix(v=2, d=1, labels=np.array([[False, True], [True, False]]))
+    assert k2.labels.dtype == np.uint8 and k2.labels.tolist() == [[0, 1], [1, 0]]
+    k2 = LabelMatrix(v=2, d=1, labels=np.array([[0, 1], [1, 0]], dtype=object))
     assert k2.labels.dtype == np.uint8 and k2.labels.tolist() == [[0, 1], [1, 0]]
 
 

@@ -18,9 +18,9 @@ import amorphic.core as core
 import amorphic.fusion as fusion
 from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
 from conftest import (admissible_pairs_by_lookup, block_sums_by_full_tensor, dual_by_full_fold,
-                      enumerate_partitions, fuse_by_relabeling, net_with_group_sizes,
-                      overlap_label_by_tables, overlapping_pairs_by_filter, row_sum_by_full_fold,
-                      tensor_by_label_histogram)
+                      enumerate_partitions, fuse_by_relabeling, hamming_square_product,
+                      net_with_group_sizes, overlap_label_by_tables, overlapping_pairs_by_filter,
+                      row_sum_by_full_fold, tensor_by_label_histogram)
 
 TOL = am.DEFAULT_TOL
 
@@ -482,21 +482,17 @@ def test_partition_over_another_d_is_rejected():
 # ------------------------------------ merge-local kernels against references
 
 def _check_kernels(p, P, S, rep, tol=TOL):
-    """Both kernels, and the fused eigenmatrices where P is shared, agree
-    entry by entry with the full-tensor references on one stack, entry m
-    reading p[m] and P[m] where they are per entry; returns the exact
-    answers."""
-    own = None if P.ndim == 2 else np.arange(len(S))
-    exact = fusion._stacked_block_sums(p, S, rep, own)
+    """Both kernels, and the fused eigenmatrices, agree entry by entry with
+    the full-tensor references on one stack; returns the exact answers."""
+    exact = fusion._stacked_block_sums(p, S, rep)
     assert np.array_equal(exact, block_sums_by_full_tensor(p, S, rep))
-    fused, lead = fusion._stacked_row_sum(P, S, tol, own)
+    fused, lead = fusion._stacked_row_sum(P, S, tol)
     ref_fused, ref_lead = row_sum_by_full_fold(P, S, tol)
     assert np.array_equal(fused, ref_fused) and np.array_equal(lead, ref_lead)
-    if P.ndim == 2:
-        ok = np.flatnonzero(fused)
-        for m, P_m in zip(ok, fusion._fused_eigenmatrices(P, S[ok], lead[ok], tol)):
-            ref = dual_by_full_fold(P, S[m], lead[m], tol)
-            assert fusion._partition_of(lead[m]) == ref.rho and np.array_equal(P_m, ref.P_fused)
+    ok = np.flatnonzero(fused)
+    for m, P_m in zip(ok, fusion._fused_eigenmatrices(P, S[ok], lead[ok], tol)):
+        ref = dual_by_full_fold(P, S[m], lead[m], tol)
+        assert fusion._partition_of(lead[m]) == ref.rho and np.array_equal(P_m, ref.P_fused)
     return exact
 
 
@@ -528,27 +524,6 @@ def test_kernels_match_references_on_net13_merges():
             assert _check_kernels(scheme.intersection.p, P, S, rep).all()
 
 
-def test_kernels_match_references_on_per_entry_stacks(corpus):
-    """Per-entry tensors and eigenmatrices of the corpus schemes of one d,
-    in runs of one scheme and alternating between schemes."""
-    by_d = {}
-    for _, scheme in corpus:
-        by_d.setdefault(scheme.d, []).append(scheme)
-    stacks = 0
-    for d, schemes in by_d.items():
-        if d < 2 or len(schemes) < 2:
-            continue
-        for r in range(2, d + 1):
-            for _, S, rep in fusion._merge_stacks(d, _merges(d, r)):
-                c = len(S)
-                for order in (np.arange(c) * len(schemes) // c, np.arange(c) % len(schemes)):
-                    p = np.array([schemes[i].intersection.p for i in order])
-                    P = np.array([am.spectral_decomposition(schemes[i]).P for i in order])
-                    _check_kernels(p, P, S, rep)
-                    stacks += 1
-    assert stacks > 20
-
-
 def _random_stack(rng, d, nb, c):
     """c random partitions of 0..d with {0} alone and nb blocks."""
     idx = []
@@ -560,20 +535,17 @@ def _random_stack(rng, d, nb, c):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), c=st.integers(1, 6),
-       per_entry=st.booleans())
-def test_kernels_match_references_on_arbitrary_tensors(seed, d, c, per_entry):
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), c=st.integers(1, 6))
+def test_kernels_match_references_on_arbitrary_tensors(seed, d, c):
     """Integer tensors with no symmetry and no p_0j^h = delta_jh, and
     eigenmatrices with entries equal, within tol or just beyond it, on
-    stacks of arbitrary partitions; per-entry eigenmatrices come in runs
-    and alternations of a few distinct ones."""
+    stacks of arbitrary partitions."""
     rng = np.random.default_rng(seed)
     n = d + 1
     S, rep = _random_stack(rng, d, int(rng.integers(2, n + 1)), c)
-    p = rng.integers(0, 2, size=(c, n, n, n) if per_entry else (n, n, n))
-    base = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(3, n, n))
-    base += rng.choice([0.0, 0.0, 4e-9, -4e-9, 3e-8], size=(3, n, n))
-    P = base[rng.integers(0, 3, c)] if per_entry else base[0]
+    p = rng.integers(0, 2, size=(n, n, n))
+    P = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(n, n))
+    P += rng.choice([0.0, 0.0, 4e-9, -4e-9, 3e-8], size=(n, n))
     _check_kernels(p, P, S, rep)
 
 
@@ -751,6 +723,24 @@ def test_batched_contraction_matches_relabeling(corpus):
     assert checked > 280
 
 
+def test_witness_b_answers_every_outside_class(corpus):
+    """Asked about every class ell outside each fusing triple T, admissible
+    or not, witness B answers as the relabeling reference does for merging
+    T + {ell} in the parent.  H(2,2) x H(2,2) has two fusing triples whose
+    merged classes sit at different places, and some of its answers are
+    no, so a pair asked on another triple's contracted scheme shows."""
+    answers = set()
+    for name, scheme in [*_contraction_schemes(corpus), ("H(2,2)^2", hamming_square_product())]:
+        d = scheme.d
+        outside = {T: [ell for ell in range(1, d + 1) if ell not in T]
+                   for T in am.enumerate_fusing_tuples(scheme, 3)}
+        want = [((T, ell), fuse_by_relabeling(scheme, am.ClassPartition.merge(d, T + (ell,)))
+                 is not None) for T, ell in _flat(outside)]
+        assert list(fusion._decide_contracted(scheme, outside, TOL)) == want, name
+        answers.update(ok for _, ok in want)
+    assert answers == {False, True}
+
+
 def _flip_first(monkeypatch, on_parent):
     """Flip the first answer of witness A's 4-sets (_decide_merges on the
     parent) or of witness B's contracted pairs (_decide_contracted), each
@@ -790,13 +780,18 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
 def test_contraction_stacks(monkeypatch):
     """On net(7; 1^8) the parent decides the 70 distinct 4-sets in stacks of
     64 and 6, and witness B derives the eigenmatrices of its 56 contracted
-    schemes in one stack and answers their 280 pairs in stacks of 64 across
-    triples; each witness yields one answer per question, in order."""
+    schemes in one stack and answers each scheme's 5 pairs in a stack of
+    its own, on that scheme's tensor and eigenmatrix (n = d - 1 = 7); each
+    witness yields one answer per question, in order."""
     scheme = net_with_group_sizes(7, [1] * 8)
     triples = am.enumerate_fusing_tuples(scheme, 3)
     outside = _outside_of(triples)
-    stacks, asked = [], {"_decide_merges": [], "_decide_contracted": []}
-    real_stacks = fusion._merge_stacks
+    stacks, shapes, asked = [], [], {"_decide_merges": [], "_decide_contracted": []}
+    real_stacks, real_reconcile = fusion._merge_stacks, fusion._reconcile
+
+    def spy_reconcile(p, P, *rest):
+        shapes.append((p.shape, P.shape))
+        return real_reconcile(p, P, *rest)
 
     def spy_stacks(d, merges):
         for chunk, *rest in real_stacks(d, merges):
@@ -811,9 +806,11 @@ def test_contraction_stacks(monkeypatch):
 
         monkeypatch.setattr(fusion, name, spy)
     monkeypatch.setattr(fusion, "_merge_stacks", spy_stacks)
+    monkeypatch.setattr(fusion, "_reconcile", spy_reconcile)
     assert all(fusion._contractions(scheme, outside, TOL))
     assert (len(triples), len(_flat(outside))) == (56, 280)
-    assert stacks == [(4, 64), (4, 6), (3, 56)] + [(2, 64)] * 4 + [(2, 24)]
+    assert stacks == [(4, 64), (4, 6), (3, 56)] + [(2, 5)] * 56
+    assert shapes == [((9, 9, 9), (9, 9))] * 2 + [((7, 7, 7), (7, 7))] * 56
     assert asked["_decide_merges"] == sorted({tuple(sorted(T + (ell,))) for T, ell in _flat(outside)})
     assert asked["_decide_contracted"] == _flat(outside)
 
@@ -896,24 +893,6 @@ def test_character_check_peak_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20, peak / 2 ** 20
-
-
-def test_per_entry_tensors_match_shared_tensor(corpus):
-    """Given copies of one tensor and of one eigenmatrix, each per-entry
-    kernel answers every pair and triple merge of the corpus as the shared
-    one does: with an entry's own copy, and with runs of three entries
-    reading one copy, each by index."""
-    for name, scheme in corpus:
-        p, P = scheme.intersection.p, am.spectral_decomposition(scheme).P
-        for r in (2, 3):
-            for chunk, S, rep in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
-                c = len(chunk)
-                shared = (fusion._stacked_block_sums(p, S, rep), *fusion._stacked_row_sum(P, S, TOL))
-                for own in (np.arange(c), np.arange(c) // 3):
-                    copies = [np.broadcast_to(x, (c,) + x.shape) for x in (p, P)]
-                    got = (fusion._stacked_block_sums(copies[0], S, rep, own),
-                           *fusion._stacked_row_sum(copies[1], S, TOL, own))
-                    assert all(map(np.array_equal, got, shared)), (name, r, own)
 
 
 def test_witness_b_names_a_triple_the_parent_does_not_fuse():
@@ -1015,8 +994,8 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     def flipped(tensor, S, *rest):
         out = real(tensor, S, *rest)
         answers = out[0] if kernel == "_stacked_row_sum" else out
-        # witness B's stacks: one tensor or eigenmatrix per entry
-        if tensor.ndim == (4 if kernel == "_stacked_block_sums" else 3):
+        # witness B's stacks: a contracted tensor or eigenmatrix, n = d - 1
+        if len(tensor) == scheme.d - 1:
             answers[0] = not answers[0]
         return out
 

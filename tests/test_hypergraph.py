@@ -108,8 +108,8 @@ def test_idempotent_side_disagreement_is_fatal(monkeypatch):
     real = fusion._stacked_row_sum
     calls = []
 
-    def singletons_once(M, S, tol, own=None):
-        fused, lead = real(M, S, tol, own)
+    def singletons_once(M, S, tol):
+        fused, lead = real(M, S, tol)
         if M is P:  # the confirmation stack, on the scheme's P
             calls.append(len(S))
             lead[0] = np.arange(len(lead[0]))

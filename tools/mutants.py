@@ -69,6 +69,14 @@ CATALOGUE = (
            "    for col in range(n - 1):\n",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
+    # each triple's pairs asked on the tensor and eigenmatrix of the triple
+    # before it in its chunk (the last one, for the first); every admissible
+    # pair of the corpus fuses on either, so only a scheme whose pairs also
+    # answer no (H(2,2) x H(2,2), every class outside each triple) tells
+    Mutant("witness-b-previous-triple", "src/amorphic/fusion.py",
+           "_reconcile(p[m], P[m], S2, rep, tol,",
+           "_reconcile(p[m - 1], P[m - 1], S2, rep, tol,",
+           ("tests/test_fusion.py::test_witness_b_answers_every_outside_class",)),
     Mutant("fold-skips-remainder-check", "src/amorphic/fusion.py",
            "    rest = folded % k_fused[:, None, None, :]\n",
            "    rest = np.zeros_like(folded)\n",
@@ -86,13 +94,6 @@ CATALOGUE = (
            "        found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)\n",
            "        found, found_lead = fused[ask], rep[ask]\n",
            ("tests/test_hypergraph.py::test_idempotent_side_disagreement_is_fatal",)),
-    # The row-sum kernel on per-entry eigenmatrices: each entry reads the
-    # own columns of the run before its own.
-    Mutant("row-sum-run-off-by-one", "src/amorphic/fusion.py",
-           "np.cumsum(fresh) - 1]",
-           "np.r_[0, np.cumsum(fresh)[:-1] - 1]]",
-           ("tests/test_fusion.py::test_kernels_match_references_on_per_entry_stacks",
-            "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
     # The map from 2-subsets to fusing triples and what the verifier reads
     # off it (fusion._triples_through, fusion._outside, fusion._overlap_labels,
     # hypergraph._cores).
