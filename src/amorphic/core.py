@@ -168,7 +168,9 @@ class LabelMatrix:
     compared exactly.  Bool and float input is accepted where
     every label is an integer; a float label that is not (a fraction, NaN
     or an infinity) is rejected, naming its cell, and so is input of any
-    other dtype, never truncated.  A writeable array that the labels would
+    other dtype, never truncated.  Float labels are range-checked as
+    floats and then cast once, so one at or beyond 2^63 neither wraps nor
+    warns.  A writeable array that the labels would
     share memory with is copied first, so the caller's array stays
     writeable and later writes to it do not reach the matrix; callers that
     build the array in the narrow dtype and hand it over mark it read-only
@@ -193,12 +195,13 @@ class LabelMatrix:
             if off.any():
                 bad = tuple(int(x) for x in np.argwhere(off)[0])
                 raise ValueError(f"label {labels[bad]} at {bad} is not an integer")
-        if labels.dtype.kind in "bf":
-            labels = labels.astype(np.int64)
         if self.v < 1 or self.d < 1:
             raise ValueError("need v >= 1 and d >= 1")
+        top = self.d
+        if labels.dtype.kind == "f":  # floats meet d as the largest float64 at or below it
+            top = np.float64(float(top) if float(top) <= top else math.nextafter(float(top), 0))
         if int(labels.min()) < 0 or int(labels.max()) > self.d:
-            bad = np.argwhere((labels < 0) | (labels > self.d))[0]
+            bad = np.argwhere((labels < 0) | (labels > top))[0]
             raise ValueError(f"label out of range [0, {self.d}] at {tuple(int(x) for x in bad)}")
         labels = np.ascontiguousarray(labels, dtype=_label_dtype(self.d))
         if labels.flags.writeable and np.may_share_memory(labels, given):

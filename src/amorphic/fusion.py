@@ -27,11 +27,11 @@ The contraction claim runs as one batch per scheme (:func:`_contractions`)
 with two witnesses that must agree: the parent decides each 4-set
 T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
 of each contracted scheme in a stack of its own, without building the
-scheme: on tensors folded from one histogram of the parent's labels and
-on eigenmatrices read off the parent's P and proven to be their
-character tables.  The 18 overlap subcases are written once, as
-:data:`CASE_REPRESENTATIVES`, and a pair of triples gets the label of
-its :func:`_overlap_signature`.
+scheme: one triple at a time, on a tensor folded from one histogram of
+the parent's labels and on an eigenmatrix read off the parent's P and
+proven to be its character table.  The 18 overlap subcases are written
+once, as :data:`CASE_REPRESENTATIVES`, and a pair of triples gets the
+label of its :func:`_overlap_signature`.
 Both claims read their pairs off one map, :func:`_triples_through`.
 :func:`contraction_check`, :func:`classify_triple` and
 :func:`overlap_case` stay as single questions on the same code.
@@ -199,7 +199,8 @@ class FusionOutcome:
 
 
 # Merges per stack of _merge_stacks, so that a stack's arrays have a fixed size
-# whatever the merge count (witness B's: 64 tensors of (d-1)^3, 10 MB at d = 28).
+# whatever the merge count (witness B's: 64 (d+1) x (d-1) membership matrices
+# and as many (d-1)^2 eigenmatrices; its tensors are folded one at a time).
 _MERGE_CHUNK = 64
 
 
@@ -654,12 +655,15 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     ``outside[T]``, without building it.
 
     Per :func:`_merge_stacks` chunk of triples, the fused eigenmatrices
-    are read off the parent's P (:func:`_fused_eigenmatrices`), the tensors
-    are folded from one histogram of the parent's cells
-    (:func:`_contracted_tensors`), and the eigenmatrices are accepted only
-    as the tensors' character tables (:func:`_check_characters`).  Both
-    kernels then ask each triple's pairs {merged class, ell} in stacks of
-    their own over 0..d-2, on that triple's tensor and eigenmatrix.
+    are read off the parent's P (:func:`_fused_eigenmatrices`).  Then, one
+    triple at a time, its tensor is folded from one histogram of the
+    parent's cells (:func:`_contracted_tensor`), its eigenmatrix is
+    accepted only as that tensor's character table
+    (:func:`_check_characters`), and both kernels ask its pairs {merged
+    class, ell} in stacks of their own over 0..d-2, on that tensor and
+    eigenmatrix.  Only the row-sum stack and its eigenmatrices carry a
+    triple axis; a triple's tensor and check arrays hold n^3 entries at
+    most.
     Yields one ((T, ell), fused) per pair, in ``outside`` order.  A triple
     the parent does not fuse, or a disagreement, raises
     :class:`OracleDisagreement`.
@@ -675,46 +679,48 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
         if not fused.all():
             raise OracleDisagreement(f"contraction of {set(chunk[int(np.argmin(fused))])}: "
                                      f"the parent's eigenmatrix does not fuse the triple")
-        P = _fused_eigenmatrices(parent_P, S, lead, tol)
-        p, k_fused = _contracted_tensors(chunk, counts, k)
-        _check_characters(chunk, p, k_fused, P, scheme.v, tol)
-        for m, T in enumerate(chunk):
+        for T, P in zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol)):
+            p, k_fused = _contracted_tensor(T, counts, k)
+            _check_characters(T, p, k_fused, P, scheme.v, tol)
             ells = iter(outside[T])
             # ell's block: ell less the classes of T above T[0] and below ell
             pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in outside[T]]
             for _, S2, rep in _merge_stacks(d - 2, pairs):
-                answers, _ = _reconcile(p[m], P[m], S2, rep, tol, f"contraction of {set(T)}")
+                answers, _ = _reconcile(p, P, S2, rep, tol, f"contraction of {set(T)}")
                 yield from (((T, ell), ok) for ok, ell in zip(answers.tolist(), ells))
 
 
-def _contracted_tensors(chunk, counts: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tensors p' and valencies k' of the contracted schemes of the
-    triples T in ``chunk`` (T merged in T[0]'s place), from the parent's
-    histogram ``counts, k = _row0_counts(labels, d)``.
+def _contracted_tensor(T: tuple[int, ...], counts: np.ndarray,
+                       k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor p' and valencies k' of the contracted scheme of the
+    triple T (T merged in T[0]'s place), from the parent's histogram
+    ``counts, k = _row0_counts(labels, d)``.
 
-    Only the merged class is folded: on each axis T[1] and T[2] are added
-    into T[0] and dropped, integer for integer the fused labels' histogram,
-    so p' = counts' / k'_h, kept integer; a count k'_h does not divide
-    raises :class:`OracleDisagreement` naming the triple.
+    Only the merged class is folded: the class map c sends T[1] and T[2]
+    to T[0] and moves each other class down by those of them below it, as
+    fused blocks are numbered, and one ``bincount``
+    keyed by (c[i], c[j], c[h]) adds the counts up, integer for integer
+    the fused labels' histogram.  Its float64 sums are exact: the counts
+    add up to v^2 < 2^53.  So p' = counts' / k'_h, integers held in
+    float64.  A quotient of integers below 2^53 rounds to an integer only
+    where it is one, so a count k'_h does not divide shows as a fraction,
+    and raises :class:`OracleDisagreement` naming the triple.
     """
-    T, rows, n = np.array(chunk), np.arange(len(chunk)), len(k)
-    keep = np.array([[i for i in range(n) if i not in t[1:]] for t in chunk])
-
-    def fold(X):  # axis 1 of X[m, i, ...] folded, and moved last
-        Y = X[rows[:, None], keep]
-        Y[rows, T[:, 0]] += X[rows, T[:, 1]] + X[rows, T[:, 2]]
-        return np.moveaxis(Y, 1, -1)
-
-    k_fused = fold(np.broadcast_to(k, (len(T), n)))
-    folded = fold(fold(fold(np.broadcast_to(counts, (len(T), n, n, n)))))
-    rest = folded % k_fused[:, None, None, :]
-    if rest.any():
-        m, a, b, h = np.argwhere(rest)[0]
+    classes = np.arange(len(k))
+    c = classes - (classes > T[1]) - (classes > T[2])
+    c[[T[1], T[2]]] = T[0]
+    n = len(k) - 2
+    k_fused = np.bincount(c, weights=k, minlength=n)
+    key = (c * n ** 2)[:, None, None] + (c * n)[:, None] + c
+    folded = np.bincount(key.ravel(), weights=counts.ravel(), minlength=n ** 3).reshape(n, n, n)
+    p = folded / k_fused
+    fraction = p != np.rint(p)
+    if fraction.any():
+        a, b, h = np.argwhere(fraction)[0]
         raise OracleDisagreement(
-            f"contraction of {set(chunk[m])}: the folded count {folded[m, a, b, h]} of "
-            f"classes {a}, {b} at {h} is not a multiple of k'_{h} = {k_fused[m, h]}")
-    folded //= k_fused[:, None, None, :]
-    return folded, k_fused
+            f"contraction of {set(T)}: the folded count {int(folded[a, b, h])} of "
+            f"classes {a}, {b} at {h} is not a multiple of k'_{h} = {int(k_fused[h])}")
+    return p, k_fused
 
 
 _CHECKS = ("column 0 is not 1 in row {0}", "row 0 is not the valencies at class {0}",
@@ -722,50 +728,39 @@ _CHECKS = ("column 0 is not 1 in row {0}", "row 0 is not the valencies at class 
            "rows {1} and {0} repeat")
 
 
-def _check_characters(chunk, p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int,
+def _check_characters(T: tuple[int, ...], p: np.ndarray, k: np.ndarray, P: np.ndarray, v: int,
                       tol: Tolerance) -> None:
-    """Accept each P[m] as the eigenmatrix of the integer tensor p[m] with
-    valencies k[m] only if it is p[m]'s full character table:
+    """Accept P as the eigenmatrix of the contracted scheme of T, whose
+    tensor is p (integers) and valencies k, only if it is p's full
+    character table:
 
     1. column 0 is all 1;
-    2. row 0 is k[m];
+    2. row 0 is k;
     3. P[j, a] P[j, b] = sum_h p_ab^h P[j, h] for every row j and classes
        a, b, under the PQ = vI check's ``tol.scaled(v)``;
     4. the rows are pairwise distinct: no row is close under ``tol``, in
        every column, to an earlier row.
 
-    By 1 and 3 each row is a character of the algebra p[m] defines, and an
+    By 1 and 3 each row is a character of the algebra p defines, and an
     n-dimensional commutative semisimple algebra has exactly n of them, so
-    by 4 P[m] is p[m]'s eigenmatrix up to row order.  Check 3 runs one
-    class a at a time and check 4 one column at a time, on (c, n, n) arrays
-    at most.  Otherwise :class:`OracleDisagreement` names the triple and
-    the failed check.
+    by 4 P is p's eigenmatrix up to row order.  Each check is one
+    comparison, on (n, n, n) arrays at most.  Otherwise
+    :class:`OracleDisagreement` names the triple and the first failed
+    check where it first fails: the least row, class or row pair, and for
+    check 3 the least a, then b, then row j.
     """
     scale = tol.scaled(v)
-    c, n, _ = P.shape
-    later, earlier = _earlier_pairs(n)
-
-    def products(a, m=slice(None)):  # [m, j, b]: row j breaks check 3 at classes a, b
-        return ~scale.isclose(P[m, :, a, None] * P[m], P[m] @ p[m, a].swapaxes(-1, -2))
-
-    close = np.ones((c, len(later)), dtype=bool)
-    for col in range(n):
-        close &= tol.isclose(P[:, later, col], P[:, earlier, col])
-    # fails[check][m]: where triple m breaks the check (rows, classes, classes a, row pairs)
-    fails = [~scale.isclose(P[:, :, 0], 1.0), ~scale.isclose(P[:, 0], k),
-             np.array([products(a).any(axis=(1, 2)) for a in range(n)]).T, close]
-    bad = np.array([fail.any(axis=1) for fail in fails])
-    if bad.any():
-        m = int(np.argmax(bad.any(axis=0)))
-        check = int(np.argmax(bad[:, m]))
-        first = int(np.argmax(fails[check][m]))
-        at = (first,)
-        if check == 2:  # the first (b, j) at the first class a
-            at += np.unravel_index(np.argmax(products(first, m).T), (n, n))
-        elif check == 3:
-            at = (later[first], earlier[first])
-        what = _CHECKS[check].format(*at)
-        raise OracleDisagreement(f"contraction of {set(chunk[m])}: contracted eigenmatrix: {what}")
+    later, earlier = _earlier_pairs(len(k))
+    fails = (~scale.isclose(P[:, 0], 1.0), ~scale.isclose(P[0], k),
+             ~scale.isclose(P.T[:, None] * P.T[None], p @ P.T),  # [a, b, j]
+             tol.isclose(P[later], P[earlier]).all(axis=1))
+    for check, fail in enumerate(fails):
+        if fail.any():
+            at = np.unravel_index(np.argmax(fail), fail.shape)
+            if check == 3:
+                at = (later[at[0]], earlier[at[0]])
+            what = _CHECKS[check].format(*at)
+            raise OracleDisagreement(f"contraction of {set(T)}: contracted eigenmatrix: {what}")
 
 
 # Representative dual-set layouts for the 18 overlap subcases: for each

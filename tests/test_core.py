@@ -731,6 +731,24 @@ def test_python_int_labels_beyond_int64_are_named(build, message):
         build()
 
 
+@pytest.mark.parametrize("label, error, message", [
+    (2.0 ** 63, AxiomViolation, r"^label 1 never occurs$"),
+    (1e19, AxiomViolation, r"^label 1 never occurs$"),
+    (3.0, AxiomViolation, r"^label 1 never occurs$"),
+    (2.0 ** 64, ValueError, r"^label out of range \[0, 18446744073709551615\] at \(0, 1\)$"),
+], ids=["2^63", "1e19", "3", "2^64"])
+def test_large_float_labels_are_range_checked_before_the_cast(label, error, message):
+    """An integral float label that an unsigned label dtype holds reaches
+    validation, whatever its size, and one beyond every label dtype is
+    named as out of range; none of them warns.  Casting to int64 first
+    wrapped 2^63 and 1e19 with a RuntimeWarning and named them out of a
+    range that holds them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            validate_scheme([[0, label], [label, 0]])
+
+
 def test_integral_bool_and_float_labels_are_accepted():
     base = gen_hamming_binary(3)
     for labels in (base.labels.astype(np.float64), base.labels.astype(np.float32).tolist()):

@@ -850,9 +850,9 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
     seen = []
     real = fusion._check_characters
 
-    def spy(chunk, p, k, P, v, tol):
-        real(chunk, p, k, P, v, tol)
-        seen.append((chunk, p, k, P))
+    def spy(T, p, k, P, v, tol):
+        real(T, p, k, P, v, tol)
+        seen.append((T, p, k, P))
 
     monkeypatch.setattr(fusion, "_check_characters", spy)
     checked = 0
@@ -861,38 +861,55 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
         triples = am.enumerate_fusing_tuples(scheme, 3)
         seen.clear()
         assert list(fusion._decide_contracted(scheme, dict.fromkeys(triples, []), TOL)) == []
-        assert [T for chunk, *_ in seen for T in chunk] == triples, name
-        for chunk, p, k_fused, P in seen:
-            for m, T in enumerate(chunk):
-                fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
-                assert np.array_equal(p[m], tensor_by_label_histogram(fused)), (name, T)
-                assert k_fused[m].tolist() == list(fused.valencies), (name, T)
-                eigh_P = am.spectral_decomposition(fused).P
-                assert (sorted(map(tuple, np.round(P[m], 6)))
-                        == sorted(map(tuple, np.round(eigh_P, 6)))), (name, T)
-                checked += 1
+        assert [T for T, *_ in seen] == triples, name
+        for T, p, k_fused, P in seen:
+            fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
+            assert np.array_equal(p, tensor_by_label_histogram(fused)), (name, T)
+            assert k_fused.tolist() == list(fused.valencies), (name, T)
+            eigh_P = am.spectral_decomposition(fused).P
+            assert (sorted(map(tuple, np.round(P, 6)))
+                    == sorted(map(tuple, np.round(eigh_P, 6)))), (name, T)
+            checked += 1
     assert checked > 56
 
 
 def test_character_check_peak_is_bounded(monkeypatch):
-    """The character check of witness B's first chunk on net(16; 1^17),
-    64 contracted schemes with n = 16, peaks under 2 MiB: it holds arrays
-    of c n^2 floats, never of c n^3 (2 MiB each; forming check 3's two
-    sides whole peaked at 6.5 MiB)."""
+    """The character check of one contracted scheme of net(16; 1^17), with
+    n = 16, peaks under 512 KiB, the size of one array of n^4 floats: it
+    holds arrays of n^3 floats (32 KiB each), and no stack of triples."""
     scheme = am.gen_net_scheme(16, am.SlopeGrouping.singletons(16))
     seen = []
     monkeypatch.setattr(fusion, "_check_characters", lambda *args: seen.append(args))
-    triples = am.enumerate_fusing_tuples(scheme, 3)[:fusion._MERGE_CHUNK]
+    triples = am.enumerate_fusing_tuples(scheme, 3)[:1]
     assert list(fusion._decide_contracted(scheme, dict.fromkeys(triples, []), TOL)) == []
-    (chunk, p, k, P, v, tol), = seen
-    assert P.shape == (64, 16, 16) and p.dtype.kind == "i"
+    (T, p, k, P, v, tol), = seen
+    assert P.shape == (16, 16) and p.shape == (16, 16, 16)
     tracemalloc.start()
     try:
-        fusion._check_characters(chunk, p, k, P, v, tol)
+        fusion._check_characters(T, p, k, P, v, tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, peak / 2 ** 20
+    assert peak < 2 ** 19, peak / 2 ** 10
+
+
+def test_witness_b_peak_is_per_triple():
+    """Witness B on the first 64 triples of net(32; 1^33), each asked about
+    every outside class, peaks under 8 MiB: one triple's tensor (n = 32,
+    256 KiB) is folded and checked at a time, never a chunk's 64 of them
+    (the chunked fold and check peaked at 38 MiB)."""
+    scheme = am.gen_net_scheme(32, am.SlopeGrouping.singletons(32))
+    triples = list(itertools.combinations(range(1, 34), 3))[:fusion._MERGE_CHUNK]
+    outside = {T: [ell for ell in range(1, 34) if ell not in T] for T in triples}
+    am.spectral_decomposition(scheme)
+    tracemalloc.start()
+    try:
+        answers = [ok for _, ok in fusion._decide_contracted(scheme, outside, TOL)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(answers) == 64 * 30 and all(answers)  # the net is amorphic
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 
 def test_witness_b_names_a_triple_the_parent_does_not_fuse():

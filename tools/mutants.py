@@ -13,6 +13,10 @@ failure, BLAS threads 1, the copy's ``src/`` first on the path).  The
 mutant is killed when pytest reports a failed test (exit status 1) and
 survives when every named test passes; any other pytest status (a test
 id that no longer exists, a collection error) is reported as an error.
+A pytest run is stopped after TIMEOUT seconds: a mutant whose tests do
+not finish by then (one that loops forever) counts as killed and is
+reported as timed out, and an unmutated run that does not finish stops
+the script.
 A snippet that does not occur exactly once in its file is reported as
 stale and runs nothing.  The exit status is 0 only when every mutant is
 killed.
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 60  # seconds per pytest run
 
 
 @dataclass(frozen=True)
@@ -47,40 +52,52 @@ class Mutant:
 CATALOGUE = (
     # Witness B of the contraction claim (fusion._decide_contracted).
     Mutant("witness-b-neighbouring-P", "src/amorphic/fusion.py",
-           "        P = _fused_eigenmatrices(parent_P, S, lead, tol)\n",
-           "        P = np.roll(_fused_eigenmatrices(parent_P, S, lead, tol), 1, axis=0)\n",
+           "zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol))",
+           "zip(chunk, np.roll(_fused_eigenmatrices(parent_P, S, lead, tol), 1, axis=0))",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling",
             "tests/test_classify.py::test_verifier_reads_bm_check_duals")),
     Mutant("witness-b-no-character-check", "src/amorphic/fusion.py",
-           "        _check_characters(chunk, p, k_fused, P, scheme.v, tol)\n",
+           "            _check_characters(T, p, k_fused, P, scheme.v, tol)\n",
            "",
            ("tests/test_fusion.py::test_witness_b_rejects_a_wrong_eigenmatrix",
             "tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one")),
+    # check 3 of each row at class a read off the tensor's slice at a - 1
     Mutant("character-check-neighbouring-class", "src/amorphic/fusion.py",
-           "P[m] @ p[m, a].swapaxes(-1, -2)",
-           "P[m] @ p[m, a - 1].swapaxes(-1, -2)",
+           "p @ P.T",
+           "np.roll(p, 1, axis=0) @ P.T",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
     # the two rows of a contracted eigenmatrix with n = 2 (a triple of a
     # d = 3 parent) differ in the last column alone
     Mutant("character-check-columns-short", "src/amorphic/fusion.py",
-           "    for col in range(n):\n",
-           "    for col in range(n - 1):\n",
+           "tol.isclose(P[later], P[earlier])",
+           "tol.isclose(P[later, :-1], P[earlier, :-1])",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
-    # each triple's pairs asked on the tensor and eigenmatrix of the triple
-    # before it in its chunk (the last one, for the first); every admissible
-    # pair of the corpus fuses on either, so only a scheme whose pairs also
-    # answer no (H(2,2) x H(2,2), every class outside each triple) tells
+    # each triple's pairs asked on the contracted scheme of the triple
+    # before it in its chunk (the last one, for the first): its folded
+    # tensor and its eigenmatrix, which pass the character check together;
+    # every admissible pair of the corpus fuses on either, so only a scheme
+    # whose pairs also answer no (H(2,2) x H(2,2), every class outside each
+    # triple) tells
     Mutant("witness-b-previous-triple", "src/amorphic/fusion.py",
-           "_reconcile(p[m], P[m], S2, rep, tol,",
-           "_reconcile(p[m - 1], P[m - 1], S2, rep, tol,",
+           "        for T, P in zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol)):\n"
+           "            p, k_fused = _contracted_tensor(T, counts, k)\n",
+           "        for T, P, U in zip(chunk, np.roll(_fused_eigenmatrices(parent_P, S, lead, tol), 1, axis=0),\n"
+           "                           chunk[-1:] + chunk[:-1]):\n"
+           "            p, k_fused = _contracted_tensor(U, counts, k)\n",
            ("tests/test_fusion.py::test_witness_b_answers_every_outside_class",)),
     Mutant("fold-skips-remainder-check", "src/amorphic/fusion.py",
-           "    rest = folded % k_fused[:, None, None, :]\n",
-           "    rest = np.zeros_like(folded)\n",
+           "    fraction = p != np.rint(p)\n",
+           "    fraction = np.zeros_like(p, dtype=bool)\n",
            ("tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one[count-not-whole]",)),
+    # the fold's class map leaves T[2] out of the merge: it lands on the
+    # class above it, or past the last class when T[2] = d
+    Mutant("fold-leaves-third-class-unmerged", "src/amorphic/fusion.py",
+           "    c[[T[1], T[2]]] = T[0]\n",
+           "    c[T[1]] = T[0]\n",
+           ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",)),
     # The verifier's fusing triples (fusion._fusing_triples), read off the
     # leaders fusion._decide_merges yields with each answer.
     Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
@@ -168,10 +185,14 @@ CATALOGUE = (
            "            raise ValueError(f\"classes {merged} are not all in 1..{d}\")\n",
            "",
            ("tests/test_fusion.py::test_merge_names_what_it_cannot_merge",)),
-    # "any" for "all" would find no first prime and never stop
     Mutant("primes-skip-two", "src/amorphic/core.py",
            "all(q % p for p in primes)",
            "all(q % p for p in primes[1:])",
+           ("tests/test_core.py::test_combination_weights_match_the_sieve_reference",)),
+    # finds no first prime and never stops: killed by the timeout
+    Mutant("primes-any-for-all", "src/amorphic/core.py",
+           "all(q % p for p in primes)",
+           "any(q % p for p in primes)",
            ("tests/test_core.py::test_combination_weights_match_the_sieve_reference",)),
     # Labels that are not integers.
     Mutant("float-labels-truncated", "src/amorphic/core.py",
@@ -210,9 +231,10 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _pytest(tests, edit=None) -> subprocess.CompletedProcess:
+def _pytest(tests, edit=None) -> subprocess.CompletedProcess | None:
     """pytest on ``tests`` in a fresh copy of the tree, with ``edit`` =
-    (file, new text) written into the copy first."""
+    (file, new text) written into the copy first; None when it has not
+    finished after TIMEOUT seconds (it is then stopped)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
         _copy_tree(tmp)
@@ -220,9 +242,12 @@ def _pytest(tests, edit=None) -> subprocess.CompletedProcess:
             (tmp / edit[0]).write_text(edit[1])
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1",
                    OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=tmp, env=env, capture_output=True, text=True)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def run(mutant: Mutant) -> tuple[str, str]:
@@ -231,6 +256,8 @@ def run(mutant: Mutant) -> tuple[str, str]:
     if source.count(mutant.snippet) != 1:
         return "STALE", f"snippet occurs {source.count(mutant.snippet)} times in {mutant.file}"
     proc = _pytest(mutant.tests, (mutant.file, source.replace(mutant.snippet, mutant.replacement)))
+    if proc is None:
+        return "killed", f"timed out after {TIMEOUT} s"
     failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
     last = (failed or proc.stdout.strip().splitlines() or [""])[-1]
     if proc.returncode == 1:
@@ -243,6 +270,9 @@ def run(mutant: Mutant) -> tuple[str, str]:
 def main() -> int:
     start, failed = time.perf_counter(), 0
     baseline = _pytest(sorted({test for m in CATALOGUE for test in m.tests}))
+    if baseline is None:
+        print(f"unmutated: timed out after {TIMEOUT} s")
+        return 1
     print(f"unmutated: {(baseline.stdout.strip().splitlines() or [''])[-1]}", flush=True)
     if baseline.returncode != 0:
         print(baseline.stdout[-2000:], baseline.stderr[-2000:], sep="\n")
