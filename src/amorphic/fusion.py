@@ -29,7 +29,13 @@ T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
 of each contracted scheme in a stack of its own, without building the
 scheme: one triple at a time, on a tensor folded from one histogram of
 the parent's labels and on an eigenmatrix read off the parent's P and
-proven to be its character table.  The 18 overlap subcases are written
+proven to be its character table.  A class permutation that fixes a
+tensor maps its fusions to fusions, so each witness asks one question
+per orbit of the symmetric groups that the transpositions fixing its
+own tensor generate (:func:`_transposition_blocks`) and copies the
+answer to the orbit: the parent reads its blocks off its tensor and
+checks each join on P too, witness B off its histogram, so it still
+never reads the parent's tensor.  The 18 overlap subcases are written
 once, as :data:`CASE_REPRESENTATIVES`, and a pair of triples gets the
 label of its :func:`_overlap_signature`.
 Both claims read their pairs off one map, :func:`_triples_through`.
@@ -585,7 +591,9 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     class in 1..d outside t1, and some 2-subset of t1 together with ell
     also fuses.  By the contraction property the result must be True; the
     caller treats False as a falsification event.  The answer is
-    :func:`_contractions` on ``{t1: [ell]}``, both witnesses included.
+    :func:`_contractions` on ``{t1: [ell]}``, both witnesses included: a
+    single pair is its own orbit, so each witness asks it directly, and the
+    parent still checks its blocks on P.
     """
     t1 = tuple(sorted(t1))
     if not _is_triple(t1, scheme.d) or not 1 <= ell <= scheme.d or ell in t1:
@@ -621,30 +629,111 @@ def _outside(triples, through: dict) -> dict[tuple[int, ...], list[int]]:
     return outside
 
 
+def _transposition_blocks(t: np.ndarray) -> list[int]:
+    """block[i]: the first class of i's block, for an (n, n, n) array ``t``
+    such as a tensor p[i, j, h] or a histogram of one.  Two nontrivial
+    classes a and b share a block iff swapping them on all three axes
+    leaves t exactly equal; class 0 stays alone.
+
+    Transpositions that fix t are an equivalence: (a b) and (b c) give
+    (a c) = (a b)(b c)(a b).  So each block carries its full symmetric
+    group, every permutation within blocks fixes t, and the union-find
+    tests a class only against the first class of each earlier block: a
+    pair already joined is skipped.
+    """
+    n = len(t)
+    block, firsts = list(range(n)), []
+    for b in range(1, n):
+        for a in firsts:
+            swap = np.arange(n)
+            swap[[a, b]] = b, a
+            if np.array_equal(t[np.ix_(swap, swap, swap)], t):
+                block[b] = a
+                break
+        else:
+            firsts.append(b)
+    return block
+
+
+def _check_swapped_columns(P: np.ndarray, block: list[int], tol: Tolerance) -> None:
+    """The eigenmatrix side of the tensor's blocks: for each class b joined
+    to the first class a of its block, swapping columns a and b of ``P``
+    only reorders its rows, each row matching exactly one row under ``tol``.
+    A transposition that fixes the tensor permutes the idempotents too, so
+    otherwise the two disagree, and :class:`OracleDisagreement` names a and b."""
+    for b, a in enumerate(block):
+        if a != b:
+            swap = np.arange(len(block))
+            swap[[a, b]] = b, a
+            match = tol.isclose(P[:, swap][:, None], P[None]).all(axis=2)
+            if not ((match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()):
+                raise OracleDisagreement(
+                    f"swapping classes {a} and {b} fixes the intersection tensor, but "
+                    f"swapping their columns of P does not only reorder its rows")
+
+
+def _orbit(block: list[int], classes) -> tuple[int, ...]:
+    """The orbit key of a set of classes under the blocks' symmetric
+    groups: its sorted block labels."""
+    return tuple(sorted([block[c] for c in classes]))
+
+
+def _pair_orbits(block: list[int], T: tuple[int, ...], ells) -> list[tuple]:
+    """The orbit key of each pair (T, ell) of ``ells``: the sorted block
+    labels of T and the block of ell."""
+    key = _orbit(block, T)
+    return [(key, block[ell]) for ell in ells]
+
+
 def _contractions(scheme: AssociationScheme, outside: dict, tol: Tolerance) -> list[bool]:
     """Whether the merged class of T still fuses with ell, for each T and
     ell of ``outside[T]`` in that order (:func:`_outside`), from two witnesses.
 
-    Witness A: the parent decides the merge of each distinct 4-set
-    T + {ell} once, in :func:`_decide_merges` stacks on its cached tensor
-    and eigenmatrix.  Fusion is transitive, so this is the contracted
-    question: merging T and then its class with ell merges exactly
-    T + {ell}.  Witness B, :func:`_decide_contracted`, asks every pair
-    {merged class, ell} of the contracted schemes on tensors folded from
-    the parent's labels and fused eigenmatrices read off the parent's P
-    and proven against them; it reads neither the parent's tensor nor
-    witness A's answers.  Both witnesses run both oracles, and a pair on
-    which they differ raises :class:`OracleDisagreement`.
+    A class permutation that fixes the tensor maps fusions to fusions
+    (Bannai & Ito, *Algebraic Combinatorics I*, II.9), so each witness
+    asks one question per orbit of the symmetric groups that the
+    tensor's transpositions generate (:func:`_transposition_blocks`) and
+    copies its answer to the whole orbit.
+
+    Witness A: the parent decides the merge of the first 4-set
+    T + {ell} of each orbit (its sorted block labels, on the parent's
+    tensor) in :func:`_decide_merges` stacks on its cached tensor and
+    eigenmatrix, and checks each join on the eigenmatrix side as well
+    (:func:`_check_swapped_columns`); a pair finds its 4-set's orbit
+    through its own (:func:`_pair_orbits`), which lies in one.  Fusion
+    is transitive, so this is the contracted question: merging T and
+    then its class with ell merges exactly T + {ell}.  Witness B,
+    :func:`_decide_contracted`, asks the pairs {merged class, ell} of the
+    contracted schemes on tensors folded from the parent's labels and
+    fused eigenmatrices read off the parent's P and proven against them,
+    one pair per orbit of blocks read off its own histogram; it reads
+    neither the parent's tensor nor witness A's answers or blocks.  Both
+    witnesses run both oracles, and a pair on which they differ raises
+    :class:`OracleDisagreement`.  Answers are kept by orbit key only.
     """
-    quads = sorted({tuple(sorted(T + (ell,))) for T, ells in outside.items() for ell in ells})
-    parent = {quad: fused for quad, fused, _ in _decide_merges(scheme, quads, tol)}
+    if not outside:
+        return []
+    block = _transposition_blocks(scheme.intersection.p)
+    _check_swapped_columns(spectral_decomposition(scheme, tol=tol).P, block, tol)
+    # a pair's orbit lies in one 4-set orbit, and the first pair of a 4-set
+    # orbit is the first of its pair orbit
+    quad_orbit, first = {}, {}
+    for T, ells in outside.items():
+        for ell, key in zip(ells, _pair_orbits(block, T, ells)):
+            if key not in quad_orbit:
+                quad = tuple(sorted(T + (ell,)))
+                quad_orbit[key] = _orbit(block, quad)
+                first.setdefault(quad_orbit[key], quad)
+    parent = {_orbit(block, quad): fused
+              for quad, fused, _ in _decide_merges(scheme, sorted(first.values()), tol)}
+    keys = (key for T, ells in outside.items() for key in _pair_orbits(block, T, ells))
     answers = []
-    for (T, ell), ok in _decide_contracted(scheme, outside, tol):
-        quad = tuple(sorted(T + (ell,)))
-        if parent[quad] != ok:
+    for ((T, ell), ok), key in zip(_decide_contracted(scheme, outside, tol), keys, strict=True):
+        expected = parent[quad_orbit[key]]
+        if expected != ok:
             raise OracleDisagreement(
-                f"contraction of {set(T)} with {ell}: the parent answers {parent[quad]} "
-                f"for merging {set(quad)}, the contracted scheme answers {ok}")
+                f"contraction of {set(T)} with {ell}: the parent answers {expected} "
+                f"for merging {set(sorted(T + (ell,)))}, the contracted scheme answers {ok}")
         answers.append(ok)
     return answers
 
@@ -654,27 +743,37 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     each fusing triple T (T merged) fuses its merged class with each ell of
     ``outside[T]``, without building it.
 
-    Per :func:`_merge_stacks` chunk of triples, the fused eigenmatrices
-    are read off the parent's P (:func:`_fused_eigenmatrices`).  Then, one
-    triple at a time, its tensor is folded from one histogram of the
-    parent's cells (:func:`_contracted_tensor`), its eigenmatrix is
-    accepted only as that tensor's character table
-    (:func:`_check_characters`), and both kernels ask its pairs {merged
-    class, ell} in stacks of their own over 0..d-2, on that tensor and
-    eigenmatrix.  Only the row-sum stack and its eigenmatrices carry a
-    triple axis; a triple's tensor and check arrays hold n^3 entries at
-    most.
-    Yields one ((T, ell), fused) per pair, in ``outside`` order.  A triple
-    the parent does not fuse, or a disagreement, raises
-    :class:`OracleDisagreement`.
+    Its blocks come from its own histogram of the parent's cells
+    (:func:`_transposition_blocks` on ``_row0_counts``), and a pair's
+    orbit key is (sorted block labels of T, block of ell); only the first
+    pair of each orbit is asked.  Per :func:`_merge_stacks` chunk of the
+    triples of those pairs, the fused eigenmatrices are read off the
+    parent's P (:func:`_fused_eigenmatrices`).  Then, one triple at a
+    time, its tensor is folded from the histogram
+    (:func:`_contracted_tensor`), its eigenmatrix is accepted only as
+    that tensor's character table (:func:`_check_characters`), and both
+    kernels ask its pairs {merged class, ell} in stacks of their own over
+    0..d-2, on that tensor and eigenmatrix.  Only the row-sum stack and
+    its eigenmatrices carry a triple axis; a triple's tensor and check
+    arrays hold n^3 entries at most.
+    Yields one ((T, ell), fused) per pair, in ``outside`` order, each the
+    answer of its orbit.  A triple the parent does not fuse, or a
+    disagreement, raises :class:`OracleDisagreement`.
     With no triple asked it reads nothing, not even the parent's cells.
     """
     if not outside:
         return
     d = scheme.d
     counts, k = _row0_counts(scheme.labels, d)
+    block = _transposition_blocks(counts)
+    answers, asked = {}, {}  # orbit key -> answer; T -> the ells of its first pairs
+    for T, ells in outside.items():
+        for ell, key in zip(ells, _pair_orbits(block, T, ells)):
+            if key not in answers:
+                answers[key] = None
+                asked.setdefault(T, []).append(ell)
     parent_P = spectral_decomposition(scheme, tol=tol).P
-    for chunk, S, _ in _merge_stacks(d, outside):
+    for chunk, S, _ in _merge_stacks(d, asked):
         fused, lead = _stacked_row_sum(parent_P, S, tol)
         if not fused.all():
             raise OracleDisagreement(f"contraction of {set(chunk[int(np.argmin(fused))])}: "
@@ -682,12 +781,15 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
         for T, P in zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol)):
             p, k_fused = _contracted_tensor(T, counts, k)
             _check_characters(T, p, k_fused, P, scheme.v, tol)
-            ells = iter(outside[T])
             # ell's block: ell less the classes of T above T[0] and below ell
-            pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in outside[T]]
+            pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in asked[T]]
+            got = []
             for _, S2, rep in _merge_stacks(d - 2, pairs):
-                answers, _ = _reconcile(p, P, S2, rep, tol, f"contraction of {set(T)}")
-                yield from (((T, ell), ok) for ok, ell in zip(answers.tolist(), ells))
+                got += _reconcile(p, P, S2, rep, tol, f"contraction of {set(T)}")[0].tolist()
+            answers.update(zip(_pair_orbits(block, T, asked[T]), got))
+    for T, ells in outside.items():
+        for ell, key in zip(ells, _pair_orbits(block, T, ells)):
+            yield (T, ell), answers[key]
 
 
 def _contracted_tensor(T: tuple[int, ...], counts: np.ndarray,

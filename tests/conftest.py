@@ -7,7 +7,8 @@ canonical form and tolerance grouping, the element-by-element
 finite-field tables, the Bell(d) partition enumeration with the
 all-partitions amorphicity and idempotent-side hypergraph references
 built on it, the single-merge amorphicity reference, the H(2,2) x H(2,2)
-product scheme, the Latin-type search, the sieved prime weights, the
+product scheme, the pairwise reference of the transposition blocks and
+their singleton stub, the Latin-type search, the sieved prime weights, the
 scalar closeness formula, the full-tensor
 references of the two fusion kernels and of the dual partition, the
 hand-written overlap label tables, the scanning references of the
@@ -367,6 +368,29 @@ def hamming_square_product():
     and (3, 4, 5), share one class only."""
     h = am.gen_hamming_binary(2).labels.astype(np.int64)
     return am.validate_scheme((h[:, None, :, None] * 3 + h[None, :, None, :]).reshape(16, 16))
+
+
+def transposition_blocks_by_pairs(t):
+    """Test-only reference of ``fusion._transposition_blocks``: every pair
+    of nontrivial classes tested by swapping it on all three axes of the
+    (n, n, n) array t, with no pair skipped, and the blocks the joins
+    connect, each labelled by its least class."""
+    n = len(t)
+    block = list(range(n))
+    for a, b in itertools.combinations(range(1, n), 2):
+        swap = np.arange(n)
+        swap[[a, b]] = b, a
+        if np.array_equal(t[swap][:, swap][:, :, swap], t):
+            old, new = max(block[a], block[b]), min(block[a], block[b])
+            block = [new if c == old else c for c in block]
+    return block
+
+
+def singleton_blocks(t):
+    """A stub of ``fusion._transposition_blocks`` that puts every class in
+    a block of its own: the contraction witnesses then ask every question,
+    the exhaustive reference of their orbit-reduced answers."""
+    return list(range(len(t)))
 
 
 def latin_by_search(spec, i):

@@ -25,6 +25,7 @@ from conftest import (
     hamming_square_product,
     latin_by_search,
     net_with_group_sizes,
+    singleton_blocks,
 )
 from test_fusion import _flip_one
 
@@ -749,12 +750,13 @@ def test_untyped_overlapping_triple_fails_the_overlap_claim(monkeypatch):
                                   {(1, 2, 3): None, (2, 3, 4): one}) == {None}
 
 
-def test_verifier_reads_bm_check_duals(corpus, monkeypatch):
-    """The triples the verifier reads are the enumeration's, each dual
-    partition it hands to claim (f) is bm_check's, and each fused
-    eigenmatrix witness B derives is bm_check's, on every corpus scheme
-    with d >= 3; afterwards the scheme holds only its labels, valencies,
-    tensor and spectra."""
+def _read_bm_check_duals(corpus, monkeypatch):
+    """Verify every corpus scheme with d >= 3 and check that the triples
+    the verifier reads are the enumeration's, each dual partition it hands
+    to claim (f) is bm_check's, and each fused eigenmatrix witness B
+    derives is bm_check's; afterwards the scheme holds only its labels,
+    valencies, tensor and spectra.  Returns how many triples were read
+    and how many eigenmatrices compared."""
     seen, derived = [], []
     real, real_check = classify._fusing_triples, fusion._check_characters
 
@@ -786,7 +788,24 @@ def test_verifier_reads_bm_check_duals(corpus, monkeypatch):
             assert np.array_equal(P, ref.P_fused), (name, T)
         checked += len(seen)
         compared += len(derived)
+    return checked, compared
+
+
+def test_verifier_reads_bm_check_duals(corpus, monkeypatch):
+    """On the exhaustive path (every class a block of its own), witness B
+    derives the eigenmatrix of every contraction triple, and each is
+    bm_check's, as is each dual partition the verifier reads."""
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
+    checked, compared = _read_bm_check_duals(corpus, monkeypatch)
     assert checked > 50 and compared > 50
+
+
+def test_verifier_reads_bm_check_duals_on_orbits(corpus, monkeypatch):
+    """On the orbit path witness B derives one eigenmatrix per orbit of
+    contraction triples, 15 over the corpus against 80 triples, and each
+    is still bm_check's."""
+    checked, compared = _read_bm_check_duals(corpus, monkeypatch)
+    assert checked > 50 and compared == 15
 
 
 def test_verify_claims_dual_side_at_d9():

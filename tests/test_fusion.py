@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -20,7 +21,8 @@ from amorphic.fusion import CASE_REPRESENTATIVES, _overlap_label
 from conftest import (admissible_pairs_by_lookup, block_sums_by_full_tensor, dual_by_full_fold,
                       enumerate_partitions, fuse_by_relabeling, hamming_square_product,
                       net_with_group_sizes, overlap_label_by_tables, overlapping_pairs_by_filter,
-                      row_sum_by_full_fold, tensor_by_label_histogram)
+                      row_sum_by_full_fold, singleton_blocks, tensor_by_label_histogram,
+                      transposition_blocks_by_pairs)
 
 TOL = am.DEFAULT_TOL
 
@@ -777,15 +779,10 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
     assert flipped == [(1, 2, 3, 4) if on_parent else ((1, 2, 3), 4)]
 
 
-def test_contraction_stacks(monkeypatch):
-    """On net(7; 1^8) the parent decides the 70 distinct 4-sets in stacks of
-    64 and 6, and witness B derives the eigenmatrices of its 56 contracted
-    schemes in one stack and answers each scheme's 5 pairs in a stack of
-    its own, on that scheme's tensor and eigenmatrix (n = d - 1 = 7); each
-    witness yields one answer per question, in order."""
-    scheme = net_with_group_sizes(7, [1] * 8)
-    triples = am.enumerate_fusing_tuples(scheme, 3)
-    outside = _outside_of(triples)
+def _spy_contraction(monkeypatch):
+    """Record, during the contraction witnesses, each _merge_stacks chunk
+    as (merge size, length), each _reconcile call's (tensor, eigenmatrix)
+    shapes and the questions each witness yields."""
     stacks, shapes, asked = [], [], {"_decide_merges": [], "_decide_contracted": []}
     real_stacks, real_reconcile = fusion._merge_stacks, fusion._reconcile
 
@@ -807,6 +804,21 @@ def test_contraction_stacks(monkeypatch):
         monkeypatch.setattr(fusion, name, spy)
     monkeypatch.setattr(fusion, "_merge_stacks", spy_stacks)
     monkeypatch.setattr(fusion, "_reconcile", spy_reconcile)
+    return stacks, shapes, asked
+
+
+def test_contraction_stacks(monkeypatch):
+    """On net(7; 1^8), on the exhaustive path (every class a block of its
+    own), the parent decides the 70 distinct 4-sets in stacks of
+    64 and 6, and witness B derives the eigenmatrices of its 56 contracted
+    schemes in one stack and answers each scheme's 5 pairs in a stack of
+    its own, on that scheme's tensor and eigenmatrix (n = d - 1 = 7); each
+    witness yields one answer per question, in order."""
+    scheme = net_with_group_sizes(7, [1] * 8)
+    triples = am.enumerate_fusing_tuples(scheme, 3)
+    outside = _outside_of(triples)
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
+    stacks, shapes, asked = _spy_contraction(monkeypatch)
     assert all(fusion._contractions(scheme, outside, TOL))
     assert (len(triples), len(_flat(outside))) == (56, 280)
     assert stacks == [(4, 64), (4, 6), (3, 56)] + [(2, 5)] * 56
@@ -815,10 +827,159 @@ def test_contraction_stacks(monkeypatch):
     assert asked["_decide_contracted"] == _flat(outside)
 
 
+def test_contraction_stacks_on_orbits(monkeypatch):
+    """On net(7; 1^8), whose nontrivial classes form one block, the parent
+    decides one 4-set, and witness B derives one contracted eigenmatrix
+    and asks one pair, each in a stack of one; each witness still yields
+    one answer per question, in order."""
+    scheme = net_with_group_sizes(7, [1] * 8)
+    outside = _outside_of(am.enumerate_fusing_tuples(scheme, 3))
+    stacks, shapes, asked = _spy_contraction(monkeypatch)
+    assert all(fusion._contractions(scheme, outside, TOL))
+    assert stacks == [(4, 1), (3, 1), (2, 1)]
+    assert shapes == [((9, 9, 9), (9, 9)), ((7, 7, 7), (7, 7))]
+    assert asked["_decide_merges"] == [(1, 2, 3, 4)]
+    assert asked["_decide_contracted"] == _flat(outside) and len(_flat(outside)) == 280
+
+
+def test_transposition_blocks_match_the_pairwise_reference(corpus):
+    """On every corpus scheme and H(2,2) x H(2,2), the blocks read off the
+    intersection tensor and off the label histogram are the pairwise
+    reference's, and the same."""
+    for name, scheme in [*corpus, ("H(2,2)^2", hamming_square_product())]:
+        p = scheme.intersection.p
+        counts, _ = core._row0_counts(scheme.labels, scheme.d)
+        block = fusion._transposition_blocks(p)
+        assert block == transposition_blocks_by_pairs(p), name
+        assert fusion._transposition_blocks(counts) == block == transposition_blocks_by_pairs(counts), name
+
+
+def test_contraction_orbits_match_the_exhaustive_path(corpus, monkeypatch):
+    """The claim report is the same on the orbit path as on the exhaustive
+    one (every class a block of its own) for the corpus, H(2,2) x H(2,2)
+    and net(16; 1^17); so are both witnesses' answers about every class
+    outside each fusing triple, admissible or not, some of them no."""
+    schemes = [*corpus, ("H(2,2)^2", hamming_square_product()),
+               ("net16", am.gen_net_scheme(16, am.SlopeGrouping.singletons(16)))]
+    every = [(s, {T: [ell for ell in range(1, s.d + 1) if ell not in T]
+                  for T in am.enumerate_fusing_tuples(s, 3)})
+             for _, s in [*_contraction_schemes(corpus), schemes[-2]]]
+
+    def run():
+        return ([am.verify_paper_claims(s).as_dict() for _, s in schemes],
+                [fusion._contractions(s, outside, TOL) for s, outside in every])
+
+    orbits = run()
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
+    assert run() == orbits
+    assert {ok for answers in orbits[1] for ok in answers} == {False, True}
+
+
+def test_contraction_asks_one_question_per_orbit_on_a_net(monkeypatch):
+    """The nontrivial classes of net(16; 1^17) form one block, so witness A
+    asks one 4-set, and witness B folds and checks one triple and asks one
+    pair, while both still answer all 9520 admissible pairs."""
+    scheme = am.gen_net_scheme(16, am.SlopeGrouping.singletons(16))
+    outside = _outside_of(am.enumerate_fusing_tuples(scheme, 3))
+    quads, folded, checked, pairs = [], [], [], []
+    real_merges, real_fold = fusion._decide_merges, fusion._contracted_tensor
+    real_check, real_reconcile = fusion._check_characters, fusion._reconcile
+
+    def merges(scheme, asked, tol):
+        quads.extend(asked)
+        yield from real_merges(scheme, asked, tol)
+
+    def fold(T, *rest):
+        folded.append(T)
+        return real_fold(T, *rest)
+
+    def check(T, *rest):
+        checked.append(T)
+        real_check(T, *rest)
+
+    def reconcile(p, P, S, *rest):
+        pairs.append(len(S))
+        return real_reconcile(p, P, S, *rest)
+
+    for name, spy in [("_decide_merges", merges), ("_contracted_tensor", fold),
+                      ("_check_characters", check), ("_reconcile", reconcile)]:
+        monkeypatch.setattr(fusion, name, spy)
+    answers = fusion._contractions(scheme, outside, TOL)
+    assert len(answers) == 9520 and all(answers)
+    assert quads == [(1, 2, 3, 4)] and folded == checked == [(1, 2, 3)]
+    assert pairs == [1, 1]  # witness A's 4-set, witness B's pair
+
+
+def test_contraction_asks_the_first_question_of_each_orbit(corpus, monkeypatch):
+    """Asked about every class outside each fusing triple of the corpus
+    schemes with d >= 4, net(7; 1^8) and H(2,2) x H(2,2), witness A asks
+    the first 4-set of each orbit (its sorted block labels), and witness B
+    folds the triple of the first pair of each orbit ((sorted block labels
+    of T, block of ell)) and asks one pair per orbit, with the blocks of
+    the pairwise reference."""
+    asked = {"quads": [], "triples": [], "pairs": 0}
+    real_merges, real_fold, real_stacks = (fusion._decide_merges, fusion._contracted_tensor,
+                                           fusion._merge_stacks)
+
+    def merges(scheme, questions, tol):
+        questions = list(questions)
+        if questions and len(questions[0]) == 4:
+            asked["quads"].extend(questions)
+        yield from real_merges(scheme, questions, tol)
+
+    def fold(T, *rest):
+        asked["triples"].append(T)
+        return real_fold(T, *rest)
+
+    def stacks(d, questions):
+        for chunk, *rest in real_stacks(d, questions):
+            asked["pairs"] += len(chunk[0]) == 2 and len(chunk)
+            yield (chunk, *rest)
+
+    monkeypatch.setattr(fusion, "_decide_merges", merges)
+    monkeypatch.setattr(fusion, "_contracted_tensor", fold)
+    monkeypatch.setattr(fusion, "_merge_stacks", stacks)
+    orbits = questions = 0
+    for name, scheme in [*_contraction_schemes(corpus), ("H(2,2)^2", hamming_square_product())]:
+        outside = {T: [ell for ell in range(1, scheme.d + 1) if ell not in T]
+                   for T in am.enumerate_fusing_tuples(scheme, 3)}
+        block = transposition_blocks_by_pairs(scheme.intersection.p)
+        quads, pairs = {}, {}
+        for T, ell in _flat(outside):
+            quads.setdefault(tuple(sorted(block[c] for c in T + (ell,))), tuple(sorted(T + (ell,))))
+            pairs.setdefault((tuple(sorted(block[c] for c in T)), block[ell]), T)
+        asked.update(quads=[], triples=[], pairs=0)
+        fusion._contractions(scheme, outside, TOL)
+        assert asked["quads"] == sorted(quads.values()), name
+        assert asked["triples"] == list(dict.fromkeys(pairs.values())), name
+        assert asked["pairs"] == len(pairs), name
+        orbits += len(pairs)
+        questions += len(_flat(outside))
+    assert (orbits, questions) == (32, 456)
+
+
+def test_witness_a_checks_each_join_on_the_eigenmatrix(monkeypatch):
+    """Witness A joins classes 1 and 2 of net(4; 1^5) on the tensor and
+    checks the join on P: with one entry of P moved, swapping columns 1
+    and 2 no longer reorders P's rows, which raises OracleDisagreement
+    before any 4-set is asked."""
+    scheme, outside = _net5_outside()
+    P = am.spectral_decomposition(scheme).P.copy()
+    assert all(fusion._contractions(scheme, outside, TOL))
+    P[3, 1] += 0.5
+    monkeypatch.setattr(fusion, "spectral_decomposition", lambda scheme, tol: types.SimpleNamespace(P=P))
+    monkeypatch.setattr(fusion, "_decide_merges", None)
+    with pytest.raises(am.OracleDisagreement, match=re.escape(
+            "swapping classes 1 and 2 fixes the intersection tensor, but swapping their "
+            "columns of P does not only reorder its rows")):
+        fusion._contractions(scheme, outside, TOL)
+
+
 def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
     """H(6,2) has one fusing triple and no admissible pair, so the
-    verifier's contraction batch asks nothing, and witness B neither
-    histograms the parent's cells nor looks up its spectrum."""
+    verifier's contraction batch asks nothing: neither witness searches
+    its blocks, and witness B neither histograms the parent's cells nor
+    looks up its spectrum."""
     scheme = am.gen_hamming_binary(6)
     calls = []
 
@@ -832,6 +993,7 @@ def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
         monkeypatch.setattr(fusion, name, counted)
 
     spy("_row0_counts")
+    spy("_transposition_blocks")
     report = am.verify_paper_claims(scheme)
     contraction = next(r for r in report.records if r.claim == "contraction")
     assert not contraction.applicable and contraction.witness == "0 admissible pairs"
@@ -842,11 +1004,12 @@ def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
 
 
 def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
-    """For every fusing triple T, the tensor folded from the parent's
-    histogram is the histogram of the fused scheme's labels, integer for
-    integer (a source fuse_direct's block sums do not share), and
-    the eigenmatrix witness B derives from the parent's P and accepts is
-    the fused scheme's eigh-based P up to row order."""
+    """For every fusing triple T, asked on the exhaustive path (every class
+    a block of its own) about its least outside class, the tensor folded
+    from the parent's histogram is the histogram of the fused scheme's
+    labels, integer for integer (a source fuse_direct's block sums do not
+    share), and the eigenmatrix witness B derives from the parent's P and
+    accepts is the fused scheme's eigh-based P up to row order."""
     seen = []
     real = fusion._check_characters
 
@@ -855,12 +1018,14 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
         seen.append((T, p, k, P))
 
     monkeypatch.setattr(fusion, "_check_characters", spy)
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
     checked = 0
     for name, scheme in _contraction_schemes(corpus):
         d = scheme.d
         triples = am.enumerate_fusing_tuples(scheme, 3)
+        outside = {T: [min(set(range(1, d + 1)) - set(T))] for T in triples}
         seen.clear()
-        assert list(fusion._decide_contracted(scheme, dict.fromkeys(triples, []), TOL)) == []
+        assert [pair for pair, _ in fusion._decide_contracted(scheme, outside, TOL)] == _flat(outside)
         assert [T for T, *_ in seen] == triples, name
         for T, p, k_fused, P in seen:
             fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
@@ -880,8 +1045,9 @@ def test_character_check_peak_is_bounded(monkeypatch):
     scheme = am.gen_net_scheme(16, am.SlopeGrouping.singletons(16))
     seen = []
     monkeypatch.setattr(fusion, "_check_characters", lambda *args: seen.append(args))
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
     triples = am.enumerate_fusing_tuples(scheme, 3)[:1]
-    assert list(fusion._decide_contracted(scheme, dict.fromkeys(triples, []), TOL)) == []
+    assert len(list(fusion._decide_contracted(scheme, dict.fromkeys(triples, [4]), TOL))) == 1
     (T, p, k, P, v, tol), = seen
     assert P.shape == (16, 16) and p.shape == (16, 16, 16)
     tracemalloc.start()
@@ -893,11 +1059,16 @@ def test_character_check_peak_is_bounded(monkeypatch):
     assert peak < 2 ** 19, peak / 2 ** 10
 
 
-def test_witness_b_peak_is_per_triple():
+def test_witness_b_peak_is_per_triple(monkeypatch):
     """Witness B on the first 64 triples of net(32; 1^33), each asked about
     every outside class, peaks under 8 MiB: one triple's tensor (n = 32,
     256 KiB) is folded and checked at a time, never a chunk's 64 of them
-    (the chunked fold and check peaked at 38 MiB)."""
+    (the chunked fold and check peaked at 38 MiB).  On the exhaustive path,
+    so that all 64 triples are folded: on the orbit path the net's classes
+    form one block and a single triple is."""
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
+    folded, fold = [], fusion._contracted_tensor
+    monkeypatch.setattr(fusion, "_contracted_tensor", lambda T, *a: folded.append(T) or fold(T, *a))
     scheme = am.gen_net_scheme(32, am.SlopeGrouping.singletons(32))
     triples = list(itertools.combinations(range(1, 34), 3))[:fusion._MERGE_CHUNK]
     outside = {T: [ell for ell in range(1, 34) if ell not in T] for T in triples}
@@ -909,6 +1080,7 @@ def test_witness_b_peak_is_per_triple():
     finally:
         tracemalloc.stop()
     assert len(answers) == 64 * 30 and all(answers)  # the net is amorphic
+    assert folded == triples
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 

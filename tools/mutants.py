@@ -98,6 +98,21 @@ CATALOGUE = (
            "    c[[T[1], T[2]]] = T[0]\n",
            "    c[T[1]] = T[0]\n",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",)),
+    # The orbits of the contraction witnesses (fusion._transposition_blocks,
+    # fusion._pair_orbits): a join without the exact test joins every
+    # class to the first nontrivial one.
+    Mutant("transposition-joined-unchecked", "src/amorphic/fusion.py",
+           "            if np.array_equal(t[np.ix_(swap, swap, swap)], t):\n",
+           "            if True:\n",
+           ("tests/test_fusion.py::test_transposition_blocks_match_the_pairwise_reference",
+            "tests/test_fusion.py::test_contraction_orbits_match_the_exhaustive_path")),
+    # a pair's key without ell's block merges the orbits of one triple's
+    # pairs, so witness B asks one pair where it should ask several; the
+    # merged orbits of these schemes answer alike, so only the count tells
+    Mutant("pair-orbit-drops-ell-block", "src/amorphic/fusion.py",
+           "    return [(key, block[ell]) for ell in ells]\n",
+           "    return [(key,) for ell in ells]\n",
+           ("tests/test_fusion.py::test_contraction_asks_the_first_question_of_each_orbit",)),
     # The verifier's fusing triples (fusion._fusing_triples), read off the
     # leaders fusion._decide_merges yields with each answer.
     Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
