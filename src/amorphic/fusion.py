@@ -216,12 +216,12 @@ def _stack(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``pi.block_index()`` of partition m).
 
     S[m] is the float64 (d+1) x n_blocks membership matrix of partition m,
-    S[m, i, b] = 1 iff class i lies in block b; rep[m, h] is the first
-    class of h's block.
+    S[m, i, b] = 1 iff class i lies in block b (rows of the identity);
+    rep[m, h] is the first class of h's block, found by comparing every
+    pair of block indices, which only general partitions need:
+    :func:`_merge_stacks` reads rep off its merges.
     """
-    c, n = idx.shape
-    S = np.zeros((c, n, int(idx[0].max()) + 1))
-    S[np.arange(c)[:, None], np.arange(n), idx] = 1.0
+    S = np.eye(int(idx[0].max()) + 1)[idx]
     return S, np.argmax(idx[:, :, None] == idx[:, None, :], axis=2)
 
 
@@ -231,8 +231,10 @@ def _merge_stacks(d: int, merges):
     ``merges`` is an iterable of sorted tuples of nontrivial classes, all of
     one size, such as ``itertools.combinations(range(1, d + 1), r)``.
     Yields (chunk, S, rep): the next tuples T and the :func:`_stack` of
-    their ``ClassPartition.merge(d, T)``, with the block indices computed
-    for the whole chunk at once.
+    their ``ClassPartition.merge(d, T)``, built for the whole chunk at once
+    from T alone: rep is T's first class on T and each class itself
+    elsewhere, and S the identity's rows at the block indices, with
+    d + 2 - |T| blocks.
     """
     classes = np.arange(d + 1)
     todo = iter(merges)
@@ -244,7 +246,7 @@ def _merge_stacks(d: int, merges):
         # lowest class and below it
         below = np.cumsum(merged, axis=1) - merged
         idx = np.where(merged, tuples[:, :1], classes - np.maximum(below - 1, 0))
-        yield (chunk, *_stack(idx))
+        yield chunk, np.eye(d + 2 - tuples.shape[1])[idx], np.where(merged, tuples[:, :1], classes)
 
 
 def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:

@@ -570,24 +570,36 @@ def _row_lemma_by_scalars(M, rows):
     return nonconstant >= len(rows)
 
 
+def test_row_subset_table_holds_each_subset_once():
+    """The per-d table holds each row subset of sizes 2..d once, by size and
+    then in combinations order, so each row's first member is its least;
+    it is cached read-only."""
+    for d in range(2, 7):
+        member = classify._row_subsets(d)
+        assert member.dtype == bool and not member.flags.writeable
+        assert [tuple(np.flatnonzero(row)) for row in member] == [
+            rows for r in range(2, d + 1) for rows in itertools.combinations(range(d), r)], d
+        assert classify._row_subsets(d) is member
+    assert classify._row_subsets(6).shape == (57, 6)
+
+
 def test_batched_row_lemma_matches_single_subsets(corpus):
-    """All subsets of one size, read off one closeness tensor, get the
-    answers of row_lemma_check and of the scalar reference, on every
-    principal part of the corpus and on a crafted M that fails."""
+    """Every subset of sizes 2..d, answered in one pass over the per-d
+    table, gets the answers of row_lemma_check and of the scalar reference,
+    on every principal part of the corpus and on a crafted M that fails."""
     crafted = np.array([[1, 1, 5], [1, 1, 7], [2, 1 + 1e-9, 5]], dtype=float)
     parts = [(name, spec.principal(which)) for name, scheme in corpus
              for spec in [am.spectral_decomposition(scheme)] for which in ("P", "Q")]
-    failures = 0
+    failed = []
     for name, M in parts + [("crafted", crafted)]:
-        close = TOL.isclose(M[:, None, :], M[None, :, :])
-        for r in range(2, M.shape[0] + 1):
-            subsets = np.array(list(itertools.combinations(range(M.shape[0]), r)))
-            got = classify._row_lemma_holds(close, subsets).tolist()
-            assert got == [am.row_lemma_check(M, rows) for rows in subsets.tolist()], (name, r)
-            assert got == [_row_lemma_by_scalars(M, rows) for rows in subsets.tolist()], (name, r)
-            failures += got.count(False)
+        member = classify._row_subsets(M.shape[0])
+        got = classify._row_lemma_holds(TOL.isclose(M[:, None, :], M[None, :, :]), member).tolist()
+        subsets = [np.flatnonzero(row).tolist() for row in member]
+        assert got == [am.row_lemma_check(M, rows) for rows in subsets], name
+        assert got == [_row_lemma_by_scalars(M, rows) for rows in subsets], name
+        failed += [(name, rows) for rows, ok in zip(subsets, got) if not ok]
     # the crafted M fails on {0, 1}, {0, 2} and {0, 1, 2}, and no corpus part fails
-    assert failures == 3
+    assert failed == [("crafted", [0, 1]), ("crafted", [0, 2]), ("crafted", [0, 1, 2])]
 
 
 # ------------------------------------------------------------ claim verifier

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -1039,13 +1040,25 @@ def test_one_eigh_per_spectral_decomposition(monkeypatch, corpus):
         assert calls[0] == 1, name
 
 
+def _past_deadline(signum, frame):
+    raise TimeoutError("the prime weights did not finish within 5 s")
+
+
 def test_combination_weights_match_the_sieve_reference():
     """The square roots of the first d primes by trial division are the
-    sieve's, bit for bit, for d = 1..300, cached read-only float64."""
-    for d in range(1, 301):
-        w = core._combination_weights(d)
-        assert w.dtype == np.float64 and not w.flags.writeable
-        assert np.array_equal(w, weights_by_sieve(d)), d
+    sieve's, bit for bit, for d = 1..300, cached read-only float64.  The
+    uncached calls run under a 5 s deadline, so a search that never finds
+    its primes fails here instead of hanging."""
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for d in range(1, 301):
+            w = core._combination_weights(d)
+            assert w.dtype == np.float64 and not w.flags.writeable
+            assert np.array_equal(w, weights_by_sieve(d)), d
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert core._combination_weights(300) is w
 
 

@@ -126,6 +126,11 @@ CATALOGUE = (
            "        found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)\n",
            "        found, found_lead = fused[ask], rep[ask]\n",
            ("tests/test_hypergraph.py::test_idempotent_side_disagreement_is_fatal",)),
+    # The single-merge stacks read rep off their merges (fusion._merge_stacks).
+    Mutant("merge-rep-last-class", "src/amorphic/fusion.py",
+           "np.where(merged, tuples[:, :1], classes)",
+           "np.where(merged, tuples[:, -1:], classes)",
+           ("tests/test_fusion.py::test_merge_stack_matches_membership",)),
     # The map from 2-subsets to fusing triples and what the verifier reads
     # off it (fusion._triples_through, fusion._outside, fusion._overlap_labels,
     # hypergraph._cores).
@@ -204,11 +209,17 @@ CATALOGUE = (
            "all(q % p for p in primes)",
            "all(q % p for p in primes[1:])",
            ("tests/test_core.py::test_combination_weights_match_the_sieve_reference",)),
-    # finds no first prime and never stops: killed by the timeout
+    # finds no first prime and never stops: killed by the test's deadline
     Mutant("primes-any-for-all", "src/amorphic/core.py",
            "all(q % p for p in primes)",
            "any(q % p for p in primes)",
            ("tests/test_core.py::test_combination_weights_match_the_sieve_reference",)),
+    # The row lemma's per-d table of row subsets (classify._row_subsets):
+    # without the full set, the crafted M's failure on {0, 1, 2} goes unseen.
+    Mutant("row-lemma-drops-full-set", "src/amorphic/classify.py",
+           "for r in range(2, d + 1)",
+           "for r in range(2, d)",
+           ("tests/test_classify.py::test_batched_row_lemma_matches_single_subsets",)),
     # Labels that are not integers.
     Mutant("float-labels-truncated", "src/amorphic/core.py",
            " | (labels != np.round(labels))",
