@@ -44,6 +44,7 @@ from .errors import (
     DegenerateSpectrum,
     IdempotencyViolation,
     NegativeKrein,
+    PreconditionFailed,
 )
 
 __all__ = [
@@ -246,7 +247,9 @@ class AssociationScheme:
         return self.label_matrix.labels
 
     def relation(self, i: int) -> np.ndarray:
-        """0/1 adjacency matrix of class i (exact integers)."""
+        """0/1 adjacency matrix of class i (exact integers), i in 0..d."""
+        if not 0 <= i <= self.d:
+            raise PreconditionFailed(f"class index {i} out of 0..{self.d}")
         return (self.labels == i).astype(np.int64)
 
     @property

@@ -16,20 +16,20 @@ each partition merges.  :func:`_reconcile` runs both kernels on a stack
 and raises at the first entry they answer differently; every two-oracle
 question goes through it.  Stacks are internal to this module: a
 single question (:func:`_decide`) is a stack of one, and the batched
-passes (:func:`_decide_merges`, :func:`_dual_merges`,
-:func:`_decide_contracted`) build theirs a fixed number of merges at a
-time (:func:`_merge_stacks`) and yield one answer per question, in order.
+passes (:func:`_decide_merges`, :func:`_dual_merges`) build theirs a
+fixed number of merges at a time (:func:`_merge_stacks`) and yield one
+answer per question, in order.
 
 Answers are return values: a scheme keeps only its tensor and spectra,
 and :func:`fuse_direct` builds a new fused scheme for each call.
 
-The contraction claim runs as one batch per scheme (:func:`_contractions`)
-with two witnesses that must agree: the parent decides each 4-set
-T + {ell} in stacks, and witness B decides the pairs {merged class, ell}
-of each contracted scheme in a stack of its own, without building the
-scheme: one triple at a time, on a tensor folded from one histogram of
-the parent's labels and on an eigenmatrix read off the parent's P and
-proven to be its character table.  A class permutation that fixes a
+The contraction claim is one walk over the fusing triples
+(:func:`_contractions`) with two witnesses that must agree on each
+triple before it is yielded: the parent decides the 4-sets T + {ell},
+and witness B the pairs {merged class, ell} of T's contracted scheme,
+without building it, on a tensor folded from one histogram of the
+parent's labels and an eigenmatrix read off the parent's P and proven
+to be its character table.  A class permutation that fixes a
 tensor maps its fusions to fusions, so each witness asks one question
 per orbit of the symmetric groups that the transpositions fixing its
 own tensor generate (:func:`_transposition_blocks`) and copies the
@@ -95,12 +95,22 @@ __all__ = [
 class ClassPartition:
     """Partition of {0,...,d} with {0} as its own block.
 
-    Blocks are stored sorted by minimum element, so the block containing 0
-    is always blocks[0] == (0,).
+    Blocks are stored ascending and sorted by minimum element, covering
+    0..d once, so the block containing 0 is always blocks[0] == (0,);
+    other fields raise ``ValueError`` (:meth:`from_blocks` normalizes).
     """
 
     d: int
     blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if sorted(i for b in self.blocks for i in b) != list(range(self.d + 1)):
+            raise ValueError(f"blocks {self.blocks} do not partition 0..{self.d}")
+        if self.blocks[:1] != ((0,),):
+            raise ValueError("the block containing 0 must be exactly {0}")
+        if self.blocks != tuple(sorted(tuple(sorted(b)) for b in self.blocks)):
+            raise ValueError(f"blocks {self.blocks} are not canonical: tuples, each ascending, "
+                             f"ordered by least element")
 
     @classmethod
     def from_blocks(cls, blocks, d: int) -> "ClassPartition":
@@ -112,8 +122,6 @@ class ClassPartition:
                 seen = sorted(seen + [0])
             if sorted(seen) != list(range(d + 1)):
                 raise ValueError(f"blocks {blocks} do not partition 0..{d}")
-        if norm[0] != (0,):
-            raise ValueError("the block containing 0 must be exactly {0}")
         return cls(d=d, blocks=tuple(norm))
 
     @classmethod
@@ -205,8 +213,7 @@ class FusionOutcome:
 
 
 # Merges per stack of _merge_stacks, so that a stack's arrays have a fixed size
-# whatever the merge count (witness B's: 64 (d+1) x (d-1) membership matrices
-# and as many (d-1)^2 eigenmatrices; its tensors are folded one at a time).
+# whatever the merge count (for triples: 64 (d+1) x (d-1) membership matrices).
 _MERGE_CHUNK = 64
 
 
@@ -312,18 +319,17 @@ def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance) -> tuple[np.n
     return fused, lead
 
 
-def _fused_eigenmatrices(P: np.ndarray, S: np.ndarray, lead: np.ndarray,
-                         tol: Tolerance) -> np.ndarray:
-    """The fused eigenmatrix of each entry of a stack that fuses on the
-    shared P, from the row-sum kernel's leaders: the leaders' rows of one
-    product P S, snapped at once."""
-    c, n, nb = S.shape
-    return tol.snap((P @ S)[lead == np.arange(n)].reshape(c, nb, nb))[0]
+def _fused_eigenmatrix(P: np.ndarray, S: np.ndarray, lead: np.ndarray,
+                       tol: Tolerance) -> np.ndarray:
+    """The fused eigenmatrix of a partition that fuses on P, from its
+    membership matrix S and the row-sum kernel's leaders ``lead``: the
+    leaders' rows of P S, snapped."""
+    return tol.snap((P @ S)[lead == np.arange(len(lead))])[0]
 
 
 def _dual(P: np.ndarray, S: np.ndarray, lead: np.ndarray, tol: Tolerance) -> DualPartition:
     """The dual partition of a stack of one partition that fuses on P."""
-    return DualPartition(rho=_partition_of(lead[0]), P_fused=_fused_eigenmatrices(P, S, lead, tol)[0])
+    return DualPartition(rho=_partition_of(lead[0]), P_fused=_fused_eigenmatrix(P, S[0], lead[0], tol))
 
 
 def _partition_of(labels: np.ndarray) -> ClassPartition:
@@ -606,7 +612,7 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
                for s in itertools.combinations(t1, 2)):
         witness = set(list(t1)[1:]) | {ell}
         raise PreconditionFailed(f"no second fusing triple through {ell} ({witness} does not fuse)")
-    return _contractions(scheme, {t1: [ell]}, tol)[0]
+    return next(_contractions(scheme, {t1: [ell]}, tol))[1][0]
 
 
 def _triples_through(triples) -> dict[tuple[int, int], list[tuple[int, ...]]]:
@@ -680,118 +686,115 @@ def _orbit(block: list[int], classes) -> tuple[int, ...]:
     return tuple(sorted([block[c] for c in classes]))
 
 
-def _pair_orbits(block: list[int], T: tuple[int, ...], ells) -> list[tuple]:
-    """The orbit key of each pair (T, ell) of ``ells``: the sorted block
-    labels of T and the block of ell."""
-    key = _orbit(block, T)
-    return [(key, block[ell]) for ell in ells]
+def _walk_orbits(outside: dict, block: list[int], ask):
+    """Yields (T, answers) for each T of ``outside``, one answer per ell of
+    outside[T], in order: the answer of the pair's orbit, T's sorted block
+    labels and ell's block, read once per triple and once per pair.
+    ``ask(T, ells)`` answers the first pairs of T's orbits not answered
+    before, and is called only for a triple that has one."""
+    answers: dict[tuple, dict[int, bool]] = {}  # T's key -> ell's block -> answer
+    for T, ells in outside.items():
+        known = answers.setdefault(_orbit(block, T), {})
+        blocks = [block[ell] for ell in ells]
+        new = {}  # each block not answered for T's key -> its first ell
+        for b, ell in zip(blocks, ells):
+            if b not in known:
+                new.setdefault(b, ell)
+        if new:
+            known.update(zip(new, ask(T, list(new.values()))))
+        yield T, [known[b] for b in blocks]
 
 
-def _contractions(scheme: AssociationScheme, outside: dict, tol: Tolerance) -> list[bool]:
+def _contractions(scheme: AssociationScheme, outside: dict, tol: Tolerance):
     """Whether the merged class of T still fuses with ell, for each T and
-    ell of ``outside[T]`` in that order (:func:`_outside`), from two witnesses.
+    ell of ``outside[T]`` (:func:`_outside`), from two witnesses: yields
+    (T, answers), one answer per ell, in order.
 
     A class permutation that fixes the tensor maps fusions to fusions
     (Bannai & Ito, *Algebraic Combinatorics I*, II.9), so each witness
     asks one question per orbit of the symmetric groups that the
     tensor's transpositions generate (:func:`_transposition_blocks`) and
-    copies its answer to the whole orbit.
+    copies its answer to the whole orbit.  Both walk ``outside`` once,
+    triple by triple (:func:`_walk_orbits`), on blocks of their own.
 
     Witness A: the parent decides the merge of the first 4-set
-    T + {ell} of each orbit (its sorted block labels, on the parent's
-    tensor) in :func:`_decide_merges` stacks on its cached tensor and
+    T + {ell} of each orbit (its sorted block labels on the parent's
+    tensor; several pair orbits can lie in one) in a
+    :func:`_decide_merges` stack per triple on its cached tensor and
     eigenmatrix, and checks each join on the eigenmatrix side as well
-    (:func:`_check_swapped_columns`); a pair finds its 4-set's orbit
-    through its own (:func:`_pair_orbits`), which lies in one.  Fusion
-    is transitive, so this is the contracted question: merging T and
-    then its class with ell merges exactly T + {ell}.  Witness B,
-    :func:`_decide_contracted`, asks the pairs {merged class, ell} of the
-    contracted schemes on tensors folded from the parent's labels and
-    fused eigenmatrices read off the parent's P and proven against them,
-    one pair per orbit of blocks read off its own histogram; it reads
-    neither the parent's tensor nor witness A's answers or blocks.  Both
-    witnesses run both oracles, and a pair on which they differ raises
-    :class:`OracleDisagreement`.  Answers are kept by orbit key only.
+    (:func:`_check_swapped_columns`).  Fusion is transitive, so this is
+    the contracted question: merging T and then its class with ell
+    merges exactly T + {ell}.  Witness B, :func:`_decide_contracted`,
+    asks the pairs {merged class, ell} of the contracted schemes; it
+    reads neither the parent's tensor nor witness A's answers or blocks.
+    Both witnesses run both oracles, and a pair on which they differ
+    raises :class:`OracleDisagreement` before its triple is yielded.
     """
     if not outside:
-        return []
+        return
     block = _transposition_blocks(scheme.intersection.p)
     _check_swapped_columns(spectral_decomposition(scheme, tol=tol).P, block, tol)
-    # a pair's orbit lies in one 4-set orbit, and the first pair of a 4-set
-    # orbit is the first of its pair orbit
-    quad_orbit, first = {}, {}
-    for T, ells in outside.items():
-        for ell, key in zip(ells, _pair_orbits(block, T, ells)):
-            if key not in quad_orbit:
-                quad = tuple(sorted(T + (ell,)))
-                quad_orbit[key] = _orbit(block, quad)
-                first.setdefault(quad_orbit[key], quad)
-    parent = {_orbit(block, quad): fused
-              for quad, fused, _ in _decide_merges(scheme, sorted(first.values()), tol)}
-    keys = (key for T, ells in outside.items() for key in _pair_orbits(block, T, ells))
-    answers = []
-    for ((T, ell), ok), key in zip(_decide_contracted(scheme, outside, tol), keys, strict=True):
-        expected = parent[quad_orbit[key]]
-        if expected != ok:
+    quads = {}  # 4-set orbit -> the parent's answer
+
+    # the first pair of a 4-set orbit is the first of its pair orbit, so
+    # each 4-set orbit is decided on its first 4-set
+    def ask(T, ells):
+        keys = [_orbit(block, T + (ell,)) for ell in ells]
+        new = {key: tuple(sorted(T + (ell,))) for key, ell in zip(keys, ells) if key not in quads}
+        quads.update(zip(new, [fused for _, fused, _ in _decide_merges(scheme, new.values(), tol)]))
+        return [quads[key] for key in keys]
+
+    parent = _walk_orbits(outside, block, ask)
+    for (T, expected), (_, got) in zip(parent, _decide_contracted(scheme, outside, tol)):
+        if expected != got:
+            ell, want, ok = next(x for x in zip(outside[T], expected, got) if x[1] != x[2])
             raise OracleDisagreement(
-                f"contraction of {set(T)} with {ell}: the parent answers {expected} "
+                f"contraction of {set(T)} with {ell}: the parent answers {want} "
                 f"for merging {set(sorted(T + (ell,)))}, the contracted scheme answers {ok}")
-        answers.append(ok)
-    return answers
+        yield T, got
 
 
 def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance):
     """Witness B of the contraction claim: whether the contracted scheme of
     each fusing triple T (T merged) fuses its merged class with each ell of
-    ``outside[T]``, without building it.
+    ``outside[T]``, without building it.  Yields (T, answers) for each T,
+    one answer per ell, in ``outside`` order.
 
     Its blocks come from its own histogram of the parent's cells
-    (:func:`_transposition_blocks` on ``_row0_counts``), and a pair's
-    orbit key is (sorted block labels of T, block of ell); only the first
-    pair of each orbit is asked.  Per :func:`_merge_stacks` chunk of the
-    triples of those pairs, the fused eigenmatrices are read off the
-    parent's P (:func:`_fused_eigenmatrices`).  Then, one triple at a
-    time, its tensor is folded from the histogram
-    (:func:`_contracted_tensor`), its eigenmatrix is accepted only as
-    that tensor's character table (:func:`_check_characters`), and both
-    kernels ask its pairs {merged class, ell} in stacks of their own over
-    0..d-2, on that tensor and eigenmatrix.  Only the row-sum stack and
-    its eigenmatrices carry a triple axis; a triple's tensor and check
-    arrays hold n^3 entries at most.
-    Yields one ((T, ell), fused) per pair, in ``outside`` order, each the
-    answer of its orbit.  A triple the parent does not fuse, or a
-    disagreement, raises :class:`OracleDisagreement`.
+    (:func:`_transposition_blocks` on ``_row0_counts``), and
+    :func:`_walk_orbits` asks a triple only for pairs whose orbit is not
+    answered yet.  Everything then runs for that triple alone: its fused
+    eigenmatrix is read off the parent's P on a stack of its one merge
+    (:func:`_fused_eigenmatrix`), its tensor is folded from the histogram
+    (:func:`_contracted_tensor`), the eigenmatrix is accepted only as that
+    tensor's character table (:func:`_check_characters`), and both
+    kernels ask the pairs in a stack of their own over 0..d-2, on that
+    tensor and eigenmatrix; no array holds more than n^3 entries.  A
+    triple the parent does not fuse, or a disagreement, raises
+    :class:`OracleDisagreement`.
     With no triple asked it reads nothing, not even the parent's cells.
     """
     if not outside:
         return
     d = scheme.d
     counts, k = _row0_counts(scheme.labels, d)
-    block = _transposition_blocks(counts)
-    answers, asked = {}, {}  # orbit key -> answer; T -> the ells of its first pairs
-    for T, ells in outside.items():
-        for ell, key in zip(ells, _pair_orbits(block, T, ells)):
-            if key not in answers:
-                answers[key] = None
-                asked.setdefault(T, []).append(ell)
     parent_P = spectral_decomposition(scheme, tol=tol).P
-    for chunk, S, _ in _merge_stacks(d, asked):
+
+    def ask(T, ells):
+        _, S, _ = next(_merge_stacks(d, [T]))
         fused, lead = _stacked_row_sum(parent_P, S, tol)
-        if not fused.all():
-            raise OracleDisagreement(f"contraction of {set(chunk[int(np.argmin(fused))])}: "
+        if not fused[0]:
+            raise OracleDisagreement(f"contraction of {set(T)}: "
                                      f"the parent's eigenmatrix does not fuse the triple")
-        for T, P in zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol)):
-            p, k_fused = _contracted_tensor(T, counts, k)
-            _check_characters(T, p, k_fused, P, scheme.v, tol)
-            # ell's block: ell less the classes of T above T[0] and below ell
-            pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in asked[T]]
-            got = []
-            for _, S2, rep in _merge_stacks(d - 2, pairs):
-                got += _reconcile(p, P, S2, rep, tol, f"contraction of {set(T)}")[0].tolist()
-            answers.update(zip(_pair_orbits(block, T, asked[T]), got))
-    for T, ells in outside.items():
-        for ell, key in zip(ells, _pair_orbits(block, T, ells)):
-            yield (T, ell), answers[key]
+        P = _fused_eigenmatrix(parent_P, S[0], lead[0], tol)
+        p, k_fused = _contracted_tensor(T, counts, k)
+        _check_characters(T, p, k_fused, P, scheme.v, tol)
+        # ell's block: ell less the classes of T above T[0] and below ell
+        pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in ells]
+        return [ok for _, S2, rep in _merge_stacks(d - 2, pairs)
+                for ok in _reconcile(p, P, S2, rep, tol, f"contraction of {set(T)}")[0].tolist()]
+
+    yield from _walk_orbits(outside, _transposition_blocks(counts), ask)
 
 
 def _contracted_tensor(T: tuple[int, ...], counts: np.ndarray,

@@ -159,8 +159,8 @@ def row_sum_by_full_fold(P, S, tol):
 
 
 def dual_by_full_fold(P, S, lead, tol):
-    """Test-only reference for one entry of ``fusion._partition_of`` and
-    ``fusion._fused_eigenmatrices``: the dual partition grouped by the
+    """Test-only reference for ``fusion._partition_of`` and
+    ``fusion._fused_eigenmatrix``: the dual partition grouped by the
     row-sum kernel's leaders ``lead`` and the leaders' rows of P S (S one
     membership matrix), snapped."""
     groups = {}

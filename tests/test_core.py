@@ -32,6 +32,7 @@ from amorphic import (
     IdempotentBasis,
     LabelMatrix,
     NegativeKrein,
+    PreconditionFailed,
     Tolerance,
     formal_duality_permutation,
     fuse_direct,
@@ -869,6 +870,15 @@ def test_valencies_row_regularity():
         A = scheme.relation(i)
         assert set(A.sum(axis=1)) == {scheme.valencies[i]}
     assert sum(scheme.valencies) == scheme.v
+
+
+@pytest.mark.parametrize("i", [-1, 4, 7])
+def test_relation_of_a_missing_class_is_refused(i):
+    """A class outside 0..d has no relation: asking for one is refused, not
+    answered with an all-zero matrix."""
+    scheme = gen_hamming_binary(3)
+    with pytest.raises(PreconditionFailed, match=rf"class index {i} out of 0\.\.3"):
+        scheme.relation(i)
 
 
 # ------------------------------------------------------------- eigenmatrices

@@ -56,6 +56,23 @@ def test_partition_rejects_zero_in_nontrivial_block():
         am.ClassPartition.merge(3, {0, 1})
 
 
+@pytest.mark.parametrize("blocks, message", [
+    (((0,), (1, 2)), r"do not partition 0\.\.3"),  # class 3 in no block
+    (((0,), (1, 2), (2, 3)), r"do not partition 0\.\.3"),  # class 2 in two
+    (((1, 2), (0,), (3,)), r"the block containing 0 must be exactly \{0\}"),
+    (((0,), (3,), (1, 2)), r"are not canonical"),
+    (((0,), (2, 1), (3,)), r"are not canonical"),
+], ids=["uncovered", "overlapping", "zero-not-first", "blocks-unordered", "block-unsorted"])
+def test_partition_constructed_directly_must_be_canonical(blocks, message):
+    """A ClassPartition built from its fields, as _partition_of builds it,
+    is refused unless it is from_blocks' canonical form: a class in no
+    block would leave its block index unset, and (0,) out of place would
+    make fuse_direct label the diagonal with another class."""
+    with pytest.raises(ValueError, match=message):
+        am.ClassPartition(3, blocks)
+    assert am.ClassPartition(3, ((0,), (1, 2), (3,))) == am.ClassPartition.merge(3, (1, 2))
+
+
 def test_merge_matches_from_blocks_reference():
     """merge builds its blocks directly; the reference goes through
     from_blocks's sort and checks."""
@@ -492,9 +509,10 @@ def _check_kernels(p, P, S, rep, tol=TOL):
     ref_fused, ref_lead = row_sum_by_full_fold(P, S, tol)
     assert np.array_equal(fused, ref_fused) and np.array_equal(lead, ref_lead)
     ok = np.flatnonzero(fused)
-    for m, P_m in zip(ok, fusion._fused_eigenmatrices(P, S[ok], lead[ok], tol)):
+    for m in ok:
         ref = dual_by_full_fold(P, S[m], lead[m], tol)
-        assert fusion._partition_of(lead[m]) == ref.rho and np.array_equal(P_m, ref.P_fused)
+        assert fusion._partition_of(lead[m]) == ref.rho
+        assert np.array_equal(fusion._fused_eigenmatrix(P, S[m], lead[m], tol), ref.P_fused)
     return exact
 
 
@@ -699,6 +717,16 @@ def _flat(outside):
     return [(T, ell) for T, ells in outside.items() for ell in ells]
 
 
+def _per_pair(outside, yielded):
+    """The ((T, ell), answer) of each pair of ``outside``, in order, read
+    off a witness's (T, answers) yields, which must name outside's triples
+    in order with one answer per ell."""
+    yielded = list(yielded)
+    assert [T for T, _ in yielded] == list(outside)
+    return [((T, ell), ok) for T, answers in yielded
+            for ell, ok in zip(outside[T], answers, strict=True)]
+
+
 def _contraction_schemes(corpus):
     """The corpus schemes with d >= 4, and net(7; 1^8)."""
     schemes = [(name, s) for name, s in corpus if s.d >= 4]
@@ -720,7 +748,8 @@ def test_batched_contraction_matches_relabeling(corpus):
         assert pairs == admissible_pairs_by_lookup(triples, scheme.d), name
         want = [fuse_by_relabeling(scheme, am.ClassPartition.merge(scheme.d, T + (ell,))) is not None
                 for T, ell in pairs]
-        assert fusion._contractions(scheme, outside, TOL) == want, name
+        got = _per_pair(outside, fusion._contractions(scheme, outside, TOL))
+        assert [ok for _, ok in got] == want, name
         checked += len(pairs)
     assert checked > 280
 
@@ -738,24 +767,28 @@ def test_witness_b_answers_every_outside_class(corpus):
                    for T in am.enumerate_fusing_tuples(scheme, 3)}
         want = [((T, ell), fuse_by_relabeling(scheme, am.ClassPartition.merge(d, T + (ell,)))
                  is not None) for T, ell in _flat(outside)]
-        assert list(fusion._decide_contracted(scheme, outside, TOL)) == want, name
+        assert _per_pair(outside, fusion._decide_contracted(scheme, outside, TOL)) == want, name
         answers.update(ok for _, ok in want)
     assert answers == {False, True}
 
 
 def _flip_first(monkeypatch, on_parent):
     """Flip the first answer of witness A's 4-sets (_decide_merges on the
-    parent) or of witness B's contracted pairs (_decide_contracted), each
-    yielded as (question, answer, ...); returns the flipped questions."""
+    parent, yielded as (4-set, answer, leaders)) or of witness B's
+    contracted pairs (_decide_contracted, yielded as (T, answers)); returns
+    the flipped questions, a 4-set or a pair (T, ell)."""
     name = "_decide_merges" if on_parent else "_decide_contracted"
     real = getattr(fusion, name)
     flipped = []
 
-    def flip(*args):
-        for question, answer, *rest in real(*args):
-            if not flipped:
+    def flip(scheme, questions, tol):
+        for question, answer, *rest in real(scheme, questions, tol):
+            if not flipped and on_parent:
                 flipped.append(question)
                 answer = not answer
+            elif not flipped:
+                flipped.append((question, questions[question][0]))
+                answer = [not answer[0], *answer[1:]]
             yield (question, answer, *rest)
 
     monkeypatch.setattr(fusion, name, flip)
@@ -775,14 +808,32 @@ def test_contraction_witnesses_must_agree(monkeypatch, on_parent, single):
         if single:
             am.contraction_check(scheme, (1, 2, 3), 4)
         else:
-            fusion._contractions(scheme, outside, TOL)
+            list(fusion._contractions(scheme, outside, TOL))
     assert flipped == [(1, 2, 3, 4) if on_parent else ((1, 2, 3), 4)]
+
+
+def test_witness_disagreement_is_raised_at_its_triple(monkeypatch):
+    """Both witnesses walk the triples in turn, so on the exhaustive path
+    (every class a block of its own) witness B's first answer on
+    net(5; 1^6) flipped raises OracleDisagreement after one triple is
+    folded, before a second is asked."""
+    scheme = am.gen_net_scheme(5, am.SlopeGrouping.singletons(5))
+    outside = _outside_of(am.enumerate_fusing_tuples(scheme, 3))
+    monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
+    folded, fold = [], fusion._contracted_tensor
+    monkeypatch.setattr(fusion, "_contracted_tensor", lambda T, *a: folded.append(T) or fold(T, *a))
+    flipped = _flip_first(monkeypatch, on_parent=False)
+    with pytest.raises(am.OracleDisagreement, match=r"contraction of \{1, 2, 3\} with 4: "):
+        list(fusion._contractions(scheme, outside, TOL))
+    assert len(outside) == 20
+    assert flipped == [((1, 2, 3), 4)] and folded == [(1, 2, 3)]
 
 
 def _spy_contraction(monkeypatch):
     """Record, during the contraction witnesses, each _merge_stacks chunk
     as (merge size, length), each _reconcile call's (tensor, eigenmatrix)
-    shapes and the questions each witness yields."""
+    shapes and the questions each witness answers: witness A's 4-sets,
+    witness B's pairs (T, ell)."""
     stacks, shapes, asked = [], [], {"_decide_merges": [], "_decide_contracted": []}
     real_stacks, real_reconcile = fusion._merge_stacks, fusion._reconcile
 
@@ -795,13 +846,18 @@ def _spy_contraction(monkeypatch):
             stacks.append((len(chunk[0]), len(chunk)))
             yield (chunk, *rest)
 
-    for name, questions in asked.items():
-        def spy(*args, real=getattr(fusion, name), questions=questions):
-            for question, *rest in real(*args):
-                questions.append(question)
-                yield (question, *rest)
+    def spy_merges(*args, real=fusion._decide_merges):
+        for question, *rest in real(*args):
+            asked["_decide_merges"].append(question)
+            yield (question, *rest)
 
-        monkeypatch.setattr(fusion, name, spy)
+    def spy_contracted(scheme, outside, tol, real=fusion._decide_contracted):
+        for T, answers in real(scheme, outside, tol):
+            asked["_decide_contracted"] += [(T, ell) for ell, _ in zip(outside[T], answers, strict=True)]
+            yield T, answers
+
+    monkeypatch.setattr(fusion, "_decide_merges", spy_merges)
+    monkeypatch.setattr(fusion, "_decide_contracted", spy_contracted)
     monkeypatch.setattr(fusion, "_merge_stacks", spy_stacks)
     monkeypatch.setattr(fusion, "_reconcile", spy_reconcile)
     return stacks, shapes, asked
@@ -809,21 +865,29 @@ def _spy_contraction(monkeypatch):
 
 def test_contraction_stacks(monkeypatch):
     """On net(7; 1^8), on the exhaustive path (every class a block of its
-    own), the parent decides the 70 distinct 4-sets in stacks of
-    64 and 6, and witness B derives the eigenmatrices of its 56 contracted
-    schemes in one stack and answers each scheme's 5 pairs in a stack of
-    its own, on that scheme's tensor and eigenmatrix (n = d - 1 = 7); each
-    witness yields one answer per question, in order."""
+    own), both witnesses walk the 56 triples in turn.  For each, the parent
+    decides the 4-sets it has not decided before in a stack of their own
+    (70 distinct 4-sets in all), and witness B derives the triple's
+    contracted eigenmatrix on a stack of its one merge and answers its 5
+    pairs in a stack of their own, on that scheme's tensor and eigenmatrix
+    (n = d - 1 = 7); each witness answers every question, in order."""
     scheme = net_with_group_sizes(7, [1] * 8)
     triples = am.enumerate_fusing_tuples(scheme, 3)
     outside = _outside_of(triples)
     monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
     stacks, shapes, asked = _spy_contraction(monkeypatch)
-    assert all(fusion._contractions(scheme, outside, TOL))
+    assert all(ok for _, ok in _per_pair(outside, fusion._contractions(scheme, outside, TOL)))
     assert (len(triples), len(_flat(outside))) == (56, 280)
-    assert stacks == [(4, 64), (4, 6), (3, 56)] + [(2, 5)] * 56
-    assert shapes == [((9, 9, 9), (9, 9))] * 2 + [((7, 7, 7), (7, 7))] * 56
-    assert asked["_decide_merges"] == sorted({tuple(sorted(T + (ell,))) for T, ell in _flat(outside)})
+    quads, want_stacks, want_shapes = {}, [], []
+    for T, ells in outside.items():
+        new = [q for q in (tuple(sorted(T + (ell,))) for ell in ells) if q not in quads]
+        quads.update(dict.fromkeys(new))
+        want_stacks += [(4, len(new))] * bool(new) + [(3, 1), (2, 5)]
+        want_shapes += [((9, 9, 9), (9, 9))] * bool(new) + [((7, 7, 7), (7, 7))]
+    assert len(quads) == 70
+    assert stacks == want_stacks
+    assert shapes == want_shapes
+    assert asked["_decide_merges"] == list(quads)
     assert asked["_decide_contracted"] == _flat(outside)
 
 
@@ -835,7 +899,7 @@ def test_contraction_stacks_on_orbits(monkeypatch):
     scheme = net_with_group_sizes(7, [1] * 8)
     outside = _outside_of(am.enumerate_fusing_tuples(scheme, 3))
     stacks, shapes, asked = _spy_contraction(monkeypatch)
-    assert all(fusion._contractions(scheme, outside, TOL))
+    assert all(ok for _, ok in _per_pair(outside, fusion._contractions(scheme, outside, TOL)))
     assert stacks == [(4, 1), (3, 1), (2, 1)]
     assert shapes == [((9, 9, 9), (9, 9)), ((7, 7, 7), (7, 7))]
     assert asked["_decide_merges"] == [(1, 2, 3, 4)]
@@ -867,12 +931,12 @@ def test_contraction_orbits_match_the_exhaustive_path(corpus, monkeypatch):
 
     def run():
         return ([am.verify_paper_claims(s).as_dict() for _, s in schemes],
-                [fusion._contractions(s, outside, TOL) for s, outside in every])
+                [_per_pair(outside, fusion._contractions(s, outside, TOL)) for s, outside in every])
 
     orbits = run()
     monkeypatch.setattr(fusion, "_transposition_blocks", singleton_blocks)
     assert run() == orbits
-    assert {ok for answers in orbits[1] for ok in answers} == {False, True}
+    assert {ok for answers in orbits[1] for _, ok in answers} == {False, True}
 
 
 def test_contraction_asks_one_question_per_orbit_on_a_net(monkeypatch):
@@ -904,7 +968,7 @@ def test_contraction_asks_one_question_per_orbit_on_a_net(monkeypatch):
     for name, spy in [("_decide_merges", merges), ("_contracted_tensor", fold),
                       ("_check_characters", check), ("_reconcile", reconcile)]:
         monkeypatch.setattr(fusion, name, spy)
-    answers = fusion._contractions(scheme, outside, TOL)
+    answers = [ok for _, ok in _per_pair(outside, fusion._contractions(scheme, outside, TOL))]
     assert len(answers) == 9520 and all(answers)
     assert quads == [(1, 2, 3, 4)] and folded == checked == [(1, 2, 3)]
     assert pairs == [1, 1]  # witness A's 4-set, witness B's pair
@@ -949,8 +1013,8 @@ def test_contraction_asks_the_first_question_of_each_orbit(corpus, monkeypatch):
             quads.setdefault(tuple(sorted(block[c] for c in T + (ell,))), tuple(sorted(T + (ell,))))
             pairs.setdefault((tuple(sorted(block[c] for c in T)), block[ell]), T)
         asked.update(quads=[], triples=[], pairs=0)
-        fusion._contractions(scheme, outside, TOL)
-        assert asked["quads"] == sorted(quads.values()), name
+        list(fusion._contractions(scheme, outside, TOL))
+        assert asked["quads"] == list(quads.values()), name
         assert asked["triples"] == list(dict.fromkeys(pairs.values())), name
         assert asked["pairs"] == len(pairs), name
         orbits += len(pairs)
@@ -965,14 +1029,14 @@ def test_witness_a_checks_each_join_on_the_eigenmatrix(monkeypatch):
     before any 4-set is asked."""
     scheme, outside = _net5_outside()
     P = am.spectral_decomposition(scheme).P.copy()
-    assert all(fusion._contractions(scheme, outside, TOL))
+    assert all(ok for _, ok in _per_pair(outside, fusion._contractions(scheme, outside, TOL)))
     P[3, 1] += 0.5
     monkeypatch.setattr(fusion, "spectral_decomposition", lambda scheme, tol: types.SimpleNamespace(P=P))
     monkeypatch.setattr(fusion, "_decide_merges", None)
     with pytest.raises(am.OracleDisagreement, match=re.escape(
             "swapping classes 1 and 2 fixes the intersection tensor, but swapping their "
             "columns of P does not only reorder its rows")):
-        fusion._contractions(scheme, outside, TOL)
+        list(fusion._contractions(scheme, outside, TOL))
 
 
 def test_witness_b_reads_nothing_without_an_admissible_pair(monkeypatch):
@@ -1025,7 +1089,8 @@ def test_witness_b_inputs_match_fused_schemes(corpus, monkeypatch):
         triples = am.enumerate_fusing_tuples(scheme, 3)
         outside = {T: [min(set(range(1, d + 1)) - set(T))] for T in triples}
         seen.clear()
-        assert [pair for pair, _ in fusion._decide_contracted(scheme, outside, TOL)] == _flat(outside)
+        yielded = fusion._decide_contracted(scheme, outside, TOL)
+        assert [pair for pair, _ in _per_pair(outside, yielded)] == _flat(outside)
         assert [T for T, *_ in seen] == triples, name
         for T, p, k_fused, P in seen:
             fused = am.fuse_direct(scheme, am.ClassPartition.merge(d, T)).scheme
@@ -1070,12 +1135,12 @@ def test_witness_b_peak_is_per_triple(monkeypatch):
     folded, fold = [], fusion._contracted_tensor
     monkeypatch.setattr(fusion, "_contracted_tensor", lambda T, *a: folded.append(T) or fold(T, *a))
     scheme = am.gen_net_scheme(32, am.SlopeGrouping.singletons(32))
-    triples = list(itertools.combinations(range(1, 34), 3))[:fusion._MERGE_CHUNK]
+    triples = list(itertools.combinations(range(1, 34), 3))[:64]
     outside = {T: [ell for ell in range(1, 34) if ell not in T] for T in triples}
     am.spectral_decomposition(scheme)
     tracemalloc.start()
     try:
-        answers = [ok for _, ok in fusion._decide_contracted(scheme, outside, TOL)]
+        answers = [ok for _, oks in fusion._decide_contracted(scheme, outside, TOL) for ok in oks]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1091,7 +1156,7 @@ def test_witness_b_names_a_triple_the_parent_does_not_fuse():
     assert fuse_by_relabeling(scheme, am.ClassPartition.merge(5, (1, 2, 3))) is None
     with pytest.raises(am.OracleDisagreement, match=re.escape(
             "contraction of {1, 2, 3}: the parent's eigenmatrix does not fuse the triple")):
-        fusion._contractions(scheme, {(1, 2, 3): [4]}, TOL)
+        list(fusion._contractions(scheme, {(1, 2, 3): [4]}, TOL))
 
 
 def _net5_outside():
@@ -1121,7 +1186,7 @@ def test_witness_b_reads_no_parent_tensor(monkeypatch):
         monkeypatch.setattr(fusion, name, None)
     got = list(fusion._decide_contracted(blind, outside, TOL))
     assert got == want
-    assert [pair for pair, _ in got] == _flat(outside) and len(got) == 20
+    assert [pair for pair, _ in _per_pair(outside, got)] == _flat(outside) and len(_flat(outside)) == 20
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -1133,19 +1198,19 @@ def test_witness_b_rejects_a_wrong_eigenmatrix(monkeypatch, tamper, message):
     """A contracted eigenmatrix that is not its folded tensor's character
     table is refused, naming the triple and the check: the fused
     eigenmatrix of {1, 2, 3}, the first that witness B derives, is
-    tampered with as _fused_eigenmatrices returns it."""
+    tampered with as _fused_eigenmatrix returns it."""
     scheme, outside = _net5_outside()
-    real = fusion._fused_eigenmatrices
+    real = fusion._fused_eigenmatrix
 
     def tampered(*args):
         P = real(*args)
-        tamper(P[0])
+        tamper(P)
         return P
 
-    monkeypatch.setattr(fusion, "_fused_eigenmatrices", tampered)
+    monkeypatch.setattr(fusion, "_fused_eigenmatrix", tampered)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: contracted eigenmatrix: " + message):
-        fusion._contractions(scheme, outside, TOL)
+        list(fusion._contractions(scheme, outside, TOL))
 
 
 @pytest.mark.parametrize("cell, message", [
@@ -1167,7 +1232,7 @@ def test_witness_b_rejects_a_fold_off_by_one(monkeypatch, cell, message):
 
     monkeypatch.setattr(fusion, "_row0_counts", off_by_one)
     with pytest.raises(am.OracleDisagreement, match=r"contraction of \{1, 2, 3\}: " + message):
-        fusion._contractions(scheme, outside, TOL)
+        list(fusion._contractions(scheme, outside, TOL))
 
 
 @pytest.mark.parametrize("kernel, side", [
@@ -1191,7 +1256,7 @@ def test_witness_b_oracles_must_agree(monkeypatch, kernel, side):
     monkeypatch.setattr(fusion, kernel, flipped)
     with pytest.raises(am.OracleDisagreement,
                        match=r"contraction of \{1, 2, 3\}: " + side + r" accepts 0\|1,2\|3 but"):
-        fusion._contractions(scheme, outside, TOL)
+        list(fusion._contractions(scheme, outside, TOL))
 
 
 # ------------------------------------------------------------ overlap cases

@@ -50,15 +50,18 @@ class Mutant:
 
 
 CATALOGUE = (
-    # Witness B of the contraction claim (fusion._decide_contracted).
+    # Witness B of the contraction claim (fusion._decide_contracted): each
+    # asked triple's eigenmatrix read off the merge of the triple before it
+    # in ``outside`` (the last one, for the first), a fused eigenmatrix of
+    # another fusing triple
     Mutant("witness-b-neighbouring-P", "src/amorphic/fusion.py",
-           "zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol))",
-           "zip(chunk, np.roll(_fused_eigenmatrices(parent_P, S, lead, tol), 1, axis=0))",
+           "        _, S, _ = next(_merge_stacks(d, [T]))\n",
+           "        _, S, _ = next(_merge_stacks(d, [list(outside)[list(outside).index(T) - 1]]))\n",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling",
             "tests/test_classify.py::test_verifier_reads_bm_check_duals")),
     Mutant("witness-b-no-character-check", "src/amorphic/fusion.py",
-           "            _check_characters(T, p, k_fused, P, scheme.v, tol)\n",
+           "        _check_characters(T, p, k_fused, P, scheme.v, tol)\n",
            "",
            ("tests/test_fusion.py::test_witness_b_rejects_a_wrong_eigenmatrix",
             "tests/test_fusion.py::test_witness_b_rejects_a_fold_off_by_one")),
@@ -76,17 +79,24 @@ CATALOGUE = (
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
     # each triple's pairs asked on the contracted scheme of the triple
-    # before it in its chunk (the last one, for the first): its folded
+    # before it in ``outside`` (the last one, for the first): its folded
     # tensor and its eigenmatrix, which pass the character check together;
     # every admissible pair of the corpus fuses on either, so only a scheme
     # whose pairs also answer no (H(2,2) x H(2,2), every class outside each
     # triple) tells
     Mutant("witness-b-previous-triple", "src/amorphic/fusion.py",
-           "        for T, P in zip(chunk, _fused_eigenmatrices(parent_P, S, lead, tol)):\n"
-           "            p, k_fused = _contracted_tensor(T, counts, k)\n",
-           "        for T, P, U in zip(chunk, np.roll(_fused_eigenmatrices(parent_P, S, lead, tol), 1, axis=0),\n"
-           "                           chunk[-1:] + chunk[:-1]):\n"
-           "            p, k_fused = _contracted_tensor(U, counts, k)\n",
+           "        _, S, _ = next(_merge_stacks(d, [T]))\n"
+           "        fused, lead = _stacked_row_sum(parent_P, S, tol)\n"
+           "        if not fused[0]:\n"
+           "            raise OracleDisagreement(f\"contraction of {set(T)}: \"\n"
+           "                                     f\"the parent's eigenmatrix does not fuse the triple\")\n"
+           "        P = _fused_eigenmatrix(parent_P, S[0], lead[0], tol)\n"
+           "        p, k_fused = _contracted_tensor(T, counts, k)\n",
+           "        U = list(outside)[list(outside).index(T) - 1]\n"
+           "        _, S, _ = next(_merge_stacks(d, [U]))\n"
+           "        fused, lead = _stacked_row_sum(parent_P, S, tol)\n"
+           "        P = _fused_eigenmatrix(parent_P, S[0], lead[0], tol)\n"
+           "        p, k_fused = _contracted_tensor(U, counts, k)\n",
            ("tests/test_fusion.py::test_witness_b_answers_every_outside_class",)),
     Mutant("fold-skips-remainder-check", "src/amorphic/fusion.py",
            "    fraction = p != np.rint(p)\n",
@@ -99,7 +109,7 @@ CATALOGUE = (
            "    c[T[1]] = T[0]\n",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",)),
     # The orbits of the contraction witnesses (fusion._transposition_blocks,
-    # fusion._pair_orbits): a join without the exact test joins every
+    # fusion._walk_orbits): a join without the exact test joins every
     # class to the first nontrivial one.
     Mutant("transposition-joined-unchecked", "src/amorphic/fusion.py",
            "            if np.array_equal(t[np.ix_(swap, swap, swap)], t):\n",
@@ -107,12 +117,17 @@ CATALOGUE = (
            ("tests/test_fusion.py::test_transposition_blocks_match_the_pairwise_reference",
             "tests/test_fusion.py::test_contraction_orbits_match_the_exhaustive_path")),
     # a pair's key without ell's block merges the orbits of one triple's
-    # pairs, so witness B asks one pair where it should ask several; the
-    # merged orbits of these schemes answer alike, so only the count tells
+    # pairs, so each witness asks one question where it should ask several;
+    # the merged orbits of these schemes answer alike, so only the count tells
     Mutant("pair-orbit-drops-ell-block", "src/amorphic/fusion.py",
-           "    return [(key, block[ell]) for ell in ells]\n",
-           "    return [(key,) for ell in ells]\n",
+           "        blocks = [block[ell] for ell in ells]\n",
+           "        blocks = [0 for ell in ells]\n",
            ("tests/test_fusion.py::test_contraction_asks_the_first_question_of_each_orbit",)),
+    # The verifier counts the contraction pairs off each triple's answers.
+    Mutant("contraction-counts-triples", "src/amorphic/classify.py",
+           "        pairs += len(answers)\n",
+           "        pairs += 1\n",
+           ("tests/test_cli.py::test_corpus_run_is_byte_identical",)),
     # The verifier's fusing triples (fusion._fusing_triples), read off the
     # leaders fusion._decide_merges yields with each answer.
     Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
@@ -200,6 +215,11 @@ CATALOGUE = (
            "        return abs(float(a) - float(b)) <= self.atol\n",
            ("tests/test_core.py::test_tolerance_close_policy",
             "tests/test_core.py::test_close_matches_the_scalar_formula_on_edge_values")),
+    # A partition built from its fields must be canonical.
+    Mutant("partition-unchecked", "src/amorphic/fusion.py",
+           "    def __post_init__(self):\n        if sorted(",
+           "    def __post_init__(self):\n        return\n        if sorted(",
+           ("tests/test_fusion.py::test_partition_constructed_directly_must_be_canonical",)),
     Mutant("merge-skips-range-check", "src/amorphic/fusion.py",
            "        if merged and (merged[0] < 1 or merged[-1] > d):\n"
            "            raise ValueError(f\"classes {merged} are not all in 1..{d}\")\n",
