@@ -15,6 +15,7 @@ from .core import (
     DEFAULT_TOL,
     SpectralData,
     Tolerance,
+    _check_class_indices,
     spectral_decomposition,
 )
 from .errors import (
@@ -98,6 +99,7 @@ def srg_info(spec: SpectralData, i: int) -> SrgInfo:
     integers lo < hi is of Latin type when hi - lo = r and its valency is
     t(n - 1), with n = r, t = -lo > 0 or else n = -r, t = -hi < 0.
     """
+    _check_class_indices((i,))
     if not 1 <= i <= spec.d:
         raise PreconditionFailed(f"class index {i} out of 1..{spec.d}")
     tol = spec.tol
@@ -403,11 +405,12 @@ def _triple_types(scheme: AssociationScheme, tol: Tolerance) -> dict:
     """Each fusing triple, in :func:`~amorphic.fusion.enumerate_fusing_tuples`
     order, and its :class:`~amorphic.fusion.TripleType`, or None where its
     dual partition has neither shape (a falsification of claim (f)).  Each
-    triple is typed as the pass yields it, so only the types are held."""
+    triple is typed as the pass yields it, straight from the row-sum
+    kernel's leaders, so only the types are held."""
     types = {}
-    for T, rho in _fusing_triples(scheme, tol):
+    for T, leaders in _fusing_triples(scheme, tol):
         try:
-            types[T] = _triple_type(rho, T)
+            types[T] = _triple_type(leaders, T)
         except Falsification:
             types[T] = None
     return types

@@ -157,6 +157,15 @@ def _python_ints(labels: np.ndarray) -> bool:
     return labels.dtype == object and all(isinstance(x, int) for x in labels.flat)
 
 
+def _check_class_indices(indices) -> None:
+    """Refuse, by name, a class index in ``indices`` that is not an integer,
+    Python's or NumPy's: 1.5 would match no label and 4.0 would fail as an
+    array index."""
+    for i in indices:
+        if not isinstance(i, (int, np.integer)):
+            raise PreconditionFailed(f"class index {i!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class LabelMatrix:
     """A v x v matrix of class labels 0..d; label 0 marks the identity class.
@@ -248,6 +257,7 @@ class AssociationScheme:
 
     def relation(self, i: int) -> np.ndarray:
         """0/1 adjacency matrix of class i (exact integers), i in 0..d."""
+        _check_class_indices((i,))
         if not 0 <= i <= self.d:
             raise PreconditionFailed(f"class index {i} out of 0..{self.d}")
         return (self.labels == i).astype(np.int64)

@@ -12,13 +12,20 @@ Any disagreement, a yes against a no either way, aborts with
 
 Each oracle has one kernel that answers a stack of partitions of one
 scheme, on its tensor or its eigenmatrix, and pays only for the classes
-each partition merges.  :func:`_reconcile` runs both kernels on a stack
-and raises at the first entry they answer differently; every two-oracle
+each partition merges.  A stack (:class:`_Stack`) carries the partition
+structure both kernels read, so they do only tensor and eigenmatrix
+work: :func:`_stack` derives it for any partitions, :func:`_merge_stacks`
+writes it down in closed form for single merges, a fixed number of
+merges at a time.  :func:`_reconcile` runs both kernels on a stack and
+raises at the first entry they answer differently; every two-oracle
 question goes through it.  Stacks are internal to this module: a
 single question (:func:`_decide`) is a stack of one, and the batched
-passes (:func:`_decide_merges`, :func:`_dual_merges`) build theirs a
-fixed number of merges at a time (:func:`_merge_stacks`) and yield one
-answer per question, in order.
+passes (:func:`_decide_merges`, :func:`_dual_merges`) yield one answer
+per question, in order.  A one-class block folds to the eigenmatrix's
+own column: the first stack of a pass compares those columns with its
+merged ones, and a pass of more than one stack compares them once more,
+at its second stack, into a table (:func:`_own_columns`) that every
+later stack reads.
 
 Answers are return values: a scheme keeps only its tensor and spectra,
 and :func:`fuse_direct` builds a new fused scheme for each call.
@@ -52,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +70,7 @@ from .core import (
     LabelMatrix,
     SpectralData,
     Tolerance,
+    _check_class_indices,
     _label_dtype,
     _row0_counts,
     spectral_decomposition,
@@ -213,23 +222,53 @@ class FusionOutcome:
 
 
 # Merges per stack of _merge_stacks, so that a stack's arrays have a fixed size
-# whatever the merge count (for triples: 64 (d+1) x (d-1) membership matrices).
+# whatever the merge count (for triples: 64 (d+1) x (d-1) membership matrices,
+# and 64 merged columns for the row-sum kernel to compare).
 _MERGE_CHUNK = 64
 
 
-def _stack(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stack both kernels read, built from the block-index rows ``idx``
-    of partitions with one number of blocks (row m is
-    ``pi.block_index()`` of partition m).
+class _Stack(NamedTuple):
+    """A stack of c partitions of 0..d with one number nb of blocks, and
+    the partition structure both kernels read (n = d + 1):
 
-    S[m] is the float64 (d+1) x n_blocks membership matrix of partition m,
-    S[m, i, b] = 1 iff class i lies in block b (rows of the identity);
-    rep[m, h] is the first class of h's block, found by comparing every
-    pair of block indices, which only general partitions need:
-    :func:`_merge_stacks` reads rep off its merges.
+    - S: (c, n, nb) float64, S[m, i, b] = 1 iff class i lies in block b;
+    - rep: (c, n), rep[m, h] the first class of h's block;
+    - moved: (c, n - nb), the classes h with rep[m, h] != h, ascending,
+      and firsts: (c, n - nb), rep at each of them;
+    - merged: (M, n) float64, the membership rows of the blocks with more
+      than one class, entry by entry;
+    - reads: (c, n + M) bool, the columns whose row pairs entry m compares
+      in the row-sum kernel: P's own column i where class i is alone in
+      its block, then the columns of P merged^T of its own merged blocks.
+
+    Built by :func:`_stack` from any partitions' block indices, or in
+    closed form by :func:`_merge_stacks` for single merges.
     """
+
+    S: np.ndarray
+    rep: np.ndarray
+    moved: np.ndarray
+    firsts: np.ndarray
+    merged: np.ndarray
+    reads: np.ndarray
+
+
+def _stack(idx: np.ndarray) -> _Stack:
+    """The stack of the partitions whose block-index rows are ``idx``
+    (row m is ``pi.block_index()`` of partition m), all with one number of
+    blocks.  rep is found by comparing every pair of block indices and the
+    merged blocks by their sizes, which only general partitions need:
+    :func:`_merge_stacks` writes both down from its merges.
+    """
+    c, n = idx.shape
+    entry = np.arange(c)[:, None]
     S = np.eye(int(idx[0].max()) + 1)[idx]
-    return S, np.argmax(idx[:, :, None] == idx[:, None, :], axis=2)
+    rep = np.argmax(idx[:, :, None] == idx[:, None, :], axis=2)
+    moved = np.nonzero(rep != np.arange(n))[1].reshape(c, -1)
+    size = S.sum(axis=1)
+    m, b = np.nonzero(size > 1)
+    return _Stack(S=S, rep=rep, moved=moved, firsts=rep[entry, moved], merged=S[m, :, b],
+                  reads=np.concatenate([(size == 1)[entry, idx], m == entry], axis=1))
 
 
 def _merge_stacks(d: int, merges):
@@ -237,42 +276,49 @@ def _merge_stacks(d: int, merges):
 
     ``merges`` is an iterable of sorted tuples of nontrivial classes, all of
     one size, such as ``itertools.combinations(range(1, d + 1), r)``.
-    Yields (chunk, S, rep): the next tuples T and the :func:`_stack` of
+    Yields (chunk, stack): the next tuples T and the :class:`_Stack` of
     their ``ClassPartition.merge(d, T)``, built for the whole chunk at once
-    from T alone: rep is T's first class on T and each class itself
-    elsewhere, and S the identity's rows at the block indices, with
-    d + 2 - |T| blocks.
+    from T alone, with d + 2 - |T| blocks: rep is T's first class on T and
+    each class itself elsewhere, the moved classes are T[1:] and their
+    first is T[0], each entry has one merged block, T, and its classes are
+    the ones not alone; S is the identity's rows at the block indices,
+    which count the classes up to each that are first in their block.
+    For |T| >= 2 these are the fields :func:`_stack` derives; a merge of
+    one class reads its column as a merged one, which compares the same
+    rows.
     """
     classes = np.arange(d + 1)
     todo = iter(merges)
     while chunk := list(itertools.islice(todo, _MERGE_CHUNK)):
         tuples = np.array(chunk, dtype=np.int64)
-        merged = np.zeros((len(chunk), d + 1), dtype=bool)
-        merged[np.arange(len(chunk))[:, None], tuples] = True
-        # a class outside T moves down one block per class of T above T's
-        # lowest class and below it
-        below = np.cumsum(merged, axis=1) - merged
-        idx = np.where(merged, tuples[:, :1], classes - np.maximum(below - 1, 0))
-        yield chunk, np.eye(d + 2 - tuples.shape[1])[idx], np.where(merged, tuples[:, :1], classes)
+        c, r = tuples.shape
+        entry = np.arange(c)[:, None]
+        merged = np.zeros((c, d + 1), dtype=bool)
+        merged[entry, tuples] = True
+        rep = np.where(merged, tuples[:, :1], classes)
+        idx = (np.cumsum(rep == classes, axis=1) - 1)[entry, rep]
+        yield chunk, _Stack(S=np.eye(d + 2 - r)[idx], rep=rep, moved=tuples[:, 1:],
+                            firsts=tuples[:, :1].repeat(r - 1, axis=1), merged=merged.astype(np.float64),
+                            reads=np.concatenate([~merged, np.eye(c, dtype=bool)], axis=1))
 
 
-def _stacked_block_sums(p: np.ndarray, S: np.ndarray, rep: np.ndarray) -> np.ndarray:
+def _stacked_block_sums(p: np.ndarray, stack: _Stack) -> np.ndarray:
     """The exact oracle on a stack of partitions: entry m is True iff every
     block sum S[m]^T p[:, :, h] S[m] equals the one at rep[m, h].
 
-    Only the t = d + 1 - n_blocks classes with rep[m, h] != h (t is one
-    for the stack) can break that, so entry m is accepted iff every block
-    sum of p[:, :, h] - p[:, :, rep[m, h]] is 0.  ``p`` is the tensor of
-    the whole stack, p[i, j, h] = p_ij^h, read two slices per moved class;
-    neither symmetry nor p_0j^h = delta_jh is assumed.  The float64
-    products are exact: partial sums are integers below v (d+1)^2 < 2^53.
+    Only the stack's moved classes h (rep[m, h] != h) can break that, so
+    entry m is accepted iff every block sum of p[:, :, h] - p[:, :, rep[m, h]]
+    is 0 for its moved h, with rep[m, h] read off the stack's firsts.
+    ``p`` is the tensor of the whole stack, p[i, j, h] = p_ij^h, read two
+    slices per moved class; neither symmetry nor p_0j^h = delta_jh is
+    assumed.  The float64 products are exact: partial sums are integers
+    below v (d+1)^2 < 2^53.
     """
-    c, n, nb = S.shape
-    m, h = np.nonzero(rep != np.arange(n))
+    S = stack.S
     slices = p.transpose(2, 0, 1)  # [h]: p[:, :, h]
-    diff = (slices[h] - slices[rep[m, h]]).astype(np.float64)
-    sums = S.transpose(0, 2, 1)[:, None] @ diff.reshape(c, n - nb, n, n) @ S[:, None]
-    return ~sums.reshape(c, -1).any(axis=1)
+    diff = (slices[stack.moved] - slices[stack.firsts]).astype(np.float64)
+    sums = S.transpose(0, 2, 1)[:, None] @ diff @ S[:, None]
+    return ~sums.reshape(len(S), -1).any(axis=1)
 
 
 @functools.cache
@@ -281,29 +327,39 @@ def _earlier_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, -1)
 
 
-def _stacked_row_sum(P: np.ndarray, S: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _own_columns(P: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """apart[q, i]: row pair q of :func:`_earlier_pairs` differs under tol
+    in column i of ``P``.  Fixed per eigenmatrix, so a pass over many
+    stacks of one P compares them once."""
+    later, earlier = _earlier_pairs(len(P))
+    return ~tol.isclose(P[later], P[earlier])
+
+
+def _stacked_row_sum(P: np.ndarray, stack: _Stack, tol: Tolerance,
+                     own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The row-sum criterion on a stack of partitions: fused[m] is True iff
     the rows of P S[m] fall into as many groups as S[m] has blocks, with
     row 0 alone; lead[m, j] is the leader of row j's group.  ``P`` is the
     eigenmatrix of the whole stack.
 
     Rows are close iff close under tol in every folded column.  A block of
-    one class folds to P's own column, so the row pairs apart in each of
-    P's columns are found once per stack; per entry only its merged
-    blocks' columns are compared.  A row joins the first earlier leader it
-    is close to, so closeness need not be transitive.
+    one class folds to P's own column, whose row pairs apart are the table
+    ``own`` (:func:`_own_columns`) that a pass over many stacks hands over;
+    then only the merged blocks' columns are compared here, and otherwise
+    P's own columns with them.  Each entry reads the columns the stack
+    names.  A row joins the first earlier leader it is close to, so
+    closeness need not be transitive.
     """
-    c, n, nb = S.shape
-    size = S.sum(axis=1)
-    m, b = np.nonzero(size > 1)  # the merged blocks
-    alone = (S @ (size == 1)[:, :, None])[:, :, 0]  # [m, i]: class i is alone in its block
-    # apart[q, col]: row pair q differs in the column (P's own columns, then merged)
-    cols = np.concatenate([P, (P @ S)[m, :, b].T], axis=1)
+    c, n, nb = stack.S.shape
     later, earlier = _earlier_pairs(n)
-    apart = ~tol.isclose(cols[later], cols[earlier])
-    reads = np.concatenate([alone, m == np.arange(c)[:, None]], axis=1)
+    cols = P @ stack.merged.T
+    if own is None:  # one comparison for P's own columns and the merged ones
+        cols = np.concatenate([P, cols], axis=1)
+        apart = ~tol.isclose(cols[later], cols[earlier])
+    else:
+        apart = np.concatenate([own, ~tol.isclose(cols[later], cols[earlier])], axis=1)
     close = np.zeros((c, n, n), dtype=bool)
-    close[:, later, earlier] = reads @ apart.T == 0
+    close[:, later, earlier] = np.matmul(stack.reads, apart.T, dtype=np.float32) == 0
     # leader[j] depends only on leader[:j], so each pass fixes at least one
     # more row, and the first pass that changes nothing has them all
     leader = ~close.any(axis=2)
@@ -327,18 +383,24 @@ def _fused_eigenmatrix(P: np.ndarray, S: np.ndarray, lead: np.ndarray,
     return tol.snap((P @ S)[lead == np.arange(len(lead))])[0]
 
 
-def _dual(P: np.ndarray, S: np.ndarray, lead: np.ndarray, tol: Tolerance) -> DualPartition:
+def _dual(P: np.ndarray, stack: _Stack, lead: np.ndarray, tol: Tolerance) -> DualPartition:
     """The dual partition of a stack of one partition that fuses on P."""
-    return DualPartition(rho=_partition_of(lead[0]), P_fused=_fused_eigenmatrix(P, S[0], lead[0], tol))
+    return DualPartition(rho=_partition_of(lead[0]), P_fused=_fused_eigenmatrix(P, stack.S[0], lead[0], tol))
+
+
+def _groups(labels: np.ndarray) -> list[list[int]]:
+    """The positions of equal ``labels``, a row of block indices or of
+    leaders, group by group in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for j, g in enumerate(labels.tolist()):
+        groups.setdefault(g, []).append(j)
+    return list(groups.values())
 
 
 def _partition_of(labels: np.ndarray) -> ClassPartition:
     """The partition grouping equal ``labels``, a row of block indices or
     of leaders: both first appear in ascending order, so blocks are canonical."""
-    groups: dict[int, list[int]] = {}
-    for j, g in enumerate(labels.tolist()):
-        groups.setdefault(g, []).append(j)
-    return ClassPartition(d=len(labels) - 1, blocks=tuple(map(tuple, groups.values())))
+    return ClassPartition(d=len(labels) - 1, blocks=tuple(map(tuple, _groups(labels))))
 
 
 def _block_sums(p: np.ndarray, pi: ClassPartition) -> np.ndarray:
@@ -385,19 +447,19 @@ def _disagreement(p: np.ndarray, pi: ClassPartition, exact_accepts: bool,
         f"{_tensor_failure(p, pi)}")
 
 
-def _reconcile(p: np.ndarray, P: np.ndarray, S: np.ndarray, rep: np.ndarray, tol: Tolerance,
-               where: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _reconcile(p: np.ndarray, P: np.ndarray, stack: _Stack, tol: Tolerance,
+               own: np.ndarray | None = None, where: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Both kernels on one stack, on the tensor ``p`` and eigenmatrix ``P``
-    of the whole stack: the row-sum kernel's (fused, lead), or
-    :func:`_disagreement`'s error, prefixed by ``where``, at the first
-    entry the two differ on.
+    of the whole stack (``own``: P's :func:`_own_columns`, if the caller
+    has them): the row-sum kernel's (fused, lead), or :func:`_disagreement`'s
+    error, prefixed by ``where``, at the first entry the two differ on.
     """
-    exact = _stacked_block_sums(p, S, rep)
-    fused, lead = _stacked_row_sum(P, S, tol)
+    exact = _stacked_block_sums(p, stack)
+    fused, lead = _stacked_row_sum(P, stack, tol, own)
     differ = np.flatnonzero(exact != fused)
     if differ.size:
         m = differ[0]
-        error = _disagreement(p, _partition_of(S[m].argmax(axis=1)), bool(exact[m]), lead[m])
+        error = _disagreement(p, _partition_of(stack.S[m].argmax(axis=1)), bool(exact[m]), lead[m])
         raise error if where is None else OracleDisagreement(f"{where}: {error}")
     return fused, lead
 
@@ -414,10 +476,10 @@ def _decide(scheme: AssociationScheme, pi: ClassPartition,
     """
     if pi.d != scheme.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, scheme has d={scheme.d}")
-    S, rep = _stack(pi.block_index()[None])
+    stack = _stack(pi.block_index()[None])
     P = spectral_decomposition(scheme, tol=tol).P
-    fused, lead = _reconcile(scheme.intersection.p, P, S, rep, tol)
-    return _dual(P, S, lead, tol) if fused[0] else None
+    fused, lead = _reconcile(scheme.intersection.p, P, stack, tol)
+    return _dual(P, stack, lead, tol) if fused[0] else None
 
 
 def fuse_direct(scheme: AssociationScheme, pi: ClassPartition,
@@ -454,11 +516,11 @@ def bm_check(spec: SpectralData, pi: ClassPartition) -> DualPartition:
     """
     if pi.d != spec.d:
         raise PreconditionFailed(f"partition is over 0..{pi.d}, spectral data has d={spec.d}")
-    S, _ = _stack(pi.block_index()[None])
-    fused, lead = _stacked_row_sum(spec.P, S, spec.tol)
+    stack = _stack(pi.block_index()[None])
+    fused, lead = _stacked_row_sum(spec.P, stack, spec.tol)
     if not fused[0]:
         raise _row_sum_failure(pi, lead[0])
-    return _dual(spec.P, S, lead, spec.tol)
+    return _dual(spec.P, stack, lead, spec.tol)
 
 
 def fuses(scheme: AssociationScheme, pi: ClassPartition,
@@ -476,12 +538,17 @@ def _decide_merges(scheme: AssociationScheme, merges, tol: Tolerance):
     leaders) per merge, in order; :func:`_partition_of` reads the dual
     partition off the row-sum kernel's leaders.  Both kernels answer a
     whole stack before any of its merges is yielded, so memory stays flat
-    however many merges there are.  A merge the two answer differently
-    raises :class:`OracleDisagreement` with :func:`_decide`'s text.
+    however many merges there are.  A pass of more than one stack
+    compares P's own columns once, at its second stack, and hands the
+    table to the rest.  A merge the two answer differently raises
+    :class:`OracleDisagreement` with :func:`_decide`'s text.
     """
-    for chunk, S, rep in _merge_stacks(scheme.d, merges):
+    own = None
+    for at, (chunk, stack) in enumerate(_merge_stacks(scheme.d, merges)):
         P = spectral_decomposition(scheme, tol=tol).P
-        fused, lead = _reconcile(scheme.intersection.p, P, S, rep, tol)
+        if at == 1:
+            own = _own_columns(P, tol)
+        fused, lead = _reconcile(scheme.intersection.p, P, stack, tol, own)
         yield from zip(chunk, fused.tolist(), lead)
 
 
@@ -501,11 +568,12 @@ def enumerate_fusing_tuples(scheme: AssociationScheme, k: int,
 
 def _fusing_triples(scheme: AssociationScheme, tol: Tolerance):
     """Each fusing triple T, in :func:`enumerate_fusing_tuples` order, and
-    the dual partition of its merge."""
+    the row-sum kernel's leaders of its merge, which group the
+    idempotents as its dual partition does."""
     merges = itertools.combinations(range(1, scheme.d + 1), 3)
     for T, fused, leaders in _decide_merges(scheme, merges, tol):
         if fused:
-            yield T, _partition_of(leaders)
+            yield T, leaders
 
 
 def _dual_merges(scheme: AssociationScheme, k: int, tol: Tolerance):
@@ -521,18 +589,24 @@ def _dual_merges(scheme: AssociationScheme, k: int, tol: Tolerance):
     sums of P and of Q.  Complete: a fusion pi with dual partition rho
     folds Q over rho into exactly |pi| distinct rows, grouped by pi.  A
     failed confirmation means the numerics are wrong and raises
-    :class:`OracleDisagreement`.  There is no limit on d.
+    :class:`OracleDisagreement`.  There is no limit on d.  As in
+    :func:`_decide_merges`, the own columns of Q and of P are compared
+    once, at the second stack, for the rest of the pass.
     """
     spec = spectral_decomposition(scheme, tol=tol)
-    for chunk, S, rep in _merge_stacks(scheme.d, itertools.combinations(range(1, scheme.d + 1), k)):
-        fused, lead = _stacked_row_sum(spec.Q, S, tol)
+    own_Q = own_P = None
+    merges = itertools.combinations(range(1, scheme.d + 1), k)
+    for at, (chunk, stack) in enumerate(_merge_stacks(scheme.d, merges)):
+        if at == 1:
+            own_Q, own_P = _own_columns(spec.Q, tol), _own_columns(spec.P, tol)
+        fused, lead = _stacked_row_sum(spec.Q, stack, tol, own_Q)
         ask = np.flatnonzero(fused)
         if ask.size:
             # candidate m puts each class in the block of its leader on Q's side
             idx = np.take_along_axis(np.cumsum(lead == np.arange(scheme.d + 1), axis=1) - 1, lead, 1)
-            found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)
+            found, found_lead = _reconcile(scheme.intersection.p, spec.P, _stack(idx[ask]), tol, own_P)
             # rep[m] leads the idempotents as rho = merge(T) does
-            wrong = ~found | (found_lead != rep[ask]).any(axis=1)
+            wrong = ~found | (found_lead != stack.rep[ask]).any(axis=1)
             if wrong.any():
                 i = int(np.argmax(wrong))
                 raise OracleDisagreement(
@@ -557,6 +631,7 @@ def classify_triple(spec, T) -> TripleType:
     Given a scheme, both oracles decide whether T fuses (:func:`_decide`);
     given bare spectral data, the row-sum criterion (:func:`bm_check`) alone.
     """
+    _check_class_indices(T)
     T = tuple(sorted(T))
     if not _is_triple(T, spec.d):
         raise PreconditionFailed(f"{T} is not a 3-subset of 1..{spec.d}")
@@ -564,17 +639,19 @@ def classify_triple(spec, T) -> TripleType:
     if isinstance(spec, AssociationScheme):
         if (dual := _decide(spec, pi, DEFAULT_TOL)) is None:
             raise NotFusing(str(_tensor_failure(spec.intersection.p, pi)))
-        return _triple_type(dual.rho, T)
-    try:
-        dual = bm_check(spec, pi)
-    except NotAFusion as exc:
-        raise NotFusing(str(exc)) from exc
-    return _triple_type(dual.rho, T)
+    else:
+        try:
+            dual = bm_check(spec, pi)
+        except NotAFusion as exc:
+            raise NotFusing(str(exc)) from exc
+    return _triple_type(dual.rho.block_index(), T)
 
 
-def _triple_type(rho: ClassPartition, T: tuple[int, ...]) -> TripleType:
-    """Type of the fusing triple T (sorted) from the dual partition rho of its merge."""
-    big = [frozenset(b) for b in rho.blocks if len(b) >= 2]
+def _triple_type(labels: np.ndarray, T: tuple[int, ...]) -> TripleType:
+    """Type of the fusing triple T (sorted) from the dual partition of its
+    merge, given as one label per idempotent, equal within a block: the
+    row-sum kernel's leaders or a partition's block index."""
+    big = [frozenset(b) for b in _groups(labels) if len(b) >= 2]
     sizes = sorted(len(b) for b in big)
     if sizes == [3]:
         return TripleType(kind=1, sets=(big[0],))
@@ -603,6 +680,7 @@ def contraction_check(scheme: AssociationScheme, t1, ell: int,
     single pair is its own orbit, so each witness asks it directly, and the
     parent still checks its blocks on P.
     """
+    _check_class_indices((*t1, ell))
     t1 = tuple(sorted(t1))
     if not _is_triple(t1, scheme.d) or not 1 <= ell <= scheme.d or ell in t1:
         raise PreconditionFailed(f"need a 3-subset and an outside class, got {t1}, {ell}")
@@ -655,7 +733,7 @@ def _transposition_blocks(t: np.ndarray) -> list[int]:
         for a in firsts:
             swap = np.arange(n)
             swap[[a, b]] = b, a
-            if np.array_equal(t[np.ix_(swap, swap, swap)], t):
+            if (t.take(swap, axis=0).take(swap, axis=1).take(swap, axis=2) == t).all():
                 block[b] = a
                 break
         else:
@@ -781,18 +859,18 @@ def _decide_contracted(scheme: AssociationScheme, outside: dict, tol: Tolerance)
     parent_P = spectral_decomposition(scheme, tol=tol).P
 
     def ask(T, ells):
-        _, S, _ = next(_merge_stacks(d, [T]))
-        fused, lead = _stacked_row_sum(parent_P, S, tol)
+        _, stack = next(_merge_stacks(d, [T]))
+        fused, lead = _stacked_row_sum(parent_P, stack, tol)
         if not fused[0]:
             raise OracleDisagreement(f"contraction of {set(T)}: "
                                      f"the parent's eigenmatrix does not fuse the triple")
-        P = _fused_eigenmatrix(parent_P, S[0], lead[0], tol)
+        P = _fused_eigenmatrix(parent_P, stack.S[0], lead[0], tol)
         p, k_fused = _contracted_tensor(T, counts, k)
         _check_characters(T, p, k_fused, P, scheme.v, tol)
         # ell's block: ell less the classes of T above T[0] and below ell
         pairs = [tuple(sorted((T[0], ell - (T[1] < ell) - (T[2] < ell)))) for ell in ells]
-        return [ok for _, S2, rep in _merge_stacks(d - 2, pairs)
-                for ok in _reconcile(p, P, S2, rep, tol, f"contraction of {set(T)}")[0].tolist()]
+        return [ok for _, pair_stack in _merge_stacks(d - 2, pairs)
+                for ok in _reconcile(p, P, pair_stack, tol, where=f"contraction of {set(T)}")[0].tolist()]
 
     yield from _walk_orbits(outside, _transposition_blocks(counts), ask)
 

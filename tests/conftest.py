@@ -10,7 +10,8 @@ built on it, the single-merge amorphicity reference, the H(2,2) x H(2,2)
 product scheme, the pairwise reference of the transposition blocks and
 their singleton stub, the Latin-type search, the sieved prime weights, the
 scalar closeness formula, the full-tensor
-references of the two fusion kernels and of the dual partition, the
+references of the two fusion kernels, of the dual partition and of
+the triple type read off it, the
 hand-written overlap label tables, the scanning references of the
 sunflower cores, contraction pairs and overlapping pairs, and the
 acceptance-criteria summary lines.
@@ -28,7 +29,7 @@ import pytest
 
 import amorphic as am
 from amorphic import core, generators
-from amorphic.fusion import ClassPartition, DualPartition, fuses
+from amorphic.fusion import ClassPartition, DualPartition, _partition_of, fuses
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
@@ -130,20 +131,24 @@ def idempotent_edges_by_all_partitions(scheme, k):
     return frozenset(edges)
 
 
-def block_sums_by_full_tensor(p, S, rep):
+def block_sums_by_full_tensor(p, stack):
     """Test-only reference for ``fusion._stacked_block_sums``: all
     (d+1)^3 block sums F[m, I, J, h] = sum_{i in I, j in J} p_ij^h of every
     stack entry, each compared with its value at h's block representative
-    rep[m, h], on the stack's tensor p[i, j, h]."""
+    rep[m, h], on the stack's tensor p[i, j, h].  Reads only the stack's
+    membership matrices S and representatives rep."""
+    S, rep = stack.S, stack.rep
     F = np.einsum("mia,ijh,mjb->mabh", S, p.astype(np.float64), S)
     return np.all(F == np.take_along_axis(F, rep[:, None, None, :], axis=3), axis=(1, 2, 3))
 
 
-def row_sum_by_full_fold(P, S, tol):
+def row_sum_by_full_fold(P, stack, tol):
     """Test-only reference for ``fusion._stacked_row_sum``: the rows of
     every folded eigenmatrix P S[m] compared pairwise on all its columns,
     then the greedy grouping (a row joins the first earlier leader it is
-    close to) one row at a time.  Returns (fused, lead) like the kernel."""
+    close to) one row at a time.  Reads only the stack's membership
+    matrices S.  Returns (fused, lead) like the kernel."""
+    S = stack.S
     folded = P @ S
     c, n, nb = S.shape
     fused, lead = np.zeros(c, dtype=bool), np.zeros((c, n), dtype=np.int64)
@@ -168,6 +173,20 @@ def dual_by_full_fold(P, S, lead, tol):
         groups.setdefault(g, []).append(j)
     rho = ClassPartition(d=len(lead) - 1, blocks=tuple(map(tuple, groups.values())))
     return DualPartition(rho=rho, P_fused=tol.snap((P @ S)[list(groups)])[0])
+
+
+def triple_type_by_partition(lead, T):
+    """Test-only reference for ``fusion._triple_type`` on leaders: the dual
+    partition built as a ``ClassPartition`` (``fusion._partition_of``), then
+    typed by its blocks of two or more idempotents."""
+    rho = _partition_of(lead)
+    big = [frozenset(b) for b in rho.blocks if len(b) >= 2]
+    sizes = sorted(len(b) for b in big)
+    if sizes == [3]:
+        return am.TripleType(kind=1, sets=(big[0],))
+    if sizes == [2, 2]:
+        return am.TripleType(kind=2, sets=tuple(sorted(big, key=min)))
+    raise am.Falsification(f"fusing triple {T} has dual block sizes {sizes}, expected [3] or [2, 2]")
 
 
 def net_with_group_sizes(n, sizes):

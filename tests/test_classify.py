@@ -691,9 +691,9 @@ def test_verify_claims_types_each_triple_once(monkeypatch):
     typed, criterion = [], []
     real_type, real_bm = classify._triple_type, fusion.bm_check
 
-    def counted_type(rho, T):
+    def counted_type(leaders, T):
         typed.append(T)
-        return real_type(rho, T)
+        return real_type(leaders, T)
 
     def counted_bm(*args, **kwargs):
         criterion.append(args)
@@ -773,9 +773,9 @@ def _read_bm_check_duals(corpus, monkeypatch):
     real, real_check = classify._fusing_triples, fusion._check_characters
 
     def spy(scheme, tol):
-        for T, rho in real(scheme, tol):
-            seen.append((T, rho))
-            yield T, rho
+        for T, leaders in real(scheme, tol):
+            seen.append((T, leaders))
+            yield T, leaders
 
     def spy_check(T, p, k, P, v, tol):
         derived.append((T, P))
@@ -793,7 +793,8 @@ def _read_bm_check_duals(corpus, monkeypatch):
         assert sorted(vars(scheme)) == ["_intersection", "_spectra", "label_matrix", "valencies"]
         assert [T for T, _ in seen] == am.enumerate_fusing_tuples(scheme, 3), name
         spec = am.spectral_decomposition(scheme)
-        for T, rho in seen:
+        for T, leaders in seen:
+            rho = fusion._partition_of(leaders)
             assert rho == am.bm_check(spec, am.ClassPartition.merge(scheme.d, T)).rho, (name, T)
         for T, P in derived:
             ref = am.bm_check(spec, am.ClassPartition.merge(scheme.d, T))

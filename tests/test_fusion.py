@@ -22,7 +22,7 @@ from conftest import (admissible_pairs_by_lookup, block_sums_by_full_tensor, dua
                       enumerate_partitions, fuse_by_relabeling, hamming_square_product,
                       net_with_group_sizes, overlap_label_by_tables, overlapping_pairs_by_filter,
                       row_sum_by_full_fold, singleton_blocks, tensor_by_label_histogram,
-                      transposition_blocks_by_pairs)
+                      transposition_blocks_by_pairs, triple_type_by_partition)
 
 TOL = am.DEFAULT_TOL
 
@@ -216,7 +216,7 @@ def _flip_one(monkeypatch, kernel, pi):
     def flipped(*args):
         out = real(*args)
         answers = out[0] if kernel == "_stacked_row_sum" else out
-        for m, S in enumerate(args[1]):
+        for m, S in enumerate(args[1].S):
             if S.shape == want.shape and np.array_equal(S, want):
                 answers[m] = not answers[m]
         return out
@@ -309,7 +309,7 @@ def test_three_oracles_agree_on_every_corpus_partition(corpus):
         for pi in enumerate_partitions(scheme.d):
             checks += 1
             ok_tensor = bool(fusion._stacked_block_sums(
-                scheme.intersection.p, *fusion._stack(pi.block_index()[None]))[0])
+                scheme.intersection.p, fusion._stack(pi.block_index()[None]))[0])
             relabeled = fuse_by_relabeling(scheme, pi)
             try:
                 dual = am.bm_check(spec, pi)
@@ -369,17 +369,85 @@ def test_merge_stack_matches_membership():
     for d in range(1, 10):  # at d = 9 the 126 merges of size 4 fill two chunks
         for r in range(1, d + 1):
             stacks = list(fusion._merge_stacks(d, _merges(d, r)))
-            assert [T for chunk, _, _ in stacks for T in chunk] == _merges(d, r)
-            S = np.concatenate([S for _, S, _ in stacks])
-            rep = np.concatenate([rep for _, _, rep in stacks])
+            assert [T for chunk, _ in stacks for T in chunk] == _merges(d, r)
+            S = np.concatenate([stack.S for _, stack in stacks])
+            rep = np.concatenate([stack.rep for _, stack in stacks])
             for m, T in enumerate(_merges(d, r)):
                 pi = am.ClassPartition.merge(d, T)
                 assert np.array_equal(S[m], _membership(pi)), (d, T)
                 assert rep[m].tolist() == [pi.blocks[b][0] for b in pi.block_index()], (d, T)
     for pi in enumerate_partitions(5):
-        (S,), (rep,) = fusion._stack(pi.block_index()[None])
+        stack = fusion._stack(pi.block_index()[None])
+        (S,), (rep,) = stack.S, stack.rep
         assert np.array_equal(S, _membership(pi)), str(pi)
         assert rep.tolist() == [pi.blocks[b][0] for b in pi.block_index()], str(pi)
+
+
+def test_merge_stacks_equal_the_general_stacks(corpus):
+    """For every merge of sizes 2..d of every corpus scheme (d <= 8), the
+    stack _merge_stacks writes in closed form is, field by field, the one
+    _stack derives from the same partitions' block indices; and on either
+    stack both kernels give the same exact answers, fused flags and
+    leaders, with P's own-column table handed in or computed by the
+    row-sum kernel."""
+    stacks = 0
+    for name, scheme in corpus:
+        d, p = scheme.d, scheme.intersection.p
+        assert d <= 8, name
+        P = am.spectral_decomposition(scheme).P
+        own = fusion._own_columns(P, TOL)
+        for r in range(2, d + 1):
+            for chunk, closed in fusion._merge_stacks(d, _merges(d, r)):
+                general = fusion._stack(np.array([am.ClassPartition.merge(d, T).block_index()
+                                                  for T in chunk]))
+                for field in fusion._Stack._fields:
+                    got, want = getattr(closed, field), getattr(general, field)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (name, r, field)
+                exact = fusion._stacked_block_sums(p, general)
+                fused, lead = fusion._stacked_row_sum(P, general, TOL)
+                for stack in (closed, general):
+                    assert np.array_equal(fusion._stacked_block_sums(p, stack), exact), (name, r)
+                    for table in (own, None):
+                        got_fused, got_lead = fusion._stacked_row_sum(P, stack, TOL, table)
+                        assert np.array_equal(got_fused, fused), (name, r)
+                        assert np.array_equal(got_lead, lead), (name, r)
+                stacks += 1
+    assert stacks == sum(max(scheme.d - 1, 0) for _, scheme in corpus)
+
+
+def test_passes_hand_each_stack_its_eigenmatrix_own_columns(monkeypatch):
+    """In a pass of two stacks (the 84 triples of net(9; 2 1^8)), the first
+    stack compares the eigenmatrix's own columns itself, and the second
+    reads the table of the very eigenmatrix it folds, built once per
+    eigenmatrix for the pass: Q and P on the idempotent side, P on the
+    relation side."""
+    scheme = net_with_group_sizes(9, [2] + [1] * 8)  # d = 9, P's own columns differ from Q's
+    spec = am.spectral_decomposition(scheme)
+    real_row, real_own = fusion._stacked_row_sum, fusion._own_columns
+    assert not np.array_equal(real_own(spec.P, TOL), real_own(spec.Q, TOL))
+    handed, built = [], []
+
+    def name(M):
+        return "P" if M is spec.P else "Q" if M is spec.Q else "?"
+
+    def row_sum(M, stack, tol, own=None):
+        handed.append((name(M), own is not None))
+        assert own is None or np.array_equal(own, real_own(M, tol))
+        return real_row(M, stack, tol, own)
+
+    def own_columns(M, tol):
+        built.append(name(M))
+        return real_own(M, tol)
+
+    monkeypatch.setattr(fusion, "_stacked_row_sum", row_sum)
+    monkeypatch.setattr(fusion, "_own_columns", own_columns)
+    assert len(list(fusion._dual_merges(scheme, 3, TOL))) == 84
+    assert built == ["Q", "P"]
+    assert handed == [("Q", False), ("P", False), ("Q", True), ("P", True)]
+    handed.clear()
+    built.clear()
+    assert all(fused for _, fused, _ in fusion._decide_merges(scheme, _merges(9, 3), TOL))
+    assert built == ["P"] and handed == [("P", False), ("P", True)]
 
 
 def _stacked_answers(scheme, r):
@@ -477,8 +545,8 @@ def test_stacked_row_sum_groups_like_group_rows(P, lead, fuses):
     tol = am.Tolerance(atol=1e-3, rtol=0.0)
     spec = _crafted_spectrum(P, tol)
     pi = am.ClassPartition.merge(3, (2, 3))
-    ((chunk, S, _),) = fusion._merge_stacks(3, _merges(3, 2))
-    fused, got = fusion._stacked_row_sum(spec.P, S, tol)
+    ((chunk, stack),) = fusion._merge_stacks(3, _merges(3, 2))
+    fused, got = fusion._stacked_row_sum(spec.P, stack, tol)
     m = chunk.index((2, 3))
     assert (bool(fused[m]), got[m].tolist()) == (fuses, lead)
     if fuses:
@@ -500,14 +568,15 @@ def test_partition_over_another_d_is_rejected():
 
 # ------------------------------------ merge-local kernels against references
 
-def _check_kernels(p, P, S, rep, tol=TOL):
+def _check_kernels(p, P, stack, tol=TOL):
     """Both kernels, and the fused eigenmatrices, agree entry by entry with
     the full-tensor references on one stack; returns the exact answers."""
-    exact = fusion._stacked_block_sums(p, S, rep)
-    assert np.array_equal(exact, block_sums_by_full_tensor(p, S, rep))
-    fused, lead = fusion._stacked_row_sum(P, S, tol)
-    ref_fused, ref_lead = row_sum_by_full_fold(P, S, tol)
+    exact = fusion._stacked_block_sums(p, stack)
+    assert np.array_equal(exact, block_sums_by_full_tensor(p, stack))
+    fused, lead = fusion._stacked_row_sum(P, stack, tol)
+    ref_fused, ref_lead = row_sum_by_full_fold(P, stack, tol)
     assert np.array_equal(fused, ref_fused) and np.array_equal(lead, ref_lead)
+    S = stack.S
     ok = np.flatnonzero(fused)
     for m in ok:
         ref = dual_by_full_fold(P, S[m], lead[m], tol)
@@ -528,8 +597,8 @@ def test_kernels_match_references_on_corpus_partitions(corpus):
             by_blocks.setdefault(pi.n_blocks, []).append(pi.block_index())
         for rows in by_blocks.values():
             for start in range(0, len(rows), 64):
-                S, rep = fusion._stack(np.array(rows[start:start + 64]))
-                exact = _check_kernels(scheme.intersection.p, P, S, rep)
+                stack = fusion._stack(np.array(rows[start:start + 64]))
+                exact = _check_kernels(scheme.intersection.p, P, stack)
                 checked += len(exact)
                 accepted += int(exact.sum())
     assert checked == 1993 and 0 < accepted < checked
@@ -540,8 +609,8 @@ def test_kernels_match_references_on_net13_merges():
     scheme = net_with_group_sizes(13, [1] * 14)
     P = am.spectral_decomposition(scheme).P
     for r in (2, 3):
-        for _, S, rep in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
-            assert _check_kernels(scheme.intersection.p, P, S, rep).all()
+        for _, stack in fusion._merge_stacks(scheme.d, _merges(scheme.d, r)):
+            assert _check_kernels(scheme.intersection.p, P, stack).all()
 
 
 def _random_stack(rng, d, nb, c):
@@ -562,14 +631,26 @@ def test_kernels_match_references_on_arbitrary_tensors(seed, d, c):
     stacks of arbitrary partitions."""
     rng = np.random.default_rng(seed)
     n = d + 1
-    S, rep = _random_stack(rng, d, int(rng.integers(2, n + 1)), c)
+    stack = _random_stack(rng, d, int(rng.integers(2, n + 1)), c)
     p = rng.integers(0, 2, size=(n, n, n))
     P = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(n, n))
     P += rng.choice([0.0, 0.0, 4e-9, -4e-9, 3e-8], size=(n, n))
-    _check_kernels(p, P, S, rep)
+    _check_kernels(p, P, stack)
 
 
 # ------------------------------------------------------------ triple types
+
+def test_triple_types_from_leaders_match_the_partition_reference(corpus):
+    """On every fusing triple of the corpus, the type read off the row-sum
+    kernel's leaders is the one of the dual partition built from them."""
+    typed = 0
+    for name, scheme in corpus:
+        if scheme.d < 3:
+            continue
+        for T, leaders in fusion._fusing_triples(scheme, TOL):
+            assert fusion._triple_type(leaders, T) == triple_type_by_partition(leaders, T), (name, T)
+            typed += 1
+    assert typed == 95
 
 def test_hamming4_triple_123_is_type2():
     scheme = am.gen_hamming_binary(4)
@@ -695,6 +776,33 @@ def test_malformed_triples_and_classes_are_preconditions():
     for ell in (0, -1, 6):
         with pytest.raises(am.PreconditionFailed, match="need a 3-subset and an outside class"):
             am.contraction_check(scheme, (1, 2, 3), ell)
+
+
+@pytest.mark.parametrize("ask, bad", [
+    (lambda scheme: am.gen_hamming_binary(3).relation(1.5), "1.5"),
+    (lambda scheme: am.srg_info(am.spectral_decomposition(scheme), 1.5), "1.5"),
+    (lambda scheme: am.contraction_check(scheme, (1, 2, 3), 4.0), "4.0"),
+    (lambda scheme: am.contraction_check(scheme, (1, 2, 3), 4.5), "4.5"),
+    (lambda scheme: am.classify_triple(scheme, (1.0, 2, 3)), "1.0"),
+], ids=["relation", "srg-info", "contraction-whole-float", "contraction-fraction",
+        "classify-triple"])
+def test_class_indices_that_are_not_integers_are_refused(ask, bad):
+    """A class index that is not an integer names no class: it is refused
+    by name, not read as an array index or matched against no label."""
+    scheme = am.gen_net_scheme(5, am.SlopeGrouping.singletons(5))  # net(5; 1^6), d = 6
+    with pytest.raises(am.PreconditionFailed, match=rf"class index {re.escape(bad)} is not an integer"):
+        ask(scheme)
+
+
+def test_numpy_integer_class_indices_are_accepted():
+    """NumPy integers are class indices like Python's."""
+    scheme = am.gen_net_scheme(5, am.SlopeGrouping.singletons(5))
+    spec = am.spectral_decomposition(scheme)
+    one, T = np.int64(1), np.array([1, 2, 3])
+    assert np.array_equal(scheme.relation(one), scheme.relation(1))
+    assert am.srg_info(spec, one) == am.srg_info(spec, 1)
+    assert am.contraction_check(scheme, T, np.int64(4)) is am.contraction_check(scheme, (1, 2, 3), 4)
+    assert am.classify_triple(scheme, T) == am.classify_triple(scheme, (1, 2, 3))
 
 
 def _admissible_by_definition(scheme, triples):
@@ -837,9 +945,9 @@ def _spy_contraction(monkeypatch):
     stacks, shapes, asked = [], [], {"_decide_merges": [], "_decide_contracted": []}
     real_stacks, real_reconcile = fusion._merge_stacks, fusion._reconcile
 
-    def spy_reconcile(p, P, *rest):
+    def spy_reconcile(p, P, *rest, **options):
         shapes.append((p.shape, P.shape))
-        return real_reconcile(p, P, *rest)
+        return real_reconcile(p, P, *rest, **options)
 
     def spy_stacks(d, merges):
         for chunk, *rest in real_stacks(d, merges):
@@ -961,9 +1069,9 @@ def test_contraction_asks_one_question_per_orbit_on_a_net(monkeypatch):
         checked.append(T)
         real_check(T, *rest)
 
-    def reconcile(p, P, S, *rest):
-        pairs.append(len(S))
-        return real_reconcile(p, P, S, *rest)
+    def reconcile(p, P, stack, *rest, **options):
+        pairs.append(len(stack.S))
+        return real_reconcile(p, P, stack, *rest, **options)
 
     for name, spy in [("_decide_merges", merges), ("_contracted_tensor", fold),
                       ("_check_characters", check), ("_reconcile", reconcile)]:

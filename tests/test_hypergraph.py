@@ -108,10 +108,10 @@ def test_idempotent_side_disagreement_is_fatal(monkeypatch):
     real = fusion._stacked_row_sum
     calls = []
 
-    def singletons_once(M, S, tol):
-        fused, lead = real(M, S, tol)
+    def singletons_once(M, stack, *rest):
+        fused, lead = real(M, stack, *rest)
         if M is P:  # the confirmation stack, on the scheme's P
-            calls.append(len(S))
+            calls.append(len(stack.S))
             lead[0] = np.arange(len(lead[0]))
         return fused, lead
 

@@ -55,8 +55,8 @@ CATALOGUE = (
     # in ``outside`` (the last one, for the first), a fused eigenmatrix of
     # another fusing triple
     Mutant("witness-b-neighbouring-P", "src/amorphic/fusion.py",
-           "        _, S, _ = next(_merge_stacks(d, [T]))\n",
-           "        _, S, _ = next(_merge_stacks(d, [list(outside)[list(outside).index(T) - 1]]))\n",
+           "        _, stack = next(_merge_stacks(d, [T]))\n",
+           "        _, stack = next(_merge_stacks(d, [list(outside)[list(outside).index(T) - 1]]))\n",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling",
             "tests/test_classify.py::test_verifier_reads_bm_check_duals")),
@@ -74,8 +74,8 @@ CATALOGUE = (
     # the two rows of a contracted eigenmatrix with n = 2 (a triple of a
     # d = 3 parent) differ in the last column alone
     Mutant("character-check-columns-short", "src/amorphic/fusion.py",
-           "tol.isclose(P[later], P[earlier])",
-           "tol.isclose(P[later, :-1], P[earlier, :-1])",
+           "tol.isclose(P[later], P[earlier]).all(axis=1)",
+           "tol.isclose(P[later, :-1], P[earlier, :-1]).all(axis=1)",
            ("tests/test_fusion.py::test_witness_b_inputs_match_fused_schemes",
             "tests/test_fusion.py::test_batched_contraction_matches_relabeling")),
     # each triple's pairs asked on the contracted scheme of the triple
@@ -85,17 +85,17 @@ CATALOGUE = (
     # whose pairs also answer no (H(2,2) x H(2,2), every class outside each
     # triple) tells
     Mutant("witness-b-previous-triple", "src/amorphic/fusion.py",
-           "        _, S, _ = next(_merge_stacks(d, [T]))\n"
-           "        fused, lead = _stacked_row_sum(parent_P, S, tol)\n"
+           "        _, stack = next(_merge_stacks(d, [T]))\n"
+           "        fused, lead = _stacked_row_sum(parent_P, stack, tol)\n"
            "        if not fused[0]:\n"
            "            raise OracleDisagreement(f\"contraction of {set(T)}: \"\n"
            "                                     f\"the parent's eigenmatrix does not fuse the triple\")\n"
-           "        P = _fused_eigenmatrix(parent_P, S[0], lead[0], tol)\n"
+           "        P = _fused_eigenmatrix(parent_P, stack.S[0], lead[0], tol)\n"
            "        p, k_fused = _contracted_tensor(T, counts, k)\n",
            "        U = list(outside)[list(outside).index(T) - 1]\n"
-           "        _, S, _ = next(_merge_stacks(d, [U]))\n"
-           "        fused, lead = _stacked_row_sum(parent_P, S, tol)\n"
-           "        P = _fused_eigenmatrix(parent_P, S[0], lead[0], tol)\n"
+           "        _, stack = next(_merge_stacks(d, [U]))\n"
+           "        fused, lead = _stacked_row_sum(parent_P, stack, tol)\n"
+           "        P = _fused_eigenmatrix(parent_P, stack.S[0], lead[0], tol)\n"
            "        p, k_fused = _contracted_tensor(U, counts, k)\n",
            ("tests/test_fusion.py::test_witness_b_answers_every_outside_class",)),
     Mutant("fold-skips-remainder-check", "src/amorphic/fusion.py",
@@ -112,7 +112,7 @@ CATALOGUE = (
     # fusion._walk_orbits): a join without the exact test joins every
     # class to the first nontrivial one.
     Mutant("transposition-joined-unchecked", "src/amorphic/fusion.py",
-           "            if np.array_equal(t[np.ix_(swap, swap, swap)], t):\n",
+           "            if (t.take(swap, axis=0).take(swap, axis=1).take(swap, axis=2) == t).all():\n",
            "            if True:\n",
            ("tests/test_fusion.py::test_transposition_blocks_match_the_pairwise_reference",
             "tests/test_fusion.py::test_contraction_orbits_match_the_exhaustive_path")),
@@ -128,8 +128,9 @@ CATALOGUE = (
            "        pairs += len(answers)\n",
            "        pairs += 1\n",
            ("tests/test_cli.py::test_corpus_run_is_byte_identical",)),
-    # The verifier's fusing triples (fusion._fusing_triples), read off the
-    # leaders fusion._decide_merges yields with each answer.
+    # The verifier's fusing triples (fusion._fusing_triples) and their
+    # types, read off the leaders fusion._decide_merges yields with each
+    # answer.
     Mutant("fusing-triples-previous-rho", "src/amorphic/fusion.py",
            "        yield from zip(chunk, fused.tolist(), lead)\n",
            "        yield from zip(chunk, fused.tolist(), np.roll(lead, 1, axis=0))\n",
@@ -138,14 +139,32 @@ CATALOGUE = (
     # The idempotent side (fusion._dual_merges): each edge Q's row sums
     # propose is confirmed by both oracles on the scheme's P.
     Mutant("dual-merges-unconfirmed", "src/amorphic/fusion.py",
-           "        found, found_lead = _reconcile(scheme.intersection.p, spec.P, *_stack(idx[ask]), tol)\n",
-           "        found, found_lead = fused[ask], rep[ask]\n",
+           "        found, found_lead = _reconcile(scheme.intersection.p, spec.P, _stack(idx[ask]), tol, own_P)\n",
+           "        found, found_lead = fused[ask], stack.rep[ask]\n",
            ("tests/test_hypergraph.py::test_idempotent_side_disagreement_is_fatal",)),
-    # The single-merge stacks read rep off their merges (fusion._merge_stacks).
+    # Q's stacks read P's own-column table: the row pairs apart in P's
+    # columns, not Q's.  The table is handed over from a pass's second
+    # stack on (more than 64 triples, d >= 9), and on the schemes tried the
+    # edges came out the same, so the test checks the table itself.
+    Mutant("own-columns-of-the-other-eigenmatrix", "src/amorphic/fusion.py",
+           "        fused, lead = _stacked_row_sum(spec.Q, stack, tol, own_Q)\n",
+           "        fused, lead = _stacked_row_sum(spec.Q, stack, tol, own_P)\n",
+           ("tests/test_fusion.py::test_passes_hand_each_stack_its_eigenmatrix_own_columns",)),
+    # The single-merge stacks write their structure down from their merges
+    # (fusion._merge_stacks): rep, and the moved classes the exact kernel
+    # compares with it.
     Mutant("merge-rep-last-class", "src/amorphic/fusion.py",
-           "np.where(merged, tuples[:, :1], classes)",
-           "np.where(merged, tuples[:, -1:], classes)",
-           ("tests/test_fusion.py::test_merge_stack_matches_membership",)),
+           "        rep = np.where(merged, tuples[:, :1], classes)\n",
+           "        rep = np.where(merged, tuples[:, -1:], classes)\n",
+           ("tests/test_fusion.py::test_merge_stack_matches_membership",
+            "tests/test_fusion.py::test_merge_stacks_equal_the_general_stacks")),
+    # a triple's merge is then accepted by the exact kernel on its second
+    # class alone
+    Mutant("merge-moved-drops-last", "src/amorphic/fusion.py",
+           "moved=tuples[:, 1:],",
+           "moved=tuples[:, 1:-1],",
+           ("tests/test_fusion.py::test_merge_stacks_equal_the_general_stacks",
+            "tests/test_fusion.py::test_stacked_merges_match_fuses_on_corpus")),
     # The map from 2-subsets to fusing triples and what the verifier reads
     # off it (fusion._triples_through, fusion._outside, fusion._overlap_labels,
     # hypergraph._cores).
